@@ -1,7 +1,9 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -65,70 +67,139 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
+// Escaping maps backslash, the separator and newline to two-byte sequences
+// ("\\\\", "\\s", "\\n") and copies every other byte; runs of plain bytes
+// are appended in one piece.
+void AppendEscaped(std::string* out, std::string_view field, char sep) {
+  size_t start = 0;
+  for (size_t i = 0; i < field.size(); ++i) {
+    const char c = field[i];
+    if (c != '\\' && c != sep && c != '\n') continue;
+    out->append(field.data() + start, i - start);
+    out->push_back('\\');
+    out->push_back(c == '\\' ? '\\' : (c == sep ? 's' : 'n'));
+    start = i + 1;
+  }
+  out->append(field.data() + start, field.size() - start);
+}
+
 std::string EscapeField(std::string_view field, char sep) {
   std::string out;
   out.reserve(field.size());
-  for (char c : field) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == sep) {
-      out.push_back('\\');
-      out.push_back('s');
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
+  AppendEscaped(&out, field, sep);
   return out;
 }
+
+void AppendEscapedNested(std::string* out, std::string_view field,
+                         std::string_view seps) {
+  // Bytes below 64 that some level escapes, as a bitmask; record formats
+  // separate with control bytes and punctuation, so this covers them.
+  uint64_t low = uint64_t{1} << '\n';
+  bool high_sep = false;
+  for (char sep : seps) {
+    const auto u = static_cast<unsigned char>(sep);
+    if (u < 64) {
+      low |= uint64_t{1} << u;
+    } else {
+      high_sep = true;
+    }
+  }
+  bool plain = true;
+  for (char c : field) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '\\' || (u < 64 && ((low >> u) & 1)) ||
+        (high_sep && seps.find(c) != std::string_view::npos)) {
+      plain = false;
+      break;
+    }
+  }
+  if (plain) {
+    out->append(field);
+    return;
+  }
+  std::string escaped(field);
+  for (char sep : seps) escaped = EscapeField(escaped, sep);
+  out->append(escaped);
+}
+
+namespace {
+
+// A backslash protects the byte after it; a trailing lone backslash is a
+// literal byte.
+void AppendUnescaped(std::string* out, std::string_view field, char sep) {
+  size_t start = 0;
+  for (size_t i = field.find('\\');
+       i != std::string_view::npos && i + 1 < field.size();
+       i = field.find('\\', start)) {
+    out->append(field.data() + start, i - start);
+    const char n = field[i + 1];
+    out->push_back(n == 's' ? sep : (n == 'n' ? '\n' : n));
+    start = i + 2;
+  }
+  out->append(field.data() + start, field.size() - start);
+}
+
+}  // namespace
 
 std::string UnescapeField(std::string_view field, char sep) {
   std::string out;
   out.reserve(field.size());
-  for (size_t i = 0; i < field.size(); ++i) {
-    if (field[i] == '\\' && i + 1 < field.size()) {
-      char n = field[++i];
-      if (n == '\\') {
-        out.push_back('\\');
-      } else if (n == 's') {
-        out.push_back(sep);
-      } else if (n == 'n') {
-        out.push_back('\n');
-      } else {
-        out.push_back(n);
-      }
-    } else {
-      out.push_back(field[i]);
-    }
-  }
+  AppendUnescaped(&out, field, sep);
   return out;
+}
+
+std::string_view UnescapedView(std::string_view field, char sep,
+                               std::string* scratch) {
+  if (field.find('\\') == std::string_view::npos) return field;
+  scratch->clear();
+  AppendUnescaped(scratch, field, sep);
+  return *scratch;
+}
+
+bool EscapedFieldReader::Next(std::string_view* field) {
+  if (done_) return false;
+  const char* data = input_.data();
+  const size_t n = input_.size();
+  size_t i = pos_;
+  // Jump to the next separator; a backslash before it protects the byte
+  // after it (possibly that separator), so resume the search past the pair.
+  while (i < n) {
+    const char* sep =
+        static_cast<const char*>(std::memchr(data + i, sep_, n - i));
+    const size_t stop = sep != nullptr ? static_cast<size_t>(sep - data) : n;
+    const char* escape =
+        static_cast<const char*>(std::memchr(data + i, '\\', stop - i));
+    if (escape == nullptr) {
+      i = stop;
+      break;
+    }
+    i = std::min(n, static_cast<size_t>(escape - data) + 2);
+  }
+  *field = input_.substr(pos_, i - pos_);
+  if (i == n) {
+    done_ = true;
+  } else {
+    pos_ = i + 1;
+  }
+  return true;
 }
 
 std::vector<std::string> SplitEscaped(std::string_view input, char sep) {
   std::vector<std::string> out;
-  std::string cur;
-  for (size_t i = 0; i < input.size(); ++i) {
-    char c = input[i];
-    if (c == '\\' && i + 1 < input.size()) {
-      cur.push_back(c);
-      cur.push_back(input[++i]);
-    } else if (c == sep) {
-      out.push_back(UnescapeField(cur, sep));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(UnescapeField(cur, sep));
+  EscapedFieldReader reader(input, sep);
+  std::string_view raw;
+  while (reader.Next(&raw)) AppendUnescaped(&out.emplace_back(), raw, sep);
   return out;
 }
 
 std::string JoinEscaped(const std::vector<std::string>& fields, char sep) {
+  size_t bytes = fields.size();
+  for (const std::string& field : fields) bytes += field.size();
   std::string out;
+  out.reserve(bytes);
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) out.push_back(sep);
-    out += EscapeField(fields[i], sep);
+    AppendEscaped(&out, fields[i], sep);
   }
   return out;
 }

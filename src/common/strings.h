@@ -32,8 +32,46 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// in a separator-delimited record losslessly.
 std::string EscapeField(std::string_view field, char sep);
 
+/// \brief Appends EscapeField(field, sep) to `*out`.
+void AppendEscaped(std::string* out, std::string_view field, char sep);
+
+/// \brief Appends `field` escaped once per nesting level of a record
+/// format: the result equals applying EscapeField with seps[0] (the
+/// innermost level), then seps[1], and so on. Fields that need no escaping
+/// at any level are appended as they are.
+void AppendEscapedNested(std::string* out, std::string_view field,
+                         std::string_view seps);
+
 /// \brief Inverse of EscapeField.
 std::string UnescapeField(std::string_view field, char sep);
+
+/// \brief UnescapeField without a copy when there is nothing to unescape:
+/// returns `field` itself if it holds no backslash, otherwise unescapes it
+/// into `*scratch` and returns a view of that.
+std::string_view UnescapedView(std::string_view field, char sep,
+                               std::string* scratch);
+
+/// \brief Iterates the fields of a record split on `sep` as views over the
+/// raw, still escaped bytes. Field boundaries are exactly SplitEscaped's
+/// (a backslash protects the byte after it), so UnescapeField of each view
+/// yields SplitEscaped's fields; nested formats split the views again and
+/// unescape only where a field holds an escape. `sep` must not be a
+/// backslash.
+class EscapedFieldReader {
+ public:
+  EscapedFieldReader(std::string_view input, char sep)
+      : input_(input), sep_(sep) {}
+
+  /// Stores the next raw field in `*field`; false once all fields (at
+  /// least one, even for empty input) were produced.
+  bool Next(std::string_view* field);
+
+ private:
+  std::string_view input_;
+  char sep_;
+  size_t pos_ = 0;
+  bool done_ = false;
+};
 
 /// \brief Splits a record on `sep`, honoring EscapeField escaping.
 std::vector<std::string> SplitEscaped(std::string_view input, char sep);

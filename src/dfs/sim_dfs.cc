@@ -192,7 +192,10 @@ Status SimDfs::CreateEntryLocked(const std::string& path, uint64_t bytes,
   metrics_.bytes_written_replicated += entry.bytes * config_.replication;
   metrics_.files_created += 1;
   metrics_.write_ops += 1;
-  entry.lines = std::move(lines);
+  if (source == nullptr) {
+    entry.lines =
+        std::make_shared<const std::vector<std::string>>(std::move(lines));
+  }
   entry.source = std::move(source);
   files_.emplace(path, std::move(entry));
   return Status::OK();
@@ -230,6 +233,13 @@ Result<const SimDfs::FileEntry*> SimDfs::OpenForReadLocked(
 
 Result<std::vector<std::string>> SimDfs::ReadFile(
     const std::string& path) const {
+  RDFMR_ASSIGN_OR_RETURN(std::shared_ptr<const std::vector<std::string>> lines,
+                         ReadLines(path));
+  return *lines;
+}
+
+Result<std::shared_ptr<const std::vector<std::string>>> SimDfs::ReadLines(
+    const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto entry = OpenForReadLocked(path);
   RDFMR_RETURN_NOT_OK(entry.status());
@@ -238,12 +248,12 @@ Result<std::vector<std::string>> SimDfs::ReadFile(
   // Mapped file: materialize every line for the caller. Scans should use
   // OpenScan instead; this path keeps whole-file readers (preflight,
   // registry snapshots) working against mounted datasets.
-  std::vector<std::string> lines;
-  lines.reserve(file.source->line_count());
+  auto lines = std::make_shared<std::vector<std::string>>();
+  lines->reserve(file.source->line_count());
   for (uint64_t i = 0; i < file.source->line_count(); ++i) {
-    lines.push_back(file.source->Line(i));
+    lines->push_back(file.source->Line(i));
   }
-  return lines;
+  return std::shared_ptr<const std::vector<std::string>>(std::move(lines));
 }
 
 Result<SimDfs::ScanHandle> SimDfs::OpenScan(const std::string& path) const {

@@ -76,6 +76,14 @@ class SimDfs {
   /// \brief Reads all record lines of `path` (metered).
   Result<std::vector<std::string>> ReadFile(const std::string& path) const;
 
+  /// \brief ReadFile without the copy: the same metered read, sharing the
+  /// stored lines of a materialized file (a mapped file's lines are
+  /// decoded into a new vector). Files are immutable once written, so the
+  /// lines stay valid for as long as the caller holds them, even after the
+  /// file is deleted.
+  Result<std::shared_ptr<const std::vector<std::string>>> ReadLines(
+      const std::string& path) const;
+
   /// \brief One metered open of `path` for a sequential scan. Exactly the
   /// fault-injection, availability, and metering behavior of ReadFile
   /// (bytes_read += file bytes, read_ops += 1), but the lines are served
@@ -83,23 +91,23 @@ class SimDfs {
   class ScanHandle {
    public:
     uint64_t line_count() const {
-      return source_ ? source_->line_count() : lines_.size();
+      return source_ ? source_->line_count() : lines_->size();
     }
     /// Logical file bytes (== FileSize of the path at open time).
     uint64_t total_bytes() const { return bytes_; }
     /// Serialized length of line `i` excluding the newline.
     uint64_t LineBytes(uint64_t i) const {
-      return source_ ? source_->LineBytes(i) : lines_[i].size();
+      return source_ ? source_->LineBytes(i) : (*lines_)[i].size();
     }
     /// Line `i`; mapped files decode it on demand.
     std::string Line(uint64_t i) const {
-      return source_ ? source_->Line(i) : lines_[i];
+      return source_ ? source_->Line(i) : (*lines_)[i];
     }
     /// Line `i` without copying materialized lines: mapped files decode
     /// into `*scratch` and return it, materialized files return the
     /// stored line directly.
     const std::string& LineRef(uint64_t i, std::string* scratch) const {
-      if (source_ == nullptr) return lines_[i];
+      if (source_ == nullptr) return (*lines_)[i];
       *scratch = source_->Line(i);
       return *scratch;
     }
@@ -115,7 +123,8 @@ class SimDfs {
    private:
     friend class SimDfs;
     std::shared_ptr<const LineSource> source_;  // mapped files
-    std::vector<std::string> lines_;            // materialized files
+    // Materialized files: shared with the file entry, never copied.
+    std::shared_ptr<const std::vector<std::string>> lines_;
     uint64_t bytes_ = 0;
   };
   Result<ScanHandle> OpenScan(const std::string& path) const;
@@ -231,8 +240,9 @@ class SimDfs {
 
  private:
   struct FileEntry {
-    std::vector<std::string> lines;
-    /// Non-null for mounted mapped files; `lines` stays empty for them.
+    /// Materialized files' lines, shared with readers (immutable).
+    std::shared_ptr<const std::vector<std::string>> lines;
+    /// Non-null for mounted mapped files; `lines` stays null for them.
     std::shared_ptr<const LineSource> source;
     uint64_t bytes = 0;
     uint32_t blocks = 0;

@@ -1,8 +1,10 @@
 #include "engine/engine.h"
 
 #include <atomic>
-#include <map>
+#include <deque>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "engine/advisor.h"
@@ -197,6 +199,74 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   };
 }
 
+// The redundancy of a flat relational representation is measured against
+// the nested triplegroup footprint of the same content: per subject, the
+// subject once plus each distinct (Property, Object) pair once. Relational
+// outputs repeat the subject per column group and the whole bound
+// component per combination — that repetition is the redundancy.
+//
+// Lines are added one at a time and must outlive the meter: distinct
+// subjects and (subject, "property\tobject") pairs are hashed as views
+// into them, and only lines holding escapes keep unescaped copies.
+class RedundancyMeter {
+ public:
+  void Add(std::string_view line) {
+    flat_bytes_ += line.size() + 1;
+    fields_.clear();
+    EscapedFieldReader reader(line, '\t');
+    for (std::string_view field; reader.Next(&field);) {
+      fields_.push_back(field);
+    }
+    if (fields_.size() < 3 || fields_.size() % 3 != 0) {
+      concise_bytes_ += line.size() + 1;  // not a flat tuple; keep as-is
+      return;
+    }
+    const bool escaped = line.find('\\') != std::string_view::npos;
+    for (size_t i = 0; i < fields_.size(); i += 3) {
+      std::string_view subject = fields_[i];
+      // Without escapes "property\tobject" is the raw bytes from the
+      // property through the object.
+      std::string_view po(fields_[i + 1].data(),
+                          fields_[i + 2].data() + fields_[i + 2].size() -
+                              fields_[i + 1].data());
+      if (escaped) {
+        subject = owned_.emplace_back(UnescapeField(subject, '\t'));
+        po = owned_.emplace_back(UnescapeField(fields_[i + 1], '\t') + "\t" +
+                                 UnescapeField(fields_[i + 2], '\t'));
+      }
+      if (subjects_.insert(subject).second) {
+        concise_bytes_ += subject.size() + 1;
+      }
+      if (pairs_.insert({subject, po}).second) {
+        concise_bytes_ += po.size() + 1;
+      }
+    }
+  }
+
+  double Factor() const {
+    if (flat_bytes_ == 0 || concise_bytes_ >= flat_bytes_) return 0.0;
+    return 1.0 - static_cast<double>(concise_bytes_) /
+                     static_cast<double>(flat_bytes_);
+  }
+
+ private:
+  struct PairHash {
+    size_t operator()(
+        const std::pair<std::string_view, std::string_view>& p) const {
+      return std::hash<std::string_view>()(p.first) * 31 +
+             std::hash<std::string_view>()(p.second);
+    }
+  };
+
+  uint64_t flat_bytes_ = 0;
+  uint64_t concise_bytes_ = 0;
+  std::vector<std::string_view> fields_;  // scratch for the current line
+  std::unordered_set<std::string_view> subjects_;
+  std::unordered_set<std::pair<std::string_view, std::string_view>, PairHash>
+      pairs_;
+  std::deque<std::string> owned_;  // unescaped fields of escaped lines
+};
+
 // Shared execution core: run the workflow, sample metrics, decode answers,
 // and scrub every temporary of this run from the DFS.
 Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
@@ -267,29 +337,31 @@ Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
   stats.intermediate_write_bytes =
       stats.hdfs_write_bytes - stats.final_output_bytes;
 
-  // Redundancy factor over the star-join phase outputs.
+  // Redundancy factor over the star-join phase outputs, read in place.
   {
-    std::vector<std::string> star_lines;
+    std::vector<std::shared_ptr<const std::vector<std::string>>> star_files;
+    RedundancyMeter meter;
     for (const std::string& path : plan.star_phase_paths) {
-      Result<std::vector<std::string>> lines = dfs->ReadFile(path);
-      if (lines.ok()) {
-        star_lines.insert(star_lines.end(), lines->begin(), lines->end());
-      }
+      Result<std::shared_ptr<const std::vector<std::string>>> lines =
+          dfs->ReadLines(path);
+      if (!lines.ok()) continue;
+      star_files.push_back(lines.MoveValueUnsafe());
+      for (const std::string& line : *star_files.back()) meter.Add(line);
     }
-    stats.redundancy_factor = ComputeRedundancyFactor(star_lines);
+    stats.redundancy_factor = meter.Factor();
   }
+  // One read of the final output serves its redundancy factor and the
+  // answer decode (verification, uncharged).
   if (result.ok() && dfs->Exists(final_path)) {
-    Result<std::vector<std::string>> lines = dfs->ReadFile(final_path);
+    Result<std::shared_ptr<const std::vector<std::string>>> lines =
+        dfs->ReadLines(final_path);
     if (lines.ok()) {
-      stats.final_redundancy_factor = ComputeRedundancyFactor(*lines);
+      stats.final_redundancy_factor = ComputeRedundancyFactor(**lines);
     }
-  }
-
-  // Decode answers for verification (uncharged).
-  if (result.ok() && options.decode_answers && dfs->Exists(final_path)) {
-    RDFMR_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                           dfs->ReadFile(final_path));
-    RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(lines));
+    if (options.decode_answers) {
+      RDFMR_RETURN_NOT_OK(lines.status());
+      RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(**lines));
+    }
   }
 
   // The reads above (stat sampling + decode) are observation, not engine
@@ -498,32 +570,9 @@ ExecStats RefusedStats(const PreflightOutcome& outcome,
 }  // namespace
 
 double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
-  // The redundancy of a flat relational representation is measured against
-  // the nested triplegroup footprint of the same content: per subject, the
-  // subject once plus each distinct (Property, Object) pair once.
-  // Relational outputs repeat the subject per column group and the whole
-  // bound component per combination — that repetition is the redundancy.
-  uint64_t flat_bytes = 0;
-  uint64_t concise_bytes = 0;
-  std::map<std::string, std::set<std::string>> per_subject;
-  for (const std::string& line : lines) {
-    flat_bytes += line.size() + 1;
-    std::vector<std::string> fields = SplitEscaped(line, '\t');
-    if (fields.size() < 3 || fields.size() % 3 != 0) {
-      concise_bytes += line.size() + 1;  // not a flat tuple; keep as-is
-      continue;
-    }
-    for (size_t i = 0; i < fields.size(); i += 3) {
-      per_subject[fields[i]].insert(fields[i + 1] + "\t" + fields[i + 2]);
-    }
-  }
-  for (const auto& [subject, pairs] : per_subject) {
-    concise_bytes += subject.size() + 1;
-    for (const std::string& po : pairs) concise_bytes += po.size() + 1;
-  }
-  if (flat_bytes == 0 || concise_bytes >= flat_bytes) return 0.0;
-  return 1.0 - static_cast<double>(concise_bytes) /
-                   static_cast<double>(flat_bytes);
+  RedundancyMeter meter;
+  for (const std::string& line : lines) meter.Add(line);
+  return meter.Factor();
 }
 
 Result<CompiledPlan> CompileQueryPlanTemplate(
@@ -662,9 +711,10 @@ Result<BatchExecution> RunCompiledBatch(SimDfs* dfs,
         exec.answers.emplace_back();
         continue;
       }
-      RDFMR_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                             dfs->ReadFile(plan.final_output_paths[q]));
-      RDFMR_ASSIGN_OR_RETURN(SolutionSet answers, plan.decoders[q](lines));
+      RDFMR_ASSIGN_OR_RETURN(
+          std::shared_ptr<const std::vector<std::string>> lines,
+          dfs->ReadLines(plan.final_output_paths[q]));
+      RDFMR_ASSIGN_OR_RETURN(SolutionSet answers, plan.decoders[q](*lines));
       exec.answers.push_back(std::move(answers));
     }
   }

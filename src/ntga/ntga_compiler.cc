@@ -232,14 +232,16 @@ ReduceFn MakePlainJoinReducer() {
             Counters* counters) {
     std::vector<JoinedTg> lefts, rights;
     for (const std::string& v : values) {
-      std::vector<std::string> parts = SplitN(v, '|', 2);
-      if (parts.size() != 2) continue;
-      Result<JoinedTg> jtg = JoinedTg::Deserialize(parts[1]);
+      const size_t bar = v.find('|');
+      if (bar == std::string::npos) continue;
+      Result<JoinedTg> jtg =
+          JoinedTg::Deserialize(std::string_view(v).substr(bar + 1));
       if (!jtg.ok()) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      (parts[0] == "L" ? lefts : rights).push_back(jtg.MoveValueUnsafe());
+      (v.compare(0, bar, "L") == 0 ? lefts : rights)
+          .push_back(jtg.MoveValueUnsafe());
     }
     (*counters)["op.tg_join.input_groups"] += lefts.size() + rights.size();
     for (const JoinedTg& l : lefts) {
@@ -267,16 +269,18 @@ ReduceFn MakePartialJoinReducer(StarPattern left_star, JoinSidePlan left,
              Counters* counters) {
     std::map<std::string, std::vector<JoinedTg>> left_hash, right_hash;
     for (const std::string& v : values) {
-      std::vector<std::string> parts = SplitN(v, '|', 2);
-      if (parts.size() != 2) continue;
-      Result<JoinedTg> jtg = JoinedTg::Deserialize(parts[1]);
+      const size_t bar = v.find('|');
+      if (bar == std::string::npos) continue;
+      Result<JoinedTg> jtg =
+          JoinedTg::Deserialize(std::string_view(v).substr(bar + 1));
       if (!jtg.ok()) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      const JoinSidePlan& side = parts[0] == "L" ? left : right;
-      const StarPattern& star = parts[0] == "L" ? left_star : right_star;
-      auto& hash = parts[0] == "L" ? left_hash : right_hash;
+      const bool is_left = v.compare(0, bar, "L") == 0;
+      const JoinSidePlan& side = is_left ? left : right;
+      const StarPattern& star = is_left ? left_star : right_star;
+      auto& hash = is_left ? left_hash : right_hash;
       for (auto& [value, expanded] :
            JoinValueExpansions(star, side, *jtg)) {
         hash[value].push_back(std::move(expanded));
@@ -474,15 +478,7 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
     out.decoders.push_back(
         [all_stars](const std::vector<std::string>& lines)
             -> Result<SolutionSet> {
-          SolutionSet answers;
-          for (const std::string& line : lines) {
-            RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg,
-                                   JoinedTg::Deserialize(line));
-            for (Solution& s : ExpandJoinedTg(all_stars, jtg)) {
-              answers.insert(std::move(s));
-            }
-          }
-          return answers;
+          return DecodeJoinedTgAnswers(all_stars, lines);
         });
   }
 
@@ -555,14 +551,7 @@ Result<CompiledPlan> CompileNtgaPlan(QueryPtr query,
   std::vector<StarPattern> stars = query->stars();
   out.decoder = [stars](const std::vector<std::string>& lines)
       -> Result<SolutionSet> {
-    SolutionSet answers;
-    for (const std::string& line : lines) {
-      RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg, JoinedTg::Deserialize(line));
-      for (Solution& s : ExpandJoinedTg(stars, jtg)) {
-        answers.insert(std::move(s));
-      }
-    }
-    return answers;
+    return DecodeJoinedTgAnswers(stars, lines);
   };
   out.record_decoder = [stars](const std::string& record)
       -> Result<std::vector<Solution>> {

@@ -188,100 +188,291 @@ std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
 
 namespace {
 
-// Recursively merges per-pattern candidate bindings.
-void ExpandRecurse(const std::vector<std::vector<Solution>>& candidates,
-                   size_t level, const Solution& partial,
-                   std::vector<Solution>* out) {
-  if (level == candidates.size()) {
-    out->push_back(partial);
-    return;
+// Answer extraction works on the query's variables as slots, numbered in
+// variable name order, holding pointers to values stored in the
+// triplegroups: candidate products bind and unbind slots in place, and
+// strings are copied only into finished solutions, whose bindings then
+// come out already sorted.
+using VarSlots = std::vector<const std::string*>;  // sorted, distinct
+using Row = std::vector<const std::string*>;       // value per slot, or null
+
+constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+void AddStarVariables(const StarPattern& star, VarSlots* vars) {
+  for (const TriplePattern& tp : star.patterns) {
+    if (tp.subject.is_variable()) vars->push_back(&tp.subject.value);
+    if (!tp.property_bound) vars->push_back(&tp.property);
+    if (tp.object.is_variable()) vars->push_back(&tp.object.value);
   }
-  for (const Solution& cand : candidates[level]) {
-    Result<Solution> merged = partial.Merge(cand);
-    if (merged.ok()) {
-      ExpandRecurse(candidates, level + 1, *merged, out);
+}
+
+bool VarLess(const std::string* a, const std::string* b) { return *a < *b; }
+
+void SortSlots(VarSlots* vars) {
+  std::sort(vars->begin(), vars->end(), VarLess);
+  vars->erase(std::unique(vars->begin(), vars->end(),
+                          [](const std::string* a, const std::string* b) {
+                            return *a == *b;
+                          }),
+              vars->end());
+}
+
+size_t SlotOf(const VarSlots& vars, const std::string& var) {
+  return static_cast<size_t>(
+      std::lower_bound(vars.begin(), vars.end(), &var, VarLess) -
+      vars.begin());
+}
+
+struct SlotValue {
+  size_t slot;
+  const std::string* value;
+};
+
+// The bindings of one candidate pair of one pattern (at most subject,
+// property and object), distinct slots.
+struct Candidate {
+  SlotValue entries[3];
+  size_t size = 0;
+
+  // Adds slot=value; false if the slot already holds a different value.
+  bool Bind(size_t slot, const std::string* value) {
+    for (size_t k = 0; k < size; ++k) {
+      if (entries[k].slot == slot) return *entries[k].value == *value;
+    }
+    entries[size++] = SlotValue{slot, value};
+    return true;
+  }
+};
+
+// Binds `cand` into `row`; returns false on a conflicting slot. The slots
+// it newly set are recorded in `set` so the caller can undo them.
+bool BindCandidate(const Candidate& cand, Row* row, size_t set[3],
+                   size_t* num_set) {
+  *num_set = 0;
+  for (size_t k = 0; k < cand.size; ++k) {
+    const SlotValue& e = cand.entries[k];
+    const std::string*& slot = (*row)[e.slot];
+    if (slot == nullptr) {
+      slot = e.value;
+      set[(*num_set)++] = e.slot;
+    } else if (*slot != *e.value) {
+      return false;
     }
   }
+  return true;
+}
+
+// The product of the mandatory patterns' candidates, in candidate order.
+void ExpandRecurse(const std::vector<const std::vector<Candidate>*>& mandatory,
+                   size_t level, Row* row, std::vector<Row>* out) {
+  if (level == mandatory.size()) {
+    out->push_back(*row);
+    return;
+  }
+  for (const Candidate& cand : *mandatory[level]) {
+    size_t set[3];
+    size_t num_set;
+    if (BindCandidate(cand, row, set, &num_set)) {
+      ExpandRecurse(mandatory, level + 1, row, out);
+    }
+    for (size_t k = 0; k < num_set; ++k) (*row)[set[k]] = nullptr;
+  }
+}
+
+// The rows `tg` implicitly represents for `star` (see ExpandAnnTg).
+std::vector<Row> ExpandAnnTgRows(const StarPattern& star, const AnnTg& tg,
+                                 const VarSlots& vars) {
+  std::vector<std::vector<Candidate>> candidates(star.patterns.size());
+  std::vector<const std::vector<Candidate>*> mandatory;
+  for (size_t i = 0; i < star.patterns.size(); ++i) {
+    const TriplePattern& tp = star.patterns[i];
+    const size_t subject_slot =
+        tp.subject.is_variable() ? SlotOf(vars, tp.subject.value) : kNoSlot;
+    const size_t property_slot =
+        tp.property_bound ? kNoSlot : SlotOf(vars, tp.property);
+    const size_t object_slot =
+        tp.object.is_variable() ? SlotOf(vars, tp.object.value) : kNoSlot;
+    const auto add = [&](const std::string& property,
+                         const std::string& object) {
+      if (!tp.object.Matches(object)) return;
+      Candidate cand;
+      if (subject_slot != kNoSlot) cand.Bind(subject_slot, &tg.subject);
+      if (property_slot != kNoSlot && !cand.Bind(property_slot, &property)) {
+        return;
+      }
+      if (object_slot != kNoSlot && !cand.Bind(object_slot, &object)) return;
+      candidates[i].push_back(cand);
+    };
+    if (tp.property_bound) {
+      auto it = tg.pairs.find(tp.property);
+      if (it != tg.pairs.end()) {
+        for (const std::string& o : it->second) add(it->first, o);
+      }
+    } else if (auto it = tg.overrides.find(static_cast<uint32_t>(i));
+               it != tg.overrides.end()) {
+      for (const PropObj& po : it->second) add(po.property, po.object);
+    } else {
+      // UnboundCandidates, read in place.
+      for (const auto& [property, objects] : tg.pairs) {
+        for (const std::string& o : objects) add(property, o);
+      }
+    }
+    if (tp.optional) continue;
+    if (candidates[i].empty()) return {};
+    mandatory.push_back(&candidates[i]);
+  }
+  Row row(vars.size(), nullptr);
+  std::vector<Row> rows;
+  ExpandRecurse(mandatory, 0, &row, &rows);
+
+  // Left-join the optional patterns (extend when compatible, else keep).
+  for (size_t i = 0; i < star.patterns.size(); ++i) {
+    if (!star.patterns[i].optional) continue;
+    std::vector<Row> extended;
+    for (Row& r : rows) {
+      bool any = false;
+      for (const Candidate& cand : candidates[i]) {
+        Row merged = r;
+        size_t set[3];
+        size_t num_set;
+        if (BindCandidate(cand, &merged, set, &num_set)) {
+          any = true;
+          extended.push_back(std::move(merged));
+        }
+      }
+      if (!any) extended.push_back(std::move(r));
+    }
+    rows = std::move(extended);
+  }
+  return rows;
+}
+
+// Merges `b` into a copy of `a`; false if some slot holds different values.
+bool MergeRows(const Row& a, const Row& b, Row* out) {
+  *out = a;
+  for (size_t slot = 0; slot < b.size(); ++slot) {
+    if (b[slot] == nullptr) continue;
+    const std::string*& value = (*out)[slot];
+    if (value == nullptr) {
+      value = b[slot];
+    } else if (value != b[slot] && *value != *b[slot]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Appends the rows of `jtg` (see ExpandJoinedTg) to `out`.
+void ExpandJoinedTgRows(const std::vector<StarPattern>& stars,
+                        const JoinedTg& jtg, const VarSlots& vars,
+                        std::vector<Row>* out) {
+  OperatorProbe probe("expand_joined_tg");
+  std::vector<Row> acc = {Row(vars.size(), nullptr)};
+  for (size_t c = 0; c < jtg.components.size(); ++c) {
+    const AnnTg& component = jtg.components[c];
+    RDFMR_CHECK(component.star_id < stars.size())
+        << "joined component references unknown star";
+    std::vector<Row> expanded =
+        ExpandAnnTgRows(stars[component.star_id], component, vars);
+    if (c == 0) {
+      acc = std::move(expanded);  // the empty row merges to each
+    } else {
+      std::vector<Row> next;
+      Row merged;
+      for (const Row& a : acc) {
+        for (const Row& b : expanded) {
+          if (MergeRows(a, b, &merged)) next.push_back(merged);
+        }
+      }
+      acc = std::move(next);
+    }
+    if (acc.empty()) break;
+  }
+  probe.Outputs(acc.size());
+  out->insert(out->end(), std::make_move_iterator(acc.begin()),
+              std::make_move_iterator(acc.end()));
+}
+
+// Row order and equality are those of the solutions the rows become:
+// bindings compare as (variable, value) sequences, and slot order is
+// variable order.
+int CompareRows(const Row& a, const Row& b) {
+  size_t i = 0, j = 0;
+  for (;; ++i, ++j) {
+    while (i < a.size() && a[i] == nullptr) ++i;
+    while (j < b.size() && b[j] == nullptr) ++j;
+    if (i == a.size() || j == b.size()) {
+      return (i == a.size() ? 0 : 1) - (j == b.size() ? 0 : 1);
+    }
+    if (i != j) return i < j ? -1 : 1;
+    if (a[i] != b[j]) {
+      if (int c = a[i]->compare(*b[j]); c != 0) return c;
+    }
+  }
+}
+
+Solution RowToSolution(const VarSlots& vars, const Row& row) {
+  Solution s;
+  s.Reserve(row.size() - std::count(row.begin(), row.end(), nullptr));
+  for (size_t slot = 0; slot < row.size(); ++slot) {
+    if (row[slot] != nullptr) s.Bind(*vars[slot], *row[slot]);
+  }
+  return s;
+}
+
+std::vector<Solution> RowsToSolutions(const VarSlots& vars,
+                                      const std::vector<Row>& rows) {
+  std::vector<Solution> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.push_back(RowToSolution(vars, row));
+  return out;
 }
 
 }  // namespace
 
 std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg) {
-  std::vector<std::vector<Solution>> candidates(star.patterns.size());
-  std::vector<std::vector<Solution>> mandatory;
-  for (size_t i = 0; i < star.patterns.size(); ++i) {
-    const TriplePattern& tp = star.patterns[i];
-    auto add = [&](const std::string& property, const std::string& object) {
-      Solution s;
-      if (tp.subject.is_variable()) s.Bind(tp.subject.value, tg.subject);
-      if (!tp.property_bound && !s.Bind(tp.property, property)) return;
-      if (tp.object.is_variable() && !s.Bind(tp.object.value, object)) {
-        return;
-      }
-      candidates[i].push_back(std::move(s));
-    };
-    if (tp.property_bound) {
-      auto it = tg.pairs.find(tp.property);
-      if (it != tg.pairs.end()) {
-        for (const std::string& o : it->second) {
-          if (tp.object.Matches(o)) add(tp.property, o);
-        }
-      }
-    } else {
-      for (const PropObj& cand : UnboundCandidates(star, tg, i)) {
-        if (tp.object.Matches(cand.object)) {
-          add(cand.property, cand.object);
-        }
-      }
-    }
-    if (tp.optional) continue;
-    if (candidates[i].empty()) return {};
-    mandatory.push_back(candidates[i]);
-  }
-  std::vector<Solution> out;
-  ExpandRecurse(mandatory, 0, Solution{}, &out);
-
-  // Left-join the optional patterns (extend when compatible, else keep).
-  for (size_t i = 0; i < star.patterns.size(); ++i) {
-    if (!star.patterns[i].optional) continue;
-    std::vector<Solution> extended;
-    for (Solution& s : out) {
-      bool any = false;
-      for (const Solution& cand : candidates[i]) {
-        Result<Solution> merged = s.Merge(cand);
-        if (merged.ok()) {
-          any = true;
-          extended.push_back(merged.MoveValueUnsafe());
-        }
-      }
-      if (!any) extended.push_back(std::move(s));
-    }
-    out = std::move(extended);
-  }
-  return out;
+  VarSlots vars;
+  AddStarVariables(star, &vars);
+  SortSlots(&vars);
+  return RowsToSolutions(vars, ExpandAnnTgRows(star, tg, vars));
 }
 
 std::vector<Solution> ExpandJoinedTg(const std::vector<StarPattern>& stars,
                                      const JoinedTg& jtg) {
-  OperatorProbe probe("expand_joined_tg");
-  std::vector<Solution> acc = {Solution{}};
-  for (const AnnTg& component : jtg.components) {
-    RDFMR_CHECK(component.star_id < stars.size())
-        << "joined component references unknown star";
-    std::vector<Solution> expanded =
-        ExpandAnnTg(stars[component.star_id], component);
-    std::vector<Solution> next;
-    for (const Solution& a : acc) {
-      for (const Solution& b : expanded) {
-        Result<Solution> merged = a.Merge(b);
-        if (merged.ok()) next.push_back(merged.MoveValueUnsafe());
-      }
-    }
-    acc = std::move(next);
-    if (acc.empty()) break;
+  VarSlots vars;
+  for (const StarPattern& star : stars) AddStarVariables(star, &vars);
+  SortSlots(&vars);
+  std::vector<Row> rows;
+  ExpandJoinedTgRows(stars, jtg, vars, &rows);
+  return RowsToSolutions(vars, rows);
+}
+
+Result<SolutionSet> DecodeJoinedTgAnswers(
+    const std::vector<StarPattern>& stars,
+    const std::vector<std::string>& lines) {
+  VarSlots vars;
+  for (const StarPattern& star : stars) AddStarVariables(star, &vars);
+  SortSlots(&vars);
+  // Rows point into the parsed records, which therefore outlive them.
+  std::vector<JoinedTg> records;
+  records.reserve(lines.size());
+  std::vector<Row> rows;
+  for (const std::string& line : lines) {
+    RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg, JoinedTg::Deserialize(line));
+    records.push_back(std::move(jtg));
+    ExpandJoinedTgRows(stars, records.back(), vars, &rows);
   }
-  probe.Outputs(acc.size());
-  return acc;
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return CompareRows(a, b) < 0;
+  });
+  rows.erase(std::unique(rows.begin(), rows.end(),
+                         [](const Row& a, const Row& b) {
+                           return CompareRows(a, b) == 0;
+                         }),
+             rows.end());
+  std::vector<Solution> solutions = RowsToSolutions(vars, rows);
+  return SolutionSet(std::make_move_iterator(solutions.begin()),
+                     std::make_move_iterator(solutions.end()));
 }
 
 }  // namespace rdfmr

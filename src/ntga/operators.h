@@ -86,6 +86,14 @@ std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg);
 std::vector<Solution> ExpandJoinedTg(const std::vector<StarPattern>& stars,
                                      const JoinedTg& jtg);
 
+/// \brief Decodes a final output file of joined triplegroups into the set
+/// of their ExpandJoinedTg solutions. Expansions stay pointers into the
+/// parsed records until the deduplicated set is built, so each distinct
+/// solution's strings are copied once.
+Result<SolutionSet> DecodeJoinedTgAnswers(
+    const std::vector<StarPattern>& stars,
+    const std::vector<std::string>& lines);
+
 }  // namespace rdfmr
 
 #endif  // RDFMR_NTGA_OPERATORS_H_

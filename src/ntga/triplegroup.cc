@@ -1,6 +1,8 @@
 #include "ntga/triplegroup.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <set>
 
 #include "common/strings.h"
@@ -89,90 +91,165 @@ void AnnTg::Compact(const StarPattern& star) {
   }
 }
 
-std::string AnnTg::Serialize() const {
+namespace {
+
+// Separators a leaf is escaped for, innermost first: a standalone AnnTg
+// record, or one embedded as a JoinedTg component.
+struct Nesting {
+  std::string_view field;  // subject (top-level field)
+  std::string_view item;   // property / object (item within an entry)
+};
+constexpr Nesting kRecord = {"\x1F", ",\x1D\x1F"};
+constexpr Nesting kComponent = {"\x1F\x1E", ",\x1D\x1F\x1E"};
+
+// Appends tg's record, escaped for `nesting`, in one pass: the structural
+// separators are never escaped by an enclosing level, so only the leaves
+// carry (composed) escapes.
+void AppendAnnTg(std::string* out, const AnnTg& tg, const Nesting& nesting) {
+  AppendEscapedNested(out, tg.subject, nesting.field);
+  out->push_back(kFieldSep);
+  out->append(std::to_string(tg.star_id));
+  out->push_back(kFieldSep);
   // pairs field: entries "prop,obj1,obj2,..."
-  std::vector<std::string> pair_entries;
-  pair_entries.reserve(pairs.size());
-  for (const auto& [property, objects] : pairs) {
-    std::vector<std::string> items;
-    items.reserve(objects.size() + 1);
-    items.push_back(property);
-    for (const std::string& o : objects) items.push_back(o);
-    pair_entries.push_back(JoinEscaped(items, kItemSep));
-  }
-  // overrides field: entries "tp_index,prop1,obj1,prop2,obj2,..."
-  std::vector<std::string> override_entries;
-  for (const auto& [tp_index, pinned] : overrides) {
-    std::vector<std::string> items;
-    items.reserve(pinned.size() * 2 + 1);
-    items.push_back(std::to_string(tp_index));
-    for (const PropObj& po : pinned) {
-      items.push_back(po.property);
-      items.push_back(po.object);
+  for (auto it = tg.pairs.begin(); it != tg.pairs.end(); ++it) {
+    const auto& [property, objects] = *it;
+    if (it != tg.pairs.begin()) out->push_back(kEntrySep);
+    AppendEscapedNested(out, property, nesting.item);
+    for (const std::string& o : objects) {
+      out->push_back(kItemSep);
+      AppendEscapedNested(out, o, nesting.item);
     }
-    override_entries.push_back(JoinEscaped(items, kItemSep));
   }
-  return JoinEscaped({subject, std::to_string(star_id),
-                      JoinEscaped(pair_entries, kEntrySep),
-                      JoinEscaped(override_entries, kEntrySep)},
-                     kFieldSep);
+  out->push_back(kFieldSep);
+  // overrides field: entries "tp_index,prop1,obj1,prop2,obj2,..."
+  for (auto it = tg.overrides.begin(); it != tg.overrides.end(); ++it) {
+    const auto& [tp_index, pinned] = *it;
+    if (it != tg.overrides.begin()) out->push_back(kEntrySep);
+    out->append(std::to_string(tp_index));
+    for (const PropObj& po : pinned) {
+      out->push_back(kItemSep);
+      AppendEscapedNested(out, po.property, nesting.item);
+      out->push_back(kItemSep);
+      AppendEscapedNested(out, po.object, nesting.item);
+    }
+  }
 }
 
-Result<AnnTg> AnnTg::Deserialize(const std::string& line) {
-  std::vector<std::string> fields = SplitEscaped(line, kFieldSep);
-  if (fields.size() != 4) {
+// Parses a decimal uint32 that spans all of `text`.
+bool ParseUint32(std::string_view text, uint32_t* value) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc() && ptr == end && !text.empty();
+}
+
+// Reads the items of one pairs/overrides entry, unescaping each leaf
+// straight into its destination.
+class ItemReader {
+ public:
+  ItemReader(std::string_view raw_entry, std::string* scratch)
+      : items_(UnescapedView(raw_entry, kEntrySep, scratch), kItemSep) {}
+
+  bool Next(std::string* item) {
+    std::string_view raw;
+    if (!items_.Next(&raw)) return false;
+    *item = UnescapeField(raw, kItemSep);
+    return true;
+  }
+
+ private:
+  EscapedFieldReader items_;
+};
+
+}  // namespace
+
+std::string AnnTg::Serialize() const {
+  std::string out;
+  AppendAnnTg(&out, *this, kRecord);
+  return out;
+}
+
+Result<AnnTg> AnnTg::Deserialize(std::string_view line) {
+  std::string_view raw[4];
+  size_t num_fields = 0;
+  EscapedFieldReader fields(line, kFieldSep);
+  for (std::string_view field; fields.Next(&field); ++num_fields) {
+    if (num_fields < 4) raw[num_fields] = field;
+  }
+  if (num_fields != 4) {
     return Status::IoError("AnnTg record needs 4 fields, got " +
-                           std::to_string(fields.size()));
+                           std::to_string(num_fields));
   }
   AnnTg tg;
-  tg.subject = std::move(fields[0]);
-  try {
-    tg.star_id = static_cast<uint32_t>(std::stoul(fields[1]));
-  } catch (...) {
-    return Status::IoError("bad star id: " + fields[1]);
+  tg.subject = UnescapeField(raw[0], kFieldSep);
+  std::string field_scratch, entry_scratch;
+  const std::string_view star_id =
+      UnescapedView(raw[1], kFieldSep, &field_scratch);
+  if (!ParseUint32(star_id, &tg.star_id)) {
+    return Status::IoError("bad star id: " + std::string(star_id));
   }
-  if (!fields[2].empty()) {
-    for (const std::string& entry : SplitEscaped(fields[2], kEntrySep)) {
-      std::vector<std::string> items = SplitEscaped(entry, kItemSep);
-      if (items.size() < 2) {
-        return Status::IoError("bad pair entry: " + entry);
+  std::string_view raw_entry;
+  const std::string_view pairs =
+      UnescapedView(raw[2], kFieldSep, &field_scratch);
+  if (!pairs.empty()) {
+    EscapedFieldReader entries(pairs, kEntrySep);
+    while (entries.Next(&raw_entry)) {
+      ItemReader items(raw_entry, &entry_scratch);
+      std::string property;
+      std::vector<std::string> objects;
+      items.Next(&property);
+      for (std::string object; items.Next(&object);) {
+        objects.push_back(std::move(object));
       }
-      std::vector<std::string> objects(items.begin() + 1, items.end());
-      tg.pairs.emplace(std::move(items[0]), std::move(objects));
+      if (objects.empty()) {
+        return Status::IoError("bad pair entry: " +
+                               UnescapeField(raw_entry, kEntrySep));
+      }
+      // Entries are written in map order: append at the end.
+      tg.pairs.emplace_hint(tg.pairs.end(), std::move(property),
+                            std::move(objects));
     }
   }
-  if (!fields[3].empty()) {
-    for (const std::string& entry : SplitEscaped(fields[3], kEntrySep)) {
-      std::vector<std::string> items = SplitEscaped(entry, kItemSep);
-      if (items.empty() || items.size() % 2 != 1) {
-        return Status::IoError("bad override entry: " + entry);
-      }
+  const std::string_view overrides =
+      UnescapedView(raw[3], kFieldSep, &field_scratch);
+  if (!overrides.empty()) {
+    EscapedFieldReader entries(overrides, kEntrySep);
+    while (entries.Next(&raw_entry)) {
+      ItemReader items(raw_entry, &entry_scratch);
+      std::string index;
+      items.Next(&index);
       uint32_t tp_index;
-      try {
-        tp_index = static_cast<uint32_t>(std::stoul(items[0]));
-      } catch (...) {
-        return Status::IoError("bad override index: " + items[0]);
+      if (!ParseUint32(index, &tp_index)) {
+        return Status::IoError("bad override index: " + index);
       }
       std::vector<PropObj> pinned;
-      for (size_t i = 1; i + 1 < items.size() + 1; i += 2) {
-        pinned.push_back(PropObj{items[i], items[i + 1]});
+      for (PropObj po; items.Next(&po.property);) {
+        if (!items.Next(&po.object)) {
+          return Status::IoError("bad override entry: " +
+                                 UnescapeField(raw_entry, kEntrySep));
+        }
+        pinned.push_back(std::move(po));
       }
-      tg.overrides.emplace(tp_index, std::move(pinned));
+      tg.overrides.emplace_hint(tg.overrides.end(), tp_index,
+                                std::move(pinned));
     }
   }
   return tg;
 }
 
-Result<uint32_t> AnnTg::PeekStarId(const std::string& line) {
-  std::vector<std::string> fields = SplitEscaped(line, kFieldSep);
-  if (fields.size() != 4) {
+
+Result<uint32_t> AnnTg::PeekStarId(std::string_view line) {
+  EscapedFieldReader fields(line, kFieldSep);
+  std::string_view subject, raw_id;
+  if (!fields.Next(&subject) || !fields.Next(&raw_id)) {
     return Status::IoError("AnnTg record needs 4 fields");
   }
-  try {
-    return static_cast<uint32_t>(std::stoul(fields[1]));
-  } catch (...) {
-    return Status::IoError("bad star id: " + fields[1]);
+  std::string scratch;
+  const std::string_view star_id = UnescapedView(raw_id, kFieldSep, &scratch);
+  uint32_t value;
+  if (!ParseUint32(star_id, &value)) {
+    return Status::IoError("bad star id: " + std::string(star_id));
   }
+  return value;
 }
 
 const AnnTg* JoinedTg::ComponentForStar(uint32_t star_id) const {
@@ -183,16 +260,21 @@ const AnnTg* JoinedTg::ComponentForStar(uint32_t star_id) const {
 }
 
 std::string JoinedTg::Serialize() const {
-  std::vector<std::string> parts;
-  parts.reserve(components.size());
-  for (const AnnTg& c : components) parts.push_back(c.Serialize());
-  return JoinEscaped(parts, kComponentSep);
+  std::string out;
+  for (const AnnTg& c : components) {
+    if (&c != &components.front()) out.push_back(kComponentSep);
+    AppendAnnTg(&out, c, kComponent);
+  }
+  return out;
 }
 
-Result<JoinedTg> JoinedTg::Deserialize(const std::string& line) {
+Result<JoinedTg> JoinedTg::Deserialize(std::string_view line) {
   JoinedTg out;
-  for (const std::string& part : SplitEscaped(line, kComponentSep)) {
-    RDFMR_ASSIGN_OR_RETURN(AnnTg tg, AnnTg::Deserialize(part));
+  std::string scratch;
+  EscapedFieldReader parts(line, kComponentSep);
+  for (std::string_view raw; parts.Next(&raw);) {
+    RDFMR_ASSIGN_OR_RETURN(
+        AnnTg tg, AnnTg::Deserialize(UnescapedView(raw, kComponentSep, &scratch)));
     out.components.push_back(std::move(tg));
   }
   return out;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -85,11 +86,12 @@ class AnnTg {
   /// \brief Serializes into a single record line.
   std::string Serialize() const;
 
-  static Result<AnnTg> Deserialize(const std::string& line);
+  static Result<AnnTg> Deserialize(std::string_view line);
 
-  /// \brief Reads only the star_id field of a serialized record (cheap path
-  /// used by MultipleOutputs demuxing).
-  static Result<uint32_t> PeekStarId(const std::string& line);
+  /// \brief Reads only the star_id field of a serialized record, scanning
+  /// no further than the second field separator (cheap path used by
+  /// MultipleOutputs demuxing).
+  static Result<uint32_t> PeekStarId(std::string_view line);
 
   bool operator==(const AnnTg& o) const {
     return subject == o.subject && star_id == o.star_id && pairs == o.pairs &&
@@ -109,7 +111,7 @@ class JoinedTg {
   const AnnTg* ComponentForStar(uint32_t star_id) const;
 
   std::string Serialize() const;
-  static Result<JoinedTg> Deserialize(const std::string& line);
+  static Result<JoinedTg> Deserialize(std::string_view line);
 
   bool operator==(const JoinedTg& o) const {
     return components == o.components;

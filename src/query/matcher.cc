@@ -6,27 +6,31 @@
 
 namespace rdfmr {
 
-std::optional<Solution> MatchTriplePattern(const TriplePattern& pattern,
-                                           const Triple& triple) {
-  Solution s;
+bool BindTriplePattern(const TriplePattern& pattern, const Triple& triple,
+                       Solution* solution) {
   // Subject.
   if (pattern.subject.is_constant()) {
-    if (triple.subject != pattern.subject.value) return std::nullopt;
+    if (triple.subject != pattern.subject.value) return false;
   } else {
-    if (!pattern.subject.Matches(triple.subject)) return std::nullopt;
-    if (!s.Bind(pattern.subject.value, triple.subject)) return std::nullopt;
+    if (!pattern.subject.Matches(triple.subject)) return false;
+    if (!solution->Bind(pattern.subject.value, triple.subject)) return false;
   }
   // Property.
   if (pattern.property_bound) {
-    if (triple.property != pattern.property) return std::nullopt;
+    if (triple.property != pattern.property) return false;
   } else {
-    if (!s.Bind(pattern.property, triple.property)) return std::nullopt;
+    if (!solution->Bind(pattern.property, triple.property)) return false;
   }
   // Object.
-  if (!pattern.object.Matches(triple.object)) return std::nullopt;
-  if (pattern.object.is_variable()) {
-    if (!s.Bind(pattern.object.value, triple.object)) return std::nullopt;
-  }
+  if (!pattern.object.Matches(triple.object)) return false;
+  return !pattern.object.is_variable() ||
+         solution->Bind(pattern.object.value, triple.object);
+}
+
+std::optional<Solution> MatchTriplePattern(const TriplePattern& pattern,
+                                           const Triple& triple) {
+  Solution s;
+  if (!BindTriplePattern(pattern, triple, &s)) return std::nullopt;
   return s;
 }
 
@@ -49,10 +53,10 @@ void Recurse(const std::vector<std::vector<Candidate>>& candidates,
     return;
   }
   for (const Candidate& cand : candidates[level]) {
-    Result<Solution> merged = partial.Merge(cand.solution);
-    if (!merged.ok()) continue;
+    Solution merged = partial;
+    if (!merged.MergeInto(cand.solution)) continue;
     chosen->push_back(cand.triple);
-    Recurse(candidates, level + 1, chosen, *merged, out);
+    Recurse(candidates, level + 1, chosen, merged, out);
     chosen->pop_back();
   }
 }
@@ -106,11 +110,10 @@ std::vector<StarMatch> MatchStarDetailed(
     for (StarMatch& m : out) {
       bool any = false;
       for (const Candidate& cand : candidates[p]) {
-        Result<Solution> merged = m.solution.Merge(cand.solution);
-        if (!merged.ok()) continue;
+        if (!m.solution.CompatibleWith(cand.solution)) continue;
         any = true;
         StarMatch e = m;
-        e.solution = merged.MoveValueUnsafe();
+        e.solution.MergeInto(cand.solution);
         e.matched[p] = *cand.triple;
         extended.push_back(std::move(e));
       }
@@ -150,19 +153,20 @@ SolutionSet EvaluateQueryInMemory(const GraphPatternQuery& query,
 
   // Fold stars together with nested-loop merge joins (fine for tests; the
   // MR engines are the scalable path). Connectivity of the join graph is
-  // guaranteed by GraphPatternQuery::Create, so Merge enforces real joins.
+  // guaranteed by GraphPatternQuery::Create, so MergeInto enforces real
+  // joins.
   std::vector<Solution> acc = std::move(star_solutions[0]);
   for (size_t s = 1; s < star_solutions.size(); ++s) {
     std::vector<Solution> next;
     for (const Solution& a : acc) {
       for (const Solution& b : star_solutions[s]) {
-        Result<Solution> merged = a.Merge(b);
-        if (merged.ok()) next.push_back(merged.MoveValueUnsafe());
+        Solution merged = a;
+        if (merged.MergeInto(b)) next.push_back(std::move(merged));
       }
     }
     acc = std::move(next);
   }
-  return SolutionSet(acc.begin(), acc.end());
+  return ToSolutionSet(&acc);
 }
 
 }  // namespace rdfmr

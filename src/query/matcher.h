@@ -20,6 +20,13 @@ namespace rdfmr {
 std::optional<Solution> MatchTriplePattern(const TriplePattern& pattern,
                                            const Triple& triple);
 
+/// \brief Extends `*solution` in place with the bindings MatchTriplePattern
+/// would produce. Returns false if the triple does not match the pattern
+/// or a binding conflicts with one already in `*solution`, which may then
+/// be partially extended.
+bool BindTriplePattern(const TriplePattern& pattern, const Triple& triple,
+                       Solution* solution);
+
 /// \brief One complete match of a star: the triple chosen for each pattern
 /// (in pattern order) plus the combined bindings. A single triple may
 /// satisfy several patterns simultaneously — including both a bound and the

@@ -5,17 +5,30 @@
 namespace rdfmr {
 
 std::string Triple::Serialize() const {
-  return JoinEscaped({subject, property, object}, '\t');
+  std::string out;
+  out.reserve(ByteSize());
+  AppendEscaped(&out, subject, '\t');
+  out.push_back('\t');
+  AppendEscaped(&out, property, '\t');
+  out.push_back('\t');
+  AppendEscaped(&out, object, '\t');
+  return out;
 }
 
-Result<Triple> Triple::Deserialize(const std::string& line) {
-  std::vector<std::string> fields = SplitEscaped(line, '\t');
-  if (fields.size() != 3) {
-    return Status::IoError("triple record must have 3 fields, got " +
-                           std::to_string(fields.size()) + ": " + line);
+Result<Triple> Triple::Deserialize(std::string_view line) {
+  Triple t;
+  std::string* const fields[3] = {&t.subject, &t.property, &t.object};
+  size_t num_fields = 0;
+  EscapedFieldReader reader(line, '\t');
+  for (std::string_view raw; reader.Next(&raw); ++num_fields) {
+    if (num_fields < 3) *fields[num_fields] = UnescapeField(raw, '\t');
   }
-  return Triple(std::move(fields[0]), std::move(fields[1]),
-                std::move(fields[2]));
+  if (num_fields != 3) {
+    return Status::IoError("triple record must have 3 fields, got " +
+                           std::to_string(num_fields) + ": " +
+                           std::string(line));
+  }
+  return t;
 }
 
 std::vector<std::string> SerializeTriples(const std::vector<Triple>& triples) {

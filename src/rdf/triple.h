@@ -8,6 +8,7 @@
 #define RDFMR_RDF_TRIPLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -38,7 +39,7 @@ struct Triple {
   std::string Serialize() const;
 
   /// \brief Parses a line produced by Serialize().
-  static Result<Triple> Deserialize(const std::string& line);
+  static Result<Triple> Deserialize(std::string_view line);
 
   /// \brief Approximate in-memory / on-disk footprint of this triple.
   size_t ByteSize() const {

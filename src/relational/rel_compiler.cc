@@ -145,11 +145,12 @@ ReduceFn MakeJoinReducer(RelSchema left_schema, RelSchema right_schema) {
              Counters* counters) {
     std::vector<std::pair<RelTuple, Solution>> lefts, rights;
     for (const std::string& v : values) {
-      std::vector<std::string> parts = SplitN(v, '|', 2);
-      if (parts.size() != 2) continue;
-      const RelSchema& schema =
-          parts[0] == "L" ? left_schema : right_schema;
-      Result<RelTuple> tuple = RelTuple::Deserialize(parts[1], schema.size());
+      const size_t bar = v.find('|');
+      if (bar == std::string::npos) continue;
+      const bool is_left = v.compare(0, bar, "L") == 0;
+      const RelSchema& schema = is_left ? left_schema : right_schema;
+      Result<RelTuple> tuple = RelTuple::Deserialize(
+          std::string_view(v).substr(bar + 1), schema.size());
       if (!tuple.ok()) {
         (*counters)["bad_records"] += 1;
         continue;
@@ -159,14 +160,14 @@ ReduceFn MakeJoinReducer(RelSchema left_schema, RelSchema right_schema) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      auto& side = parts[0] == "L" ? lefts : rights;
+      auto& side = is_left ? lefts : rights;
       side.emplace_back(tuple.MoveValueUnsafe(), sol.MoveValueUnsafe());
     }
     (*counters)["op.rel_join.input_records"] += lefts.size() + rights.size();
     for (const auto& [lt, ls] : lefts) {
       for (const auto& [rt, rs] : rights) {
-        Result<Solution> merged = ls.Merge(rs);
-        if (!merged.ok()) continue;  // residual predicate rejected the pair
+        // A residual predicate rejects inconsistent pairs.
+        if (!ls.CompatibleWith(rs)) continue;
         RelTuple joined;
         joined.triples = lt.triples;
         joined.triples.insert(joined.triples.end(), rt.triples.begin(),
@@ -423,14 +424,15 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
       std::set<Triple> triples;
       std::vector<std::pair<RelTuple, Solution>> lefts;
       for (const std::string& v : values) {
-        std::vector<std::string> parts = SplitN(v, '|', 2);
-        if (parts.size() != 2) continue;
-        if (parts[0] == "B") {
-          Result<Triple> t = Triple::Deserialize(parts[1]);
+        const size_t bar = v.find('|');
+        if (bar == std::string::npos) continue;
+        const std::string_view payload = std::string_view(v).substr(bar + 1);
+        if (v.compare(0, bar, "B") == 0) {
+          Result<Triple> t = Triple::Deserialize(payload);
           if (t.ok()) triples.insert(t.MoveValueUnsafe());
         } else {
           Result<RelTuple> tuple =
-              RelTuple::Deserialize(parts[1], first_schema.size());
+              RelTuple::Deserialize(payload, first_schema.size());
           if (!tuple.ok()) continue;
           Result<Solution> sol = tuple->ToSolution(first_schema);
           if (!sol.ok()) continue;
@@ -443,8 +445,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
           MatchStarDetailed(query->stars()[folded], star_triples);
       for (const auto& [lt, ls] : lefts) {
         for (const StarMatch& m : matches) {
-          Result<Solution> merged = ls.Merge(m.solution);
-          if (!merged.ok()) continue;
+          if (!ls.CompatibleWith(m.solution)) continue;
           RelTuple joined;
           joined.triples = lt.triples;
           joined.triples.insert(joined.triples.end(), m.matched.begin(),

@@ -6,30 +6,39 @@
 namespace rdfmr {
 
 std::string RelTuple::Serialize() const {
-  std::vector<std::string> fields;
-  fields.reserve(triples.size() * 3);
+  size_t bytes = 0;
+  for (const Triple& t : triples) bytes += t.ByteSize();
+  std::string out;
+  out.reserve(bytes);
+  bool first = true;
   for (const Triple& t : triples) {
-    fields.push_back(t.subject);
-    fields.push_back(t.property);
-    fields.push_back(t.object);
+    for (const std::string* field : {&t.subject, &t.property, &t.object}) {
+      if (!first) out.push_back('\t');
+      first = false;
+      AppendEscaped(&out, *field, '\t');
+    }
   }
-  return JoinEscaped(fields, '\t');
+  return out;
 }
 
-Result<RelTuple> RelTuple::Deserialize(const std::string& line,
+Result<RelTuple> RelTuple::Deserialize(std::string_view line,
                                        size_t arity) {
-  std::vector<std::string> fields = SplitEscaped(line, '\t');
-  if (fields.size() != arity * 3) {
+  RelTuple tuple;
+  tuple.triples.resize(arity);
+  size_t num_fields = 0;
+  EscapedFieldReader reader(line, '\t');
+  for (std::string_view raw; reader.Next(&raw); ++num_fields) {
+    if (num_fields >= arity * 3) continue;
+    Triple& t = tuple.triples[num_fields / 3];
+    std::string& field = num_fields % 3 == 0   ? t.subject
+                         : num_fields % 3 == 1 ? t.property
+                                               : t.object;
+    field = UnescapeField(raw, '\t');
+  }
+  if (num_fields != arity * 3) {
     return Status::IoError(StringFormat(
         "relational tuple needs %zu fields, got %zu", arity * 3,
-        fields.size()));
-  }
-  RelTuple tuple;
-  tuple.triples.reserve(arity);
-  for (size_t i = 0; i < arity; ++i) {
-    tuple.triples.emplace_back(std::move(fields[3 * i]),
-                               std::move(fields[3 * i + 1]),
-                               std::move(fields[3 * i + 2]));
+        num_fields));
   }
   return tuple;
 }
@@ -46,32 +55,33 @@ Result<Solution> RelTuple::ToSolution(const RelSchema& schema) const {
     return Status::InvalidArgument("tuple arity does not match schema");
   }
   Solution out;
+  out.Reserve(3 * schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     if (IsNullTriple(triples[i])) {
       if (schema[i].optional) continue;  // unmatched optional pattern
       return Status::InvalidArgument(
           "null triple at mandatory column " + std::to_string(i));
     }
-    std::optional<Solution> m = MatchTriplePattern(schema[i], triples[i]);
-    if (!m.has_value()) {
-      return Status::InvalidArgument("tuple column " + std::to_string(i) +
-                                     " does not match its pattern");
+    if (!BindTriplePattern(schema[i], triples[i], &out)) {
+      return Status::InvalidArgument(
+          "tuple column " + std::to_string(i) +
+          " does not match its pattern or the columns before it");
     }
-    RDFMR_ASSIGN_OR_RETURN(out, out.Merge(*m));
   }
   return out;
 }
 
 Result<SolutionSet> DecodeRelationalAnswers(
     const RelSchema& schema, const std::vector<std::string>& lines) {
-  SolutionSet out;
+  std::vector<Solution> solutions;
+  solutions.reserve(lines.size());
   for (const std::string& line : lines) {
     RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
                            RelTuple::Deserialize(line, schema.size()));
     RDFMR_ASSIGN_OR_RETURN(Solution s, tuple.ToSolution(schema));
-    out.insert(std::move(s));
+    solutions.push_back(std::move(s));
   }
-  return out;
+  return ToSolutionSet(&solutions);
 }
 
 Result<std::string> ExtractJoinKey(const RelSchema& schema,

@@ -11,6 +11,7 @@
 #define RDFMR_RELATIONAL_REL_TUPLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -32,7 +33,7 @@ struct RelTuple {
   std::string Serialize() const;
 
   /// \brief Parses a record with exactly `arity` triples.
-  static Result<RelTuple> Deserialize(const std::string& line, size_t arity);
+  static Result<RelTuple> Deserialize(std::string_view line, size_t arity);
 
   /// \brief Derives the solution mapping by re-matching each triple against
   /// its schema pattern; fails if the tuple is inconsistent.

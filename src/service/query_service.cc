@@ -49,6 +49,10 @@ std::string SingleQueryName(const ServiceRequest& request) {
   return name;
 }
 
+// Cache charge of an answer set: the bytes of every binding plus a fixed
+// per-binding overhead. The formula is the cache's admission currency, so
+// it stays as it was when answers were map-based: re-pricing it would
+// change which entries the result cache keeps.
 uint64_t EstimateSetCharge(const SolutionSet& set) {
   uint64_t bytes = 32;
   for (const Solution& solution : set) {
@@ -377,7 +381,7 @@ uint64_t QueryService::Submit(ServiceRequest request,
       stats_.queued.fetch_add(1, std::memory_order_relaxed) + 1;
   if (depth > config_.queue_bound) {
     stats_.queued.fetch_sub(1, std::memory_order_relaxed);
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    stats_.rejected.fetch_add(1, std::memory_order_release);
     ServiceResponse response;
     response.status = Status::Unavailable(
         "admission queue full (bound " +
@@ -430,12 +434,12 @@ void QueryService::RunPending(const std::shared_ptr<Pending>& pending) {
   ServiceResponse early;
   bool has_early = false;
   if (cancelled) {
-    stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
+    stats_.cancelled.fetch_add(1, std::memory_order_release);
     early.status = Status::Cancelled("request cancelled while queued");
     has_early = true;
   } else if (pending->deadline_ms > 0 &&
              queue_micros >= pending->deadline_ms * 1000) {
-    stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+    stats_.deadline_expired.fetch_add(1, std::memory_order_release);
     early.status =
         Status::DeadlineExceeded("deadline expired while queued");
     has_early = true;
@@ -467,11 +471,11 @@ void QueryService::RunPending(const std::shared_ptr<Pending>& pending) {
   stats_.running.fetch_sub(1, std::memory_order_relaxed);
   stats_.exec_micros.Add(exec_micros);
   if (response.ok()) {
-    stats_.served.fetch_add(1, std::memory_order_relaxed);
+    stats_.served.fetch_add(1, std::memory_order_release);
   } else if (response.status.code() == StatusCode::kDeadlineExceeded) {
-    stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+    stats_.deadline_expired.fetch_add(1, std::memory_order_release);
   } else {
-    stats_.failed.fetch_add(1, std::memory_order_relaxed);
+    stats_.failed.fetch_add(1, std::memory_order_release);
   }
   pending->done(std::move(response));
 }
@@ -687,13 +691,19 @@ ServiceStatsSnapshot QueryService::SnapshotNow() const {
   const auto load = [](const std::atomic<uint64_t>& cell) {
     return cell.load(std::memory_order_relaxed);
   };
+  // Outcomes are counted with release after their request's admission, so
+  // acquiring them before loading `submitted` keeps the outcome total
+  // within the admissions the snapshot reports.
+  const auto acquire = [](const std::atomic<uint64_t>& cell) {
+    return cell.load(std::memory_order_acquire);
+  };
   ServiceStatsSnapshot snapshot;
+  snapshot.served = acquire(stats_.served);
+  snapshot.failed = acquire(stats_.failed);
+  snapshot.rejected = acquire(stats_.rejected);
+  snapshot.cancelled = acquire(stats_.cancelled);
+  snapshot.deadline_expired = acquire(stats_.deadline_expired);
   snapshot.submitted = load(stats_.submitted);
-  snapshot.served = load(stats_.served);
-  snapshot.failed = load(stats_.failed);
-  snapshot.rejected = load(stats_.rejected);
-  snapshot.cancelled = load(stats_.cancelled);
-  snapshot.deadline_expired = load(stats_.deadline_expired);
   snapshot.plan_cache_hits = load(stats_.plan_cache_hits);
   snapshot.plan_cache_misses = load(stats_.plan_cache_misses);
   snapshot.plan_cache_lookups =

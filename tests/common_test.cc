@@ -15,6 +15,9 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "ntga/triplegroup.h"
+#include "query/solution.h"
+#include "relational/rel_tuple.h"
 
 namespace rdfmr {
 namespace {
@@ -166,6 +169,240 @@ INSTANTIATE_TEST_SUITE_P(
                       "back\\slash", "\\", "\\\\", "trailing\\",
                       "new\nline", "\x1F\x1D\x1E", "a\tb\\c,d;e",
                       "unicode \xE2\x8B\x88 join"));
+
+// ---- Serde reference -------------------------------------------------------
+//
+// The byte-at-a-time escape helpers as they were before the single-pass
+// rewrite, kept verbatim as the reference the production helpers must
+// match byte for byte.
+namespace reference {
+
+std::string EscapeField(std::string_view field, char sep) {
+  std::string out;
+  out.reserve(field.size());
+  for (char c : field) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == sep) {
+      out.push_back('\\');
+      out.push_back('s');
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::string UnescapeField(std::string_view field, char sep) {
+  std::string out;
+  out.reserve(field.size());
+  for (size_t i = 0; i < field.size(); ++i) {
+    if (field[i] == '\\' && i + 1 < field.size()) {
+      char n = field[++i];
+      if (n == '\\') {
+        out.push_back('\\');
+      } else if (n == 's') {
+        out.push_back(sep);
+      } else if (n == 'n') {
+        out.push_back('\n');
+      } else {
+        out.push_back(n);
+      }
+    } else {
+      out.push_back(field[i]);
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> SplitEscaped(std::string_view input, char sep) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (size_t i = 0; i < input.size(); ++i) {
+    char c = input[i];
+    if (c == '\\' && i + 1 < input.size()) {
+      cur.push_back(c);
+      cur.push_back(input[++i]);
+    } else if (c == sep) {
+      out.push_back(UnescapeField(cur, sep));
+      cur.clear();
+    } else {
+      cur.push_back(c);
+    }
+  }
+  out.push_back(UnescapeField(cur, sep));
+  return out;
+}
+
+std::string JoinEscaped(const std::vector<std::string>& fields, char sep) {
+  std::string out;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out.push_back(sep);
+    out += EscapeField(fields[i], sep);
+  }
+  return out;
+}
+
+}  // namespace reference
+
+// Every separator of the record formats, the escape byte and the letters
+// it pairs with, so random strings are dense in escapes, lone trailing
+// backslashes and empty fields.
+constexpr char kSerdeAlphabet[] = {'\\', '\\', '\t', '\n', ',', '=', ';',
+                                   '\x1D', '\x1E', '\x1F', 's', 'n', 'a'};
+constexpr char kSerdeSeps[] = {'\t', ',', '=', ';', '\x1D', '\x1E', '\x1F'};
+
+std::string RandomSerdeString(Rng* rng) {
+  std::string out(rng->Uniform(9), ' ');
+  for (char& c : out) c = kSerdeAlphabet[rng->Uniform(sizeof(kSerdeAlphabet))];
+  return out;
+}
+
+TEST(SerdeReferenceTest, SinglePassHelpersMatchReference) {
+  Rng rng(20261016);
+  for (int round = 0; round < 20000; ++round) {
+    const std::string input = RandomSerdeString(&rng);
+    const char sep = kSerdeSeps[rng.Uniform(sizeof(kSerdeSeps))];
+    SCOPED_TRACE(::testing::PrintToString(input) + " sep " +
+                 std::to_string(static_cast<int>(sep)));
+    ASSERT_EQ(EscapeField(input, sep), reference::EscapeField(input, sep));
+    ASSERT_EQ(UnescapeField(input, sep),
+              reference::UnescapeField(input, sep));
+    ASSERT_EQ(SplitEscaped(input, sep), reference::SplitEscaped(input, sep));
+
+    std::string scratch;
+    ASSERT_EQ(std::string(UnescapedView(input, sep, &scratch)),
+              reference::UnescapeField(input, sep));
+    std::vector<std::string> from_views;
+    EscapedFieldReader reader(input, sep);
+    for (std::string_view raw; reader.Next(&raw);) {
+      from_views.push_back(UnescapeField(raw, sep));
+    }
+    ASSERT_EQ(from_views, reference::SplitEscaped(input, sep));
+
+    std::vector<std::string> fields(rng.Uniform(4));
+    for (std::string& field : fields) field = RandomSerdeString(&rng);
+    ASSERT_EQ(JoinEscaped(fields, sep), reference::JoinEscaped(fields, sep));
+
+    // Nested escaping equals escaping once per level, innermost first.
+    std::string seps;
+    for (size_t level = rng.Uniform(4) + 1; level > 0; --level) {
+      seps.push_back(kSerdeSeps[rng.Uniform(sizeof(kSerdeSeps))]);
+    }
+    std::string nested = "prefix";
+    AppendEscapedNested(&nested, input, seps);
+    std::string expected = input;
+    for (char level_sep : seps) {
+      expected = reference::EscapeField(expected, level_sep);
+    }
+    ASSERT_EQ(nested, "prefix" + expected);
+  }
+}
+
+TEST(SerdeReferenceTest, EdgeCasesMatchReference) {
+  for (const std::string& input : std::vector<std::string>{
+           "", "\\", "a\\", "\\\\", ",", ",,", "\\,", "a,\\", "\\s",
+           "\\n", "\\x", std::string(1, '\0')}) {
+    for (char sep : kSerdeSeps) {
+      EXPECT_EQ(SplitEscaped(input, sep), reference::SplitEscaped(input, sep))
+          << ::testing::PrintToString(input);
+      EXPECT_EQ(UnescapeField(input, sep),
+                reference::UnescapeField(input, sep))
+          << ::testing::PrintToString(input);
+    }
+  }
+}
+
+// Serializations recorded before the single-pass rewrite: the on-wire
+// record bytes are the paper's metric and must not move.
+constexpr char kGoldenAnnTgPlain[] =
+    "product7\x1F""1\x1F""label,product 7 gold edition\x1D""prodFeature"
+    ",feature11,feature3\x1F""2,producer,producer4";
+constexpr char kGoldenAnnTgNasty[] =
+    "s\\\\1,\\s;\\n\x1F""12\x1F""\\\\\\\\\\\\\\\\,\\\\\\\\\\\\\\\\s\\\\"
+    "\\\\\\\\\\\\n\x1D""p\\\\\\\\s1,o\x09""=,o\\\\s\x1E""\\\\\\\\\\\\\\"
+    "\\\x1D""q\\s,\x1F""0,p\x1E"",o\\\\\\\\\\\\\\\\,\\\\\\\\s,\\\\s\x1D"""
+    "3";
+constexpr char kGoldenJoined[] =
+    "s\\\\\\\\1,\\\\s;\\\\n\x1F""12\x1F""\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\"
+    "\\,\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\s\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\"
+    "\\n\x1D""p\\\\\\\\\\\\\\\\s1,o\x09""=,o\\\\\\\\s\\s\\\\\\\\\\\\\\"
+    "\\\\\\\\\\\\\\\\\\\x1D""q\\\\s,\x1F""0,p\\s,o\\\\\\\\\\\\\\\\\\\\"
+    "\\\\\\\\\\\\,\\\\\\\\\\\\\\\\s,\\\\\\\\s\x1D""3\x1E""product7\x1F"""
+    "1\x1F""label,product 7 gold edition\x1D""prodFeature,feature11,fea"
+    "ture3\x1F""2,producer,producer4";
+constexpr char kGoldenRelTuple[] =
+    "s\\s1\x09""p\\\\\x09""o\\n\x1F"",\x09""\x09""\x09""\x09""a\x09""b"
+    "\x09""c";
+constexpr char kGoldenSolution[] =
+    "a\\\\sb=\\\\\\\\;n\\\\n=t\x09""\x1E"";x=v\\\\s1\\s2;z=";
+
+AnnTg GoldenPlainTg() {
+  AnnTg tg;
+  tg.subject = "product7";
+  tg.star_id = 1;
+  tg.AddPair("label", "product 7 gold edition");
+  tg.AddPair("prodFeature", "feature3");
+  tg.AddPair("prodFeature", "feature11");
+  tg.overrides[2] = {PropObj{"producer", "producer4"}};
+  return tg;
+}
+
+AnnTg GoldenNastyTg() {
+  AnnTg tg;
+  tg.subject = "s\\1,\x1F;\n";
+  tg.star_id = 12;
+  tg.AddPair("p,1", "o\t=");
+  tg.AddPair("p,1", "o\x1D\x1E\\");
+  tg.AddPair("q\x1F", "");
+  tg.AddPair("\\", "\\s\\n");
+  tg.overrides[0] = {PropObj{"p\x1E", "o\\"}, PropObj{",", "\x1D"}};
+  tg.overrides[3] = {};
+  return tg;
+}
+
+TEST(SerdeGoldenTest, AnnTgAndJoinedTgBytesArePinned) {
+  const AnnTg plain = GoldenPlainTg();
+  const AnnTg nasty = GoldenNastyTg();
+  EXPECT_EQ(plain.Serialize(), kGoldenAnnTgPlain);
+  EXPECT_EQ(nasty.Serialize(), kGoldenAnnTgNasty);
+  JoinedTg joined;
+  joined.components = {nasty, plain};
+  EXPECT_EQ(joined.Serialize(), kGoldenJoined);
+
+  auto plain_back = AnnTg::Deserialize(kGoldenAnnTgPlain);
+  ASSERT_TRUE(plain_back.ok()) << plain_back.status().ToString();
+  EXPECT_TRUE(*plain_back == plain);
+  auto nasty_back = AnnTg::Deserialize(kGoldenAnnTgNasty);
+  ASSERT_TRUE(nasty_back.ok()) << nasty_back.status().ToString();
+  EXPECT_TRUE(*nasty_back == nasty);
+  auto joined_back = JoinedTg::Deserialize(kGoldenJoined);
+  ASSERT_TRUE(joined_back.ok()) << joined_back.status().ToString();
+  EXPECT_TRUE(*joined_back == joined);
+  EXPECT_EQ(*AnnTg::PeekStarId(kGoldenAnnTgNasty), 12u);
+}
+
+TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {
+  RelTuple tuple;
+  tuple.triples = {Triple("s\t1", "p\\", "o\n\x1F,"), Triple(),
+                   Triple("a", "b", "c")};
+  EXPECT_EQ(tuple.Serialize(), kGoldenRelTuple);
+  auto tuple_back = RelTuple::Deserialize(kGoldenRelTuple, 3);
+  ASSERT_TRUE(tuple_back.ok()) << tuple_back.status().ToString();
+  EXPECT_EQ(tuple_back->triples, tuple.triples);
+
+  Solution solution;
+  solution.Bind("x", "v=1;2");
+  solution.Bind("a=b", "\\");
+  solution.Bind("z", "");
+  solution.Bind("n\n", "t\t\x1E");
+  EXPECT_EQ(solution.Serialize(), kGoldenSolution);
+  auto solution_back = Solution::Deserialize(kGoldenSolution);
+  ASSERT_TRUE(solution_back.ok()) << solution_back.status().ToString();
+  EXPECT_EQ(*solution_back, solution);
+}
 
 TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(0), "0 B");

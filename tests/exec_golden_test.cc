@@ -1,0 +1,196 @@
+// Golden pin of Exec against a checked-in fixture: B0–B6 × all six engines
+// × {1, 4} threads on a small BSBM graph and on the same graph with every
+// record separator and a backslash spliced into its terms. Each run
+// renders every deterministic ExecStats field (redundancy factors and
+// modeled seconds as exact %a bits, per-job metrics, a digest of the
+// counters) plus the answer count and an ordered FNV digest of the
+// Serialize()d answers.
+//
+// rdfmr_fuzz and the determinism tests compare runs within one build; this
+// test compares against bytes recorded before a change, so a serde or
+// accounting rewrite cannot drift without failing it. On a mismatch the
+// rendered pin is written to exec_pin.actual.txt in the working directory
+// and the first differing line is reported. After an intended change to a
+// simulated quantity, replace tests/golden/exec_pin.txt with that file and
+// say so in the change.
+//
+// Known defect, pinned as is: on the separator graph the NTGA engines lose
+// or corrupt answers (e.g. 0 for B0 where Pig/Hive return 846). The grouping cycle
+// writes AnnTg records, but the join mappers and decoders parse them as
+// JoinedTg records, whose extra component-level unescape corrupts records
+// holding a backslash, '\x1E' or a newline. Fixing it changes exactly
+// those rows of the fixture.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
+#include "common/strings.h"
+#include "datagen/testbed.h"
+#include "engine/engine.h"
+#include "tests/test_util.h"
+
+#ifndef RDFMR_GOLDEN_DIR
+#error "RDFMR_GOLDEN_DIR must point at tests/golden"
+#endif
+
+namespace rdfmr {
+namespace {
+
+// Splices separators into every subject and object: ' ' and '_' become
+// runs of the record formats' separators plus a backslash and a newline.
+// The map is injective (the runs start with distinct bytes absent from
+// BSBM terms), so joins and CONTAINS filters match exactly as before.
+std::string Nasty(const std::string& term) {
+  std::string out;
+  for (char c : term) {
+    if (c == ' ') {
+      out += "\t,=;|";
+    } else if (c == '_') {
+      out += "\x1D\\\x1E\n\x1F";
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
+  std::vector<Triple> out;
+  out.reserve(triples.size());
+  for (const Triple& t : triples) {
+    out.emplace_back(Nasty(t.subject), t.property, Nasty(t.object));
+  }
+  return out;
+}
+
+std::string Hex(double value) { return StringFormat("%a", value); }
+
+uint64_t CountersDigest(const Counters& counters) {
+  std::string text;
+  for (const auto& [name, value] : counters) {
+    text += name + "=" + std::to_string(value) + "\n";
+  }
+  return Fnv1a64(text);
+}
+
+std::string RenderRun(const std::string& graph, const std::string& query,
+                      EngineKind kind, uint32_t threads,
+                      const Execution& exec) {
+  const ExecStats& s = exec.stats;
+  std::string answers;
+  for (const Solution& solution : exec.answers) {
+    answers += solution.Serialize();
+    answers.push_back('\n');
+  }
+  std::string out = StringFormat(
+      "%s %s %s t%u | engine=%s query=%s status=%s failed_job=%d "
+      "cycles=%zu/%zu scans=%u read=%llu write=%llu write_repl=%llu "
+      "shuffle=%llu star=%llu intermediate=%llu final=%llu peak=%llu "
+      "redundancy=%s final_redundancy=%s modeled=%s attempts=%llu "
+      "retried=%llu wasted=%llu backoff=%s degraded_from='%s' "
+      "preflight='%s' chosen='%s' counters=%016llx answers=%zu "
+      "digest=%016llx\n",
+      graph.c_str(), query.c_str(), EngineKindToString(kind), threads,
+      s.engine.c_str(), s.query.c_str(), s.status.ToString().c_str(),
+      s.failed_job_index, s.mr_cycles, s.planned_cycles, s.full_scans,
+      static_cast<unsigned long long>(s.hdfs_read_bytes),
+      static_cast<unsigned long long>(s.hdfs_write_bytes),
+      static_cast<unsigned long long>(s.hdfs_write_bytes_replicated),
+      static_cast<unsigned long long>(s.shuffle_bytes),
+      static_cast<unsigned long long>(s.star_phase_write_bytes),
+      static_cast<unsigned long long>(s.intermediate_write_bytes),
+      static_cast<unsigned long long>(s.final_output_bytes),
+      static_cast<unsigned long long>(s.peak_dfs_used_bytes),
+      Hex(s.redundancy_factor).c_str(),
+      Hex(s.final_redundancy_factor).c_str(),
+      Hex(s.modeled_seconds).c_str(),
+      static_cast<unsigned long long>(s.task_attempts),
+      static_cast<unsigned long long>(s.tasks_retried),
+      static_cast<unsigned long long>(s.wasted_bytes),
+      Hex(s.retry_backoff_seconds).c_str(), s.degraded_from.c_str(),
+      s.preflight.c_str(), s.chosen_engine.c_str(),
+      static_cast<unsigned long long>(CountersDigest(s.counters)),
+      exec.answers.size(),
+      static_cast<unsigned long long>(Fnv1a64(answers)));
+  for (const JobMetrics& j : s.jobs) {
+    out += StringFormat(
+        "  job %s in=%llu/%llu map_out=%llu/%llu direct=%llu/%llu "
+        "groups=%llu out=%llu/%llu out_repl=%llu scans=%u "
+        "counters=%016llx\n",
+        j.job_name.c_str(), static_cast<unsigned long long>(j.input_records),
+        static_cast<unsigned long long>(j.input_bytes),
+        static_cast<unsigned long long>(j.map_output_records),
+        static_cast<unsigned long long>(j.map_output_bytes),
+        static_cast<unsigned long long>(j.map_direct_output_records),
+        static_cast<unsigned long long>(j.map_direct_output_bytes),
+        static_cast<unsigned long long>(j.reduce_input_groups),
+        static_cast<unsigned long long>(j.output_records),
+        static_cast<unsigned long long>(j.output_bytes),
+        static_cast<unsigned long long>(j.output_bytes_replicated),
+        j.full_scans_of_base,
+        static_cast<unsigned long long>(CountersDigest(j.counters)));
+  }
+  return out;
+}
+
+std::string RenderPin() {
+  const std::vector<Triple> bsbm =
+      testing_util::SmallDataset(DatasetFamily::kBsbm);
+  const std::vector<std::pair<std::string, std::vector<Triple>>> graphs = {
+      {"bsbm", bsbm}, {"separators", SeparatorGraph(bsbm)}};
+  std::string pin;
+  for (const auto& [graph, triples] : graphs) {
+    for (const char* id : {"B0", "B1", "B2", "B3", "B4", "B5", "B6"}) {
+      auto query = GetTestbedQuery(id);
+      EXPECT_TRUE(query.ok()) << id;
+      if (!query.ok()) continue;
+      for (EngineKind kind : testing_util::AllEngineKinds()) {
+        for (uint32_t threads : {1u, 4u}) {
+          auto dfs = testing_util::MakeDfsWithBase(triples);
+          EXPECT_NE(dfs, nullptr);
+          if (dfs == nullptr) continue;
+          EngineOptions options;
+          options.kind = kind;
+          options.runtime.num_threads = threads;
+          auto exec = RunQuery(dfs.get(), "base", *query, options);
+          EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+          if (!exec.ok()) continue;
+          pin += RenderRun(graph, id, kind, threads, *exec);
+        }
+      }
+    }
+  }
+  return pin;
+}
+
+TEST(ExecGoldenTest, MatchesRecordedPin) {
+  const std::string path = std::string(RDFMR_GOLDEN_DIR) + "/exec_pin.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing fixture " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+
+  const std::string actual = RenderPin();
+  if (actual == expected.str()) return;
+  std::ofstream("exec_pin.actual.txt", std::ios::binary) << actual;
+  std::vector<std::string> want = Split(expected.str(), '\n');
+  std::vector<std::string> got = Split(actual, '\n');
+  for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+    const std::string w = i < want.size() ? want[i] : "<missing>";
+    const std::string g = i < got.size() ? got[i] : "<missing>";
+    if (w != g) {
+      FAIL() << "pin differs at line " << i + 1 << "\n  expected: " << w
+             << "\n  actual:   " << g
+             << "\n(full render written to exec_pin.actual.txt)";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace rdfmr

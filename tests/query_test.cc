@@ -201,10 +201,29 @@ TEST(SolutionTest, MergeConsistency) {
   a.Bind("x", "1");
   b.Bind("y", "2");
   c.Bind("x", "other");
-  auto ab = a.Merge(b);
-  ASSERT_TRUE(ab.ok());
-  EXPECT_EQ(ab->size(), 2u);
-  EXPECT_FALSE(a.Merge(c).ok());
+  EXPECT_TRUE(a.CompatibleWith(b));
+  EXPECT_FALSE(a.CompatibleWith(c));
+  Solution ab = a;
+  ASSERT_TRUE(ab.MergeInto(b));
+  EXPECT_EQ(ab.size(), 2u);
+  Solution before = ab;
+  EXPECT_FALSE(ab.MergeInto(c));
+  EXPECT_EQ(ab, before) << "a rejected merge leaves the solution unchanged";
+}
+
+TEST(SolutionTest, MergeIntoKeepsVariablesSorted) {
+  Solution a, b;
+  a.Bind("b", "2");
+  a.Bind("d", "4");
+  b.Bind("a", "1");
+  b.Bind("b", "2");
+  b.Bind("c", "3");
+  b.Bind("e", "5");
+  ASSERT_TRUE(a.MergeInto(b));
+  std::vector<std::string> vars;
+  for (const auto& [var, value] : a.bindings()) vars.push_back(var + value);
+  EXPECT_EQ(vars, (std::vector<std::string>{"a1", "b2", "c3", "d4", "e5"}));
+  EXPECT_EQ(a.Serialize(), "a=1;b=2;c=3;d=4;e=5");
 }
 
 TEST(SolutionTest, SerdeRoundtripWithNastyValues) {

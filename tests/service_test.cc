@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/lru_cache.h"
@@ -1014,6 +1015,30 @@ TEST(ProtocolTest, ExplainVerbReturnsScoredCandidates) {
       R"({"verb":"explain","dataset":"nope","query_id":"B1"})");
   EXPECT_FALSE(missing.response.GetBool("ok"));
   EXPECT_EQ(missing.response.GetString("code"), "NotFound");
+}
+
+// The served answers array is wire output: its order and bytes were
+// recorded from the map-based Solution and must not move with the
+// in-memory representation of answers.
+TEST(ProtocolTest, ServedAnswersOrderAndBytesArePinned) {
+  auto service = MakeService();
+  ASSERT_TRUE(
+      service->LoadDataset("bsbm", SmallDataset(DatasetFamily::kBsbm))
+          .ok());
+  HandleResult run = HandleRequestLine(
+      service.get(),
+      R"({"verb":"query","dataset":"bsbm","query_id":"B1",)"
+      R"("engine":"lazy","terse":true})");
+  ASSERT_TRUE(run.response.GetBool("ok")) << run.response.Dump();
+  EXPECT_EQ(run.response.GetUint("num_answers", 0), 423u);
+  const std::string answers = run.response.Get("answers").Dump();
+  const std::string head =
+      R"(["fl=feature label 0;ft=ftype0;l=product 12 standard edition;)"
+      R"(p=product12;t=ptype1;up=prodFeature;x=feature0",)"
+      R"("fl=feature label 0;ft=ftype0;l=product 16 standard edition;)"
+      R"(p=product16;t=ptype5;up=prodFeature;x=feature0",)";
+  EXPECT_EQ(answers.substr(0, head.size()), head);
+  EXPECT_EQ(Fnv1a64(answers), 0x8fbcb455fbac1603ULL);
 }
 
 }  // namespace

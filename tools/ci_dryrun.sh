@@ -6,7 +6,8 @@
 #
 #   tools/ci_dryrun.sh [job ...]
 #
-# Jobs: build-debug build-release asan tsan ubsan fuzz format bench
+# Jobs: build-debug build-release asan tsan ubsan fuzz perfbench format
+# bench
 # (default: all of them). Tools CI installs but this host may lack are
 # degraded gracefully: no ccache => plain compile, no clang-format =>
 # the format job is SKIPped (CI itself still enforces it).
@@ -17,7 +18,7 @@ cd "$repo_root"
 
 jobs=("$@")
 if [[ ${#jobs[@]} -eq 0 ]]; then
-  jobs=(build-debug build-release asan tsan ubsan fuzz format bench)
+  jobs=(build-debug build-release asan tsan ubsan fuzz perfbench format bench)
 fi
 
 launcher_args=()
@@ -152,6 +153,9 @@ run_job() {
     tsan) tools/check.sh thread --quick ;;
     ubsan) tools/check.sh undefined --quick ;;
     fuzz) run_fuzz ;;
+    # perfbench compiles against src/ APIs; its self-test builds it and
+    # smoke-runs every workload.
+    perfbench) python3 perfbench/test_perfbench.py ;;
     format) run_format ;;
     bench) run_bench ;;
     *) echo "unknown job: $1" >&2; return 2 ;;
