@@ -86,7 +86,6 @@ std::string MakeRequestLine(uint64_t index, const std::string& mode) {
     // envelope's serialization is the single biggest per-request cost.
     request.Set("terse", true);
     if (mode == "cold") {
-      request.Set("no_plan_cache", true);
       request.Set("no_result_cache", true);
     }
   }

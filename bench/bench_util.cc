@@ -91,7 +91,7 @@ ExecStats RunOne(SimDfs* dfs, const std::string& query_id,
                  query_id.c_str(), query.status().ToString().c_str());
     std::exit(1);
   }
-  auto exec = RunQuery(dfs, "base", *query, options);
+  auto exec = Exec(dfs, "base", ExecRequest::Single(*query), options);
   if (!exec.ok()) {
     std::fprintf(stderr, "FATAL: infrastructure error on %s/%s: %s\n",
                  query_id.c_str(), EngineKindToString(options.kind),

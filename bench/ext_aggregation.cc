@@ -59,7 +59,8 @@ int Main() {
     EngineOptions options;
     options.kind = kind;
     options.cost = BenchCostModel();
-    auto exec = RunAggregateQuery(dfs.get(), "base", query, spec, options);
+    auto exec =
+        Exec(dfs.get(), "base", ExecRequest::Single(query, spec), options);
     if (!exec.ok() || !exec->stats.ok()) {
       std::printf("%-20s failed\n", EngineKindToString(kind));
       continue;

@@ -51,7 +51,7 @@ int Main() {
   double solo_time = 0.0;
   std::vector<size_t> solo_answers;
   for (const auto& query : queries) {
-    auto exec = RunQuery(dfs.get(), "base", query, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(query), options);
     if (!exec.ok() || !exec->stats.ok()) {
       std::fprintf(stderr, "solo run failed\n");
       return 1;
@@ -66,7 +66,7 @@ int Main() {
   }
 
   // --- As one shared batch.
-  auto batch = RunQueryBatch(dfs.get(), "base", queries, options);
+  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
   if (!batch.ok() || !batch->stats.ok()) {
     std::fprintf(stderr, "batch failed\n");
     return 1;
@@ -107,9 +107,9 @@ int Main() {
       batch->stats.shuffle_bytes < solo_shuffle);
   checks.Check("batch is faster end-to-end (modeled)",
                batch->stats.modeled_seconds < solo_time);
-  bool same_answers = batch->answers.size() == solo_answers.size();
+  bool same_answers = batch->per_query.size() == solo_answers.size();
   for (size_t q = 0; same_answers && q < solo_answers.size(); ++q) {
-    same_answers = batch->answers[q].size() == solo_answers[q];
+    same_answers = batch->per_query[q].size() == solo_answers[q];
   }
   checks.Check("per-query answers identical to solo runs", same_answers);
   return checks.Summarize();

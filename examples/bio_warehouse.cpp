@@ -87,7 +87,7 @@ int main() {
   for (EngineKind kind : {EngineKind::kNtgaEager, EngineKind::kNtgaLazy}) {
     EngineOptions options;
     options.kind = kind;
-    auto exec = RunQuery(&dfs, "base", query, options);
+    auto exec = Exec(&dfs, "base", ExecRequest::Single(query), options);
     if (!exec.ok() || !exec->stats.ok()) {
       std::printf("%-20s failed\n", EngineKindToString(kind));
       continue;
@@ -102,7 +102,7 @@ int main() {
   // 5. Print a couple of answers.
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto exec = RunQuery(&dfs, "base", query, options);
+  auto exec = Exec(&dfs, "base", ExecRequest::Single(query), options);
   if (exec.ok() && exec->stats.ok()) {
     std::printf("\nsample answers:\n");
     size_t shown = 0;

@@ -53,7 +53,7 @@ int main() {
         EngineOptions options;
         options.kind = kind;
         options.decode_answers = false;
-        auto exec = RunQuery(&dfs, "base", *query, options);
+        auto exec = Exec(&dfs, "base", ExecRequest::Single(*query), options);
         if (!exec.ok()) continue;
         if (exec->stats.ok()) {
           std::printf("%-10s %-6u %-20s %8s %12.1f\n",

@@ -65,7 +65,7 @@ int main() {
         EngineKind::kNtgaLazy}) {
     EngineOptions options;
     options.kind = kind;
-    auto exec = RunQuery(&dfs, "base", query, options);
+    auto exec = Exec(&dfs, "base", ExecRequest::Single(query), options);
     if (!exec.ok() || !exec->stats.ok()) {
       std::printf("%-20s failed\n", EngineKindToString(kind));
       continue;

@@ -61,10 +61,9 @@ int main() {
   // 4. Run with the paper's LazyUnnest strategy.
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto exec = RunQuery(
-      &dfs, "base",
-      std::make_shared<const GraphPatternQuery>(query.MoveValueUnsafe()),
-      options);
+  ExecRequest request = ExecRequest::Single(
+      std::make_shared<const GraphPatternQuery>(query.MoveValueUnsafe()));
+  auto exec = Exec(&dfs, "base", request, options);
   if (!exec.ok() || !exec->stats.ok()) {
     std::fprintf(stderr, "execution failed\n");
     return 1;

@@ -71,7 +71,7 @@ int main() {
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
   options.phi_partitions = advice.phi_partitions;
-  auto exec = RunQuery(&dfs, "base", query, options);
+  auto exec = Exec(&dfs, "base", ExecRequest::Single(query), options);
   if (!exec.ok() || !exec->stats.ok()) return 1;
   size_t with_country = 0;
   for (const Solution& s : exec->answers) {
@@ -91,8 +91,9 @@ int main() {
   if (!agg_parsed.ok()) return 1;
   auto agg_query = std::make_shared<const GraphPatternQuery>(
       std::move(agg_parsed->query));
-  auto agg_exec = RunAggregateQuery(&dfs, "base", agg_query,
-                                    *agg_parsed->aggregate, options);
+  auto agg_exec = Exec(&dfs, "base",
+                       ExecRequest::Single(agg_query, *agg_parsed->aggregate),
+                       options);
   if (!agg_exec.ok() || !agg_exec->stats.ok()) return 1;
   std::printf("\n%zu scientists connect through >=5 distinct edge kinds; "
               "top examples:\n",

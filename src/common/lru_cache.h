@@ -1,5 +1,4 @@
-// Byte-bounded LRU cache used by the query service's result cache (and
-// entry-bounded, via a unit cost function, by its plan cache).
+// Byte-bounded LRU cache used by the query service's result cache.
 //
 // Not internally synchronized: the owner serializes access (the service
 // holds its own mutex across lookup + insert so hit/miss accounting stays

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_set>
@@ -48,60 +50,46 @@ Result<EngineKind> EngineKindFromString(const std::string& name) {
       " (want pig|hive|eager|lazyfull|lazypartial|lazy|auto)");
 }
 
-RuntimeOptions EffectiveRuntime(const EngineOptions& options) {
-  RuntimeOptions runtime = options.runtime;
-  // The single place that still reads the deprecated aliases: folding
-  // them into the RuntimeOptions fields for pre-RuntimeOptions callers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  if (runtime.num_threads == 0) runtime.num_threads = options.num_threads;
-  if (runtime.max_attempts == 0) runtime.max_attempts = options.max_attempts;
-#pragma GCC diagnostic pop
-  return runtime;
-}
-
 namespace {
+
+// The unnesting strategy an NTGA engine kind runs; nullopt for the
+// relational engines and kAuto.
+std::optional<NtgaStrategy> NtgaStrategyOf(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kNtgaEager:
+      return NtgaStrategy::kEager;
+    case EngineKind::kNtgaLazyFull:
+      return NtgaStrategy::kLazyFull;
+    case EngineKind::kNtgaLazyPartial:
+      return NtgaStrategy::kLazyPartial;
+    case EngineKind::kNtgaLazy:
+      return NtgaStrategy::kLazyAuto;
+    default:
+      return std::nullopt;
+  }
+}
 
 Result<CompiledPlan> Compile(std::shared_ptr<const GraphPatternQuery> query,
                              const std::string& base_path,
                              const std::string& tmp_prefix,
                              const EngineOptions& options) {
-  switch (options.kind) {
-    case EngineKind::kPig:
-    case EngineKind::kHive: {
-      RelationalOptions rel;
-      rel.style = options.kind == EngineKind::kPig ? RelationalStyle::kPig
-                                                   : RelationalStyle::kHive;
-      rel.grouping = options.grouping;
-      return CompileRelationalPlan(query, base_path, tmp_prefix, rel);
-    }
-    case EngineKind::kNtgaEager:
-    case EngineKind::kNtgaLazyFull:
-    case EngineKind::kNtgaLazyPartial:
-    case EngineKind::kNtgaLazy: {
-      NtgaOptions ntga;
-      ntga.phi_partitions = options.phi_partitions;
-      switch (options.kind) {
-        case EngineKind::kNtgaEager:
-          ntga.strategy = NtgaStrategy::kEager;
-          break;
-        case EngineKind::kNtgaLazyFull:
-          ntga.strategy = NtgaStrategy::kLazyFull;
-          break;
-        case EngineKind::kNtgaLazyPartial:
-          ntga.strategy = NtgaStrategy::kLazyPartial;
-          break;
-        default:
-          ntga.strategy = NtgaStrategy::kLazyAuto;
-      }
-      return CompileNtgaPlan(query, base_path, tmp_prefix, ntga);
-    }
-    case EngineKind::kAuto:
-      return Status::InvalidArgument(
-          "engine auto must be resolved by the plan chooser before "
-          "compilation");
+  if (options.kind == EngineKind::kPig || options.kind == EngineKind::kHive) {
+    RelationalOptions rel;
+    rel.style = options.kind == EngineKind::kPig ? RelationalStyle::kPig
+                                                 : RelationalStyle::kHive;
+    rel.grouping = options.grouping;
+    return CompileRelationalPlan(query, base_path, tmp_prefix, rel);
   }
-  return Status::InvalidArgument("unknown engine kind");
+  const std::optional<NtgaStrategy> strategy = NtgaStrategyOf(options.kind);
+  if (!strategy.has_value()) {
+    return Status::InvalidArgument(
+        "engine auto must be resolved by the plan chooser before "
+        "compilation");
+  }
+  NtgaOptions ntga;
+  ntga.phi_partitions = options.phi_partitions;
+  ntga.strategy = *strategy;
+  return CompileNtgaPlan(query, base_path, tmp_prefix, ntga);
 }
 
 uint64_t SafeFileSize(const SimDfs& dfs, const std::string& path) {
@@ -267,20 +255,23 @@ class RedundancyMeter {
   std::deque<std::string> owned_;  // unescaped fields of escaped lines
 };
 
-// Shared execution core: run the workflow, sample metrics, decode answers,
-// and scrub every temporary of this run from the DFS.
-Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
-                              const std::string& tmp_prefix,
-                              const std::string& query_name,
-                              const EngineOptions& options,
-                              RunContext ctx) {
-  WorkflowSpec workflow = plan.workflow;
-  size_t planned_cycles = workflow.jobs.size();
-  workflow.intermediate_paths.clear();
-  std::string final_path = workflow.final_output_path;
-  workflow.final_output_path.clear();
-  // Keep partial outputs around for stat sampling below; everything under
+// The execution tail every payload shares: runs `workflow` under the
+// `query` span, fills the ExecStats fields that come from the workflow
+// result and the output sizes, lets `read_back` sample the outputs, and
+// then scrubs every temporary of the run from the DFS (also when
+// `read_back` fails).
+Result<ExecStats> RunTail(
+    SimDfs* dfs, WorkflowSpec workflow,
+    const std::vector<std::string>& star_phase_paths,
+    const std::vector<std::string>& final_paths,
+    const std::string& tmp_prefix, const std::string& query_name,
+    const EngineOptions& options, RunContext ctx,
+    const std::function<Status(ExecStats*)>& read_back) {
+  const size_t planned_cycles = workflow.jobs.size();
+  // Keep every output around for the read-back below; everything under
   // tmp_prefix is scrubbed at the end of this function anyway.
+  workflow.intermediate_paths.clear();
+  workflow.final_output_path.clear();
   workflow.cleanup_demuxed_on_failure = false;
 
   ScopedSpan query_span(ctx, "query");
@@ -289,7 +280,7 @@ Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
   query_span.Attr("planned_cycles", static_cast<uint64_t>(planned_cycles));
   WorkflowRunOptions wf_options;
   wf_options.cost = options.cost;
-  wf_options.runtime = EffectiveRuntime(options);
+  wf_options.runtime = options.runtime;
   wf_options.ctx = query_span.context();
   WorkflowResult result = RunWorkflow(dfs, workflow, wf_options);
   query_span.Attr("mr_cycles",
@@ -305,8 +296,7 @@ Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
   // with it the retry accounting — would depend on how much we measure.
   SimDfs::ScopedFaultSuspension suspend_faults(dfs);
 
-  Execution exec;
-  ExecStats& stats = exec.stats;
+  ExecStats stats;
   stats.engine = EngineKindToString(options.kind);
   stats.query = query_name;
   stats.status = result.status;
@@ -327,117 +317,38 @@ Result<Execution> ExecutePlan(SimDfs* dfs, CompiledPlan plan,
   stats.tasks_retried = result.totals.tasks_retried;
   stats.wasted_bytes = result.totals.wasted_bytes;
   stats.retry_backoff_seconds = result.totals.retry_backoff_seconds;
-  stats.counters = result.totals.counters;
-  stats.jobs = result.job_metrics;
-
-  for (const std::string& path : plan.star_phase_paths) {
+  stats.counters = std::move(result.totals.counters);
+  stats.jobs = std::move(result.job_metrics);
+  for (const std::string& path : star_phase_paths) {
     stats.star_phase_write_bytes += SafeFileSize(*dfs, path);
   }
-  stats.final_output_bytes = SafeFileSize(*dfs, final_path);
+  for (const std::string& path : final_paths) {
+    stats.final_output_bytes += SafeFileSize(*dfs, path);
+  }
   stats.intermediate_write_bytes =
       stats.hdfs_write_bytes - stats.final_output_bytes;
 
-  // Redundancy factor over the star-join phase outputs, read in place.
-  {
-    std::vector<std::shared_ptr<const std::vector<std::string>>> star_files;
-    RedundancyMeter meter;
-    for (const std::string& path : plan.star_phase_paths) {
-      Result<std::shared_ptr<const std::vector<std::string>>> lines =
-          dfs->ReadLines(path);
-      if (!lines.ok()) continue;
-      star_files.push_back(lines.MoveValueUnsafe());
-      for (const std::string& line : *star_files.back()) meter.Add(line);
-    }
-    stats.redundancy_factor = meter.Factor();
-  }
-  // One read of the final output serves its redundancy factor and the
-  // answer decode (verification, uncharged).
-  if (result.ok() && dfs->Exists(final_path)) {
-    Result<std::shared_ptr<const std::vector<std::string>>> lines =
-        dfs->ReadLines(final_path);
-    if (lines.ok()) {
-      stats.final_redundancy_factor = ComputeRedundancyFactor(**lines);
-    }
-    if (options.decode_answers) {
-      RDFMR_RETURN_NOT_OK(lines.status());
-      RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(**lines));
-    }
-  }
+  const Status read_status = read_back(&stats);
 
   // The reads above (stat sampling + decode) are observation, not engine
   // work; rebuilding the metric from job totals keeps accounting honest.
   dfs->ResetMetrics();
 
   // Remove every temporary of this run so the DFS is reusable.
+  const std::string run_dir = tmp_prefix + "/";
   for (const std::string& path : dfs->ListFiles()) {
-    if (StartsWith(path, tmp_prefix)) {
+    if (StartsWith(path, run_dir)) {
       RDFMR_RETURN_NOT_OK(dfs->DeleteFile(path));
     }
   }
-  return exec;
+  RDFMR_RETURN_NOT_OK(read_status);
+  return stats;
 }
 
 std::string NextTmpPrefix() {
   static std::atomic<uint64_t> run_counter{0};
   return StringFormat("tmp/run%llu",
                       static_cast<unsigned long long>(run_counter++));
-}
-
-// ---- plan retargeting -----------------------------------------------------
-//
-// Every DFS path a compiled plan mentions lives in plain string fields
-// (MapInput::path, JobSpec::output_path / ensure_outputs, the workflow's
-// intermediate / final paths, star_phase_paths); the map/reduce closures
-// capture query structure only. Rewriting those strings therefore fully
-// retargets a plan to a new temporary namespace while sharing the
-// (expensive to build) closures with the template.
-
-std::string RetargetPath(const std::string& path,
-                         const std::string& old_prefix,
-                         const std::string& new_prefix) {
-  if (!StartsWith(path, old_prefix)) return path;
-  return new_prefix + path.substr(old_prefix.size());
-}
-
-void RetargetWorkflow(WorkflowSpec* workflow, const std::string& old_prefix,
-                      const std::string& new_prefix) {
-  for (JobSpec& job : workflow->jobs) {
-    for (MapInput& input : job.inputs) {
-      input.path = RetargetPath(input.path, old_prefix, new_prefix);
-    }
-    job.output_path = RetargetPath(job.output_path, old_prefix, new_prefix);
-    for (std::string& path : job.ensure_outputs) {
-      path = RetargetPath(path, old_prefix, new_prefix);
-    }
-  }
-  for (std::string& path : workflow->intermediate_paths) {
-    path = RetargetPath(path, old_prefix, new_prefix);
-  }
-  workflow->final_output_path =
-      RetargetPath(workflow->final_output_path, old_prefix, new_prefix);
-}
-
-CompiledPlan RetargetPlan(const CompiledPlan& plan,
-                          const std::string& new_prefix) {
-  CompiledPlan out = plan;
-  RetargetWorkflow(&out.workflow, kPlanTemplatePrefix, new_prefix);
-  for (std::string& path : out.star_phase_paths) {
-    path = RetargetPath(path, kPlanTemplatePrefix, new_prefix);
-  }
-  return out;
-}
-
-NtgaBatchPlan RetargetBatchPlan(const NtgaBatchPlan& plan,
-                                const std::string& new_prefix) {
-  NtgaBatchPlan out = plan;
-  RetargetWorkflow(&out.workflow, kPlanTemplatePrefix, new_prefix);
-  for (std::string& path : out.star_phase_paths) {
-    path = RetargetPath(path, kPlanTemplatePrefix, new_prefix);
-  }
-  for (std::string& path : out.final_output_paths) {
-    path = RetargetPath(path, kPlanTemplatePrefix, new_prefix);
-  }
-  return out;
 }
 
 Status CheckBasePath(const std::string& base_path) {
@@ -450,19 +361,6 @@ Status CheckBasePath(const std::string& base_path) {
 }
 
 // ---- disk-pressure preflight ---------------------------------------------
-
-/// Which of the advisor's per-strategy footprint predictions applies.
-const char* FootprintFamily(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kPig:
-    case EngineKind::kHive:
-      return "relational";
-    case EngineKind::kNtgaEager:
-      return "eager";
-    default:
-      return "lazy";
-  }
-}
 
 struct PreflightOutcome {
   EngineOptions options;      ///< possibly degraded engine options
@@ -567,174 +465,13 @@ ExecStats RefusedStats(const PreflightOutcome& outcome,
   return stats;
 }
 
-}  // namespace
 
-double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
-  RedundancyMeter meter;
-  for (const std::string& line : lines) meter.Add(line);
-  return meter.Factor();
-}
-
-Result<CompiledPlan> CompileQueryPlanTemplate(
-    std::shared_ptr<const GraphPatternQuery> query,
-    const std::string& base_path,
-    const std::optional<AggregateSpec>& aggregate,
-    const EngineOptions& options) {
-  if (query == nullptr) {
-    return Status::InvalidArgument("CompileQueryPlanTemplate needs a query");
-  }
-  RDFMR_RETURN_NOT_OK(CheckBasePath(base_path));
-  if (aggregate.has_value()) {
-    RDFMR_RETURN_NOT_OK(aggregate->Validate(*query));
-  }
-  RDFMR_ASSIGN_OR_RETURN(
-      CompiledPlan plan,
-      Compile(query, base_path, kPlanTemplatePrefix, options));
-  if (aggregate.has_value()) {
-    AppendAggregationCycle(&plan, *aggregate, kPlanTemplatePrefix,
-                           options.aggregation_combiner);
-  }
-  return plan;
-}
-
-Result<Execution> RunCompiledQuery(SimDfs* dfs, const CompiledPlan& plan,
-                                   const std::string& query_name,
-                                   const EngineOptions& options,
-                                   RunContext ctx) {
-  if (dfs == nullptr) {
-    return Status::InvalidArgument("RunCompiledQuery needs a dfs");
-  }
-  const std::string tmp_prefix = NextTmpPrefix();
-  return ExecutePlan(dfs, RetargetPlan(plan, tmp_prefix), tmp_prefix,
-                     query_name, options, ctx);
-}
-
-Result<NtgaBatchPlan> CompileBatchPlanTemplate(
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const std::string& base_path, const EngineOptions& options) {
-  RDFMR_RETURN_NOT_OK(CheckBasePath(base_path));
-  NtgaOptions ntga;
-  ntga.phi_partitions = options.phi_partitions;
-  switch (options.kind) {
-    case EngineKind::kNtgaEager:
-      ntga.strategy = NtgaStrategy::kEager;
-      break;
-    case EngineKind::kNtgaLazyFull:
-      ntga.strategy = NtgaStrategy::kLazyFull;
-      break;
-    case EngineKind::kNtgaLazyPartial:
-      ntga.strategy = NtgaStrategy::kLazyPartial;
-      break;
-    case EngineKind::kNtgaLazy:
-      ntga.strategy = NtgaStrategy::kLazyAuto;
-      break;
-    default:
-      return Status::InvalidArgument(
-          "RunQueryBatch shares the NTGA grouping cycle; relational "
-          "engines have nothing to share — run them per query");
-  }
-  return CompileSharedNtgaPlan(queries, base_path, kPlanTemplatePrefix,
-                               ntga);
-}
-
-Result<BatchExecution> RunCompiledBatch(SimDfs* dfs,
-                                        const NtgaBatchPlan& plan_template,
-                                        const EngineOptions& options,
-                                        RunContext ctx) {
-  if (dfs == nullptr) {
-    return Status::InvalidArgument("RunCompiledBatch needs a dfs");
-  }
-  const std::string tmp_prefix = NextTmpPrefix();
-  NtgaBatchPlan plan = RetargetBatchPlan(plan_template, tmp_prefix);
-  const size_t num_queries = plan.final_output_paths.size();
-
-  WorkflowSpec workflow = plan.workflow;
-  size_t planned_cycles = workflow.jobs.size();
-  workflow.intermediate_paths.clear();
-  workflow.final_output_path.clear();
-  workflow.cleanup_demuxed_on_failure = false;  // tmp_prefix scrub below
-  ScopedSpan query_span(ctx, "query");
-  query_span.Attr("engine", EngineKindToString(options.kind));
-  query_span.Attr("query", StringFormat("batch-of-%zu", num_queries));
-  query_span.Attr("planned_cycles", static_cast<uint64_t>(planned_cycles));
-  WorkflowRunOptions wf_options;
-  wf_options.cost = options.cost;
-  wf_options.runtime = EffectiveRuntime(options);
-  wf_options.ctx = query_span.context();
-  WorkflowResult result = RunWorkflow(dfs, workflow, wf_options);
-  query_span.Attr("mr_cycles",
-                  static_cast<uint64_t>(result.num_mr_cycles()));
-  query_span.Attr("status", result.status.ok()
-                                ? std::string("ok")
-                                : result.status.ToString());
-  query_span.Close();
-
-  // Observation below must not consume fault-plan draws (see ExecutePlan).
-  SimDfs::ScopedFaultSuspension suspend_faults(dfs);
-
-  BatchExecution exec;
-  ExecStats& stats = exec.stats;
-  stats.engine = EngineKindToString(options.kind);
-  stats.query = StringFormat("batch-of-%zu", num_queries);
-  stats.status = result.status;
-  stats.failed_job_index = result.failed_job_index;
-  stats.mr_cycles = result.num_mr_cycles();
-  stats.planned_cycles = planned_cycles;
-  stats.full_scans = result.totals.full_scans_of_base;
-  stats.hdfs_read_bytes = result.totals.input_bytes;
-  stats.hdfs_write_bytes = result.totals.output_bytes;
-  stats.hdfs_write_bytes_replicated = result.totals.output_bytes_replicated;
-  stats.shuffle_bytes = result.totals.map_output_bytes;
-  stats.peak_dfs_used_bytes = result.peak_dfs_used_bytes;
-  stats.modeled_seconds = result.modeled_seconds;
-  stats.map_seconds = result.totals.map_seconds;
-  stats.shuffle_sort_seconds = result.totals.shuffle_sort_seconds;
-  stats.reduce_seconds = result.totals.reduce_seconds;
-  stats.task_attempts = result.totals.task_attempts;
-  stats.tasks_retried = result.totals.tasks_retried;
-  stats.wasted_bytes = result.totals.wasted_bytes;
-  stats.retry_backoff_seconds = result.totals.retry_backoff_seconds;
-  stats.counters = result.totals.counters;
-  stats.jobs = result.job_metrics;
-  for (const std::string& path : plan.star_phase_paths) {
-    stats.star_phase_write_bytes += SafeFileSize(*dfs, path);
-  }
-  for (const std::string& path : plan.final_output_paths) {
-    stats.final_output_bytes += SafeFileSize(*dfs, path);
-  }
-  stats.intermediate_write_bytes =
-      stats.hdfs_write_bytes - stats.final_output_bytes;
-
-  if (result.ok() && options.decode_answers) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      if (!dfs->Exists(plan.final_output_paths[q])) {
-        exec.answers.emplace_back();
-        continue;
-      }
-      RDFMR_ASSIGN_OR_RETURN(
-          std::shared_ptr<const std::vector<std::string>> lines,
-          dfs->ReadLines(plan.final_output_paths[q]));
-      RDFMR_ASSIGN_OR_RETURN(SolutionSet answers, plan.decoders[q](*lines));
-      exec.answers.push_back(std::move(answers));
-    }
-  }
-  dfs->ResetMetrics();
-  for (const std::string& path : dfs->ListFiles()) {
-    if (StartsWith(path, tmp_prefix)) {
-      RDFMR_RETURN_NOT_OK(dfs->DeleteFile(path));
-    }
-  }
-  return exec;
-}
-
-namespace {
-
-// The single-query flow shared by the kSingle payload and the RunQuery /
-// RunAggregateQuery wrappers: preflight, compile, execute.
-Result<Execution> RunSingle(SimDfs* dfs, const std::string& base_path,
-                            std::shared_ptr<const GraphPatternQuery> query,
-                            const std::optional<AggregateSpec>& aggregate,
-                            const EngineOptions& options, RunContext ctx) {
+// One query: preflight, compile under the run's prefix, execute; reads
+// back both redundancy factors and the decoded answers.
+Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
+                             std::shared_ptr<const GraphPatternQuery> query,
+                             const std::optional<AggregateSpec>& aggregate,
+                             const EngineOptions& options, RunContext ctx) {
   const std::string query_name =
       aggregate.has_value() ? query->name() + "+count" : query->name();
   EngineOptions effective = options;
@@ -744,20 +481,83 @@ Result<Execution> RunSingle(SimDfs* dfs, const std::string& base_path,
         preflight, DiskPressurePreflight(dfs, base_path, *query, options));
     effective = preflight.options;
   }
+  const std::string tmp_prefix = NextTmpPrefix();
   RDFMR_ASSIGN_OR_RETURN(
       CompiledPlan plan,
-      CompileQueryPlanTemplate(query, base_path, aggregate, effective));
+      CompileQueryPlan(query, base_path, aggregate, tmp_prefix, effective));
+  ExecResult exec;
   if (!preflight.refusal.ok()) {
-    Execution exec;
     exec.stats = RefusedStats(preflight, options, query_name,
                               plan.workflow.jobs.size());
     return exec;
   }
+  const std::string final_path = plan.workflow.final_output_path;
+  auto read_back = [&](ExecStats* stats) -> Status {
+    // Redundancy factor over the star-join phase outputs, read in place.
+    {
+      std::vector<std::shared_ptr<const std::vector<std::string>>> star_files;
+      RedundancyMeter meter;
+      for (const std::string& path : plan.star_phase_paths) {
+        Result<std::shared_ptr<const std::vector<std::string>>> lines =
+            dfs->ReadLines(path);
+        if (!lines.ok()) continue;
+        star_files.push_back(lines.MoveValueUnsafe());
+        for (const std::string& line : *star_files.back()) meter.Add(line);
+      }
+      stats->redundancy_factor = meter.Factor();
+    }
+    // One read of the final output serves its redundancy factor and the
+    // answer decode (verification, uncharged).
+    if (!stats->ok() || !dfs->Exists(final_path)) return Status::OK();
+    Result<std::shared_ptr<const std::vector<std::string>>> lines =
+        dfs->ReadLines(final_path);
+    if (lines.ok()) {
+      stats->final_redundancy_factor = ComputeRedundancyFactor(**lines);
+    }
+    if (!effective.decode_answers) return Status::OK();
+    RDFMR_RETURN_NOT_OK(lines.status());
+    RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(**lines));
+    return Status::OK();
+  };
   RDFMR_ASSIGN_OR_RETURN(
-      Execution exec,
-      RunCompiledQuery(dfs, plan, query_name, effective, ctx));
+      exec.stats,
+      RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
+              {final_path}, tmp_prefix, query_name, effective, ctx,
+              read_back));
   exec.stats.degraded_from = preflight.degraded_from;
   exec.stats.preflight = preflight.note;
+  return exec;
+}
+
+// Several queries sharing one NTGA grouping cycle; reads back each query's
+// decoded answers (no redundancy factors).
+Result<ExecResult> RunBatch(
+    SimDfs* dfs, const std::string& base_path,
+    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
+    const EngineOptions& options, RunContext ctx) {
+  const std::string tmp_prefix = NextTmpPrefix();
+  RDFMR_ASSIGN_OR_RETURN(
+      NtgaBatchPlan plan,
+      CompileBatchPlan(queries, base_path, tmp_prefix, options));
+  ExecResult exec;
+  auto read_back = [&](ExecStats* stats) -> Status {
+    if (!stats->ok() || !options.decode_answers) return Status::OK();
+    for (size_t q = 0; q < plan.final_output_paths.size(); ++q) {
+      SolutionSet& answers = exec.per_query.emplace_back();
+      if (!dfs->Exists(plan.final_output_paths[q])) continue;
+      RDFMR_ASSIGN_OR_RETURN(
+          std::shared_ptr<const std::vector<std::string>> lines,
+          dfs->ReadLines(plan.final_output_paths[q]));
+      RDFMR_ASSIGN_OR_RETURN(answers, plan.decoders[q](*lines));
+    }
+    return Status::OK();
+  };
+  RDFMR_ASSIGN_OR_RETURN(
+      exec.stats,
+      RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
+              plan.final_output_paths, tmp_prefix,
+              StringFormat("batch-of-%zu", queries.size()), options, ctx,
+              read_back));
   return exec;
 }
 
@@ -781,6 +581,58 @@ Status CheckExecRequest(const ExecRequest& request) {
 }
 
 }  // namespace
+
+double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
+  RedundancyMeter meter;
+  for (const std::string& line : lines) meter.Add(line);
+  return meter.Factor();
+}
+
+Result<CompiledPlan> CompileQueryPlan(
+    std::shared_ptr<const GraphPatternQuery> query,
+    const std::string& base_path,
+    const std::optional<AggregateSpec>& aggregate,
+    const std::string& tmp_prefix, const EngineOptions& options) {
+  if (query == nullptr) {
+    return Status::InvalidArgument("CompileQueryPlan needs a query");
+  }
+  if (aggregate.has_value()) {
+    RDFMR_RETURN_NOT_OK(aggregate->Validate(*query));
+  }
+  RDFMR_ASSIGN_OR_RETURN(CompiledPlan plan,
+                         Compile(query, base_path, tmp_prefix, options));
+  if (aggregate.has_value()) {
+    AppendAggregationCycle(&plan, *aggregate, tmp_prefix,
+                           options.aggregation_combiner);
+  }
+  return plan;
+}
+
+Result<NtgaBatchPlan> CompileBatchPlan(
+    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
+    const std::string& base_path, const std::string& tmp_prefix,
+    const EngineOptions& options) {
+  const std::optional<NtgaStrategy> strategy = NtgaStrategyOf(options.kind);
+  if (!strategy.has_value()) {
+    return Status::InvalidArgument(
+        "a batch shares the NTGA grouping cycle; relational engines "
+        "have nothing to share — run them per query");
+  }
+  NtgaOptions ntga;
+  ntga.phi_partitions = options.phi_partitions;
+  ntga.strategy = *strategy;
+  return CompileSharedNtgaPlan(queries, base_path, tmp_prefix, ntga);
+}
+
+Result<CompiledPlan> CompileQueryPlanTemplate(
+    std::shared_ptr<const GraphPatternQuery> query,
+    const std::string& base_path,
+    const std::optional<AggregateSpec>& aggregate,
+    const EngineOptions& options) {
+  RDFMR_RETURN_NOT_OK(CheckBasePath(base_path));
+  return CompileQueryPlan(std::move(query), base_path, aggregate,
+                          kPlanTemplatePrefix, options);
+}
 
 Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
                         const ExecRequest& request,
@@ -818,38 +670,20 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
   }
 
   ExecResult result;
-  switch (request.payload) {
-    case ExecPayload::kSingle: {
-      RDFMR_ASSIGN_OR_RETURN(
-          Execution exec, RunSingle(dfs, base_path, request.query,
-                                    request.aggregate, effective, ctx));
-      result.stats = std::move(exec.stats);
-      result.answers = std::move(exec.answers);
-      break;
-    }
-    case ExecPayload::kBatch: {
-      RDFMR_ASSIGN_OR_RETURN(
-          NtgaBatchPlan plan,
-          CompileBatchPlanTemplate(request.queries, base_path, effective));
-      RDFMR_ASSIGN_OR_RETURN(BatchExecution batch,
-                             RunCompiledBatch(dfs, plan, effective, ctx));
-      result.stats = std::move(batch.stats);
-      result.per_query = std::move(batch.answers);
-      break;
-    }
-    case ExecPayload::kUnion: {
-      RDFMR_ASSIGN_OR_RETURN(
-          NtgaBatchPlan plan,
-          CompileBatchPlanTemplate(request.queries, base_path, effective));
-      RDFMR_ASSIGN_OR_RETURN(BatchExecution batch,
-                             RunCompiledBatch(dfs, plan, effective, ctx));
-      result.stats = std::move(batch.stats);
+  if (request.payload == ExecPayload::kSingle) {
+    RDFMR_ASSIGN_OR_RETURN(result,
+                           RunSingle(dfs, base_path, request.query,
+                                     request.aggregate, effective, ctx));
+  } else {
+    RDFMR_ASSIGN_OR_RETURN(
+        result, RunBatch(dfs, base_path, request.queries, effective, ctx));
+    if (request.payload == ExecPayload::kUnion) {
       result.stats.query =
           StringFormat("union-of-%zu", request.queries.size());
-      for (SolutionSet& answers : batch.answers) {
+      for (SolutionSet& answers : result.per_query) {
         result.answers.insert(answers.begin(), answers.end());
       }
-      break;
+      result.per_query.clear();
     }
   }
   if (chose) {
@@ -858,82 +692,6 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
     result.stats.plan_rationale = std::move(choice.rationale);
   }
   return result;
-}
-
-// ---- legacy entry points (thin wrappers over Exec) ------------------------
-
-Result<Execution> RunQuery(SimDfs* dfs, const std::string& base_path,
-                           std::shared_ptr<const GraphPatternQuery> query,
-                           const EngineOptions& options, RunContext ctx) {
-  if (dfs == nullptr || query == nullptr) {
-    return Status::InvalidArgument("RunQuery needs a dfs and a query");
-  }
-  ExecRequest request;
-  request.payload = ExecPayload::kSingle;
-  request.query = std::move(query);
-  RDFMR_ASSIGN_OR_RETURN(ExecResult result,
-                         Exec(dfs, base_path, request, options, ctx));
-  Execution exec;
-  exec.stats = std::move(result.stats);
-  exec.answers = std::move(result.answers);
-  return exec;
-}
-
-Result<Execution> RunAggregateQuery(
-    SimDfs* dfs, const std::string& base_path,
-    std::shared_ptr<const GraphPatternQuery> query,
-    const AggregateSpec& spec, const EngineOptions& options,
-    RunContext ctx) {
-  if (dfs == nullptr || query == nullptr) {
-    return Status::InvalidArgument(
-        "RunAggregateQuery needs a dfs and a query");
-  }
-  ExecRequest request;
-  request.payload = ExecPayload::kSingle;
-  request.query = std::move(query);
-  request.aggregate = spec;
-  RDFMR_ASSIGN_OR_RETURN(ExecResult result,
-                         Exec(dfs, base_path, request, options, ctx));
-  Execution exec;
-  exec.stats = std::move(result.stats);
-  exec.answers = std::move(result.answers);
-  return exec;
-}
-
-Result<BatchExecution> RunQueryBatch(
-    SimDfs* dfs, const std::string& base_path,
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const EngineOptions& options, RunContext ctx) {
-  if (dfs == nullptr) {
-    return Status::InvalidArgument("RunQueryBatch needs a dfs");
-  }
-  ExecRequest request;
-  request.payload = ExecPayload::kBatch;
-  request.queries = queries;
-  RDFMR_ASSIGN_OR_RETURN(ExecResult result,
-                         Exec(dfs, base_path, request, options, ctx));
-  BatchExecution exec;
-  exec.stats = std::move(result.stats);
-  exec.answers = std::move(result.per_query);
-  return exec;
-}
-
-Result<Execution> RunUnionQuery(
-    SimDfs* dfs, const std::string& base_path,
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& branches,
-    const EngineOptions& options, RunContext ctx) {
-  if (dfs == nullptr) {
-    return Status::InvalidArgument("RunUnionQuery needs a dfs");
-  }
-  ExecRequest request;
-  request.payload = ExecPayload::kUnion;
-  request.queries = branches;
-  RDFMR_ASSIGN_OR_RETURN(ExecResult result,
-                         Exec(dfs, base_path, request, options, ctx));
-  Execution exec;
-  exec.stats = std::move(result.stats);
-  exec.answers = std::move(result.answers);
-  return exec;
 }
 
 }  // namespace rdfmr

@@ -58,19 +58,6 @@ enum class DiskPressurePolicy {
 };
 
 struct EngineOptions {
-  // The deprecated alias members below would otherwise make every
-  // synthesized special member warn at each construction/copy site; the
-  // aliases should only warn where they are *named*.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EngineOptions() = default;
-  EngineOptions(const EngineOptions&) = default;
-  EngineOptions(EngineOptions&&) = default;
-  EngineOptions& operator=(const EngineOptions&) = default;
-  EngineOptions& operator=(EngineOptions&&) = default;
-  ~EngineOptions() = default;
-#pragma GCC diagnostic pop
-
   EngineKind kind = EngineKind::kNtgaLazy;
   /// φ_m partition count for TG_OptUnbJoin.
   uint32_t phi_partitions = 1024;
@@ -80,8 +67,8 @@ struct EngineOptions {
   /// decode cost is NOT charged to the engine's metrics).
   bool decode_answers = true;
   /// Use a map-side combiner (value deduplication) in the aggregation
-  /// cycle of RunAggregateQuery; off exposes the raw shuffle volume for
-  /// ablation.
+  /// cycle of an aggregated single payload; off exposes the raw shuffle
+  /// volume for ablation.
   bool aggregation_combiner = true;
   /// Host-side runtime knobs (thread count, retry budget), resolved via
   /// the RuntimeOptions precedence rule: CLI flag > RDFMR_THREADS /
@@ -91,27 +78,13 @@ struct EngineOptions {
   /// retry accounting only (recovered runs stay byte-identical to
   /// fault-free runs everywhere else).
   RuntimeOptions runtime;
-  /// Deprecated alias for runtime.num_threads (used only when the
-  /// runtime field is unset); kept so pre-RuntimeOptions callers compile.
-  [[deprecated("set options.runtime.num_threads instead")]]
-  uint32_t num_threads = 0;
-  /// Deprecated alias for runtime.max_attempts (used only when the
-  /// runtime field is unset).
-  [[deprecated("set options.runtime.max_attempts instead")]]
-  uint32_t max_attempts = 0;
   /// Disk-pressure preflight policy (see DiskPressurePolicy). Applies to
-  /// RunQuery/RunAggregateQuery, where the advisor's projection is
-  /// available before any job launches.
+  /// the single payload (optionally aggregated), where the advisor's
+  /// projection is available before any job launches.
   DiskPressurePolicy disk_pressure = DiskPressurePolicy::kNone;
   /// Cost model for the modeled execution time.
   CostModelConfig cost;
 };
-
-/// \brief Folds the deprecated EngineOptions aliases into the runtime
-/// field: a nonzero legacy `num_threads` / `max_attempts` fills the
-/// corresponding unset RuntimeOptions field. Shared by the engine, the
-/// service's cache fingerprinting, and the CLI.
-RuntimeOptions EffectiveRuntime(const EngineOptions& options);
 
 /// \brief One scored row of the kAuto plan chooser's candidate table.
 struct PlanCandidate {
@@ -196,24 +169,35 @@ struct ExecStats {
   bool ok() const { return status.ok(); }
 };
 
-/// \brief An execution's stats plus (when decoded) its answers.
-struct Execution {
-  ExecStats stats;
-  SolutionSet answers;
-};
-
-// ---- Unified execution entry point ----------------------------------------
+// ---- The execution entry point ---------------------------------------------
 //
-// One request struct covers everything the four historical entry points
-// (RunQuery / RunAggregateQuery / RunQueryBatch / RunUnionQuery) did; they
-// remain as thin wrappers over Exec below, so the unified and the legacy
-// paths are byte-identical by construction.
+// Exec is the only way a query runs: the CLI, the service, the benches and
+// the tests all build an ExecRequest. Each run compiles its plan afresh
+// under its own temporary prefix (the paper's engines likewise compile one
+// MR workflow per query).
 
 /// \brief Payload shape of an ExecRequest.
 enum class ExecPayload {
-  kSingle,  ///< one query (optionally with an aggregation cycle)
-  kBatch,   ///< several queries sharing one NTGA grouping cycle
-  kUnion,   ///< a batch whose per-query answers are unioned
+  /// One query, optionally with a COUNT/GROUP BY/HAVING constraint
+  /// appended as one extra MR cycle (the paper's "unbound-property queries
+  /// with aggregation constraints" future direction). The aggregation
+  /// cycle reads the engine's final output in its native representation:
+  /// the NTGA engines feed it nested triplegroups, whose combinations the
+  /// mapper expands in flight, shipping only (group key, counted value)
+  /// pairs; the relational engines feed it their flat n-tuples. Answers
+  /// bind the group variables plus the count.
+  kSingle,
+  /// Several queries run as ONE NTGA workflow sharing a single scan and a
+  /// single subject-grouping cycle (MRShare-style sharing, which the
+  /// TripleGroup model gets structurally: γ_S(T) is query-independent).
+  /// NTGA engines only; relational engines have no shared grouping to
+  /// exploit — run them per query and sum.
+  kBatch,
+  /// A UNION of conjunctive queries — the shape produced by rewriting
+  /// ontological queries (Section 1: such rewritings are a major source of
+  /// unbound-property subqueries) — run as one shared-scan batch whose
+  /// per-query answers are unioned.
+  kUnion,
 };
 
 /// \brief A complete execution request: what to run, in which shape.
@@ -231,6 +215,31 @@ struct ExecRequest {
   /// computes statistics by scanning the base (with faults suspended,
   /// like the disk-pressure preflight).
   std::shared_ptr<const GraphStats> stats;
+
+  /// \brief A kSingle request for `query`, optionally aggregated.
+  static ExecRequest Single(
+      std::shared_ptr<const GraphPatternQuery> query,
+      std::optional<AggregateSpec> aggregate = std::nullopt) {
+    ExecRequest request;
+    request.query = std::move(query);
+    request.aggregate = std::move(aggregate);
+    return request;
+  }
+  /// \brief A kBatch request over `queries`.
+  static ExecRequest Batch(
+      std::vector<std::shared_ptr<const GraphPatternQuery>> queries) {
+    ExecRequest request;
+    request.payload = ExecPayload::kBatch;
+    request.queries = std::move(queries);
+    return request;
+  }
+  /// \brief A kUnion request over `branches`.
+  static ExecRequest Union(
+      std::vector<std::shared_ptr<const GraphPatternQuery>> branches) {
+    ExecRequest request = Batch(std::move(branches));
+    request.payload = ExecPayload::kUnion;
+    return request;
+  }
 };
 
 /// \brief Exec's result: one set of workflow stats, the merged answers,
@@ -262,115 +271,42 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
                         const EngineOptions& options,
                         RunContext ctx = RunContext());
 
-/// \brief Thin wrapper over Exec with a kSingle payload.
-Result<Execution> RunQuery(SimDfs* dfs, const std::string& base_path,
-                           std::shared_ptr<const GraphPatternQuery> query,
-                           const EngineOptions& options,
-                           RunContext ctx = RunContext());
-
-/// \brief Runs `query` with a COUNT/GROUP BY/HAVING constraint appended as
-/// one extra MR cycle (the paper's "unbound-property queries with
-/// aggregation constraints" future direction).
-///
-/// The aggregation cycle reads the engine's final output in its native
-/// representation: the NTGA engines feed it nested triplegroups —
-/// combinations are never materialized on HDFS, the mapper expands them in
-/// flight and ships only (group key, counted value) pairs — while the
-/// relational engines read their flat n-tuples. Answers are canonical
-/// solutions binding the group variables plus the count.
-///
-/// Thin wrapper over Exec (kSingle payload + aggregate).
-Result<Execution> RunAggregateQuery(
-    SimDfs* dfs, const std::string& base_path,
-    std::shared_ptr<const GraphPatternQuery> query,
-    const AggregateSpec& spec, const EngineOptions& options,
-    RunContext ctx = RunContext());
-
-/// \brief A multi-query batch execution: one set of shared-workflow stats
-/// plus each query's answers.
-struct BatchExecution {
-  ExecStats stats;
-  std::vector<SolutionSet> answers;  ///< aligned with the input queries
-};
-
-/// \brief Runs several queries as ONE NTGA workflow sharing a single scan
-/// and a single subject-grouping cycle (MRShare-style sharing, which the
-/// TripleGroup model gets structurally: γ_S(T) is query-independent).
-/// Requires an NTGA engine kind; relational engines have no shared
-/// grouping to exploit — run them per query and sum.
-///
-/// Thin wrapper over Exec (kBatch payload).
-Result<BatchExecution> RunQueryBatch(
-    SimDfs* dfs, const std::string& base_path,
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const EngineOptions& options, RunContext ctx = RunContext());
-
-/// \brief Evaluates a UNION of conjunctive queries — the shape produced by
-/// rewriting ontological queries (Section 1: such rewritings are a major
-/// source of unbound-property subqueries) — as one shared-scan batch whose
-/// per-query answers are unioned.
-///
-/// Thin wrapper over Exec (kUnion payload).
-Result<Execution> RunUnionQuery(
-    SimDfs* dfs, const std::string& base_path,
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& branches,
-    const EngineOptions& options, RunContext ctx = RunContext());
-
 /// \brief Computes the redundancy factor of serialized flat tuples: bytes
 /// in excess of one copy of each distinct triple per subject, divided by
 /// total bytes. Lines that are not flat tuples contribute no redundancy.
 double ComputeRedundancyFactor(const std::vector<std::string>& lines);
 
-// ---- Plan templates (compile once, execute many) --------------------------
-//
-// The serving layer pays query compilation once and executes the compiled
-// plan for every subsequent request. A *plan template* is an ordinary
-// CompiledPlan whose temporary paths live under the canonical
-// kPlanTemplatePrefix; executing it clones the plan structs (the map /
-// reduce closures are shared — they capture only query structure, never
-// DFS paths) and rewrites every template-prefixed path to a fresh per-run
-// prefix, so any number of executions of one template may run concurrently
-// against the same SimDfs. RunQuery/RunAggregateQuery/RunQueryBatch are
-// themselves implemented as compile-template + execute, so the cached and
-// the one-shot paths are byte-identical by construction.
-
-/// \brief Canonical temporary prefix of compiled plan templates. Base
-/// relations must not live under it (compilation rejects such paths).
-inline constexpr const char kPlanTemplatePrefix[] = "tmp/plan-template";
+// ---- Compilation ----------------------------------------------------------
 
 /// \brief Compiles `query` (with an optional trailing aggregation cycle)
-/// for the engine in `options`, placing every temporary under
-/// kPlanTemplatePrefix. The result is immutable and reusable: execute it
-/// any number of times, from any thread, via RunCompiledQuery.
+/// for the concrete engine in `options`, placing every temporary under
+/// `tmp_prefix`. Exec compiles each single payload this way under its
+/// run's fresh prefix.
+Result<CompiledPlan> CompileQueryPlan(
+    std::shared_ptr<const GraphPatternQuery> query,
+    const std::string& base_path,
+    const std::optional<AggregateSpec>& aggregate,
+    const std::string& tmp_prefix, const EngineOptions& options);
+
+/// \brief Batch analogue of CompileQueryPlan: one shared-scan workflow for
+/// `queries` (NTGA engines only — see ExecPayload::kBatch).
+Result<NtgaBatchPlan> CompileBatchPlan(
+    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
+    const std::string& base_path, const std::string& tmp_prefix,
+    const EngineOptions& options);
+
+/// \brief A fixed temporary prefix for compiling a plan outside any run
+/// (the chooser's candidate plans, tools that replay a plan by hand).
+/// Base relations must not live under it.
+inline constexpr const char kPlanTemplatePrefix[] = "tmp/plan-template";
+
+/// \brief CompileQueryPlan under kPlanTemplatePrefix; rejects a base
+/// relation that lives under that prefix.
 Result<CompiledPlan> CompileQueryPlanTemplate(
     std::shared_ptr<const GraphPatternQuery> query,
     const std::string& base_path,
     const std::optional<AggregateSpec>& aggregate,
     const EngineOptions& options);
-
-/// \brief Executes a plan template compiled by CompileQueryPlanTemplate
-/// under a fresh run-unique tmp prefix. Safe to call concurrently with
-/// other executions sharing `dfs` (each run touches only its own prefix);
-/// under such concurrency every ExecStats field is still deterministic
-/// except peak_dfs_used_bytes, which then includes other runs' temporaries.
-/// The caller must ensure the template's base relation exists; a missing
-/// base surfaces as a measured in-workflow failure, not an error Result.
-Result<Execution> RunCompiledQuery(SimDfs* dfs, const CompiledPlan& plan,
-                                   const std::string& query_name,
-                                   const EngineOptions& options,
-                                   RunContext ctx = RunContext());
-
-/// \brief Batch analogue of CompileQueryPlanTemplate (NTGA engines only —
-/// see RunQueryBatch for why relational engines are rejected).
-Result<NtgaBatchPlan> CompileBatchPlanTemplate(
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const std::string& base_path, const EngineOptions& options);
-
-/// \brief Batch analogue of RunCompiledQuery.
-Result<BatchExecution> RunCompiledBatch(SimDfs* dfs,
-                                        const NtgaBatchPlan& plan,
-                                        const EngineOptions& options,
-                                        RunContext ctx = RunContext());
 
 }  // namespace rdfmr
 

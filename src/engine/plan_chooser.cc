@@ -41,14 +41,6 @@ bool IsRelational(EngineKind kind) {
   return kind == EngineKind::kPig || kind == EngineKind::kHive;
 }
 
-// Which of the advisor's per-strategy footprint predictions applies
-// (mirrors the disk-pressure preflight's family mapping).
-const char* Family(EngineKind kind) {
-  if (IsRelational(kind)) return "relational";
-  if (kind == EngineKind::kNtgaEager) return "eager";
-  return "lazy";
-}
-
 double FamilyStarBytes(const StrategyAdvice& advice, EngineKind kind) {
   if (IsRelational(kind)) return advice.relational_star_bytes;
   if (kind == EngineKind::kNtgaEager) return advice.eager_star_bytes;
@@ -146,15 +138,16 @@ Result<CandidatePlan> CompileCandidate(const ExecRequest& request,
   if (request.payload == ExecPayload::kSingle) {
     RDFMR_ASSIGN_OR_RETURN(
         CompiledPlan compiled,
-        CompileQueryPlanTemplate(request.query, kChooserBase,
-                                 request.aggregate, options));
+        CompileQueryPlan(request.query, kChooserBase, request.aggregate,
+                         kPlanTemplatePrefix, options));
     plan.workflow = std::move(compiled.workflow);
     plan.star_phase_paths = std::move(compiled.star_phase_paths);
     return plan;
   }
   RDFMR_ASSIGN_OR_RETURN(
       NtgaBatchPlan batch,
-      CompileBatchPlanTemplate(request.queries, kChooserBase, options));
+      CompileBatchPlan(request.queries, kChooserBase, kPlanTemplatePrefix,
+                       options));
   plan.workflow = std::move(batch.workflow);
   plan.star_phase_paths = std::move(batch.star_phase_paths);
   return plan;
@@ -245,6 +238,12 @@ double ScoreCandidate(const CandidatePlan& plan, EngineKind kind,
 
 }  // namespace
 
+const char* FootprintFamily(EngineKind kind) {
+  if (IsRelational(kind)) return "relational";
+  if (kind == EngineKind::kNtgaEager) return "eager";
+  return "lazy";
+}
+
 Result<PlanChoice> ChoosePlan(const ExecRequest& request,
                               const GraphStats& stats, uint64_t base_bytes,
                               uint64_t used_bytes,
@@ -280,7 +279,8 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
     candidate.modeled_seconds = ScoreCandidate(
         *plan, kind, model, base_bytes, cluster, options.cost);
     FootprintProjection projection =
-        ProjectFootprint(model.summed, Family(kind), used_bytes, cluster);
+        ProjectFootprint(model.summed, FootprintFamily(kind), used_bytes,
+                         cluster);
     candidate.star_bytes = projection.star_bytes;
     candidate.peak_bytes = projection.peak_bytes;
     candidate.fits = projection.fits;

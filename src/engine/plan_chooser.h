@@ -53,6 +53,12 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
                               const ClusterConfig& cluster,
                               const EngineOptions& options);
 
+/// \brief Which of the advisor's per-strategy footprint predictions
+/// applies to `kind` ("relational", "eager" or "lazy"; see
+/// ProjectFootprint). Shared by the chooser's footprint filter and the
+/// disk-pressure preflight.
+const char* FootprintFamily(EngineKind kind);
+
 /// \brief Renders a PlanChoice as the human-readable candidate table
 /// printed by `rdfmr run --engine auto --explain`.
 std::string RenderPlanChoice(const PlanChoice& choice);

@@ -183,7 +183,7 @@ JsonValue ShapeQueryResponse(const ServiceResponse& response,
   JsonValue o = OkResponse();
   if (!terse) {
     o.Set("epoch", response.epoch);
-    o.Set("plan_cache_hit", response.plan_cache_hit);
+    o.Set("plan_cache_hit", false);  // wire v1 field; there is no plan cache
     o.Set("result_cache_hit", response.result_cache_hit);
     o.Set("queue_micros", response.queue_micros);
     o.Set("exec_micros", response.exec_micros);
@@ -302,7 +302,7 @@ Status FillCommonQueryFields(const JsonValue& request,
   RDFMR_ASSIGN_OR_RETURN(service_request->options,
                          OptionsFromJson(request));
   service_request->deadline_ms = request.GetUint("deadline_ms", 0);
-  service_request->use_plan_cache = !request.GetBool("no_plan_cache");
+  // "no_plan_cache" is accepted and ignored (wire v1).
   service_request->use_result_cache = !request.GetBool("no_result_cache");
   return Status::OK();
 }

@@ -18,8 +18,8 @@
 //   query     dataset + one query source: "query_id" (testbed catalog),
 //             "sparql" (inline text), or "patterns" (see PatternFromJson)
 //             with optional "name" and "aggregate". Options: "engine",
-//             "phi", "threads", "deadline_ms", "no_plan_cache",
-//             "no_result_cache", "max_answers".
+//             "phi", "threads", "deadline_ms", "no_result_cache",
+//             "max_answers" ("no_plan_cache" is accepted as a no-op).
 //   batch     dataset + "query_ids" or "queries" (array of query objects),
 //             "mode":"batch"|"union". Same options as query.
 //   stats     -> {"ok":true,"stats":{...ServiceStats...}}; with

@@ -42,7 +42,7 @@ uint32_t DeriveCacheShards(const ServiceConfig& config,
       std::min<size_t>(64, std::max<size_t>(8, derived)));
 }
 
-/// The name RunQuery / RunAggregateQuery would stamp on the stats.
+/// The name Exec stamps on a single payload's stats.
 std::string SingleQueryName(const ServiceRequest& request) {
   std::string name = request.query->name();
   if (request.aggregate.has_value()) name += "+count";
@@ -63,7 +63,9 @@ uint64_t EstimateSetCharge(const SolutionSet& set) {
   return bytes;
 }
 
-/// The ExecRequest equivalent of a ServiceRequest (for the plan chooser).
+/// The ExecRequest a ServiceRequest runs as. A batch always runs as
+/// kBatch: the union is a response-time fold over the per-query answers,
+/// so both batch modes share one execution and one result-cache entry.
 ExecRequest ToExecRequest(const ServiceRequest& request) {
   ExecRequest exec;
   if (request.query != nullptr) {
@@ -71,9 +73,7 @@ ExecRequest ToExecRequest(const ServiceRequest& request) {
     exec.query = request.query;
     exec.aggregate = request.aggregate;
   } else {
-    exec.payload = request.batch_mode == BatchMode::kUnion
-                       ? ExecPayload::kUnion
-                       : ExecPayload::kBatch;
+    exec.payload = ExecPayload::kBatch;
     exec.queries = request.batch;
   }
   return exec;
@@ -116,15 +116,15 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // budget and the disk-pressure policy ARE included: retry accounting
   // and preflight refusals/degradations are part of the stats a cached
   // result replays. The budget is fingerprinted fully resolved (runtime
-  // field, deprecated alias, and RDFMR_MAX_ATTEMPTS env) so two requests
-  // that execute differently never share an entry.
+  // field, then RDFMR_MAX_ATTEMPTS env) so two requests that execute
+  // differently never share an entry.
   return StringFormat(
       "kind=%s;phi=%u;grouping=%d;decode=%d;combiner=%d;attempts=%u;"
       "pressure=%d;cost=%.17g,%.17g,%.17g,%.17g,%.17g",
       EngineKindToString(options.kind), options.phi_partitions,
       static_cast<int>(options.grouping), options.decode_answers ? 1 : 0,
       options.aggregation_combiner ? 1 : 0,
-      ResolveMaxAttempts(EffectiveRuntime(options), 0),
+      ResolveMaxAttempts(options.runtime, 0),
       static_cast<int>(options.disk_pressure), options.cost.hdfs_read_mbps,
       options.cost.hdfs_write_mbps, options.cost.shuffle_mbps,
       options.cost.sort_mbps, options.cost.job_startup_seconds);
@@ -155,7 +155,7 @@ std::string CanonicalQueryText(const ServiceRequest& request) {
   } else {
     // The batch *mode* (per-query vs union) is deliberately absent: union
     // is a response-time fold over the same execution, so both modes share
-    // plan and result cache entries.
+    // result cache entries.
     for (const auto& query : request.batch) {
       out += "BRANCH\n";
       append_query(*query);
@@ -189,12 +189,6 @@ std::string ServiceStatsSnapshot::ToJson() const {
   o.Set("queued", queued);
   o.Set("running", running);
   o.Set("cache_shards", cache_shards);
-  JsonValue plan = JsonValue::MakeObject();
-  plan.Set("hits", plan_cache_hits);
-  plan.Set("misses", plan_cache_misses);
-  plan.Set("lookups", plan_cache_lookups);
-  plan.Set("entries", plan_cache_entries);
-  o.Set("plan_cache", std::move(plan));
   JsonValue result = JsonValue::MakeObject();
   result.Set("hits", result_cache_hits);
   result.Set("misses", result_cache_misses);
@@ -260,22 +254,14 @@ std::string ServiceStatsSnapshot::ToPrometheus() const {
           cancelled);
   counter("rdfmr_service_deadline_expired_total",
           "Requests past their deadline.", deadline_expired);
-  counter("rdfmr_service_plan_cache_hits_total", "Plan cache hits.",
-          plan_cache_hits);
-  counter("rdfmr_service_plan_cache_misses_total", "Plan cache misses.",
-          plan_cache_misses);
   counter("rdfmr_service_result_cache_hits_total", "Result cache hits.",
           result_cache_hits);
   counter("rdfmr_service_result_cache_misses_total", "Result cache misses.",
           result_cache_misses);
-  counter("rdfmr_service_plan_cache_lookups_total",
-          "Plan cache lookups (hits + misses).", plan_cache_lookups);
   counter("rdfmr_service_result_cache_lookups_total",
           "Result cache lookups (hits + misses).", result_cache_lookups);
   gauge("rdfmr_service_cache_shards_count",
-        "Lock stripes per service cache.", cache_shards);
-  gauge("rdfmr_service_plan_cache_entries_count",
-        "Plan templates currently cached.", plan_cache_entries);
+        "Lock stripes of the result cache.", cache_shards);
   gauge("rdfmr_service_result_cache_entries_count",
         "Result sets currently cached.", result_cache_entries);
   gauge("rdfmr_service_result_cache_bytes",
@@ -311,7 +297,6 @@ QueryService::QueryService(ServiceConfig config)
       max_concurrent_(DeriveMaxConcurrent(config_)),
       cache_shards_(DeriveCacheShards(config_, max_concurrent_)),
       registry_(config_.cluster),
-      plan_cache_(config_.plan_cache_entries, cache_shards_),
       result_cache_(config_.result_cache_bytes, cache_shards_),
       // One extra slot because ThreadPool reserves the final slot for a
       // ParallelFor caller: max_concurrent_ + 1 spawns exactly
@@ -332,9 +317,7 @@ Result<DatasetInfo> QueryService::LoadDataset(const std::string& name,
   // unreachable; purge them eagerly so they stop occupying capacity. The
   // sharded purge sweeps every stripe (keys hash across all of them), one
   // shard lock at a time — no service-wide lock involved.
-  const std::string prefix = name + '\x1f';
-  plan_cache_.EraseByPrefix(prefix);
-  result_cache_.EraseByPrefix(prefix);
+  result_cache_.EraseByPrefix(name + '\x1f');
   return info;
 }
 
@@ -347,17 +330,13 @@ Result<DatasetInfo> QueryService::RegisterMappedDataset(
     const std::string& name, const std::string& path, bool materialize) {
   RDFMR_ASSIGN_OR_RETURN(DatasetInfo info,
                          registry_.RegisterMapped(name, path, materialize));
-  const std::string prefix = name + '\x1f';
-  plan_cache_.EraseByPrefix(prefix);
-  result_cache_.EraseByPrefix(prefix);
+  result_cache_.EraseByPrefix(name + '\x1f');
   return info;
 }
 
 Status QueryService::DropDataset(const std::string& name) {
   RDFMR_RETURN_NOT_OK(registry_.Drop(name));
-  const std::string prefix = name + '\x1f';
-  plan_cache_.EraseByPrefix(prefix);
-  result_cache_.EraseByPrefix(prefix);
+  result_cache_.EraseByPrefix(name + '\x1f');
   return Status::OK();
 }
 
@@ -461,8 +440,8 @@ void QueryService::RunPending(const std::shared_ptr<Pending>& pending) {
       pending->deadline_ms > 0 &&
       queue_micros + exec_micros >= pending->deadline_ms * 1000;
   if (expired && response.ok()) {
-    // The run completed (and warmed the caches) but the caller's deadline
-    // passed: report expiry, withhold the payload.
+    // The run completed (and warmed the result cache) but the caller's
+    // deadline passed: report expiry, withhold the payload.
     response.status =
         Status::DeadlineExceeded("request completed past its deadline");
     response.answers.reset();
@@ -522,7 +501,7 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
 
   // engine=auto: resolve to a concrete engine BEFORE the cache key is
   // computed, so an auto request and an explicit request for the chosen
-  // engine share plan and result cache entries. The chooser's decision is
+  // engine share result cache entries. The chooser's decision is
   // stamped onto the response stats afterwards (never cached — a later
   // explicit hit replays the run without another request's rationale).
   ServiceRequest resolved_storage;
@@ -583,51 +562,29 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
     stats_.result_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  auto plan = GetOrCompilePlan(*effective, key, &response.plan_cache_hit);
-  if (!plan.ok()) {
-    response.status = plan.status();
+  // A miss is an Exec call on the dataset's DFS, preflight included.
+  auto exec = Exec(dataset.dfs(), DatasetHandle::kBasePath,
+                   ToExecRequest(*effective), effective->options);
+  if (!exec.ok()) {
+    response.status = exec.status();
     return response;
-  }
-
-  ExecStats stats;
-  std::vector<SolutionSet> answers;
-  if (request.query != nullptr) {
-    auto exec = RunCompiledQuery(dataset.dfs(), *plan->single,
-                                 SingleQueryName(request),
-                                 effective->options);
-    if (!exec.ok()) {
-      response.status = exec.status();
-      return response;
-    }
-    stats = std::move(exec->stats);
-    answers.push_back(std::move(exec->answers));
-  } else {
-    auto exec =
-        RunCompiledBatch(dataset.dfs(), *plan->batch, effective->options);
-    if (!exec.ok()) {
-      response.status = exec.status();
-      return response;
-    }
-    stats = std::move(exec->stats);
-    answers = std::move(exec->answers);
   }
 
   // Shape once into an immutable snapshot. Batch runs precompute BOTH
   // shapes (per-query and the union fold) so a later hit in either mode
   // aliases ready-made sets.
   auto value = std::make_shared<CachedAnswers>();
-  value->stats = std::move(stats);
+  value->stats = std::move(exec->stats);
   if (request.query != nullptr) {
-    value->merged = std::make_shared<SolutionSet>(
-        answers.empty() ? SolutionSet() : std::move(answers.front()));
+    value->merged = std::make_shared<SolutionSet>(std::move(exec->answers));
   } else {
     SolutionSet merged;
-    for (const SolutionSet& set : answers) {
+    for (const SolutionSet& set : exec->per_query) {
       merged.insert(set.begin(), set.end());
     }
     value->merged = std::make_shared<SolutionSet>(std::move(merged));
-    value->per_query =
-        std::make_shared<std::vector<SolutionSet>>(std::move(answers));
+    value->per_query = std::make_shared<std::vector<SolutionSet>>(
+        std::move(exec->per_query));
   }
   value->charge = 128;  // fixed overhead for the ExecStats copy
   value->charge += EstimateSetCharge(*value->merged);
@@ -646,41 +603,6 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
   shape(*value);
   stamp_choice();
   return response;
-}
-
-Result<QueryService::CachedPlan> QueryService::GetOrCompilePlan(
-    const ServiceRequest& request, const std::string& key,
-    bool* plan_cache_hit) {
-  *plan_cache_hit = false;
-  if (request.use_plan_cache) {
-    std::shared_ptr<const CachedPlan> hit;
-    if (plan_cache_.Get(key, &hit)) {
-      stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      *plan_cache_hit = true;
-      return *hit;
-    }
-    stats_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Compile outside any lock: two racing compilations of the same key are
-  // both correct; the later Put simply replaces the earlier.
-  CachedPlan plan;
-  if (request.query != nullptr) {
-    RDFMR_ASSIGN_OR_RETURN(
-        CompiledPlan compiled,
-        CompileQueryPlanTemplate(request.query, DatasetHandle::kBasePath,
-                                 request.aggregate, request.options));
-    plan.single = std::make_shared<const CompiledPlan>(std::move(compiled));
-  } else {
-    RDFMR_ASSIGN_OR_RETURN(
-        NtgaBatchPlan compiled,
-        CompileBatchPlanTemplate(request.batch, DatasetHandle::kBasePath,
-                                 request.options));
-    plan.batch = std::make_shared<const NtgaBatchPlan>(std::move(compiled));
-  }
-  if (request.use_plan_cache) {
-    plan_cache_.Put(key, std::make_shared<const CachedPlan>(plan), 1);
-  }
-  return plan;
 }
 
 ServiceStatsSnapshot QueryService::SnapshotNow() const {
@@ -704,10 +626,6 @@ ServiceStatsSnapshot QueryService::SnapshotNow() const {
   snapshot.cancelled = acquire(stats_.cancelled);
   snapshot.deadline_expired = acquire(stats_.deadline_expired);
   snapshot.submitted = load(stats_.submitted);
-  snapshot.plan_cache_hits = load(stats_.plan_cache_hits);
-  snapshot.plan_cache_misses = load(stats_.plan_cache_misses);
-  snapshot.plan_cache_lookups =
-      snapshot.plan_cache_hits + snapshot.plan_cache_misses;
   snapshot.result_cache_hits = load(stats_.result_cache_hits);
   snapshot.result_cache_misses = load(stats_.result_cache_misses);
   snapshot.result_cache_lookups =
@@ -718,7 +636,6 @@ ServiceStatsSnapshot QueryService::SnapshotNow() const {
   snapshot.queue_wait_micros = stats_.queue_wait_micros.Snapshot();
   snapshot.exec_micros = stats_.exec_micros.Snapshot();
   snapshot.cache_shards = cache_shards_;
-  snapshot.plan_cache_entries = plan_cache_.size();
   snapshot.result_cache_entries = result_cache_.size();
   snapshot.result_cache_bytes = result_cache_.used();
   snapshot.datasets = registry_.size();

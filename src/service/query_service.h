@@ -3,9 +3,6 @@
 // One QueryService owns:
 //   * a DatasetRegistry (named datasets -> lazily-loaded shared SimDfs
 //     bases — the load cost is paid once per dataset, not per query);
-//   * a plan cache keyed by (dataset epoch, canonical query text, engine
-//     options) holding compiled plan templates, so repeated queries skip
-//     compilation and execute via the engine's retargeting path;
 //   * a bounded result cache (LRU by answer bytes) whose keys embed the
 //     dataset epoch — dropping or reloading a dataset makes its entries
 //     unreachable immediately (and they are purged eagerly);
@@ -16,9 +13,9 @@
 //
 // Concurrency design (the warm path must get cheaper per query as workers
 // are added, not dearer):
-//   * Both caches are ShardedLruCache — power-of-two lock stripes selected
-//     by key hash, so concurrent warm lookups only contend when they land
-//     on the same shard. Prefix purges visit every shard, keeping
+//   * The result cache is a ShardedLruCache — power-of-two lock stripes
+//     selected by key hash, so concurrent warm lookups only contend when
+//     they land on the same shard. Prefix purges visit every shard, keeping
 //     epoch/drop invalidation exact.
 //   * Every stats counter/gauge is a relaxed std::atomic, and the latency
 //     histograms are AtomicHistograms (the same relaxed-atomic discipline
@@ -37,11 +34,10 @@
 //
 // Determinism contract (what the equivalence tests check): a served query's
 // answers and all deterministic ExecStats fields are byte-identical to a
-// direct RunQuery/RunQueryBatch/RunUnionQuery call with the same options,
-// at any worker count — the service executes the very plan-template path
-// those functions are built on. A result-cache hit replays the producing
-// run's stats verbatim (its *_seconds fields are the producer's wall
-// times).
+// direct Exec call with the same payload and options, at any worker count
+// — a cache miss IS an Exec call (disk-pressure preflight included). A
+// result-cache hit replays the producing run's stats verbatim (its
+// *_seconds fields are the producer's wall times).
 
 #ifndef RDFMR_SERVICE_QUERY_SERVICE_H_
 #define RDFMR_SERVICE_QUERY_SERVICE_H_
@@ -79,12 +75,10 @@ struct ServiceConfig {
   /// Maximum requests admitted but not yet executing; submissions beyond
   /// it are rejected with kUnavailable.
   uint32_t queue_bound = 64;
-  /// Plan cache capacity in entries.
-  uint64_t plan_cache_entries = 128;
   /// Result cache capacity in (approximate answer) bytes.
   uint64_t result_cache_bytes = 16ULL << 20;
-  /// Lock stripes per cache (rounded up to a power of two). 0 derives it
-  /// from the worker count: the smallest power of two >= 2x
+  /// Lock stripes of the result cache (rounded up to a power of two). 0
+  /// derives it from the worker count: the smallest power of two >= 2x
   /// max_concurrent, clamped to [8, 64] — enough stripes that 16 warm
   /// workers rarely collide. The charge budget stays global (an entry is
   /// refused only when it exceeds the whole capacity), so the shard count
@@ -96,8 +90,8 @@ struct ServiceConfig {
 
 /// \brief How a batch request combines its per-query answers.
 enum class BatchMode {
-  kPerQuery,  ///< RunQueryBatch semantics: answers aligned with queries
-  kUnion,     ///< RunUnionQuery semantics: one unioned answer set
+  kPerQuery,  ///< ExecPayload::kBatch: answers aligned with queries
+  kUnion,     ///< ExecPayload::kUnion: one unioned answer set
 };
 
 /// \brief One request. Exactly one of `query` (single, optionally
@@ -112,13 +106,12 @@ struct ServiceRequest {
   /// 0 uses the service default; the deadline covers queue wait AND
   /// execution (a request finishing past it reports kDeadlineExceeded).
   uint64_t deadline_ms = 0;
-  bool use_plan_cache = true;
   bool use_result_cache = true;
 };
 
 struct ServiceResponse {
   /// Infrastructure outcome: OK even when the *measured* run failed
-  /// in-workflow (that failure lives in stats.status, mirroring RunQuery);
+  /// in-workflow (that failure lives in stats.status, mirroring Exec);
   /// non-OK for rejection, cancellation, deadline, bad request, unknown
   /// dataset.
   Status status;
@@ -132,7 +125,6 @@ struct ServiceResponse {
   /// Shared exactly like `answers`.
   std::shared_ptr<const std::vector<SolutionSet>> batch_answers;
   uint64_t epoch = 0;
-  bool plan_cache_hit = false;
   bool result_cache_hit = false;
   uint64_t queue_micros = 0;
   uint64_t exec_micros = 0;
@@ -165,16 +157,16 @@ struct ServiceStatsSnapshot {
   uint64_t rejected = 0;          ///< queue bound exceeded
   uint64_t cancelled = 0;
   uint64_t deadline_expired = 0;
+  /// Always 0: there is no plan cache (every run compiles afresh). Kept
+  /// for source compatibility of snapshot readers.
   uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_lookups = 0;    ///< derived: hits + misses
+  uint64_t plan_cache_lookups = 0;
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;
   uint64_t result_cache_lookups = 0;  ///< derived: hits + misses
-  uint64_t plan_cache_entries = 0;
   uint64_t result_cache_entries = 0;
   uint64_t result_cache_bytes = 0;
-  uint64_t cache_shards = 0;  ///< lock stripes per cache (configuration)
+  uint64_t cache_shards = 0;  ///< result-cache lock stripes (configuration)
   uint64_t datasets = 0;     ///< gauge
   uint64_t queued = 0;       ///< gauge
   uint64_t running = 0;      ///< gauge
@@ -254,10 +246,6 @@ class QueryService {
 
  private:
   struct Pending;
-  struct CachedPlan {
-    std::shared_ptr<const CompiledPlan> single;
-    std::shared_ptr<const NtgaBatchPlan> batch;
-  };
   /// Pre-shaped, immutable result snapshot. Warm hits hand out the
   /// shared_ptrs as-is — shaping (and the union fold) happens once, at
   /// insertion, not per hit. `merged` serves single-query and kUnion
@@ -273,7 +261,7 @@ class QueryService {
 
   /// \brief Lock-free mirror of the snapshot's counters/gauges: relaxed
   /// atomics updated on the execute path, folded by SnapshotNow(). The
-  /// cache lookup counters are the invariant-bearing pair — hits and
+  /// result-cache lookup counters are the invariant-bearing pair — hits and
   /// misses are each a single fetch_add, lookups is derived at fold time,
   /// so `hits + misses == lookups` can never tear.
   struct StatsCells {
@@ -283,8 +271,6 @@ class QueryService {
     std::atomic<uint64_t> rejected{0};
     std::atomic<uint64_t> cancelled{0};
     std::atomic<uint64_t> deadline_expired{0};
-    std::atomic<uint64_t> plan_cache_hits{0};
-    std::atomic<uint64_t> plan_cache_misses{0};
     std::atomic<uint64_t> result_cache_hits{0};
     std::atomic<uint64_t> result_cache_misses{0};
     std::atomic<uint64_t> queued{0};   // gauge; also the admission bound
@@ -301,9 +287,6 @@ class QueryService {
   /// Runs the plan chooser for `request` against `dataset`'s catalog.
   Result<PlanChoice> ChooseForDataset(const ServiceRequest& request,
                                       const DatasetHandle& dataset) const;
-  Result<CachedPlan> GetOrCompilePlan(const ServiceRequest& request,
-                                      const std::string& key,
-                                      bool* plan_cache_hit);
 
   const ServiceConfig config_;
   const uint32_t max_concurrent_;
@@ -313,8 +296,7 @@ class QueryService {
   StatsCells stats_;  ///< lock-free; read back only by SnapshotNow()
   std::atomic<uint64_t> next_ticket_{1};
 
-  /// Striped caches: internally synchronized, one mutex per shard.
-  ShardedLruCache<std::shared_ptr<const CachedPlan>> plan_cache_;
+  /// Striped cache: internally synchronized, one mutex per shard.
   ShardedLruCache<std::shared_ptr<const CachedAnswers>> result_cache_;
 
   /// Guards pending_ and each Pending's `cancelled` flag — nothing else.
@@ -339,7 +321,7 @@ std::string EngineOptionsFingerprint(const EngineOptions& options);
 /// aggregate, batch composition + mode), independent of query names.
 std::string CanonicalQueryText(const ServiceRequest& request);
 
-/// \brief Full plan/result cache key: dataset, epoch, options fingerprint,
+/// \brief Full result cache key: dataset, epoch, options fingerprint,
 /// canonical query text.
 std::string RequestCacheKey(const ServiceRequest& request, uint64_t epoch);
 

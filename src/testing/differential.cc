@@ -174,11 +174,9 @@ CaseOutcome RunCase(const FuzzCase& fuzz_case,
       Trace trace;
       RunContext run_ctx;
       if (!config.trace_dir.empty()) run_ctx = RunContext::ForTrace(&trace);
-      Result<Execution> exec =
-          fuzz_case.aggregate.has_value()
-              ? RunAggregateQuery(&dfs, "base", *query,
-                                  *fuzz_case.aggregate, options, run_ctx)
-              : RunQuery(&dfs, "base", *query, options, run_ctx);
+      const ExecRequest request =
+          ExecRequest::Single(*query, fuzz_case.aggregate);
+      Result<ExecResult> exec = Exec(&dfs, "base", request, options, run_ctx);
       if (!config.trace_dir.empty()) {
         const std::string path = StringFormat(
             "%s/%s-%s-t%u.json", config.trace_dir.c_str(),
@@ -255,11 +253,8 @@ CaseOutcome RunCase(const FuzzCase& fuzz_case,
       }
       EngineOptions faulty_options = options;
       faulty_options.runtime.max_attempts = config.fault_max_attempts;
-      Result<Execution> faulty =
-          fuzz_case.aggregate.has_value()
-              ? RunAggregateQuery(&faulty_dfs, "base", *query,
-                                  *fuzz_case.aggregate, faulty_options)
-              : RunQuery(&faulty_dfs, "base", *query, faulty_options);
+      Result<ExecResult> faulty =
+          Exec(&faulty_dfs, "base", request, faulty_options);
       if (!faulty.ok()) {
         outcome.violations.push_back(fault_tag + "infrastructure error: " +
                                      faulty.status().ToString());
@@ -435,9 +430,11 @@ std::string ReproTestBody(const FuzzCase& fuzz_case,
     out << "  spec.min_count = " << spec.min_count << ";\n";
     out << "  const SolutionSet expected =\n"
            "      EvaluateAggregateInMemory(*query, spec, triples);\n";
+    out << "  const ExecRequest request = ExecRequest::Single(query, spec);\n";
   } else {
     out << "  const SolutionSet expected = "
            "EvaluateQueryInMemory(*query, triples);\n";
+    out << "  const ExecRequest request = ExecRequest::Single(query);\n";
   }
   out << "  for (EngineKind kind :\n       {";
   std::vector<EngineKind> engines = AllKinds();
@@ -454,13 +451,8 @@ std::string ReproTestBody(const FuzzCase& fuzz_case,
          "SerializeTriples(triples)).ok());\n"
          "    EngineOptions options;\n"
          "    options.kind = kind;\n"
-         "    options.phi_partitions = 16;\n";
-  if (fuzz_case.aggregate.has_value()) {
-    out << "    auto exec = RunAggregateQuery(&dfs, \"base\", query, spec, "
-           "options);\n";
-  } else {
-    out << "    auto exec = RunQuery(&dfs, \"base\", query, options);\n";
-  }
+         "    options.phi_partitions = 16;\n"
+         "    auto exec = Exec(&dfs, \"base\", request, options);\n";
   out << "    ASSERT_TRUE(exec.ok()) << exec.status().ToString();\n"
          "    ASSERT_TRUE(exec->stats.ok()) << "
          "exec->stats.status.ToString();\n"

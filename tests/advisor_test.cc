@@ -46,8 +46,8 @@ TEST(AdvisorTest, PredictionsTrackMeasuredStarPhase) {
   hive.kind = EngineKind::kHive;
   EngineOptions lazy;
   lazy.kind = EngineKind::kNtgaLazy;
-  auto hive_exec = RunQuery(dfs.get(), "base", *query, hive);
-  auto lazy_exec = RunQuery(dfs.get(), "base", *query, lazy);
+  auto hive_exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), hive);
+  auto lazy_exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), lazy);
   ASSERT_TRUE(hive_exec.ok() && lazy_exec.ok());
   double measured_rel =
       static_cast<double>(hive_exec->stats.star_phase_write_bytes);
@@ -111,7 +111,7 @@ TEST(AdvisorTest, RecommendedPhiWorksEndToEnd) {
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
   options.phi_partitions = advice.phi_partitions;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok());
   EXPECT_TRUE(exec->stats.ok());
   EXPECT_FALSE(exec->answers.empty());

@@ -225,7 +225,8 @@ TEST_P(AggregateEngineTest, MatchesOracle) {
   EngineOptions options;
   options.kind = param.engine;
   options.phi_partitions = 16;
-  auto exec = RunAggregateQuery(dfs.get(), "base", *query, spec, options);
+  auto exec =
+      Exec(dfs.get(), "base", ExecRequest::Single(*query, spec), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
   EXPECT_TRUE(exec->answers == oracle)
@@ -234,7 +235,7 @@ TEST_P(AggregateEngineTest, MatchesOracle) {
       << oracle.size();
   // The aggregation adds exactly one MR cycle.
   EngineOptions plain = options;
-  auto base_exec = RunQuery(dfs.get(), "base", *query, plain);
+  auto base_exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), plain);
   ASSERT_TRUE(base_exec.ok());
   EXPECT_EQ(exec->stats.mr_cycles, base_exec->stats.mr_cycles + 1);
 }
@@ -269,8 +270,8 @@ TEST(AggregateEngineTest, CombinerCutsShuffleWithoutChangingAnswers) {
   with.aggregation_combiner = true;
   EngineOptions without = with;
   without.aggregation_combiner = false;
-  auto a = RunAggregateQuery(dfs.get(), "base", *query, spec, with);
-  auto b = RunAggregateQuery(dfs.get(), "base", *query, spec, without);
+  auto a = Exec(dfs.get(), "base", ExecRequest::Single(*query, spec), with);
+  auto b = Exec(dfs.get(), "base", ExecRequest::Single(*query, spec), without);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(a->stats.ok() && b->stats.ok());
   EXPECT_EQ(a->answers, b->answers);
@@ -297,8 +298,10 @@ TEST(AggregateEngineTest, NtgaReadsLessIntoTheAggregationCycle) {
   hive.kind = EngineKind::kHive;
   EngineOptions lazy;
   lazy.kind = EngineKind::kNtgaLazy;
-  auto hive_exec = RunAggregateQuery(dfs.get(), "base", *query, spec, hive);
-  auto lazy_exec = RunAggregateQuery(dfs.get(), "base", *query, spec, lazy);
+  auto hive_exec =
+      Exec(dfs.get(), "base", ExecRequest::Single(*query, spec), hive);
+  auto lazy_exec =
+      Exec(dfs.get(), "base", ExecRequest::Single(*query, spec), lazy);
   ASSERT_TRUE(hive_exec.ok() && lazy_exec.ok());
   ASSERT_TRUE(hive_exec->stats.ok() && lazy_exec->stats.ok());
   EXPECT_EQ(hive_exec->answers, lazy_exec->answers);

@@ -32,16 +32,16 @@ TEST(BatchTest, AnswersMatchIndividualRuns) {
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
   options.phi_partitions = 16;
-  auto batch = RunQueryBatch(dfs.get(), "base", queries, options);
+  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_TRUE(batch->stats.ok()) << batch->stats.status.ToString();
-  ASSERT_EQ(batch->answers.size(), queries.size());
+  ASSERT_EQ(batch->per_query.size(), queries.size());
 
   for (size_t q = 0; q < queries.size(); ++q) {
     SolutionSet oracle = EvaluateQueryInMemory(*queries[q], triples);
-    EXPECT_TRUE(batch->answers[q] == oracle)
+    EXPECT_TRUE(batch->per_query[q] == oracle)
         << "query " << queries[q]->name() << ": batch "
-        << batch->answers[q].size() << " vs oracle " << oracle.size();
+        << batch->per_query[q].size() << " vs oracle " << oracle.size();
   }
 }
 
@@ -53,7 +53,7 @@ TEST(BatchTest, SharesOneScanAndOneGroupingCycle) {
 
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto batch = RunQueryBatch(dfs.get(), "base", queries, options);
+  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
   ASSERT_TRUE(batch.ok() && batch->stats.ok());
 
   EXPECT_EQ(batch->stats.full_scans, 1u)
@@ -65,7 +65,7 @@ TEST(BatchTest, SharesOneScanAndOneGroupingCycle) {
   // thrice; the shared plan must read and shuffle strictly less.
   uint64_t individual_reads = 0, individual_shuffle = 0;
   for (const auto& query : queries) {
-    auto exec = RunQuery(dfs.get(), "base", query, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(query), options);
     ASSERT_TRUE(exec.ok() && exec->stats.ok());
     individual_reads += exec->stats.hdfs_read_bytes;
     individual_shuffle += exec->stats.shuffle_bytes;
@@ -90,12 +90,12 @@ TEST(BatchTest, MixedDatasetQueriesAndStrategies) {
     EngineOptions options;
     options.kind = kind;
     options.phi_partitions = 8;
-    auto batch = RunQueryBatch(dfs.get(), "base", queries, options);
+    auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_TRUE(batch->stats.ok()) << EngineKindToString(kind);
     for (size_t q = 0; q < queries.size(); ++q) {
       SolutionSet oracle = EvaluateQueryInMemory(*queries[q], triples);
-      EXPECT_TRUE(batch->answers[q] == oracle)
+      EXPECT_TRUE(batch->per_query[q] == oracle)
           << queries[q]->name() << " under " << EngineKindToString(kind);
     }
   }
@@ -109,11 +109,11 @@ TEST(BatchTest, SingleQueryBatchEqualsPlainRun) {
   ASSERT_TRUE(q.ok());
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto batch = RunQueryBatch(dfs.get(), "base", {*q}, options);
-  auto plain = RunQuery(dfs.get(), "base", *q, options);
+  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch({*q}), options);
+  auto plain = Exec(dfs.get(), "base", ExecRequest::Single(*q), options);
   ASSERT_TRUE(batch.ok() && plain.ok());
   ASSERT_TRUE(batch->stats.ok() && plain->stats.ok());
-  EXPECT_EQ(batch->answers[0], plain->answers);
+  EXPECT_EQ(batch->per_query[0], plain->answers);
   EXPECT_EQ(batch->stats.mr_cycles, plain->stats.mr_cycles);
 }
 
@@ -125,10 +125,10 @@ TEST(BatchTest, RejectsRelationalEnginesAndEmptyBatches) {
   ASSERT_TRUE(q.ok());
   EngineOptions pig;
   pig.kind = EngineKind::kPig;
-  EXPECT_FALSE(RunQueryBatch(dfs.get(), "base", {*q}, pig).ok());
+  EXPECT_FALSE(Exec(dfs.get(), "base", ExecRequest::Batch({*q}), pig).ok());
   EngineOptions lazy;
   lazy.kind = EngineKind::kNtgaLazy;
-  EXPECT_FALSE(RunQueryBatch(dfs.get(), "base", {}, lazy).ok());
+  EXPECT_FALSE(Exec(dfs.get(), "base", ExecRequest::Batch({}), lazy).ok());
 }
 
 TEST(BatchTest, CleansUpAllTemporaries) {
@@ -137,7 +137,8 @@ TEST(BatchTest, CleansUpAllTemporaries) {
   ASSERT_NE(dfs, nullptr);
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto batch = RunQueryBatch(dfs.get(), "base", BsbmBatch(), options);
+  auto batch =
+      Exec(dfs.get(), "base", ExecRequest::Batch(BsbmBatch()), options);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(dfs->ListFiles(), (std::vector<std::string>{"base"}));
 }

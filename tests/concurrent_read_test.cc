@@ -2,7 +2,7 @@
 // Dictionary's shared-lock read paths must stay clean while writers
 // intern, and two threads querying one loaded dataset through the
 // QueryService — sharing a single SimDfs base — must race-freely produce
-// the same answers as a direct single-threaded RunQuery.
+// the same answers as a direct single-threaded Exec.
 
 #include <gtest/gtest.h>
 
@@ -76,7 +76,8 @@ TEST(ConcurrentReadTest, TwoThreadsQueryOneLoadedDataset) {
     for (const char* id : {"B0", "B1"}) {
       auto query = GetTestbedQuery(id);
       ASSERT_TRUE(query.ok());
-      auto direct = RunQuery(dfs.get(), "base", *query, options);
+      auto direct =
+          Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
       ASSERT_TRUE(direct.ok());
       queries.push_back(*query);
       expected.push_back(direct->answers);

@@ -67,7 +67,7 @@ void ExpectSameStats(const ExecStats& a, const ExecStats& b) {
   }
 }
 
-Execution RunB1(const std::vector<Triple>& triples, EngineKind kind,
+ExecResult RunB1(const std::vector<Triple>& triples, EngineKind kind,
                 uint32_t option_threads, uint32_t config_threads) {
   ClusterConfig config = testing_util::RoomyCluster();
   config.num_threads = config_threads;
@@ -79,7 +79,7 @@ Execution RunB1(const std::vector<Triple>& triples, EngineKind kind,
   EngineOptions options;
   options.kind = kind;
   options.runtime.num_threads = option_threads;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   EXPECT_TRUE(exec.ok()) << exec.status().ToString();
   return *exec;
 }
@@ -89,18 +89,18 @@ TEST(EngineDeterminismTest, ByteIdenticalAcrossThreadCountsAllEngines) {
       testing_util::SmallDataset(DatasetFamily::kBsbm);
   for (EngineKind kind : testing_util::AllEngineKinds()) {
     SCOPED_TRACE(EngineKindToString(kind));
-    Execution reference = RunB1(triples, kind, /*option_threads=*/1,
+    ExecResult reference = RunB1(triples, kind, /*option_threads=*/1,
                                 /*config_threads=*/1);
     EXPECT_FALSE(reference.answers.empty());
     for (uint32_t threads : {2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      Execution run = RunB1(triples, kind, threads, /*config_threads=*/1);
+      ExecResult run = RunB1(triples, kind, threads, /*config_threads=*/1);
       EXPECT_TRUE(run.answers == reference.answers);
       ExpectSameStats(run.stats, reference.stats);
     }
     // The ClusterConfig knob (EngineOptions::num_threads == 0 defers to
     // it) must behave identically to the EngineOptions knob.
-    Execution via_config = RunB1(triples, kind, /*option_threads=*/0,
+    ExecResult via_config = RunB1(triples, kind, /*option_threads=*/0,
                                  /*config_threads=*/8);
     EXPECT_TRUE(via_config.answers == reference.answers);
     ExpectSameStats(via_config.stats, reference.stats);

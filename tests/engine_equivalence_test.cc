@@ -49,7 +49,7 @@ TEST_P(EquivalenceTest, MatchesGroundTruth) {
   EngineOptions options;
   options.kind = param.engine;
   options.phi_partitions = 16;  // small data; exercise partition collisions
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec->stats.ok())
       << "engine failed: " << exec->stats.status.ToString();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "engine/engine.h"
 #include "query/matcher.h"
@@ -16,13 +18,14 @@ using testing_util::MakeDfsWithBase;
 using testing_util::RoomyCluster;
 using testing_util::SmallDataset;
 
-Execution RunEngine(SimDfs* dfs, const std::string& query_id, EngineKind kind) {
+ExecResult RunEngine(SimDfs* dfs, const std::string& query_id,
+                     EngineKind kind) {
   auto query = GetTestbedQuery(query_id);
   EXPECT_TRUE(query.ok());
   EngineOptions options;
   options.kind = kind;
   options.phi_partitions = 8;
-  auto exec = RunQuery(dfs, "base", *query, options);
+  auto exec = Exec(dfs, "base", ExecRequest::Single(*query), options);
   EXPECT_TRUE(exec.ok()) << exec.status().ToString();
   return std::move(*exec);
 }
@@ -30,9 +33,9 @@ Execution RunEngine(SimDfs* dfs, const std::string& query_id, EngineKind kind) {
 TEST(EngineTest, NtgaUsesFewerCyclesThanRelational) {
   auto dfs = MakeDfsWithBase(SmallDataset(DatasetFamily::kBsbm));
   ASSERT_NE(dfs, nullptr);
-  Execution hive = RunEngine(dfs.get(), "B0", EngineKind::kHive);
-  Execution pig = RunEngine(dfs.get(), "B0", EngineKind::kPig);
-  Execution ntga = RunEngine(dfs.get(), "B0", EngineKind::kNtgaLazy);
+  ExecResult hive = RunEngine(dfs.get(), "B0", EngineKind::kHive);
+  ExecResult pig = RunEngine(dfs.get(), "B0", EngineKind::kPig);
+  ExecResult ntga = RunEngine(dfs.get(), "B0", EngineKind::kNtgaLazy);
   EXPECT_EQ(hive.stats.mr_cycles, 3u);
   EXPECT_EQ(pig.stats.mr_cycles, 3u);
   EXPECT_EQ(ntga.stats.mr_cycles, 2u);
@@ -45,9 +48,9 @@ TEST(EngineTest, LazyWritesNoMoreThanEagerNoMoreThanHive) {
   auto dfs = MakeDfsWithBase(SmallDataset(DatasetFamily::kBsbm));
   ASSERT_NE(dfs, nullptr);
   for (const std::string q : {"B1", "B3", "B4"}) {
-    Execution hive = RunEngine(dfs.get(), q, EngineKind::kHive);
-    Execution eager = RunEngine(dfs.get(), q, EngineKind::kNtgaEager);
-    Execution lazy = RunEngine(dfs.get(), q, EngineKind::kNtgaLazy);
+    ExecResult hive = RunEngine(dfs.get(), q, EngineKind::kHive);
+    ExecResult eager = RunEngine(dfs.get(), q, EngineKind::kNtgaEager);
+    ExecResult lazy = RunEngine(dfs.get(), q, EngineKind::kNtgaLazy);
     EXPECT_LE(lazy.stats.hdfs_write_bytes, eager.stats.hdfs_write_bytes)
         << q;
     EXPECT_LE(eager.stats.hdfs_write_bytes, hive.stats.hdfs_write_bytes)
@@ -58,7 +61,7 @@ TEST(EngineTest, LazyWritesNoMoreThanEagerNoMoreThanHive) {
 TEST(EngineTest, StatsAreInternallyConsistent) {
   auto dfs = MakeDfsWithBase(SmallDataset(DatasetFamily::kBsbm));
   ASSERT_NE(dfs, nullptr);
-  Execution exec = RunEngine(dfs.get(), "B1", EngineKind::kNtgaLazy);
+  ExecResult exec = RunEngine(dfs.get(), "B1", EngineKind::kNtgaLazy);
   const ExecStats& s = exec.stats;
   EXPECT_EQ(s.mr_cycles, s.jobs.size());
   EXPECT_EQ(s.planned_cycles, s.mr_cycles);
@@ -87,7 +90,7 @@ TEST(EngineTest, CleansAllTemporariesOnEngineFailure) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.kind = EngineKind::kHive;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok()) << "engine failure is data, not an error";
   EXPECT_FALSE(exec->stats.ok());
   EXPECT_TRUE(exec->stats.status.IsOutOfSpace());
@@ -95,12 +98,29 @@ TEST(EngineTest, CleansAllTemporariesOnEngineFailure) {
   EXPECT_EQ(dfs->ListFiles(), (std::vector<std::string>{"base"}));
 }
 
+// A run scrubs only its own tmp/runN/ directory: files of runs whose
+// number extends N's digits (tmp/runN0/...), as concurrent service runs
+// on one DFS have, must survive it.
+TEST(EngineTest, ScrubLeavesOtherRunsFilesAlone) {
+  auto dfs = MakeDfsWithBase(SmallDataset(DatasetFamily::kBsbm));
+  ASSERT_NE(dfs, nullptr);
+  std::vector<std::string> expected = {"base"};
+  for (int run = 0; run < 1000; ++run) {
+    const std::string decoy = "tmp/run" + std::to_string(run) + "0/decoy";
+    ASSERT_TRUE(dfs->WriteFile(decoy, {"x"}).ok());
+    expected.push_back(decoy);
+  }
+  std::sort(expected.begin(), expected.end());
+  (void)RunEngine(dfs.get(), "B1", EngineKind::kNtgaLazy);
+  EXPECT_EQ(dfs->ListFiles(), expected);
+}
+
 TEST(EngineTest, MissingBaseRejected) {
   SimDfs dfs(RoomyCluster());
   auto query = GetTestbedQuery("B0");
   ASSERT_TRUE(query.ok());
   EngineOptions options;
-  auto exec = RunQuery(&dfs, "base", *query, options);
+  auto exec = Exec(&dfs, "base", ExecRequest::Single(*query), options);
   EXPECT_TRUE(exec.status().IsNotFound());
 }
 
@@ -114,8 +134,8 @@ TEST(EngineTest, DecodeTogglePreservesStats) {
   with.decode_answers = true;
   EngineOptions without = with;
   without.decode_answers = false;
-  auto a = RunQuery(dfs.get(), "base", *query, with);
-  auto b = RunQuery(dfs.get(), "base", *query, without);
+  auto a = Exec(dfs.get(), "base", ExecRequest::Single(*query), with);
+  auto b = Exec(dfs.get(), "base", ExecRequest::Single(*query), without);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_FALSE(a->answers.empty());
   EXPECT_TRUE(b->answers.empty());
@@ -133,8 +153,8 @@ TEST(EngineTest, PhiPartitionsAffectOnlyPartialStrategy) {
   coarse.phi_partitions = 2;
   EngineOptions fine = coarse;
   fine.phi_partitions = 4096;
-  auto a = RunQuery(dfs.get(), "base", *query, coarse);
-  auto b = RunQuery(dfs.get(), "base", *query, fine);
+  auto a = Exec(dfs.get(), "base", ExecRequest::Single(*query), coarse);
+  auto b = Exec(dfs.get(), "base", ExecRequest::Single(*query), fine);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->answers, b->answers) << "φ_m must not change the answers";
   EXPECT_LE(a->stats.shuffle_bytes, b->stats.shuffle_bytes)

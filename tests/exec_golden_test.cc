@@ -1,6 +1,8 @@
 // Golden pin of Exec against a checked-in fixture: B0–B6 × all six engines
 // × {1, 4} threads on a small BSBM graph and on the same graph with every
-// record separator and a backslash spliced into its terms. Each run
+// record separator and a backslash spliced into its terms; then, on the
+// BSBM graph, a batch and a union payload on every NTGA engine and an
+// aggregate (+count) payload on every engine, × {1, 4} threads. Each run
 // renders every deterministic ExecStats field (redundancy factors and
 // modeled seconds as exact %a bits, per-job metrics, a digest of the
 // counters) plus the answer count and an ordered FNV digest of the
@@ -79,14 +81,25 @@ uint64_t CountersDigest(const Counters& counters) {
   return Fnv1a64(text);
 }
 
+// Renders one run. A batch run's answers are its per-query sets in
+// request order, each followed by a "--" line.
 std::string RenderRun(const std::string& graph, const std::string& query,
                       EngineKind kind, uint32_t threads,
-                      const Execution& exec) {
+                      const ExecResult& exec) {
   const ExecStats& s = exec.stats;
   std::string answers;
-  for (const Solution& solution : exec.answers) {
-    answers += solution.Serialize();
-    answers.push_back('\n');
+  size_t answer_count = 0;
+  auto append = [&answers, &answer_count](const SolutionSet& set) {
+    for (const Solution& solution : set) {
+      answers += solution.Serialize();
+      answers.push_back('\n');
+    }
+    answer_count += set.size();
+  };
+  append(exec.answers);
+  for (const SolutionSet& set : exec.per_query) {
+    append(set);
+    answers += "--\n";
   }
   std::string out = StringFormat(
       "%s %s %s t%u | engine=%s query=%s status=%s failed_job=%d "
@@ -116,8 +129,7 @@ std::string RenderRun(const std::string& graph, const std::string& query,
       Hex(s.retry_backoff_seconds).c_str(), s.degraded_from.c_str(),
       s.preflight.c_str(), s.chosen_engine.c_str(),
       static_cast<unsigned long long>(CountersDigest(s.counters)),
-      exec.answers.size(),
-      static_cast<unsigned long long>(Fnv1a64(answers)));
+      answer_count, static_cast<unsigned long long>(Fnv1a64(answers)));
   for (const JobMetrics& j : s.jobs) {
     out += StringFormat(
         "  job %s in=%llu/%llu map_out=%llu/%llu direct=%llu/%llu "
@@ -139,6 +151,41 @@ std::string RenderRun(const std::string& graph, const std::string& query,
   return out;
 }
 
+bool IsNtga(EngineKind kind) {
+  return kind != EngineKind::kPig && kind != EngineKind::kHive;
+}
+
+std::shared_ptr<const GraphPatternQuery> Query(const char* id) {
+  auto query = GetTestbedQuery(id);
+  EXPECT_TRUE(query.ok()) << id;
+  return query.ok() ? *query : nullptr;
+}
+
+// Runs `request` on a fresh DFS holding `triples` for every engine that
+// `applies` accepts, at 1 and 4 threads, and renders each run.
+template <typename Applies>
+std::string RenderPayload(const std::string& graph, const std::string& label,
+                          const std::vector<Triple>& triples,
+                          const ExecRequest& request, Applies applies) {
+  std::string pin;
+  for (EngineKind kind : testing_util::AllEngineKinds()) {
+    if (!applies(kind)) continue;
+    for (uint32_t threads : {1u, 4u}) {
+      auto dfs = testing_util::MakeDfsWithBase(triples);
+      EXPECT_NE(dfs, nullptr);
+      if (dfs == nullptr) continue;
+      EngineOptions options;
+      options.kind = kind;
+      options.runtime.num_threads = threads;
+      auto exec = Exec(dfs.get(), "base", request, options);
+      EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+      if (!exec.ok()) continue;
+      pin += RenderRun(graph, label, kind, threads, *exec);
+    }
+  }
+  return pin;
+}
+
 std::string RenderPin() {
   const std::vector<Triple> bsbm =
       testing_util::SmallDataset(DatasetFamily::kBsbm);
@@ -147,25 +194,34 @@ std::string RenderPin() {
   std::string pin;
   for (const auto& [graph, triples] : graphs) {
     for (const char* id : {"B0", "B1", "B2", "B3", "B4", "B5", "B6"}) {
-      auto query = GetTestbedQuery(id);
-      EXPECT_TRUE(query.ok()) << id;
-      if (!query.ok()) continue;
-      for (EngineKind kind : testing_util::AllEngineKinds()) {
-        for (uint32_t threads : {1u, 4u}) {
-          auto dfs = testing_util::MakeDfsWithBase(triples);
-          EXPECT_NE(dfs, nullptr);
-          if (dfs == nullptr) continue;
-          EngineOptions options;
-          options.kind = kind;
-          options.runtime.num_threads = threads;
-          auto exec = RunQuery(dfs.get(), "base", *query, options);
-          EXPECT_TRUE(exec.ok()) << exec.status().ToString();
-          if (!exec.ok()) continue;
-          pin += RenderRun(graph, id, kind, threads, *exec);
-        }
-      }
+      ExecRequest request;
+      request.query = Query(id);
+      if (request.query == nullptr) continue;
+      pin += RenderPayload(graph, id, triples, request,
+                           [](EngineKind) { return true; });
     }
   }
+
+  ExecRequest batch;
+  batch.payload = ExecPayload::kBatch;
+  batch.queries = {Query("B0"), Query("B1"), Query("B4")};
+  pin += RenderPayload("bsbm", "batch:B0,B1,B4", bsbm, batch, IsNtga);
+
+  ExecRequest union_request;
+  union_request.payload = ExecPayload::kUnion;
+  union_request.queries = {Query("B4"), Query("B5")};
+  pin += RenderPayload("bsbm", "union:B4,B5", bsbm, union_request, IsNtga);
+
+  // Distinct unbound properties per product.
+  ExecRequest aggregate;
+  aggregate.query = Query("B4");
+  AggregateSpec spec;
+  spec.group_vars = {"p"};
+  spec.counted_var = "up";
+  spec.count_var = "n";
+  aggregate.aggregate = spec;
+  pin += RenderPayload("bsbm", "B4+count", bsbm, aggregate,
+                       [](EngineKind) { return true; });
   return pin;
 }
 

@@ -48,7 +48,7 @@ TEST(FaultInjectionTest, EngineFailsCleanlyAtEveryWritePosition) {
     // The legacy one-shot hook models an unrecoverable crash: pin retry
     // off to make explicit that no attempt may mask the failure.
     options.runtime.max_attempts = 1;
-    auto exec = RunQuery(dfs.get(), "base", *query, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(exec.ok()) << "infrastructure must not error";
     EXPECT_FALSE(exec->stats.ok()) << "write " << failing_write;
     EXPECT_EQ(exec->stats.status.code(), StatusCode::kIoError);
@@ -57,7 +57,7 @@ TEST(FaultInjectionTest, EngineFailsCleanlyAtEveryWritePosition) {
         << "no temporaries may survive a failure at write "
         << failing_write;
     // The DFS remains usable: the same query succeeds afterwards.
-    auto retry = RunQuery(dfs.get(), "base", *query, options);
+    auto retry = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(retry.ok());
     EXPECT_TRUE(retry->stats.ok());
   }
@@ -74,7 +74,7 @@ TEST(FaultInjectionTest, RelationalEngineAlsoFailsCleanly) {
     EngineOptions options;
     options.kind = EngineKind::kHive;
     options.runtime.max_attempts = 1;  // the legacy hook is unrecoverable
-    auto exec = RunQuery(dfs.get(), "base", *query, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(exec.ok());
     EXPECT_FALSE(exec->stats.ok());
     EXPECT_EQ(exec->stats.failed_job_index,
@@ -97,7 +97,7 @@ TEST(FaultInjectionTest, BatchFailureLeavesNoState) {
   dfs->InjectWriteFailureAfter(4);
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto batch = RunQueryBatch(dfs.get(), "base", queries, options);
+  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
   ASSERT_TRUE(batch.ok());
   EXPECT_FALSE(batch->stats.ok());
   EXPECT_EQ(dfs->ListFiles(), (std::vector<std::string>{"base"}));
@@ -203,7 +203,8 @@ TEST(FaultPlanTest, EngineSurvivesNodeLossUnderReplication2) {
   options.kind = EngineKind::kNtgaLazy;
   auto baseline_dfs = MakeDfsWithBase(triples, cluster);
   ASSERT_NE(baseline_dfs, nullptr);
-  auto baseline = RunQuery(baseline_dfs.get(), "base", *query, options);
+  auto baseline =
+      Exec(baseline_dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(baseline->stats.ok());
 
@@ -212,7 +213,7 @@ TEST(FaultPlanTest, EngineSurvivesNodeLossUnderReplication2) {
   auto plan = FaultPlan::Parse("lose-node@3:1");
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(dfs->SetFaultPlan(*plan).ok());
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok());
   ASSERT_TRUE(exec->stats.ok())
       << "replication 2 must ride out one node loss: "
@@ -234,7 +235,8 @@ TEST(TaskRetryTest, ScheduledReadFailureIsRetriedAndAccounted) {
   options.kind = EngineKind::kNtgaLazy;
   auto baseline_dfs = MakeDfsWithBase(triples);
   ASSERT_NE(baseline_dfs, nullptr);
-  auto baseline = RunQuery(baseline_dfs.get(), "base", *query, options);
+  auto baseline =
+      Exec(baseline_dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(baseline->stats.ok());
 
@@ -244,7 +246,7 @@ TEST(TaskRetryTest, ScheduledReadFailureIsRetriedAndAccounted) {
   plan.fail_reads = {1};  // the workflow's very first input scan
   ASSERT_TRUE(dfs->SetFaultPlan(plan).ok());
   options.runtime.max_attempts = 2;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok());
   ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
   EXPECT_EQ(exec->stats.tasks_retried, 1u);
@@ -275,7 +277,7 @@ TEST(TaskRetryTest, RetryExhaustionSurfacesAsCleanEngineFailure) {
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
   options.runtime.max_attempts = 2;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok()) << "exhaustion is a measured failure, not an "
                             "infrastructure error";
   EXPECT_FALSE(exec->stats.ok());
@@ -287,7 +289,7 @@ TEST(TaskRetryTest, RetryExhaustionSurfacesAsCleanEngineFailure) {
       << "no temporaries may survive the failure";
   // The DFS is healthy once the plan is lifted.
   dfs->ClearFaultPlan();
-  auto retry = RunQuery(dfs.get(), "base", *query, options);
+  auto retry = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(retry.ok());
   EXPECT_TRUE(retry->stats.ok());
 }
@@ -306,7 +308,8 @@ TEST(TaskRetryTest, RecoveredRunIsByteIdenticalAcrossThreadCounts) {
     options.phi_partitions = 16;
     auto baseline_dfs = MakeDfsWithBase(triples, cluster);
     ASSERT_NE(baseline_dfs, nullptr);
-    auto baseline = RunQuery(baseline_dfs.get(), "base", *query, options);
+    auto baseline =
+        Exec(baseline_dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(baseline.ok());
     ASSERT_TRUE(baseline->stats.ok());
 
@@ -322,7 +325,8 @@ TEST(TaskRetryTest, RecoveredRunIsByteIdenticalAcrossThreadCounts) {
       EngineOptions faulty_options = options;
       faulty_options.runtime.num_threads = threads;
       faulty_options.runtime.max_attempts = 16;  // effectively never exhausts
-      auto exec = RunQuery(dfs.get(), "base", *query, faulty_options);
+      auto exec =
+          Exec(dfs.get(), "base", ExecRequest::Single(*query), faulty_options);
       ASSERT_TRUE(exec.ok());
       ASSERT_TRUE(exec->stats.ok())
           << EngineKindToString(kind) << " t=" << threads << ": "
@@ -357,44 +361,18 @@ TEST(TaskRetryTest, RecoveredRunIsByteIdenticalAcrossThreadCounts) {
 
 // ---- Disk-pressure preflight ----------------------------------------------
 
-// Calibrates a cluster whose capacity sits strictly between the advisor's
-// lazy and eager projected peaks for B3 (double unbound star: the eager
-// footprint dwarfs the lazy one), so kDegrade has somewhere to go.
-ClusterConfig PressuredCluster(const std::vector<Triple>& triples,
-                               const GraphPatternQuery& query) {
-  ClusterConfig cluster = testing_util::RoomyCluster();
-  // RoomyCluster's 4 MB blocks would put the whole base file in one block,
-  // which no single node of the shrunken cluster could hold; small blocks
-  // let placement spread the data evenly.
-  cluster.block_size = 1024;
-  GraphStats stats = GraphStats::Compute(triples);
-  StrategyAdvice advice = AdviseStrategy(query, stats, cluster);
-  uint64_t used = 0;
-  for (const std::string& line : SerializeTriples(triples)) {
-    used += line.size() + 1;
-  }
-  used *= cluster.replication;
-  FootprintProjection lazy =
-      ProjectFootprint(advice, "lazy", used, cluster);
-  FootprintProjection eager =
-      ProjectFootprint(advice, "eager", used, cluster);
-  EXPECT_LT(lazy.peak_bytes, eager.peak_bytes);
-  const uint64_t capacity = (lazy.peak_bytes + eager.peak_bytes) / 2;
-  cluster.disk_per_node = capacity / cluster.num_nodes + 1;
-  return cluster;
-}
-
 TEST(DiskPressureTest, DegradePolicySwitchesEagerToLazy) {
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   auto query = GetTestbedQuery("B3");
   ASSERT_TRUE(query.ok());
-  ClusterConfig cluster = PressuredCluster(triples, **query);
+  ClusterConfig cluster = testing_util::PressuredCluster(triples, **query);
 
   EngineOptions lazy_options;
   lazy_options.kind = EngineKind::kNtgaLazy;
   auto lazy_dfs = MakeDfsWithBase(triples, cluster);
   ASSERT_NE(lazy_dfs, nullptr);
-  auto lazy = RunQuery(lazy_dfs.get(), "base", *query, lazy_options);
+  auto lazy =
+      Exec(lazy_dfs.get(), "base", ExecRequest::Single(*query), lazy_options);
   ASSERT_TRUE(lazy.ok());
   ASSERT_TRUE(lazy->stats.ok());
 
@@ -403,7 +381,7 @@ TEST(DiskPressureTest, DegradePolicySwitchesEagerToLazy) {
   EngineOptions options;
   options.kind = EngineKind::kNtgaEager;
   options.disk_pressure = DiskPressurePolicy::kDegrade;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok());
   ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
   EXPECT_EQ(exec->stats.degraded_from, "EagerUnnest");
@@ -420,13 +398,13 @@ TEST(DiskPressureTest, FailFastRefusesWithResourceExhausted) {
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   auto query = GetTestbedQuery("B3");
   ASSERT_TRUE(query.ok());
-  ClusterConfig cluster = PressuredCluster(triples, **query);
+  ClusterConfig cluster = testing_util::PressuredCluster(triples, **query);
   auto dfs = MakeDfsWithBase(triples, cluster);
   ASSERT_NE(dfs, nullptr);
   EngineOptions options;
   options.kind = EngineKind::kNtgaEager;
   options.disk_pressure = DiskPressurePolicy::kFailFast;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok()) << "a refusal is a measured failure";
   EXPECT_FALSE(exec->stats.ok());
   EXPECT_TRUE(exec->stats.status.IsResourceExhausted())
@@ -439,7 +417,8 @@ TEST(DiskPressureTest, FailFastRefusesWithResourceExhausted) {
   // clears the preflight and runs normally.
   auto roomy = MakeDfsWithBase(triples);
   ASSERT_NE(roomy, nullptr);
-  auto ok_exec = RunQuery(roomy.get(), "base", *query, options);
+  auto ok_exec =
+      Exec(roomy.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(ok_exec.ok());
   EXPECT_TRUE(ok_exec->stats.ok()) << ok_exec->stats.status.ToString();
   EXPECT_TRUE(ok_exec->stats.degraded_from.empty());
@@ -472,7 +451,7 @@ TEST(UnionTest, UnionOfBranchesEqualsUnionOfOracles) {
   ASSERT_NE(dfs, nullptr);
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto exec = RunUnionQuery(dfs.get(), "base", branches, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Union(branches), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec->stats.ok());
   EXPECT_TRUE(exec->answers == oracle);

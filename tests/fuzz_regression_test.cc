@@ -191,7 +191,7 @@ TEST(InvariantTest, CleanExecutionPassesAndTamperedStatsFail) {
   EngineOptions engine_options;
   engine_options.kind = EngineKind::kNtgaLazy;
   engine_options.phi_partitions = config.phi_partitions;
-  auto exec = RunQuery(&dfs, "base", query, engine_options);
+  auto exec = Exec(&dfs, "base", ExecRequest::Single(query), engine_options);
   ASSERT_TRUE(exec.ok());
   ASSERT_TRUE(exec->stats.ok());
   InvariantContext ctx;

@@ -31,7 +31,7 @@ TEST_P(GroupingEquivalenceTest, SelSjFirstMatchesOracle) {
     EngineOptions options;
     options.kind = EngineKind::kHive;
     options.grouping = grouping;
-    auto exec = RunQuery(dfs.get(), "base", *query, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
     EXPECT_TRUE(exec->answers == oracle)

@@ -98,7 +98,7 @@ TEST_P(Lemma1Test, AllEnginesAgreeWithOracleOnRandomInputs) {
     EngineOptions options;
     options.kind = kind;
     options.phi_partitions = 1 + static_cast<uint32_t>(rng.Uniform(32));
-    auto exec = RunQuery(dfs.get(), "base", shared, options);
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(shared), options);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
     EXPECT_TRUE(exec->answers == oracle)

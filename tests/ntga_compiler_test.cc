@@ -173,7 +173,7 @@ TEST(NtgaCompilerTest, EmptyEcFileStillLetsJoinRun) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
-  auto exec = RunQuery(dfs.get(), "base", *query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
   EXPECT_TRUE(exec->answers.empty());

@@ -347,8 +347,8 @@ TEST(GoldenSpanTreeTest, CanonicalTraceIdenticalAcrossThreadCounts) {
     options.runtime.cli_pinned = true;
 
     Trace trace;
-    auto exec = RunQuery(dfs.get(), "base", *query, options,
-                         RunContext::ForTrace(&trace));
+    auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options,
+                     RunContext::ForTrace(&trace));
     ASSERT_TRUE(exec.ok());
     ASSERT_TRUE(exec->stats.ok());
 
@@ -387,9 +387,10 @@ TEST(GoldenSpanTreeTest, DisabledContextStillRunsAndAnswersMatch) {
   options.kind = EngineKind::kNtgaLazy;
 
   Trace trace;
-  auto traced = RunQuery(traced_dfs.get(), "base", *query, options,
-                         RunContext::ForTrace(&trace));
-  auto plain = RunQuery(plain_dfs.get(), "base", *query, options);
+  auto traced = Exec(traced_dfs.get(), "base", ExecRequest::Single(*query),
+                     options, RunContext::ForTrace(&trace));
+  auto plain =
+      Exec(plain_dfs.get(), "base", ExecRequest::Single(*query), options);
   ASSERT_TRUE(traced.ok());
   ASSERT_TRUE(plain.ok());
   // Tracing observes the run without perturbing it.
@@ -446,28 +447,6 @@ TEST(RuntimeOptionsTest, EnvParsingIgnoresGarbage) {
   ::setenv("RDFMR_THREADS", "12", 1);
   EXPECT_EQ(EnvRuntimeValue("RDFMR_THREADS"), 12u);
 }
-
-// Deliberately exercises the [[deprecated]] alias fields — this test IS the
-// coverage for the legacy fold, so the deprecation warnings are suppressed
-// here and nowhere else.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(RuntimeOptionsTest, EffectiveRuntimeFoldsDeprecatedAliases) {
-  // Legacy aliases fill unset RuntimeOptions fields...
-  EngineOptions legacy;
-  legacy.num_threads = 3;
-  legacy.max_attempts = 4;
-  RuntimeOptions folded = EffectiveRuntime(legacy);
-  EXPECT_EQ(folded.num_threads, 3u);
-  EXPECT_EQ(folded.max_attempts, 4u);
-
-  // ...but never override explicitly-set ones.
-  EngineOptions both;
-  both.num_threads = 3;
-  both.runtime.num_threads = 8;
-  EXPECT_EQ(EffectiveRuntime(both).num_threads, 8u);
-}
-#pragma GCC diagnostic pop
 
 // ---- Versioned NDJSON protocol ---------------------------------------------
 

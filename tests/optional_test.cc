@@ -233,7 +233,7 @@ TEST_P(OptionalEngineTest, MatchesOracle) {
   EngineOptions options;
   options.kind = param.engine;
   options.phi_partitions = 16;
-  auto exec = RunQuery(dfs.get(), "base", query, options);
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(query), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
   EXPECT_TRUE(exec->answers == oracle)

@@ -1,7 +1,6 @@
 // Tests for the cost-based plan chooser behind engine=auto (ranking on
 // the testbed catalog, the fitting filter, decision recording) and for
-// the unified Exec entry point (the four legacy entry points must be
-// byte-identical thin wrappers).
+// the Exec entry point's request validation.
 
 #include <gtest/gtest.h>
 
@@ -219,123 +218,6 @@ TEST(PlanChooserTest, AutoUsesCallerProvidedStatsWithoutScanning) {
   EXPECT_TRUE(fuzz::CompareStatsIgnoringWallTimes(with_catalog->stats,
                                                   scanned->stats)
                   .empty());
-}
-
-// ---- Legacy entry points are byte-identical Exec wrappers -----------------
-
-void ExpectStatsIdentical(const ExecStats& a, const ExecStats& b) {
-  std::vector<std::string> diffs =
-      fuzz::CompareStatsIgnoringWallTimes(a, b);
-  EXPECT_TRUE(diffs.empty()) << "stats diverge: " << diffs.front();
-}
-
-TEST(ExecRequestTest, RunQueryIsAThinWrapperOverExec) {
-  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
-  auto query = GetTestbedQuery("B1");
-  ASSERT_TRUE(query.ok());
-  EngineOptions options;
-  options.kind = EngineKind::kNtgaLazy;
-
-  auto legacy_dfs = MakeDfsWithBase(triples);
-  auto unified_dfs = MakeDfsWithBase(triples);
-  ASSERT_NE(legacy_dfs, nullptr);
-  ASSERT_NE(unified_dfs, nullptr);
-  auto legacy = RunQuery(legacy_dfs.get(), "base", *query, options);
-  ExecRequest request;
-  request.payload = ExecPayload::kSingle;
-  request.query = *query;
-  auto unified = Exec(unified_dfs.get(), "base", request, options);
-  ASSERT_TRUE(legacy.ok() && unified.ok());
-  EXPECT_EQ(legacy->answers, unified->answers);
-  ExpectStatsIdentical(legacy->stats, unified->stats);
-}
-
-TEST(ExecRequestTest, RunAggregateQueryIsAThinWrapperOverExec) {
-  std::vector<Triple> triples = {
-      {"s1", "label", "a"}, {"s1", "p1", "x"}, {"s1", "p2", "y"},
-      {"s2", "label", "b"}, {"s2", "p1", "z"},
-  };
-  auto parsed = ParseSparql("degree", R"(SELECT * WHERE {
-    ?g <label> ?l . ?g ?p ?x .
-  })");
-  ASSERT_TRUE(parsed.ok());
-  auto query =
-      std::make_shared<const GraphPatternQuery>(std::move(*parsed));
-  AggregateSpec spec;
-  spec.group_vars = {"g"};
-  spec.counted_var = "p";
-  spec.count_var = "n";
-  EngineOptions options;
-  options.kind = EngineKind::kNtgaLazy;
-
-  auto legacy_dfs = MakeDfsWithBase(triples);
-  auto unified_dfs = MakeDfsWithBase(triples);
-  ASSERT_NE(legacy_dfs, nullptr);
-  ASSERT_NE(unified_dfs, nullptr);
-  auto legacy =
-      RunAggregateQuery(legacy_dfs.get(), "base", query, spec, options);
-  ExecRequest request;
-  request.payload = ExecPayload::kSingle;
-  request.query = query;
-  request.aggregate = spec;
-  auto unified = Exec(unified_dfs.get(), "base", request, options);
-  ASSERT_TRUE(legacy.ok() && unified.ok());
-  EXPECT_FALSE(legacy->answers.empty());
-  EXPECT_EQ(legacy->answers, unified->answers);
-  ExpectStatsIdentical(legacy->stats, unified->stats);
-}
-
-TEST(ExecRequestTest, RunQueryBatchIsAThinWrapperOverExec) {
-  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
-  std::vector<std::shared_ptr<const GraphPatternQuery>> queries;
-  for (const std::string id : {"B0", "B1"}) {
-    auto q = GetTestbedQuery(id);
-    ASSERT_TRUE(q.ok());
-    queries.push_back(*q);
-  }
-  EngineOptions options;
-  options.kind = EngineKind::kNtgaLazy;
-
-  auto legacy_dfs = MakeDfsWithBase(triples);
-  auto unified_dfs = MakeDfsWithBase(triples);
-  ASSERT_NE(legacy_dfs, nullptr);
-  ASSERT_NE(unified_dfs, nullptr);
-  auto legacy = RunQueryBatch(legacy_dfs.get(), "base", queries, options);
-  ExecRequest request;
-  request.payload = ExecPayload::kBatch;
-  request.queries = queries;
-  auto unified = Exec(unified_dfs.get(), "base", request, options);
-  ASSERT_TRUE(legacy.ok() && unified.ok());
-  ASSERT_EQ(unified->per_query.size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(legacy->answers[q], unified->per_query[q]) << q;
-  }
-  ExpectStatsIdentical(legacy->stats, unified->stats);
-}
-
-TEST(ExecRequestTest, RunUnionQueryIsAThinWrapperOverExec) {
-  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
-  std::vector<std::shared_ptr<const GraphPatternQuery>> branches;
-  for (const std::string id : {"B0", "B1"}) {
-    auto q = GetTestbedQuery(id);
-    ASSERT_TRUE(q.ok());
-    branches.push_back(*q);
-  }
-  EngineOptions options;
-  options.kind = EngineKind::kNtgaLazy;
-
-  auto legacy_dfs = MakeDfsWithBase(triples);
-  auto unified_dfs = MakeDfsWithBase(triples);
-  ASSERT_NE(legacy_dfs, nullptr);
-  ASSERT_NE(unified_dfs, nullptr);
-  auto legacy = RunUnionQuery(legacy_dfs.get(), "base", branches, options);
-  ExecRequest request;
-  request.payload = ExecPayload::kUnion;
-  request.queries = branches;
-  auto unified = Exec(unified_dfs.get(), "base", request, options);
-  ASSERT_TRUE(legacy.ok() && unified.ok());
-  EXPECT_EQ(legacy->answers, unified->answers);
-  ExpectStatsIdentical(legacy->stats, unified->stats);
 }
 
 TEST(ExecRequestTest, RejectsMalformedRequests) {

@@ -55,8 +55,8 @@ ServiceConfig StressConfig(uint32_t workers) {
 
 // Satellite: ServiceStatsSnapshot consistency. Eight threads hammer
 // warm-result queries while the main thread snapshots concurrently; every
-// snapshot must be internally consistent (hits + misses == lookups for
-// both caches) and monotone field-by-field against the previous one.
+// snapshot must be internally consistent (result-cache hits + misses ==
+// lookups) and monotone field-by-field against the previous one.
 // Before the atomics split this was impossible to guarantee: Stats()
 // copied the struct under the same mutex the hot path mutated it under,
 // but histogram counts and counters could still diverge via the
@@ -95,8 +95,6 @@ TEST(ServiceStressTest, SnapshotsStayConsistentWhileHammered) {
     ServiceStatsSnapshot now = service->Stats();
     ++snapshots;
     // Internal consistency: the derived lookup totals can never tear.
-    EXPECT_EQ(now.plan_cache_hits + now.plan_cache_misses,
-              now.plan_cache_lookups);
     EXPECT_EQ(now.result_cache_hits + now.result_cache_misses,
               now.result_cache_lookups);
     // Monotonicity: every counter only grows between snapshots.
@@ -106,8 +104,6 @@ TEST(ServiceStressTest, SnapshotsStayConsistentWhileHammered) {
     EXPECT_GE(now.rejected, prev.rejected);
     EXPECT_GE(now.cancelled, prev.cancelled);
     EXPECT_GE(now.deadline_expired, prev.deadline_expired);
-    EXPECT_GE(now.plan_cache_hits, prev.plan_cache_hits);
-    EXPECT_GE(now.plan_cache_misses, prev.plan_cache_misses);
     EXPECT_GE(now.result_cache_hits, prev.result_cache_hits);
     EXPECT_GE(now.result_cache_misses, prev.result_cache_misses);
     EXPECT_GE(now.exec_micros.count(), prev.exec_micros.count());
@@ -250,7 +246,7 @@ TEST(ServiceStressTest, SixteenWarmClientsShareOneAnswerSnapshot) {
   }
 }
 
-// Epoch-bump invalidation must reach every shard: populate both caches
+// Epoch-bump invalidation must reach every shard: populate the result cache
 // with keys that cover many shards, reload (epoch bump) and drop, and
 // require the entry gauges to fall to zero each time — a shard skipped by
 // the prefix purge would leave residents behind.
@@ -272,15 +268,13 @@ TEST(ServiceStressTest, ReloadAndDropPurgeEveryShard) {
   };
   populate();
   ServiceStatsSnapshot warm = service->Stats();
-  EXPECT_EQ(warm.plan_cache_entries, uint64_t{kQueries});
   EXPECT_EQ(warm.result_cache_entries, uint64_t{kQueries});
   EXPECT_GT(warm.result_cache_bytes, 0u);
 
   // Reload: epoch bumps, and the eager prefix purge must empty every
-  // shard of both caches.
+  // shard of the result cache.
   ASSERT_TRUE(service->LoadDataset("d", FanoutTriples(kQueries)).ok());
   ServiceStatsSnapshot reloaded = service->Stats();
-  EXPECT_EQ(reloaded.plan_cache_entries, 0u);
   EXPECT_EQ(reloaded.result_cache_entries, 0u);
   EXPECT_EQ(reloaded.result_cache_bytes, 0u);
 
@@ -289,7 +283,6 @@ TEST(ServiceStressTest, ReloadAndDropPurgeEveryShard) {
   EXPECT_EQ(service->Stats().result_cache_entries, uint64_t{kQueries});
   ASSERT_TRUE(service->DropDataset("d").ok());
   ServiceStatsSnapshot dropped = service->Stats();
-  EXPECT_EQ(dropped.plan_cache_entries, 0u);
   EXPECT_EQ(dropped.result_cache_entries, 0u);
   EXPECT_EQ(dropped.result_cache_bytes, 0u);
 }

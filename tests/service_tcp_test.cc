@@ -1,5 +1,5 @@
 // TCP twin of service_socket_test: the query service served over
-// tcp:127.0.0.1 must give byte-identical answers to direct RunQuery, a
+// tcp:127.0.0.1 must give byte-identical answers to direct Exec, a
 // pipelined client with 8 requests in flight on one connection must get
 // every answer (correlated by id; terse requests lose exactly the
 // diagnostic members), requests fan out across AF_UNIX and
@@ -70,7 +70,7 @@ std::vector<std::string> AnswerLines(const JsonValue& array) {
   return lines;
 }
 
-/// Ground truth per catalog query id: direct RunQuery on a private DFS.
+/// Ground truth per catalog query id: direct Exec on a private DFS.
 std::map<std::string, std::vector<std::string>> DirectAnswers(
     const std::vector<Triple>& triples,
     const std::vector<std::string>& query_ids) {
@@ -82,7 +82,8 @@ std::map<std::string, std::vector<std::string>> DirectAnswers(
   for (const std::string& id : query_ids) {
     auto query = GetTestbedQuery(id);
     EXPECT_TRUE(query.ok());
-    auto direct = RunQuery(dfs.get(), "base", *query, options);
+    auto direct =
+        Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     EXPECT_TRUE(direct.ok()) << direct.status().ToString();
     expected[id] = AnswerLines(direct->answers);
     EXPECT_FALSE(expected[id].empty()) << id;
@@ -138,7 +139,7 @@ TEST(ServiceTcpTest, PipelinedTcpClientsMatchDirectRuns) {
     const std::string& id = query_ids[i % query_ids.size()];
     EXPECT_EQ(AnswerLines(response.Get("answers")), expected.at(id))
         << "pipelined response " << i << " (" << id
-        << ") diverges from direct RunQuery";
+        << ") diverges from direct Exec";
     EXPECT_EQ(response.Has("stats"), i % 2 == 0) << response.Dump();
     EXPECT_EQ(response.Has("exec_micros"), i % 2 == 0);
     EXPECT_EQ(response.Has("result_cache_hit"), i % 2 == 0);

@@ -2,8 +2,8 @@
 // primitives it is built on, the dataset registry's lazy-load / epoch
 // semantics, cache keys, and — the core contract — that answers and all
 // deterministic ExecStats fields served through QueryService are
-// byte-identical to direct RunQuery / RunQueryBatch / RunUnionQuery calls
-// at any worker count, with plan- and result-cache hits, admission
+// byte-identical to direct Exec calls at any worker count (disk-pressure
+// preflight included), with result-cache hits, admission
 // rejections, cancellation, and deadline expiry all observable.
 
 #include <gtest/gtest.h>
@@ -492,13 +492,13 @@ TEST(ServiceEquivalenceTest, SingleQueryMatchesDirectRun) {
       ServiceResponse response = service->Query(request);
       ASSERT_TRUE(response.ok()) << response.status.ToString();
       ASSERT_TRUE(response.stats.ok()) << response.stats.status.ToString();
-      EXPECT_FALSE(response.plan_cache_hit);
       EXPECT_FALSE(response.result_cache_hit);
       EXPECT_GT(response.epoch, 0u);
 
       auto dfs = MakeDfsWithBase(triples);
       ASSERT_NE(dfs, nullptr);
-      auto direct = RunQuery(dfs.get(), "base", *query, request.options);
+      auto direct = Exec(dfs.get(), "base", ExecRequest::Single(*query),
+                         request.options);
       ASSERT_TRUE(direct.ok());
       EXPECT_EQ(response.answer_set(), direct->answers)
           << EngineKindToString(kind) << " @" << threads << " threads";
@@ -530,7 +530,8 @@ TEST(ServiceEquivalenceTest, AggregateMatchesDirectRun) {
   auto dfs = MakeDfsWithBase(triples);
   ASSERT_NE(dfs, nullptr);
   auto direct =
-      RunAggregateQuery(dfs.get(), "base", query, spec, request.options);
+      Exec(dfs.get(), "base", ExecRequest::Single(query, spec),
+           request.options);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(response.answer_set(), direct->answers);
   ExpectSameStats(response.stats, direct->stats);
@@ -562,10 +563,11 @@ TEST(ServiceEquivalenceTest, BatchAndUnionMatchDirectRuns) {
 
     auto dfs = MakeDfsWithBase(triples);
     ASSERT_NE(dfs, nullptr);
-    auto direct = RunQueryBatch(dfs.get(), "base", queries, request.options);
+    auto direct =
+        Exec(dfs.get(), "base", ExecRequest::Batch(queries), request.options);
     ASSERT_TRUE(direct.ok());
     ASSERT_EQ(batched.batch_answer_sets().size(), queries.size());
-    EXPECT_EQ(batched.batch_answer_sets(), direct->answers);
+    EXPECT_EQ(batched.batch_answer_sets(), direct->per_query);
     ExpectSameStats(batched.stats, direct->stats);
 
     request.batch_mode = BatchMode::kUnion;
@@ -573,16 +575,63 @@ TEST(ServiceEquivalenceTest, BatchAndUnionMatchDirectRuns) {
     ASSERT_TRUE(unioned.ok()) << unioned.status.ToString();
     ASSERT_TRUE(unioned.stats.ok());
     auto direct_union =
-        RunUnionQuery(dfs.get(), "base", queries, request.options);
+        Exec(dfs.get(), "base", ExecRequest::Union(queries), request.options);
     ASSERT_TRUE(direct_union.ok());
     EXPECT_EQ(unioned.answer_set(), direct_union->answers);
     ExpectSameStats(unioned.stats, direct_union->stats);
   }
 }
 
+// A served request passes the disk-pressure preflight exactly as Exec
+// does: on an undersized cluster kFailFast refuses without burning a
+// cycle, and kDegrade switches Eager to Lazy with the same annotation.
+TEST(ServiceEquivalenceTest, ServedPreflightMatchesExec) {
+  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
+  auto query = GetTestbedQuery("B3");
+  ASSERT_TRUE(query.ok());
+  ServiceConfig config;
+  config.cluster = testing_util::PressuredCluster(triples, **query);
+  config.max_concurrent = 2;
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDataset("bsbm", triples).ok());
+
+  for (DiskPressurePolicy policy :
+       {DiskPressurePolicy::kFailFast, DiskPressurePolicy::kDegrade}) {
+    ServiceRequest request;
+    request.dataset = "bsbm";
+    request.query = *query;
+    request.options.kind = EngineKind::kNtgaEager;
+    request.options.disk_pressure = policy;
+    ServiceResponse response = service.Query(request);
+    ASSERT_TRUE(response.ok()) << response.status.ToString();
+
+    auto dfs = MakeDfsWithBase(triples, config.cluster);
+    ASSERT_NE(dfs, nullptr);
+    ExecRequest exec_request;
+    exec_request.query = *query;
+    auto direct = Exec(dfs.get(), "base", exec_request, request.options);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ExpectSameStats(response.stats, direct->stats);
+    EXPECT_EQ(response.stats.status.ToString(),
+              direct->stats.status.ToString());
+    EXPECT_EQ(response.stats.preflight, direct->stats.preflight);
+    EXPECT_EQ(response.stats.degraded_from, direct->stats.degraded_from);
+    EXPECT_EQ(response.answer_set(), direct->answers);
+    if (policy == DiskPressurePolicy::kFailFast) {
+      EXPECT_TRUE(response.stats.status.IsResourceExhausted())
+          << response.stats.status.ToString();
+      EXPECT_EQ(response.stats.mr_cycles, 0u);
+    } else {
+      EXPECT_TRUE(response.stats.ok()) << response.stats.status.ToString();
+      EXPECT_EQ(response.stats.degraded_from, "EagerUnnest");
+    }
+    EXPECT_FALSE(response.stats.preflight.empty());
+  }
+}
+
 // ---- Cache behavior --------------------------------------------------------
 
-TEST(ServiceCacheTest, PlanAndResultCacheHitsObservable) {
+TEST(ServiceCacheTest, ResultCacheHitsObservable) {
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   auto service = MakeService();
   ASSERT_TRUE(service->LoadDataset("bsbm", triples).ok());
@@ -596,19 +645,17 @@ TEST(ServiceCacheTest, PlanAndResultCacheHitsObservable) {
 
   ServiceResponse cold = service->Query(request);
   ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold.plan_cache_hit);
   EXPECT_FALSE(cold.result_cache_hit);
 
-  // A result-cache hit short-circuits plan lookup, so observe the plan
-  // cache by bypassing the result cache.
+  // Bypassing the result cache runs the query afresh, with the same
+  // answers and stats.
   ServiceRequest no_results = request;
   no_results.use_result_cache = false;
-  ServiceResponse replan = service->Query(no_results);
-  ASSERT_TRUE(replan.ok());
-  EXPECT_TRUE(replan.plan_cache_hit);
-  EXPECT_FALSE(replan.result_cache_hit);
-  EXPECT_EQ(replan.answer_set(), cold.answer_set());
-  ExpectSameStats(replan.stats, cold.stats);
+  ServiceResponse rerun = service->Query(no_results);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_FALSE(rerun.result_cache_hit);
+  EXPECT_EQ(rerun.answer_set(), cold.answer_set());
+  ExpectSameStats(rerun.stats, cold.stats);
 
   ServiceResponse warm = service->Query(request);
   ASSERT_TRUE(warm.ok());
@@ -616,7 +663,7 @@ TEST(ServiceCacheTest, PlanAndResultCacheHitsObservable) {
   EXPECT_EQ(warm.answer_set(), cold.answer_set());
   ExpectSameStats(warm.stats, cold.stats);
 
-  // A renamed but structurally identical query shares both caches; its
+  // A renamed but structurally identical query shares the cache entry; its
   // stats still carry the request's own name.
   auto renamed = std::make_shared<GraphPatternQuery>(
       *GraphPatternQuery::Create("other-name", (*query)->patterns()));
@@ -629,9 +676,9 @@ TEST(ServiceCacheTest, PlanAndResultCacheHitsObservable) {
   EXPECT_EQ(aliased.stats.query, "other-name");
 
   ServiceStatsSnapshot stats = service->Stats();
-  EXPECT_GT(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(stats.plan_cache_lookups, 0u);
   EXPECT_GT(stats.result_cache_hits, 0u);
-  EXPECT_GT(stats.plan_cache_entries, 0u);
   EXPECT_GT(stats.result_cache_entries, 0u);
   EXPECT_GT(stats.result_cache_bytes, 0u);
   EXPECT_EQ(stats.served, 4u);
@@ -660,7 +707,6 @@ TEST(ServiceCacheTest, ReloadBumpsEpochAndInvalidates) {
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second.epoch, first.epoch);
   EXPECT_FALSE(second.result_cache_hit);
-  EXPECT_FALSE(second.plan_cache_hit);
   EXPECT_EQ(second.answer_set().size(), 4u);
 
   // Dropping purges eagerly; the dataset is gone for new requests.
@@ -938,9 +984,7 @@ TEST(ServiceStatsTest, SnapshotJsonParses) {
   EXPECT_EQ(json->Get("result_cache").GetUint("hits"), 1u);
   EXPECT_EQ(json->Get("result_cache").GetUint("misses"), 1u);
   EXPECT_EQ(json->Get("result_cache").GetUint("lookups"), 2u);
-  EXPECT_EQ(json->Get("plan_cache").GetUint("lookups"),
-            json->Get("plan_cache").GetUint("hits") +
-                json->Get("plan_cache").GetUint("misses"));
+  EXPECT_FALSE(json->Has("plan_cache"));
   EXPECT_GE(json->GetUint("cache_shards"), 8u);
   EXPECT_EQ(json->Get("exec_micros").GetUint("count"), 2u);
   EXPECT_TRUE(json->Has("queue_wait_micros"));
@@ -970,6 +1014,23 @@ TEST(ProtocolTest, MalformedLinesYieldErrorResponses) {
       HandleRequestLine(service.get(), R"({"verb":"shutdown"})");
   EXPECT_TRUE(shutdown.response.GetBool("ok"));
   EXPECT_TRUE(shutdown.shutdown);
+}
+
+// Wire v1 keeps its plan-cache members: "no_plan_cache" is accepted and
+// ignored, and "plan_cache_hit" is always false.
+TEST(ProtocolTest, PlanCacheMembersStayWireCompatible) {
+  auto service = MakeService();
+  ASSERT_TRUE(service->LoadDataset("d", TinyTriples()).ok());
+  for (int round = 0; round < 2; ++round) {
+    HandleResult query = HandleRequestLine(
+        service.get(),
+        R"({"verb":"query","dataset":"d","engine":"lazy",)"
+        R"("sparql":"SELECT * WHERE { ?s ?p ?o . }",)"
+        R"("no_plan_cache":true,"no_result_cache":true})");
+    ASSERT_TRUE(query.response.GetBool("ok")) << query.response.Dump();
+    ASSERT_TRUE(query.response.Has("plan_cache_hit"));
+    EXPECT_FALSE(query.response.GetBool("plan_cache_hit"));
+  }
 }
 
 TEST(ProtocolTest, ExplainVerbReturnsScoredCandidates) {

@@ -4,6 +4,8 @@
 #ifndef RDFMR_TESTS_TEST_UTIL_H_
 #define RDFMR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +16,9 @@
 #include "datagen/dbpedia.h"
 #include "datagen/testbed.h"
 #include "dfs/sim_dfs.h"
+#include "engine/advisor.h"
 #include "engine/engine.h"
+#include "rdf/graph_stats.h"
 #include "rdf/triple.h"
 
 namespace rdfmr {
@@ -78,6 +82,34 @@ inline std::unique_ptr<SimDfs> MakeDfsWithBase(
   Status st = dfs->WriteFile("base", SerializeTriples(triples));
   if (!st.ok()) return nullptr;
   return dfs;
+}
+
+/// A cluster whose capacity sits strictly between the advisor's lazy and
+/// eager projected peaks for `query` (for B3, a double unbound star, the
+/// eager footprint dwarfs the lazy one), so the disk-pressure preflight
+/// refuses Eager and kDegrade has somewhere to go.
+inline ClusterConfig PressuredCluster(const std::vector<Triple>& triples,
+                                      const GraphPatternQuery& query) {
+  ClusterConfig cluster = RoomyCluster();
+  // RoomyCluster's 4 MB blocks would put the whole base file in one block,
+  // which no single node of the shrunken cluster could hold; small blocks
+  // let placement spread the data evenly.
+  cluster.block_size = 1024;
+  GraphStats stats = GraphStats::Compute(triples);
+  StrategyAdvice advice = AdviseStrategy(query, stats, cluster);
+  uint64_t used = 0;
+  for (const std::string& line : SerializeTriples(triples)) {
+    used += line.size() + 1;
+  }
+  used *= cluster.replication;
+  FootprintProjection lazy =
+      ProjectFootprint(advice, "lazy", used, cluster);
+  FootprintProjection eager =
+      ProjectFootprint(advice, "eager", used, cluster);
+  EXPECT_LT(lazy.peak_bytes, eager.peak_bytes);
+  const uint64_t capacity = (lazy.peak_bytes + eager.peak_bytes) / 2;
+  cluster.disk_per_node = capacity / cluster.num_nodes + 1;
+  return cluster;
 }
 
 /// All engine kinds under test.

@@ -42,9 +42,8 @@
 //               [--socket PATH] [--max-connections C] [--idle-timeout-ms I]
 //               [--nodes N] [--disk-mb M] [--repl R] [--threads T]
 //               [--max-concurrent C] [--queue-bound Q]
-//               [--result-cache-mb M] [--plan-cache-entries P]
-//               [--deadline-ms D] [--dataset NAME --data FILE]
-//               [--materialize]
+//               [--result-cache-mb M] [--deadline-ms D]
+//               [--dataset NAME --data FILE] [--materialize]
 //       Run the long-lived query service, speaking newline-delimited
 //       JSON with request pipelining (see src/service/protocol.h and
 //       docs/PROTOCOL.md). --listen repeats to serve AF_UNIX and TCP
@@ -623,7 +622,6 @@ int CmdServe(const Flags& flags) {
   config.queue_bound =
       static_cast<uint32_t>(flags.GetInt("queue-bound", 64));
   config.result_cache_bytes = flags.GetInt("result-cache-mb", 16) << 20;
-  config.plan_cache_entries = flags.GetInt("plan-cache-entries", 128);
   config.default_deadline_ms = flags.GetInt("deadline-ms", 0);
 
   service::QueryService query_service(config);
@@ -764,8 +762,8 @@ const std::map<std::string, std::vector<const char*>>& SubcommandFlags() {
           {"serve",
            {"socket", "listen", "max-connections", "idle-timeout-ms",
             "nodes", "disk-mb", "repl", "threads", "max-concurrent",
-            "queue-bound", "result-cache-mb", "plan-cache-entries",
-            "deadline-ms", "dataset", "data", "materialize"}},
+            "queue-bound", "result-cache-mb", "deadline-ms", "dataset",
+            "data", "materialize"}},
           {"client",
            {"socket", "connect", "connect-retries", "pipeline", "request"}},
       };

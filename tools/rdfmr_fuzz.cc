@@ -409,13 +409,12 @@ int RunFormatMode(const fuzz::FuzzOptions& options, std::ostream* log) {
       break;
     }
     auto run = [&](SimDfs* dfs) {
-      return fuzz_case.aggregate.has_value()
-                 ? RunAggregateQuery(dfs, "base", query,
-                                     *fuzz_case.aggregate, engine_options)
-                 : RunQuery(dfs, "base", query, engine_options);
+      return Exec(dfs, "base",
+                  ExecRequest::Single(query, fuzz_case.aggregate),
+                  engine_options);
     };
-    Result<Execution> decoded_exec = run(&decoded_dfs);
-    Result<Execution> mapped_exec = run(&mapped_dfs);
+    Result<ExecResult> decoded_exec = run(&decoded_dfs);
+    Result<ExecResult> mapped_exec = run(&mapped_dfs);
     if (!decoded_exec.ok() || !decoded_exec->stats.ok()) {
       fail(index, tag + "decoded-path run failed: " +
                       (decoded_exec.ok()
