@@ -61,8 +61,7 @@ int main() {
   cluster.num_reducers = 10;
   cluster.disk_per_node = 256 << 20;
   StrategyAdvice advice = AdviseStrategy(*query, stats, cluster);
-  std::printf("\nadvisor: %s (phi_m=%u)\n  %s\n",
-              NtgaStrategyToString(advice.strategy), advice.phi_partitions,
+  std::printf("\nadvisor: phi_m=%u\n  %s\n", advice.phi_partitions,
               advice.rationale.c_str());
 
   // --- 3. Run it as advised.

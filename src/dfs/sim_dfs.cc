@@ -153,9 +153,6 @@ Status SimDfs::MountMapped(const std::string& path,
 Status SimDfs::CreateEntryLocked(const std::string& path, uint64_t bytes,
                                  std::vector<std::string> lines,
                                  std::shared_ptr<const LineSource> source) {
-  if (write_failure_countdown_ > 0 && --write_failure_countdown_ == 0) {
-    return Status::IoError("injected write failure: " + path);
-  }
   if (FaultsActiveLocked()) {
     RDFMR_RETURN_NOT_OK(MaybeInjectFaultLocked(/*is_read=*/false, path));
   }

@@ -170,15 +170,6 @@ class SimDfs {
     metrics_ = DfsMetrics{};
   }
 
-  /// \brief Fault injection: the `countdown`-th subsequent WriteFile call
-  /// (1 = the very next one) fails with kIoError before any placement, as
-  /// a crashed datanode would. 0 disarms. Used to test that workflows and
-  /// engines fail cleanly at arbitrary points.
-  void InjectWriteFailureAfter(uint32_t countdown) {
-    std::lock_guard<std::mutex> lock(mu_);
-    write_failure_countdown_ = countdown;
-  }
-
   /// \brief Installs a seeded fault plan and resets fault state: op
   /// ordinals restart at 1, the probabilistic stream is reseeded from
   /// `plan.seed`, and every node is revived / marked not-full. Fails with
@@ -287,7 +278,6 @@ class SimDfs {
   std::map<std::string, FileEntry> files_;
   std::vector<uint64_t> node_used_;
   mutable DfsMetrics metrics_;
-  uint32_t write_failure_countdown_ = 0;
 
   // Fault-plan state. Counters/rng are mutable: ReadFile is const but
   // consumes plan ordinals and probabilistic draws.

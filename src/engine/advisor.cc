@@ -4,17 +4,11 @@
 #include <cmath>
 
 #include "common/strings.h"
+#include "ntga/logical_plan.h"
 
 namespace rdfmr {
 
 namespace {
-
-// Rough serialized size of one term (identifier or literal).
-constexpr double kAvgTermBytes = 12.0;
-// Serialized size of one (s, p, o) column group in a flat tuple.
-constexpr double kTripleBytes = 3 * kAvgTermBytes + 3;
-// Serialized size of one nested (property, object) pair.
-constexpr double kPairBytes = 2 * kAvgTermBytes + 2;
 
 // Object-constraint selectivity for one pattern.
 double ObjectSelectivity(const TriplePattern& tp, const GraphStats& stats) {
@@ -55,10 +49,7 @@ StarEstimate EstimateStar(const StarPattern& star, const GraphStats& stats) {
       if (tp.object.partially_bound()) {
         with_filter *= kContainsFilterSelectivity;
       } else if (tp.object.is_constant()) {
-        // Class-membership style lookup: a uniform prior over the
-        // property's value domain, approximated by a fixed fraction of its
-        // carriers.
-        with_filter *= 0.25;
+        with_filter *= kConstantObjectSelectivity;
       }
       subjects = std::min(subjects, with_filter);
     }
@@ -108,12 +99,12 @@ StrategyAdvice AdviseStrategy(const GraphPatternQuery& query,
     double flat = est.qualifying_subjects * est.combos_per_subject *
                   arity * kTripleBytes;
     double nested = est.qualifying_subjects *
-                    (kAvgTermBytes + est.nested_pairs * kPairBytes);
+                    (kTermBytes + est.nested_pairs * kPairBytes);
     // Eager keeps bound components nested but materializes one group per
     // unbound combination.
     double eager_star =
         est.qualifying_subjects * est.unbound_combos *
-        (kAvgTermBytes + (est.nested_pairs / std::max(1.0, arity)) *
+        (kTermBytes + (est.nested_pairs / std::max(1.0, arity)) *
                              kPairBytes +
          kPairBytes);
     relational += flat;
@@ -128,10 +119,6 @@ StrategyAdvice AdviseStrategy(const GraphPatternQuery& query,
   advice.predicted_redundancy =
       flat_total > 0.0 ? std::max(0.0, 1.0 - nested_total / flat_total)
                        : 0.0;
-
-  // Strategy choice: the rewrite rules already pick full-vs-partial per
-  // join (rule R5); the advisor's job is eager-vs-lazy and φ_m.
-  advice.strategy = NtgaStrategy::kLazyAuto;
 
   // φ_m (paper Section 4.1): input size over reducer capacity, scaled by
   // the redundancy to be eliminated.
@@ -170,23 +157,15 @@ StrategyAdvice AdviseStrategy(const GraphPatternQuery& query,
   return advice;
 }
 
-FootprintProjection ProjectFootprint(const StrategyAdvice& advice,
-                                     const std::string& family,
-                                     uint64_t used_bytes,
+FootprintProjection ProjectFootprint(double star_bytes, uint64_t used_bytes,
                                      const ClusterConfig& cluster) {
-  double star = advice.lazy_star_bytes;
-  if (family == "relational") {
-    star = advice.relational_star_bytes;
-  } else if (family == "eager") {
-    star = advice.eager_star_bytes;
-  }
   FootprintProjection projection;
-  projection.star_bytes = static_cast<uint64_t>(std::max(0.0, star));
+  projection.star_bytes = static_cast<uint64_t>(std::max(0.0, star_bytes));
   // Intermediates are replicated like any other HDFS file and accumulate
   // until the workflow finishes (fault-tolerance materialization).
-  double peak =
-      static_cast<double>(used_bytes) +
-      star * kPeakGrowthFactor * static_cast<double>(cluster.replication);
+  double peak = static_cast<double>(used_bytes) +
+                star_bytes * kPeakGrowthFactor *
+                    static_cast<double>(cluster.replication);
   projection.peak_bytes = static_cast<uint64_t>(std::max(0.0, peak));
   projection.capacity_bytes = cluster.TotalCapacity();
   projection.fits = projection.peak_bytes <= projection.capacity_bytes;

@@ -9,11 +9,8 @@
 #include <unordered_set>
 
 #include "common/strings.h"
-#include "engine/advisor.h"
 #include "engine/plan_chooser.h"
 #include "ntga/ntga_compiler.h"
-#include "rdf/graph_stats.h"
-#include "rdf/triple.h"
 
 namespace rdfmr {
 
@@ -360,137 +357,78 @@ Status CheckBasePath(const std::string& base_path) {
   return Status::OK();
 }
 
-// ---- disk-pressure preflight ---------------------------------------------
+// ---- disk-pressure policy ---------------------------------------------------
 
-struct PreflightOutcome {
-  EngineOptions options;      ///< possibly degraded engine options
-  std::string degraded_from;  ///< original engine name when degraded
-  std::string note;           ///< decision rationale for ExecStats
-  Status refusal;             ///< non-OK => fail fast without running
-};
-
-// Computes the base relation's statistics by scanning it, with faults
-// suspended — planning reads must not consume the fault plan's
-// deterministic op sequence. The scan goes through the same handle the
-// map phase uses: on a mounted (.rdx-mapped) base this decodes one record
-// at a time into a scratch buffer instead of materializing the whole line
-// vector.
-Result<GraphStats> ComputeBaseStats(SimDfs* dfs,
-                                    const std::string& base_path) {
-  SimDfs::ScopedFaultSuspension suspend_faults(dfs);
-  RDFMR_ASSIGN_OR_RETURN(SimDfs::ScanHandle scan, dfs->OpenScan(base_path));
-  std::vector<Triple> triples;
-  triples.reserve(scan.line_count());
-  std::string scratch;
-  for (uint64_t i = 0; i < scan.line_count(); ++i) {
-    RDFMR_ASSIGN_OR_RETURN(Triple triple,
-                           Triple::Deserialize(scan.LineRef(i, &scratch)));
-    triples.push_back(std::move(triple));
+// The chooser's row for `kind`; null if the table has none.
+const PlanCandidate* RowFor(const PlanChoice& choice, EngineKind kind) {
+  for (const PlanCandidate& candidate : choice.candidates) {
+    if (candidate.kind == kind) return &candidate;
   }
-  return GraphStats::Compute(triples);
+  return nullptr;
 }
 
-// Projects the query's intermediate footprint from graph statistics and
-// decides: proceed, degrade Eager→Lazy, or refuse with ResourceExhausted.
-Result<PreflightOutcome> DiskPressurePreflight(
-    SimDfs* dfs, const std::string& base_path,
-    const GraphPatternQuery& query, const EngineOptions& options) {
-  PreflightOutcome out;
-  out.options = options;
-  RDFMR_ASSIGN_OR_RETURN(const GraphStats graph_stats,
-                         ComputeBaseStats(dfs, base_path));
-  SimDfs::ScopedFaultSuspension suspend_faults(dfs);
-  const StrategyAdvice advice =
-      AdviseStrategy(query, graph_stats, dfs->config());
-  const uint64_t used = dfs->UsedBytes();
-  FootprintProjection projection = ProjectFootprint(
-      advice, FootprintFamily(options.kind), used, dfs->config());
-  if (projection.fits) {
-    out.note = StringFormat(
-        "preflight: projected peak %s fits capacity %s",
-        HumanBytes(projection.peak_bytes).c_str(),
-        HumanBytes(projection.capacity_bytes).c_str());
-    return out;
+// The disk-pressure policy's reading of the chooser's row for the engine
+// that will run: proceed when the projection fits; under kDegrade switch an
+// Eager run to LazyUnnest when that row fits; otherwise refuse without
+// burning a cycle. Fills stats->preflight, stats->degraded_from and, for a
+// refusal, the measured failure the run records.
+//
+// Eager is the only strategy with a cheaper sibling that answers the same
+// query with the same engine family: partial/lazy β-unnest. The relational
+// engines have no such fallback (switching them to NTGA would change the
+// system under test), and an over-capacity lazy projection has nowhere
+// left to go.
+void ReadDiskPressure(const PlanChoice& choice, const PlanCandidate& row,
+                      const std::string& refused_name,
+                      uint64_t capacity_bytes, EngineOptions* options,
+                      ExecStats* stats) {
+  const std::string peak = HumanBytes(row.peak_bytes);
+  const std::string capacity = HumanBytes(capacity_bytes);
+  if (row.fits) {
+    stats->preflight = StringFormat("preflight: projected peak %s fits "
+                                    "capacity %s",
+                                    peak.c_str(), capacity.c_str());
+    return;
   }
-  // Eager is the only strategy with a cheaper sibling that answers the
-  // same query with the same engine family: partial/lazy β-unnest. The
-  // relational engines have no such fallback (switching them to NTGA would
-  // change the system under test), and an over-capacity lazy projection
-  // has nowhere left to go.
-  if (options.disk_pressure == DiskPressurePolicy::kDegrade &&
-      options.kind == EngineKind::kNtgaEager) {
-    FootprintProjection lazy =
-        ProjectFootprint(advice, "lazy", used, dfs->config());
-    if (lazy.fits) {
-      out.degraded_from = EngineKindToString(options.kind);
-      out.options.kind = EngineKind::kNtgaLazy;
-      out.note = StringFormat(
-          "preflight: eager projection %s exceeds capacity %s; degraded "
-          "to LazyUnnest (projected peak %s)",
-          HumanBytes(projection.peak_bytes).c_str(),
-          HumanBytes(projection.capacity_bytes).c_str(),
-          HumanBytes(lazy.peak_bytes).c_str());
-      return out;
-    }
+  const PlanCandidate* lazy = RowFor(choice, EngineKind::kNtgaLazy);
+  if (options->disk_pressure == DiskPressurePolicy::kDegrade &&
+      row.kind == EngineKind::kNtgaEager && lazy != nullptr && lazy->fits) {
+    stats->degraded_from = EngineKindToString(row.kind);
+    options->kind = EngineKind::kNtgaLazy;
+    stats->preflight = StringFormat(
+        "preflight: eager projection %s exceeds capacity %s; degraded "
+        "to LazyUnnest (projected peak %s)",
+        peak.c_str(), capacity.c_str(),
+        HumanBytes(lazy->peak_bytes).c_str());
+    return;
   }
-  out.note = StringFormat(
+  // The run never launches, so it burns zero MR cycles — unlike the
+  // paper's mid-workflow deaths, which waste hours before the 'X'.
+  stats->preflight = StringFormat(
       "preflight: projected peak %s exceeds capacity %s; refusing to "
       "launch",
-      HumanBytes(projection.peak_bytes).c_str(),
-      HumanBytes(projection.capacity_bytes).c_str());
-  out.refusal = Status::ResourceExhausted(
-      StringFormat("%s: projected intermediate footprint %s exceeds "
-                   "cluster capacity %s for engine %s",
-                   query.name().c_str(),
-                   HumanBytes(projection.peak_bytes).c_str(),
-                   HumanBytes(projection.capacity_bytes).c_str(),
-                   EngineKindToString(options.kind)));
-  return out;
+      peak.c_str(), capacity.c_str());
+  stats->status = Status::ResourceExhausted(StringFormat(
+      "%s: projected intermediate footprint %s exceeds cluster capacity "
+      "%s for engine %s",
+      refused_name.c_str(), peak.c_str(), capacity.c_str(),
+      EngineKindToString(row.kind)));
+  stats->failed_job_index = 0;
+  stats->planned_cycles = row.planned_cycles;
 }
 
-// Builds the measured failure recorded for a preflight refusal: the run
-// never launched, so it burned zero MR cycles — unlike the paper's
-// mid-workflow deaths, which waste hours before the 'X'.
-ExecStats RefusedStats(const PreflightOutcome& outcome,
-                       const EngineOptions& options,
-                       const std::string& query_name,
-                       size_t planned_cycles) {
-  ExecStats stats;
-  stats.engine = EngineKindToString(options.kind);
-  stats.query = query_name;
-  stats.status = outcome.refusal;
-  stats.failed_job_index = 0;
-  stats.planned_cycles = planned_cycles;
-  stats.preflight = outcome.note;
-  return stats;
-}
-
-
-// One query: preflight, compile under the run's prefix, execute; reads
-// back both redundancy factors and the decoded answers.
+// One query: compile under the run's prefix, execute; reads back both
+// redundancy factors and the decoded answers.
 Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
                              std::shared_ptr<const GraphPatternQuery> query,
                              const std::optional<AggregateSpec>& aggregate,
+                             const std::string& tmp_prefix,
+                             const std::string& query_name,
                              const EngineOptions& options, RunContext ctx) {
-  const std::string query_name =
-      aggregate.has_value() ? query->name() + "+count" : query->name();
-  EngineOptions effective = options;
-  PreflightOutcome preflight;
-  if (options.disk_pressure != DiskPressurePolicy::kNone) {
-    RDFMR_ASSIGN_OR_RETURN(
-        preflight, DiskPressurePreflight(dfs, base_path, *query, options));
-    effective = preflight.options;
-  }
-  const std::string tmp_prefix = NextTmpPrefix();
   RDFMR_ASSIGN_OR_RETURN(
       CompiledPlan plan,
-      CompileQueryPlan(query, base_path, aggregate, tmp_prefix, effective));
+      CompileQueryPlan(query, base_path, aggregate, tmp_prefix, options));
   ExecResult exec;
-  if (!preflight.refusal.ok()) {
-    exec.stats = RefusedStats(preflight, options, query_name,
-                              plan.workflow.jobs.size());
-    return exec;
-  }
   const std::string final_path = plan.workflow.final_output_path;
   auto read_back = [&](ExecStats* stats) -> Status {
     // Redundancy factor over the star-join phase outputs, read in place.
@@ -514,7 +452,7 @@ Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
     if (lines.ok()) {
       stats->final_redundancy_factor = ComputeRedundancyFactor(**lines);
     }
-    if (!effective.decode_answers) return Status::OK();
+    if (!options.decode_answers) return Status::OK();
     RDFMR_RETURN_NOT_OK(lines.status());
     RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(**lines));
     return Status::OK();
@@ -522,10 +460,8 @@ Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
   RDFMR_ASSIGN_OR_RETURN(
       exec.stats,
       RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
-              {final_path}, tmp_prefix, query_name, effective, ctx,
+              {final_path}, tmp_prefix, query_name, options, ctx,
               read_back));
-  exec.stats.degraded_from = preflight.degraded_from;
-  exec.stats.preflight = preflight.note;
   return exec;
 }
 
@@ -534,8 +470,8 @@ Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
 Result<ExecResult> RunBatch(
     SimDfs* dfs, const std::string& base_path,
     const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
+    const std::string& tmp_prefix, const std::string& query_name,
     const EngineOptions& options, RunContext ctx) {
-  const std::string tmp_prefix = NextTmpPrefix();
   RDFMR_ASSIGN_OR_RETURN(
       NtgaBatchPlan plan,
       CompileBatchPlan(queries, base_path, tmp_prefix, options));
@@ -555,10 +491,23 @@ Result<ExecResult> RunBatch(
   RDFMR_ASSIGN_OR_RETURN(
       exec.stats,
       RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
-              plan.final_output_paths, tmp_prefix,
-              StringFormat("batch-of-%zu", queries.size()), options, ctx,
+              plan.final_output_paths, tmp_prefix, query_name, options, ctx,
               read_back));
   return exec;
+}
+
+// The name a run of `request` records in ExecStats.query.
+std::string RunName(const ExecRequest& request) {
+  switch (request.payload) {
+    case ExecPayload::kSingle:
+      return request.aggregate.has_value() ? request.query->name() + "+count"
+                                           : request.query->name();
+    case ExecPayload::kBatch:
+      return StringFormat("batch-of-%zu", request.queries.size());
+    case ExecPayload::kUnion:
+      return StringFormat("union-of-%zu", request.queries.size());
+  }
+  return "";
 }
 
 Status CheckExecRequest(const ExecRequest& request) {
@@ -645,52 +594,71 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
     return Status::NotFound("base triple relation missing: " + base_path);
   }
 
-  // kAuto: resolve to a concrete engine before compilation. Everything
-  // downstream (including ExecStats.engine) sees the chosen kind, so an
-  // auto run is byte-identical to running the chosen engine explicitly.
+  // Selection: kAuto takes the chooser's pick, and a disk-pressure policy
+  // reads the row of the engine that will run. Everything downstream
+  // (including ExecStats.engine) sees the selected kind, so an auto or
+  // degraded run is byte-identical to running that engine explicitly.
+  const std::string run_name = RunName(request);
   EngineOptions effective = options;
-  PlanChoice choice;
-  bool chose = false;
-  if (options.kind == EngineKind::kAuto) {
-    std::shared_ptr<const GraphStats> stats = request.stats;
-    if (stats == nullptr) {
-      RDFMR_ASSIGN_OR_RETURN(GraphStats computed,
-                             ComputeBaseStats(dfs, base_path));
-      stats = std::make_shared<const GraphStats>(std::move(computed));
+  ExecStats selection;  // the chooser's and the policy's annotations
+  if (options.kind == EngineKind::kAuto ||
+      options.disk_pressure != DiskPressurePolicy::kNone) {
+    Result<PlanChoice> choice =
+        ChoosePlanOnDfs(dfs, base_path, request, options);
+    // ChoosePlan fails with InvalidArgument only when no candidate
+    // compiles; an explicit engine then fails to compile below with its
+    // own error.
+    if (!choice.ok() && (options.kind == EngineKind::kAuto ||
+                         !choice.status().IsInvalidArgument())) {
+      return choice.status();
     }
-    // Sizing reads are planning, not engine work — keep them off the
-    // fault plan's deterministic op sequence.
-    SimDfs::ScopedFaultSuspension suspend_faults(dfs);
-    Result<uint64_t> base_size = dfs->FileSize(base_path);
-    RDFMR_ASSIGN_OR_RETURN(
-        choice, ChoosePlan(request, *stats, base_size.ok() ? *base_size : 0,
-                           dfs->UsedBytes(), dfs->config(), options));
-    effective.kind = choice.kind;
-    chose = true;
+    if (options.kind == EngineKind::kAuto) effective.kind = choice->kind;
+    const PlanCandidate* row =
+        choice.ok() ? RowFor(*choice, effective.kind) : nullptr;
+    if (options.disk_pressure != DiskPressurePolicy::kNone &&
+        row != nullptr && row->feasible) {
+      const std::string refused_name =
+          request.payload == ExecPayload::kSingle ? request.query->name()
+                                                  : run_name;
+      ReadDiskPressure(*choice, *row, refused_name,
+                       dfs->config().TotalCapacity(), &effective,
+                       &selection);
+    }
+    if (options.kind == EngineKind::kAuto) {
+      selection.chosen_engine = EngineKindToString(choice->kind);
+      selection.plan_candidates = std::move(choice->candidates);
+      selection.plan_rationale = std::move(choice->rationale);
+    }
   }
 
+  const std::string tmp_prefix = NextTmpPrefix();
   ExecResult result;
+  if (!selection.status.ok()) {
+    result.stats = std::move(selection);
+    result.stats.engine = EngineKindToString(effective.kind);
+    result.stats.query = run_name;
+    return result;
+  }
   if (request.payload == ExecPayload::kSingle) {
-    RDFMR_ASSIGN_OR_RETURN(result,
-                           RunSingle(dfs, base_path, request.query,
-                                     request.aggregate, effective, ctx));
+    RDFMR_ASSIGN_OR_RETURN(
+        result, RunSingle(dfs, base_path, request.query, request.aggregate,
+                          tmp_prefix, run_name, effective, ctx));
   } else {
     RDFMR_ASSIGN_OR_RETURN(
-        result, RunBatch(dfs, base_path, request.queries, effective, ctx));
+        result, RunBatch(dfs, base_path, request.queries, tmp_prefix,
+                         run_name, effective, ctx));
     if (request.payload == ExecPayload::kUnion) {
-      result.stats.query =
-          StringFormat("union-of-%zu", request.queries.size());
       for (SolutionSet& answers : result.per_query) {
         result.answers.insert(answers.begin(), answers.end());
       }
       result.per_query.clear();
     }
   }
-  if (chose) {
-    result.stats.chosen_engine = EngineKindToString(choice.kind);
-    result.stats.plan_candidates = std::move(choice.candidates);
-    result.stats.plan_rationale = std::move(choice.rationale);
-  }
+  result.stats.degraded_from = std::move(selection.degraded_from);
+  result.stats.preflight = std::move(selection.preflight);
+  result.stats.chosen_engine = std::move(selection.chosen_engine);
+  result.stats.plan_candidates = std::move(selection.plan_candidates);
+  result.stats.plan_rationale = std::move(selection.plan_rationale);
   return result;
 }
 

@@ -43,8 +43,9 @@ const char* EngineKindToString(EngineKind kind);
 /// (pig|hive|eager|lazyfull|lazypartial|lazy|auto).
 Result<EngineKind> EngineKindFromString(const std::string& name);
 
-/// \brief What the engine does when the advisor projects that a query's
-/// intermediate footprint will not fit the cluster.
+/// \brief What the engine does when the plan chooser's row for the engine
+/// that will run projects an intermediate footprint that does not fit the
+/// cluster.
 enum class DiskPressurePolicy {
   /// No preflight: run and let the workflow die mid-flight with
   /// kOutOfSpace, exactly the paper's Fig 9(a) failed executions.
@@ -79,8 +80,8 @@ struct EngineOptions {
   /// fault-free runs everywhere else).
   RuntimeOptions runtime;
   /// Disk-pressure preflight policy (see DiskPressurePolicy). Applies to
-  /// the single payload (optionally aggregated), where the advisor's
-  /// projection is available before any job launches.
+  /// every payload: the chooser projects single, batch and union payloads
+  /// alike before any job launches.
   DiskPressurePolicy disk_pressure = DiskPressurePolicy::kNone;
   /// Cost model for the modeled execution time.
   CostModelConfig cost;
@@ -209,11 +210,11 @@ struct ExecRequest {
   std::optional<AggregateSpec> aggregate;
   /// The member queries (kBatch / kUnion). Ignored for kSingle.
   std::vector<std::shared_ptr<const GraphPatternQuery>> queries;
-  /// Optional precomputed statistics catalog for the base relation. Used
-  /// only by EngineKind::kAuto: when set, the plan chooser scores
-  /// candidates against it without touching the DFS; when null, Exec
-  /// computes statistics by scanning the base (with faults suspended,
-  /// like the disk-pressure preflight).
+  /// Optional precomputed statistics catalog for the base relation, read
+  /// by the plan chooser (EngineKind::kAuto and the disk-pressure policy):
+  /// when set, candidates are scored against it without scanning the base;
+  /// when null, the chooser computes statistics by scanning the base (with
+  /// faults suspended).
   std::shared_ptr<const GraphStats> stats;
 
   /// \brief A kSingle request for `query`, optionally aggregated.

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "engine/advisor.h"
 #include "mapreduce/cost_model.h"
+#include "rdf/triple.h"
 
 namespace rdfmr {
 
@@ -17,12 +18,6 @@ namespace {
 // chooser never touches a DFS, it only needs to recognize which compiled
 // inputs scan the base relation.
 constexpr char kChooserBase[] = "auto-chooser/base";
-
-// Byte priors mirroring the advisor's (rough serialized term / pair /
-// column-group sizes).
-constexpr double kTermBytes = 12.0;
-constexpr double kTripleBytes = 3 * kTermBytes + 3;
-constexpr double kPairBytes = 2 * kTermBytes + 2;
 
 // Join and aggregation cycles keep roughly this fraction of their input
 // (equi-joins on star subjects are selective but not degenerate).
@@ -41,6 +36,8 @@ bool IsRelational(EngineKind kind) {
   return kind == EngineKind::kPig || kind == EngineKind::kHive;
 }
 
+// The only map from an engine kind to the advisor's per-strategy star
+// prediction (the footprint filter and the cost model both read it).
 double FamilyStarBytes(const StrategyAdvice& advice, EngineKind kind) {
   if (IsRelational(kind)) return advice.relational_star_bytes;
   if (kind == EngineKind::kNtgaEager) return advice.eager_star_bytes;
@@ -65,7 +62,7 @@ double MatchedTripleBytes(const GraphPatternQuery& query,
         matched = static_cast<double>(stats.triple_count()) * kTripleBytes;
       }
       if (tp.object.is_constant()) {
-        matched *= 0.25;
+        matched *= kConstantObjectSelectivity;
       } else if (tp.object.partially_bound()) {
         matched *= kContainsFilterSelectivity;
       }
@@ -78,7 +75,7 @@ double MatchedTripleBytes(const GraphPatternQuery& query,
 // Everything the per-candidate scoring needs, precomputed once per
 // request (candidate-independent).
 struct RequestModel {
-  StrategyAdvice summed;  ///< per-family star bytes, summed over queries
+  StrategyAdvice summed;  ///< per-strategy star bytes, summed over queries
   double matched_bytes = 0.0;
   double flat_growth = 1.0;  ///< flat/nested ratio: full-unnest expansion
   bool partial_join = false;
@@ -95,8 +92,6 @@ ModelRequest(const std::vector<std::shared_ptr<const GraphPatternQuery>>&
     model.summed.relational_star_bytes += advice.relational_star_bytes;
     model.summed.eager_star_bytes += advice.eager_star_bytes;
     model.summed.lazy_star_bytes += advice.lazy_star_bytes;
-    model.summed.phi_partitions =
-        std::max(model.summed.phi_partitions, advice.phi_partitions);
     model.matched_bytes += MatchedTripleBytes(*query, stats);
     if (advice.phi_partitions > 1) model.partial_join = true;
   }
@@ -236,13 +231,25 @@ double ScoreCandidate(const CandidatePlan& plan, EngineKind kind,
   return total_seconds;
 }
 
-}  // namespace
-
-const char* FootprintFamily(EngineKind kind) {
-  if (IsRelational(kind)) return "relational";
-  if (kind == EngineKind::kNtgaEager) return "eager";
-  return "lazy";
+// Computes the base relation's statistics by scanning it. The scan goes
+// through the same handle the map phase uses: on a mounted (.rdx-mapped)
+// base this decodes one record at a time into a scratch buffer instead of
+// materializing the whole line vector.
+Result<GraphStats> ComputeBaseStats(const SimDfs& dfs,
+                                    const std::string& base_path) {
+  RDFMR_ASSIGN_OR_RETURN(SimDfs::ScanHandle scan, dfs.OpenScan(base_path));
+  std::vector<Triple> triples;
+  triples.reserve(scan.line_count());
+  std::string scratch;
+  for (uint64_t i = 0; i < scan.line_count(); ++i) {
+    RDFMR_ASSIGN_OR_RETURN(Triple triple,
+                           Triple::Deserialize(scan.LineRef(i, &scratch)));
+    triples.push_back(std::move(triple));
+  }
+  return GraphStats::Compute(triples);
 }
+
+}  // namespace
 
 Result<PlanChoice> ChoosePlan(const ExecRequest& request,
                               const GraphStats& stats, uint64_t base_bytes,
@@ -278,9 +285,8 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
     candidate.planned_cycles = plan->workflow.jobs.size();
     candidate.modeled_seconds = ScoreCandidate(
         *plan, kind, model, base_bytes, cluster, options.cost);
-    FootprintProjection projection =
-        ProjectFootprint(model.summed, FootprintFamily(kind), used_bytes,
-                         cluster);
+    FootprintProjection projection = ProjectFootprint(
+        FamilyStarBytes(model.summed, kind), used_bytes, cluster);
     candidate.star_bytes = projection.star_bytes;
     candidate.peak_bytes = projection.peak_bytes;
     candidate.fits = projection.fits;
@@ -336,6 +342,21 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
     candidate.chosen = candidate.kind == choice.kind;
   }
   return choice;
+}
+
+Result<PlanChoice> ChoosePlanOnDfs(SimDfs* dfs, const std::string& base_path,
+                                   const ExecRequest& request,
+                                   const EngineOptions& options) {
+  SimDfs::ScopedFaultSuspension suspend_faults(dfs);
+  std::shared_ptr<const GraphStats> stats = request.stats;
+  if (stats == nullptr) {
+    RDFMR_ASSIGN_OR_RETURN(GraphStats computed,
+                           ComputeBaseStats(*dfs, base_path));
+    stats = std::make_shared<const GraphStats>(std::move(computed));
+  }
+  Result<uint64_t> base_size = dfs->FileSize(base_path);
+  return ChoosePlan(request, *stats, base_size.ok() ? *base_size : 0,
+                    dfs->UsedBytes(), dfs->config(), options);
 }
 
 std::string RenderPlanChoice(const PlanChoice& choice) {

@@ -7,7 +7,9 @@
 // property cardinalities, and the calibrated cost model prices the
 // resulting synthetic job metrics. The modeled-cheapest candidate whose
 // projected footprint fits the cluster wins; a non-fitting plan is never
-// selected while a fitting candidate exists.
+// selected while a fitting candidate exists. The same table is the only
+// place an engine is selected or refused: EngineKind::kAuto takes its pick,
+// and a DiskPressurePolicy reads the row of the engine that will run.
 
 #ifndef RDFMR_ENGINE_PLAN_CHOOSER_H_
 #define RDFMR_ENGINE_PLAN_CHOOSER_H_
@@ -18,6 +20,7 @@
 
 #include "common/result.h"
 #include "dfs/cluster_config.h"
+#include "dfs/sim_dfs.h"
 #include "engine/engine.h"
 #include "rdf/graph_stats.h"
 
@@ -53,11 +56,16 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
                               const ClusterConfig& cluster,
                               const EngineOptions& options);
 
-/// \brief Which of the advisor's per-strategy footprint predictions
-/// applies to `kind` ("relational", "eager" or "lazy"; see
-/// ProjectFootprint). Shared by the chooser's footprint filter and the
-/// disk-pressure preflight.
-const char* FootprintFamily(EngineKind kind);
+/// \brief ChoosePlan for a run of `request` against the base relation at
+/// `base_path` on `dfs`: the statistics catalog is `request.stats` when
+/// set, otherwise one scan of the base; the base size, the DFS usage and
+/// the cluster come from `dfs`. Every read runs with faults suspended —
+/// planning is not engine work. Exec (engine selection and the
+/// disk-pressure policy), the service and `rdfmr run --explain` all read
+/// their candidate table from here.
+Result<PlanChoice> ChoosePlanOnDfs(SimDfs* dfs, const std::string& base_path,
+                                   const ExecRequest& request,
+                                   const EngineOptions& options);
 
 /// \brief Renders a PlanChoice as the human-readable candidate table
 /// printed by `rdfmr run --engine auto --explain`.

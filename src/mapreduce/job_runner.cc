@@ -97,9 +97,9 @@ Result<SimDfs::ScanHandle> OpenScanWithRetry(SimDfs* dfs,
 }
 
 // Writes `path`, re-attempting transient failures. Retry needs the lines
-// kept alive across attempts; that copy is only paid when a fault plan is
-// installed (the legacy one-shot write-failure hook models an
-// unrecoverable crash and is never retried).
+// kept alive across attempts, so every attempt but the last writes a copy.
+// Only a FaultPlan makes a write fail transiently, so without one the
+// lines are written once and never copied.
 Status WriteWithRetry(SimDfs* dfs, const std::string& path,
                       std::vector<std::string> lines, uint64_t op_bytes,
                       uint32_t max_attempts, double backoff_base,
@@ -474,20 +474,6 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
     }
   }
   return run;
-}
-
-Result<JobMetrics> RunJob(SimDfs* dfs, const JobSpec& spec,
-                          ThreadPool* pool, uint32_t max_attempts,
-                          JobMetrics* failed_job_metrics) {
-  JobRunOptions options;
-  options.pool = pool;
-  options.max_attempts = max_attempts;
-  JobRunResult run = RunJob(dfs, spec, options);
-  if (!run.ok()) {
-    if (failed_job_metrics != nullptr) *failed_job_metrics = run.metrics;
-    return std::move(run.status);
-  }
-  return std::move(run.metrics);
 }
 
 void JobMetrics::Accumulate(const JobMetrics& other) {

@@ -31,7 +31,6 @@ struct JobRunOptions {
 /// \brief Outcome of RunJob: status plus metrics that are *always*
 /// populated — complete on success, partial on failure (in particular the
 /// retry accounting of an exhausted op, which workflow totals must keep).
-/// This replaces the former `failed_job_metrics` out-param.
 struct JobRunResult {
   Status status;
   JobMetrics metrics;
@@ -65,19 +64,10 @@ struct JobRunResult {
 /// tasks_retried / wasted_bytes / retry_backoff_seconds and never perturb
 /// any other metric, so a recovered run is byte-identical to a fault-free
 /// run everywhere else. kOutOfSpace and semantic errors are never
-/// retried. Output writes are only re-attempted while a FaultPlan is
-/// installed (the legacy one-shot InjectWriteFailureAfter hook models an
-/// unrecoverable crash).
+/// retried. Output writes are re-attempted only while a FaultPlan is
+/// installed, the only source of transient write failures.
 JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
                     const JobRunOptions& options);
-
-/// \brief Deprecated alias for the pre-RunContext signature; forwards to
-/// the JobRunOptions overload and copies partial metrics into
-/// `failed_job_metrics` on failure. Prefer the overload above.
-Result<JobMetrics> RunJob(SimDfs* dfs, const JobSpec& spec,
-                          ThreadPool* pool = nullptr,
-                          uint32_t max_attempts = 0,
-                          JobMetrics* failed_job_metrics = nullptr);
 
 }  // namespace rdfmr
 

@@ -54,6 +54,15 @@ JoinedTg ReplaceComponent(const JoinedTg& jtg, uint32_t star_id,
 
 // ---- Job 1: TG_GroupBy + TG_(Unb)GrpFilter ---------------------------------
 
+// A grouping-cycle output record: a single-component JoinedTg, the format
+// in which the join mappers and the decoders parse the ec* files. For terms
+// without escapes the bytes equal AnnTg::Serialize().
+std::string EcRecord(AnnTg tg) {
+  JoinedTg record;
+  record.components.push_back(std::move(tg));
+  return record.Serialize();
+}
+
 MapFn MakeGroupMapper(QueryPtr query) {
   return [query](const std::string& record, const MapEmit& emit,
                  Counters* counters) {
@@ -104,11 +113,11 @@ ReduceFn MakeGroupReducer(QueryPtr query, NtgaLogicalPlan plan) {
         (*counters)["eager_unnest_tgs"] += unnested.size();
         (*counters)["op.mu_beta.calls"] += 1;
         (*counters)["op.mu_beta.output_groups"] += unnested.size();
-        for (const AnnTg& out : unnested) emit(out.Serialize());
+        for (AnnTg& out : unnested) emit(EcRecord(std::move(out)));
       } else {
         tg->Compact(star);
         (*counters)["anntgs"] += 1;
-        emit(tg->Serialize());
+        emit(EcRecord(std::move(*tg)));
       }
     }
     if (!matched_any) (*counters)["filtered_groups"] += 1;
@@ -342,11 +351,13 @@ void AppendJoinCycles(QueryPtr query, const NtgaLogicalPlan& plan,
     job.inputs.push_back(
         MapInput{left_path,
                  MakeJoinSideMapper(left_star, left_side, "L",
-                                    cycle.partial, options.phi_partitions)});
+                                    cycle.partial, options.phi_partitions),
+                 /*scan_properties=*/nullptr});
     job.inputs.push_back(
         MapInput{right_path,
                  MakeJoinSideMapper(right_star, right_side, "R",
-                                    cycle.partial, options.phi_partitions)});
+                                    cycle.partial, options.phi_partitions),
+                 /*scan_properties=*/nullptr});
     job.reduce = cycle.partial
                      ? MakePartialJoinReducer(left_star, left_side,
                                               right_star, right_side)
@@ -447,12 +458,10 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
           std::vector<AnnTg> unnested = BetaUnnest(star, *tg);
           (*counters)["op.mu_beta.calls"] += 1;
           (*counters)["op.mu_beta.output_groups"] += unnested.size();
-          for (const AnnTg& out : unnested) {
-            emit(out.Serialize());
-          }
+          for (AnnTg& out : unnested) emit(EcRecord(std::move(out)));
         } else {
           tg->Compact(star);
-          emit(tg->Serialize());
+          emit(EcRecord(std::move(*tg)));
         }
       }
     }

@@ -248,7 +248,8 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
             return;
           }
           if (RelevantToAnyPattern(*query, *t)) emit("", record);
-        }});
+        },
+        /*scan_properties=*/nullptr});
     job.output_path = tmp_prefix + "/compressed";
     plan.workflow.jobs.push_back(std::move(job));
     plan.workflow.intermediate_paths.push_back(tmp_prefix + "/compressed");
@@ -316,8 +317,9 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
             HintForPatterns({query->stars()[rel.star_index].patterns[0]})});
         if (scanning_base) job.full_scans_of_base += 1;
       } else {
-        job.inputs.push_back(MapInput{
-            rel.path, MakeJoinMapper(rel.schema, join.variable, tag)});
+        job.inputs.push_back(
+            MapInput{rel.path, MakeJoinMapper(rel.schema, join.variable, tag),
+                     /*scan_properties=*/nullptr});
       }
     };
     add_side(left, "L");
@@ -398,7 +400,8 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     job2.name = "selsj-join";
     job2.inputs.push_back(
         MapInput{tmp_prefix + "/selsj-first",
-                 MakeJoinMapper(first_schema, join.variable, "L")});
+                 MakeJoinMapper(first_schema, join.variable, "L"),
+                 /*scan_properties=*/nullptr});
     job2.inputs.push_back(MapInput{
         base_path,
         [query, folded](const std::string& record, const MapEmit& emit,

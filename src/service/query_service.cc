@@ -63,11 +63,15 @@ uint64_t EstimateSetCharge(const SolutionSet& set) {
   return bytes;
 }
 
-/// The ExecRequest a ServiceRequest runs as. A batch always runs as
-/// kBatch: the union is a response-time fold over the per-query answers,
-/// so both batch modes share one execution and one result-cache entry.
-ExecRequest ToExecRequest(const ServiceRequest& request) {
+/// The ExecRequest a ServiceRequest runs as on `dataset`, whose catalog
+/// the plan chooser reads instead of rescanning the base. A batch always
+/// runs as kBatch: the union is a response-time fold over the per-query
+/// answers, so both batch modes share one execution and one result-cache
+/// entry.
+ExecRequest ToExecRequest(const ServiceRequest& request,
+                          const DatasetHandle& dataset) {
   ExecRequest exec;
+  exec.stats = dataset.stats();
   if (request.query != nullptr) {
     exec.payload = ExecPayload::kSingle;
     exec.query = request.query;
@@ -476,15 +480,11 @@ ServiceResponse QueryService::Execute(const ServiceRequest& request) {
 
 Result<PlanChoice> QueryService::ChooseForDataset(
     const ServiceRequest& request, const DatasetHandle& dataset) const {
-  std::shared_ptr<const GraphStats> stats = dataset.stats();
-  SimDfs* dfs = dataset.dfs();
-  if (stats == nullptr || dfs == nullptr) {
+  if (dataset.dfs() == nullptr) {
     return Status::Unknown("dataset not loaded: " + dataset.name());
   }
-  auto base_size = dfs->FileSize(DatasetHandle::kBasePath);
-  return ChoosePlan(ToExecRequest(request), *stats,
-                    base_size.ok() ? *base_size : 0, dfs->UsedBytes(),
-                    dfs->config(), request.options);
+  return ChoosePlanOnDfs(dataset.dfs(), DatasetHandle::kBasePath,
+                         ToExecRequest(request, dataset), request.options);
 }
 
 Result<PlanChoice> QueryService::Explain(const ServiceRequest& request) {
@@ -564,7 +564,7 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
 
   // A miss is an Exec call on the dataset's DFS, preflight included.
   auto exec = Exec(dataset.dfs(), DatasetHandle::kBasePath,
-                   ToExecRequest(*effective), effective->options);
+                   ToExecRequest(*effective, dataset), effective->options);
   if (!exec.ok()) {
     response.status = exec.status();
     return response;

@@ -96,7 +96,6 @@ TEST(AdvisorTest, RationaleMentionsTheDecision) {
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   StrategyAdvice advice = AdviceFor("B1", triples);
   EXPECT_NE(advice.rationale.find("TG_OptUnbJoin"), std::string::npos);
-  EXPECT_EQ(advice.strategy, NtgaStrategy::kLazyAuto);
   StrategyAdvice plain = AdviceFor("B0", triples);
   EXPECT_NE(plain.rationale.find("plain lazy"), std::string::npos);
 }

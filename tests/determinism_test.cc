@@ -131,7 +131,8 @@ TEST(JobDeterminismTest, PooledJobMatchesSequentialByteForByte) {
         (*counters)["mapped"] += 1;
         size_t space = record.find(' ');
         emit(record.substr(0, space), record.substr(space + 1));
-      }});
+      },
+      nullptr});
   spec.reduce = [](const std::string& key,
                    const std::vector<std::string>& values,
                    const RecordEmit& emit, Counters* counters) {
@@ -143,11 +144,13 @@ TEST(JobDeterminismTest, PooledJobMatchesSequentialByteForByte) {
   auto run = [&](ThreadPool* pool) {
     SimDfs dfs(config);
     EXPECT_TRUE(dfs.WriteFile("in", input).ok());
-    auto metrics = RunJob(&dfs, spec, pool);
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+    JobRunOptions options;
+    options.pool = pool;
+    JobRunResult job = RunJob(&dfs, spec, options);
+    EXPECT_TRUE(job.ok()) << job.status.ToString();
     auto lines = dfs.ReadFile("out");
     EXPECT_TRUE(lines.ok());
-    return std::make_pair(*metrics, *lines);
+    return std::make_pair(job.metrics, *lines);
   };
 
   auto [seq_metrics, seq_lines] = run(nullptr);
@@ -174,18 +177,19 @@ TEST(MapOnlyMeteringTest, MapOnlyOutputIsNotShuffleVolume) {
   spec.inputs.push_back(MapInput{
       "in", [](const std::string& record, const MapEmit& emit, Counters*) {
         emit("ignored_key", record + "!");
-      }});
+      },
+      nullptr});
   spec.reduce = nullptr;  // map-only
   spec.output_path = "out";
 
-  auto metrics = RunJob(&dfs, spec, nullptr);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_EQ(metrics->map_output_records, 0u);
-  EXPECT_EQ(metrics->map_output_bytes, 0u);
-  EXPECT_EQ(metrics->map_direct_output_records, 3u);
+  JobRunResult run = RunJob(&dfs, spec, {});
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
+  EXPECT_EQ(run.metrics.map_output_records, 0u);
+  EXPECT_EQ(run.metrics.map_output_bytes, 0u);
+  EXPECT_EQ(run.metrics.map_direct_output_records, 3u);
   // Bytes as written: value + '!' + newline = (2+2) + (3+2) + (4+2).
-  EXPECT_EQ(metrics->map_direct_output_bytes, 15u);
-  EXPECT_EQ(metrics->output_records, 3u);
+  EXPECT_EQ(run.metrics.map_direct_output_bytes, 15u);
+  EXPECT_EQ(run.metrics.output_records, 3u);
 }
 
 // Regression (combiner scope): the combiner runs once per block-sized map
@@ -222,7 +226,8 @@ TEST(CombinerScopeTest, CombinerRunsPerBlockTaskNotPerFile) {
   spec.inputs.push_back(MapInput{
       "in", [](const std::string&, const MapEmit& emit, Counters*) {
         emit("k", "v");
-      }});
+      },
+      nullptr});
   spec.combine = [](const std::string&,
                     const std::vector<std::string>& values,
                     Counters* counters) {
@@ -237,13 +242,13 @@ TEST(CombinerScopeTest, CombinerRunsPerBlockTaskNotPerFile) {
   };
   spec.output_path = "out";
 
-  auto metrics = RunJob(&dfs, spec, nullptr);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  JobRunResult run = RunJob(&dfs, spec, {});
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
   // One combined record per block task crosses the shuffle (the seed bug
   // produced exactly 1 for the whole file).
-  EXPECT_EQ(metrics->map_output_records, expected_tasks);
-  EXPECT_EQ(metrics->counters["combine_calls"], expected_tasks);
-  EXPECT_EQ(metrics->counters["combine_input_records"], kLines);
+  EXPECT_EQ(run.metrics.map_output_records, expected_tasks);
+  EXPECT_EQ(run.metrics.counters["combine_calls"], expected_tasks);
+  EXPECT_EQ(run.metrics.counters["combine_input_records"], kLines);
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
   ASSERT_EQ(lines->size(), 1u);
@@ -262,7 +267,8 @@ TEST(WorkflowCleanupTest, FailedWorkflowDeletesDemuxedOutputs) {
     demux_job.inputs.push_back(MapInput{
         "in", [](const std::string& record, const MapEmit& emit, Counters*) {
           emit("unused", record);
-        }});
+        },
+        nullptr});
     demux_job.reduce = nullptr;  // map-only
     demux_job.output_path = "tmp/out";
     demux_job.demux = [](const std::string& record) {
@@ -276,7 +282,7 @@ TEST(WorkflowCleanupTest, FailedWorkflowDeletesDemuxedOutputs) {
     failing_job.name = "fails";
     failing_job.inputs.push_back(MapInput{
         "does_not_exist",
-        [](const std::string&, const MapEmit&, Counters*) {}});
+        [](const std::string&, const MapEmit&, Counters*) {}, nullptr});
     failing_job.reduce = nullptr;
     failing_job.output_path = "final";
     spec.jobs.push_back(std::move(failing_job));

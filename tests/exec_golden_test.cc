@@ -2,7 +2,9 @@
 // × {1, 4} threads on a small BSBM graph and on the same graph with every
 // record separator and a backslash spliced into its terms; then, on the
 // BSBM graph, a batch and a union payload on every NTGA engine and an
-// aggregate (+count) payload on every engine, × {1, 4} threads. Each run
+// aggregate (+count) payload on every engine, × {1, 4} threads; then the
+// disk-pressure rows (B3, B4, B4+count × eager/lazy/pig/auto × both
+// refusing policies × a pressured and a roomy cluster, 1 thread). Each run
 // renders every deterministic ExecStats field (redundancy factors and
 // modeled seconds as exact %a bits, per-job metrics, a digest of the
 // counters) plus the answer count and an ordered FNV digest of the
@@ -16,12 +18,8 @@
 // simulated quantity, replace tests/golden/exec_pin.txt with that file and
 // say so in the change.
 //
-// Known defect, pinned as is: on the separator graph the NTGA engines lose
-// or corrupt answers (e.g. 0 for B0 where Pig/Hive return 846). The grouping cycle
-// writes AnnTg records, but the join mappers and decoders parse them as
-// JoinedTg records, whose extra component-level unescape corrupts records
-// holding a backslash, '\x1E' or a newline. Fixing it changes exactly
-// those rows of the fixture.
+// A second test asserts that on the separator graph every NTGA engine
+// answers exactly what Pig answers (equal answer digests).
 
 #include <gtest/gtest.h>
 
@@ -72,6 +70,16 @@ std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
 }
 
 std::string Hex(double value) { return StringFormat("%a", value); }
+
+// Ordered FNV digest of a payload's Serialize()d answers.
+uint64_t AnswersDigest(const SolutionSet& answers) {
+  std::string text;
+  for (const Solution& solution : answers) {
+    text += solution.Serialize();
+    text.push_back('\n');
+  }
+  return Fnv1a64(text);
+}
 
 uint64_t CountersDigest(const Counters& counters) {
   std::string text;
@@ -186,6 +194,58 @@ std::string RenderPayload(const std::string& graph, const std::string& label,
   return pin;
 }
 
+// B4 with a COUNT cycle: distinct unbound properties per product.
+ExecRequest B4CountRequest() {
+  ExecRequest request;
+  request.query = Query("B4");
+  AggregateSpec spec;
+  spec.group_vars = {"p"};
+  spec.counted_var = "up";
+  spec.count_var = "n";
+  request.aggregate = spec;
+  return request;
+}
+
+// Disk-pressure rows: single payloads under each refusing policy, on a
+// cluster whose capacity sits between B3's lazy and eager projected peaks
+// and on a roomy one, at one thread. They pin the fits, degrade and refuse
+// outcomes (notes included).
+std::string RenderPreflightRows(const std::vector<Triple>& bsbm) {
+  const std::vector<std::pair<std::string, ClusterConfig>> clusters = {
+      {"pressured", testing_util::PressuredCluster(bsbm, *Query("B3"))},
+      {"roomy", testing_util::RoomyCluster()}};
+  std::vector<std::pair<std::string, ExecRequest>> requests = {
+      {"B3", ExecRequest::Single(Query("B3"))},
+      {"B4", ExecRequest::Single(Query("B4"))},
+      {"B4+count", B4CountRequest()}};
+  const std::pair<const char*, DiskPressurePolicy> policies[] = {
+      {"degrade", DiskPressurePolicy::kDegrade},
+      {"fail-fast", DiskPressurePolicy::kFailFast}};
+  std::string pin;
+  for (const auto& [cluster_name, cluster] : clusters) {
+    for (const auto& [label, request] : requests) {
+      for (EngineKind kind : {EngineKind::kNtgaEager, EngineKind::kNtgaLazy,
+                              EngineKind::kPig, EngineKind::kAuto}) {
+        for (const auto& [policy_name, policy] : policies) {
+          auto dfs = testing_util::MakeDfsWithBase(bsbm, cluster);
+          EXPECT_NE(dfs, nullptr);
+          if (dfs == nullptr) continue;
+          EngineOptions options;
+          options.kind = kind;
+          options.disk_pressure = policy;
+          options.runtime.num_threads = 1;
+          auto exec = Exec(dfs.get(), "base", request, options);
+          EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+          if (!exec.ok()) continue;
+          pin += RenderRun(cluster_name, label + "/" + policy_name, kind, 1,
+                           *exec);
+        }
+      }
+    }
+  }
+  return pin;
+}
+
 std::string RenderPin() {
   const std::vector<Triple> bsbm =
       testing_util::SmallDataset(DatasetFamily::kBsbm);
@@ -212,17 +272,9 @@ std::string RenderPin() {
   union_request.queries = {Query("B4"), Query("B5")};
   pin += RenderPayload("bsbm", "union:B4,B5", bsbm, union_request, IsNtga);
 
-  // Distinct unbound properties per product.
-  ExecRequest aggregate;
-  aggregate.query = Query("B4");
-  AggregateSpec spec;
-  spec.group_vars = {"p"};
-  spec.counted_var = "up";
-  spec.count_var = "n";
-  aggregate.aggregate = spec;
-  pin += RenderPayload("bsbm", "B4+count", bsbm, aggregate,
+  pin += RenderPayload("bsbm", "B4+count", bsbm, B4CountRequest(),
                        [](EngineKind) { return true; });
-  return pin;
+  return pin + RenderPreflightRows(bsbm);
 }
 
 TEST(ExecGoldenTest, MatchesRecordedPin) {
@@ -244,6 +296,34 @@ TEST(ExecGoldenTest, MatchesRecordedPin) {
       FAIL() << "pin differs at line " << i + 1 << "\n  expected: " << w
              << "\n  actual:   " << g
              << "\n(full render written to exec_pin.actual.txt)";
+    }
+  }
+}
+
+// Separators and backslashes in terms must survive the NTGA grouping
+// cycle's records: each NTGA engine's answers equal Pig's.
+TEST(ExecGoldenTest, SeparatorGraphNtgaAnswersMatchPig) {
+  const std::vector<Triple> graph =
+      SeparatorGraph(testing_util::SmallDataset(DatasetFamily::kBsbm));
+  for (const char* id : {"B0", "B1", "B2", "B3", "B4", "B5", "B6"}) {
+    uint64_t pig_digest = 0;
+    for (EngineKind kind : testing_util::AllEngineKinds()) {
+      if (kind == EngineKind::kHive) continue;
+      auto dfs = testing_util::MakeDfsWithBase(graph);
+      ASSERT_NE(dfs, nullptr);
+      EngineOptions options;
+      options.kind = kind;
+      auto exec = Exec(dfs.get(), "base", ExecRequest::Single(Query(id)),
+                       options);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      ASSERT_TRUE(exec->stats.ok()) << exec->stats.status.ToString();
+      const uint64_t digest = AnswersDigest(exec->answers);
+      if (kind == EngineKind::kPig) {
+        EXPECT_FALSE(exec->answers.empty()) << id;
+        pig_digest = digest;
+      } else {
+        EXPECT_EQ(digest, pig_digest) << id << " " << EngineKindToString(kind);
+      }
     }
   }
 }

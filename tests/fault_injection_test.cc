@@ -22,9 +22,17 @@ namespace {
 using testing_util::MakeDfsWithBase;
 using testing_util::SmallDataset;
 
+// Installs a fault plan that fails the `ordinal`-th subsequent write once.
+// Callers run with max_attempts = 1 so no retry masks the failure.
+void FailWrite(SimDfs* dfs, uint64_t ordinal) {
+  FaultPlan plan;
+  plan.fail_writes = {ordinal};
+  ASSERT_TRUE(dfs->SetFaultPlan(plan).ok());
+}
+
 TEST(FaultInjectionTest, DfsWriteFailsOnCommandAndRearms) {
   SimDfs dfs(testing_util::RoomyCluster());
-  dfs.InjectWriteFailureAfter(2);
+  FailWrite(&dfs, 2);
   EXPECT_TRUE(dfs.WriteFile("first", {"x"}).ok());
   Status st = dfs.WriteFile("second", {"x"});
   EXPECT_EQ(st.code(), StatusCode::kIoError);
@@ -42,11 +50,11 @@ TEST(FaultInjectionTest, EngineFailsCleanlyAtEveryWritePosition) {
   for (uint32_t failing_write = 1; failing_write <= 3; ++failing_write) {
     auto dfs = MakeDfsWithBase(triples);
     ASSERT_NE(dfs, nullptr);
-    dfs->InjectWriteFailureAfter(failing_write);
+    FailWrite(dfs.get(), failing_write);
     EngineOptions options;
     options.kind = EngineKind::kNtgaLazy;
-    // The legacy one-shot hook models an unrecoverable crash: pin retry
-    // off to make explicit that no attempt may mask the failure.
+    // Pin retry off: the injected failure must surface, not be masked by
+    // a second attempt.
     options.runtime.max_attempts = 1;
     auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(exec.ok()) << "infrastructure must not error";
@@ -70,10 +78,10 @@ TEST(FaultInjectionTest, RelationalEngineAlsoFailsCleanly) {
   for (uint32_t failing_write = 1; failing_write <= 3; ++failing_write) {
     auto dfs = MakeDfsWithBase(triples);
     ASSERT_NE(dfs, nullptr);
-    dfs->InjectWriteFailureAfter(failing_write);
+    FailWrite(dfs.get(), failing_write);
     EngineOptions options;
     options.kind = EngineKind::kHive;
-    options.runtime.max_attempts = 1;  // the legacy hook is unrecoverable
+    options.runtime.max_attempts = 1;  // no retry may mask the failure
     auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
     ASSERT_TRUE(exec.ok());
     EXPECT_FALSE(exec->stats.ok());
@@ -94,9 +102,10 @@ TEST(FaultInjectionTest, BatchFailureLeavesNoState) {
   }
   auto dfs = MakeDfsWithBase(triples);
   ASSERT_NE(dfs, nullptr);
-  dfs->InjectWriteFailureAfter(4);
+  FailWrite(dfs.get(), 4);
   EngineOptions options;
   options.kind = EngineKind::kNtgaLazy;
+  options.runtime.max_attempts = 1;
   auto batch = Exec(dfs.get(), "base", ExecRequest::Batch(queries), options);
   ASSERT_TRUE(batch.ok());
   EXPECT_FALSE(batch->stats.ok());
@@ -423,6 +432,32 @@ TEST(DiskPressureTest, FailFastRefusesWithResourceExhausted) {
   EXPECT_TRUE(ok_exec->stats.ok()) << ok_exec->stats.status.ToString();
   EXPECT_TRUE(ok_exec->stats.degraded_from.empty());
   EXPECT_FALSE(ok_exec->stats.preflight.empty());
+}
+
+TEST(DiskPressureTest, FailFastRefusesBatch) {
+  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
+  auto b3 = GetTestbedQuery("B3");
+  auto b4 = GetTestbedQuery("B4");
+  ASSERT_TRUE(b3.ok() && b4.ok());
+  // The batch's eager projection sums its members', so it exceeds the
+  // capacity squeezed below B3's alone.
+  ClusterConfig cluster = testing_util::PressuredCluster(triples, **b3);
+  auto dfs = MakeDfsWithBase(triples, cluster);
+  ASSERT_NE(dfs, nullptr);
+  EngineOptions options;
+  options.kind = EngineKind::kNtgaEager;
+  options.disk_pressure = DiskPressurePolicy::kFailFast;
+  auto exec =
+      Exec(dfs.get(), "base", ExecRequest::Batch({*b3, *b4}), options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  EXPECT_TRUE(exec->stats.status.IsResourceExhausted())
+      << exec->stats.status.ToString();
+  EXPECT_EQ(exec->stats.mr_cycles, 0u) << "no MR cycle may burn";
+  EXPECT_GT(exec->stats.planned_cycles, 0u);
+  EXPECT_EQ(exec->stats.query, "batch-of-2");
+  EXPECT_FALSE(exec->stats.preflight.empty());
+  EXPECT_TRUE(exec->per_query.empty());
+  EXPECT_EQ(dfs->ListFiles(), (std::vector<std::string>{"base"}));
 }
 
 // ---- Union queries --------------------------------------------------------------

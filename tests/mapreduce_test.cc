@@ -48,11 +48,11 @@ TEST(JobRunnerTest, WordCountEndToEnd) {
       dfs.WriteFile("in", {"a b a", "b c", "a"}).ok());
   JobSpec job;
   job.name = "wordcount";
-  job.inputs.push_back(MapInput{"in", WordMapper()});
+  job.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
   job.reduce = CountReducer();
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
 
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
@@ -60,10 +60,10 @@ TEST(JobRunnerTest, WordCountEndToEnd) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<std::string>{"a=3", "b=2", "c=1"}));
 
-  EXPECT_EQ(metrics->input_records, 3u);
-  EXPECT_EQ(metrics->map_output_records, 6u);
-  EXPECT_EQ(metrics->reduce_input_groups, 3u);
-  EXPECT_EQ(metrics->output_records, 3u);
+  EXPECT_EQ(run.metrics.input_records, 3u);
+  EXPECT_EQ(run.metrics.map_output_records, 6u);
+  EXPECT_EQ(run.metrics.reduce_input_groups, 3u);
+  EXPECT_EQ(run.metrics.output_records, 3u);
 }
 
 TEST(JobRunnerTest, ReducerSeesValuesInEmissionOrder) {
@@ -75,15 +75,16 @@ TEST(JobRunnerTest, ReducerSeesValuesInEmissionOrder) {
       "in", [](const std::string& record, const MapEmit& emit, Counters*) {
         auto parts = Split(record, ' ');
         emit(parts[0], parts[1]);
-      }});
+      },
+      nullptr});
   job.reduce = [](const std::string& key,
                   const std::vector<std::string>& values,
                   const RecordEmit& emit, Counters*) {
     emit(key + ":" + Join(values, ','));
   };
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
   EXPECT_EQ((*lines)[0], "k:v1,v2,v3")
@@ -99,11 +100,13 @@ TEST(JobRunnerTest, MultipleInputsWithDistinctMappers) {
   job.inputs.push_back(MapInput{
       "left", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit(r, "L");
-      }});
+      },
+      nullptr});
   job.inputs.push_back(MapInput{
       "right", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit(r, "R");
-      }});
+      },
+      nullptr});
   job.reduce = [](const std::string& key,
                   const std::vector<std::string>& values,
                   const RecordEmit& emit, Counters*) {
@@ -112,8 +115,8 @@ TEST(JobRunnerTest, MultipleInputsWithDistinctMappers) {
     emit(key + ":" + Join(sorted, '+'));
   };
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
   EXPECT_EQ((*lines)[0], "x:L+R");
@@ -127,15 +130,16 @@ TEST(JobRunnerTest, MapOnlyJobWritesValuesDirectly) {
   job.inputs.push_back(MapInput{
       "in", [](const std::string& r, const MapEmit& emit, Counters*) {
         if (StartsWith(r, "keep")) emit("", r);
-      }});
+      },
+      nullptr});
   job.reduce = nullptr;  // map-only
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
   EXPECT_EQ(*lines, (std::vector<std::string>{"keep", "keep2"}));
-  EXPECT_EQ(metrics->reduce_input_groups, 0u);
+  EXPECT_EQ(run.metrics.reduce_input_groups, 0u);
 }
 
 TEST(JobRunnerTest, DemuxRoutesRecordsAndEnsuresOutputs) {
@@ -146,14 +150,15 @@ TEST(JobRunnerTest, DemuxRoutesRecordsAndEnsuresOutputs) {
   job.inputs.push_back(MapInput{
       "in", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit("", r);
-      }});
+      },
+      nullptr});
   job.output_path = "out-";
   job.demux = [](const std::string& record) {
     return record.substr(0, 1);
   };
   job.ensure_outputs = {"out-a", "out-b", "out-c"};
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
   auto a = dfs.ReadFile("out-a");
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(*a, (std::vector<std::string>{"a1", "a3"}));
@@ -173,20 +178,21 @@ TEST(JobRunnerTest, MapOnlyJobMetersDirectOutputNotShuffle) {
   job.inputs.push_back(MapInput{
       "in", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit("", r);
-      }});
+      },
+      nullptr});
   job.reduce = nullptr;  // map-only
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
   // Emissions of a map-only job never enter a shuffle: they are metered
   // as direct output (value + newline, exactly the bytes written) and the
   // shuffle-side meters stay at zero.
-  EXPECT_EQ(metrics->map_output_records, 0u);
-  EXPECT_EQ(metrics->map_output_bytes, 0u);
-  EXPECT_EQ(metrics->map_direct_output_records, 3u);
-  EXPECT_EQ(metrics->map_direct_output_bytes, metrics->output_bytes);
-  EXPECT_EQ(metrics->map_direct_output_bytes, *dfs.FileSize("out"));
-  EXPECT_EQ(metrics->reduce_input_groups, 0u);
+  EXPECT_EQ(run.metrics.map_output_records, 0u);
+  EXPECT_EQ(run.metrics.map_output_bytes, 0u);
+  EXPECT_EQ(run.metrics.map_direct_output_records, 3u);
+  EXPECT_EQ(run.metrics.map_direct_output_bytes, run.metrics.output_bytes);
+  EXPECT_EQ(run.metrics.map_direct_output_bytes, *dfs.FileSize("out"));
+  EXPECT_EQ(run.metrics.reduce_input_groups, 0u);
 }
 
 TEST(JobRunnerTest, ReduceJobMetersShuffleNotDirectOutput) {
@@ -194,15 +200,15 @@ TEST(JobRunnerTest, ReduceJobMetersShuffleNotDirectOutput) {
   ASSERT_TRUE(dfs.WriteFile("in", {"a b", "b"}).ok());
   JobSpec job;
   job.name = "counting";
-  job.inputs.push_back(MapInput{"in", WordMapper()});
+  job.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
   job.reduce = CountReducer();
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_GT(metrics->map_output_records, 0u);
-  EXPECT_GT(metrics->map_output_bytes, 0u);
-  EXPECT_EQ(metrics->map_direct_output_records, 0u);
-  EXPECT_EQ(metrics->map_direct_output_bytes, 0u);
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_GT(run.metrics.map_output_records, 0u);
+  EXPECT_GT(run.metrics.map_output_bytes, 0u);
+  EXPECT_EQ(run.metrics.map_direct_output_records, 0u);
+  EXPECT_EQ(run.metrics.map_direct_output_bytes, 0u);
 }
 
 TEST(CombinerTest, ShuffleMeteredPostCombinePerBlockMapTask) {
@@ -222,7 +228,8 @@ TEST(CombinerTest, ShuffleMeteredPostCombinePerBlockMapTask) {
   job.inputs.push_back(MapInput{
       "in", [](const std::string&, const MapEmit& emit, Counters*) {
         emit("k", "1");
-      }});
+      },
+      nullptr});
   job.combine = [](const std::string&,
                    const std::vector<std::string>& values, Counters*) {
     std::set<std::string> distinct(values.begin(), values.end());
@@ -230,14 +237,14 @@ TEST(CombinerTest, ShuffleMeteredPostCombinePerBlockMapTask) {
   };
   job.reduce = CountReducer();
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->map_output_records, *blocks)
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.metrics.map_output_records, *blocks)
       << "one combined record per block-sized map task enters the shuffle";
-  EXPECT_EQ(metrics->map_output_bytes,
+  EXPECT_EQ(run.metrics.map_output_bytes,
             static_cast<uint64_t>(*blocks) * (1 + 1 + 2))
       << "shuffle bytes are metered post-combine (key 'k' + value '1' + 2)";
-  EXPECT_EQ(metrics->counters.at("combine_input_records"), lines.size());
+  EXPECT_EQ(run.metrics.counters.at("combine_input_records"), lines.size());
 }
 
 TEST(JobRunnerTest, EnsuredEmptyOutputsAreReadableDownstream) {
@@ -248,7 +255,8 @@ TEST(JobRunnerTest, EnsuredEmptyOutputsAreReadableDownstream) {
   producer.inputs.push_back(MapInput{
       "in", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit("", r);
-      }});
+      },
+      nullptr});
   producer.output_path = "part-";
   producer.demux = [](const std::string& record) {
     return record.substr(0, 1);
@@ -256,7 +264,7 @@ TEST(JobRunnerTest, EnsuredEmptyOutputsAreReadableDownstream) {
   // "b" receives no record; ensure_outputs must still create it so the
   // consumer below finds every input it was planned against.
   producer.ensure_outputs = {"part-a", "part-b"};
-  ASSERT_TRUE(RunJob(&dfs, producer).ok());
+  ASSERT_TRUE(RunJob(&dfs, producer, {}).ok());
   ASSERT_TRUE(dfs.Exists("part-b"));
   EXPECT_EQ(*dfs.FileSize("part-b"), 0u);
 
@@ -266,15 +274,16 @@ TEST(JobRunnerTest, EnsuredEmptyOutputsAreReadableDownstream) {
     consumer.inputs.push_back(MapInput{
         path, [](const std::string& r, const MapEmit& emit, Counters*) {
           emit(r, "1");
-        }});
+        },
+        nullptr});
   }
   consumer.reduce = CountReducer();
   consumer.output_path = "out";
-  auto metrics = RunJob(&dfs, consumer);
-  ASSERT_TRUE(metrics.ok())
+  JobRunResult run = RunJob(&dfs, consumer, {});
+  ASSERT_TRUE(run.ok())
       << "a downstream job must be able to read an ensured empty output: "
-      << metrics.status().ToString();
-  EXPECT_EQ(metrics->input_records, 2u)
+      << run.status.ToString();
+  EXPECT_EQ(run.metrics.input_records, 2u)
       << "the empty input contributes no records";
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
@@ -292,17 +301,18 @@ TEST(JobRunnerTest, CountersFlowToMetrics) {
       "in", [](const std::string&, const MapEmit& emit, Counters* c) {
         (*c)["map_calls"] += 1;
         emit("k", "v");
-      }});
+      },
+      nullptr});
   job.reduce = [](const std::string&, const std::vector<std::string>& v,
                   const RecordEmit& emit, Counters* c) {
     (*c)["reduce_values"] += v.size();
     emit("done");
   };
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->counters.at("map_calls"), 2u);
-  EXPECT_EQ(metrics->counters.at("reduce_values"), 2u);
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.metrics.counters.at("map_calls"), 2u);
+  EXPECT_EQ(run.metrics.counters.at("reduce_values"), 2u);
 }
 
 TEST(JobRunnerTest, ByteAccountingIsConsistent) {
@@ -310,16 +320,16 @@ TEST(JobRunnerTest, ByteAccountingIsConsistent) {
   ASSERT_TRUE(dfs.WriteFile("in", {"hello world", "foo"}).ok());
   JobSpec job;
   job.name = "bytes";
-  job.inputs.push_back(MapInput{"in", WordMapper()});
+  job.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
   job.reduce = CountReducer();
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->input_bytes, *dfs.FileSize("in"));
-  EXPECT_EQ(metrics->output_bytes, *dfs.FileSize("out"));
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.metrics.input_bytes, *dfs.FileSize("in"));
+  EXPECT_EQ(run.metrics.output_bytes, *dfs.FileSize("out"));
   // Shuffle bytes = sum over emissions of key+value+2.
   // words: hello(5), world(5), foo(3); values "1"(1 each).
-  EXPECT_EQ(metrics->map_output_bytes, (5 + 1 + 2) + (5 + 1 + 2) +
+  EXPECT_EQ(run.metrics.map_output_bytes, (5 + 1 + 2) + (5 + 1 + 2) +
                                            (3 + 1 + 2));
 }
 
@@ -327,11 +337,11 @@ TEST(JobRunnerTest, MissingInputFails) {
   SimDfs dfs(TestCluster());
   JobSpec job;
   job.name = "broken";
-  job.inputs.push_back(MapInput{"missing", WordMapper()});
+  job.inputs.push_back(MapInput{"missing", WordMapper(), nullptr});
   job.reduce = CountReducer();
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  EXPECT_TRUE(metrics.status().IsNotFound());
+  JobRunResult run = RunJob(&dfs, job, {});
+  EXPECT_TRUE(run.status.IsNotFound());
 }
 
 TEST(JobRunnerTest, InvalidSpecsRejected) {
@@ -339,12 +349,12 @@ TEST(JobRunnerTest, InvalidSpecsRejected) {
   JobSpec no_inputs;
   no_inputs.name = "empty";
   no_inputs.output_path = "out";
-  EXPECT_TRUE(RunJob(&dfs, no_inputs).status().IsInvalidArgument());
+  EXPECT_TRUE(RunJob(&dfs, no_inputs, {}).status.IsInvalidArgument());
 
   JobSpec no_output;
   no_output.name = "noout";
-  no_output.inputs.push_back(MapInput{"in", WordMapper()});
-  EXPECT_TRUE(RunJob(&dfs, no_output).status().IsInvalidArgument());
+  no_output.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
+  EXPECT_TRUE(RunJob(&dfs, no_output, {}).status.IsInvalidArgument());
 }
 
 TEST(JobRunnerTest, OutputFailureSurfacesOutOfSpace) {
@@ -356,15 +366,16 @@ TEST(JobRunnerTest, OutputFailureSurfacesOutOfSpace) {
   job.inputs.push_back(MapInput{
       "in", [](const std::string& r, const MapEmit& emit, Counters*) {
         emit(r, r + r);  // amplify
-      }});
+      },
+      nullptr});
   job.reduce = [](const std::string& key,
                   const std::vector<std::string>& values,
                   const RecordEmit& emit, Counters*) {
     for (const std::string& v : values) emit(key + v);
   };
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  EXPECT_TRUE(metrics.status().IsOutOfSpace()) << metrics.status().ToString();
+  JobRunResult run = RunJob(&dfs, job, {});
+  EXPECT_TRUE(run.status.IsOutOfSpace()) << run.status.ToString();
 }
 
 // ---- Combiner ----------------------------------------------------------------
@@ -376,7 +387,7 @@ TEST(CombinerTest, DeduplicatingCombinerShrinksShuffleNotAnswers) {
   auto make_job = [&](bool with_combiner, const std::string& out) {
     JobSpec job;
     job.name = "distinct-wordcount";
-    job.inputs.push_back(MapInput{"in", WordMapper()});
+    job.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
     if (with_combiner) {
       job.combine = [](const std::string&,
                        const std::vector<std::string>& values, Counters*) {
@@ -394,8 +405,8 @@ TEST(CombinerTest, DeduplicatingCombinerShrinksShuffleNotAnswers) {
     job.output_path = out;
     return job;
   };
-  auto plain = RunJob(&dfs, make_job(false, "out-plain"));
-  auto combined = RunJob(&dfs, make_job(true, "out-combined"));
+  JobRunResult plain = RunJob(&dfs, make_job(false, "out-plain"), {});
+  JobRunResult combined = RunJob(&dfs, make_job(true, "out-combined"), {});
   ASSERT_TRUE(plain.ok() && combined.ok());
   auto a = dfs.ReadFile("out-plain");
   auto b = dfs.ReadFile("out-combined");
@@ -404,10 +415,12 @@ TEST(CombinerTest, DeduplicatingCombinerShrinksShuffleNotAnswers) {
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
   EXPECT_EQ(sa, sb) << "the combiner must not change the answers";
-  EXPECT_LT(combined->map_output_records, plain->map_output_records);
-  EXPECT_LT(combined->map_output_bytes, plain->map_output_bytes);
-  EXPECT_EQ(combined->counters.at("combine_input_records"),
-            plain->map_output_records);
+  EXPECT_LT(combined.metrics.map_output_records,
+            plain.metrics.map_output_records);
+  EXPECT_LT(combined.metrics.map_output_bytes,
+            plain.metrics.map_output_bytes);
+  EXPECT_EQ(combined.metrics.counters.at("combine_input_records"),
+            plain.metrics.map_output_records);
 }
 
 TEST(CombinerTest, AppliedPerInputTask) {
@@ -419,7 +432,7 @@ TEST(CombinerTest, AppliedPerInputTask) {
   JobSpec job;
   job.name = "per-task";
   for (const char* path : {"in1", "in2"}) {
-    job.inputs.push_back(MapInput{path, WordMapper()});
+    job.inputs.push_back(MapInput{path, WordMapper(), nullptr});
   }
   job.combine = [](const std::string&,
                    const std::vector<std::string>& values, Counters*) {
@@ -432,9 +445,9 @@ TEST(CombinerTest, AppliedPerInputTask) {
     emit(key + ":" + std::to_string(values.size()));
   };
   job.output_path = "out";
-  auto metrics = RunJob(&dfs, job);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->map_output_records, 2u)
+  JobRunResult run = RunJob(&dfs, job, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.metrics.map_output_records, 2u)
       << "one combined value per task reaches the shuffle";
   auto lines = dfs.ReadFile("out");
   ASSERT_TRUE(lines.ok());
@@ -453,7 +466,8 @@ WorkflowSpec TwoStageWorkflow() {
         for (const std::string& w : Split(r, ' ')) {
           if (!w.empty()) emit(w, "1");
         }
-      }});
+      },
+      nullptr});
   stage1.reduce = CountReducer();
   stage1.output_path = "counts";
   spec.jobs.push_back(stage1);
@@ -464,7 +478,8 @@ WorkflowSpec TwoStageWorkflow() {
       "counts", [](const std::string& r, const MapEmit& emit, Counters*) {
         auto parts = Split(r, '=');
         if (std::stoi(parts[1]) >= 2) emit("", r);
-      }});
+      },
+      nullptr});
   stage2.reduce = nullptr;
   stage2.output_path = "popular";
   spec.jobs.push_back(stage2);

@@ -372,7 +372,7 @@ TEST(NetServerTest, StopDrainsInFlightCompletionFromAnotherThread) {
   NetServerOptions options;
   options.listeners.push_back(Address::Unix(TestSocketPath("drain")));
   NetServer server(options, [pending](uint64_t conn, uint64_t seq,
-                                      std::string line) {
+                                      std::string /*line*/) {
     std::lock_guard<std::mutex> lock(pending->mu);
     pending->conn = conn;
     pending->seq = seq;

@@ -103,9 +103,9 @@ inline ClusterConfig PressuredCluster(const std::vector<Triple>& triples,
   }
   used *= cluster.replication;
   FootprintProjection lazy =
-      ProjectFootprint(advice, "lazy", used, cluster);
+      ProjectFootprint(advice.lazy_star_bytes, used, cluster);
   FootprintProjection eager =
-      ProjectFootprint(advice, "eager", used, cluster);
+      ProjectFootprint(advice.eager_star_bytes, used, cluster);
   EXPECT_LT(lazy.peak_bytes, eager.peak_bytes);
   const uint64_t capacity = (lazy.peak_bytes + eager.peak_bytes) / 2;
   cluster.disk_per_node = capacity / cluster.num_nodes + 1;

@@ -15,9 +15,6 @@
 //   rdfmr explain (--query ID | --sparql FILE)
 //       Show the star decomposition, join graph, and the NTGA logical
 //       plans produced by the rewrite rules for every strategy.
-//   rdfmr advise (--query ID | --sparql FILE) --data FILE [--nodes N]
-//       Predict per-strategy footprints from graph statistics and
-//       recommend an unnesting strategy and a phi_m partition factor.
 //   rdfmr batch --queries ID,ID,... --data FILE [--engine ...]
 //       Run several testbed queries as ONE shared-scan NTGA workflow.
 //   rdfmr run (--query ID | --sparql FILE) --data FILE
@@ -29,15 +26,17 @@
 //       Execute the query on the simulated cluster and print metrics.
 //       --engine auto lets the cost-based plan chooser pick the
 //       modeled-cheapest engine from the dataset's statistics catalog;
-//       --explain prints the scored candidate table and exits without
-//       running anything.
+//       --explain prints the scored candidate table and the advisor's
+//       rationale (predicted redundancy, phi_m) and exits without running
+//       anything.
 //       --threads runs the simulator's map/reduce phases on T host
 //       threads (byte-identical results, faster wall clock).
 //       --fault-plan injects seeded DFS faults, e.g.
 //       "seed=7,pread=0.05,write@3,lose-node@40:2" (see
 //       src/dfs/fault_plan.h); --max-attempts bounds per-op retries
-//       (default: cluster max_task_attempts = 4); --disk-check runs the
-//       advisor's footprint preflight before launching.
+//       (default: cluster max_task_attempts = 4); --disk-check reads the
+//       plan chooser's footprint projection for the engine before
+//       launching.
 //   rdfmr serve --listen unix:PATH|tcp:HOST:PORT [--listen ...]
 //               [--socket PATH] [--max-connections C] [--idle-timeout-ms I]
 //               [--nodes N] [--disk-mb M] [--repl R] [--threads T]
@@ -378,15 +377,17 @@ int CmdRun(const Flags& flags) {
   if (flags.Has("explain")) {
     // Score the candidate table against the dataset's statistics catalog
     // and exit without running anything.
-    GraphStats stats = GraphStats::Compute(*triples);
-    auto base_size = dfs.FileSize("base");
-    auto choice = ChoosePlan(request, stats, base_size.ok() ? *base_size : 0,
-                             dfs.UsedBytes(), cluster, options);
+    request.stats = std::make_shared<const GraphStats>(
+        GraphStats::Compute(*triples));
+    auto choice = ChoosePlanOnDfs(&dfs, "base", request, options);
     if (!choice.ok()) {
       std::fprintf(stderr, "%s\n", choice.status().ToString().c_str());
       return 1;
     }
     std::printf("%s", RenderPlanChoice(*choice).c_str());
+    std::printf("advisor: %s\n",
+                AdviseStrategy(*request.query, *request.stats, cluster)
+                    .rationale.c_str());
     return 0;
   }
 
@@ -465,29 +466,6 @@ int CmdRun(const Flags& flags) {
     std::printf("  %s\n", sol.Serialize().c_str());
     --show;
   }
-  return 0;
-}
-
-int CmdAdvise(const Flags& flags) {
-  auto query = LoadQuery(flags);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  auto triples = ReadDataset(flags.Get("data"));
-  if (!triples.ok()) {
-    std::fprintf(stderr, "%s\n", triples.status().ToString().c_str());
-    return 1;
-  }
-  GraphStats stats = GraphStats::Compute(*triples);
-  ClusterConfig cluster;
-  cluster.num_nodes = static_cast<uint32_t>(flags.GetInt("nodes", 8));
-  cluster.num_reducers = cluster.num_nodes;
-  StrategyAdvice advice = AdviseStrategy(*query->query, stats, cluster);
-  std::printf("graph   : %s\n", stats.Summary().c_str());
-  std::printf("advice  : %s, phi_m=%u\n",
-              NtgaStrategyToString(advice.strategy), advice.phi_partitions);
-  std::printf("          %s\n", advice.rationale.c_str());
   return 0;
 }
 
@@ -738,8 +716,8 @@ int CmdClient(const Flags& flags) {
 }
 
 constexpr const char* kSubcommands[] = {
-    "catalog", "generate", "index", "stats",  "explain",
-    "advise",  "run",      "batch", "serve",  "client",
+    "catalog", "generate", "index",  "stats",  "explain",
+    "run",     "batch",    "serve",  "client",
 };
 
 /// Valid flags per subcommand, for the unknown-flag diagnostic (a typo
@@ -751,7 +729,6 @@ const std::map<std::string, std::vector<const char*>>& SubcommandFlags() {
           {"generate", {"family", "scale", "seed", "out"}},
           {"stats", {"data"}},
           {"explain", {"query", "sparql"}},
-          {"advise", {"query", "sparql", "data", "nodes"}},
           {"run",
            {"query", "sparql", "data", "engine", "nodes", "disk-mb", "repl",
             "phi", "threads", "show-answers", "max-attempts", "fault-plan",
@@ -773,7 +750,7 @@ const std::map<std::string, std::vector<const char*>>& SubcommandFlags() {
 int Usage() {
   std::fprintf(stderr,
                "usage: rdfmr "
-               "<catalog|generate|index|stats|explain|advise|run|batch|"
+               "<catalog|generate|index|stats|explain|run|batch|"
                "serve|client> [flags]\n(see the header of tools/rdfmr.cc)\n");
   return 2;
 }
@@ -836,7 +813,6 @@ int Main(int argc, char** argv) {
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);
   if (command == "explain") return CmdExplain(flags);
-  if (command == "advise") return CmdAdvise(flags);
   if (command == "run") return CmdRun(flags);
   if (command == "batch") return CmdBatch(flags);
   if (command == "serve") return CmdServe(flags);
