@@ -30,9 +30,13 @@ using AnswerDecoder = std::function<Result<SolutionSet>(
 using RecordDecoder = std::function<Result<std::vector<Solution>>(
     const std::string& record)>;
 
-/// \brief A fully compiled, executable query plan.
+/// \brief A fully compiled, executable plan for one query or a batch.
 struct CompiledPlan {
   WorkflowSpec workflow;
+  /// Per query, in request order: the DFS path of its answer file. A
+  /// single-query plan has one, equal to workflow.final_output_path.
+  std::vector<std::string> final_output_paths;
+  /// Decode any of the plan's answer files.
   AnswerDecoder decoder;
   RecordDecoder record_decoder;
   /// DFS paths holding the star-join phase outputs (inputs to later join

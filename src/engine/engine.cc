@@ -49,6 +49,8 @@ Result<EngineKind> EngineKindFromString(const std::string& name) {
 
 namespace {
 
+using QueryList = std::vector<std::shared_ptr<const GraphPatternQuery>>;
+
 // The unnesting strategy an NTGA engine kind runs; nullopt for the
 // relational engines and kAuto.
 std::optional<NtgaStrategy> NtgaStrategyOf(EngineKind kind) {
@@ -64,29 +66,6 @@ std::optional<NtgaStrategy> NtgaStrategyOf(EngineKind kind) {
     default:
       return std::nullopt;
   }
-}
-
-Result<CompiledPlan> Compile(std::shared_ptr<const GraphPatternQuery> query,
-                             const std::string& base_path,
-                             const std::string& tmp_prefix,
-                             const EngineOptions& options) {
-  if (options.kind == EngineKind::kPig || options.kind == EngineKind::kHive) {
-    RelationalOptions rel;
-    rel.style = options.kind == EngineKind::kPig ? RelationalStyle::kPig
-                                                 : RelationalStyle::kHive;
-    rel.grouping = options.grouping;
-    return CompileRelationalPlan(query, base_path, tmp_prefix, rel);
-  }
-  const std::optional<NtgaStrategy> strategy = NtgaStrategyOf(options.kind);
-  if (!strategy.has_value()) {
-    return Status::InvalidArgument(
-        "engine auto must be resolved by the plan chooser before "
-        "compilation");
-  }
-  NtgaOptions ntga;
-  ntga.phi_partitions = options.phi_partitions;
-  ntga.strategy = *strategy;
-  return CompileNtgaPlan(query, base_path, tmp_prefix, ntga);
 }
 
 uint64_t SafeFileSize(const SimDfs& dfs, const std::string& path) {
@@ -178,6 +157,7 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   plan->workflow.intermediate_paths.push_back(
       plan->workflow.final_output_path);
   plan->workflow.final_output_path = job.output_path;
+  plan->final_output_paths = {job.output_path};
   plan->workflow.jobs.push_back(std::move(job));
   plan->decoder = [](const std::vector<std::string>& lines) {
     return ParseSolutionFile(lines);
@@ -252,21 +232,76 @@ class RedundancyMeter {
   std::deque<std::string> owned_;  // unescaped fields of escaped lines
 };
 
-// The execution tail every payload shares: runs `workflow` under the
-// `query` span, fills the ExecStats fields that come from the workflow
-// result and the output sizes, lets `read_back` sample the outputs, and
-// then scrubs every temporary of the run from the DFS (also when
-// `read_back` fails).
-Result<ExecStats> RunTail(
-    SimDfs* dfs, WorkflowSpec workflow,
-    const std::vector<std::string>& star_phase_paths,
-    const std::vector<std::string>& final_paths,
-    const std::string& tmp_prefix, const std::string& query_name,
-    const EngineOptions& options, RunContext ctx,
-    const std::function<Status(ExecStats*)>& read_back) {
-  const size_t planned_cycles = workflow.jobs.size();
+using LinesPtr = std::shared_ptr<const std::vector<std::string>>;
+
+// Redundancy factor over every line of `files`; null entries (missing
+// files) contribute nothing.
+double FilesRedundancy(const std::vector<LinesPtr>& files) {
+  RedundancyMeter meter;
+  for (const LinesPtr& lines : files) {
+    if (lines == nullptr) continue;
+    for (const std::string& line : *lines) meter.Add(line);
+  }
+  return meter.Factor();
+}
+
+// Reads back what a finished run left on the DFS: both redundancy factors
+// and, when `decode` is set and the run succeeded, one decoded answer set
+// per answer file of `plan`.
+//
+// Redundancy measures flat relational tuples against their nested
+// triplegroup footprint. NTGA output (`flat` false) is that nested
+// footprint, so both factors stay 0 without metering; metering it would
+// misread a record whose terms carry tabs as a flat tuple.
+Status ReadBack(const SimDfs& dfs, const CompiledPlan& plan, bool flat,
+                bool decode, ExecStats* stats,
+                std::vector<SolutionSet>* answers) {
+  if (flat) {
+    // Redundancy factor over the star-join phase outputs, read in place.
+    std::vector<LinesPtr> star_files;
+    for (const std::string& path : plan.star_phase_paths) {
+      Result<LinesPtr> lines = dfs.ReadLines(path);
+      if (lines.ok()) star_files.push_back(lines.MoveValueUnsafe());
+    }
+    stats->redundancy_factor = FilesRedundancy(star_files);
+  }
+  if (!stats->ok() || !(flat || decode)) return Status::OK();
+  // One read of each answer file serves the final redundancy factor and
+  // the answer decode (verification, uncharged).
+  std::vector<LinesPtr> finals;
+  for (const std::string& path : plan.final_output_paths) {
+    LinesPtr& lines = finals.emplace_back();
+    if (dfs.Exists(path)) {
+      RDFMR_ASSIGN_OR_RETURN(lines, dfs.ReadLines(path));
+    }
+  }
+  if (flat) stats->final_redundancy_factor = FilesRedundancy(finals);
+  if (!decode) return Status::OK();
+  for (const LinesPtr& lines : finals) {
+    SolutionSet& set = answers->emplace_back();
+    if (lines != nullptr) {
+      RDFMR_ASSIGN_OR_RETURN(set, plan.decoder(*lines));
+    }
+  }
+  return Status::OK();
+}
+
+// Compiles `request` under the run's `tmp_prefix`, runs its workflow under
+// the `query` span, fills ExecStats from the workflow result and the
+// output sizes, reads the outputs back (one answer set per query into
+// ExecResult::per_query), and then scrubs every temporary of the run from
+// the DFS (also when the read-back fails).
+Result<ExecResult> Run(SimDfs* dfs, const std::string& base_path,
+                       const ExecRequest& request,
+                       const std::string& tmp_prefix,
+                       const std::string& query_name,
+                       const EngineOptions& options, RunContext ctx) {
+  RDFMR_ASSIGN_OR_RETURN(
+      CompiledPlan plan, CompilePlan(request, base_path, tmp_prefix, options));
+  const size_t planned_cycles = plan.workflow.jobs.size();
   // Keep every output around for the read-back below; everything under
   // tmp_prefix is scrubbed at the end of this function anyway.
+  WorkflowSpec& workflow = plan.workflow;
   workflow.intermediate_paths.clear();
   workflow.final_output_path.clear();
   workflow.cleanup_demuxed_on_failure = false;
@@ -293,7 +328,8 @@ Result<ExecStats> RunTail(
   // with it the retry accounting — would depend on how much we measure.
   SimDfs::ScopedFaultSuspension suspend_faults(dfs);
 
-  ExecStats stats;
+  ExecResult exec;
+  ExecStats& stats = exec.stats;
   stats.engine = EngineKindToString(options.kind);
   stats.query = query_name;
   stats.status = result.status;
@@ -316,16 +352,18 @@ Result<ExecStats> RunTail(
   stats.retry_backoff_seconds = result.totals.retry_backoff_seconds;
   stats.counters = std::move(result.totals.counters);
   stats.jobs = std::move(result.job_metrics);
-  for (const std::string& path : star_phase_paths) {
+  for (const std::string& path : plan.star_phase_paths) {
     stats.star_phase_write_bytes += SafeFileSize(*dfs, path);
   }
-  for (const std::string& path : final_paths) {
+  for (const std::string& path : plan.final_output_paths) {
     stats.final_output_bytes += SafeFileSize(*dfs, path);
   }
   stats.intermediate_write_bytes =
       stats.hdfs_write_bytes - stats.final_output_bytes;
 
-  const Status read_status = read_back(&stats);
+  const Status read_status =
+      ReadBack(*dfs, plan, !NtgaStrategyOf(options.kind).has_value(),
+               options.decode_answers, &stats, &exec.per_query);
 
   // The reads above (stat sampling + decode) are observation, not engine
   // work; rebuilding the metric from job totals keeps accounting honest.
@@ -339,7 +377,7 @@ Result<ExecStats> RunTail(
     }
   }
   RDFMR_RETURN_NOT_OK(read_status);
-  return stats;
+  return exec;
 }
 
 std::string NextTmpPrefix() {
@@ -417,85 +455,6 @@ void ReadDiskPressure(const PlanChoice& choice, const PlanCandidate& row,
   stats->planned_cycles = row.planned_cycles;
 }
 
-// One query: compile under the run's prefix, execute; reads back both
-// redundancy factors and the decoded answers.
-Result<ExecResult> RunSingle(SimDfs* dfs, const std::string& base_path,
-                             std::shared_ptr<const GraphPatternQuery> query,
-                             const std::optional<AggregateSpec>& aggregate,
-                             const std::string& tmp_prefix,
-                             const std::string& query_name,
-                             const EngineOptions& options, RunContext ctx) {
-  RDFMR_ASSIGN_OR_RETURN(
-      CompiledPlan plan,
-      CompileQueryPlan(query, base_path, aggregate, tmp_prefix, options));
-  ExecResult exec;
-  const std::string final_path = plan.workflow.final_output_path;
-  auto read_back = [&](ExecStats* stats) -> Status {
-    // Redundancy factor over the star-join phase outputs, read in place.
-    {
-      std::vector<std::shared_ptr<const std::vector<std::string>>> star_files;
-      RedundancyMeter meter;
-      for (const std::string& path : plan.star_phase_paths) {
-        Result<std::shared_ptr<const std::vector<std::string>>> lines =
-            dfs->ReadLines(path);
-        if (!lines.ok()) continue;
-        star_files.push_back(lines.MoveValueUnsafe());
-        for (const std::string& line : *star_files.back()) meter.Add(line);
-      }
-      stats->redundancy_factor = meter.Factor();
-    }
-    // One read of the final output serves its redundancy factor and the
-    // answer decode (verification, uncharged).
-    if (!stats->ok() || !dfs->Exists(final_path)) return Status::OK();
-    Result<std::shared_ptr<const std::vector<std::string>>> lines =
-        dfs->ReadLines(final_path);
-    if (lines.ok()) {
-      stats->final_redundancy_factor = ComputeRedundancyFactor(**lines);
-    }
-    if (!options.decode_answers) return Status::OK();
-    RDFMR_RETURN_NOT_OK(lines.status());
-    RDFMR_ASSIGN_OR_RETURN(exec.answers, plan.decoder(**lines));
-    return Status::OK();
-  };
-  RDFMR_ASSIGN_OR_RETURN(
-      exec.stats,
-      RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
-              {final_path}, tmp_prefix, query_name, options, ctx,
-              read_back));
-  return exec;
-}
-
-// Several queries sharing one NTGA grouping cycle; reads back each query's
-// decoded answers (no redundancy factors).
-Result<ExecResult> RunBatch(
-    SimDfs* dfs, const std::string& base_path,
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const std::string& tmp_prefix, const std::string& query_name,
-    const EngineOptions& options, RunContext ctx) {
-  RDFMR_ASSIGN_OR_RETURN(
-      NtgaBatchPlan plan,
-      CompileBatchPlan(queries, base_path, tmp_prefix, options));
-  ExecResult exec;
-  auto read_back = [&](ExecStats* stats) -> Status {
-    if (!stats->ok() || !options.decode_answers) return Status::OK();
-    for (size_t q = 0; q < plan.final_output_paths.size(); ++q) {
-      SolutionSet& answers = exec.per_query.emplace_back();
-      if (!dfs->Exists(plan.final_output_paths[q])) continue;
-      RDFMR_ASSIGN_OR_RETURN(
-          std::shared_ptr<const std::vector<std::string>> lines,
-          dfs->ReadLines(plan.final_output_paths[q]));
-      RDFMR_ASSIGN_OR_RETURN(answers, plan.decoders[q](*lines));
-    }
-    return Status::OK();
-  };
-  RDFMR_ASSIGN_OR_RETURN(
-      exec.stats,
-      RunTail(dfs, std::move(plan.workflow), plan.star_phase_paths,
-              plan.final_output_paths, tmp_prefix, query_name, options, ctx,
-              read_back));
-  return exec;
-}
-
 // The name a run of `request` records in ExecStats.query.
 std::string RunName(const ExecRequest& request) {
   switch (request.payload) {
@@ -513,18 +472,17 @@ std::string RunName(const ExecRequest& request) {
 Status CheckExecRequest(const ExecRequest& request) {
   if (request.payload == ExecPayload::kSingle) {
     if (request.query == nullptr) {
-      return Status::InvalidArgument(
-          "Exec needs a query for the single payload");
+      return Status::InvalidArgument("a single payload needs a query");
     }
     return Status::OK();
   }
   if (request.aggregate.has_value()) {
     return Status::InvalidArgument(
-        "Exec: aggregate applies to the single payload only");
+        "aggregate applies to the single payload only");
   }
   if (request.queries.empty()) {
     return Status::InvalidArgument(
-        "Exec needs at least one query for a batch/union payload");
+        "a batch/union payload needs at least one query");
   }
   return Status::OK();
 }
@@ -537,40 +495,50 @@ double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
   return meter.Factor();
 }
 
-Result<CompiledPlan> CompileQueryPlan(
-    std::shared_ptr<const GraphPatternQuery> query,
-    const std::string& base_path,
-    const std::optional<AggregateSpec>& aggregate,
-    const std::string& tmp_prefix, const EngineOptions& options) {
-  if (query == nullptr) {
-    return Status::InvalidArgument("CompileQueryPlan needs a query");
+Result<CompiledPlan> CompilePlan(const ExecRequest& request,
+                                 const std::string& base_path,
+                                 const std::string& tmp_prefix,
+                                 const EngineOptions& options) {
+  RDFMR_RETURN_NOT_OK(CheckExecRequest(request));
+  if (request.aggregate.has_value()) {
+    RDFMR_RETURN_NOT_OK(request.aggregate->Validate(*request.query));
   }
-  if (aggregate.has_value()) {
-    RDFMR_RETURN_NOT_OK(aggregate->Validate(*query));
+  const bool single = request.payload == ExecPayload::kSingle;
+  CompiledPlan plan;
+  if (options.kind == EngineKind::kPig || options.kind == EngineKind::kHive) {
+    if (!single) {
+      return Status::InvalidArgument(
+          "a batch shares the NTGA grouping cycle; relational engines "
+          "have nothing to share — run them per query");
+    }
+    RelationalOptions rel;
+    rel.style = options.kind == EngineKind::kPig ? RelationalStyle::kPig
+                                                 : RelationalStyle::kHive;
+    rel.grouping = options.grouping;
+    RDFMR_ASSIGN_OR_RETURN(
+        plan,
+        CompileRelationalPlan(request.query, base_path, tmp_prefix, rel));
+  } else {
+    const std::optional<NtgaStrategy> strategy =
+        NtgaStrategyOf(options.kind);
+    if (!strategy.has_value()) {
+      return Status::InvalidArgument(
+          "engine auto must be resolved by the plan chooser before "
+          "compilation");
+    }
+    NtgaOptions ntga;
+    ntga.phi_partitions = options.phi_partitions;
+    ntga.strategy = *strategy;
+    RDFMR_ASSIGN_OR_RETURN(
+        plan, CompileNtgaPlan(single ? QueryList{request.query}
+                                     : request.queries,
+                              base_path, tmp_prefix, ntga));
   }
-  RDFMR_ASSIGN_OR_RETURN(CompiledPlan plan,
-                         Compile(query, base_path, tmp_prefix, options));
-  if (aggregate.has_value()) {
-    AppendAggregationCycle(&plan, *aggregate, tmp_prefix,
+  if (request.aggregate.has_value()) {
+    AppendAggregationCycle(&plan, *request.aggregate, tmp_prefix,
                            options.aggregation_combiner);
   }
   return plan;
-}
-
-Result<NtgaBatchPlan> CompileBatchPlan(
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const std::string& base_path, const std::string& tmp_prefix,
-    const EngineOptions& options) {
-  const std::optional<NtgaStrategy> strategy = NtgaStrategyOf(options.kind);
-  if (!strategy.has_value()) {
-    return Status::InvalidArgument(
-        "a batch shares the NTGA grouping cycle; relational engines "
-        "have nothing to share — run them per query");
-  }
-  NtgaOptions ntga;
-  ntga.phi_partitions = options.phi_partitions;
-  ntga.strategy = *strategy;
-  return CompileSharedNtgaPlan(queries, base_path, tmp_prefix, ntga);
 }
 
 Result<CompiledPlan> CompileQueryPlanTemplate(
@@ -579,8 +547,8 @@ Result<CompiledPlan> CompileQueryPlanTemplate(
     const std::optional<AggregateSpec>& aggregate,
     const EngineOptions& options) {
   RDFMR_RETURN_NOT_OK(CheckBasePath(base_path));
-  return CompileQueryPlan(std::move(query), base_path, aggregate,
-                          kPlanTemplatePrefix, options);
+  return CompilePlan(ExecRequest::Single(std::move(query), aggregate),
+                     base_path, kPlanTemplatePrefix, options);
 }
 
 Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
@@ -639,20 +607,19 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
     result.stats.query = run_name;
     return result;
   }
-  if (request.payload == ExecPayload::kSingle) {
-    RDFMR_ASSIGN_OR_RETURN(
-        result, RunSingle(dfs, base_path, request.query, request.aggregate,
-                          tmp_prefix, run_name, effective, ctx));
-  } else {
-    RDFMR_ASSIGN_OR_RETURN(
-        result, RunBatch(dfs, base_path, request.queries, tmp_prefix,
-                         run_name, effective, ctx));
-    if (request.payload == ExecPayload::kUnion) {
-      for (SolutionSet& answers : result.per_query) {
+  RDFMR_ASSIGN_OR_RETURN(result, Run(dfs, base_path, request, tmp_prefix,
+                                     run_name, effective, ctx));
+  // A single payload answers with its one set, a union with the union of
+  // its branches' sets; a batch keeps one set per query.
+  if (request.payload != ExecPayload::kBatch) {
+    for (SolutionSet& answers : result.per_query) {
+      if (result.answers.empty()) {
+        result.answers = std::move(answers);
+      } else {
         result.answers.insert(answers.begin(), answers.end());
       }
-      result.per_query.clear();
     }
+    result.per_query.clear();
   }
   result.stats.degraded_from = std::move(selection.degraded_from);
   result.stats.preflight = std::move(selection.preflight);

@@ -124,8 +124,8 @@ struct ExecStats {
   uint64_t peak_dfs_used_bytes = 0;
   /// Redundancy factor of the star-join phase output: fraction of its
   /// bytes in excess of the nested triplegroup footprint of the same
-  /// content. Meaningful for flat relational intermediates, ~0 for nested
-  /// representations.
+  /// content. Meaningful for flat relational intermediates; exactly 0 for
+  /// the NTGA engines, whose output is that nested representation.
   double redundancy_factor = 0.0;
   /// Same measure over the final output (the paper's C4 numbers report
   /// both: 0.93 at the star-join phase growing to 0.98 in the final
@@ -279,30 +279,26 @@ double ComputeRedundancyFactor(const std::vector<std::string>& lines);
 
 // ---- Compilation ----------------------------------------------------------
 
-/// \brief Compiles `query` (with an optional trailing aggregation cycle)
-/// for the concrete engine in `options`, placing every temporary under
-/// `tmp_prefix`. Exec compiles each single payload this way under its
-/// run's fresh prefix.
-Result<CompiledPlan> CompileQueryPlan(
-    std::shared_ptr<const GraphPatternQuery> query,
-    const std::string& base_path,
-    const std::optional<AggregateSpec>& aggregate,
-    const std::string& tmp_prefix, const EngineOptions& options);
-
-/// \brief Batch analogue of CompileQueryPlan: one shared-scan workflow for
-/// `queries` (NTGA engines only — see ExecPayload::kBatch).
-Result<NtgaBatchPlan> CompileBatchPlan(
-    const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
-    const std::string& base_path, const std::string& tmp_prefix,
-    const EngineOptions& options);
+/// \brief Compiles `request` for the concrete engine in `options`,
+/// placing every temporary under `tmp_prefix`: one plan whose
+/// final_output_paths hold one answer file per query. A single payload
+/// compiles as a batch of one (plus the trailing aggregation cycle when it
+/// is aggregated); batch and union payloads compile to one shared-scan
+/// workflow (NTGA engines only — see ExecPayload::kBatch). Exec compiles
+/// each run this way under its run's fresh prefix, and the plan chooser
+/// compiles each candidate this way.
+Result<CompiledPlan> CompilePlan(const ExecRequest& request,
+                                 const std::string& base_path,
+                                 const std::string& tmp_prefix,
+                                 const EngineOptions& options);
 
 /// \brief A fixed temporary prefix for compiling a plan outside any run
 /// (the chooser's candidate plans, tools that replay a plan by hand).
 /// Base relations must not live under it.
 inline constexpr const char kPlanTemplatePrefix[] = "tmp/plan-template";
 
-/// \brief CompileQueryPlan under kPlanTemplatePrefix; rejects a base
-/// relation that lives under that prefix.
+/// \brief CompilePlan of a single payload under kPlanTemplatePrefix;
+/// rejects a base relation that lives under that prefix.
 Result<CompiledPlan> CompileQueryPlanTemplate(
     std::shared_ptr<const GraphPatternQuery> query,
     const std::string& base_path,

@@ -120,38 +120,10 @@ double ShuffleGrowth(EngineKind kind, const RequestModel& model) {
   }
 }
 
-// Compiles the candidate's plan (errors => the candidate cannot run this
-// payload) and returns its workflow plus star-phase output paths.
-struct CandidatePlan {
-  WorkflowSpec workflow;
-  std::vector<std::string> star_phase_paths;
-};
-
-Result<CandidatePlan> CompileCandidate(const ExecRequest& request,
-                                       const EngineOptions& options) {
-  CandidatePlan plan;
-  if (request.payload == ExecPayload::kSingle) {
-    RDFMR_ASSIGN_OR_RETURN(
-        CompiledPlan compiled,
-        CompileQueryPlan(request.query, kChooserBase, request.aggregate,
-                         kPlanTemplatePrefix, options));
-    plan.workflow = std::move(compiled.workflow);
-    plan.star_phase_paths = std::move(compiled.star_phase_paths);
-    return plan;
-  }
-  RDFMR_ASSIGN_OR_RETURN(
-      NtgaBatchPlan batch,
-      CompileBatchPlan(request.queries, kChooserBase, kPlanTemplatePrefix,
-                       options));
-  plan.workflow = std::move(batch.workflow);
-  plan.star_phase_paths = std::move(batch.star_phase_paths);
-  return plan;
-}
-
 // Projects the candidate's modeled execution time: walk the compiled
 // workflow in order, estimate each job's I/O from the advisor predictions
 // and property cardinalities, and price it with the calibrated cost model.
-double ScoreCandidate(const CandidatePlan& plan, EngineKind kind,
+double ScoreCandidate(const CompiledPlan& plan, EngineKind kind,
                       const RequestModel& model, uint64_t base_bytes,
                       const ClusterConfig& cluster,
                       const CostModelConfig& cost) {
@@ -272,8 +244,9 @@ Result<PlanChoice> ChoosePlan(const ExecRequest& request,
     candidate.kind = kind;
     EngineOptions candidate_options = options;
     candidate_options.kind = kind;
-    Result<CandidatePlan> plan =
-        CompileCandidate(request, candidate_options);
+    // A compile error means the candidate cannot run this payload.
+    Result<CompiledPlan> plan = CompilePlan(
+        request, kChooserBase, kPlanTemplatePrefix, candidate_options);
     if (!plan.ok()) {
       candidate.feasible = false;
       candidate.fits = false;

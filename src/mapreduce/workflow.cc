@@ -125,14 +125,4 @@ WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
   return result;
 }
 
-WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
-                           const CostModelConfig& cost,
-                           uint32_t num_threads, uint32_t max_attempts) {
-  WorkflowRunOptions options;
-  options.cost = cost;
-  options.runtime.num_threads = num_threads;
-  options.runtime.max_attempts = max_attempts;
-  return RunWorkflow(dfs, spec, options);
-}
-
 }  // namespace rdfmr

@@ -90,15 +90,9 @@ struct WorkflowRunOptions {
 /// metrics and totals (a failed job's retry accounting is folded into the
 /// totals too). Whenever the workflow succeeds, its outputs and every
 /// non-retry, non-wall-time metric are byte-identical to a fault-free run.
-WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
-                           const WorkflowRunOptions& options);
-
-/// \brief Deprecated alias for the pre-RunContext signature; forwards to
-/// the WorkflowRunOptions overload. Prefer the overload above.
-WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
-                           const CostModelConfig& cost = CostModelConfig{},
-                           uint32_t num_threads = 0,
-                           uint32_t max_attempts = 0);
+WorkflowResult RunWorkflow(
+    SimDfs* dfs, const WorkflowSpec& spec,
+    const WorkflowRunOptions& options = WorkflowRunOptions());
 
 }  // namespace rdfmr
 

@@ -17,8 +17,8 @@ using QueryPtr = std::shared_ptr<const GraphPatternQuery>;
 // Vertical-partition hint for the shared group scan over `queries`: the
 // union of every pattern's property constant when ALL patterns across all
 // queries are property-bound, null (scan everything) as soon as any
-// pattern's property is a variable. Sound: the group mappers below emit
-// nothing and touch no counter for a well-formed triple whose property
+// pattern's property is a variable. Sound: the group mapper below emits
+// nothing and touches no counter for a well-formed triple whose property
 // matches no bound pattern, so a mapped scan may skip those triples
 // without changing answers or deterministic metrics.
 std::shared_ptr<const std::vector<std::string>> GroupScanHint(
@@ -61,67 +61,6 @@ std::string EcRecord(AnnTg tg) {
   JoinedTg record;
   record.components.push_back(std::move(tg));
   return record.Serialize();
-}
-
-MapFn MakeGroupMapper(QueryPtr query) {
-  return [query](const std::string& record, const MapEmit& emit,
-                 Counters* counters) {
-    Result<Triple> t = Triple::Deserialize(record);
-    if (!t.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    // NTGA's shared scan: the triple is shuffled once if relevant to any
-    // pattern of any star subpattern.
-    for (const TriplePattern& tp : query->patterns()) {
-      bool property_ok =
-          tp.property_bound ? tp.property == t->property : true;
-      if (property_ok && tp.object.Matches(t->object)) {
-        emit(t->subject, record);
-        return;
-      }
-    }
-  };
-}
-
-ReduceFn MakeGroupReducer(QueryPtr query, NtgaLogicalPlan plan) {
-  return [query, plan = std::move(plan)](
-             const std::string& key, const std::vector<std::string>& values,
-             const RecordEmit& emit, Counters* counters) {
-    std::set<PropObj> distinct;
-    for (const std::string& v : values) {
-      Result<Triple> t = Triple::Deserialize(v);
-      if (t.ok()) distinct.insert(PropObj{t->property, t->object});
-    }
-    std::vector<PropObj> pairs(distinct.begin(), distinct.end());
-    (*counters)["subject_groups"] += 1;
-
-    bool matched_any = false;
-    for (size_t s = 0; s < query->stars().size(); ++s) {
-      const StarPattern& star = query->stars()[s];
-      const bool unbound = star.HasUnbound();
-      (*counters)[unbound ? "op.sigma_beta_gamma.input_groups"
-                          : "op.sigma_gamma.input_groups"] += 1;
-      std::optional<AnnTg> tg =
-          BuildAnnTg(star, static_cast<uint32_t>(s), key, pairs);
-      if (!tg.has_value()) continue;
-      (*counters)[unbound ? "op.sigma_beta_gamma.output_groups"
-                          : "op.sigma_gamma.output_groups"] += 1;
-      matched_any = true;
-      if (plan.eager_unnest[s]) {
-        std::vector<AnnTg> unnested = BetaUnnest(star, *tg);
-        (*counters)["eager_unnest_tgs"] += unnested.size();
-        (*counters)["op.mu_beta.calls"] += 1;
-        (*counters)["op.mu_beta.output_groups"] += unnested.size();
-        for (AnnTg& out : unnested) emit(EcRecord(std::move(out)));
-      } else {
-        tg->Compact(star);
-        (*counters)["anntgs"] += 1;
-        emit(EcRecord(std::move(*tg)));
-      }
-    }
-    if (!matched_any) (*counters)["filtered_groups"] += 1;
-  };
 }
 
 // ---- Job 2..k: TG_Join / TG_UnbJoin / TG_OptUnbJoin -------------------------
@@ -312,15 +251,16 @@ ReduceFn MakePartialJoinReducer(StarPattern left_star, JoinSidePlan left,
   };
 }
 
-// Builds the join cycles of one query within a (possibly batched) plan.
-// `star_offset` maps the query's local star indexes to the global ids its
-// records carry; EC files follow the global numbering.
-void AppendJoinCycles(QueryPtr query, const NtgaLogicalPlan& plan,
-                      uint32_t star_offset, const std::string& tmp_prefix,
-                      const std::string& name_prefix,
-                      const std::string& path_prefix,
-                      const NtgaOptions& options, WorkflowSpec* workflow,
-                      std::string* final_path) {
+// Builds the join cycles of one query of the plan and returns the path of
+// its answer file. `star_offset` maps the query's local star indexes to the
+// global ids its records carry; EC files follow the global numbering.
+std::string AppendJoinCycles(QueryPtr query, const NtgaLogicalPlan& plan,
+                             uint32_t star_offset,
+                             const std::string& tmp_prefix,
+                             const std::string& name_prefix,
+                             const std::string& path_prefix,
+                             const NtgaOptions& options,
+                             WorkflowSpec* workflow) {
   std::map<uint32_t, std::string> current_path;
   for (size_t s = 0; s < query->stars().size(); ++s) {
     current_path[static_cast<uint32_t>(s)] =
@@ -370,23 +310,23 @@ void AppendJoinCycles(QueryPtr query, const NtgaLogicalPlan& plan,
     for (uint32_t s : cycle.left.stars) current_path[s] = new_path;
     for (uint32_t s : cycle.right.stars) current_path[s] = new_path;
   }
-  *final_path = plan.joins.empty()
-                    ? EcPath(tmp_prefix, star_offset)
-                    : StringFormat("%s/%sjoin%zu", tmp_prefix.c_str(),
-                                   path_prefix.c_str(),
-                                   plan.joins.size() - 1);
+  return plan.joins.empty()
+             ? EcPath(tmp_prefix, star_offset)
+             : StringFormat("%s/%sjoin%zu", tmp_prefix.c_str(),
+                            path_prefix.c_str(), plan.joins.size() - 1);
 }
 
 }  // namespace
 
-Result<NtgaBatchPlan> CompileSharedNtgaPlan(
-    const std::vector<QueryPtr>& queries, const std::string& base_path,
-    const std::string& tmp_prefix, const NtgaOptions& options) {
+Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
+                                     const std::string& base_path,
+                                     const std::string& tmp_prefix,
+                                     const NtgaOptions& options) {
   if (queries.empty()) {
     return Status::InvalidArgument("empty query batch");
   }
   for (const QueryPtr& q : queries) {
-    if (q == nullptr) return Status::InvalidArgument("null query in batch");
+    if (q == nullptr) return Status::InvalidArgument("null query");
   }
 
   // Global star numbering + per-query rewritten plans.
@@ -401,15 +341,21 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
     plans.push_back(std::move(plan));
   }
 
-  NtgaBatchPlan out;
-  out.workflow.name = StringFormat(
-      "batch-of-%zu/ntga-%s", queries.size(),
-      NtgaStrategyToString(options.strategy));
+  // Names follow the number of queries: a single query runs the plain
+  // single-query workflow; a batch marks its shared cycle and prefixes
+  // each query's join cycles with "qN-".
+  const bool shared = queries.size() > 1;
+  CompiledPlan out;
+  out.workflow.name =
+      (shared ? StringFormat("batch-of-%zu", queries.size())
+              : queries[0]->name()) +
+      "/ntga-" + NtgaStrategyToString(options.strategy);
 
-  // --- Shared Job 1: one scan, one subject-grouping shuffle, every
-  // query's group filters applied to each subject group.
+  // --- Job 1: one scan and one subject-grouping shuffle compute every star
+  // subpattern of every query; each subject group passes through every
+  // query's group filters.
   JobSpec job1;
-  job1.name = "tg-group-filter-shared";
+  job1.name = shared ? "tg-group-filter-shared" : "tg-group-filter";
   job1.full_scans_of_base = 1;
   job1.inputs.push_back(MapInput{
       base_path,
@@ -420,13 +366,15 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
           (*counters)["bad_records"] += 1;
           return;
         }
+        // NTGA's shared scan: the triple is shuffled once if relevant to
+        // any pattern of any star subpattern of any query.
         for (const QueryPtr& q : queries) {
           for (const TriplePattern& tp : q->patterns()) {
             bool property_ok =
                 tp.property_bound ? tp.property == t->property : true;
             if (property_ok && tp.object.Matches(t->object)) {
               emit(t->subject, record);
-              return;  // shuffled once for the whole batch
+              return;
             }
           }
         }
@@ -443,6 +391,8 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
     }
     std::vector<PropObj> pairs(distinct.begin(), distinct.end());
     (*counters)["subject_groups"] += 1;
+
+    bool matched_any = false;
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t s = 0; s < queries[q]->stars().size(); ++s) {
         const StarPattern& star = queries[q]->stars()[s];
@@ -454,17 +404,21 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
         if (!tg.has_value()) continue;
         (*counters)[unbound ? "op.sigma_beta_gamma.output_groups"
                             : "op.sigma_gamma.output_groups"] += 1;
+        matched_any = true;
         if (plans[q].eager_unnest[s]) {
           std::vector<AnnTg> unnested = BetaUnnest(star, *tg);
+          (*counters)["eager_unnest_tgs"] += unnested.size();
           (*counters)["op.mu_beta.calls"] += 1;
           (*counters)["op.mu_beta.output_groups"] += unnested.size();
           for (AnnTg& out : unnested) emit(EcRecord(std::move(out)));
         } else {
           tg->Compact(star);
+          (*counters)["anntgs"] += 1;
           emit(EcRecord(std::move(*tg)));
         }
       }
     }
+    if (!matched_any) (*counters)["filtered_groups"] += 1;
   };
   job1.output_path = tmp_prefix + "/ec";
   job1.demux = [](const std::string& record) {
@@ -477,21 +431,16 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
   }
   out.workflow.jobs.push_back(std::move(job1));
 
-  // --- Per-query join pipelines.
+  // --- Job 2..k: each query's join pipeline.
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::string final_path;
-    AppendJoinCycles(queries[q], plans[q], offsets[q], tmp_prefix,
-                     StringFormat("q%zu-", q), StringFormat("q%zu-", q),
-                     options, &out.workflow, &final_path);
-    out.final_output_paths.push_back(final_path);
-    out.decoders.push_back(
-        [all_stars](const std::vector<std::string>& lines)
-            -> Result<SolutionSet> {
-          return DecodeJoinedTgAnswers(all_stars, lines);
-        });
+    const std::string prefix = shared ? StringFormat("q%zu-", q) : "";
+    out.final_output_paths.push_back(AppendJoinCycles(
+        queries[q], plans[q], offsets[q], tmp_prefix, prefix,
+        shared ? prefix : "tg", options, &out.workflow));
   }
+  if (!shared) out.workflow.final_output_path = out.final_output_paths[0];
 
-  // --- Cleanup bookkeeping (everything that is not some query's final).
+  // --- Cleanup bookkeeping (everything that is not some query's answer).
   std::set<std::string> finals(out.final_output_paths.begin(),
                                out.final_output_paths.end());
   for (size_t g = 0; g < all_stars.size(); ++g) {
@@ -501,71 +450,20 @@ Result<NtgaBatchPlan> CompileSharedNtgaPlan(
   }
   out.workflow.intermediate_paths.push_back(tmp_prefix + "/ecx");
   for (const JobSpec& job : out.workflow.jobs) {
-    if (!job.output_path.empty() && job.demux == nullptr &&
-        finals.count(job.output_path) == 0) {
+    if (job.demux == nullptr && finals.count(job.output_path) == 0) {
       out.workflow.intermediate_paths.push_back(job.output_path);
     }
   }
-  return out;
-}
 
-Result<CompiledPlan> CompileNtgaPlan(QueryPtr query,
-                                     const std::string& base_path,
-                                     const std::string& tmp_prefix,
-                                     const NtgaOptions& options) {
-  if (query == nullptr) return Status::InvalidArgument("null query");
-  RDFMR_ASSIGN_OR_RETURN(NtgaLogicalPlan plan,
-                         RewriteToNtga(*query, options.strategy));
-
-  CompiledPlan out;
-  out.workflow.name = StringFormat("%s/ntga-%s", query->name().c_str(),
-                                   NtgaStrategyToString(options.strategy));
-
-  // --- Job 1: one grouping cycle for ALL star subpatterns.
-  JobSpec job1;
-  job1.name = "tg-group-filter";
-  job1.inputs.push_back(MapInput{base_path, MakeGroupMapper(query),
-                                 GroupScanHint({query})});
-  job1.full_scans_of_base = 1;
-  job1.reduce = MakeGroupReducer(query, plan);
-  job1.output_path = tmp_prefix + "/ec";
-  job1.demux = [](const std::string& record) {
-    Result<uint32_t> star = AnnTg::PeekStarId(record);
-    return star.ok() ? std::to_string(*star) : std::string("x");
-  };
-  for (size_t s = 0; s < query->stars().size(); ++s) {
-    job1.ensure_outputs.push_back(EcPath(tmp_prefix, s));
-    out.star_phase_paths.push_back(EcPath(tmp_prefix, s));
-  }
-  out.workflow.jobs.push_back(std::move(job1));
-
-  // --- Join cycles (shared with the batched compiler).
-  std::string final_path;
-  AppendJoinCycles(query, plan, /*star_offset=*/0, tmp_prefix,
-                   /*name_prefix=*/"", /*path_prefix=*/"tg", options,
-                   &out.workflow, &final_path);
-
-  out.workflow.final_output_path = final_path;
-  for (size_t s = 0; s < query->stars().size(); ++s) {
-    if (EcPath(tmp_prefix, s) != out.workflow.final_output_path) {
-      out.workflow.intermediate_paths.push_back(EcPath(tmp_prefix, s));
-    }
-  }
-  out.workflow.intermediate_paths.push_back(tmp_prefix + "/ecx");
-  for (size_t j = 0; j + 1 < plan.joins.size(); ++j) {
-    out.workflow.intermediate_paths.push_back(
-        StringFormat("%s/tgjoin%zu", tmp_prefix.c_str(), j));
-  }
-
-  std::vector<StarPattern> stars = query->stars();
-  out.decoder = [stars](const std::vector<std::string>& lines)
+  // Records carry global star ids, so one decoder serves every answer file.
+  out.decoder = [all_stars](const std::vector<std::string>& lines)
       -> Result<SolutionSet> {
-    return DecodeJoinedTgAnswers(stars, lines);
+    return DecodeJoinedTgAnswers(all_stars, lines);
   };
-  out.record_decoder = [stars](const std::string& record)
+  out.record_decoder = [all_stars](const std::string& record)
       -> Result<std::vector<Solution>> {
     RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg, JoinedTg::Deserialize(record));
-    return ExpandJoinedTg(stars, jtg);
+    return ExpandJoinedTg(all_stars, jtg);
   };
   return out;
 }

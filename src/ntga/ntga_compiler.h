@@ -1,12 +1,15 @@
 // Physical NTGA plan compiler: turns the rewritten logical plan into a
 // MapReduce workflow over the simulated cluster.
 //
+// One compiler serves one query and a batch alike: a single query is a
+// batch of one.
+//
 // Physical operators (Algorithms 1-3 of the paper):
 //  * Job 1, "TG_GroupBy + TG_(Unb)GrpFilter": ONE cycle computes every star
-//    subpattern — map tags triples by subject, reduce assembles subject
-//    triplegroups, applies the disjunctive (β) group-filter, and (eager
-//    strategy only) β-unnests. Output is demuxed into one file per
-//    equivalence class.
+//    subpattern of every query — map tags triples by subject, reduce
+//    assembles subject triplegroups, applies each query's disjunctive (β)
+//    group-filter, and (eager strategy only) β-unnests. Output is demuxed
+//    into one file per equivalence class.
 //  * Job 2..k, "TG_Join / TG_UnbJoin / TG_OptUnbJoin": one cycle per star
 //    join. TG_UnbJoin β-unnests at the map side when the join key is an
 //    unbound pattern's object; TG_OptUnbJoin partially β-unnests with φ_m,
@@ -18,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "engine/compiled_plan.h"
@@ -32,28 +36,22 @@ struct NtgaOptions {
   uint32_t phi_partitions = 1024;
 };
 
-/// \brief Compiles `query` into an NTGA MR workflow reading the triple
+/// \brief Compiles `queries` into one NTGA MR workflow reading the triple
 /// relation at `base_path`; intermediates go under `tmp_prefix`.
+///
+/// This is the only NTGA compiler, and a single query is a batch of one.
+/// γ_S(T) does not depend on the query, so every query of the list shares
+/// the one grouping cycle (MRShare-style sharing, which NTGA gets
+/// structurally); each query then runs its own join cycles. Star ids are
+/// global over the list, so `decoder` and `record_decoder` serve every
+/// query's answer file (`final_output_paths`, in list order).
+///
+/// Names follow the number of queries. One query compiles to the plain
+/// workflow (`tg-group-filter`, `tg-join-…`, `tgjoinN` files) with its
+/// answer file also in `workflow.final_output_path`. Two or more mark the
+/// shared cycle `tg-group-filter-shared` and prefix each query's join
+/// cycles and files with `qN-`.
 Result<CompiledPlan> CompileNtgaPlan(
-    std::shared_ptr<const GraphPatternQuery> query,
-    const std::string& base_path, const std::string& tmp_prefix,
-    const NtgaOptions& options);
-
-/// \brief A compiled multi-query batch: ONE shared grouping cycle (γ is
-/// query-independent, so a batch of queries shares a single scan and a
-/// single subject-grouping shuffle — MRShare-style sharing, which NTGA
-/// gets structurally) followed by each query's join pipeline.
-struct NtgaBatchPlan {
-  WorkflowSpec workflow;
-  /// Per query: its answer file and decoder.
-  std::vector<std::string> final_output_paths;
-  std::vector<AnswerDecoder> decoders;
-  /// The shared grouping cycle's equivalence-class files.
-  std::vector<std::string> star_phase_paths;
-};
-
-/// \brief Compiles several queries into one shared-scan NTGA workflow.
-Result<NtgaBatchPlan> CompileSharedNtgaPlan(
     const std::vector<std::shared_ptr<const GraphPatternQuery>>& queries,
     const std::string& base_path, const std::string& tmp_prefix,
     const NtgaOptions& options);

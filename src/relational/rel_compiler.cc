@@ -511,10 +511,13 @@ Result<CompiledPlan> CompileRelationalPlan(
   if (query == nullptr) {
     return Status::InvalidArgument("null query");
   }
-  if (options.grouping == RelationalGrouping::kSelSJFirst) {
-    return CompileSelSJFirst(query, base_path, tmp_prefix);
-  }
-  return CompileStarPerCycle(query, base_path, tmp_prefix, options);
+  RDFMR_ASSIGN_OR_RETURN(
+      CompiledPlan plan,
+      options.grouping == RelationalGrouping::kSelSJFirst
+          ? CompileSelSJFirst(query, base_path, tmp_prefix)
+          : CompileStarPerCycle(query, base_path, tmp_prefix, options));
+  plan.final_output_paths = {plan.workflow.final_output_path};
+  return plan;
 }
 
 }  // namespace rdfmr

@@ -39,9 +39,15 @@ std::vector<Triple> GenerateGraph(const GraphGenConfig& config, Rng* rng) {
         config.literal_tokens > 0) {
       // Literal with an embedded token; the trailing counter keeps values
       // diverse so CONTAINS filters select strict subsets.
-      return StringFormat("lit tok%llu n%llu",
-                          (unsigned long long)rng->Uniform(config.literal_tokens),
-                          (unsigned long long)(literal_seed % 5));
+      std::string literal = StringFormat(
+          "lit tok%llu n%llu",
+          (unsigned long long)rng->Uniform(config.literal_tokens),
+          (unsigned long long)(literal_seed % 5));
+      // One counter residue also carries an escape byte and the record
+      // formats' separators (field, record, line), so every serde layer
+      // meets them. No extra draw: graph shapes per seed are unchanged.
+      if (literal_seed % 5 == 4) literal += " \\\t\x1E\n";
+      return literal;
     }
     return ObjectId(rng->Uniform(std::max<uint64_t>(config.object_pool, 1)));
   };

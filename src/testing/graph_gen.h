@@ -6,7 +6,9 @@
 // varies per subject, objects are drawn from a shared pool (so star joins
 // actually connect), some objects are other subjects (so Object-Subject
 // joins resolve), and some are literals carrying substring tokens (so
-// CONTAINS filters select nontrivially).
+// CONTAINS filters select nontrivially). About one literal in five also
+// ends in a backslash, a tab, a 0x1E byte and a newline, the separators the
+// record formats must escape.
 
 #ifndef RDFMR_TESTING_GRAPH_GEN_H_
 #define RDFMR_TESTING_GRAPH_GEN_H_

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "query/matcher.h"
+#include "testing/invariants.h"
 #include "tests/test_util.h"
 
 namespace rdfmr {
@@ -102,19 +103,39 @@ TEST(BatchTest, MixedDatasetQueriesAndStrategies) {
 }
 
 TEST(BatchTest, SingleQueryBatchEqualsPlainRun) {
+  // A single query is a batch of one: the one-query batch runs exactly the
+  // plain run's workflow, so every deterministic stat — job names and
+  // per-job counters included — matches once the run names are aligned.
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   auto dfs = MakeDfsWithBase(triples);
   ASSERT_NE(dfs, nullptr);
   auto q = GetTestbedQuery("B1");
   ASSERT_TRUE(q.ok());
-  EngineOptions options;
-  options.kind = EngineKind::kNtgaLazy;
-  auto batch = Exec(dfs.get(), "base", ExecRequest::Batch({*q}), options);
-  auto plain = Exec(dfs.get(), "base", ExecRequest::Single(*q), options);
-  ASSERT_TRUE(batch.ok() && plain.ok());
-  ASSERT_TRUE(batch->stats.ok() && plain->stats.ok());
-  EXPECT_EQ(batch->per_query[0], plain->answers);
-  EXPECT_EQ(batch->stats.mr_cycles, plain->stats.mr_cycles);
+  for (EngineKind kind :
+       {EngineKind::kNtgaEager, EngineKind::kNtgaLazyFull,
+        EngineKind::kNtgaLazyPartial, EngineKind::kNtgaLazy}) {
+    SCOPED_TRACE(EngineKindToString(kind));
+    EngineOptions options;
+    options.kind = kind;
+    auto batch = Exec(dfs.get(), "base", ExecRequest::Batch({*q}), options);
+    auto plain = Exec(dfs.get(), "base", ExecRequest::Single(*q), options);
+    ASSERT_TRUE(batch.ok() && plain.ok());
+    ASSERT_TRUE(batch->stats.ok() && plain->stats.ok());
+    ASSERT_EQ(batch->per_query.size(), 1u);
+    EXPECT_EQ(batch->per_query[0], plain->answers);
+    EXPECT_EQ(batch->stats.query, "batch-of-1");
+    EXPECT_EQ(plain->stats.query, "B1");
+    ExecStats aligned = batch->stats;
+    aligned.query = plain->stats.query;
+    EXPECT_EQ(fuzz::CompareStatsIgnoringWallTimes(aligned, plain->stats),
+              std::vector<std::string>{});
+    ASSERT_EQ(batch->stats.jobs.size(), plain->stats.jobs.size());
+    for (size_t j = 0; j < plain->stats.jobs.size(); ++j) {
+      EXPECT_EQ(batch->stats.jobs[j].job_name, plain->stats.jobs[j].job_name);
+      EXPECT_EQ(batch->stats.jobs[j].counters, plain->stats.jobs[j].counters)
+          << plain->stats.jobs[j].job_name;
+    }
+  }
 }
 
 TEST(BatchTest, RejectsRelationalEnginesAndEmptyBatches) {

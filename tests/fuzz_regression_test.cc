@@ -159,6 +159,30 @@ TEST(FuzzRegressionTest, ChainedStarsJoinedThroughUnboundObject) {
   EXPECT_GT(outcome.expected_answers, 0u);
 }
 
+// A literal carrying a backslash, a tab, a 0x1E byte and a newline (the
+// generator's separator-bearing literals). Eager β-unnest writes it twice
+// into one nested record, whose two raw tabs once made the redundancy
+// meter read the record as a flat 3-field tuple (factor 0.27).
+TEST(FuzzRegressionTest, SeparatorLiteralKeepsNtgaRedundancyZero) {
+  FuzzCase fuzz_case;
+  fuzz_case.name = "separator-literal";
+  fuzz_case.triples = {{"s4", "p1", "lit tok1 n4 \\\t\x1E\n"}};
+  TriplePattern unbound;
+  unbound.subject = NodePattern::Var("qs0");
+  unbound.property_bound = false;
+  unbound.property = "up0";
+  unbound.object = NodePattern::Var("v0");
+  TriplePattern bound;
+  bound.subject = NodePattern::Var("qs0");
+  bound.property = "p1";
+  bound.object = NodePattern::Var("qs1");
+  fuzz_case.patterns = {unbound, bound};
+  CaseOutcome outcome = RunCase(fuzz_case, DifferentialConfig());
+  EXPECT_TRUE(outcome.ok())
+      << (outcome.violations.empty() ? "" : outcome.violations.front());
+  EXPECT_EQ(outcome.expected_answers, 1u);
+}
+
 TEST(InvariantTest, CleanExecutionPassesAndTamperedStatsFail) {
   FuzzOptions options;
   options.seed = 2;

@@ -21,7 +21,7 @@ CompiledPlan Compile(const std::string& query_id, NtgaStrategy strategy) {
   NtgaOptions options;
   options.strategy = strategy;
   options.phi_partitions = 8;
-  auto plan = CompileNtgaPlan(*query, "base", "tmp", options);
+  auto plan = CompileNtgaPlan({*query}, "base", "tmp", options);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return std::move(*plan);
 }
@@ -93,7 +93,8 @@ TEST(NtgaCompilerTest, StarPhasePathsAreTheEcFiles) {
 
 TEST(NtgaCompilerTest, NullQueryRejected) {
   NtgaOptions options;
-  EXPECT_FALSE(CompileNtgaPlan(nullptr, "base", "tmp", options).ok());
+  EXPECT_FALSE(CompileNtgaPlan({nullptr}, "base", "tmp", options).ok());
+  EXPECT_FALSE(CompileNtgaPlan({}, "base", "tmp", options).ok());
 }
 
 // ---- Execution details --------------------------------------------------------

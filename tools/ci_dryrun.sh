@@ -49,6 +49,10 @@ run_fuzz() {
   # explicit run, and the sweep must exercise >= 2 distinct engines.
   "./$build_dir/tools/rdfmr_fuzz" --seed 1 --cases 200 --auto --quiet \
     || return $?
+  "./$build_dir/tools/rdfmr_fuzz" --seed 1 --cases 200 --format --quiet \
+    || return $?
+  "./$build_dir/tools/rdfmr_fuzz" --seed 1 --cases 200 --service --quiet \
+    || return $?
   cmake --build "$build_dir" -j "$(nproc)" --target rdfmr || return $?
   mkdir -p traces
   "./$build_dir/tools/rdfmr_fuzz" --seed 1 --cases 5 --quiet \

@@ -80,8 +80,6 @@
 #include "mapreduce/workflow.h"
 #include "net/address.h"
 #include "ntga/logical_plan.h"
-#include "ntga/ntga_compiler.h"
-#include "relational/rel_compiler.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph_stats.h"
 #include "service/client.h"
@@ -274,19 +272,14 @@ int CmdExplain(const Flags& flags) {
               query->query->stars().size(),
               query->aggregate.has_value() ? " + 1 aggregation cycle" : "");
 
-  // Physical job layouts.
+  // Physical job layouts, compiled exactly as a run compiles them.
   std::printf("\n-- physical plans --\n");
-  {
-    RelationalOptions rel;
-    rel.style = RelationalStyle::kHive;
-    auto plan = CompileRelationalPlan(query->query, "base", "tmp", rel);
-    if (plan.ok()) {
-      std::printf("%s", DescribeWorkflow(plan->workflow).c_str());
-    }
-  }
-  {
-    NtgaOptions ntga;
-    auto plan = CompileNtgaPlan(query->query, "base", "tmp", ntga);
+  const ExecRequest request =
+      ExecRequest::Single(query->query, query->aggregate);
+  for (EngineKind kind : {EngineKind::kHive, EngineKind::kNtgaLazy}) {
+    EngineOptions options;
+    options.kind = kind;
+    auto plan = CompilePlan(request, "base", "tmp", options);
     if (plan.ok()) {
       std::printf("%s", DescribeWorkflow(plan->workflow).c_str());
     }
