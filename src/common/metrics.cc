@@ -32,6 +32,32 @@ uint64_t BucketUpperBound(size_t i) {
 
 }  // namespace
 
+void AppendPrometheusHeader(std::string_view name, std::string_view help,
+                            std::string_view type, std::string* out) {
+  if (!help.empty()) {
+    out->append("# HELP ");
+    out->append(name);
+    out->push_back(' ');
+    out->append(PrometheusEscapeHelp(help));
+    out->push_back('\n');
+  }
+  out->append("# TYPE ");
+  out->append(name);
+  out->push_back(' ');
+  out->append(type);
+  out->push_back('\n');
+}
+
+void AppendPrometheusScalar(std::string_view name, std::string_view help,
+                            std::string_view type, const std::string& value,
+                            std::string* out) {
+  AppendPrometheusHeader(name, help, type, out);
+  out->append(name);
+  out->push_back(' ');
+  out->append(value);
+  out->push_back('\n');
+}
+
 void AppendPrometheusHistogram(const std::string& name, const Histogram& h,
                                std::string* out) {
   size_t last_bucket = 0;
@@ -114,32 +140,17 @@ std::string MetricsRegistry::ToPrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, entry] : entries_) {
-    if (!entry.help.empty()) {
-      out.append("# HELP ");
-      out.append(name);
-      out.push_back(' ');
-      out.append(PrometheusEscapeHelp(entry.help));
-      out.push_back('\n');
-    }
-    out.append("# TYPE ");
-    out.append(name);
     switch (entry.kind) {
       case Kind::kCounter:
-        out.append(" counter\n");
-        out.append(name);
-        out.push_back(' ');
-        out.append(std::to_string(entry.counter->Value()));
-        out.push_back('\n');
+        AppendPrometheusScalar(name, entry.help, "counter",
+                               std::to_string(entry.counter->Value()), &out);
         break;
       case Kind::kGauge:
-        out.append(" gauge\n");
-        out.append(name);
-        out.push_back(' ');
-        out.append(std::to_string(entry.gauge->Value()));
-        out.push_back('\n');
+        AppendPrometheusScalar(name, entry.help, "gauge",
+                               std::to_string(entry.gauge->Value()), &out);
         break;
       case Kind::kHistogram:
-        out.append(" histogram\n");
+        AppendPrometheusHeader(name, entry.help, "histogram", &out);
         AppendPrometheusHistogram(name, entry.histogram->Snapshot(), &out);
         break;
     }

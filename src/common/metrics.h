@@ -127,6 +127,18 @@ class MetricsRegistry {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
+/// \brief Appends one metric's `# HELP` line (omitted when `help` is
+/// empty) and its `# TYPE` line ("counter", "gauge" or "histogram").
+void AppendPrometheusHeader(std::string_view name, std::string_view help,
+                            std::string_view type, std::string* out);
+
+/// \brief Appends one counter or gauge: its HELP/TYPE lines plus its single
+/// `name value` sample. Shared by the registry export and the service's
+/// stats exposition.
+void AppendPrometheusScalar(std::string_view name, std::string_view help,
+                            std::string_view type, const std::string& value,
+                            std::string* out);
+
 /// \brief Appends one histogram as Prometheus cumulative `_bucket{le=..}`
 /// series plus `_sum`/`_count` (no HELP/TYPE lines). Shared by the
 /// registry export and the service's stats exposition.

@@ -469,7 +469,13 @@ std::string RunName(const ExecRequest& request) {
   return "";
 }
 
-Status CheckExecRequest(const ExecRequest& request) {
+Status CheckExecRequest(const ExecRequest& request,
+                        const EngineOptions& options) {
+  // φ_m partitions the join keys of TG_OptUnbJoin; the partial β-unnest's
+  // partition function needs at least one partition.
+  if (options.phi_partitions == 0) {
+    return Status::InvalidArgument("phi_partitions must be at least 1");
+  }
   if (request.payload == ExecPayload::kSingle) {
     if (request.query == nullptr) {
       return Status::InvalidArgument("a single payload needs a query");
@@ -499,7 +505,7 @@ Result<CompiledPlan> CompilePlan(const ExecRequest& request,
                                  const std::string& base_path,
                                  const std::string& tmp_prefix,
                                  const EngineOptions& options) {
-  RDFMR_RETURN_NOT_OK(CheckExecRequest(request));
+  RDFMR_RETURN_NOT_OK(CheckExecRequest(request, options));
   if (request.aggregate.has_value()) {
     RDFMR_RETURN_NOT_OK(request.aggregate->Validate(*request.query));
   }
@@ -557,7 +563,7 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
   if (dfs == nullptr) {
     return Status::InvalidArgument("Exec needs a dfs");
   }
-  RDFMR_RETURN_NOT_OK(CheckExecRequest(request));
+  RDFMR_RETURN_NOT_OK(CheckExecRequest(request, options));
   if (!dfs->Exists(base_path)) {
     return Status::NotFound("base triple relation missing: " + base_path);
   }

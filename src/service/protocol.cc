@@ -1,5 +1,7 @@
 #include "service/protocol.h"
 
+#include <cmath>
+#include <future>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -153,8 +155,14 @@ Result<EngineOptions> OptionsFromJson(const JsonValue& request) {
     RDFMR_ASSIGN_OR_RETURN(options.kind,
                            EngineKindFromString(request.GetString("engine")));
   }
-  options.phi_partitions = static_cast<uint32_t>(
-      request.GetUint("phi", options.phi_partitions));
+  if (request.Has("phi")) {
+    const double phi = request.Get("phi").AsDouble(0.0);
+    if (!(phi >= 1.0 && phi < 4294967296.0) || phi != std::floor(phi)) {
+      return Status::InvalidArgument(
+          "\"phi\" must be an integer in [1, 2^32)");
+    }
+    options.phi_partitions = static_cast<uint32_t>(phi);
+  }
   options.runtime.num_threads =
       static_cast<uint32_t>(request.GetUint("threads", 0));
   return options;
@@ -171,11 +179,11 @@ JsonValue AnswersJson(const SolutionSet& answers, uint64_t max_answers) {
   return array;
 }
 
-/// Response shaping for the query/batch verbs, shared by the synchronous
-/// dispatch and the Submit() completion path of the async dispatch. A
-/// terse response carries only the verdict and the answers: the stats
-/// envelope is ~1 KB and costs more to serialize than the whole rest of
-/// the warm path, so pipelined high-throughput clients opt out of it.
+/// Response shaping for the query/batch verbs, run on the Submit()
+/// completion path. A terse response carries only the verdict and the
+/// answers: the stats envelope is ~1 KB and costs more to serialize than
+/// the whole rest of the warm path, so pipelined high-throughput clients
+/// opt out of it.
 JsonValue ShapeQueryResponse(const ServiceResponse& response,
                              uint64_t max_answers, bool per_query,
                              bool terse) {
@@ -206,25 +214,6 @@ JsonValue ShapeQueryResponse(const ServiceResponse& response,
   return o;
 }
 
-/// True when the batch verb's response reports answers per input query
-/// (mode "batch") rather than as one merged set.
-bool IsPerQuery(const ServiceRequest& service_request) {
-  return service_request.query == nullptr &&
-         service_request.batch_mode == BatchMode::kPerQuery;
-}
-
-/// Runs a built query/batch request synchronously and shapes the result.
-JsonValue RunServiceRequest(QueryService* query_service,
-                            ServiceRequest service_request,
-                            const JsonValue& request) {
-  const uint64_t max_answers = request.GetUint("max_answers", 0);
-  const bool per_query = IsPerQuery(service_request);
-  const bool terse = request.GetBool("terse");
-  ServiceResponse response =
-      query_service->Query(std::move(service_request));
-  return ShapeQueryResponse(response, max_answers, per_query, terse);
-}
-
 JsonValue HandleLoad(QueryService* query_service, const JsonValue& request) {
   const std::string dataset = request.GetString("dataset");
   if (dataset.empty()) {
@@ -253,6 +242,11 @@ JsonValue HandleLoad(QueryService* query_service, const JsonValue& request) {
             "load: each triple must be a [s,p,o] array"));
       }
       const JsonValue::Array& fields = row.AsArray();
+      if (!fields[0].is_string() || !fields[1].is_string() ||
+          !fields[2].is_string()) {
+        return ErrorResponse(Status::InvalidArgument(
+            "load: each triple's s, p and o must be strings"));
+      }
       triples.emplace_back(fields[0].AsString(), fields[1].AsString(),
                            fields[2].AsString());
     }
@@ -361,18 +355,6 @@ Result<ServiceRequest> BuildBatchRequest(const JsonValue& request) {
   }
   RDFMR_RETURN_NOT_OK(FillCommonQueryFields(request, &service_request));
   return service_request;
-}
-
-JsonValue HandleQuery(QueryService* query_service, const JsonValue& request) {
-  Result<ServiceRequest> built = BuildQueryRequest(request);
-  if (!built.ok()) return ErrorResponse(built.status());
-  return RunServiceRequest(query_service, *std::move(built), request);
-}
-
-JsonValue HandleBatch(QueryService* query_service, const JsonValue& request) {
-  Result<ServiceRequest> built = BuildBatchRequest(request);
-  if (!built.ok()) return ErrorResponse(built.status());
-  return RunServiceRequest(query_service, *std::move(built), request);
 }
 
 /// The `explain` verb: scores every candidate engine for the request's
@@ -568,124 +550,115 @@ void StampEnvelope(const JsonValue& request, JsonValue* response) {
   }
 }
 
-}  // namespace
-
-HandleResult HandleRequest(QueryService* query_service,
-                           const JsonValue& request) {
-  HandleResult result;
+/// The one dispatcher of an already-parsed request. The slow verbs
+/// ("query"/"batch") are built and validated inline, then submitted to the
+/// service's worker pool; every other verb completes inline.
+AsyncDispatch Dispatch(QueryService* query_service, const JsonValue& request,
+                       HandleDone done) {
+  AsyncDispatch dispatch;
+  auto finish = [&request, &done](JsonValue response, bool shutdown) {
+    StampEnvelope(request, &response);
+    done(std::move(response), shutdown);
+  };
   if (!request.is_object()) {
-    result.response = ErrorResponse(
-        Status::InvalidArgument("request must be a JSON object"));
-    StampEnvelope(request, &result.response);
-    return result;
+    finish(ErrorResponse(
+               Status::InvalidArgument("request must be a JSON object")),
+           false);
+    return dispatch;
   }
+  dispatch.ordered_requested = request.GetBool("ordered");
   if (!VersionOk(request)) {
-    result.response = ErrorResponse(Status::InvalidArgument(
-        "unsupported protocol version (supported: " +
-        std::to_string(kProtocolVersion) + ")"));
-    StampEnvelope(request, &result.response);
-    return result;
+    finish(ErrorResponse(Status::InvalidArgument(
+               "unsupported protocol version (supported: " +
+               std::to_string(kProtocolVersion) + ")")),
+           false);
+    return dispatch;
   }
   const std::string verb = request.GetString("verb");
+  if (verb == "query" || verb == "batch") {
+    Result<ServiceRequest> built = verb == "query"
+                                       ? BuildQueryRequest(request)
+                                       : BuildBatchRequest(request);
+    if (!built.ok()) {
+      finish(ErrorResponse(built.status()), false);
+      return dispatch;
+    }
+    const uint64_t max_answers = request.GetUint("max_answers", 0);
+    const bool per_query =
+        built->query == nullptr && built->batch_mode == BatchMode::kPerQuery;
+    const bool terse = request.GetBool("terse");
+    const bool has_id = request.Has("id");
+    JsonValue id = has_id ? request.Get("id") : JsonValue();
+    query_service->Submit(
+        *std::move(built),
+        [done = std::move(done), max_answers, per_query, terse, has_id,
+         id = std::move(id)](ServiceResponse response) {
+          JsonValue shaped =
+              ShapeQueryResponse(response, max_answers, per_query, terse);
+          shaped.Set("v", kProtocolVersion);
+          if (has_id) shaped.Set("id", id);
+          done(std::move(shaped), false);
+        });
+    return dispatch;
+  }
   if (verb == "ping") {
-    result.response = OkResponse();
+    finish(OkResponse(), false);
   } else if (verb == "load") {
-    result.response = HandleLoad(query_service, request);
+    finish(HandleLoad(query_service, request), false);
   } else if (verb == "drop") {
     Status st = query_service->DropDataset(request.GetString("dataset"));
-    result.response = st.ok() ? OkResponse() : ErrorResponse(st);
+    finish(st.ok() ? OkResponse() : ErrorResponse(st), false);
   } else if (verb == "list") {
     JsonValue datasets = JsonValue::MakeArray();
     for (const DatasetInfo& info : query_service->ListDatasets()) {
       datasets.Append(DatasetInfoJson(info));
     }
-    result.response = OkResponse();
-    result.response.Set("datasets", std::move(datasets));
-  } else if (verb == "query") {
-    result.response = HandleQuery(query_service, request);
-  } else if (verb == "batch") {
-    result.response = HandleBatch(query_service, request);
+    JsonValue o = OkResponse();
+    o.Set("datasets", std::move(datasets));
+    finish(std::move(o), false);
   } else if (verb == "explain") {
-    result.response = HandleExplain(query_service, request);
+    finish(HandleExplain(query_service, request), false);
   } else if (verb == "stats") {
-    result.response = HandleStats(query_service, request);
+    finish(HandleStats(query_service, request), false);
   } else if (verb == "metrics") {
-    result.response = HandleMetrics(query_service, request);
+    finish(HandleMetrics(query_service, request), false);
   } else if (verb == "shutdown") {
-    result.response = OkResponse();
-    result.shutdown = true;
+    finish(OkResponse(), true);
   } else {
-    result.response = ErrorResponse(Status::InvalidArgument(
-        "unknown verb: \"" + verb +
-        "\" (want ping|load|drop|list|explain|query|batch|stats|metrics|"
-        "shutdown)"));
+    finish(ErrorResponse(Status::InvalidArgument(
+               "unknown verb: \"" + verb +
+               "\" (want ping|load|drop|list|explain|query|batch|stats|"
+               "metrics|shutdown)")),
+           false);
   }
-  StampEnvelope(request, &result.response);
-  return result;
+  return dispatch;
 }
 
-HandleResult HandleRequestLine(QueryService* query_service,
-                               const std::string& line) {
-  Result<JsonValue> request = ParseJson(line);
-  if (!request.ok()) {
-    HandleResult result;
-    result.response = ErrorResponse(request.status());
-    result.response.Set("v", kProtocolVersion);
-    return result;
-  }
-  return HandleRequest(query_service, *request);
-}
+}  // namespace
 
 AsyncDispatch HandleRequestLineAsync(QueryService* query_service,
                                      const std::string& line,
                                      HandleDone done) {
-  AsyncDispatch dispatch;
   Result<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
     JsonValue response = ErrorResponse(parsed.status());
     response.Set("v", kProtocolVersion);
     done(std::move(response), false);
-    return dispatch;
+    return AsyncDispatch();
   }
-  const JsonValue& request = *parsed;
-  if (request.is_object()) {
-    dispatch.ordered_requested = request.GetBool("ordered");
-  }
-  const std::string verb =
-      request.is_object() ? request.GetString("verb") : std::string();
-  const bool slow_verb = verb == "query" || verb == "batch";
-  if (!request.is_object() || !VersionOk(request) || !slow_verb) {
-    // Fast verbs (and every error path) are cheap enough for the caller's
-    // thread: complete inline.
-    HandleResult result = HandleRequest(query_service, request);
-    done(std::move(result.response), result.shutdown);
-    return dispatch;
-  }
-  Result<ServiceRequest> built = verb == "query"
-                                     ? BuildQueryRequest(request)
-                                     : BuildBatchRequest(request);
-  if (!built.ok()) {
-    JsonValue response = ErrorResponse(built.status());
-    StampEnvelope(request, &response);
-    done(std::move(response), false);
-    return dispatch;
-  }
-  const uint64_t max_answers = request.GetUint("max_answers", 0);
-  const bool per_query = IsPerQuery(*built);
-  const bool terse = request.GetBool("terse");
-  const bool has_id = request.Has("id");
-  JsonValue id = has_id ? request.Get("id") : JsonValue();
-  query_service->Submit(
-      *std::move(built),
-      [done = std::move(done), max_answers, per_query, terse, has_id,
-       id = std::move(id)](ServiceResponse response) {
-        JsonValue shaped =
-            ShapeQueryResponse(response, max_answers, per_query, terse);
-        shaped.Set("v", kProtocolVersion);
-        if (has_id) shaped.Set("id", id);
-        done(std::move(shaped), false);
-      });
-  return dispatch;
+  return Dispatch(query_service, *parsed, std::move(done));
+}
+
+HandleResult HandleRequestLine(QueryService* query_service,
+                               const std::string& line) {
+  std::promise<HandleResult> promise;
+  std::future<HandleResult> future = promise.get_future();
+  HandleRequestLineAsync(query_service, line,
+                         [&promise](JsonValue response, bool shutdown) {
+                           promise.set_value(
+                               HandleResult{std::move(response), shutdown});
+                         });
+  return future.get();
 }
 
 }  // namespace service

@@ -31,7 +31,7 @@
 //             JSON object (plus "stats") instead.
 //   shutdown  -> {"ok":true}; the server stops after responding.
 //
-// The dispatch is a pure function of (service, request line) so tests can
+// The dispatch is a function of (service, request line) alone, so tests can
 // exercise the whole protocol without a socket.
 
 #ifndef RDFMR_SERVICE_PROTOCOL_H_
@@ -62,14 +62,12 @@ struct HandleResult {
   bool shutdown = false;  ///< the request asked the server to stop
 };
 
-/// \brief Parses and executes one request line against `query_service`.
-/// Never fails: malformed input yields an "ok":false response object.
+/// \brief Parses and executes one request line against `query_service`,
+/// blocking until its response is ready: HandleRequestLineAsync's dispatch
+/// waited on. Never fails: malformed input yields an "ok":false response
+/// object.
 HandleResult HandleRequestLine(QueryService* query_service,
                                const std::string& line);
-
-/// \brief Same, for an already-parsed request object.
-HandleResult HandleRequest(QueryService* query_service,
-                           const JsonValue& request);
 
 /// \brief Completion of one asynchronously dispatched line: the response
 /// (envelope stamped: "v", echoed "id") plus whether the request asked
@@ -84,12 +82,13 @@ struct AsyncDispatch {
   bool ordered_requested = false;
 };
 
-/// \brief HandleRequestLine for the event-loop server: the slow verbs
-/// ("query"/"batch") are parsed and validated inline but executed on the
-/// query service's worker pool, so `done` may fire later from a worker
-/// thread (or inline, on admission rejection). Every other verb executes
-/// inline and `done` fires before this returns. `done` is called exactly
-/// once either way, and must be safe to call from any thread.
+/// \brief The protocol's one dispatcher, used by the event-loop server and
+/// by HandleRequestLine: the slow verbs ("query"/"batch") are parsed and
+/// validated inline but executed on the query service's worker pool, so
+/// `done` may fire later from a worker thread (or inline, on admission
+/// rejection). Every other verb executes inline and `done` fires before
+/// this returns. `done` is called exactly once either way, and must be
+/// safe to call from any thread.
 AsyncDispatch HandleRequestLineAsync(QueryService* query_service,
                                      const std::string& line,
                                      HandleDone done);

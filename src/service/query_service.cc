@@ -28,14 +28,10 @@ uint32_t DeriveMaxConcurrent(const ServiceConfig& config) {
   return config.cluster.num_threads > 0 ? config.cluster.num_threads : 1;
 }
 
-uint32_t DeriveCacheShards(const ServiceConfig& config,
-                           uint32_t max_concurrent) {
-  if (config.cache_shards > 0) {
-    return static_cast<uint32_t>(NextPowerOfTwo(config.cache_shards));
-  }
-  // Auto: ~2 stripes per worker so concurrent warm lookups rarely share a
-  // shard mutex, clamped so tiny services still stripe and huge worker
-  // counts don't shred the LRU working set.
+// ~2 stripes per worker so concurrent warm lookups rarely share a shard
+// mutex, clamped so tiny services still stripe and huge worker counts
+// don't shred the LRU working set.
+uint32_t DeriveCacheShards(uint32_t max_concurrent) {
   const size_t derived =
       NextPowerOfTwo(2 * static_cast<size_t>(max_concurrent));
   return static_cast<uint32_t>(
@@ -64,10 +60,7 @@ uint64_t EstimateSetCharge(const SolutionSet& set) {
 }
 
 /// The ExecRequest a ServiceRequest runs as on `dataset`, whose catalog
-/// the plan chooser reads instead of rescanning the base. A batch always
-/// runs as kBatch: the union is a response-time fold over the per-query
-/// answers, so both batch modes share one execution and one result-cache
-/// entry.
+/// the plan chooser reads instead of rescanning the base.
 ExecRequest ToExecRequest(const ServiceRequest& request,
                           const DatasetHandle& dataset) {
   ExecRequest exec;
@@ -77,7 +70,9 @@ ExecRequest ToExecRequest(const ServiceRequest& request,
     exec.query = request.query;
     exec.aggregate = request.aggregate;
   } else {
-    exec.payload = ExecPayload::kBatch;
+    exec.payload = request.batch_mode == BatchMode::kUnion
+                       ? ExecPayload::kUnion
+                       : ExecPayload::kBatch;
     exec.queries = request.batch;
   }
   return exec;
@@ -157,9 +152,7 @@ std::string CanonicalQueryText(const ServiceRequest& request) {
                           static_cast<unsigned long long>(spec.min_count));
     }
   } else {
-    // The batch *mode* (per-query vs union) is deliberately absent: union
-    // is a response-time fold over the same execution, so both modes share
-    // result cache entries.
+    out += request.batch_mode == BatchMode::kUnion ? "UNION\n" : "BATCH\n";
     for (const auto& query : request.batch) {
       out += "BRANCH\n";
       append_query(*query);
@@ -210,40 +203,15 @@ std::string ServiceStatsSnapshot::ToPrometheus() const {
   std::string out;
   auto counter = [&out](const char* name, const char* help,
                         uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
+    AppendPrometheusScalar(name, help, "counter", std::to_string(value),
+                           &out);
   };
   auto gauge = [&out](const char* name, const char* help, uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
+    AppendPrometheusScalar(name, help, "gauge", std::to_string(value), &out);
   };
   auto histogram = [&out](const char* name, const char* help,
                           const Histogram& h) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " histogram\n";
+    AppendPrometheusHeader(name, help, "histogram", &out);
     AppendPrometheusHistogram(name, h, &out);
   };
   counter("rdfmr_service_submitted_total", "Requests admitted or rejected.",
@@ -299,7 +267,7 @@ struct QueryService::Pending {
 QueryService::QueryService(ServiceConfig config)
     : config_(std::move(config)),
       max_concurrent_(DeriveMaxConcurrent(config_)),
-      cache_shards_(DeriveCacheShards(config_, max_concurrent_)),
+      cache_shards_(DeriveCacheShards(max_concurrent_)),
       registry_(config_.cluster),
       result_cache_(config_.result_cache_bytes, cache_shards_),
       // One extra slot because ThreadPool reserves the final slot for a
@@ -478,74 +446,36 @@ ServiceResponse QueryService::Execute(const ServiceRequest& request) {
   return ExecuteOnDataset(request, **handle);
 }
 
-Result<PlanChoice> QueryService::ChooseForDataset(
-    const ServiceRequest& request, const DatasetHandle& dataset) const {
-  if (dataset.dfs() == nullptr) {
-    return Status::Unknown("dataset not loaded: " + dataset.name());
-  }
-  return ChoosePlanOnDfs(dataset.dfs(), DatasetHandle::kBasePath,
-                         ToExecRequest(request, dataset), request.options);
-}
-
 Result<PlanChoice> QueryService::Explain(const ServiceRequest& request) {
   RDFMR_RETURN_NOT_OK(CheckRequestShape(request));
   RDFMR_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> handle,
                          registry_.Acquire(request.dataset));
-  return ChooseForDataset(request, *handle);
+  if (handle->dfs() == nullptr) {
+    return Status::Unknown("dataset not loaded: " + handle->name());
+  }
+  return ChoosePlanOnDfs(handle->dfs(), DatasetHandle::kBasePath,
+                         ToExecRequest(request, *handle), request.options);
 }
 
 ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
                                                const DatasetHandle& dataset) {
   ServiceResponse response;
   response.epoch = dataset.epoch();
+  const std::string key = RequestCacheKey(request, dataset.epoch());
 
-  // engine=auto: resolve to a concrete engine BEFORE the cache key is
-  // computed, so an auto request and an explicit request for the chosen
-  // engine share result cache entries. The chooser's decision is
-  // stamped onto the response stats afterwards (never cached — a later
-  // explicit hit replays the run without another request's rationale).
-  ServiceRequest resolved_storage;
-  const ServiceRequest* effective = &request;
-  std::optional<PlanChoice> choice;
-  if (request.options.kind == EngineKind::kAuto) {
-    auto chosen = ChooseForDataset(request, dataset);
-    if (!chosen.ok()) {
-      response.status = chosen.status();
-      return response;
-    }
-    choice = std::move(*chosen);
-    resolved_storage = request;
-    resolved_storage.options.kind = choice->kind;
-    effective = &resolved_storage;
-  }
-
-  const std::string key = RequestCacheKey(*effective, dataset.epoch());
-
-  // Shapes the final response from a pre-shaped answer snapshot (fresh
-  // or cached). No deep copy anywhere: the response aliases the
-  // snapshot's shared sets, so a warm hit costs two refcount bumps and
-  // an ExecStats copy regardless of answer size.
+  // Shapes the response from an answer snapshot (fresh or cached). No deep
+  // copy anywhere: the response aliases the snapshot's shared sets, so a
+  // warm hit costs a refcount bump and an ExecStats copy regardless of
+  // answer size. The key ignores query names, so a single query's stats
+  // carry the request's own name.
   auto shape = [&request, &response](const CachedAnswers& value) {
     response.stats = value.stats;
     if (request.query != nullptr) {
       response.stats.query = SingleQueryName(request);
-      response.answers = value.merged;
-    } else if (request.batch_mode == BatchMode::kUnion) {
-      response.stats.query =
-          StringFormat("union-of-%zu", request.batch.size());
-      response.answers = value.merged;
-    } else {
-      response.batch_answers = value.per_query;
     }
+    response.answers = value.answers;
+    response.batch_answers = value.per_query;
     response.status = Status::OK();
-  };
-
-  // Annotates the shaped stats with the chooser's decision (auto only).
-  auto stamp_choice = [&response, &choice]() {
-    if (!choice.has_value()) return;
-    response.stats.chosen_engine = EngineKindToString(choice->kind);
-    response.stats.plan_candidates = choice->candidates;
-    response.stats.plan_rationale = choice->rationale;
   };
 
   if (request.use_result_cache) {
@@ -556,52 +486,41 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
       stats_.result_cache_hits.fetch_add(1, std::memory_order_relaxed);
       response.result_cache_hit = true;
       shape(*cached);
-      stamp_choice();
       return response;
     }
     stats_.result_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // A miss is an Exec call on the dataset's DFS, preflight included.
+  // A miss is an Exec call on the dataset's DFS with the request as sent:
+  // Exec selects the engine (auto) and runs the disk-pressure preflight.
   auto exec = Exec(dataset.dfs(), DatasetHandle::kBasePath,
-                   ToExecRequest(*effective, dataset), effective->options);
+                   ToExecRequest(request, dataset), request.options);
   if (!exec.ok()) {
     response.status = exec.status();
     return response;
   }
 
-  // Shape once into an immutable snapshot. Batch runs precompute BOTH
-  // shapes (per-query and the union fold) so a later hit in either mode
-  // aliases ready-made sets.
   auto value = std::make_shared<CachedAnswers>();
   value->stats = std::move(exec->stats);
-  if (request.query != nullptr) {
-    value->merged = std::make_shared<SolutionSet>(std::move(exec->answers));
+  uint64_t charge = 128;  // fixed overhead for the ExecStats copy
+  if (request.query != nullptr || request.batch_mode == BatchMode::kUnion) {
+    charge += EstimateSetCharge(exec->answers);
+    value->answers = std::make_shared<SolutionSet>(std::move(exec->answers));
   } else {
-    SolutionSet merged;
     for (const SolutionSet& set : exec->per_query) {
-      merged.insert(set.begin(), set.end());
+      charge += EstimateSetCharge(set);
     }
-    value->merged = std::make_shared<SolutionSet>(std::move(merged));
     value->per_query = std::make_shared<std::vector<SolutionSet>>(
         std::move(exec->per_query));
-  }
-  value->charge = 128;  // fixed overhead for the ExecStats copy
-  value->charge += EstimateSetCharge(*value->merged);
-  if (value->per_query != nullptr) {
-    for (const SolutionSet& set : *value->per_query) {
-      value->charge += EstimateSetCharge(set);
-    }
   }
 
   // Cache only complete, decoded, successful runs: failed runs are cheap
   // to re-measure and undecoded runs carry no reusable payload.
   if (request.use_result_cache && value->stats.ok() &&
       request.options.decode_answers) {
-    result_cache_.Put(key, value, value->charge);
+    result_cache_.Put(key, value, charge);
   }
   shape(*value);
-  stamp_choice();
   return response;
 }
 

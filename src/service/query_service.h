@@ -5,7 +5,9 @@
 //     bases — the load cost is paid once per dataset, not per query);
 //   * a bounded result cache (LRU by answer bytes) whose keys embed the
 //     dataset epoch — dropping or reloading a dataset makes its entries
-//     unreachable immediately (and they are purged eagerly);
+//     unreachable immediately (and they are purged eagerly). A key is the
+//     request as sent: engine=auto is keyed as auto, and the payload shape
+//     (single, per-query batch, union) is part of it;
 //   * an admission controller: a bounded submission queue feeding a fixed
 //     worker pool, per-request deadlines checked at dequeue and at
 //     completion, and explicit cancellation of queued requests;
@@ -35,9 +37,11 @@
 // Determinism contract (what the equivalence tests check): a served query's
 // answers and all deterministic ExecStats fields are byte-identical to a
 // direct Exec call with the same payload and options, at any worker count
-// — a cache miss IS an Exec call (disk-pressure preflight included). A
-// result-cache hit replays the producing run's stats verbatim (its
-// *_seconds fields are the producer's wall times).
+// — a cache miss IS an Exec call with the request unchanged (engine
+// selection and disk-pressure preflight included). A result-cache hit
+// replays the producing run's stats verbatim (its *_seconds fields are the
+// producer's wall times); for engine=auto that includes the chooser's
+// decision, so a warm auto hit never runs the plan chooser.
 
 #ifndef RDFMR_SERVICE_QUERY_SERVICE_H_
 #define RDFMR_SERVICE_QUERY_SERVICE_H_
@@ -75,15 +79,13 @@ struct ServiceConfig {
   /// Maximum requests admitted but not yet executing; submissions beyond
   /// it are rejected with kUnavailable.
   uint32_t queue_bound = 64;
-  /// Result cache capacity in (approximate answer) bytes.
-  uint64_t result_cache_bytes = 16ULL << 20;
-  /// Lock stripes of the result cache (rounded up to a power of two). 0
-  /// derives it from the worker count: the smallest power of two >= 2x
+  /// Result cache capacity in (approximate answer) bytes. The cache's lock
+  /// stripes follow the worker count: the smallest power of two >= 2x
   /// max_concurrent, clamped to [8, 64] — enough stripes that 16 warm
   /// workers rarely collide. The charge budget stays global (an entry is
-  /// refused only when it exceeds the whole capacity), so the shard count
+  /// refused only when it exceeds the whole capacity), so the stripe count
   /// never changes what is cacheable.
-  uint32_t cache_shards = 0;
+  uint64_t result_cache_bytes = 16ULL << 20;
   /// Deadline applied to requests that do not carry one; 0 = none.
   uint64_t default_deadline_ms = 0;
 };
@@ -246,17 +248,14 @@ class QueryService {
 
  private:
   struct Pending;
-  /// Pre-shaped, immutable result snapshot. Warm hits hand out the
-  /// shared_ptrs as-is — shaping (and the union fold) happens once, at
-  /// insertion, not per hit. `merged` serves single-query and kUnion
-  /// responses; `per_query` (null for single queries) serves kPerQuery —
-  /// both shapes are kept because the cache key deliberately ignores the
-  /// batch mode.
+  /// Immutable result snapshot of one Exec run. Warm hits hand out the
+  /// shared_ptrs as-is. It holds the one answer shape its key's payload
+  /// produces: `answers` for single and union requests, `per_query` for a
+  /// per-query batch (the other stays null).
   struct CachedAnswers {
     ExecStats stats;
-    std::shared_ptr<const SolutionSet> merged;
+    std::shared_ptr<const SolutionSet> answers;
     std::shared_ptr<const std::vector<SolutionSet>> per_query;
-    uint64_t charge = 0;
   };
 
   /// \brief Lock-free mirror of the snapshot's counters/gauges: relaxed
@@ -284,9 +283,6 @@ class QueryService {
   ServiceResponse Execute(const ServiceRequest& request);
   ServiceResponse ExecuteOnDataset(const ServiceRequest& request,
                                    const DatasetHandle& dataset);
-  /// Runs the plan chooser for `request` against `dataset`'s catalog.
-  Result<PlanChoice> ChooseForDataset(const ServiceRequest& request,
-                                      const DatasetHandle& dataset) const;
 
   const ServiceConfig config_;
   const uint32_t max_concurrent_;

@@ -161,6 +161,21 @@ TEST(EngineTest, PhiPartitionsAffectOnlyPartialStrategy) {
       << "fewer partitions merge more triplegroups through the shuffle";
 }
 
+// φ_m = 0 is refused up front rather than reaching the partial β-unnest's
+// partition function, which needs at least one partition.
+TEST(EngineTest, ZeroPhiPartitionsRejected) {
+  auto dfs = MakeDfsWithBase(SmallDataset(DatasetFamily::kBsbm));
+  ASSERT_NE(dfs, nullptr);
+  auto query = GetTestbedQuery("B5");
+  ASSERT_TRUE(query.ok());
+  EngineOptions options;
+  options.kind = EngineKind::kNtgaLazyPartial;
+  options.phi_partitions = 0;
+  auto exec = Exec(dfs.get(), "base", ExecRequest::Single(*query), options);
+  EXPECT_TRUE(exec.status().IsInvalidArgument()) << exec.status().ToString();
+  EXPECT_EQ(dfs->ListFiles(), (std::vector<std::string>{"base"}));
+}
+
 TEST(EngineTest, EngineKindNamesAreDistinct) {
   std::set<std::string> names;
   for (EngineKind kind : testing_util::AllEngineKinds()) {

@@ -438,6 +438,17 @@ TEST(CacheKeyTest, CanonicalTextIgnoresQueryNames) {
   spec.counted_var = "q";
   d.aggregate = spec;
   EXPECT_NE(CanonicalQueryText(a), CanonicalQueryText(d));
+
+  // The batch mode is part of the text: a per-query batch and a union over
+  // the same queries run different payloads, so they never share an entry.
+  ServiceRequest batch;
+  batch.batch = {a.query, c.query};
+  ServiceRequest renamed_batch;
+  renamed_batch.batch = {b.query, c.query};
+  EXPECT_EQ(CanonicalQueryText(batch), CanonicalQueryText(renamed_batch));
+  ServiceRequest union_request = batch;
+  union_request.batch_mode = BatchMode::kUnion;
+  EXPECT_NE(CanonicalQueryText(batch), CanonicalQueryText(union_request));
 }
 
 // ---- Service equivalence ---------------------------------------------------
@@ -467,6 +478,27 @@ void ExpectSameStats(const ExecStats& a, const ExecStats& b) {
   EXPECT_EQ(a.jobs.size(), b.jobs.size());
 }
 
+// Compares the plan chooser's annotations of two ExecStats: the chosen
+// engine, the rationale and every field of every candidate row.
+void ExpectSameChoice(const ExecStats& a, const ExecStats& b) {
+  EXPECT_EQ(a.chosen_engine, b.chosen_engine);
+  EXPECT_EQ(a.plan_rationale, b.plan_rationale);
+  ASSERT_EQ(a.plan_candidates.size(), b.plan_candidates.size());
+  for (size_t i = 0; i < a.plan_candidates.size(); ++i) {
+    const PlanCandidate& x = a.plan_candidates[i];
+    const PlanCandidate& y = b.plan_candidates[i];
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_DOUBLE_EQ(x.modeled_seconds, y.modeled_seconds);
+    EXPECT_EQ(x.planned_cycles, y.planned_cycles);
+    EXPECT_EQ(x.star_bytes, y.star_bytes);
+    EXPECT_EQ(x.peak_bytes, y.peak_bytes);
+    EXPECT_EQ(x.fits, y.fits);
+    EXPECT_EQ(x.feasible, y.feasible);
+    EXPECT_EQ(x.chosen, y.chosen);
+    EXPECT_EQ(x.note, y.note);
+  }
+}
+
 std::unique_ptr<QueryService> MakeService(uint32_t max_concurrent = 2) {
   ServiceConfig config;
   config.cluster = RoomyCluster();
@@ -479,7 +511,10 @@ TEST(ServiceEquivalenceTest, SingleQueryMatchesDirectRun) {
   auto query = GetTestbedQuery("B1");
   ASSERT_TRUE(query.ok());
 
-  for (EngineKind kind : {EngineKind::kNtgaLazy, EngineKind::kHive}) {
+  // kAuto is served as sent: the miss is an Exec call with kAuto, so the
+  // chooser's annotations match a direct kAuto Exec too.
+  for (EngineKind kind :
+       {EngineKind::kNtgaLazy, EngineKind::kHive, EngineKind::kAuto}) {
     for (uint32_t threads : {1u, 4u}) {
       auto service = MakeService();
       ASSERT_TRUE(service->LoadDataset("bsbm", triples).ok());
@@ -503,6 +538,9 @@ TEST(ServiceEquivalenceTest, SingleQueryMatchesDirectRun) {
       EXPECT_EQ(response.answer_set(), direct->answers)
           << EngineKindToString(kind) << " @" << threads << " threads";
       ExpectSameStats(response.stats, direct->stats);
+      ExpectSameChoice(response.stats, direct->stats);
+      EXPECT_EQ(response.stats.chosen_engine.empty(),
+                kind != EngineKind::kAuto);
     }
   }
 }
@@ -548,37 +586,45 @@ TEST(ServiceEquivalenceTest, BatchAndUnionMatchDirectRuns) {
     queries.push_back(*q);
   }
 
-  for (uint32_t threads : {1u, 4u}) {
-    auto service = MakeService();
-    ASSERT_TRUE(service->LoadDataset("bsbm", triples).ok());
+  for (EngineKind kind : {EngineKind::kNtgaLazy, EngineKind::kAuto}) {
+    for (uint32_t threads : {1u, 4u}) {
+      auto service = MakeService();
+      ASSERT_TRUE(service->LoadDataset("bsbm", triples).ok());
 
-    ServiceRequest request;
-    request.dataset = "bsbm";
-    request.batch = queries;
-    request.options.kind = EngineKind::kNtgaLazy;
-    request.options.runtime.num_threads = threads;
-    ServiceResponse batched = service->Query(request);
-    ASSERT_TRUE(batched.ok()) << batched.status.ToString();
-    ASSERT_TRUE(batched.stats.ok());
+      ServiceRequest request;
+      request.dataset = "bsbm";
+      request.batch = queries;
+      request.options.kind = kind;
+      request.options.runtime.num_threads = threads;
+      ServiceResponse batched = service->Query(request);
+      ASSERT_TRUE(batched.ok()) << batched.status.ToString();
+      ASSERT_TRUE(batched.stats.ok());
 
-    auto dfs = MakeDfsWithBase(triples);
-    ASSERT_NE(dfs, nullptr);
-    auto direct =
-        Exec(dfs.get(), "base", ExecRequest::Batch(queries), request.options);
-    ASSERT_TRUE(direct.ok());
-    ASSERT_EQ(batched.batch_answer_sets().size(), queries.size());
-    EXPECT_EQ(batched.batch_answer_sets(), direct->per_query);
-    ExpectSameStats(batched.stats, direct->stats);
+      auto dfs = MakeDfsWithBase(triples);
+      ASSERT_NE(dfs, nullptr);
+      auto direct = Exec(dfs.get(), "base", ExecRequest::Batch(queries),
+                         request.options);
+      ASSERT_TRUE(direct.ok());
+      ASSERT_EQ(batched.batch_answer_sets().size(), queries.size());
+      EXPECT_EQ(batched.batch_answer_sets(), direct->per_query);
+      ExpectSameStats(batched.stats, direct->stats);
+      ExpectSameChoice(batched.stats, direct->stats);
 
-    request.batch_mode = BatchMode::kUnion;
-    ServiceResponse unioned = service->Query(request);
-    ASSERT_TRUE(unioned.ok()) << unioned.status.ToString();
-    ASSERT_TRUE(unioned.stats.ok());
-    auto direct_union =
-        Exec(dfs.get(), "base", ExecRequest::Union(queries), request.options);
-    ASSERT_TRUE(direct_union.ok());
-    EXPECT_EQ(unioned.answer_set(), direct_union->answers);
-    ExpectSameStats(unioned.stats, direct_union->stats);
+      // The union is its own payload and its own cache entry: a miss.
+      request.batch_mode = BatchMode::kUnion;
+      ServiceResponse unioned = service->Query(request);
+      ASSERT_TRUE(unioned.ok()) << unioned.status.ToString();
+      ASSERT_TRUE(unioned.stats.ok());
+      EXPECT_FALSE(unioned.result_cache_hit);
+      auto direct_union = Exec(dfs.get(), "base", ExecRequest::Union(queries),
+                               request.options);
+      ASSERT_TRUE(direct_union.ok());
+      EXPECT_EQ(unioned.answer_set(), direct_union->answers);
+      ExpectSameStats(unioned.stats, direct_union->stats);
+      ExpectSameChoice(unioned.stats, direct_union->stats);
+      EXPECT_EQ(unioned.stats.chosen_engine.empty(),
+                kind != EngineKind::kAuto);
+    }
   }
 }
 
@@ -627,6 +673,42 @@ TEST(ServiceEquivalenceTest, ServedPreflightMatchesExec) {
     }
     EXPECT_FALSE(response.stats.preflight.empty());
   }
+}
+
+// engine=auto under a disk-pressure policy on an undersized cluster: the
+// service prices the request once, inside Exec, exactly as a direct call.
+TEST(ServiceEquivalenceTest, AutoUnderPressureMatchesExecAuto) {
+  std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
+  auto query = GetTestbedQuery("B3");
+  ASSERT_TRUE(query.ok());
+  ServiceConfig config;
+  config.cluster = testing_util::PressuredCluster(triples, **query);
+  config.max_concurrent = 2;
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDataset("bsbm", triples).ok());
+
+  ServiceRequest request;
+  request.dataset = "bsbm";
+  request.query = *query;
+  request.options.kind = EngineKind::kAuto;
+  request.options.disk_pressure = DiskPressurePolicy::kDegrade;
+  ServiceResponse response = service.Query(request);
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+
+  auto dfs = MakeDfsWithBase(triples, config.cluster);
+  ASSERT_NE(dfs, nullptr);
+  auto direct =
+      Exec(dfs.get(), "base", ExecRequest::Single(*query), request.options);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(response.answer_set(), direct->answers);
+  ExpectSameStats(response.stats, direct->stats);
+  ExpectSameChoice(response.stats, direct->stats);
+  EXPECT_EQ(response.stats.status.ToString(),
+            direct->stats.status.ToString());
+  EXPECT_EQ(response.stats.preflight, direct->stats.preflight);
+  EXPECT_EQ(response.stats.degraded_from, direct->stats.degraded_from);
+  EXPECT_FALSE(response.stats.preflight.empty());
+  EXPECT_FALSE(response.stats.chosen_engine.empty());
 }
 
 // ---- Cache behavior --------------------------------------------------------
@@ -717,7 +799,7 @@ TEST(ServiceCacheTest, ReloadBumpsEpochAndInvalidates) {
 
 // ---- engine=auto and explain -----------------------------------------------
 
-TEST(ServiceAutoTest, AutoAndExplicitShareCacheEntries) {
+TEST(ServiceAutoTest, AutoReplaysItsOwnEntry) {
   std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   auto service = MakeService();
   ASSERT_TRUE(service->LoadDataset("bsbm", triples).ok());
@@ -735,10 +817,20 @@ TEST(ServiceAutoTest, AutoAndExplicitShareCacheEntries) {
   ASSERT_FALSE(cold.stats.chosen_engine.empty());
   EXPECT_EQ(cold.stats.chosen_engine, cold.stats.engine);
   EXPECT_EQ(cold.stats.plan_candidates.size(), 6u);
+  EXPECT_FALSE(cold.stats.plan_rationale.empty());
 
-  // The same query with the chosen engine requested EXPLICITLY must hit
-  // the result cache: auto resolves before the key is computed, so auto
-  // and explicit runs share one entry.
+  // An auto replay hits the auto entry and replays the producing run's
+  // decision verbatim.
+  ServiceResponse replay = service->Query(request);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_TRUE(replay.result_cache_hit);
+  EXPECT_EQ(replay.answer_set(), cold.answer_set());
+  ExpectSameStats(replay.stats, cold.stats);
+  ExpectSameChoice(replay.stats, cold.stats);
+
+  // The chosen engine requested EXPLICITLY is keyed apart from auto: a
+  // miss that runs to the same answers and stats, with no chooser
+  // annotations — the decision belongs to the auto request only.
   EngineKind chosen = EngineKind::kAuto;
   for (const PlanCandidate& candidate : cold.stats.plan_candidates) {
     if (candidate.chosen) chosen = candidate.kind;
@@ -746,22 +838,14 @@ TEST(ServiceAutoTest, AutoAndExplicitShareCacheEntries) {
   ASSERT_NE(chosen, EngineKind::kAuto);
   ServiceRequest explicit_request = request;
   explicit_request.options.kind = chosen;
-  ServiceResponse warm = service->Query(explicit_request);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm.result_cache_hit);
-  EXPECT_EQ(warm.answer_set(), cold.answer_set());
-  // The explicit request gets the cached answers WITHOUT chooser
-  // annotations — the decision belongs to the auto request only.
-  EXPECT_TRUE(warm.stats.chosen_engine.empty());
-
-  // And an auto replay hits the same entry, re-stamped with its own
-  // (deterministic, identical) decision.
-  ServiceResponse replay = service->Query(request);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay.result_cache_hit);
-  EXPECT_EQ(replay.stats.chosen_engine, cold.stats.chosen_engine);
-  EXPECT_EQ(replay.stats.plan_rationale, cold.stats.plan_rationale);
-  EXPECT_EQ(replay.answer_set(), cold.answer_set());
+  ServiceResponse explicit_run = service->Query(explicit_request);
+  ASSERT_TRUE(explicit_run.ok());
+  EXPECT_FALSE(explicit_run.result_cache_hit);
+  EXPECT_EQ(explicit_run.answer_set(), cold.answer_set());
+  ExpectSameStats(explicit_run.stats, cold.stats);
+  EXPECT_TRUE(explicit_run.stats.chosen_engine.empty());
+  EXPECT_TRUE(explicit_run.stats.plan_candidates.empty());
+  EXPECT_TRUE(explicit_run.stats.plan_rationale.empty());
 }
 
 TEST(ServiceAutoTest, ExplainScoresWithoutExecuting) {
@@ -1014,6 +1098,39 @@ TEST(ProtocolTest, MalformedLinesYieldErrorResponses) {
       HandleRequestLine(service.get(), R"({"verb":"shutdown"})");
   EXPECT_TRUE(shutdown.response.GetBool("ok"));
   EXPECT_TRUE(shutdown.shutdown);
+}
+
+// Wire input that used to slip through: a zero or 2^32 "phi" (0 aborted
+// the process in the partial β-unnest; 2^32 was truncated to 0) and a
+// load row with a non-string term (which loaded an empty-string triple).
+TEST(ProtocolTest, RejectsOutOfRangePhiAndNonStringTerms) {
+  auto service = MakeService();
+  ASSERT_TRUE(service->LoadDataset("d", TinyTriples()).ok());
+  for (const char* phi : {"0", "4294967296", "-1", "1.5", "\"16\""}) {
+    HandleResult query = HandleRequestLine(
+        service.get(),
+        std::string(R"({"verb":"query","dataset":"d","engine":"lazypartial",)"
+                    R"("sparql":"SELECT * WHERE { ?s ?p ?o . }","phi":)") +
+            phi + "}");
+    EXPECT_FALSE(query.response.GetBool("ok")) << phi;
+    EXPECT_EQ(query.response.GetString("code"), "InvalidArgument") << phi;
+  }
+  HandleResult in_range = HandleRequestLine(
+      service.get(),
+      R"({"verb":"query","dataset":"d","engine":"lazypartial",)"
+      R"("sparql":"SELECT * WHERE { ?s ?p ?o . }","phi":4294967295})");
+  EXPECT_TRUE(in_range.response.GetBool("ok")) << in_range.response.Dump();
+
+  for (const char* rows : {"[[1,2,3]]", R"([["a","b",{}]])",
+                           R"([["a",null,"c"]])"}) {
+    HandleResult load = HandleRequestLine(
+        service.get(),
+        std::string(R"({"verb":"load","dataset":"e","triples":)") + rows +
+            "}");
+    EXPECT_FALSE(load.response.GetBool("ok")) << rows;
+    EXPECT_EQ(load.response.GetString("code"), "InvalidArgument") << rows;
+  }
+  EXPECT_EQ(service->ListDatasets().size(), 1u);
 }
 
 // Wire v1 keeps its plan-cache members: "no_plan_cache" is accepted and

@@ -28,9 +28,10 @@
 //                       socket (spun up in-process) instead of the direct
 //                       engine calls, comparing the served answers against
 //                       the in-memory oracle and requiring an immediate
-//                       byte-identical result-cache replay. Exercises the
-//                       whole protocol stack: load (epoch bump per case),
-//                       query with inline patterns, caches, shutdown.
+//                       byte-identical result-cache replay, for engines
+//                       lazy, hive and auto. Exercises the whole protocol
+//                       stack: load (epoch bump per case), query with
+//                       inline patterns, caches, shutdown.
 //     --format          storage-format differential: each case is indexed
 //                       into a temporary .rdx file, memory-mapped back,
 //                       and required to reproduce the exact input relation
@@ -152,8 +153,9 @@ std::vector<std::string> AnswerLines(const JsonValue& array) {
 
 /// Replays `cases` through a live socket server against the oracle.
 /// Every case loads a fresh epoch of the "fuzz" dataset, queries it with
-/// a couple of engine kinds, and immediately re-queries expecting a
-/// byte-identical result-cache replay.
+/// engines lazy, hive and auto, and immediately re-queries expecting a
+/// byte-identical result-cache replay (for auto, with the same chooser
+/// decision).
 int RunServiceMode(const fuzz::FuzzOptions& options, std::ostream* log) {
   service::ServiceConfig config;
   config.cluster = options.diff.cluster;
@@ -173,8 +175,7 @@ int RunServiceMode(const fuzz::FuzzOptions& options, std::ostream* log) {
     return 1;
   }
 
-  const std::vector<std::pair<std::string, EngineKind>> engines = {
-      {"lazy", EngineKind::kNtgaLazy}, {"hive", EngineKind::kHive}};
+  const std::vector<std::string> engines = {"lazy", "hive", "auto"};
   uint64_t failures = 0;
   auto fail = [&failures, log](uint64_t index, const std::string& what) {
     ++failures;
@@ -220,8 +221,7 @@ int RunServiceMode(const fuzz::FuzzOptions& options, std::ostream* log) {
             : EvaluateQueryInMemory(*query, fuzz_case.triples);
     const std::vector<std::string> expected = AnswerLines(oracle);
 
-    for (const auto& [engine_name, kind] : engines) {
-      (void)kind;
+    for (const std::string& engine_name : engines) {
       JsonValue request = JsonValue::MakeObject();
       request.Set("verb", "query");
       request.Set("dataset", "fuzz");
@@ -259,7 +259,9 @@ int RunServiceMode(const fuzz::FuzzOptions& options, std::ostream* log) {
       auto replay = client->Call(request);
       if (!replay.ok() || !replay->GetBool("ok") ||
           !replay->GetBool("result_cache_hit") ||
-          AnswerLines(replay->Get("answers")) != expected) {
+          AnswerLines(replay->Get("answers")) != expected ||
+          replay->Get("stats").GetString("chosen_engine") !=
+              response->Get("stats").GetString("chosen_engine")) {
         fail(index, engine_name + ": result-cache replay diverged");
         break;
       }
