@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/hash.h"
 #include "common/metrics.h"
@@ -14,6 +15,7 @@
 #include "query/sparql_parser.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple.h"
+#include "relational/rel_tuple.h"
 
 namespace rdfmr {
 namespace {
@@ -173,6 +175,91 @@ void BM_SparqlParse(benchmark::State& state) {
 }
 BENCHMARK(BM_SparqlParse);
 
+// ---- Answer decoding --------------------------------------------------------
+//
+// Final output files shaped like BSBM B3's: a product star (label, a
+// CONTAINS-filtered unbound pattern, a free unbound pattern) joined to an
+// offer star (product, vendor, price). Arg = answers the file decodes to.
+
+const char kB3[] = R"(SELECT * WHERE {
+    ?p <label> ?l . ?p ?up1 ?x1 . FILTER(CONTAINS(STR(?x1), "producer"))
+    ?p ?up2 ?x2 .
+    ?o <product> ?p . ?o <vendor> ?v . ?o <price> ?pr . })";
+
+std::vector<StarPattern> B3Stars() {
+  auto query = ParseSparql("B3", kB3);
+  if (!query.ok()) std::abort();
+  return query->stars();
+}
+
+std::string ProductIri(int i) {
+  return "http://bsbm.example/Product" + std::to_string(i / 4);
+}
+
+// One flat tuple per answer: the schema is the product star's patterns
+// then the offer star's.
+void BM_DecodeRelationalAnswers(benchmark::State& state) {
+  const std::vector<StarPattern> stars = B3Stars();
+  RelSchema schema = stars[0].patterns;
+  schema.insert(schema.end(), stars[1].patterns.begin(),
+                stars[1].patterns.end());
+  std::vector<std::string> lines;
+  for (int i = 0; i < state.range(0); ++i) {
+    const std::string p = ProductIri(i);
+    const std::string o = "http://bsbm.example/Offer" + std::to_string(i);
+    RelTuple tuple;
+    tuple.triples = {
+        Triple(p, "label", "label of product " + std::to_string(i / 4)),
+        Triple(p, "producer", "producer" + std::to_string(i % 13)),
+        Triple(p, "feature", "feature" + std::to_string(i % 57)),
+        Triple(o, "product", p),
+        Triple(o, "vendor", "vendor" + std::to_string(i % 7)),
+        Triple(o, "price", std::to_string(100 + i % 900) + ".99")};
+    lines.push_back(tuple.Serialize());
+  }
+  for (auto _ : state) {
+    auto answers = DecodeRelationalAnswers(schema, lines);
+    if (!answers.ok()) std::abort();
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] = static_cast<double>(
+      DecodeRelationalAnswers(schema, lines)->size());
+}
+BENCHMARK(BM_DecodeRelationalAnswers)->Arg(1000)->Arg(10000);
+
+// One joined triplegroup per offer; its product group holds a label, a
+// producer and two features, so each record expands to four answers.
+void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
+  const std::vector<StarPattern> stars = B3Stars();
+  std::vector<std::string> lines;
+  for (int i = 0; i < state.range(0); i += 4) {
+    AnnTg product;
+    product.subject = ProductIri(i);
+    product.star_id = 0;
+    product.AddPair("label", "label of product " + std::to_string(i / 4));
+    product.AddPair("producer", "producer" + std::to_string(i % 13));
+    product.AddPair("feature", "feature" + std::to_string(i % 57));
+    product.AddPair("feature", "feature" + std::to_string(i % 57 + 1));
+    AnnTg offer;
+    offer.subject = "http://bsbm.example/Offer" + std::to_string(i);
+    offer.star_id = 1;
+    offer.AddPair("product", product.subject);
+    offer.AddPair("vendor", "vendor" + std::to_string(i % 7));
+    offer.AddPair("price", std::to_string(100 + i % 900) + ".99");
+    JoinedTg jtg;
+    jtg.components = {product, offer};
+    lines.push_back(jtg.Serialize());
+  }
+  for (auto _ : state) {
+    auto answers = DecodeJoinedTgAnswers(stars, lines);
+    if (!answers.ok()) std::abort();
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] =
+      static_cast<double>(DecodeJoinedTgAnswers(stars, lines)->size());
+}
+BENCHMARK(BM_DecodeJoinedTgAnswers)->Arg(1000)->Arg(10000);
+
 // Exercises the σ^βγ/μ^β operators once more with the global
 // operator-metric gate ON and dumps the registry: the per-operator
 // `rdfmr_ntga_*` timing histograms and cardinality counters end up on
@@ -198,7 +285,7 @@ void RunInstrumentedOperatorPass() {
     benchmark::DoNotOptimize(partial);
     JoinedTg jtg;
     jtg.components.push_back(group);
-    auto solutions = ExpandJoinedTg({star}, jtg);
+    auto solutions = ExpandJoinedTg({star}, jtg.Serialize());
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

@@ -168,7 +168,9 @@ bool EscapedFieldReader::Next(std::string_view* field) {
         static_cast<const char*>(std::memchr(data + i, sep_, n - i));
     const size_t stop = sep != nullptr ? static_cast<size_t>(sep - data) : n;
     const char* escape =
-        static_cast<const char*>(std::memchr(data + i, '\\', stop - i));
+        escapes_
+            ? static_cast<const char*>(std::memchr(data + i, '\\', stop - i))
+            : nullptr;
     if (escape == nullptr) {
       i = stop;
       break;

@@ -622,7 +622,7 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
       if (result.answers.empty()) {
         result.answers = std::move(answers);
       } else {
-        result.answers.insert(answers.begin(), answers.end());
+        result.answers.Merge(answers);
       }
     }
     result.per_query.clear();

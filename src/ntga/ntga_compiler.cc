@@ -462,8 +462,7 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
   };
   out.record_decoder = [all_stars](const std::string& record)
       -> Result<std::vector<Solution>> {
-    RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg, JoinedTg::Deserialize(record));
-    return ExpandJoinedTg(all_stars, jtg);
+    return ExpandJoinedTg(all_stars, record);
   };
   return out;
 }

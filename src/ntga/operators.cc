@@ -189,43 +189,28 @@ std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
 namespace {
 
 // Answer extraction works on the query's variables as slots, numbered in
-// variable name order, holding pointers to values stored in the
-// triplegroups: candidate products bind and unbind slots in place, and
-// strings are copied only into finished solutions, whose bindings then
-// come out already sorted.
-using VarSlots = std::vector<const std::string*>;  // sorted, distinct
-using Row = std::vector<const std::string*>;       // value per slot, or null
-
+// variable name order, holding handles of the terms interned from the
+// records: candidate products bind and unbind slots in place, equal terms
+// have equal handles, and rows go to the answer table as they are.
+using Handle = SolutionSet::Handle;
+constexpr Handle kUnbound = SolutionSet::kUnbound;
 constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-void AddStarVariables(const StarPattern& star, VarSlots* vars) {
-  for (const TriplePattern& tp : star.patterns) {
-    if (tp.subject.is_variable()) vars->push_back(&tp.subject.value);
-    if (!tp.property_bound) vars->push_back(&tp.property);
-    if (tp.object.is_variable()) vars->push_back(&tp.object.value);
+std::vector<std::string> StarVariables(const std::vector<StarPattern>& stars) {
+  std::vector<std::string> vars;
+  for (const StarPattern& star : stars) {
+    for (const TriplePattern& tp : star.patterns) {
+      for (std::string& var : tp.Variables()) vars.push_back(std::move(var));
+    }
   }
-}
-
-bool VarLess(const std::string* a, const std::string* b) { return *a < *b; }
-
-void SortSlots(VarSlots* vars) {
-  std::sort(vars->begin(), vars->end(), VarLess);
-  vars->erase(std::unique(vars->begin(), vars->end(),
-                          [](const std::string* a, const std::string* b) {
-                            return *a == *b;
-                          }),
-              vars->end());
-}
-
-size_t SlotOf(const VarSlots& vars, const std::string& var) {
-  return static_cast<size_t>(
-      std::lower_bound(vars.begin(), vars.end(), &var, VarLess) -
-      vars.begin());
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  return vars;
 }
 
 struct SlotValue {
   size_t slot;
-  const std::string* value;
+  Handle value;
 };
 
 // The bindings of one candidate pair of one pattern (at most subject,
@@ -235,9 +220,9 @@ struct Candidate {
   size_t size = 0;
 
   // Adds slot=value; false if the slot already holds a different value.
-  bool Bind(size_t slot, const std::string* value) {
+  bool Bind(size_t slot, Handle value) {
     for (size_t k = 0; k < size; ++k) {
-      if (entries[k].slot == slot) return *entries[k].value == *value;
+      if (entries[k].slot == slot) return entries[k].value == value;
     }
     entries[size++] = SlotValue{slot, value};
     return true;
@@ -246,233 +231,282 @@ struct Candidate {
 
 // Binds `cand` into `row`; returns false on a conflicting slot. The slots
 // it newly set are recorded in `set` so the caller can undo them.
-bool BindCandidate(const Candidate& cand, Row* row, size_t set[3],
+bool BindCandidate(const Candidate& cand, Handle* row, size_t set[3],
                    size_t* num_set) {
   *num_set = 0;
   for (size_t k = 0; k < cand.size; ++k) {
     const SlotValue& e = cand.entries[k];
-    const std::string*& slot = (*row)[e.slot];
-    if (slot == nullptr) {
+    Handle& slot = row[e.slot];
+    if (slot == kUnbound) {
       slot = e.value;
       set[(*num_set)++] = e.slot;
-    } else if (*slot != *e.value) {
+    } else if (slot != e.value) {
       return false;
     }
   }
   return true;
 }
 
-// The product of the mandatory patterns' candidates, in candidate order.
-void ExpandRecurse(const std::vector<const std::vector<Candidate>*>& mandatory,
-                   size_t level, Row* row, std::vector<Row>* out) {
-  if (level == mandatory.size()) {
-    out->push_back(*row);
-    return;
-  }
-  for (const Candidate& cand : *mandatory[level]) {
-    size_t set[3];
-    size_t num_set;
-    if (BindCandidate(cand, row, set, &num_set)) {
-      ExpandRecurse(mandatory, level + 1, row, out);
-    }
-    for (size_t k = 0; k < num_set; ++k) (*row)[set[k]] = nullptr;
-  }
-}
-
-// The rows `tg` implicitly represents for `star` (see ExpandAnnTg).
-std::vector<Row> ExpandAnnTgRows(const StarPattern& star, const AnnTg& tg,
-                                 const VarSlots& vars) {
-  std::vector<std::vector<Candidate>> candidates(star.patterns.size());
-  std::vector<const std::vector<Candidate>*> mandatory;
-  for (size_t i = 0; i < star.patterns.size(); ++i) {
-    const TriplePattern& tp = star.patterns[i];
-    const size_t subject_slot =
-        tp.subject.is_variable() ? SlotOf(vars, tp.subject.value) : kNoSlot;
-    const size_t property_slot =
-        tp.property_bound ? kNoSlot : SlotOf(vars, tp.property);
-    const size_t object_slot =
-        tp.object.is_variable() ? SlotOf(vars, tp.object.value) : kNoSlot;
-    const auto add = [&](const std::string& property,
-                         const std::string& object) {
-      if (!tp.object.Matches(object)) return;
-      Candidate cand;
-      if (subject_slot != kNoSlot) cand.Bind(subject_slot, &tg.subject);
-      if (property_slot != kNoSlot && !cand.Bind(property_slot, &property)) {
-        return;
-      }
-      if (object_slot != kNoSlot && !cand.Bind(object_slot, &object)) return;
-      candidates[i].push_back(cand);
+// Expands triplegroup records into rows of handles over the variable slots
+// of `stars`, interning the leaves it binds into one builder. Scratch
+// buffers are reused from record to record.
+class RowExpander {
+ public:
+  RowExpander(const std::vector<StarPattern>& stars,
+              SolutionSet::Builder* builder)
+      : stars_(stars), builder_(builder), width_(builder->width()) {
+    const std::vector<std::string>& vars = builder->variables();
+    auto slot_of = [&vars](const std::string& var) {
+      return static_cast<size_t>(
+          std::lower_bound(vars.begin(), vars.end(), var) - vars.begin());
     };
-    if (tp.property_bound) {
-      auto it = tg.pairs.find(tp.property);
-      if (it != tg.pairs.end()) {
-        for (const std::string& o : it->second) add(it->first, o);
-      }
-    } else if (auto it = tg.overrides.find(static_cast<uint32_t>(i));
-               it != tg.overrides.end()) {
-      for (const PropObj& po : it->second) add(po.property, po.object);
-    } else {
-      // UnboundCandidates, read in place.
-      for (const auto& [property, objects] : tg.pairs) {
-        for (const std::string& o : objects) add(property, o);
+    for (const StarPattern& star : stars) {
+      std::vector<PatternSlots>& slots = slots_.emplace_back();
+      for (const TriplePattern& tp : star.patterns) {
+        slots.push_back(PatternSlots{
+            tp.subject.is_variable() ? slot_of(tp.subject.value) : kNoSlot,
+            tp.property_bound ? kNoSlot : slot_of(tp.property),
+            tp.object.is_variable() ? slot_of(tp.object.value) : kNoSlot});
       }
     }
-    if (tp.optional) continue;
-    if (candidates[i].empty()) return {};
-    mandatory.push_back(&candidates[i]);
   }
-  Row row(vars.size(), nullptr);
-  std::vector<Row> rows;
-  ExpandRecurse(mandatory, 0, &row, &rows);
 
-  // Left-join the optional patterns (extend when compatible, else keep).
-  for (size_t i = 0; i < star.patterns.size(); ++i) {
-    if (!star.patterns[i].optional) continue;
-    std::vector<Row> extended;
-    for (Row& r : rows) {
-      bool any = false;
-      for (const Candidate& cand : candidates[i]) {
-        Row merged = r;
-        size_t set[3];
-        size_t num_set;
-        if (BindCandidate(cand, &merged, set, &num_set)) {
-          any = true;
-          extended.push_back(std::move(merged));
+  // The rows the record's single component represents for star 0.
+  const std::vector<Handle>& ExpandGroup(const TgRecordReader& record) {
+    BeginRecord(record);
+    ExpandComponent(0, record, record.components().front(), &acc_);
+    return acc_;
+  }
+
+  // The rows a joined record represents: each component's rows, merged
+  // across components; inconsistent combinations drop out.
+  const std::vector<Handle>& ExpandJoined(const TgRecordReader& record) {
+    OperatorProbe probe("expand_joined_tg");
+    BeginRecord(record);
+    acc_.assign(width_, kUnbound);  // the empty row merges to each
+    for (const TgRecordReader::Component& c : record.components()) {
+      RDFMR_CHECK(c.star_id < stars_.size())
+          << "joined component references unknown star";
+      if (&c == &record.components().front()) {
+        ExpandComponent(c.star_id, record, c, &acc_);
+      } else {
+        ExpandComponent(c.star_id, record, c, &expanded_);
+        MergeRows();
+      }
+      if (acc_.empty()) break;
+    }
+    probe.Outputs(NumRows(acc_));
+    return acc_;
+  }
+
+  size_t NumRows(const std::vector<Handle>& rows) const {
+    return width_ == 0 ? 0 : rows.size() / width_;
+  }
+
+ private:
+  // Leaves are interned on first use: a bound pattern's property and an
+  // object no pattern accepts never reach the builder.
+  void BeginRecord(const TgRecordReader& record) {
+    leaves_ = &record.leaves();
+    handles_.assign(leaves_->size(), kUnbound);
+  }
+
+  Handle LeafHandle(uint32_t leaf) {
+    Handle& h = handles_[leaf];
+    if (h == kUnbound) h = builder_->Intern((*leaves_)[leaf]);
+    return h;
+  }
+
+  void ExpandComponent(size_t star_index, const TgRecordReader& record,
+                       const TgRecordReader::Component& c,
+                       std::vector<Handle>* rows) {
+    const StarPattern& star = stars_[star_index];
+    const std::vector<std::string_view>& leaves = record.leaves();
+    if (candidates_.size() < star.patterns.size()) {
+      candidates_.resize(star.patterns.size());
+    }
+    mandatory_.clear();
+    rows->clear();
+    for (size_t i = 0; i < star.patterns.size(); ++i) {
+      const TriplePattern& tp = star.patterns[i];
+      std::vector<Candidate>& candidates = candidates_[i];
+      candidates.clear();
+      const auto [subject_slot, property_slot, object_slot] =
+          slots_[star_index][i];
+      const auto add = [&](uint32_t property, uint32_t object) {
+        if (!tp.object.Matches(leaves[object])) return;
+        Candidate cand;
+        if (subject_slot != kNoSlot) {
+          cand.Bind(subject_slot, LeafHandle(c.subject));
+        }
+        if (property_slot != kNoSlot &&
+            !cand.Bind(property_slot, LeafHandle(property))) {
+          return;
+        }
+        if (object_slot != kNoSlot &&
+            !cand.Bind(object_slot, LeafHandle(object))) {
+          return;
+        }
+        candidates.push_back(cand);
+      };
+      const std::vector<TgRecordReader::Entry>& pairs = record.pairs();
+      const std::vector<TgRecordReader::Entry>& overrides =
+          record.overrides();
+      const TgRecordReader::Entry* pinned = nullptr;
+      if (!tp.property_bound) {
+        for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+          if (overrides[o].tp_index == i) {
+            pinned = &overrides[o];
+            break;
+          }
         }
       }
-      if (!any) extended.push_back(std::move(r));
-    }
-    rows = std::move(extended);
-  }
-  return rows;
-}
-
-// Merges `b` into a copy of `a`; false if some slot holds different values.
-bool MergeRows(const Row& a, const Row& b, Row* out) {
-  *out = a;
-  for (size_t slot = 0; slot < b.size(); ++slot) {
-    if (b[slot] == nullptr) continue;
-    const std::string*& value = (*out)[slot];
-    if (value == nullptr) {
-      value = b[slot];
-    } else if (value != b[slot] && *value != *b[slot]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Appends the rows of `jtg` (see ExpandJoinedTg) to `out`.
-void ExpandJoinedTgRows(const std::vector<StarPattern>& stars,
-                        const JoinedTg& jtg, const VarSlots& vars,
-                        std::vector<Row>* out) {
-  OperatorProbe probe("expand_joined_tg");
-  std::vector<Row> acc = {Row(vars.size(), nullptr)};
-  for (size_t c = 0; c < jtg.components.size(); ++c) {
-    const AnnTg& component = jtg.components[c];
-    RDFMR_CHECK(component.star_id < stars.size())
-        << "joined component references unknown star";
-    std::vector<Row> expanded =
-        ExpandAnnTgRows(stars[component.star_id], component, vars);
-    if (c == 0) {
-      acc = std::move(expanded);  // the empty row merges to each
-    } else {
-      std::vector<Row> next;
-      Row merged;
-      for (const Row& a : acc) {
-        for (const Row& b : expanded) {
-          if (MergeRows(a, b, &merged)) next.push_back(merged);
+      if (pinned != nullptr) {
+        for (uint32_t j = pinned->begin; j < pinned->end; j += 2) {
+          add(j, j + 1);
+        }
+      } else {
+        // Bound: the property's objects. Unbound: UnboundCandidates, read
+        // in place.
+        for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
+          const TgRecordReader::Entry& e = pairs[p];
+          if (tp.property_bound && leaves[e.begin] != tp.property) continue;
+          for (uint32_t j = e.begin + 1; j < e.end; ++j) add(e.begin, j);
+          if (tp.property_bound) break;
         }
       }
-      acc = std::move(next);
+      if (tp.optional) continue;
+      if (candidates.empty()) return;
+      mandatory_.push_back(&candidates);
     }
-    if (acc.empty()) break;
-  }
-  probe.Outputs(acc.size());
-  out->insert(out->end(), std::make_move_iterator(acc.begin()),
-              std::make_move_iterator(acc.end()));
-}
+    row_.assign(width_, kUnbound);
+    ExpandRecurse(0, rows);
 
-// Row order and equality are those of the solutions the rows become:
-// bindings compare as (variable, value) sequences, and slot order is
-// variable order.
-int CompareRows(const Row& a, const Row& b) {
-  size_t i = 0, j = 0;
-  for (;; ++i, ++j) {
-    while (i < a.size() && a[i] == nullptr) ++i;
-    while (j < b.size() && b[j] == nullptr) ++j;
-    if (i == a.size() || j == b.size()) {
-      return (i == a.size() ? 0 : 1) - (j == b.size() ? 0 : 1);
+    // Left-join the optional patterns (extend when compatible, else keep).
+    for (size_t i = 0; i < star.patterns.size(); ++i) {
+      if (!star.patterns[i].optional) continue;
+      extended_.clear();
+      for (size_t r = 0; r < rows->size(); r += width_) {
+        bool any = false;
+        for (const Candidate& cand : candidates_[i]) {
+          merged_.assign(rows->begin() + r, rows->begin() + r + width_);
+          size_t set[3];
+          size_t num_set;
+          if (BindCandidate(cand, merged_.data(), set, &num_set)) {
+            any = true;
+            extended_.insert(extended_.end(), merged_.begin(), merged_.end());
+          }
+        }
+        if (!any) {
+          extended_.insert(extended_.end(), rows->begin() + r,
+                           rows->begin() + r + width_);
+        }
+      }
+      rows->swap(extended_);
     }
-    if (i != j) return i < j ? -1 : 1;
-    if (a[i] != b[j]) {
-      if (int c = a[i]->compare(*b[j]); c != 0) return c;
+  }
+
+  // The product of the mandatory patterns' candidates, in candidate order.
+  void ExpandRecurse(size_t level, std::vector<Handle>* rows) {
+    if (level == mandatory_.size()) {
+      rows->insert(rows->end(), row_.begin(), row_.end());
+      return;
+    }
+    for (const Candidate& cand : *mandatory_[level]) {
+      size_t set[3];
+      size_t num_set;
+      if (BindCandidate(cand, row_.data(), set, &num_set)) {
+        ExpandRecurse(level + 1, rows);
+      }
+      for (size_t k = 0; k < num_set; ++k) row_[set[k]] = kUnbound;
     }
   }
-}
 
-Solution RowToSolution(const VarSlots& vars, const Row& row) {
-  Solution s;
-  s.Reserve(row.size() - std::count(row.begin(), row.end(), nullptr));
-  for (size_t slot = 0; slot < row.size(); ++slot) {
-    if (row[slot] != nullptr) s.Bind(*vars[slot], *row[slot]);
+  // acc_ := every consistent merge of an acc_ row with an expanded_ row.
+  void MergeRows() {
+    next_.clear();
+    for (size_t a = 0; a < acc_.size(); a += width_) {
+      for (size_t b = 0; b < expanded_.size(); b += width_) {
+        const size_t start = next_.size();
+        next_.insert(next_.end(), acc_.begin() + a, acc_.begin() + a + width_);
+        Handle* merged = next_.data() + start;
+        for (size_t slot = 0; slot < width_; ++slot) {
+          const Handle h = expanded_[b + slot];
+          if (h == kUnbound || merged[slot] == h) continue;
+          if (merged[slot] != kUnbound) {
+            next_.resize(start);
+            break;
+          }
+          merged[slot] = h;
+        }
+      }
+    }
+    acc_.swap(next_);
   }
-  return s;
-}
 
-std::vector<Solution> RowsToSolutions(const VarSlots& vars,
-                                      const std::vector<Row>& rows) {
+  struct PatternSlots {
+    size_t subject, property, object;
+  };
+
+  const std::vector<StarPattern>& stars_;
+  SolutionSet::Builder* builder_;
+  const size_t width_;
+  std::vector<std::vector<PatternSlots>> slots_;  // per star, per pattern
+  const std::vector<std::string_view>* leaves_ = nullptr;
+  std::vector<Handle> handles_;  // per leaf of the current record
+  std::vector<std::vector<Candidate>> candidates_;
+  std::vector<const std::vector<Candidate>*> mandatory_;
+  std::vector<Handle> row_, merged_, acc_, expanded_, next_, extended_;
+};
+
+std::vector<Solution> RowsToSolutions(const SolutionSet::Builder& builder,
+                                      const std::vector<Handle>& rows) {
   std::vector<Solution> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.push_back(RowToSolution(vars, row));
+  const size_t width = builder.width();
+  if (width == 0) return out;
+  out.reserve(rows.size() / width);
+  for (size_t r = 0; r < rows.size(); r += width) {
+    out.push_back(builder.RowSolution(rows.data() + r));
+  }
   return out;
 }
 
 }  // namespace
 
 std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg) {
-  VarSlots vars;
-  AddStarVariables(star, &vars);
-  SortSlots(&vars);
-  return RowsToSolutions(vars, ExpandAnnTgRows(star, tg, vars));
+  const std::vector<StarPattern> stars = {star};
+  SolutionSet::Builder builder(StarVariables(stars));
+  RowExpander expander(stars, &builder);
+  const std::string line = tg.Serialize();
+  TgRecordReader record;
+  RDFMR_CHECK(record.ReadAnnTg(line).ok());
+  return RowsToSolutions(builder, expander.ExpandGroup(record));
 }
 
-std::vector<Solution> ExpandJoinedTg(const std::vector<StarPattern>& stars,
-                                     const JoinedTg& jtg) {
-  VarSlots vars;
-  for (const StarPattern& star : stars) AddStarVariables(star, &vars);
-  SortSlots(&vars);
-  std::vector<Row> rows;
-  ExpandJoinedTgRows(stars, jtg, vars, &rows);
-  return RowsToSolutions(vars, rows);
+Result<std::vector<Solution>> ExpandJoinedTg(
+    const std::vector<StarPattern>& stars, std::string_view record) {
+  TgRecordReader reader;
+  RDFMR_RETURN_NOT_OK(reader.ReadJoinedTg(record));
+  SolutionSet::Builder builder(StarVariables(stars));
+  RowExpander expander(stars, &builder);
+  return RowsToSolutions(builder, expander.ExpandJoined(reader));
 }
 
 Result<SolutionSet> DecodeJoinedTgAnswers(
     const std::vector<StarPattern>& stars,
     const std::vector<std::string>& lines) {
-  VarSlots vars;
-  for (const StarPattern& star : stars) AddStarVariables(star, &vars);
-  SortSlots(&vars);
-  // Rows point into the parsed records, which therefore outlive them.
-  std::vector<JoinedTg> records;
-  records.reserve(lines.size());
-  std::vector<Row> rows;
+  SolutionSet::Builder builder(StarVariables(stars));
+  RowExpander expander(stars, &builder);
+  TgRecordReader record;
+  const size_t width = builder.width();
   for (const std::string& line : lines) {
-    RDFMR_ASSIGN_OR_RETURN(JoinedTg jtg, JoinedTg::Deserialize(line));
-    records.push_back(std::move(jtg));
-    ExpandJoinedTgRows(stars, records.back(), vars, &rows);
+    RDFMR_RETURN_NOT_OK(record.ReadJoinedTg(line));
+    const std::vector<Handle>& rows = expander.ExpandJoined(record);
+    for (size_t r = 0; r < rows.size(); r += width) {
+      builder.AddRow(rows.data() + r);
+    }
   }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return CompareRows(a, b) < 0;
-  });
-  rows.erase(std::unique(rows.begin(), rows.end(),
-                         [](const Row& a, const Row& b) {
-                           return CompareRows(a, b) == 0;
-                         }),
-             rows.end());
-  std::vector<Solution> solutions = RowsToSolutions(vars, rows);
-  return SolutionSet(std::make_move_iterator(solutions.begin()),
-                     std::make_move_iterator(solutions.end()));
+  return builder.Finish();
 }
 
 }  // namespace rdfmr

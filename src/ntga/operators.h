@@ -81,15 +81,16 @@ std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
 /// consistency).
 std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg);
 
-/// \brief Expands a joined triplegroup across its components and merges
-/// bindings; inconsistent combinations (residual join predicates) drop out.
-std::vector<Solution> ExpandJoinedTg(const std::vector<StarPattern>& stars,
-                                     const JoinedTg& jtg);
+/// \brief Expands a serialized joined triplegroup across its components
+/// and merges bindings; inconsistent combinations (residual join
+/// predicates) drop out. Fails as JoinedTg::Deserialize would.
+Result<std::vector<Solution>> ExpandJoinedTg(
+    const std::vector<StarPattern>& stars, std::string_view record);
 
 /// \brief Decodes a final output file of joined triplegroups into the set
-/// of their ExpandJoinedTg solutions. Expansions stay pointers into the
-/// parsed records until the deduplicated set is built, so each distinct
-/// solution's strings are copied once.
+/// of their ExpandJoinedTg solutions. Records are read as views
+/// (TgRecordReader) and expanded straight into the table's handle rows, so
+/// each distinct term is copied once and no Solution is built.
 Result<SolutionSet> DecodeJoinedTgAnswers(
     const std::vector<StarPattern>& stars,
     const std::vector<std::string>& lines);

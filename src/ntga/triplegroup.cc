@@ -142,24 +142,6 @@ bool ParseUint32(std::string_view text, uint32_t* value) {
   return ec == std::errc() && ptr == end && !text.empty();
 }
 
-// Reads the items of one pairs/overrides entry, unescaping each leaf
-// straight into its destination.
-class ItemReader {
- public:
-  ItemReader(std::string_view raw_entry, std::string* scratch)
-      : items_(UnescapedView(raw_entry, kEntrySep, scratch), kItemSep) {}
-
-  bool Next(std::string* item) {
-    std::string_view raw;
-    if (!items_.Next(&raw)) return false;
-    *item = UnescapeField(raw, kItemSep);
-    return true;
-  }
-
- private:
-  EscapedFieldReader items_;
-};
-
 }  // namespace
 
 std::string AnnTg::Serialize() const {
@@ -169,73 +151,10 @@ std::string AnnTg::Serialize() const {
 }
 
 Result<AnnTg> AnnTg::Deserialize(std::string_view line) {
-  std::string_view raw[4];
-  size_t num_fields = 0;
-  EscapedFieldReader fields(line, kFieldSep);
-  for (std::string_view field; fields.Next(&field); ++num_fields) {
-    if (num_fields < 4) raw[num_fields] = field;
-  }
-  if (num_fields != 4) {
-    return Status::IoError("AnnTg record needs 4 fields, got " +
-                           std::to_string(num_fields));
-  }
-  AnnTg tg;
-  tg.subject = UnescapeField(raw[0], kFieldSep);
-  std::string field_scratch, entry_scratch;
-  const std::string_view star_id =
-      UnescapedView(raw[1], kFieldSep, &field_scratch);
-  if (!ParseUint32(star_id, &tg.star_id)) {
-    return Status::IoError("bad star id: " + std::string(star_id));
-  }
-  std::string_view raw_entry;
-  const std::string_view pairs =
-      UnescapedView(raw[2], kFieldSep, &field_scratch);
-  if (!pairs.empty()) {
-    EscapedFieldReader entries(pairs, kEntrySep);
-    while (entries.Next(&raw_entry)) {
-      ItemReader items(raw_entry, &entry_scratch);
-      std::string property;
-      std::vector<std::string> objects;
-      items.Next(&property);
-      for (std::string object; items.Next(&object);) {
-        objects.push_back(std::move(object));
-      }
-      if (objects.empty()) {
-        return Status::IoError("bad pair entry: " +
-                               UnescapeField(raw_entry, kEntrySep));
-      }
-      // Entries are written in map order: append at the end.
-      tg.pairs.emplace_hint(tg.pairs.end(), std::move(property),
-                            std::move(objects));
-    }
-  }
-  const std::string_view overrides =
-      UnescapedView(raw[3], kFieldSep, &field_scratch);
-  if (!overrides.empty()) {
-    EscapedFieldReader entries(overrides, kEntrySep);
-    while (entries.Next(&raw_entry)) {
-      ItemReader items(raw_entry, &entry_scratch);
-      std::string index;
-      items.Next(&index);
-      uint32_t tp_index;
-      if (!ParseUint32(index, &tp_index)) {
-        return Status::IoError("bad override index: " + index);
-      }
-      std::vector<PropObj> pinned;
-      for (PropObj po; items.Next(&po.property);) {
-        if (!items.Next(&po.object)) {
-          return Status::IoError("bad override entry: " +
-                                 UnescapeField(raw_entry, kEntrySep));
-        }
-        pinned.push_back(std::move(po));
-      }
-      tg.overrides.emplace_hint(tg.overrides.end(), tp_index,
-                                std::move(pinned));
-    }
-  }
-  return tg;
+  TgRecordReader record;
+  RDFMR_RETURN_NOT_OK(record.ReadAnnTg(line));
+  return record.ToAnnTg(record.components().front());
 }
-
 
 Result<uint32_t> AnnTg::PeekStarId(std::string_view line) {
   EscapedFieldReader fields(line, kFieldSep);
@@ -269,15 +188,143 @@ std::string JoinedTg::Serialize() const {
 }
 
 Result<JoinedTg> JoinedTg::Deserialize(std::string_view line) {
+  TgRecordReader record;
+  RDFMR_RETURN_NOT_OK(record.ReadJoinedTg(line));
   JoinedTg out;
-  std::string scratch;
-  EscapedFieldReader parts(line, kComponentSep);
-  for (std::string_view raw; parts.Next(&raw);) {
-    RDFMR_ASSIGN_OR_RETURN(
-        AnnTg tg, AnnTg::Deserialize(UnescapedView(raw, kComponentSep, &scratch)));
-    out.components.push_back(std::move(tg));
+  out.components.reserve(record.components().size());
+  for (const TgRecordReader::Component& c : record.components()) {
+    out.components.push_back(record.ToAnnTg(c));
   }
   return out;
+}
+
+// ---- TgRecordReader ---------------------------------------------------------
+
+void TgRecordReader::Clear() {
+  components_.clear();
+  pairs_.clear();
+  overrides_.clear();
+  leaves_.clear();
+  num_unescaped_ = 0;
+}
+
+std::string_view TgRecordReader::Unescaped(std::string_view raw, char sep) {
+  if (!escapes_ || raw.find('\\') == std::string_view::npos) return raw;
+  if (num_unescaped_ == unescaped_.size()) {
+    unescaped_.push_back(std::make_unique<std::string>());
+  }
+  return UnescapedView(raw, sep, unescaped_[num_unescaped_++].get());
+}
+
+Status TgRecordReader::ReadAnnTg(std::string_view line) {
+  Clear();
+  escapes_ = line.find('\\') != std::string_view::npos;
+  return AppendRecord(line);
+}
+
+Status TgRecordReader::ReadJoinedTg(std::string_view line) {
+  Clear();
+  escapes_ = line.find('\\') != std::string_view::npos;
+  EscapedFieldReader parts(line, kComponentSep, escapes_);
+  for (std::string_view raw; parts.Next(&raw);) {
+    RDFMR_RETURN_NOT_OK(AppendRecord(Unescaped(raw, kComponentSep)));
+  }
+  return Status::OK();
+}
+
+// Each nesting level is split on its raw separator and unescaped only
+// where it holds an escape, exactly as the record was escaped.
+Status TgRecordReader::AppendRecord(std::string_view record) {
+  std::string_view raw[4];
+  size_t num_fields = 0;
+  EscapedFieldReader fields(record, kFieldSep, escapes_);
+  for (std::string_view field; fields.Next(&field); ++num_fields) {
+    if (num_fields < 4) raw[num_fields] = field;
+  }
+  if (num_fields != 4) {
+    return Status::IoError("AnnTg record needs 4 fields, got " +
+                           std::to_string(num_fields));
+  }
+  Component c;
+  c.subject = static_cast<uint32_t>(leaves_.size());
+  leaves_.push_back(Unescaped(raw[0], kFieldSep));
+  const std::string_view star_id = Unescaped(raw[1], kFieldSep);
+  if (!ParseUint32(star_id, &c.star_id)) {
+    return Status::IoError("bad star id: " + std::string(star_id));
+  }
+  // Reads the items of one entry as leaves; returns the entry's range.
+  auto read_entry = [this](std::string_view raw_entry) {
+    Entry e;
+    e.begin = static_cast<uint32_t>(leaves_.size());
+    EscapedFieldReader items(Unescaped(raw_entry, kEntrySep), kItemSep,
+                             escapes_);
+    for (std::string_view item; items.Next(&item);) {
+      leaves_.push_back(Unescaped(item, kItemSep));
+    }
+    e.end = static_cast<uint32_t>(leaves_.size());
+    return e;
+  };
+  std::string_view raw_entry;
+  c.pairs_begin = static_cast<uint32_t>(pairs_.size());
+  const std::string_view pairs = Unescaped(raw[2], kFieldSep);
+  if (!pairs.empty()) {
+    EscapedFieldReader entries(pairs, kEntrySep, escapes_);
+    while (entries.Next(&raw_entry)) {
+      const Entry e = read_entry(raw_entry);
+      if (e.end - e.begin < 2) {
+        return Status::IoError("bad pair entry: " +
+                               UnescapeField(raw_entry, kEntrySep));
+      }
+      pairs_.push_back(e);
+    }
+  }
+  c.pairs_end = static_cast<uint32_t>(pairs_.size());
+  c.overrides_begin = static_cast<uint32_t>(overrides_.size());
+  const std::string_view overrides = Unescaped(raw[3], kFieldSep);
+  if (!overrides.empty()) {
+    EscapedFieldReader entries(overrides, kEntrySep, escapes_);
+    while (entries.Next(&raw_entry)) {
+      Entry e = read_entry(raw_entry);
+      const std::string_view index = leaves_[e.begin++];
+      if (!ParseUint32(index, &e.tp_index)) {
+        return Status::IoError("bad override index: " + std::string(index));
+      }
+      if ((e.end - e.begin) % 2 != 0) {
+        return Status::IoError("bad override entry: " +
+                               UnescapeField(raw_entry, kEntrySep));
+      }
+      overrides_.push_back(e);
+    }
+  }
+  c.overrides_end = static_cast<uint32_t>(overrides_.size());
+  components_.push_back(c);
+  return Status::OK();
+}
+
+AnnTg TgRecordReader::ToAnnTg(const Component& c) const {
+  AnnTg tg;
+  tg.subject = std::string(leaves_[c.subject]);
+  tg.star_id = c.star_id;
+  // Entries are written in map order: append at the end.
+  for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
+    const Entry& e = pairs_[p];
+    std::vector<std::string> objects(leaves_.begin() + e.begin + 1,
+                                     leaves_.begin() + e.end);
+    tg.pairs.emplace_hint(tg.pairs.end(), std::string(leaves_[e.begin]),
+                          std::move(objects));
+  }
+  for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+    const Entry& e = overrides_[o];
+    std::vector<PropObj> pinned;
+    pinned.reserve((e.end - e.begin) / 2);
+    for (uint32_t i = e.begin; i < e.end; i += 2) {
+      pinned.push_back(PropObj{std::string(leaves_[i]),
+                               std::string(leaves_[i + 1])});
+    }
+    tg.overrides.emplace_hint(tg.overrides.end(), e.tp_index,
+                              std::move(pinned));
+  }
+  return tg;
 }
 
 }  // namespace rdfmr

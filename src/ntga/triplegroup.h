@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,6 +117,65 @@ class JoinedTg {
   bool operator==(const JoinedTg& o) const {
     return components == o.components;
   }
+};
+
+/// \brief The record grammar's one parser: reads AnnTg and JoinedTg
+/// records into views, building no AnnTg values. AnnTg::Deserialize and
+/// JoinedTg::Deserialize build their values from it, and answer decoding
+/// reads it directly.
+///
+/// A leaf (subject, property or object) is a view into the parsed line,
+/// or, when it carried escapes, into the reader's own storage. Views stay
+/// valid until the next Read; the reader reuses its buffers across reads.
+class TgRecordReader {
+ public:
+  /// \brief A pairs entry (leaf `begin` is the property, the rest its
+  /// objects) or an overrides entry (pattern `tp_index`, then alternating
+  /// property and object leaves): leaves [begin, end).
+  struct Entry {
+    uint32_t tp_index = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// \brief One triplegroup: its subject leaf and its entry ranges.
+  struct Component {
+    uint32_t subject = 0;
+    uint32_t star_id = 0;
+    uint32_t pairs_begin = 0;
+    uint32_t pairs_end = 0;
+    uint32_t overrides_begin = 0;
+    uint32_t overrides_end = 0;
+  };
+
+  /// \brief Parses an AnnTg record into one component.
+  Status ReadAnnTg(std::string_view line);
+
+  /// \brief Parses a JoinedTg record, one component per star reached.
+  Status ReadJoinedTg(std::string_view line);
+
+  const std::vector<Component>& components() const { return components_; }
+  const std::vector<Entry>& pairs() const { return pairs_; }
+  const std::vector<Entry>& overrides() const { return overrides_; }
+  const std::vector<std::string_view>& leaves() const { return leaves_; }
+
+  /// \brief Builds the AnnTg of component `c`.
+  AnnTg ToAnnTg(const Component& c) const;
+
+ private:
+  void Clear();
+  Status AppendRecord(std::string_view record);
+  std::string_view Unescaped(std::string_view raw, char sep);
+
+  std::vector<Component> components_;
+  std::vector<Entry> pairs_;
+  std::vector<Entry> overrides_;
+  std::vector<std::string_view> leaves_;
+  // Unescaped copies of whatever carried escapes, each in its own string
+  // so views into it survive later appends.
+  std::vector<std::unique_ptr<std::string>> unescaped_;
+  size_t num_unescaped_ = 0;
+  bool escapes_ = false;  // the line being read holds a backslash
 };
 
 }  // namespace rdfmr

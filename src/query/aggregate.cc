@@ -55,7 +55,7 @@ SolutionSet AggregateSolutions(const SolutionSet& solutions,
     if (!complete || counted == nullptr) continue;
     groups[key].insert(*counted);
   }
-  SolutionSet out;
+  std::vector<Solution> out;
   for (const auto& [key, values] : groups) {
     uint64_t count;
     if (spec.distinct) {
@@ -66,9 +66,9 @@ SolutionSet AggregateSolutions(const SolutionSet& solutions,
     if (count < spec.min_count) continue;
     Solution result = key;
     result.Bind(spec.count_var, std::to_string(count));
-    out.insert(std::move(result));
+    out.push_back(std::move(result));
   }
-  return out;
+  return SolutionSet(out);
 }
 
 SolutionSet EvaluateAggregateInMemory(const GraphPatternQuery& query,

@@ -6,25 +6,40 @@
 
 namespace rdfmr {
 
+bool MatchesTriplePattern(const TriplePattern& pattern,
+                          std::string_view subject, std::string_view property,
+                          std::string_view object) {
+  if (!pattern.subject.Matches(subject)) return false;
+  if (pattern.property_bound && property != pattern.property) return false;
+  if (!pattern.object.Matches(object)) return false;
+  // A variable repeated across positions must see one value.
+  const std::string* s_var =
+      pattern.subject.is_variable() ? &pattern.subject.value : nullptr;
+  const std::string* p_var =
+      pattern.property_bound ? nullptr : &pattern.property;
+  const std::string* o_var =
+      pattern.object.is_variable() ? &pattern.object.value : nullptr;
+  if (s_var != nullptr && p_var != nullptr && *s_var == *p_var &&
+      subject != property) {
+    return false;
+  }
+  if (s_var != nullptr && o_var != nullptr && *s_var == *o_var &&
+      subject != object) {
+    return false;
+  }
+  return p_var == nullptr || o_var == nullptr || *p_var != *o_var ||
+         property == object;
+}
+
 bool BindTriplePattern(const TriplePattern& pattern, const Triple& triple,
                        Solution* solution) {
-  // Subject.
-  if (pattern.subject.is_constant()) {
-    if (triple.subject != pattern.subject.value) return false;
-  } else {
-    if (!pattern.subject.Matches(triple.subject)) return false;
-    if (!solution->Bind(pattern.subject.value, triple.subject)) return false;
-  }
-  // Property.
-  if (pattern.property_bound) {
-    if (triple.property != pattern.property) return false;
-  } else {
-    if (!solution->Bind(pattern.property, triple.property)) return false;
-  }
-  // Object.
-  if (!pattern.object.Matches(triple.object)) return false;
-  return !pattern.object.is_variable() ||
-         solution->Bind(pattern.object.value, triple.object);
+  if (!MatchesTriplePattern(pattern, triple)) return false;
+  return (!pattern.subject.is_variable() ||
+          solution->Bind(pattern.subject.value, triple.subject)) &&
+         (pattern.property_bound ||
+          solution->Bind(pattern.property, triple.property)) &&
+         (!pattern.object.is_variable() ||
+          solution->Bind(pattern.object.value, triple.object));
 }
 
 std::optional<Solution> MatchTriplePattern(const TriplePattern& pattern,
@@ -166,7 +181,7 @@ SolutionSet EvaluateQueryInMemory(const GraphPatternQuery& query,
     }
     acc = std::move(next);
   }
-  return ToSolutionSet(&acc);
+  return SolutionSet(acc);
 }
 
 }  // namespace rdfmr

@@ -7,6 +7,7 @@
 #define RDFMR_QUERY_MATCHER_H_
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "query/pattern.h"
@@ -14,6 +15,19 @@
 #include "rdf/triple.h"
 
 namespace rdfmr {
+
+/// \brief True iff the triple (subject, property, object) matches
+/// `pattern`: its constants, its CONTAINS filter, and equal values wherever
+/// the pattern repeats a variable (`?x p ?x`). Builds no bindings.
+bool MatchesTriplePattern(const TriplePattern& pattern,
+                          std::string_view subject, std::string_view property,
+                          std::string_view object);
+
+inline bool MatchesTriplePattern(const TriplePattern& pattern,
+                                 const Triple& triple) {
+  return MatchesTriplePattern(pattern, triple.subject, triple.property,
+                              triple.object);
+}
 
 /// \brief Matches one triple against one pattern; bindings for subject,
 /// property (if unbound), and object variables. nullopt on mismatch.

@@ -7,10 +7,10 @@
 
 namespace rdfmr {
 
-bool NodePattern::Matches(const std::string& term) const {
+bool NodePattern::Matches(std::string_view term) const {
   if (is_constant()) return term == value;
   if (!contains_filter.empty()) {
-    return term.find(contains_filter) != std::string::npos;
+    return term.find(contains_filter) != std::string_view::npos;
   }
   return true;
 }

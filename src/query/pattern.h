@@ -12,6 +12,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -51,7 +52,7 @@ struct NodePattern {
 
   /// \brief True iff the concrete `term` satisfies this position (constant
   /// equality or contains filter; an unconstrained variable matches all).
-  bool Matches(const std::string& term) const;
+  bool Matches(std::string_view term) const;
 
   bool operator==(const NodePattern& o) const {
     return kind == o.kind && value == o.value &&

@@ -1,7 +1,9 @@
 #include "query/solution.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -16,6 +18,15 @@ constexpr std::string_view kLeafSeps = "=;";
 
 bool VarLess(const Solution::Binding& b, std::string_view var) {
   return b.first < var;
+}
+
+// Appends one "var=value" entry of a canonical line.
+void AppendBinding(std::string* out, bool first, std::string_view var,
+                   std::string_view value) {
+  if (!first) out->push_back(kEntrySep);
+  AppendEscapedNested(out, var, kLeafSeps);
+  out->push_back(kKeyValueSep);
+  AppendEscapedNested(out, value, kLeafSeps);
 }
 }  // namespace
 
@@ -83,10 +94,7 @@ bool Solution::MergeInto(const Solution& other) {
 std::string Solution::Serialize() const {
   std::string out;
   for (const auto& [var, value] : bindings_) {
-    if (&var != &bindings_.front().first) out.push_back(kEntrySep);
-    AppendEscapedNested(&out, var, kLeafSeps);
-    out.push_back(kKeyValueSep);
-    AppendEscapedNested(&out, value, kLeafSeps);
+    AppendBinding(&out, &var == &bindings_.front().first, var, value);
   }
   return out;
 }
@@ -115,12 +123,245 @@ Result<Solution> Solution::Deserialize(std::string_view line) {
   return s;
 }
 
-SolutionSet ToSolutionSet(std::vector<Solution>* solutions) {
-  std::sort(solutions->begin(), solutions->end());
-  solutions->erase(std::unique(solutions->begin(), solutions->end()),
-                   solutions->end());
-  return SolutionSet(std::make_move_iterator(solutions->begin()),
-                     std::make_move_iterator(solutions->end()));
+// ---- SolutionSet ------------------------------------------------------------
+
+namespace {
+
+using Handle = SolutionSet::Handle;
+constexpr Handle kUnbound = SolutionSet::kUnbound;
+
+size_t SlotOf(const std::vector<std::string>& variables,
+              std::string_view var) {
+  return static_cast<size_t>(
+      std::lower_bound(variables.begin(), variables.end(), var) -
+      variables.begin());
+}
+
+// Sorts rows of order keys (`*count` rows of `width` keys, each below
+// `num_keys`; see Finish) and returns them as handle rows in canonical
+// order without duplicates, updating `*count`. The sort is a radix sort:
+// one stable counting sort per slot, last slot first.
+std::vector<Handle> SortUniqueRows(const std::vector<Handle>& keys,
+                                   size_t width, size_t num_keys,
+                                   size_t* count) {
+  if (width == 0) {
+    *count = std::min<size_t>(*count, 1);
+    return {};
+  }
+  std::vector<uint32_t> order(*count), next(*count);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<uint32_t> start(num_keys + 1);
+  for (size_t k = width; k-- > 0;) {
+    std::fill(start.begin(), start.end(), 0);
+    for (uint32_t r : order) ++start[keys[r * width + k] + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (uint32_t r : order) next[start[keys[r * width + k]]++] = r;
+    order.swap(next);
+  }
+  std::vector<Handle> rows;
+  rows.reserve(keys.size());
+  const Handle* last = nullptr;
+  for (uint32_t r : order) {
+    const Handle* row = keys.data() + size_t{r} * width;
+    if (last != nullptr && std::equal(last, last + width, row)) continue;
+    for (size_t k = 0; k < width; ++k) {
+      rows.push_back(row[k] == 0 || row[k] == num_keys - 1 ? kUnbound
+                                                           : row[k] - 1);
+    }
+    last = row;
+  }
+  *count = rows.size() / width;
+  return rows;
+}
+
+// A term being sorted: `lead` packs its first eight bytes big-endian
+// (zero-padded), so most comparisons are decided by one integer.
+struct Term {
+  uint64_t lead;
+  std::string_view text;
+  Handle handle;
+};
+
+Term MakeTerm(std::string_view text, Handle handle) {
+  uint64_t lead = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    lead = (lead << 8) |
+           (i < text.size() ? static_cast<unsigned char>(text[i]) : 0);
+  }
+  return Term{lead, text, handle};
+}
+
+bool TermLess(const Term& x, const Term& y) {
+  return x.lead != y.lead ? x.lead < y.lead : x.text < y.text;
+}
+
+}  // namespace
+
+SolutionSet::SolutionSet(const std::vector<Solution>& solutions) {
+  std::vector<std::string> variables;
+  for (const Solution& s : solutions) {
+    for (const auto& [var, value] : s.bindings()) {
+      auto it = std::lower_bound(variables.begin(), variables.end(), var);
+      if (it == variables.end() || *it != var) variables.insert(it, var);
+    }
+  }
+  Builder builder(variables);
+  std::vector<Handle> row;
+  for (const Solution& s : solutions) {
+    row.assign(variables.size(), kUnbound);
+    for (const auto& [var, value] : s.bindings()) {
+      row[SlotOf(variables, var)] = builder.Intern(value);
+    }
+    builder.AddRow(row.data());
+  }
+  *this = builder.Finish();
+}
+
+Solution SolutionSet::Row(size_t row) const {
+  Solution s;
+  const Handle* cells = cells_.data() + row * variables_.size();
+  s.Reserve(variables_.size() -
+            std::count(cells, cells + variables_.size(), kUnbound));
+  for (size_t k = 0; k < variables_.size(); ++k) {
+    if (cells[k] != kUnbound) s.Bind(variables_[k], term(cells[k]));
+  }
+  return s;
+}
+
+void SolutionSet::AppendSerialized(size_t row, std::string* out) const {
+  const Handle* cells = cells_.data() + row * variables_.size();
+  bool first = true;
+  for (size_t k = 0; k < variables_.size(); ++k) {
+    if (cells[k] == kUnbound) continue;
+    AppendBinding(out, first, variables_[k], term(cells[k]));
+    first = false;
+  }
+}
+
+void SolutionSet::Merge(const SolutionSet& other) {
+  if (other.empty()) return;
+  if (empty()) {
+    *this = other;
+    return;
+  }
+  std::vector<std::string> variables;
+  std::set_union(variables_.begin(), variables_.end(),
+                 other.variables_.begin(), other.variables_.end(),
+                 std::back_inserter(variables));
+  Builder builder(variables);
+  std::vector<Handle> row;
+  const SolutionSet* const sets[] = {this, &other};
+  for (const SolutionSet* set : sets) {
+    std::vector<size_t> column;
+    for (const std::string& var : set->variables_) {
+      column.push_back(SlotOf(variables, var));
+    }
+    for (size_t r = 0; r < set->size_; ++r) {
+      row.assign(variables.size(), kUnbound);
+      for (size_t k = 0; k < column.size(); ++k) {
+        const Handle h = set->handle(r, k);
+        if (h != kUnbound) row[column[k]] = builder.Intern(set->term(h));
+      }
+      builder.AddRow(row.data());
+    }
+  }
+  *this = builder.Finish();
+}
+
+// ---- SolutionSet::Builder ---------------------------------------------------
+
+SolutionSet::Builder::Builder(std::vector<std::string> variables)
+    : variables_(std::move(variables)) {}
+
+SolutionSet::Handle SolutionSet::Builder::Intern(std::string_view t) {
+  if (2 * offsets_.size() > index_.size()) Grow();
+  const size_t mask = index_.size() - 1;
+  for (size_t i = std::hash<std::string_view>{}(t) & mask;;
+       i = (i + 1) & mask) {
+    Handle& slot = index_[i];
+    if (slot == kUnbound) {
+      slot = static_cast<Handle>(offsets_.size() - 1);
+      arena_.append(t);
+      offsets_.push_back(static_cast<uint32_t>(arena_.size()));
+      return slot;
+    }
+    if (term(slot) == t) return slot;
+  }
+}
+
+void SolutionSet::Builder::Grow() {
+  index_.assign(std::max<size_t>(64, 2 * index_.size()), kUnbound);
+  const size_t mask = index_.size() - 1;
+  for (Handle h = 0; h + 1 < offsets_.size(); ++h) {
+    size_t i = std::hash<std::string_view>{}(term(h)) & mask;
+    while (index_[i] != kUnbound) i = (i + 1) & mask;
+    index_[i] = h;
+  }
+}
+
+Solution SolutionSet::Builder::RowSolution(const Handle* row) const {
+  Solution s;
+  for (size_t k = 0; k < width(); ++k) {
+    if (row[k] != kUnbound) s.Bind(variables_[k], term(row[k]));
+  }
+  return s;
+}
+
+SolutionSet SolutionSet::Builder::Finish() {
+  const size_t width = variables_.size();
+  const size_t num_terms = offsets_.size() - 1;
+  // The terms and slots the rows use; the rest are dropped.
+  std::vector<Handle> remap(num_terms, kUnbound);
+  std::vector<bool> slot_used(width, false);
+  for (size_t c = 0; c < cells_.size(); ++c) {
+    if (cells_[c] == kUnbound) continue;
+    remap[cells_[c]] = 0;
+    slot_used[c % width] = true;
+  }
+  // Used terms, renumbered in term order.
+  std::vector<Term> order;
+  for (Handle h = 0; h < num_terms; ++h) {
+    if (remap[h] == 0) order.push_back(MakeTerm(term(h), h));
+  }
+  std::sort(order.begin(), order.end(), TermLess);
+  SolutionSet out;
+  out.arena_.reserve(arena_.size());
+  out.offsets_.reserve(order.size() + 1);
+  for (const Term& t : order) {
+    remap[t.handle] = static_cast<Handle>(out.offsets_.size() - 1);
+    out.arena_.append(t.text);
+    out.offsets_.push_back(static_cast<uint32_t>(out.arena_.size()));
+  }
+  std::vector<size_t> column(width);
+  for (size_t k = 0; k < width; ++k) {
+    if (!slot_used[k]) continue;
+    column[k] = out.variables_.size();
+    out.variables_.push_back(std::move(variables_[k]));
+  }
+  // The rows over the used slots, as order keys, which make the canonical
+  // Solution order plain lexicographic order. Solutions compare as
+  // (variable, value) sequences and slot order is variable order, so a
+  // bound handle (which orders as its term) keys as handle + 1, and an
+  // unbound slot keys below every term when nothing is bound after it in
+  // the row (the solution ends there, a prefix of any row that goes on)
+  // and above every term otherwise (its next binding is a later variable).
+  const size_t out_width = out.variables_.size();
+  const Handle unbound_later = static_cast<Handle>(order.size() + 1);
+  std::vector<Handle> keys(rows_ * out_width);
+  for (size_t r = 0; r < rows_; ++r) {
+    bool later = false;
+    for (size_t k = width; k-- > 0;) {
+      if (!slot_used[k]) continue;
+      const Handle h = cells_[r * width + k];
+      keys[r * out_width + column[k]] =
+          h != kUnbound ? remap[h] + 1 : later ? unbound_later : 0;
+      later = later || h != kUnbound;
+    }
+  }
+  out.size_ = rows_;
+  out.cells_ = SortUniqueRows(keys, out_width, order.size() + 2, &out.size_);
+  *this = Builder({});
+  return out;
 }
 
 Result<SolutionSet> ParseSolutionFile(const std::vector<std::string>& lines) {
@@ -130,7 +371,7 @@ Result<SolutionSet> ParseSolutionFile(const std::vector<std::string>& lines) {
     RDFMR_ASSIGN_OR_RETURN(Solution s, Solution::Deserialize(line));
     solutions.push_back(std::move(s));
   }
-  return ToSolutionSet(&solutions);
+  return SolutionSet(solutions);
 }
 
 }  // namespace rdfmr

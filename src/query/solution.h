@@ -1,12 +1,22 @@
-// Solution mappings (variable -> value bindings) and their canonical
-// serialization. Every engine's final MR output is a file of canonical
-// solution lines, which makes cross-engine answer comparison (the Lemma 1
-// content-equivalence check) a direct set comparison.
+// Solution mappings (variable -> value bindings), their canonical
+// serialization, and the answer table every engine decodes into.
+//
+// A Solution is one mapping; it is what the matcher, the join operators
+// and the aggregation fold work with. A SolutionSet is a whole answer: a
+// header of variable names, fixed-width rows of term handles (one per
+// variable slot, kUnbound for an unmatched OPTIONAL), and an arena holding
+// each distinct term once. The table is sorted and deduplicated once, in
+// the canonical Solution order, so cross-engine answer comparison (the
+// Lemma 1 content-equivalence check) is a direct table comparison, and a
+// Solution is built only where a caller dereferences a row.
 
 #ifndef RDFMR_QUERY_SOLUTION_H_
 #define RDFMR_QUERY_SOLUTION_H_
 
-#include <set>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,12 +77,153 @@ class Solution {
 };
 
 /// \brief A set of solutions (set semantics, as produced by BGP matching on
-/// set-based RDF graphs).
-using SolutionSet = std::set<Solution>;
+/// set-based RDF graphs), stored as one sorted table.
+///
+/// The header holds the variables bound in at least one row, sorted; slot
+/// k of a row is variables()[k]. A handle indexes the table's term arena,
+/// which holds exactly the terms the rows use, sorted, so handle order is
+/// term order and two tables hold the same solutions iff they are equal
+/// member by member. Rows are in canonical Solution order (operator<)
+/// without duplicates.
+class SolutionSet {
+ public:
+  using Handle = uint32_t;
+  /// The handle of an unbound slot (an unmatched OPTIONAL pattern).
+  static constexpr Handle kUnbound = std::numeric_limits<Handle>::max();
 
-/// \brief Builds the set of `solutions` (which it sorts and deduplicates in
-/// place) with one linear pass over the sorted range.
-SolutionSet ToSolutionSet(std::vector<Solution>* solutions);
+  class Builder;
+
+  /// \brief Input iterator over rows; dereferencing builds the row's
+  /// Solution.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Solution;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Solution;
+
+    // operator-> reaches into a Solution that lives to the end of the full
+    // expression.
+    struct Arrow {
+      Solution solution;
+      const Solution* operator->() const { return &solution; }
+    };
+
+    const_iterator() = default;
+    Solution operator*() const { return set_->Row(row_); }
+    Arrow operator->() const { return Arrow{set_->Row(row_)}; }
+    const_iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++row_;
+      return before;
+    }
+    bool operator==(const const_iterator& o) const { return row_ == o.row_; }
+    bool operator!=(const const_iterator& o) const { return row_ != o.row_; }
+
+   private:
+    friend class SolutionSet;
+    const_iterator(const SolutionSet* set, size_t row) : set_(set), row_(row) {}
+    const SolutionSet* set_ = nullptr;
+    size_t row_ = 0;
+  };
+  SolutionSet() = default;
+
+  /// \brief The set of `solutions` (any order, duplicates allowed).
+  explicit SolutionSet(const std::vector<Solution>& solutions);
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, size_); }
+
+  /// \brief The sorted variable names; slot k holds variables()[k].
+  const std::vector<std::string>& variables() const { return variables_; }
+
+  /// \brief Handle at (row, slot), or kUnbound.
+  Handle handle(size_t row, size_t slot) const {
+    return cells_[row * variables_.size() + slot];
+  }
+
+  /// \brief The term a (bound) handle stands for.
+  std::string_view term(Handle h) const {
+    return std::string_view(arena_).substr(offsets_[h],
+                                           offsets_[h + 1] - offsets_[h]);
+  }
+
+  /// \brief Row `row` as a Solution.
+  Solution Row(size_t row) const;
+
+  /// \brief Appends row `row`'s canonical line (Solution::Serialize) to
+  /// `*out`.
+  void AppendSerialized(size_t row, std::string* out) const;
+
+  /// \brief Set union: adds every row of `other` not already present. The
+  /// header becomes the union of both headers.
+  void Merge(const SolutionSet& other);
+
+  bool operator==(const SolutionSet& o) const {
+    return size_ == o.size_ && variables_ == o.variables_ &&
+           offsets_ == o.offsets_ && arena_ == o.arena_ && cells_ == o.cells_;
+  }
+  bool operator!=(const SolutionSet& o) const { return !(*this == o); }
+
+ private:
+  std::vector<std::string> variables_;
+  // Term h is arena_[offsets_[h], offsets_[h + 1]); terms sorted, distinct.
+  std::string arena_;
+  std::vector<uint32_t> offsets_{0};
+  std::vector<Handle> cells_;  // size_ rows of variables_.size() handles
+  size_t size_ = 0;
+};
+
+/// \brief Fills a SolutionSet: terms are interned into handles as rows are
+/// added, and Finish() sorts and deduplicates the rows once.
+class SolutionSet::Builder {
+ public:
+  /// `variables` are the slot names, sorted and distinct.
+  explicit Builder(std::vector<std::string> variables);
+
+  size_t width() const { return variables_.size(); }
+  const std::vector<std::string>& variables() const { return variables_; }
+
+  /// \brief The handle of `term`, adding it on first sight. Equal terms
+  /// get equal handles, so handle equality is term equality.
+  Handle Intern(std::string_view term);
+
+  /// \brief The term of a handle Intern returned; valid until the next
+  /// Intern.
+  std::string_view term(Handle h) const {
+    return std::string_view(arena_).substr(offsets_[h],
+                                           offsets_[h + 1] - offsets_[h]);
+  }
+
+  /// \brief Adds a row of width() handles (kUnbound where unbound).
+  void AddRow(const Handle* row) {
+    cells_.insert(cells_.end(), row, row + width());
+    ++rows_;
+  }
+
+  /// \brief A row of width() handles as a Solution.
+  Solution RowSolution(const Handle* row) const;
+
+  /// \brief The finished table; the builder is left empty.
+  SolutionSet Finish();
+
+ private:
+  void Grow();
+
+  std::vector<std::string> variables_;
+  std::string arena_;
+  std::vector<uint32_t> offsets_{0};
+  std::vector<Handle> index_;  // open addressing over handles
+  std::vector<Handle> cells_;
+  size_t rows_ = 0;
+};
 
 /// \brief Parses a whole answer file into a solution set.
 Result<SolutionSet> ParseSolutionFile(const std::vector<std::string>& lines);

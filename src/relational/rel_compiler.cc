@@ -48,7 +48,7 @@ ScanHint EmptyHint() {
 // Pig's initial filter/compress job).
 bool RelevantToAnyPattern(const GraphPatternQuery& query, const Triple& t) {
   for (const TriplePattern& tp : query.patterns()) {
-    if (MatchTriplePattern(tp, t).has_value()) return true;
+    if (MatchesTriplePattern(tp, t)) return true;
   }
   return false;
 }
@@ -63,7 +63,7 @@ MapFn MakeSinglePatternMapper(QueryPtr query, size_t star, size_t tp_index) {
       return;
     }
     const TriplePattern& tp = query->stars()[star].patterns[tp_index];
-    if (MatchTriplePattern(tp, *t).has_value()) {
+    if (MatchesTriplePattern(tp, *t)) {
       (*counters)["vp_matches"] += 1;
       (*counters)["op.vp_scan.output_records"] += 1;
       emit(t->subject, record);
@@ -83,7 +83,7 @@ MapFn MakeStarMapper(QueryPtr query, size_t star) {
       return;
     }
     for (const TriplePattern& tp : query->stars()[star].patterns) {
-      if (MatchTriplePattern(tp, *t).has_value()) {
+      if (MatchesTriplePattern(tp, *t)) {
         (*counters)["vp_matches"] += 1;
         (*counters)["op.vp_scan.output_records"] += 1;
         emit(t->subject, record);
@@ -207,7 +207,7 @@ MapFn MakeInlineSingleTpJoinMapper(QueryPtr query, size_t star,
       return;
     }
     const TriplePattern& tp = query->stars()[star].patterns[0];
-    if (!MatchTriplePattern(tp, *t).has_value()) return;
+    if (!MatchesTriplePattern(tp, *t)) return;
     RelTuple tuple;
     tuple.triples.push_back(t.MoveValueUnsafe());
     Result<std::string> key = ExtractJoinKey({tp}, tuple, var);
@@ -216,6 +216,20 @@ MapFn MakeInlineSingleTpJoinMapper(QueryPtr query, size_t star,
       return;
     }
     emit(*key, tag + "|" + tuple.Serialize());
+  };
+}
+
+// Decoders of a final output of `schema`-wide tuples.
+void SetAnswerDecoders(const RelSchema& schema, CompiledPlan* plan) {
+  plan->decoder = [schema](const std::vector<std::string>& lines) {
+    return DecodeRelationalAnswers(schema, lines);
+  };
+  plan->record_decoder =
+      [schema](const std::string& record) -> Result<std::vector<Solution>> {
+    RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
+                           RelTuple::Deserialize(record, schema.size()));
+    RDFMR_ASSIGN_OR_RETURN(Solution solution, tuple.ToSolution(schema));
+    return std::vector<Solution>{std::move(solution)};
   };
 }
 
@@ -344,19 +358,7 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
       plan.workflow.intermediate_paths.push_back(job.output_path);
     }
   }
-  RelSchema final_schema = final_rel.schema;
-  plan.decoder = [final_schema](const std::vector<std::string>& lines) {
-    return DecodeRelationalAnswers(final_schema, lines);
-  };
-  plan.record_decoder = [final_schema](const std::string& record)
-      -> Result<std::vector<Solution>> {
-    RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
-                           RelTuple::Deserialize(record,
-                                                 final_schema.size()));
-    RDFMR_ASSIGN_OR_RETURN(Solution solution,
-                           tuple.ToSolution(final_schema));
-    return std::vector<Solution>{std::move(solution)};
-  };
+  SetAnswerDecoders(final_rel.schema, &plan);
   return plan;
 }
 
@@ -412,7 +414,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
             return;
           }
           for (const TriplePattern& tp : query->stars()[folded].patterns) {
-            if (MatchTriplePattern(tp, *t).has_value()) {
+            if (MatchesTriplePattern(tp, *t)) {
               emit(t->subject, "B|" + record);
               break;  // routing only; the reducer re-derives matches
             }
@@ -466,18 +468,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     RelSchema final_schema = first_schema;
     final_schema.insert(final_schema.end(), folded_schema.begin(),
                         folded_schema.end());
-    plan.decoder = [final_schema](const std::vector<std::string>& lines) {
-      return DecodeRelationalAnswers(final_schema, lines);
-    };
-    plan.record_decoder = [final_schema](const std::string& record)
-        -> Result<std::vector<Solution>> {
-      RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
-                             RelTuple::Deserialize(record,
-                                                   final_schema.size()));
-      RDFMR_ASSIGN_OR_RETURN(Solution solution,
-                             tuple.ToSolution(final_schema));
-      return std::vector<Solution>{std::move(solution)};
-    };
+    SetAnswerDecoders(final_schema, &plan);
     return plan;
   }
 

@@ -1,5 +1,7 @@
 #include "relational/rel_tuple.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "query/matcher.h"
 
@@ -73,15 +75,80 @@ Result<Solution> RelTuple::ToSolution(const RelSchema& schema) const {
 
 Result<SolutionSet> DecodeRelationalAnswers(
     const RelSchema& schema, const std::vector<std::string>& lines) {
-  std::vector<Solution> solutions;
-  solutions.reserve(lines.size());
-  for (const std::string& line : lines) {
-    RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
-                           RelTuple::Deserialize(line, schema.size()));
-    RDFMR_ASSIGN_OR_RETURN(Solution s, tuple.ToSolution(schema));
-    solutions.push_back(std::move(s));
+  // The column -> slot plan: field 3i+j (j: subject, property, object of
+  // pattern i) binds slot field_slot[3i+j], or nothing.
+  constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  std::vector<std::string> vars;
+  for (const TriplePattern& tp : schema) {
+    for (std::string& var : tp.Variables()) vars.push_back(std::move(var));
   }
-  return ToSolutionSet(&solutions);
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  auto slot_of = [&vars](const std::string& var) {
+    return static_cast<size_t>(
+        std::lower_bound(vars.begin(), vars.end(), var) - vars.begin());
+  };
+  const size_t num_fields = 3 * schema.size();
+  std::vector<size_t> field_slot(num_fields, kNoSlot);
+  for (size_t i = 0; i < schema.size(); ++i) {
+    const TriplePattern& tp = schema[i];
+    size_t* slots = &field_slot[3 * i];
+    if (tp.subject.is_variable()) slots[0] = slot_of(tp.subject.value);
+    if (!tp.property_bound) slots[1] = slot_of(tp.property);
+    if (tp.object.is_variable()) slots[2] = slot_of(tp.object.value);
+  }
+
+  SolutionSet::Builder builder(vars);
+  const size_t width = vars.size();
+  std::vector<std::string_view> fields(num_fields);
+  std::vector<std::string> scratch(num_fields);  // fields that hold escapes
+  std::vector<std::string_view> values(width);
+  std::vector<bool> bound(width);
+  std::vector<SolutionSet::Handle> row(width);
+  for (const std::string& line : lines) {
+    size_t n = 0;
+    const bool escapes = line.find('\\') != std::string::npos;
+    EscapedFieldReader reader(line, '\t', escapes);
+    for (std::string_view raw; reader.Next(&raw); ++n) {
+      if (n >= num_fields) continue;
+      fields[n] = escapes ? UnescapedView(raw, '\t', &scratch[n]) : raw;
+    }
+    if (n != num_fields) {
+      return Status::IoError(StringFormat(
+          "relational tuple needs %zu fields, got %zu", num_fields, n));
+    }
+    bound.assign(width, false);
+    for (size_t i = 0; i < schema.size(); ++i) {
+      const std::string_view* triple = &fields[3 * i];
+      if (triple[0].empty() && triple[1].empty() && triple[2].empty()) {
+        if (schema[i].optional) continue;  // unmatched optional pattern
+        return Status::InvalidArgument(
+            "null triple at mandatory column " + std::to_string(i));
+      }
+      bool match =
+          MatchesTriplePattern(schema[i], triple[0], triple[1], triple[2]);
+      for (size_t j = 0; match && j < 3; ++j) {
+        const size_t slot = field_slot[3 * i + j];
+        if (slot == kNoSlot) continue;
+        if (!bound[slot]) {
+          bound[slot] = true;
+          values[slot] = triple[j];
+        } else {
+          match = values[slot] == triple[j];
+        }
+      }
+      if (!match) {
+        return Status::InvalidArgument(
+            "tuple column " + std::to_string(i) +
+            " does not match its pattern or the columns before it");
+      }
+    }
+    for (size_t k = 0; k < width; ++k) {
+      row[k] = bound[k] ? builder.Intern(values[k]) : SolutionSet::kUnbound;
+    }
+    builder.AddRow(row.data());
+  }
+  return builder.Finish();
 }
 
 Result<std::string> ExtractJoinKey(const RelSchema& schema,

@@ -41,7 +41,9 @@ struct RelTuple {
 };
 
 /// \brief Decodes a whole relational output file (schema-wide tuples) into
-/// a solution set.
+/// a solution set. Each line is split into field views and bound through a
+/// column -> slot plan computed once from `schema`, with ToSolution's
+/// checks and Status codes; no RelTuple or Solution is built.
 Result<SolutionSet> DecodeRelationalAnswers(
     const RelSchema& schema, const std::vector<std::string>& lines);
 

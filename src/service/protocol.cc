@@ -170,11 +170,13 @@ Result<EngineOptions> OptionsFromJson(const JsonValue& request) {
 
 JsonValue AnswersJson(const SolutionSet& answers, uint64_t max_answers) {
   JsonValue array = JsonValue::MakeArray();
-  uint64_t emitted = 0;
-  for (const Solution& solution : answers) {
-    if (max_answers > 0 && emitted >= max_answers) break;
-    array.Append(solution.Serialize());
-    ++emitted;
+  const size_t count = max_answers > 0 && max_answers < answers.size()
+                           ? static_cast<size_t>(max_answers)
+                           : answers.size();
+  for (size_t row = 0; row < count; ++row) {
+    std::string line;
+    answers.AppendSerialized(row, &line);
+    array.Append(std::move(line));
   }
   return array;
 }

@@ -45,20 +45,6 @@ std::string SingleQueryName(const ServiceRequest& request) {
   return name;
 }
 
-// Cache charge of an answer set: the bytes of every binding plus a fixed
-// per-binding overhead. The formula is the cache's admission currency, so
-// it stays as it was when answers were map-based: re-pricing it would
-// change which entries the result cache keeps.
-uint64_t EstimateSetCharge(const SolutionSet& set) {
-  uint64_t bytes = 32;
-  for (const Solution& solution : set) {
-    for (const auto& [var, value] : solution.bindings()) {
-      bytes += var.size() + value.size() + 16;
-    }
-  }
-  return bytes;
-}
-
 /// The ExecRequest a ServiceRequest runs as on `dataset`, whose catalog
 /// the plan chooser reads instead of rescanning the base.
 ExecRequest ToExecRequest(const ServiceRequest& request,
@@ -106,6 +92,19 @@ JsonValue HistogramJson(const Histogram& hist) {
 }
 
 }  // namespace
+
+uint64_t EstimateSetCharge(const SolutionSet& set) {
+  uint64_t bytes = 32;
+  const std::vector<std::string>& vars = set.variables();
+  for (size_t row = 0; row < set.size(); ++row) {
+    for (size_t slot = 0; slot < vars.size(); ++slot) {
+      const SolutionSet::Handle h = set.handle(row, slot);
+      if (h == SolutionSet::kUnbound) continue;
+      bytes += vars[slot].size() + set.term(h).size() + 16;
+    }
+  }
+  return bytes;
+}
 
 // ---- cache keys -------------------------------------------------------------
 

@@ -321,6 +321,12 @@ std::string CanonicalQueryText(const ServiceRequest& request);
 /// canonical query text.
 std::string RequestCacheKey(const ServiceRequest& request, uint64_t epoch);
 
+/// \brief Result-cache charge of an answer set: the bytes of every binding
+/// plus a fixed per-binding overhead. The formula is the cache's admission
+/// currency, so it stays as it was when answers were map-based:
+/// re-pricing it would change which entries the result cache keeps.
+uint64_t EstimateSetCharge(const SolutionSet& set);
+
 }  // namespace service
 }  // namespace rdfmr
 

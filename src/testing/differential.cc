@@ -67,21 +67,28 @@ std::string DescribeAnswerDiff(const SolutionSet& expected,
                                const SolutionSet& got) {
   std::string out = StringFormat("expected %zu answers, got %zu",
                                  expected.size(), got.size());
-  size_t shown = 0;
-  for (const Solution& s : expected) {
-    if (got.count(s) == 0 && shown < 3) {
-      out += "; missing {" + s.Serialize() + "}";
-      ++shown;
+  // Both tables are in canonical order: one merge walk finds the rows
+  // only one side holds.
+  size_t i = 0, j = 0, missing = 0, spurious = 0;
+  std::string missing_text, spurious_text;
+  while (i < expected.size() || j < got.size()) {
+    if (j == got.size() ||
+        (i < expected.size() && expected.Row(i) < got.Row(j))) {
+      if (missing++ < 3) {
+        missing_text += "; missing {" + expected.Row(i).Serialize() + "}";
+      }
+      ++i;
+    } else if (i == expected.size() || got.Row(j) < expected.Row(i)) {
+      if (spurious++ < 3) {
+        spurious_text += "; spurious {" + got.Row(j).Serialize() + "}";
+      }
+      ++j;
+    } else {
+      ++i;
+      ++j;
     }
   }
-  shown = 0;
-  for (const Solution& s : got) {
-    if (expected.count(s) == 0 && shown < 3) {
-      out += "; spurious {" + s.Serialize() + "}";
-      ++shown;
-    }
-  }
-  return out;
+  return out + missing_text + spurious_text;
 }
 
 // FNV-1a over the cell identity: every case x engine x thread cell gets

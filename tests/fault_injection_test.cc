@@ -478,7 +478,7 @@ TEST(UnionTest, UnionOfBranchesEqualsUnionOfOracles) {
   SolutionSet oracle;
   for (const auto& branch : branches) {
     SolutionSet part = EvaluateQueryInMemory(*branch, triples);
-    oracle.insert(part.begin(), part.end());
+    oracle.Merge(part);
   }
   ASSERT_FALSE(oracle.empty());
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "query/matcher.h"
 
 namespace rdfmr {
@@ -65,6 +67,78 @@ TEST(MatchTriplePatternTest, SharedVariableAcrossPositions) {
       MatchTriplePattern(tp, Triple("a", "selfLoop", "a")).has_value());
   EXPECT_FALSE(
       MatchTriplePattern(tp, Triple("a", "selfLoop", "b")).has_value());
+}
+
+// MatchesTriplePattern is MatchTriplePattern's verdict without building
+// bindings: the cases above, then every pattern shape (constants, CONTAINS
+// filters, a variable repeated across any two or all three positions)
+// against seeded random triples over a small alphabet.
+TEST(MatchTriplePatternTest, MatchesAgreesWithMatch) {
+  std::vector<std::pair<TriplePattern, Triple>> cases = {
+      {BoundTp("g", "xGO", "o"), Triple("gene9", "xGO", "go1")},
+      {BoundTp("g", "label", "o"), Triple("gene9", "xGO", "go1")},
+      {TriplePattern::Unbound(NodePattern::Var("g"), "p",
+                              NodePattern::Var("o")),
+       Triple("gene9", "xGO", "go1")},
+      {TriplePattern::Bound(NodePattern::Var("g"), "type",
+                            NodePattern::Const("protein")),
+       Triple("gene9", "type", "protein")},
+      {TriplePattern::Bound(NodePattern::Var("g"), "type",
+                            NodePattern::Const("pseudo")),
+       Triple("gene9", "type", "protein")},
+      {TriplePattern::Bound(NodePattern::Const("gene9"), "type",
+                            NodePattern::Var("t")),
+       Triple("gene9", "type", "protein")},
+      {TriplePattern::Bound(NodePattern::Const("gene10"), "type",
+                            NodePattern::Var("t")),
+       Triple("gene9", "type", "protein")},
+      {TriplePattern::Unbound(NodePattern::Var("g"), "p",
+                              NodePattern::Var("o", "go_")),
+       Triple("g", "xGO", "go_terms_17")},
+      {TriplePattern::Unbound(NodePattern::Var("g"), "p",
+                              NodePattern::Var("o", "go_")),
+       Triple("g", "xRef", "ref_17")},
+      {TriplePattern::Bound(NodePattern::Var("s"), "selfLoop",
+                            NodePattern::Var("s")),
+       Triple("a", "selfLoop", "a")},
+      {TriplePattern::Bound(NodePattern::Var("s"), "selfLoop",
+                            NodePattern::Var("s")),
+       Triple("a", "selfLoop", "b")},
+  };
+  const std::vector<TriplePattern> shapes = {
+      TriplePattern::Bound(NodePattern::Var("s"), "a", NodePattern::Var("o")),
+      TriplePattern::Bound(NodePattern::Var("s"), "a", NodePattern::Var("s")),
+      TriplePattern::Bound(NodePattern::Const("a"), "b",
+                           NodePattern::Const("go_a")),
+      TriplePattern::Bound(NodePattern::Var("s", "a"), "a",
+                           NodePattern::Var("o", "go_")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "p", NodePattern::Var("o")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "s", NodePattern::Var("o")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "p", NodePattern::Var("p")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "p", NodePattern::Var("s")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "s", NodePattern::Var("s")),
+      TriplePattern::Unbound(NodePattern::Var("s"), "p",
+                             NodePattern::Var("o", "go_")),
+      TriplePattern::Unbound(NodePattern::Const("b"), "p",
+                             NodePattern::Const("a")),
+  };
+  const std::vector<std::string> alphabet = {"a", "b", "go_a", ""};
+  std::mt19937 rng(17);
+  auto pick = [&] { return alphabet[rng() % alphabet.size()]; };
+  for (const TriplePattern& tp : shapes) {
+    for (int i = 0; i < 200; ++i) {
+      cases.emplace_back(tp, Triple(pick(), pick(), pick()));
+    }
+  }
+  size_t matched = 0;
+  for (const auto& [tp, t] : cases) {
+    const bool expected = MatchTriplePattern(tp, t).has_value();
+    EXPECT_EQ(MatchesTriplePattern(tp, t), expected)
+        << tp.ToString() << " vs (" << t.subject << ", " << t.property
+        << ", " << t.object << ")";
+    matched += expected;
+  }
+  EXPECT_GT(matched, cases.size() / 10) << "the cases must exercise hits";
 }
 
 // ---- MatchStar ---------------------------------------------------------------

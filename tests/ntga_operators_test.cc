@@ -311,5 +311,35 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedExpandTest,
                          ::testing::Range<uint64_t>(0, 40));
 
+// The view-based record reader keeps every rejection of the record
+// grammar, with its Status code, for answer decoding and for
+// AnnTg::Deserialize alike.
+TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
+  const std::vector<StarPattern> stars = {BioStar()};
+  const std::string f = "\x1F";  // field separator
+  const std::vector<std::string> bad_records = {
+      "g1" + f + "0",                                  // field count
+      "g1" + f + "zero" + f + "label,l1" + f,          // bad star id
+      "g1" + f + "0" + f + "label,l1\x1D" + f,         // empty pair entry
+      "g1" + f + "0" + f + "label" + f,                // pair without objects
+      "g1" + f + "0" + f + "label,l1" + f + "two,p,o",  // bad override index
+      "g1" + f + "0" + f + "label,l1" + f + "2,p",      // cut-short override
+  };
+  for (const std::string& record : bad_records) {
+    EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {record}).status().IsIoError())
+        << EscapeField(record, '\x1F');
+    EXPECT_TRUE(AnnTg::Deserialize(record).status().IsIoError())
+        << EscapeField(record, '\x1F');
+  }
+  // A bad component after a good one fails the whole joined record.
+  AnnTg good;
+  good.subject = "g1";
+  good.AddPair("label", "l1");
+  EXPECT_TRUE(DecodeJoinedTgAnswers(
+                  stars, {good.Serialize() + "\x1E" + bad_records[1]})
+                  .status()
+                  .IsIoError());
+}
+
 }  // namespace
 }  // namespace rdfmr

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "query/pattern.h"
 #include "query/solution.h"
 #include "query/sparql_parser.h"
@@ -249,6 +253,106 @@ TEST(SolutionTest, ParseSolutionFileDeduplicates) {
   auto set = ParseSolutionFile({s.Serialize(), s.Serialize()});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), 1u);
+}
+
+// ---- SolutionSet ------------------------------------------------------------
+
+// Random solutions over `vars`: each binds a random subset (so OPTIONAL
+// slots go unbound, sometimes all of them) to terms that carry every
+// separator the canonical line and the record formats escape. Small pools
+// make duplicates common.
+std::vector<Solution> RandomSolutions(std::mt19937* rng,
+                                      const std::vector<std::string>& vars,
+                                      size_t count) {
+  static const std::vector<std::string> kTerms = {
+      "", "=", ";", "\\", "\t", "\x1E", "\n", "a=b;c\\d", "plain", "z"};
+  std::vector<Solution> out;
+  for (size_t i = 0; i < count; ++i) {
+    Solution s;
+    for (const std::string& var : vars) {
+      if ((*rng)() % 3 != 0) s.Bind(var, kTerms[(*rng)() % kTerms.size()]);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// The table's rows, order, size and lines against the std::set<Solution>
+// of the same solutions.
+void ExpectSameAsSet(const SolutionSet& table,
+                     const std::set<Solution>& reference) {
+  ASSERT_EQ(table.size(), reference.size());
+  size_t row = 0;
+  for (const Solution& expected : reference) {
+    EXPECT_EQ(table.Row(row), expected) << "row " << row;
+    std::string line;
+    table.AppendSerialized(row, &line);
+    EXPECT_EQ(line, expected.Serialize()) << "row " << row;
+    ++row;
+  }
+  std::vector<Solution> iterated(table.begin(), table.end());
+  EXPECT_TRUE(std::equal(iterated.begin(), iterated.end(), reference.begin(),
+                         reference.end()));
+}
+
+TEST(SolutionSetTest, MatchesStdSetOfSolutions) {
+  std::mt19937 rng(2015);
+  const std::vector<std::string> left_vars = {"a", "b", "c=d", "x;y"};
+  const std::vector<std::string> right_vars = {"b", "e", "x;y"};
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Solution> left = RandomSolutions(&rng, left_vars, rng() % 40);
+    std::vector<Solution> right =
+        RandomSolutions(&rng, right_vars, rng() % 40);
+    const std::set<Solution> left_ref(left.begin(), left.end());
+    const std::set<Solution> right_ref(right.begin(), right.end());
+    const SolutionSet left_table(left);
+    ExpectSameAsSet(left_table, left_ref);
+
+    // Row order does not depend on input order.
+    std::shuffle(left.begin(), left.end(), rng);
+    EXPECT_TRUE(SolutionSet(left) == left_table);
+
+    // Union across different headers.
+    SolutionSet merged = left_table;
+    merged.Merge(SolutionSet(right));
+    std::set<Solution> union_ref = left_ref;
+    union_ref.insert(right_ref.begin(), right_ref.end());
+    ExpectSameAsSet(merged, union_ref);
+    std::vector<Solution> both = left;
+    both.insert(both.end(), right.begin(), right.end());
+    EXPECT_TRUE(merged == SolutionSet(both));
+
+    // operator== is set equality.
+    const SolutionSet right_table(right);
+    EXPECT_EQ(left_table == right_table, left_ref == right_ref);
+    if (!left_ref.empty()) {
+      std::vector<Solution> fewer(left_ref.begin(), left_ref.end());
+      fewer.erase(fewer.begin() + rng() % fewer.size());
+      EXPECT_FALSE(SolutionSet(fewer) == left_table);
+    }
+  }
+}
+
+TEST(SolutionSetTest, BuilderDropsUnusedSlotsAndTerms) {
+  SolutionSet::Builder builder({"a", "never", "z"});
+  const SolutionSet::Handle unused = builder.Intern("unused term");
+  (void)unused;
+  const SolutionSet::Handle one = builder.Intern("1");
+  const SolutionSet::Handle two = builder.Intern("2");
+  EXPECT_EQ(builder.Intern("1"), one) << "equal terms share a handle";
+  const SolutionSet::Handle u = SolutionSet::kUnbound;
+  const std::vector<std::vector<SolutionSet::Handle>> rows = {
+      {two, u, one}, {one, u, u}, {two, u, one}, {u, u, two}};
+  for (const auto& row : rows) builder.AddRow(row.data());
+  const SolutionSet table = builder.Finish();
+  EXPECT_EQ(table.variables(), (std::vector<std::string>{"a", "z"}));
+  Solution a1, a2z1, z2;
+  a1.Bind("a", "1");
+  a2z1.Bind("a", "2");
+  a2z1.Bind("z", "1");
+  z2.Bind("z", "2");
+  EXPECT_TRUE(table == SolutionSet({a1, a2z1, z2}));
+  ExpectSameAsSet(table, {a1, a2z1, z2});
 }
 
 // ---- SPARQL parser -------------------------------------------------------------

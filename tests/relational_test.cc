@@ -89,6 +89,58 @@ TEST(RelTupleTest, DecodeAnswersDeduplicates) {
   EXPECT_EQ(set->size(), 1u);
 }
 
+// The table decoder keeps every rejection of the per-tuple path, with its
+// Status code: field count (IoError), a null triple at a mandatory column,
+// a column that does not match its pattern, and a repeated variable that
+// disagrees across columns or within one (InvalidArgument).
+TEST(RelTupleTest, DecodeAnswersRejectionsKeepTheirCodes) {
+  const RelSchema schema = TwoPatternSchema();
+  auto decode = [](const RelSchema& s, const RelTuple& t) {
+    return DecodeRelationalAnswers(s, {t.Serialize()}).status();
+  };
+  EXPECT_TRUE(
+      DecodeRelationalAnswers(schema, {"gene9\tlabel\tretinoid"})
+          .status()
+          .IsIoError());
+  EXPECT_TRUE(DecodeRelationalAnswers(
+                  schema, {MakeTuple().Serialize() + "\textra"})
+                  .status()
+                  .IsIoError());
+
+  RelTuple null_column = MakeTuple();
+  null_column.triples[1] = Triple("", "", "");
+  EXPECT_TRUE(decode(schema, null_column).IsInvalidArgument());
+  RelSchema optional_schema = schema;
+  optional_schema[1].optional = true;
+  auto unmatched = DecodeRelationalAnswers(optional_schema,
+                                           {null_column.Serialize()});
+  ASSERT_TRUE(unmatched.ok()) << unmatched.status().ToString();
+  ASSERT_EQ(unmatched->size(), 1u);
+  EXPECT_FALSE(unmatched->Row(0).Has("x")) << "the OPTIONAL slot is unbound";
+
+  RelTuple wrong_property = MakeTuple();
+  wrong_property.triples[0].property = "wrongProperty";
+  EXPECT_TRUE(decode(schema, wrong_property).IsInvalidArgument());
+
+  const RelSchema shared = {
+      TriplePattern::Bound(NodePattern::Var("g"), "p1",
+                           NodePattern::Var("v")),
+      TriplePattern::Bound(NodePattern::Var("g"), "p2",
+                           NodePattern::Var("v")),
+  };
+  RelTuple disagree;
+  disagree.triples = {Triple("s", "p1", "same"), Triple("s", "p2", "other")};
+  EXPECT_TRUE(decode(shared, disagree).IsInvalidArgument());
+  RelTuple subjects_disagree;
+  subjects_disagree.triples = {Triple("s", "p1", "v"), Triple("t", "p2", "v")};
+  EXPECT_TRUE(decode(shared, subjects_disagree).IsInvalidArgument());
+  const RelSchema self_loop = {TriplePattern::Bound(
+      NodePattern::Var("s"), "loop", NodePattern::Var("s"))};
+  RelTuple not_a_loop;
+  not_a_loop.triples = {Triple("a", "loop", "b")};
+  EXPECT_TRUE(decode(self_loop, not_a_loop).IsInvalidArgument());
+}
+
 // ---- Plan compiler structure ---------------------------------------------------
 
 CompiledPlan CompileFor(const std::string& query_id, RelationalStyle style,

@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/lru_cache.h"
+#include "common/random.h"
 #include "common/sharded_lru_cache.h"
 #include "query/matcher.h"
 #include "query/sparql_parser.h"
@@ -38,6 +40,34 @@ using testing_util::RoomyCluster;
 using testing_util::SmallDataset;
 
 // ---- LRU cache -------------------------------------------------------------
+
+// The result cache's admission currency read off the answer table equals
+// the per-binding formula over the same solutions.
+TEST(EstimateSetChargeTest, EqualsPerBindingFormula) {
+  Rng rng(7);
+  const std::vector<std::string> vars = {"g", "label", "x;y", "up"};
+  for (int round = 0; round < 50; ++round) {
+    std::vector<Solution> solutions;
+    for (uint64_t i = rng.Uniform(30); i > 0; --i) {
+      Solution s;
+      for (const std::string& var : vars) {
+        if (rng.Uniform(4) != 0) {
+          s.Bind(var, std::string(rng.Uniform(12),
+                                  static_cast<char>('a' + rng.Uniform(3))));
+        }
+      }
+      solutions.push_back(std::move(s));
+    }
+    const std::set<Solution> distinct(solutions.begin(), solutions.end());
+    uint64_t legacy = 32;
+    for (const Solution& s : distinct) {
+      for (const auto& [var, value] : s.bindings()) {
+        legacy += var.size() + value.size() + 16;
+      }
+    }
+    EXPECT_EQ(EstimateSetCharge(SolutionSet(solutions)), legacy);
+  }
+}
 
 TEST(LruCacheTest, PutGetRecencyAndEviction) {
   LruCache<int> cache(10);

@@ -133,10 +133,9 @@ class Flags {
 /// Serializes a solution set into the sorted line vector the protocol
 /// emits for "answers".
 std::vector<std::string> AnswerLines(const SolutionSet& answers) {
-  std::vector<std::string> lines;
-  lines.reserve(answers.size());
-  for (const Solution& solution : answers) {
-    lines.push_back(solution.Serialize());
+  std::vector<std::string> lines(answers.size());
+  for (size_t row = 0; row < answers.size(); ++row) {
+    answers.AppendSerialized(row, &lines[row]);
   }
   return lines;
 }
