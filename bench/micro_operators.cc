@@ -6,9 +6,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "ntga/ntga_compiler.h"
 #include "ntga/operators.h"
 #include "ntga/triplegroup.h"
 #include "query/matcher.h"
@@ -127,17 +129,60 @@ void BM_PartialBetaUnnest(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialBetaUnnest)->Arg(4)->Arg(64)->Arg(1024);
 
-void BM_ExpandAnnTg(benchmark::State& state) {
+// Expands one group's record, as the decoders and the aggregation mapper
+// do.
+void BM_ExpandTgRecord(benchmark::State& state) {
   StarPattern star = TestStar();
-  AnnTg tg = TestGroup(static_cast<int>(state.range(0)));
+  const std::string record =
+      TestGroup(static_cast<int>(state.range(0))).Serialize();
   for (auto _ : state) {
-    auto out = ExpandAnnTg(star, tg);
+    auto out = ExpandJoinedTg({star}, record);
     benchmark::DoNotOptimize(out);
   }
   state.counters["solutions_out"] =
-      static_cast<double>(ExpandAnnTg(star, tg).size());
+      static_cast<double>(ExpandJoinedTg({star}, record)->size());
 }
-BENCHMARK(BM_ExpandAnnTg)->Arg(4)->Arg(32)->Arg(256);
+BENCHMARK(BM_ExpandTgRecord)->Arg(4)->Arg(32)->Arg(256);
+
+// The TG_Join reducer (B0's all-bound join cycle) over 4 left and 4 right
+// groups of N pairs each: 16 joined records per call.
+void BM_TgJoinReduce(benchmark::State& state) {
+  auto query = ParseSparql("join",
+                           "SELECT * WHERE { ?p <label> ?l . ?p <feature> ?f "
+                           ". ?f <featureLabel> ?fl . }");
+  if (!query.ok()) std::abort();
+  auto plan = CompileNtgaPlan(
+      {std::make_shared<const GraphPatternQuery>(std::move(*query))}, "base",
+      "tmp", NtgaOptions{});
+  if (!plan.ok() || plan->workflow.jobs.size() != 2) std::abort();
+  const ReduceFn reduce = plan->workflow.jobs[1].reduce;
+  const int num_pairs = static_cast<int>(state.range(0));
+  std::vector<std::string> values;
+  for (int side = 0; side < 2; ++side) {
+    for (int g = 0; g < 4; ++g) {
+      AnnTg tg;
+      tg.subject = "http://bsbm.example/Group" + std::to_string(g);
+      tg.star_id = static_cast<uint32_t>(side);
+      for (int i = 0; i < num_pairs; ++i) {
+        tg.AddPair("property" + std::to_string(i % 8),
+                   "object value " + std::to_string(i));
+      }
+      values.push_back((side == 0 ? "L|" : "R|") + tg.Serialize());
+    }
+  }
+  size_t outputs = 0;
+  const RecordEmit emit = [&outputs](std::string record) {
+    benchmark::DoNotOptimize(record);
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    reduce("k", values, emit, &counters);
+  }
+  state.counters["records_out_per_call"] =
+      static_cast<double>(outputs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TgJoinReduce)->Arg(4)->Arg(32)->Arg(256);
 
 void BM_MatchStarDetailed(benchmark::State& state) {
   StarPattern star = TestStar();
@@ -227,7 +272,7 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeRelationalAnswers)->Arg(1000)->Arg(10000);
 
-// One joined triplegroup per offer; its product group holds a label, a
+// One joined record per offer; its product group holds a label, a
 // producer and two features, so each record expands to four answers.
 void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
   const std::vector<StarPattern> stars = B3Stars();
@@ -246,9 +291,7 @@ void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
     offer.AddPair("product", product.subject);
     offer.AddPair("vendor", "vendor" + std::to_string(i % 7));
     offer.AddPair("price", std::to_string(100 + i % 900) + ".99");
-    JoinedTg jtg;
-    jtg.components = {product, offer};
-    lines.push_back(jtg.Serialize());
+    lines.push_back(product.Serialize() + "\x1E" + offer.Serialize());
   }
   for (auto _ : state) {
     auto answers = DecodeJoinedTgAnswers(stars, lines);
@@ -283,9 +326,7 @@ void RunInstrumentedOperatorPass() {
     benchmark::DoNotOptimize(unnested);
     auto partial = PartialBetaUnnest(star, group, 2, 16);
     benchmark::DoNotOptimize(partial);
-    JoinedTg jtg;
-    jtg.components.push_back(group);
-    auto solutions = ExpandJoinedTg({star}, jtg.Serialize());
+    auto solutions = ExpandJoinedTg({star}, group.Serialize());
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

@@ -79,8 +79,7 @@ uint64_t SafeFileSize(const SimDfs& dfs, const std::string& path) {
 // is shipped (duplicate-proof), otherwise the full solution is shipped so
 // the reducer can deduplicate rows before counting.
 void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
-                            const std::string& tmp_prefix,
-                            bool use_combiner) {
+                            const std::string& tmp_prefix) {
   RecordDecoder decode = plan->record_decoder;
   JobSpec job;
   job.name = "aggregate-count";
@@ -138,20 +137,17 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
     group->Bind(spec.count_var, std::to_string(count));
     emit(group->Serialize());
   };
-  if (use_combiner) {
-    // Both modes ultimately count distinct values per group (DISTINCT
-    // counts distinct counted values; the row mode deduplicates full
-    // solutions), so per-task deduplication is a correct combiner: it is
-    // idempotent and any cross-task duplicates are re-deduplicated at the
-    // reducer.
-    job.combine = [](const std::string& /*key*/,
-                     const std::vector<std::string>& values,
-                     Counters* counters) {
-      std::set<std::string> distinct(values.begin(), values.end());
-      (*counters)["combine_output_records"] += distinct.size();
-      return std::vector<std::string>(distinct.begin(), distinct.end());
-    };
-  }
+  // Both modes ultimately count distinct values per group (DISTINCT counts
+  // distinct counted values; the row mode deduplicates full solutions), so
+  // per-task deduplication is a correct combiner: it is idempotent and any
+  // cross-task duplicates are re-deduplicated at the reducer.
+  job.combine = [](const std::string& /*key*/,
+                   const std::vector<std::string>& values,
+                   Counters* counters) {
+    std::set<std::string> distinct(values.begin(), values.end());
+    (*counters)["combine_output_records"] += distinct.size();
+    return std::vector<std::string>(distinct.begin(), distinct.end());
+  };
   job.output_path = tmp_prefix + "/aggregate";
 
   plan->workflow.intermediate_paths.push_back(
@@ -541,8 +537,7 @@ Result<CompiledPlan> CompilePlan(const ExecRequest& request,
                               base_path, tmp_prefix, ntga));
   }
   if (request.aggregate.has_value()) {
-    AppendAggregationCycle(&plan, *request.aggregate, tmp_prefix,
-                           options.aggregation_combiner);
+    AppendAggregationCycle(&plan, *request.aggregate, tmp_prefix);
   }
   return plan;
 }

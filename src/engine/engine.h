@@ -67,10 +67,6 @@ struct EngineOptions {
   /// Decode the final output into a solution set (verification; the
   /// decode cost is NOT charged to the engine's metrics).
   bool decode_answers = true;
-  /// Use a map-side combiner (value deduplication) in the aggregation
-  /// cycle of an aggregated single payload; off exposes the raw shuffle
-  /// volume for ablation.
-  bool aggregation_combiner = true;
   /// Host-side runtime knobs (thread count, retry budget), resolved via
   /// the RuntimeOptions precedence rule: CLI flag > RDFMR_THREADS /
   /// RDFMR_MAX_ATTEMPTS env > this struct > ClusterConfig default.

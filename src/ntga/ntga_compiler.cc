@@ -38,65 +38,69 @@ std::string EcPath(const std::string& tmp_prefix, size_t star) {
   return StringFormat("%s/ec%zu", tmp_prefix.c_str(), star);
 }
 
-// Replaces the component of `jtg` belonging to `star_id` with `replacement`.
-JoinedTg ReplaceComponent(const JoinedTg& jtg, uint32_t star_id,
-                          AnnTg replacement) {
-  JoinedTg out = jtg;
-  for (AnnTg& c : out.components) {
-    if (c.star_id == star_id) {
-      c = std::move(replacement);
-      return out;
-    }
-  }
-  out.components.push_back(std::move(replacement));
-  return out;
-}
-
-// ---- Job 1: TG_GroupBy + TG_(Unb)GrpFilter ---------------------------------
-
-// A grouping-cycle output record: a single-component JoinedTg, the format
-// in which the join mappers and the decoders parse the ec* files. For terms
-// without escapes the bytes equal AnnTg::Serialize().
-std::string EcRecord(AnnTg tg) {
-  JoinedTg record;
-  record.components.push_back(std::move(tg));
-  return record.Serialize();
-}
-
 // ---- Job 2..k: TG_Join / TG_UnbJoin / TG_OptUnbJoin -------------------------
+//
+// A join's output record is its two input records side by side
+// (JoinRecords); components pass through as bytes. Only the component at
+// an unbound join site is rebuilt: μ^β / μ^β_φm pin it, and it is spliced
+// back into the record in place.
 
-// Enumerates the concrete join-key values of `jtg` at `side`'s site. For an
-// unbound site the candidates are the (possibly overridden/pinned) pairs;
-// each candidate yields a pinned copy of the triplegroup.
-std::vector<std::pair<std::string, JoinedTg>> JoinValueExpansions(
-    const StarPattern& star, const JoinSidePlan& side, const JoinedTg& jtg) {
-  std::vector<std::pair<std::string, JoinedTg>> out;
-  const AnnTg* comp = jtg.ComponentForStar(side.site_star);
-  if (comp == nullptr) return out;
+// The component of `record` that belongs to `star_id`, or nullptr.
+const TgRecordReader::Component* SiteComponent(const TgRecordReader& record,
+                                               uint32_t star_id) {
+  for (const TgRecordReader::Component& c : record.components()) {
+    if (c.star_id == star_id) return &c;
+  }
+  return nullptr;
+}
 
+// Calls visit(value, record) for each concrete join-key value of `line` at
+// `side`'s site, whose component `site` the reader `record` read. At a
+// subject or bound-object site the record is `line` itself; at an unbound
+// site each candidate pins a copy of the site component (completing the
+// β-unnest), spliced into `line`.
+template <typename Visit>
+void ForEachJoinValue(const StarPattern& star, const JoinSidePlan& side,
+                      std::string_view line, const TgRecordReader& record,
+                      const TgRecordReader::Component& site, Visit visit) {
+  const std::vector<std::string_view>& leaves = record.leaves();
   if (side.site_tp < 0) {
-    out.emplace_back(comp->subject, jtg);
-    return out;
+    visit(leaves[site.subject], line);
+    return;
   }
-  const TriplePattern& tp =
-      star.patterns[static_cast<size_t>(side.site_tp)];
+  const auto tp_index = static_cast<size_t>(side.site_tp);
+  const TriplePattern& tp = star.patterns[tp_index];
   if (!side.site_unbound) {
-    auto it = comp->pairs.find(tp.property);
-    if (it == comp->pairs.end()) return out;
-    for (const std::string& o : it->second) {
-      if (tp.object.Matches(o)) out.emplace_back(o, jtg);
+    for (uint32_t p = site.pairs_begin; p < site.pairs_end; ++p) {
+      const TgRecordReader::Entry& e = record.pairs()[p];
+      if (leaves[e.begin] != tp.property) continue;
+      for (uint32_t o = e.begin + 1; o < e.end; ++o) {
+        if (tp.object.Matches(leaves[o])) visit(leaves[o], line);
+      }
+      break;
     }
-    return out;
+    return;
   }
-  // Unbound site: pin each candidate (completes the β-unnest).
-  for (const PropObj& cand :
-       UnboundCandidates(star, *comp, static_cast<size_t>(side.site_tp))) {
-    AnnTg pinned = *comp;
-    pinned.overrides[static_cast<uint32_t>(side.site_tp)] = {cand};
+  const AnnTg tg = record.ToAnnTg(site);
+  std::string spliced;
+  for (const PropObj& cand : UnboundCandidates(star, tg, tp_index)) {
+    AnnTg pinned = tg;
+    pinned.overrides[static_cast<uint32_t>(tp_index)] = {cand};
     pinned.Compact(star);
-    out.emplace_back(cand.object,
-                     ReplaceComponent(jtg, side.site_star, std::move(pinned)));
+    spliced.clear();
+    AppendSpliced(&spliced, line, site.raw, pinned);
+    visit(cand.object, spliced);
   }
+}
+
+// The shuffle key of a TG_OptUnbJoin's φ_m partition.
+std::string PartitionKey(uint32_t partition) {
+  return StringFormat("p%u", partition);
+}
+
+std::string Tagged(const std::string& tag, std::string_view record) {
+  std::string out = tag + '|';
+  out.append(record);
   return out;
 }
 
@@ -104,15 +108,13 @@ MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
                          std::string tag, bool partial, uint32_t m) {
   return [star = std::move(star), side = std::move(side),
           tag = std::move(tag), partial,
-          m](const std::string& record, const MapEmit& emit,
+          m](const std::string& line, const MapEmit& emit,
              Counters* counters) {
-    Result<JoinedTg> jtg = JoinedTg::Deserialize(record);
-    if (!jtg.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    const AnnTg* comp = jtg->ComponentForStar(side.site_star);
-    if (comp == nullptr) {
+    TgRecordReader record;
+    const TgRecordReader::Component* site =
+        record.Read(line).ok() ? SiteComponent(record, side.site_star)
+                               : nullptr;
+    if (site == nullptr) {
       (*counters)["bad_records"] += 1;
       return;
     }
@@ -121,86 +123,93 @@ MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
       // TG_OptUnbJoin map: partial β-unnest; one output per φ_m partition,
       // keyed by the partition — triplegroups bound for the same reducer
       // stay implicitly represented.
-      auto partitions = PartialBetaUnnest(
-          star, *comp, static_cast<size_t>(side.site_tp), m);
-      (*counters)["partial_unnest_tgs"] += partitions.size();
+      auto partitions =
+          PartialBetaUnnest(star, record.ToAnnTg(*site),
+                            static_cast<size_t>(side.site_tp), m);
       (*counters)["op.mu_beta_phi.calls"] += 1;
       (*counters)["op.mu_beta_phi.output_groups"] += partitions.size();
       for (auto& [partition, restricted] : partitions) {
-        JoinedTg out =
-            ReplaceComponent(*jtg, side.site_star, std::move(restricted));
-        emit("p" + std::to_string(partition), tag + "|" + out.Serialize());
+        std::string out = tag + '|';
+        AppendSpliced(&out, line, site->raw, restricted);
+        emit(PartitionKey(partition), std::move(out));
       }
       return;
     }
 
     // Subject / bound-object sites, or full β-unnest at the map side
-    // (TG_UnbJoin): enumerate concrete join values.
-    std::vector<std::pair<std::string, JoinedTg>> expansions =
-        JoinValueExpansions(star, side, *jtg);
-    if (side.site_unbound) {
-      (*counters)["map_beta_unnest_tgs"] += expansions.size();
-      (*counters)["op.mu_beta.calls"] += 1;
-      (*counters)["op.mu_beta.output_groups"] += expansions.size();
-    }
+    // (TG_UnbJoin): one output per concrete join value.
+    uint64_t outputs = 0;
     if (!partial) {
-      for (auto& [value, out] : expansions) {
-        emit(value, tag + "|" + out.Serialize());
-      }
+      ForEachJoinValue(star, side, line, record, *site,
+                       [&](std::string_view value, std::string_view out) {
+                         ++outputs;
+                         emit(std::string(value), Tagged(tag, out));
+                       });
     } else {
       // The other side of a TG_OptUnbJoin: key by the value's partition.
-      // A nested group with several values in one partition is sent once.
-      std::map<uint32_t, std::vector<std::pair<std::string, JoinedTg>>>
-          by_partition;
-      for (auto& [value, out] : expansions) {
-        by_partition[PhiPartition(value, m)].emplace_back(value,
-                                                          std::move(out));
-      }
-      for (auto& [partition, entries] : by_partition) {
-        if (side.site_unbound || side.site_tp < 0) {
-          // Pinned copies differ; send each.
-          for (auto& [value, out] : entries) {
-            emit("p" + std::to_string(partition),
-                 tag + "|" + out.Serialize());
-          }
-        } else {
-          // Bound-object site: the group itself is unchanged across its
-          // values — one copy per partition suffices.
-          emit("p" + std::to_string(partition),
-               tag + "|" + entries.front().second.Serialize());
+      // A nested group with several values in one partition is sent once
+      // at a bound-object site, where it is the same record for each;
+      // pinned copies (unbound site) differ, so each is sent.
+      std::map<uint32_t, std::vector<std::string>> by_partition;
+      ForEachJoinValue(
+          star, side, line, record, *site,
+          [&](std::string_view value, std::string_view out) {
+            ++outputs;
+            std::vector<std::string>& records =
+                by_partition[PhiPartition(value, m)];
+            if (records.empty() || side.site_unbound) {
+              records.push_back(Tagged(tag, out));
+            }
+          });
+      for (auto& [partition, records] : by_partition) {
+        for (std::string& out : records) {
+          emit(PartitionKey(partition), std::move(out));
         }
       }
     }
+    if (side.site_unbound) {
+      (*counters)["op.mu_beta.calls"] += 1;
+      (*counters)["op.mu_beta.output_groups"] += outputs;
+    }
   };
+}
+
+// Splits a reduce value "L|record" / "R|record"; false for a value
+// without a tag, which the join reducers drop.
+bool SplitTag(const std::string& value, std::string_view* record,
+              bool* is_left) {
+  const size_t bar = value.find('|');
+  if (bar == std::string::npos) return false;
+  *record = std::string_view(value).substr(bar + 1);
+  *is_left = value.compare(0, bar, "L") == 0;
+  return true;
+}
+
+void EmitJoined(std::string_view left, std::string_view right,
+                const RecordEmit& emit, Counters* counters) {
+  (*counters)["op.tg_join.output_groups"] += 1;
+  emit(JoinRecords(left, right));
 }
 
 ReduceFn MakePlainJoinReducer() {
   return [](const std::string& /*key*/,
             const std::vector<std::string>& values, const RecordEmit& emit,
             Counters* counters) {
-    std::vector<JoinedTg> lefts, rights;
+    TgRecordReader record;
+    std::vector<std::string_view> lefts, rights;
     for (const std::string& v : values) {
-      const size_t bar = v.find('|');
-      if (bar == std::string::npos) continue;
-      Result<JoinedTg> jtg =
-          JoinedTg::Deserialize(std::string_view(v).substr(bar + 1));
-      if (!jtg.ok()) {
+      std::string_view line;
+      bool is_left;
+      if (!SplitTag(v, &line, &is_left)) continue;
+      if (!record.Read(line).ok()) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      (v.compare(0, bar, "L") == 0 ? lefts : rights)
-          .push_back(jtg.MoveValueUnsafe());
+      (is_left ? lefts : rights).push_back(line);
     }
     (*counters)["op.tg_join.input_groups"] += lefts.size() + rights.size();
-    for (const JoinedTg& l : lefts) {
-      for (const JoinedTg& r : rights) {
-        JoinedTg joined = l;
-        joined.components.insert(joined.components.end(),
-                                 r.components.begin(), r.components.end());
-        (*counters)["joined_tgs"] += 1;
-        (*counters)["op.tg_join.output_groups"] += 1;
-        emit(joined.Serialize());
-      }
+    for (std::string_view l : lefts) {
+      for (std::string_view r : rights) EmitJoined(l, r, emit, counters);
     }
   };
 }
@@ -215,36 +224,34 @@ ReduceFn MakePartialJoinReducer(StarPattern left_star, JoinSidePlan left,
              const std::string& /*key*/,
              const std::vector<std::string>& values, const RecordEmit& emit,
              Counters* counters) {
-    std::map<std::string, std::vector<JoinedTg>> left_hash, right_hash;
+    TgRecordReader record;
+    std::map<std::string, std::vector<std::string>> left_hash, right_hash;
     for (const std::string& v : values) {
-      const size_t bar = v.find('|');
-      if (bar == std::string::npos) continue;
-      Result<JoinedTg> jtg =
-          JoinedTg::Deserialize(std::string_view(v).substr(bar + 1));
-      if (!jtg.ok()) {
+      std::string_view line;
+      bool is_left;
+      if (!SplitTag(v, &line, &is_left)) continue;
+      if (!record.Read(line).ok()) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      const bool is_left = v.compare(0, bar, "L") == 0;
       const JoinSidePlan& side = is_left ? left : right;
-      const StarPattern& star = is_left ? left_star : right_star;
+      const TgRecordReader::Component* site =
+          SiteComponent(record, side.site_star);
+      if (site == nullptr) continue;
       auto& hash = is_left ? left_hash : right_hash;
-      for (auto& [value, expanded] :
-           JoinValueExpansions(star, side, *jtg)) {
-        hash[value].push_back(std::move(expanded));
-      }
+      ForEachJoinValue(is_left ? left_star : right_star, side, line, record,
+                       *site,
+                       [&hash](std::string_view value,
+                               std::string_view expanded) {
+                         hash[std::string(value)].emplace_back(expanded);
+                       });
     }
     for (const auto& [value, lefts] : left_hash) {
       auto it = right_hash.find(value);
       if (it == right_hash.end()) continue;
-      for (const JoinedTg& l : lefts) {
-        for (const JoinedTg& r : it->second) {
-          JoinedTg joined = l;
-          joined.components.insert(joined.components.end(),
-                                   r.components.begin(), r.components.end());
-          (*counters)["joined_tgs"] += 1;
-          (*counters)["op.tg_join.output_groups"] += 1;
-          emit(joined.Serialize());
+      for (const std::string& l : lefts) {
+        for (const std::string& r : it->second) {
+          EmitJoined(l, r, emit, counters);
         }
       }
     }
@@ -390,9 +397,7 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
       if (t.ok()) distinct.insert(PropObj{t->property, t->object});
     }
     std::vector<PropObj> pairs(distinct.begin(), distinct.end());
-    (*counters)["subject_groups"] += 1;
 
-    bool matched_any = false;
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t s = 0; s < queries[q]->stars().size(); ++s) {
         const StarPattern& star = queries[q]->stars()[s];
@@ -404,21 +409,17 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
         if (!tg.has_value()) continue;
         (*counters)[unbound ? "op.sigma_beta_gamma.output_groups"
                             : "op.sigma_gamma.output_groups"] += 1;
-        matched_any = true;
         if (plans[q].eager_unnest[s]) {
           std::vector<AnnTg> unnested = BetaUnnest(star, *tg);
-          (*counters)["eager_unnest_tgs"] += unnested.size();
           (*counters)["op.mu_beta.calls"] += 1;
           (*counters)["op.mu_beta.output_groups"] += unnested.size();
-          for (AnnTg& out : unnested) emit(EcRecord(std::move(out)));
+          for (const AnnTg& out : unnested) emit(out.Serialize());
         } else {
           tg->Compact(star);
-          (*counters)["anntgs"] += 1;
-          emit(EcRecord(std::move(*tg)));
+          emit(tg->Serialize());
         }
       }
     }
-    if (!matched_any) (*counters)["filtered_groups"] += 1;
   };
   job1.output_path = tmp_prefix + "/ec";
   job1.demux = [](const std::string& record) {

@@ -46,7 +46,7 @@ bool BetaGroupFilterFlippedForTesting() {
   return g_flip_beta_group_filter.load(std::memory_order_relaxed);
 }
 
-uint32_t PhiPartition(const std::string& value, uint32_t m) {
+uint32_t PhiPartition(std::string_view value, uint32_t m) {
   RDFMR_CHECK(m > 0) << "phi partition count must be positive";
   return static_cast<uint32_t>(Fnv1a64(value) % m);
 }
@@ -271,22 +271,20 @@ class RowExpander {
     }
   }
 
-  // The rows the record's single component represents for star 0.
-  const std::vector<Handle>& ExpandGroup(const TgRecordReader& record) {
-    BeginRecord(record);
-    ExpandComponent(0, record, record.components().front(), &acc_);
-    return acc_;
-  }
-
-  // The rows a joined record represents: each component's rows, merged
-  // across components; inconsistent combinations drop out.
-  const std::vector<Handle>& ExpandJoined(const TgRecordReader& record) {
+  // Expands the rows a record represents: each component's rows, merged
+  // across components; inconsistent combinations drop out. The rows stay
+  // in rows() until the next call.
+  Status Expand(const TgRecordReader& record) {
+    for (const TgRecordReader::Component& c : record.components()) {
+      if (c.star_id >= stars_.size()) {
+        return Status::IoError("record component references unknown star " +
+                               std::to_string(c.star_id));
+      }
+    }
     OperatorProbe probe("expand_joined_tg");
     BeginRecord(record);
     acc_.assign(width_, kUnbound);  // the empty row merges to each
     for (const TgRecordReader::Component& c : record.components()) {
-      RDFMR_CHECK(c.star_id < stars_.size())
-          << "joined component references unknown star";
       if (&c == &record.components().front()) {
         ExpandComponent(c.star_id, record, c, &acc_);
       } else {
@@ -296,8 +294,10 @@ class RowExpander {
       if (acc_.empty()) break;
     }
     probe.Outputs(NumRows(acc_));
-    return acc_;
+    return Status::OK();
   }
+
+  const std::vector<Handle>& rows() const { return acc_; }
 
   size_t NumRows(const std::vector<Handle>& rows) const {
     return width_ == 0 ? 0 : rows.size() / width_;
@@ -473,23 +473,14 @@ std::vector<Solution> RowsToSolutions(const SolutionSet::Builder& builder,
 
 }  // namespace
 
-std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg) {
-  const std::vector<StarPattern> stars = {star};
-  SolutionSet::Builder builder(StarVariables(stars));
-  RowExpander expander(stars, &builder);
-  const std::string line = tg.Serialize();
-  TgRecordReader record;
-  RDFMR_CHECK(record.ReadAnnTg(line).ok());
-  return RowsToSolutions(builder, expander.ExpandGroup(record));
-}
-
 Result<std::vector<Solution>> ExpandJoinedTg(
     const std::vector<StarPattern>& stars, std::string_view record) {
   TgRecordReader reader;
-  RDFMR_RETURN_NOT_OK(reader.ReadJoinedTg(record));
+  RDFMR_RETURN_NOT_OK(reader.Read(record));
   SolutionSet::Builder builder(StarVariables(stars));
   RowExpander expander(stars, &builder);
-  return RowsToSolutions(builder, expander.ExpandJoined(reader));
+  RDFMR_RETURN_NOT_OK(expander.Expand(reader));
+  return RowsToSolutions(builder, expander.rows());
 }
 
 Result<SolutionSet> DecodeJoinedTgAnswers(
@@ -500,8 +491,9 @@ Result<SolutionSet> DecodeJoinedTgAnswers(
   TgRecordReader record;
   const size_t width = builder.width();
   for (const std::string& line : lines) {
-    RDFMR_RETURN_NOT_OK(record.ReadJoinedTg(line));
-    const std::vector<Handle>& rows = expander.ExpandJoined(record);
+    RDFMR_RETURN_NOT_OK(record.Read(line));
+    RDFMR_RETURN_NOT_OK(expander.Expand(record));
+    const std::vector<Handle>& rows = expander.rows();
     for (size_t r = 0; r < rows.size(); r += width) {
       builder.AddRow(rows.data() + r);
     }

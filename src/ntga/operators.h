@@ -15,8 +15,8 @@
 //  * PartialBetaUnnest     — μ^β_φm (Definition 3): restricts one unbound
 //                            pattern's candidates per φ_m partition of the
 //                            join key, producing ≤ m triplegroups.
-//  * ExpandAnnTg/ExpandJoinedTg — final answer extraction: enumerates the
-//                            solution mappings a (joined) triplegroup
+//  * ExpandJoinedTg        — final answer extraction: enumerates the
+//                            solution mappings a triplegroup record
 //                            implicitly represents (content equivalence,
 //                            Lemma 1).
 
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ntga/triplegroup.h"
@@ -45,7 +46,7 @@ void SetBetaGroupFilterFlipForTesting(bool enabled);
 bool BetaGroupFilterFlippedForTesting();
 
 /// \brief The partition function φ_m over join-key values.
-uint32_t PhiPartition(const std::string& value, uint32_t m);
+uint32_t PhiPartition(std::string_view value, uint32_t m);
 
 /// \brief Builds the AnnTg of one subject for star `star_id`, applying the
 /// group-filter (all-bound stars: σ^γ) or β group-filter (unbound stars:
@@ -76,18 +77,16 @@ std::vector<AnnTg> BetaUnnest(const StarPattern& star, const AnnTg& tg,
 std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
     const StarPattern& star, const AnnTg& tg, size_t tp_index, uint32_t m);
 
-/// \brief Enumerates the solution mappings `tg` implicitly represents for
-/// `star` (bound pairs x unbound candidates, with shared-variable
-/// consistency).
-std::vector<Solution> ExpandAnnTg(const StarPattern& star, const AnnTg& tg);
-
-/// \brief Expands a serialized joined triplegroup across its components
-/// and merges bindings; inconsistent combinations (residual join
-/// predicates) drop out. Fails as JoinedTg::Deserialize would.
+/// \brief Enumerates the solution mappings a triplegroup record implicitly
+/// represents: each component's (bound pairs x unbound candidates, with
+/// shared-variable consistency) for its star, merged across components;
+/// inconsistent combinations (residual join predicates) drop out. Fails
+/// with IoError on a record TgRecordReader rejects or a component naming a
+/// star outside `stars`.
 Result<std::vector<Solution>> ExpandJoinedTg(
     const std::vector<StarPattern>& stars, std::string_view record);
 
-/// \brief Decodes a final output file of joined triplegroups into the set
+/// \brief Decodes a final output file of triplegroup records into the set
 /// of their ExpandJoinedTg solutions. Records are read as views
 /// (TgRecordReader) and expanded straight into the table's handle rows, so
 /// each distinct term is copied once and no Solution is built.

@@ -14,7 +14,7 @@ namespace {
 constexpr char kFieldSep = '\x1F';   // top-level fields
 constexpr char kEntrySep = '\x1D';   // entries within a field
 constexpr char kItemSep = ',';       // items within an entry
-constexpr char kComponentSep = '\x1E';  // JoinedTg components
+constexpr char kComponentSep = '\x1E';  // record components
 }  // namespace
 
 void AnnTg::AddPair(const std::string& property, const std::string& object) {
@@ -93,20 +93,17 @@ void AnnTg::Compact(const StarPattern& star) {
 
 namespace {
 
-// Separators a leaf is escaped for, innermost first: a standalone AnnTg
-// record, or one embedded as a JoinedTg component.
-struct Nesting {
-  std::string_view field;  // subject (top-level field)
-  std::string_view item;   // property / object (item within an entry)
-};
-constexpr Nesting kRecord = {"\x1F", ",\x1D\x1F"};
-constexpr Nesting kComponent = {"\x1F\x1E", ",\x1D\x1F\x1E"};
+// Separators a leaf is escaped for, innermost first: a subject is a
+// top-level field, a property or object an item within an entry; both sit
+// inside a record component.
+constexpr std::string_view kFieldLeaf = "\x1F\x1E";
+constexpr std::string_view kItemLeaf = ",\x1D\x1F\x1E";
 
-// Appends tg's record, escaped for `nesting`, in one pass: the structural
-// separators are never escaped by an enclosing level, so only the leaves
-// carry (composed) escapes.
-void AppendAnnTg(std::string* out, const AnnTg& tg, const Nesting& nesting) {
-  AppendEscapedNested(out, tg.subject, nesting.field);
+// Appends tg's component in one pass: the structural separators are never
+// escaped by an enclosing level, so only the leaves carry (composed)
+// escapes.
+void AppendAnnTg(std::string* out, const AnnTg& tg) {
+  AppendEscapedNested(out, tg.subject, kFieldLeaf);
   out->push_back(kFieldSep);
   out->append(std::to_string(tg.star_id));
   out->push_back(kFieldSep);
@@ -114,10 +111,10 @@ void AppendAnnTg(std::string* out, const AnnTg& tg, const Nesting& nesting) {
   for (auto it = tg.pairs.begin(); it != tg.pairs.end(); ++it) {
     const auto& [property, objects] = *it;
     if (it != tg.pairs.begin()) out->push_back(kEntrySep);
-    AppendEscapedNested(out, property, nesting.item);
+    AppendEscapedNested(out, property, kItemLeaf);
     for (const std::string& o : objects) {
       out->push_back(kItemSep);
-      AppendEscapedNested(out, o, nesting.item);
+      AppendEscapedNested(out, o, kItemLeaf);
     }
   }
   out->push_back(kFieldSep);
@@ -128,9 +125,9 @@ void AppendAnnTg(std::string* out, const AnnTg& tg, const Nesting& nesting) {
     out->append(std::to_string(tp_index));
     for (const PropObj& po : pinned) {
       out->push_back(kItemSep);
-      AppendEscapedNested(out, po.property, nesting.item);
+      AppendEscapedNested(out, po.property, kItemLeaf);
       out->push_back(kItemSep);
-      AppendEscapedNested(out, po.object, nesting.item);
+      AppendEscapedNested(out, po.object, kItemLeaf);
     }
   }
 }
@@ -146,13 +143,17 @@ bool ParseUint32(std::string_view text, uint32_t* value) {
 
 std::string AnnTg::Serialize() const {
   std::string out;
-  AppendAnnTg(&out, *this, kRecord);
+  AppendAnnTg(&out, *this);
   return out;
 }
 
 Result<AnnTg> AnnTg::Deserialize(std::string_view line) {
   TgRecordReader record;
-  RDFMR_RETURN_NOT_OK(record.ReadAnnTg(line));
+  RDFMR_RETURN_NOT_OK(record.Read(line));
+  if (record.components().size() != 1) {
+    return Status::IoError("AnnTg record needs 1 component, got " +
+                           std::to_string(record.components().size()));
+  }
   return record.ToAnnTg(record.components().front());
 }
 
@@ -171,42 +172,7 @@ Result<uint32_t> AnnTg::PeekStarId(std::string_view line) {
   return value;
 }
 
-const AnnTg* JoinedTg::ComponentForStar(uint32_t star_id) const {
-  for (const AnnTg& c : components) {
-    if (c.star_id == star_id) return &c;
-  }
-  return nullptr;
-}
-
-std::string JoinedTg::Serialize() const {
-  std::string out;
-  for (const AnnTg& c : components) {
-    if (&c != &components.front()) out.push_back(kComponentSep);
-    AppendAnnTg(&out, c, kComponent);
-  }
-  return out;
-}
-
-Result<JoinedTg> JoinedTg::Deserialize(std::string_view line) {
-  TgRecordReader record;
-  RDFMR_RETURN_NOT_OK(record.ReadJoinedTg(line));
-  JoinedTg out;
-  out.components.reserve(record.components().size());
-  for (const TgRecordReader::Component& c : record.components()) {
-    out.components.push_back(record.ToAnnTg(c));
-  }
-  return out;
-}
-
 // ---- TgRecordReader ---------------------------------------------------------
-
-void TgRecordReader::Clear() {
-  components_.clear();
-  pairs_.clear();
-  overrides_.clear();
-  leaves_.clear();
-  num_unescaped_ = 0;
-}
 
 std::string_view TgRecordReader::Unescaped(std::string_view raw, char sep) {
   if (!escapes_ || raw.find('\\') == std::string_view::npos) return raw;
@@ -216,28 +182,27 @@ std::string_view TgRecordReader::Unescaped(std::string_view raw, char sep) {
   return UnescapedView(raw, sep, unescaped_[num_unescaped_++].get());
 }
 
-Status TgRecordReader::ReadAnnTg(std::string_view line) {
-  Clear();
-  escapes_ = line.find('\\') != std::string_view::npos;
-  return AppendRecord(line);
-}
-
-Status TgRecordReader::ReadJoinedTg(std::string_view line) {
-  Clear();
+Status TgRecordReader::Read(std::string_view line) {
+  components_.clear();
+  pairs_.clear();
+  overrides_.clear();
+  leaves_.clear();
+  num_unescaped_ = 0;
   escapes_ = line.find('\\') != std::string_view::npos;
   EscapedFieldReader parts(line, kComponentSep, escapes_);
   for (std::string_view raw; parts.Next(&raw);) {
-    RDFMR_RETURN_NOT_OK(AppendRecord(Unescaped(raw, kComponentSep)));
+    RDFMR_RETURN_NOT_OK(AppendComponent(Unescaped(raw, kComponentSep)));
+    components_.back().raw = raw;
   }
   return Status::OK();
 }
 
 // Each nesting level is split on its raw separator and unescaped only
 // where it holds an escape, exactly as the record was escaped.
-Status TgRecordReader::AppendRecord(std::string_view record) {
+Status TgRecordReader::AppendComponent(std::string_view component) {
   std::string_view raw[4];
   size_t num_fields = 0;
-  EscapedFieldReader fields(record, kFieldSep, escapes_);
+  EscapedFieldReader fields(component, kFieldSep, escapes_);
   for (std::string_view field; fields.Next(&field); ++num_fields) {
     if (num_fields < 4) raw[num_fields] = field;
   }
@@ -325,6 +290,23 @@ AnnTg TgRecordReader::ToAnnTg(const Component& c) const {
                               std::move(pinned));
   }
   return tg;
+}
+
+std::string JoinRecords(std::string_view left, std::string_view right) {
+  std::string out;
+  out.reserve(left.size() + 1 + right.size());
+  out.append(left);
+  out.push_back(kComponentSep);
+  out.append(right);
+  return out;
+}
+
+void AppendSpliced(std::string* out, std::string_view record,
+                   std::string_view raw, const AnnTg& tg) {
+  const size_t begin = static_cast<size_t>(raw.data() - record.data());
+  out->append(record.substr(0, begin));
+  AppendAnnTg(out, tg);
+  out->append(record.substr(begin + raw.size()));
 }
 
 }  // namespace rdfmr

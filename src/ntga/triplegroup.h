@@ -13,6 +13,14 @@
 // a φ_m partition after a partial β-unnest. Patterns without an override
 // keep the full implicit candidate set (every pair of the group that
 // passes the pattern's object constraint).
+//
+// One record grammar: a record is one or more components separated by
+// '\x1E', each an AnnTg::Serialize() text. A grouping cycle writes
+// one-component records; a join's record is its two input records side by
+// side, joined by '\x1E' (the paper's TG_Join nests its inputs unchanged).
+// Only the component at an unbound join site is ever rebuilt (μ^β /
+// μ^β_φm pin it), and it is spliced back in place. Records are canonical:
+// reading one and serializing its components again yields the same bytes.
 
 #ifndef RDFMR_NTGA_TRIPLEGROUP_H_
 #define RDFMR_NTGA_TRIPLEGROUP_H_
@@ -84,14 +92,16 @@ class AnnTg {
   /// its remaining unbound patterns can still use.
   void Compact(const StarPattern& star);
 
-  /// \brief Serializes into a single record line.
+  /// \brief Serializes as one record component; a one-component record
+  /// is exactly this text.
   std::string Serialize() const;
 
+  /// \brief Parses a one-component record.
   static Result<AnnTg> Deserialize(std::string_view line);
 
-  /// \brief Reads only the star_id field of a serialized record, scanning
-  /// no further than the second field separator (cheap path used by
-  /// MultipleOutputs demuxing).
+  /// \brief Reads only the star_id field of a record's first component,
+  /// scanning no further than the second field separator (cheap path used
+  /// by MultipleOutputs demuxing).
   static Result<uint32_t> PeekStarId(std::string_view line);
 
   bool operator==(const AnnTg& o) const {
@@ -100,33 +110,14 @@ class AnnTg {
   }
 };
 
-/// \brief The result of joining triplegroups across stars: one component
-/// per star reached so far. (A nested triplegroup in the paper's terms; we
-/// keep components flat with their star annotations, which is equivalent
-/// and composes over any number of joins.)
-class JoinedTg {
- public:
-  std::vector<AnnTg> components;
-
-  /// \brief Finds the component for `star_id`, or nullptr.
-  const AnnTg* ComponentForStar(uint32_t star_id) const;
-
-  std::string Serialize() const;
-  static Result<JoinedTg> Deserialize(std::string_view line);
-
-  bool operator==(const JoinedTg& o) const {
-    return components == o.components;
-  }
-};
-
-/// \brief The record grammar's one parser: reads AnnTg and JoinedTg
-/// records into views, building no AnnTg values. AnnTg::Deserialize and
-/// JoinedTg::Deserialize build their values from it, and answer decoding
-/// reads it directly.
+/// \brief The record grammar's one parser: reads a record into views,
+/// building no AnnTg values. AnnTg::Deserialize builds its value from it;
+/// the join cycles and answer decoding read it directly.
 ///
 /// A leaf (subject, property or object) is a view into the parsed line,
 /// or, when it carried escapes, into the reader's own storage. Views stay
-/// valid until the next Read; the reader reuses its buffers across reads.
+/// valid until the next Read, and a component's `raw` span as long as the
+/// line; the reader reuses its buffers across reads.
 class TgRecordReader {
  public:
   /// \brief A pairs entry (leaf `begin` is the property, the rest its
@@ -138,8 +129,10 @@ class TgRecordReader {
     uint32_t end = 0;
   };
 
-  /// \brief One triplegroup: its subject leaf and its entry ranges.
+  /// \brief One triplegroup: its bytes in the line (without the '\x1E'
+  /// separators), its subject leaf and its entry ranges.
   struct Component {
+    std::string_view raw;
     uint32_t subject = 0;
     uint32_t star_id = 0;
     uint32_t pairs_begin = 0;
@@ -148,11 +141,8 @@ class TgRecordReader {
     uint32_t overrides_end = 0;
   };
 
-  /// \brief Parses an AnnTg record into one component.
-  Status ReadAnnTg(std::string_view line);
-
-  /// \brief Parses a JoinedTg record, one component per star reached.
-  Status ReadJoinedTg(std::string_view line);
+  /// \brief Parses a record, one component per star reached.
+  Status Read(std::string_view line);
 
   const std::vector<Component>& components() const { return components_; }
   const std::vector<Entry>& pairs() const { return pairs_; }
@@ -163,8 +153,7 @@ class TgRecordReader {
   AnnTg ToAnnTg(const Component& c) const;
 
  private:
-  void Clear();
-  Status AppendRecord(std::string_view record);
+  Status AppendComponent(std::string_view component);
   std::string_view Unescaped(std::string_view raw, char sep);
 
   std::vector<Component> components_;
@@ -177,6 +166,15 @@ class TgRecordReader {
   size_t num_unescaped_ = 0;
   bool escapes_ = false;  // the line being read holds a backslash
 };
+
+/// \brief A join's record: its two input records side by side.
+std::string JoinRecords(std::string_view left, std::string_view right);
+
+/// \brief Appends `record` to `*out` with one component replaced by `tg`'s
+/// serialization; `raw` is that component's span, a view into `record` as
+/// TgRecordReader reports it.
+void AppendSpliced(std::string* out, std::string_view record,
+                   std::string_view raw, const AnnTg& tg);
 
 }  // namespace rdfmr
 

@@ -64,7 +64,6 @@ MapFn MakeSinglePatternMapper(QueryPtr query, size_t star, size_t tp_index) {
     }
     const TriplePattern& tp = query->stars()[star].patterns[tp_index];
     if (MatchesTriplePattern(tp, *t)) {
-      (*counters)["vp_matches"] += 1;
       (*counters)["op.vp_scan.output_records"] += 1;
       emit(t->subject, record);
     }
@@ -84,7 +83,6 @@ MapFn MakeStarMapper(QueryPtr query, size_t star) {
     }
     for (const TriplePattern& tp : query->stars()[star].patterns) {
       if (MatchesTriplePattern(tp, *t)) {
-        (*counters)["vp_matches"] += 1;
         (*counters)["op.vp_scan.output_records"] += 1;
         emit(t->subject, record);
       }
@@ -106,7 +104,6 @@ ReduceFn MakeStarReducer(QueryPtr query, size_t star) {
     std::vector<Triple> triples(distinct.begin(), distinct.end());
     std::vector<StarMatch> matches =
         MatchStarDetailed(query->stars()[star], triples);
-    (*counters)["star_tuples"] += matches.size();
     (*counters)["op.star_join.input_groups"] += 1;
     (*counters)["op.star_join.output_records"] += matches.size();
     for (StarMatch& m : matches) {
@@ -143,14 +140,15 @@ ReduceFn MakeJoinReducer(RelSchema left_schema, RelSchema right_schema) {
              const std::string& /*key*/,
              const std::vector<std::string>& values, const RecordEmit& emit,
              Counters* counters) {
-    std::vector<std::pair<RelTuple, Solution>> lefts, rights;
+    // Each side's records (views into `values`) with their solutions.
+    std::vector<std::pair<std::string_view, Solution>> lefts, rights;
     for (const std::string& v : values) {
       const size_t bar = v.find('|');
       if (bar == std::string::npos) continue;
       const bool is_left = v.compare(0, bar, "L") == 0;
       const RelSchema& schema = is_left ? left_schema : right_schema;
-      Result<RelTuple> tuple = RelTuple::Deserialize(
-          std::string_view(v).substr(bar + 1), schema.size());
+      const std::string_view record = std::string_view(v).substr(bar + 1);
+      Result<RelTuple> tuple = RelTuple::Deserialize(record, schema.size());
       if (!tuple.ok()) {
         (*counters)["bad_records"] += 1;
         continue;
@@ -161,20 +159,15 @@ ReduceFn MakeJoinReducer(RelSchema left_schema, RelSchema right_schema) {
         continue;
       }
       auto& side = is_left ? lefts : rights;
-      side.emplace_back(tuple.MoveValueUnsafe(), sol.MoveValueUnsafe());
+      side.emplace_back(record, sol.MoveValueUnsafe());
     }
     (*counters)["op.rel_join.input_records"] += lefts.size() + rights.size();
     for (const auto& [lt, ls] : lefts) {
       for (const auto& [rt, rs] : rights) {
         // A residual predicate rejects inconsistent pairs.
         if (!ls.CompatibleWith(rs)) continue;
-        RelTuple joined;
-        joined.triples = lt.triples;
-        joined.triples.insert(joined.triples.end(), rt.triples.begin(),
-                              rt.triples.end());
-        (*counters)["join_tuples"] += 1;
         (*counters)["op.rel_join.output_records"] += 1;
-        emit(joined.Serialize());
+        emit(JoinTupleRecords(lt, rt));
       }
     }
   };
@@ -425,9 +418,9 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     job2.reduce = [query, folded, first_schema, folded_schema](
                       const std::string& /*key*/,
                       const std::vector<std::string>& values,
-                      const RecordEmit& emit, Counters* counters) {
+                      const RecordEmit& emit, Counters* /*counters*/) {
       std::set<Triple> triples;
-      std::vector<std::pair<RelTuple, Solution>> lefts;
+      std::vector<std::pair<std::string_view, Solution>> lefts;
       for (const std::string& v : values) {
         const size_t bar = v.find('|');
         if (bar == std::string::npos) continue;
@@ -441,22 +434,22 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
           if (!tuple.ok()) continue;
           Result<Solution> sol = tuple->ToSolution(first_schema);
           if (!sol.ok()) continue;
-          lefts.emplace_back(tuple.MoveValueUnsafe(), sol.MoveValueUnsafe());
+          lefts.emplace_back(payload, sol.MoveValueUnsafe());
         }
       }
       if (lefts.empty() || triples.empty()) return;
       std::vector<Triple> star_triples(triples.begin(), triples.end());
       std::vector<StarMatch> matches =
           MatchStarDetailed(query->stars()[folded], star_triples);
+      std::vector<std::string> match_records;
+      match_records.reserve(matches.size());
+      for (StarMatch& m : matches) {
+        match_records.push_back(RelTuple{std::move(m.matched)}.Serialize());
+      }
       for (const auto& [lt, ls] : lefts) {
-        for (const StarMatch& m : matches) {
-          if (!ls.CompatibleWith(m.solution)) continue;
-          RelTuple joined;
-          joined.triples = lt.triples;
-          joined.triples.insert(joined.triples.end(), m.matched.begin(),
-                                m.matched.end());
-          (*counters)["join_tuples"] += 1;
-          emit(joined.Serialize());
+        for (size_t i = 0; i < matches.size(); ++i) {
+          if (!ls.CompatibleWith(matches[i].solution)) continue;
+          emit(JoinTupleRecords(lt, match_records[i]));
         }
       }
     };

@@ -23,6 +23,15 @@ std::string RelTuple::Serialize() const {
   return out;
 }
 
+std::string JoinTupleRecords(std::string_view left, std::string_view right) {
+  std::string out;
+  out.reserve(left.size() + 1 + right.size());
+  out.append(left);
+  out.push_back('\t');
+  out.append(right);
+  return out;
+}
+
 Result<RelTuple> RelTuple::Deserialize(std::string_view line,
                                        size_t arity) {
   RelTuple tuple;

@@ -40,6 +40,10 @@ struct RelTuple {
   Result<Solution> ToSolution(const RelSchema& schema) const;
 };
 
+/// \brief A joined tuple's record: its two input records side by side,
+/// which is the Serialize() of their concatenated triples.
+std::string JoinTupleRecords(std::string_view left, std::string_view right);
+
 /// \brief Decodes a whole relational output file (schema-wide tuples) into
 /// a solution set. Each line is split into field views and bound through a
 /// column -> slot plan computed once from `schema`, with ToSolution's

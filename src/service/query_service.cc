@@ -117,11 +117,10 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // field, then RDFMR_MAX_ATTEMPTS env) so two requests that execute
   // differently never share an entry.
   return StringFormat(
-      "kind=%s;phi=%u;grouping=%d;decode=%d;combiner=%d;attempts=%u;"
-      "pressure=%d;cost=%.17g,%.17g,%.17g,%.17g,%.17g",
+      "kind=%s;phi=%u;grouping=%d;decode=%d;attempts=%u;pressure=%d;"
+      "cost=%.17g,%.17g,%.17g,%.17g,%.17g",
       EngineKindToString(options.kind), options.phi_partitions,
       static_cast<int>(options.grouping), options.decode_answers ? 1 : 0,
-      options.aggregation_combiner ? 1 : 0,
       ResolveMaxAttempts(options.runtime, 0),
       static_cast<int>(options.disk_pressure), options.cost.hdfs_read_mbps,
       options.cost.hdfs_write_mbps, options.cost.shuffle_mbps,

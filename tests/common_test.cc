@@ -320,11 +320,6 @@ TEST(SerdeReferenceTest, EdgeCasesMatchReference) {
 constexpr char kGoldenAnnTgPlain[] =
     "product7\x1F""1\x1F""label,product 7 gold edition\x1D""prodFeature"
     ",feature11,feature3\x1F""2,producer,producer4";
-constexpr char kGoldenAnnTgNasty[] =
-    "s\\\\1,\\s;\\n\x1F""12\x1F""\\\\\\\\\\\\\\\\,\\\\\\\\\\\\\\\\s\\\\"
-    "\\\\\\\\\\\\n\x1D""p\\\\\\\\s1,o\x09""=,o\\\\s\x1E""\\\\\\\\\\\\\\"
-    "\\\x1D""q\\s,\x1F""0,p\x1E"",o\\\\\\\\\\\\\\\\,\\\\\\\\s,\\\\s\x1D"""
-    "3";
 constexpr char kGoldenJoined[] =
     "s\\\\\\\\1,\\\\s;\\\\n\x1F""12\x1F""\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\"
     "\\,\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\s\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\"
@@ -363,25 +358,22 @@ AnnTg GoldenNastyTg() {
   return tg;
 }
 
-TEST(SerdeGoldenTest, AnnTgAndJoinedTgBytesArePinned) {
+TEST(SerdeGoldenTest, TriplegroupRecordBytesArePinned) {
   const AnnTg plain = GoldenPlainTg();
   const AnnTg nasty = GoldenNastyTg();
   EXPECT_EQ(plain.Serialize(), kGoldenAnnTgPlain);
-  EXPECT_EQ(nasty.Serialize(), kGoldenAnnTgNasty);
-  JoinedTg joined;
-  joined.components = {nasty, plain};
-  EXPECT_EQ(joined.Serialize(), kGoldenJoined);
+  // A record is its components side by side.
+  EXPECT_EQ(nasty.Serialize() + "\x1E" + plain.Serialize(), kGoldenJoined);
 
   auto plain_back = AnnTg::Deserialize(kGoldenAnnTgPlain);
   ASSERT_TRUE(plain_back.ok()) << plain_back.status().ToString();
   EXPECT_TRUE(*plain_back == plain);
-  auto nasty_back = AnnTg::Deserialize(kGoldenAnnTgNasty);
-  ASSERT_TRUE(nasty_back.ok()) << nasty_back.status().ToString();
-  EXPECT_TRUE(*nasty_back == nasty);
-  auto joined_back = JoinedTg::Deserialize(kGoldenJoined);
-  ASSERT_TRUE(joined_back.ok()) << joined_back.status().ToString();
-  EXPECT_TRUE(*joined_back == joined);
-  EXPECT_EQ(*AnnTg::PeekStarId(kGoldenAnnTgNasty), 12u);
+  TgRecordReader joined_back;
+  ASSERT_TRUE(joined_back.Read(kGoldenJoined).ok());
+  ASSERT_EQ(joined_back.components().size(), 2u);
+  EXPECT_TRUE(joined_back.ToAnnTg(joined_back.components()[0]) == nasty);
+  EXPECT_TRUE(joined_back.ToAnnTg(joined_back.components()[1]) == plain);
+  EXPECT_EQ(*AnnTg::PeekStarId(kGoldenJoined), 12u);
 }
 
 TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {

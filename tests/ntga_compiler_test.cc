@@ -97,6 +97,54 @@ TEST(NtgaCompilerTest, NullQueryRejected) {
   EXPECT_FALSE(CompileNtgaPlan({}, "base", "tmp", options).ok());
 }
 
+// The join cycle keeps its input checks: for every strategy, a mapper drops
+// a record with a bad star id or without the site star and counts both as
+// bad; a reducer drops a value without a side tag, a record with a bad star
+// id (counted as bad) and a record without the site star.
+TEST(NtgaCompilerTest, JoinCycleDropsBadInputs) {
+  const std::string f = "\x1F";
+  const std::string no_tag = "g1" + f + "0" + f + "label,l1" + f;  // star 0
+  const std::string bad_star_id = "g1" + f + "zero" + f + "label,l1" + f;
+  AnnTg other_star;
+  other_star.subject = "g1";
+  other_star.star_id = 7;
+  other_star.AddPair("label", "l1");
+  const std::string no_site = other_star.Serialize();
+
+  for (NtgaStrategy strategy :
+       {NtgaStrategy::kEager, NtgaStrategy::kLazyFull,
+        NtgaStrategy::kLazyPartial, NtgaStrategy::kLazyAuto}) {
+    SCOPED_TRACE(NtgaStrategyToString(strategy));
+    const CompiledPlan plan = Compile("B1", strategy);
+    ASSERT_EQ(plan.workflow.jobs.size(), 2u);
+    const JobSpec& join = plan.workflow.jobs[1];
+    ASSERT_EQ(join.inputs.size(), 2u);
+    size_t emitted = 0;
+    const MapEmit map_emit = [&emitted](std::string, std::string) {
+      ++emitted;
+    };
+    const RecordEmit reduce_emit = [&emitted](std::string) { ++emitted; };
+    for (const MapInput& input : join.inputs) {
+      for (const std::string& record : {bad_star_id, no_site}) {
+        Counters counters;
+        input.map(record, map_emit, &counters);
+        EXPECT_EQ(counters["bad_records"], 1u)
+            << EscapeField(record, '\x1F');
+      }
+    }
+    for (const std::string tag : {"L|", "R|"}) {
+      const std::vector<std::pair<std::string, uint64_t>> cases = {
+          {no_tag, 0}, {tag + bad_star_id, 1}, {tag + no_site, 0}};
+      for (const auto& [value, bad] : cases) {
+        Counters counters;
+        join.reduce("k", {value}, reduce_emit, &counters);
+        EXPECT_EQ(counters["bad_records"], bad) << EscapeField(value, '\x1F');
+      }
+    }
+    EXPECT_EQ(emitted, 0u);
+  }
+}
+
 // ---- Execution details --------------------------------------------------------
 
 TEST(NtgaCompilerTest, EagerGroupingWritesPerfectTriplegroups) {

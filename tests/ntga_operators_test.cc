@@ -31,6 +31,14 @@ StarPattern BioStar() {
   return star;
 }
 
+// The solutions one triplegroup represents for `star`, expanded from its
+// one-component record.
+std::vector<Solution> Expand(const StarPattern& star, const AnnTg& tg) {
+  Result<std::vector<Solution>> out = ExpandJoinedTg({star}, tg.Serialize());
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? *out : std::vector<Solution>{};
+}
+
 std::vector<PropObj> BioPairs() {
   return {
       {"label", "retinoid"}, {"xGO", "go1"},   {"xGO", "go9"},
@@ -215,10 +223,10 @@ TEST(PartialBetaUnnestTest, ExpansionIsPartitionTransparent) {
   StarPattern star = BioStar();
   auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> direct = ExpandAnnTg(star, *tg);
+  std::vector<Solution> direct = Expand(star, *tg);
   std::vector<Solution> via_partitions;
   for (const auto& [_, restricted] : PartialBetaUnnest(star, *tg, 2, 3)) {
-    std::vector<Solution> part = ExpandAnnTg(star, restricted);
+    std::vector<Solution> part = Expand(star, restricted);
     via_partitions.insert(via_partitions.end(), part.begin(), part.end());
   }
   std::sort(direct.begin(), direct.end());
@@ -236,7 +244,7 @@ TEST(ExpandTest, MatchesReferenceMatcherOnExample) {
   }
   auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> expanded = ExpandAnnTg(star, *tg);
+  std::vector<Solution> expanded = Expand(star, *tg);
   std::vector<Solution> reference = MatchStar(star, triples);
   std::sort(expanded.begin(), expanded.end());
   std::sort(reference.begin(), reference.end());
@@ -247,10 +255,10 @@ TEST(ExpandTest, BetaUnnestPreservesExpansion) {
   StarPattern star = BioStar();
   auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> nested = ExpandAnnTg(star, *tg);
+  std::vector<Solution> nested = Expand(star, *tg);
   std::vector<Solution> unnested;
   for (const AnnTg& p : BetaUnnest(star, *tg)) {
-    std::vector<Solution> each = ExpandAnnTg(star, p);
+    std::vector<Solution> each = Expand(star, p);
     unnested.insert(unnested.end(), each.begin(), each.end());
   }
   std::sort(nested.begin(), nested.end());
@@ -299,7 +307,7 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
   auto tg = BuildAnnTg(star, 0, "s", pairs);
   std::vector<Solution> expanded;
   if (tg.has_value()) {
-    expanded = ExpandAnnTg(star, *tg);
+    expanded = Expand(star, *tg);
   }
   std::sort(reference.begin(), reference.end());
   std::sort(expanded.begin(), expanded.end());
@@ -337,6 +345,14 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   good.AddPair("label", "l1");
   EXPECT_TRUE(DecodeJoinedTgAnswers(
                   stars, {good.Serialize() + "\x1E" + bad_records[1]})
+                  .status()
+                  .IsIoError());
+  // A well-formed component naming a star the plan does not have.
+  const std::string unknown_star = "g1" + f + "5" + f + "label,l1" + f;
+  EXPECT_TRUE(
+      DecodeJoinedTgAnswers(stars, {unknown_star}).status().IsIoError());
+  EXPECT_TRUE(ExpandJoinedTg(stars, unknown_star).status().IsIoError());
+  EXPECT_TRUE(ExpandJoinedTg(stars, good.Serialize() + "\x1E" + unknown_star)
                   .status()
                   .IsIoError());
 }

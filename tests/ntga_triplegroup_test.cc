@@ -1,9 +1,10 @@
 // Unit tests for the TripleGroup data model: nested pair storage,
-// compaction rules, serialization (with adversarial strings), and joined
-// triplegroups.
+// compaction rules, serialization (with adversarial strings), and the
+// record grammar (components side by side, read and spliced as views).
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "ntga/triplegroup.h"
 
 namespace rdfmr {
@@ -163,9 +164,9 @@ TEST(AnnTgTest, EmptyGroupSerde) {
   EXPECT_EQ(*back, tg);
 }
 
-// ---- JoinedTg -----------------------------------------------------------------
+// ---- Records ----------------------------------------------------------------
 
-TEST(JoinedTgTest, SerdeRoundtripMultiComponent) {
+TEST(TgRecordTest, ComponentsSideBySideReadBack) {
   AnnTg a;
   a.subject = "gene9";
   a.star_id = 0;
@@ -175,35 +176,96 @@ TEST(JoinedTgTest, SerdeRoundtripMultiComponent) {
   b.star_id = 1;
   b.AddPair("goLabel", "molecular function");
   b.overrides[1] = {PropObj{"goSyn", "mf"}};
-  JoinedTg joined;
-  joined.components = {a, b};
-  auto back = JoinedTg::Deserialize(joined.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, joined);
+  const std::string line = JoinRecords(a.Serialize(), b.Serialize());
+  EXPECT_EQ(line, a.Serialize() + "\x1E" + b.Serialize());
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  ASSERT_EQ(record.components().size(), 2u);
+  EXPECT_EQ(record.ToAnnTg(record.components()[0]), a);
+  EXPECT_EQ(record.ToAnnTg(record.components()[1]), b);
+  EXPECT_FALSE(AnnTg::Deserialize(line).ok()) << "two components";
 }
 
-TEST(JoinedTgTest, SingleAnnTgLineParsesAsOneComponent) {
+TEST(TgRecordTest, OneComponentRecordIsTheSerializedGroup) {
   AnnTg a;
   a.subject = "s";
   a.star_id = 5;
   a.AddPair("p", "o");
-  auto back = JoinedTg::Deserialize(a.Serialize());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->components.size(), 1u);
-  EXPECT_EQ(back->components[0], a);
+  const std::string line = a.Serialize();
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  ASSERT_EQ(record.components().size(), 1u);
+  EXPECT_EQ(record.ToAnnTg(record.components()[0]), a);
+  EXPECT_EQ(record.components()[0].raw, line);
 }
 
-TEST(JoinedTgTest, ComponentForStar) {
-  AnnTg a, b;
-  a.star_id = 0;
-  a.subject = "x";
-  b.star_id = 2;
-  b.subject = "y";
-  JoinedTg joined;
-  joined.components = {a, b};
-  ASSERT_NE(joined.ComponentForStar(2), nullptr);
-  EXPECT_EQ(joined.ComponentForStar(2)->subject, "y");
-  EXPECT_EQ(joined.ComponentForStar(1), nullptr);
+// Leaves drawn from every byte the grammar escapes or splits on.
+std::string RandomLeaf(Rng* rng) {
+  static const std::string kAlphabet =
+      std::string("ab\\sn,\x1D\x1E\x1F\n\t=;|") + '\0';
+  std::string out;
+  const size_t size = rng->Uniform(6);
+  for (size_t i = 0; i < size; ++i) {
+    out.push_back(kAlphabet[rng->Uniform(kAlphabet.size())]);
+  }
+  return out;
+}
+
+AnnTg RandomTg(Rng* rng) {
+  AnnTg tg;
+  tg.subject = RandomLeaf(rng);
+  tg.star_id = static_cast<uint32_t>(rng->Uniform(1000));
+  const size_t num_pairs = rng->Uniform(4);  // 0: an empty group
+  for (size_t i = 0; i < num_pairs; ++i) {
+    tg.AddPair(RandomLeaf(rng), RandomLeaf(rng));
+  }
+  const size_t num_overrides = rng->Uniform(3);
+  for (size_t i = 0; i < num_overrides; ++i) {
+    // 0, 1 or many pinned pairs.
+    std::vector<PropObj>& pinned =
+        tg.overrides[static_cast<uint32_t>(rng->Uniform(5))];
+    pinned.clear();
+    const size_t num_pinned = std::vector<size_t>{0, 1, 4}[rng->Uniform(3)];
+    for (size_t j = 0; j < num_pinned; ++j) {
+      pinned.push_back(PropObj{RandomLeaf(rng), RandomLeaf(rng)});
+    }
+  }
+  return tg;
+}
+
+// The record of joining `tgs` left to right.
+std::string JoinComponents(const std::vector<AnnTg>& tgs) {
+  std::string out = tgs.front().Serialize();
+  for (size_t k = 1; k < tgs.size(); ++k) {
+    out = JoinRecords(out, tgs[k].Serialize());
+  }
+  return out;
+}
+
+// Records are canonical: reading a record's components and serializing
+// them again gives its bytes back, so a join may pass components through
+// as bytes and splice a rebuilt one in place of its raw span.
+TEST(TgRecordTest, SplicingEqualsReserializing) {
+  Rng rng(20261017);
+  TgRecordReader record;
+  for (int round = 0; round < 500; ++round) {
+    std::vector<AnnTg> tgs(1 + rng.Uniform(4));
+    for (AnnTg& tg : tgs) tg = RandomTg(&rng);
+    const std::string line = JoinComponents(tgs);
+    ASSERT_TRUE(record.Read(line).ok()) << "round " << round;
+    ASSERT_EQ(record.components().size(), tgs.size()) << "round " << round;
+    for (size_t k = 0; k < tgs.size(); ++k) {
+      const TgRecordReader::Component& c = record.components()[k];
+      EXPECT_EQ(record.ToAnnTg(c), tgs[k]) << "round " << round;
+      EXPECT_EQ(c.raw, tgs[k].Serialize()) << "round " << round;
+    }
+    const size_t k = rng.Uniform(tgs.size());
+    const AnnTg replacement = RandomTg(&rng);
+    std::string spliced;
+    AppendSpliced(&spliced, line, record.components()[k].raw, replacement);
+    tgs[k] = replacement;
+    EXPECT_EQ(spliced, JoinComponents(tgs)) << "round " << round;
+  }
 }
 
 }  // namespace

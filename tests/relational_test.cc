@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "datagen/testbed.h"
 #include "relational/rel_compiler.h"
 #include "relational/rel_tuple.h"
@@ -33,6 +34,40 @@ TEST(RelTupleTest, SerdeRoundtrip) {
   auto back = RelTuple::Deserialize(t.Serialize(), 2);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->triples, t.triples);
+}
+
+// Records are canonical: a join emits its input records side by side,
+// which must equal serializing the concatenated tuple.
+TEST(RelTupleTest, SideBySideEqualsSerializingTheConcatenation) {
+  static const std::string kAlphabet =
+      std::string("ab\\sn\t\n,|\x1E\x1F") + '\0';
+  Rng rng(20261017);
+  auto term = [&rng] {
+    std::string out;
+    for (size_t i = rng.Uniform(5); i > 0; --i) {
+      out.push_back(kAlphabet[rng.Uniform(kAlphabet.size())]);
+    }
+    return out;
+  };
+  auto tuple = [&rng, &term] {
+    RelTuple t;
+    for (size_t i = 1 + rng.Uniform(3); i > 0; --i) {
+      // A null triple stands for an unmatched OPTIONAL pattern.
+      t.triples.push_back(rng.Chance(0.2) ? Triple()
+                                          : Triple(term(), term(), term()));
+    }
+    return t;
+  };
+  for (int round = 0; round < 500; ++round) {
+    const RelTuple a = tuple();
+    const RelTuple b = tuple();
+    RelTuple ab = a;
+    ab.triples.insert(ab.triples.end(), b.triples.begin(), b.triples.end());
+    EXPECT_EQ(a.Serialize() + '\t' + b.Serialize(), ab.Serialize())
+        << "round " << round;
+    EXPECT_EQ(JoinTupleRecords(a.Serialize(), b.Serialize()), ab.Serialize())
+        << "round " << round;
+  }
 }
 
 TEST(RelTupleTest, DeserializeChecksArity) {
