@@ -17,6 +17,7 @@
 #include "query/sparql_parser.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple.h"
+#include "relational/rel_compiler.h"
 #include "relational/rel_tuple.h"
 
 namespace rdfmr {
@@ -183,6 +184,52 @@ void BM_TgJoinReduce(benchmark::State& state) {
       static_cast<double>(outputs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_TgJoinReduce)->Arg(4)->Arg(32)->Arg(256);
+
+// The Hive join reducer of a two-star query (a product star joined to a
+// feature star on ?f) over N tuples per side that share the join key: N*N
+// joined records per call.
+void BM_RelJoinReduce(benchmark::State& state) {
+  auto query = ParseSparql("join",
+                           "SELECT * WHERE { ?p <label> ?l . ?p <feature> ?f "
+                           ". ?f <featureLabel> ?fl . ?f <type> ?t . }");
+  if (!query.ok()) std::abort();
+  RelationalOptions options;
+  options.style = RelationalStyle::kHive;
+  auto plan = CompileRelationalPlan(
+      std::make_shared<const GraphPatternQuery>(std::move(*query)), "base",
+      "tmp", options);
+  if (!plan.ok() || plan->workflow.jobs.size() != 3) std::abort();
+  const ReduceFn reduce = plan->workflow.jobs[2].reduce;
+  const std::string feature = "http://bsbm.example/Feature7";
+  std::vector<std::string> values;
+  for (int i = 0; i < state.range(0); ++i) {
+    const std::string product =
+        "http://bsbm.example/Product" + std::to_string(i);
+    RelTuple left;
+    left.triples = {Triple(product, "label", "label of product " +
+                                                 std::to_string(i)),
+                    Triple(product, "feature", feature)};
+    values.push_back("L|" + left.Serialize());
+    RelTuple right;
+    right.triples = {
+        Triple(feature, "featureLabel", "feature label " + std::to_string(i)),
+        Triple(feature, "type", "http://bsbm.example/Type" +
+                                    std::to_string(i % 5))};
+    values.push_back("R|" + right.Serialize());
+  }
+  size_t outputs = 0;
+  const RecordEmit emit = [&outputs](std::string record) {
+    benchmark::DoNotOptimize(record);
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    reduce(feature, values, emit, &counters);
+  }
+  state.counters["records_out_per_call"] =
+      static_cast<double>(outputs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RelJoinReduce)->Arg(4)->Arg(32)->Arg(256);
 
 void BM_MatchStarDetailed(benchmark::State& state) {
   StarPattern star = TestStar();

@@ -63,9 +63,12 @@ class JsonValue {
   double AsDouble(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }
+  /// \brief The number truncated to an integer, or `fallback` unless it
+  /// is a number in [0, 2^64) (a cast outside that range is undefined).
   uint64_t AsUint(uint64_t fallback = 0) const {
-    return is_number() && number_ >= 0 ? static_cast<uint64_t>(number_)
-                                       : fallback;
+    return is_number() && number_ >= 0 && number_ < 18446744073709551616.0
+               ? static_cast<uint64_t>(number_)
+               : fallback;
   }
   const std::string& AsString() const { return string_; }
   const Array& AsArray() const { return array_; }

@@ -37,7 +37,7 @@ class LineDecoder {
   uint64_t max_line_bytes() const { return max_line_bytes_; }
 
  private:
-  const uint64_t max_line_bytes_;
+  uint64_t max_line_bytes_;
   std::string buffer_;
   bool overflowed_ = false;
 };

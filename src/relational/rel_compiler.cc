@@ -1,6 +1,7 @@
 #include "relational/rel_compiler.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -112,64 +113,103 @@ ReduceFn MakeStarReducer(QueryPtr query, size_t star) {
   };
 }
 
-// Tags a relational intermediate tuple with its join-key value.
-MapFn MakeJoinMapper(RelSchema schema, std::string var, std::string tag) {
-  return [schema = std::move(schema), var = std::move(var),
-          tag = std::move(tag)](const std::string& record,
-                                const MapEmit& emit, Counters* counters) {
-    Result<RelTuple> tuple = RelTuple::Deserialize(record, schema.size());
-    if (!tuple.ok()) {
+// Tags a relational intermediate tuple with its join-key value: the
+// reader's binding of the join variable, which is a node variable outside
+// any OPTIONAL and so bound in every tuple the reader accepts. With `scan`
+// the input is the triple relation, scanned for an inlined single-pattern
+// star (a triple record is an arity-1 tuple record), and a triple that does
+// not match the pattern is skipped uncounted.
+MapFn MakeJoinMapper(const RelSchema& schema, const std::string& var,
+                     std::string tag, bool scan) {
+  RelRecordReader reader(schema);
+  const size_t slot = reader.SlotOf(var);
+  return [reader = std::move(reader), slot, tag = std::move(tag), scan](
+             const std::string& record, const MapEmit& emit,
+             Counters* counters) {
+    RelRecordReader tuple = reader;
+    const Status read = tuple.Read(record);
+    if (scan && read.IsInvalidArgument()) return;
+    if (!read.ok() || slot == RelRecordReader::kNoSlot || !tuple.bound(slot)) {
       (*counters)["bad_records"] += 1;
       return;
     }
-    Result<std::string> key = ExtractJoinKey(schema, *tuple, var);
-    if (!key.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    emit(*key, tag + "|" + record);
+    emit(std::string(tuple.value(slot)), tag + "|" + record);
   };
+}
+
+// What a join reducer reads its inputs with: a reader per side, and the
+// (left slot, right slot) of each variable both sides bind.
+struct JoinReaders {
+  JoinReaders(const RelSchema& left_schema, const RelSchema& right_schema)
+      : left(left_schema), right(right_schema) {
+    for (size_t l = 0; l < left.variables().size(); ++l) {
+      const size_t r = right.SlotOf(left.variables()[l]);
+      if (r != RelRecordReader::kNoSlot) shared.emplace_back(l, r);
+    }
+  }
+
+  RelRecordReader left;
+  RelRecordReader right;
+  std::vector<std::pair<size_t, size_t>> shared;
+};
+
+// One input of a join reducer: each tuple is held by the reader copy that
+// bound it (a deque, so earlier tuples' views stay valid).
+using JoinSide = std::deque<RelRecordReader>;
+
+// Reads `record` (which must outlive `side`) into a new tuple of `side`;
+// false, adding nothing, if `reader` rejects it.
+bool AddTuple(const RelRecordReader& reader, std::string_view record,
+              JoinSide* side) {
+  if (side->emplace_back(reader).Read(record).ok()) return true;
+  side->pop_back();
+  return false;
+}
+
+// Emits the joined record of every (left, right) pair, left-major in input
+// order, that holds one value for each shared variable bound on both
+// sides: the rule by which two solutions merge.
+void JoinTuples(const JoinReaders& readers, const JoinSide& lefts,
+                const JoinSide& rights, const RecordEmit& emit) {
+  const auto& shared = readers.shared;
+  for (const RelRecordReader& l : lefts) {
+    for (const RelRecordReader& r : rights) {
+      auto agree = [&l, &r](const std::pair<size_t, size_t>& slots) {
+        return !l.bound(slots.first) || !r.bound(slots.second) ||
+               l.value(slots.first) == r.value(slots.second);
+      };
+      if (std::all_of(shared.begin(), shared.end(), agree)) {
+        emit(JoinTupleRecords(l.line(), r.line()));
+      }
+    }
+  }
 }
 
 // Reduce-side join of two relational intermediates; enforces consistency of
 // ALL shared variables (not only the shuffle key) so multi-predicate joins
 // between the same pair of stars stay correct.
-ReduceFn MakeJoinReducer(RelSchema left_schema, RelSchema right_schema) {
-  return [left_schema = std::move(left_schema),
-          right_schema = std::move(right_schema)](
+ReduceFn MakeJoinReducer(const RelSchema& left_schema,
+                         const RelSchema& right_schema) {
+  return [readers = JoinReaders(left_schema, right_schema)](
              const std::string& /*key*/,
              const std::vector<std::string>& values, const RecordEmit& emit,
              Counters* counters) {
-    // Each side's records (views into `values`) with their solutions.
-    std::vector<std::pair<std::string_view, Solution>> lefts, rights;
+    JoinSide lefts, rights;
     for (const std::string& v : values) {
       const size_t bar = v.find('|');
       if (bar == std::string::npos) continue;
       const bool is_left = v.compare(0, bar, "L") == 0;
-      const RelSchema& schema = is_left ? left_schema : right_schema;
-      const std::string_view record = std::string_view(v).substr(bar + 1);
-      Result<RelTuple> tuple = RelTuple::Deserialize(record, schema.size());
-      if (!tuple.ok()) {
+      if (!AddTuple(is_left ? readers.left : readers.right,
+                    std::string_view(v).substr(bar + 1),
+                    is_left ? &lefts : &rights)) {
         (*counters)["bad_records"] += 1;
-        continue;
       }
-      Result<Solution> sol = tuple->ToSolution(schema);
-      if (!sol.ok()) {
-        (*counters)["bad_records"] += 1;
-        continue;
-      }
-      auto& side = is_left ? lefts : rights;
-      side.emplace_back(record, sol.MoveValueUnsafe());
     }
     (*counters)["op.rel_join.input_records"] += lefts.size() + rights.size();
-    for (const auto& [lt, ls] : lefts) {
-      for (const auto& [rt, rs] : rights) {
-        // A residual predicate rejects inconsistent pairs.
-        if (!ls.CompatibleWith(rs)) continue;
-        (*counters)["op.rel_join.output_records"] += 1;
-        emit(JoinTupleRecords(lt, rt));
-      }
-    }
+    JoinTuples(readers, lefts, rights, [&emit, counters](std::string record) {
+      (*counters)["op.rel_join.output_records"] += 1;
+      emit(std::move(record));
+    });
   };
 }
 
@@ -183,45 +223,22 @@ struct RelationState {
   /// (this is how Hive/Pig evaluate a lone edge pattern, e.g. A5's label
   /// lookup: 2 jobs, both scanning the triple relation).
   bool inline_single_pattern = false;
-  size_t star_index = 0;
 };
-
-// Mapper for an inlined single-pattern star inside a join cycle: scans the
-// (compressed) triple relation, emits arity-1 tuples keyed by the join
-// variable.
-MapFn MakeInlineSingleTpJoinMapper(QueryPtr query, size_t star,
-                                   std::string var, std::string tag) {
-  return [query, star, var = std::move(var), tag = std::move(tag)](
-             const std::string& record, const MapEmit& emit,
-             Counters* counters) {
-    Result<Triple> t = Triple::Deserialize(record);
-    if (!t.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    const TriplePattern& tp = query->stars()[star].patterns[0];
-    if (!MatchesTriplePattern(tp, *t)) return;
-    RelTuple tuple;
-    tuple.triples.push_back(t.MoveValueUnsafe());
-    Result<std::string> key = ExtractJoinKey({tp}, tuple, var);
-    if (!key.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    emit(*key, tag + "|" + tuple.Serialize());
-  };
-}
 
 // Decoders of a final output of `schema`-wide tuples.
 void SetAnswerDecoders(const RelSchema& schema, CompiledPlan* plan) {
   plan->decoder = [schema](const std::vector<std::string>& lines) {
     return DecodeRelationalAnswers(schema, lines);
   };
-  plan->record_decoder =
-      [schema](const std::string& record) -> Result<std::vector<Solution>> {
-    RDFMR_ASSIGN_OR_RETURN(RelTuple tuple,
-                           RelTuple::Deserialize(record, schema.size()));
-    RDFMR_ASSIGN_OR_RETURN(Solution solution, tuple.ToSolution(schema));
+  plan->record_decoder = [reader = RelRecordReader(schema)](
+                             const std::string& record)
+      -> Result<std::vector<Solution>> {
+    RelRecordReader tuple = reader;
+    RDFMR_RETURN_NOT_OK(tuple.Read(record));
+    Solution solution;
+    for (size_t k = 0; k < tuple.variables().size(); ++k) {
+      if (tuple.bound(k)) solution.Bind(tuple.variables()[k], tuple.value(k));
+    }
     return std::vector<Solution>{std::move(solution)};
   };
 }
@@ -270,7 +287,7 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
     const StarPattern& star = query->stars()[s];
     if (star.patterns.size() == 1 && query->stars().size() > 1) {
       // Lone edge pattern: fold its scan into the consuming join cycle.
-      relations[s] = RelationState{scan_path, star.patterns, true, s};
+      relations[s] = RelationState{scan_path, star.patterns, true};
       continue;
     }
     JobSpec job;
@@ -316,18 +333,11 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
     job.name = StringFormat("join-%zu-on-%s", join_count,
                             join.variable.c_str());
     auto add_side = [&](const RelationState& rel, const char* tag) {
-      if (rel.inline_single_pattern) {
-        job.inputs.push_back(MapInput{
-            rel.path,
-            MakeInlineSingleTpJoinMapper(query, rel.star_index,
-                                         join.variable, tag),
-            HintForPatterns({query->stars()[rel.star_index].patterns[0]})});
-        if (scanning_base) job.full_scans_of_base += 1;
-      } else {
-        job.inputs.push_back(
-            MapInput{rel.path, MakeJoinMapper(rel.schema, join.variable, tag),
-                     /*scan_properties=*/nullptr});
-      }
+      const bool scan = rel.inline_single_pattern;
+      job.inputs.push_back(MapInput{
+          rel.path, MakeJoinMapper(rel.schema, join.variable, tag, scan),
+          scan ? HintForPatterns(rel.schema) : nullptr});
+      if (scan && scanning_base) job.full_scans_of_base += 1;
     };
     add_side(left, "L");
     add_side(right, "R");
@@ -395,7 +405,8 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     job2.name = "selsj-join";
     job2.inputs.push_back(
         MapInput{tmp_prefix + "/selsj-first",
-                 MakeJoinMapper(first_schema, join.variable, "L"),
+                 MakeJoinMapper(first_schema, join.variable, "L",
+                                /*scan=*/false),
                  /*scan_properties=*/nullptr});
     job2.inputs.push_back(MapInput{
         base_path,
@@ -415,12 +426,13 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
         },
         HintForPatterns(query->stars()[folded].patterns)});
     job2.full_scans_of_base = 1;
-    job2.reduce = [query, folded, first_schema, folded_schema](
+    job2.reduce = [query, folded,
+                   readers = JoinReaders(first_schema, folded_schema)](
                       const std::string& /*key*/,
                       const std::vector<std::string>& values,
-                      const RecordEmit& emit, Counters* /*counters*/) {
+                      const RecordEmit& emit, Counters* counters) {
       std::set<Triple> triples;
-      std::vector<std::pair<std::string_view, Solution>> lefts;
+      JoinSide lefts;
       for (const std::string& v : values) {
         const size_t bar = v.find('|');
         if (bar == std::string::npos) continue;
@@ -428,30 +440,24 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
         if (v.compare(0, bar, "B") == 0) {
           Result<Triple> t = Triple::Deserialize(payload);
           if (t.ok()) triples.insert(t.MoveValueUnsafe());
-        } else {
-          Result<RelTuple> tuple =
-              RelTuple::Deserialize(payload, first_schema.size());
-          if (!tuple.ok()) continue;
-          Result<Solution> sol = tuple->ToSolution(first_schema);
-          if (!sol.ok()) continue;
-          lefts.emplace_back(payload, sol.MoveValueUnsafe());
+        } else if (!AddTuple(readers.left, payload, &lefts)) {
+          (*counters)["bad_records"] += 1;
         }
       }
       if (lefts.empty() || triples.empty()) return;
       std::vector<Triple> star_triples(triples.begin(), triples.end());
-      std::vector<StarMatch> matches =
-          MatchStarDetailed(query->stars()[folded], star_triples);
       std::vector<std::string> match_records;
-      match_records.reserve(matches.size());
-      for (StarMatch& m : matches) {
+      for (StarMatch& m :
+           MatchStarDetailed(query->stars()[folded], star_triples)) {
         match_records.push_back(RelTuple{std::move(m.matched)}.Serialize());
       }
-      for (const auto& [lt, ls] : lefts) {
-        for (size_t i = 0; i < matches.size(); ++i) {
-          if (!ls.CompatibleWith(matches[i].solution)) continue;
-          emit(JoinTupleRecords(lt, match_records[i]));
+      JoinSide rights;
+      for (const std::string& record : match_records) {
+        if (!AddTuple(readers.right, record, &rights)) {
+          (*counters)["bad_records"] += 1;
         }
       }
+      JoinTuples(readers, lefts, rights, emit);
     };
     job2.output_path = tmp_prefix + "/selsj-out";
     plan.workflow.jobs.push_back(std::move(job2));

@@ -1,15 +1,18 @@
-// Relational n-tuple representation of (joined) star matches.
+// Relational n-tuple records of (joined) star matches: the writer
+// (RelTuple) and the one reader (RelRecordReader).
 //
 // A star-join over k triple patterns yields tuples of relational arity 3k —
 // (Sub, Prop, Obj) columns per pattern, subject repeated in every column
 // group, exactly as the paper describes for vertically-partitioned
 // relational processing. This repetition *is* the redundancy under study:
 // the byte footprint of these serialized tuples is what the relational
-// engines ship between MR cycles.
+// engines ship between MR cycles. A join's record is its two input records
+// side by side. Every consumer reads records through RelRecordReader.
 
 #ifndef RDFMR_RELATIONAL_REL_TUPLE_H_
 #define RDFMR_RELATIONAL_REL_TUPLE_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,37 +28,70 @@ namespace rdfmr {
 /// patterns whose matches the tuple columns hold.
 using RelSchema = std::vector<TriplePattern>;
 
-/// \brief One tuple: a matched triple per schema pattern, aligned.
+/// \brief One tuple: a matched triple per schema pattern, aligned. An
+/// all-empty triple stands for an unmatched OPTIONAL pattern.
 struct RelTuple {
   std::vector<Triple> triples;
 
   /// \brief Serializes as 3k tab-separated fields.
   std::string Serialize() const;
-
-  /// \brief Parses a record with exactly `arity` triples.
-  static Result<RelTuple> Deserialize(std::string_view line, size_t arity);
-
-  /// \brief Derives the solution mapping by re-matching each triple against
-  /// its schema pattern; fails if the tuple is inconsistent.
-  Result<Solution> ToSolution(const RelSchema& schema) const;
 };
 
 /// \brief A joined tuple's record: its two input records side by side,
 /// which is the Serialize() of their concatenated triples.
 std::string JoinTupleRecords(std::string_view left, std::string_view right);
 
+/// \brief Reads records of one schema. Read() splits a line into field
+/// views, copying a field only when it carried an escape, and binds them to
+/// the schema's variable slots as BindTriplePattern would bind column after
+/// column; an all-empty column of an OPTIONAL pattern binds nothing. The
+/// binding plan is built once and shared by copies, and Read() writes only
+/// the copy's buffers: a closure run on several threads reads through a
+/// copy of its reader.
+class RelRecordReader {
+ public:
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  explicit RelRecordReader(const RelSchema& schema);
+
+  /// \brief IoError when the line has not 3k fields; InvalidArgument for
+  /// an all-empty mandatory column, or a column that mismatches its
+  /// pattern or an earlier binding.
+  Status Read(std::string_view line);
+
+  /// \brief The schema's variables, sorted; slot k binds variables()[k].
+  const std::vector<std::string>& variables() const { return plan_->vars; }
+  /// \brief The slot of `var`, or kNoSlot.
+  size_t SlotOf(std::string_view var) const;
+
+  /// \brief The last Read()'s line and bindings. A value views the line
+  /// or this reader, until the next Read().
+  std::string_view line() const { return line_; }
+  bool bound(size_t slot) const { return bound_[slot]; }
+  std::string_view value(size_t slot) const { return values_[slot]; }
+
+ private:
+  struct Plan {
+    RelSchema schema;
+    std::vector<std::string> vars;
+    /// Field 3i+j (j: subject, property, object of pattern i) binds slot
+    /// field_slot[3i+j], or kNoSlot.
+    std::vector<size_t> field_slot;
+  };
+
+  std::shared_ptr<const Plan> plan_;
+  std::string_view line_;
+  std::vector<std::string_view> fields_;
+  std::vector<std::string> scratch_;  ///< unescaped copies of fields
+  std::vector<std::string_view> values_;
+  std::vector<bool> bound_;
+};
+
 /// \brief Decodes a whole relational output file (schema-wide tuples) into
-/// a solution set. Each line is split into field views and bound through a
-/// column -> slot plan computed once from `schema`, with ToSolution's
-/// checks and Status codes; no RelTuple or Solution is built.
+/// a solution set, reading every line with one RelRecordReader; the first
+/// rejected line fails the decode with the reader's Status.
 Result<SolutionSet> DecodeRelationalAnswers(
     const RelSchema& schema, const std::vector<std::string>& lines);
-
-/// \brief Extracts the value of variable `var` from a tuple under `schema`
-/// (subject or object position of the first pattern carrying it).
-Result<std::string> ExtractJoinKey(const RelSchema& schema,
-                                   const RelTuple& tuple,
-                                   const std::string& var);
 
 }  // namespace rdfmr
 

@@ -50,16 +50,18 @@ Result<ServiceClient> ServiceClient::ConnectWithRetry(
 }
 
 ServiceClient::ServiceClient(ServiceClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
+    : fd_(std::exchange(other.fd_, -1)),
+      decoder_(std::move(other.decoder_)),
+      lines_(std::move(other.lines_)),
+      next_(other.next_) {}
 
 ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    decoder_ = std::move(other.decoder_);
+    lines_ = std::move(other.lines_);
+    next_ = other.next_;
   }
   return *this;
 }
@@ -69,9 +71,7 @@ ServiceClient::~ServiceClient() {
 }
 
 Status ServiceClient::SendLine(const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
-  return SendRaw(framed);
+  return SendRaw(net::EncodeLine(line));
 }
 
 Status ServiceClient::SendRaw(const std::string& bytes) {
@@ -92,15 +92,11 @@ Status ServiceClient::Send(const JsonValue& request) {
   return SendLine(request.Dump());
 }
 
-Result<std::string> ServiceClient::ReadLine() {
+Result<std::string> ServiceClient::ReceiveLine() {
   char chunk[4096];
-  for (;;) {
-    size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
+  while (next_ == lines_.size()) {
+    lines_.clear();
+    next_ = 0;
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
       return Status::IoError("server closed the connection");
@@ -109,20 +105,19 @@ Result<std::string> ServiceClient::ReadLine() {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("recv: ") + std::strerror(errno));
     }
-    buffer_.append(chunk, static_cast<size_t>(n));
+    decoder_.Feed(chunk, static_cast<size_t>(n), &lines_);
   }
+  return std::move(lines_[next_++]);
 }
 
-Result<std::string> ServiceClient::ReceiveLine() { return ReadLine(); }
-
 Result<JsonValue> ServiceClient::Receive() {
-  RDFMR_ASSIGN_OR_RETURN(std::string line, ReadLine());
+  RDFMR_ASSIGN_OR_RETURN(std::string line, ReceiveLine());
   return ParseJson(line);
 }
 
 Result<std::string> ServiceClient::CallLine(const std::string& line) {
   RDFMR_RETURN_NOT_OK(SendLine(line));
-  return ReadLine();
+  return ReceiveLine();
 }
 
 Result<JsonValue> ServiceClient::Call(const JsonValue& request) {
@@ -155,14 +150,13 @@ Result<std::vector<JsonValue>> ServiceClient::CallPipelined(
   // pipelining's syscall amortization comes from.
   std::string batch;
   for (const JsonValue& request : requests) {
-    batch += request.Dump();
-    batch += '\n';
+    batch += net::EncodeLine(request.Dump());
   }
   RDFMR_RETURN_NOT_OK(SendRaw(batch));
   std::vector<JsonValue> responses(requests.size());
   std::vector<bool> matched(requests.size(), false);
   for (size_t received = 0; received < requests.size(); ++received) {
-    RDFMR_ASSIGN_OR_RETURN(std::string line, ReadLine());
+    RDFMR_ASSIGN_OR_RETURN(std::string line, ReceiveLine());
     RDFMR_ASSIGN_OR_RETURN(JsonValue response, ParseJson(line));
     if (!response.is_object() || !response.Has("id")) {
       return Status::IoError("pipelined response carries no \"id\": " +

@@ -22,6 +22,7 @@
 
 #include "common/json.h"
 #include "common/result.h"
+#include "net/frame.h"
 
 namespace rdfmr {
 namespace service {
@@ -65,7 +66,8 @@ class ServiceClient {
   Status SendRaw(const std::string& bytes);
 
   /// \brief Blocks for the next response line, whichever request it
-  /// answers (the server responds in completion order by default).
+  /// answers (the server responds in completion order by default). Empty
+  /// lines are keepalive padding and are skipped.
   Result<JsonValue> Receive();
   Result<std::string> ReceiveLine();
 
@@ -79,10 +81,10 @@ class ServiceClient {
  private:
   explicit ServiceClient(int fd) : fd_(fd) {}
 
-  Result<std::string> ReadLine();
-
   int fd_ = -1;
-  std::string buffer_;  ///< bytes read past the last returned line
+  net::LineDecoder decoder_;        ///< no line cap
+  std::vector<std::string> lines_;  ///< decoded, from index next_ unread
+  size_t next_ = 0;
 };
 
 }  // namespace service

@@ -163,8 +163,15 @@ Result<EngineOptions> OptionsFromJson(const JsonValue& request) {
     }
     options.phi_partitions = static_cast<uint32_t>(phi);
   }
-  options.runtime.num_threads =
-      static_cast<uint32_t>(request.GetUint("threads", 0));
+  if (request.Has("threads")) {
+    const double threads = request.Get("threads").AsDouble(-1.0);
+    if (!(threads >= 0.0 && threads <= kMaxRequestThreads) ||
+        threads != std::floor(threads)) {
+      return Status::InvalidArgument(StringFormat(
+          "\"threads\" must be an integer in [0, %u]", kMaxRequestThreads));
+    }
+    options.runtime.num_threads = static_cast<uint32_t>(threads);
+  }
   return options;
 }
 

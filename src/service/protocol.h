@@ -56,6 +56,10 @@ namespace service {
 /// rejected before dispatch.
 inline constexpr uint64_t kProtocolVersion = 1;
 
+/// \brief The largest "threads" a query or batch request may ask for; a
+/// request beyond it is rejected rather than spawning that many workers.
+inline constexpr uint32_t kMaxRequestThreads = 256;
+
 /// \brief Outcome of one protocol line.
 struct HandleResult {
   JsonValue response;

@@ -22,6 +22,14 @@ std::string ProtocolErrorLine(const Status& status) {
   return o.Dump();
 }
 
+ServerOptions WithProtocolErrorLines(ServerOptions options) {
+  options.reject_line = ProtocolErrorLine(
+      Status::Unavailable("server connection limit reached"));
+  options.oversize_line = ProtocolErrorLine(Status::InvalidArgument(
+      "request line exceeds the server's line cap"));
+  return options;
+}
+
 std::string FirstUnixPath(const std::vector<net::Address>& listeners) {
   for (const net::Address& address : listeners) {
     if (address.kind == net::AddressKind::kUnix) return address.path;
@@ -31,25 +39,11 @@ std::string FirstUnixPath(const std::vector<net::Address>& listeners) {
 
 }  // namespace
 
-net::NetServerOptions ServiceServer::NetOptions(ServerOptions options) {
-  net::NetServerOptions net;
-  net.listeners = std::move(options.listeners);
-  net.max_connections = options.max_connections;
-  net.max_line_bytes = options.max_line_bytes;
-  net.max_outbound_bytes = options.max_outbound_bytes;
-  net.idle_timeout_ms = options.idle_timeout_ms;
-  net.reject_line = ProtocolErrorLine(
-      Status::Unavailable("server connection limit reached"));
-  net.oversize_line = ProtocolErrorLine(Status::InvalidArgument(
-      "request line exceeds the server's line cap"));
-  return net;
-}
-
 ServiceServer::ServiceServer(QueryService* query_service,
                              ServerOptions options)
     : query_service_(query_service),
       socket_path_(FirstUnixPath(options.listeners)),
-      net_(NetOptions(std::move(options)),
+      net_(WithProtocolErrorLines(std::move(options)),
            [this](uint64_t conn_id, uint64_t seq, std::string line) {
              OnLine(conn_id, seq, std::move(line));
            }) {}

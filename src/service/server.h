@@ -33,21 +33,10 @@
 namespace rdfmr {
 namespace service {
 
-struct ServerOptions {
-  /// Endpoints to serve (unix:PATH and tcp:HOST:PORT freely mixed; TCP
-  /// port 0 binds an ephemeral port, visible via bound_addresses()).
-  std::vector<net::Address> listeners;
-  /// Connections beyond this are told "Unavailable" and closed.
-  uint32_t max_connections = 256;
-  /// Hard per-line cap: a request protocol has no business buffering
-  /// unbounded input from a runaway client.
-  uint64_t max_line_bytes = 64ULL << 20;
-  /// Per-connection outbound high watermark; past it the server stops
-  /// reading from that connection until the peer catches up.
-  uint64_t max_outbound_bytes = 8ULL << 20;
-  /// Evict connections with nothing in flight after this long (0 = never).
-  uint64_t idle_timeout_ms = 0;
-};
+/// \brief The transport's options: endpoints, connection cap, line cap,
+/// outbound watermark and idle timeout (see net::NetServerOptions). The
+/// server sets reject_line and oversize_line to protocol error lines.
+using ServerOptions = net::NetServerOptions;
 
 class ServiceServer {
  public:
@@ -90,7 +79,6 @@ class ServiceServer {
   net::NetServerStats transport_stats() const { return net_.stats(); }
 
  private:
-  static net::NetServerOptions NetOptions(ServerOptions options);
   void OnLine(uint64_t conn_id, uint64_t seq, std::string line);
 
   QueryService* const query_service_;

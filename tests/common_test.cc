@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -381,9 +382,28 @@ TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {
   tuple.triples = {Triple("s\t1", "p\\", "o\n\x1F,"), Triple(),
                    Triple("a", "b", "c")};
   EXPECT_EQ(tuple.Serialize(), kGoldenRelTuple);
-  auto tuple_back = RelTuple::Deserialize(kGoldenRelTuple, 3);
-  ASSERT_TRUE(tuple_back.ok()) << tuple_back.status().ToString();
-  EXPECT_EQ(tuple_back->triples, tuple.triples);
+  TriplePattern optional = TriplePattern::Bound(NodePattern::Var("s2"), "q",
+                                                NodePattern::Var("o2"));
+  optional.optional = true;
+  RelRecordReader reader(
+      {TriplePattern::Unbound(NodePattern::Var("s"), "p",
+                              NodePattern::Var("o")),
+       optional,
+       TriplePattern::Bound(NodePattern::Var("a"), "b",
+                            NodePattern::Const("c"))});
+  const Status read = reader.Read(kGoldenRelTuple);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  const std::vector<std::string> vars = {"a", "o", "o2", "p", "s", "s2"};
+  ASSERT_EQ(reader.variables(), vars);
+  const std::vector<std::string> values = {"a", "o\n\x1F,", "", "p\\",
+                                           "s\t1", ""};
+  for (size_t k = 0; k < vars.size(); ++k) {
+    const bool in_optional = vars[k] == "o2" || vars[k] == "s2";
+    EXPECT_EQ(reader.bound(k), !in_optional) << vars[k];
+    if (!in_optional) {
+      EXPECT_EQ(reader.value(k), values[k]) << vars[k];
+    }
+  }
 
   Solution solution;
   solution.Bind("x", "v=1;2");
@@ -394,6 +414,20 @@ TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {
   auto solution_back = Solution::Deserialize(kGoldenSolution);
   ASSERT_TRUE(solution_back.ok()) << solution_back.status().ToString();
   EXPECT_EQ(*solution_back, solution);
+}
+
+// AsUint falls back outside [0, 2^64), where the cast would be undefined.
+TEST(JsonValueTest, AsUintFallsBackOutOfRange) {
+  EXPECT_EQ(JsonValue(42.9).AsUint(7), 42u);
+  EXPECT_EQ(JsonValue(18446744073709549568.0).AsUint(7),
+            18446744073709549568ULL);
+  EXPECT_EQ(JsonValue(1e30).AsUint(7), 7u);
+  EXPECT_EQ(JsonValue(18446744073709551616.0).AsUint(7), 7u);
+  EXPECT_EQ(JsonValue(-1.0).AsUint(7), 7u);
+  auto parsed = ParseJson(R"({"big":1e30,"edge":18446744073709551616})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->GetUint("big", 7), 7u);
+  EXPECT_EQ(parsed->GetUint("edge", 7), 7u);
 }
 
 TEST(StringsTest, HumanBytes) {

@@ -1,12 +1,17 @@
-// Tests for the relational layer: n-tuple serde, join-key extraction,
-// answer decoding, and the Pig/Hive plan compilers' structural properties
+// Tests for the relational layer: n-tuple records and their one reader,
+// answer decoding, the join cycles' handling of bad inputs, and the Pig/Hive plan compilers' structural properties
 // (cycle counts, scan counts, compress jobs, inlined single-pattern stars,
 // Sel-SJ-first shapes).
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/random.h"
+#include "common/strings.h"
 #include "datagen/testbed.h"
+#include "query/matcher.h"
+#include "query/sparql_parser.h"
 #include "relational/rel_compiler.h"
 #include "relational/rel_tuple.h"
 
@@ -29,11 +34,15 @@ RelTuple MakeTuple() {
   return t;
 }
 
-TEST(RelTupleTest, SerdeRoundtrip) {
-  RelTuple t = MakeTuple();
-  auto back = RelTuple::Deserialize(t.Serialize(), 2);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->triples, t.triples);
+// The reader's bindings of `line` under `schema`, as a Solution.
+Result<Solution> ReadBindings(const RelSchema& schema, std::string_view line) {
+  RelRecordReader reader(schema);
+  RDFMR_RETURN_NOT_OK(reader.Read(line));
+  Solution out;
+  for (size_t k = 0; k < reader.variables().size(); ++k) {
+    if (reader.bound(k)) out.Bind(reader.variables()[k], reader.value(k));
+  }
+  return out;
 }
 
 // Records are canonical: a join emits its input records side by side,
@@ -70,14 +79,19 @@ TEST(RelTupleTest, SideBySideEqualsSerializingTheConcatenation) {
   }
 }
 
-TEST(RelTupleTest, DeserializeChecksArity) {
-  RelTuple t = MakeTuple();
-  EXPECT_FALSE(RelTuple::Deserialize(t.Serialize(), 3).ok());
-  EXPECT_FALSE(RelTuple::Deserialize("a\tb", 1).ok());
+TEST(RelRecordReaderTest, ChecksArity) {
+  RelSchema three = TwoPatternSchema();
+  three.push_back(three[0]);
+  EXPECT_TRUE(ReadBindings(three, MakeTuple().Serialize())
+                  .status()
+                  .IsIoError());
+  EXPECT_TRUE(ReadBindings({TwoPatternSchema()[0]}, "a\tb")
+                  .status()
+                  .IsIoError());
 }
 
-TEST(RelTupleTest, ToSolutionBindsAllVariables) {
-  auto sol = MakeTuple().ToSolution(TwoPatternSchema());
+TEST(RelRecordReaderTest, BindsAllVariables) {
+  auto sol = ReadBindings(TwoPatternSchema(), MakeTuple().Serialize());
   ASSERT_TRUE(sol.ok());
   EXPECT_EQ(*sol->Get("g"), "gene9");
   EXPECT_EQ(*sol->Get("l"), "retinoid");
@@ -85,13 +99,15 @@ TEST(RelTupleTest, ToSolutionBindsAllVariables) {
   EXPECT_EQ(*sol->Get("x"), "go1");
 }
 
-TEST(RelTupleTest, ToSolutionRejectsMismatchedColumn) {
+TEST(RelRecordReaderTest, RejectsMismatchedColumn) {
   RelTuple t = MakeTuple();
   t.triples[0].property = "wrongProperty";
-  EXPECT_FALSE(t.ToSolution(TwoPatternSchema()).ok());
+  EXPECT_TRUE(ReadBindings(TwoPatternSchema(), t.Serialize())
+                  .status()
+                  .IsInvalidArgument());
 }
 
-TEST(RelTupleTest, ToSolutionRejectsInconsistentSharedVariable) {
+TEST(RelRecordReaderTest, RejectsInconsistentSharedVariable) {
   RelSchema schema = {
       TriplePattern::Bound(NodePattern::Var("g"), "p1",
                            NodePattern::Var("v")),
@@ -101,19 +117,107 @@ TEST(RelTupleTest, ToSolutionRejectsInconsistentSharedVariable) {
   RelTuple t;
   t.triples.emplace_back("s", "p1", "same");
   t.triples.emplace_back("s", "p2", "different");
-  EXPECT_FALSE(t.ToSolution(schema).ok());
+  EXPECT_TRUE(ReadBindings(schema, t.Serialize()).status().IsInvalidArgument());
 }
 
-TEST(RelTupleTest, ExtractJoinKeyPositions) {
-  RelSchema schema = TwoPatternSchema();
-  RelTuple t = MakeTuple();
-  auto g = ExtractJoinKey(schema, t, "g");
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(*g, "gene9");
-  auto x = ExtractJoinKey(schema, t, "x");
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*x, "go1");
-  EXPECT_TRUE(ExtractJoinKey(schema, t, "nope").status().IsNotFound());
+// A join key is the reader's slot of the join variable.
+TEST(RelRecordReaderTest, SlotsHoldJoinKeys) {
+  RelRecordReader reader(TwoPatternSchema());
+  const std::string line = MakeTuple().Serialize();  // the views' backing
+  ASSERT_TRUE(reader.Read(line).ok());
+  const size_t g = reader.SlotOf("g");
+  ASSERT_NE(g, RelRecordReader::kNoSlot);
+  EXPECT_EQ(reader.value(g), "gene9");
+  const size_t x = reader.SlotOf("x");
+  ASSERT_NE(x, RelRecordReader::kNoSlot);
+  EXPECT_EQ(reader.value(x), "go1");
+  EXPECT_EQ(reader.SlotOf("nope"), RelRecordReader::kNoSlot);
+}
+
+// The reference the reader must agree with: split the line, rebuild each
+// column's triple and bind it with BindTriplePattern, column by column.
+Result<Solution> ReferenceBindings(const RelSchema& schema,
+                                   std::string_view line) {
+  const std::vector<std::string> fields = SplitEscaped(line, '\t');
+  if (fields.size() != 3 * schema.size()) {
+    return Status::IoError("wrong field count");
+  }
+  Solution out;
+  for (size_t i = 0; i < schema.size(); ++i) {
+    const Triple t(fields[3 * i], fields[3 * i + 1], fields[3 * i + 2]);
+    if (t.subject.empty() && t.property.empty() && t.object.empty()) {
+      if (schema[i].optional) continue;
+      return Status::InvalidArgument("null triple at a mandatory column");
+    }
+    if (!BindTriplePattern(schema[i], t, &out)) {
+      return Status::InvalidArgument("column does not bind");
+    }
+  }
+  return out;
+}
+
+// Random schemas and tuples: variables shared across columns (also between
+// property and node positions), constant and CONTAINS-filtered objects,
+// unbound properties, OPTIONAL columns holding null triples, wrong field
+// counts, and terms full of tabs, backslashes and newlines. The reader's
+// acceptance, Status code and bindings must equal the reference's.
+TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
+  static const std::vector<std::string> kTerms = {
+      "a", "ab", "", "t\tab", "back\\slash", "new\nline", "\\t", "a\\"};
+  static const std::vector<std::string> kVars = {"v", "w", "x", "y"};
+  static const std::vector<std::string> kProperties = {"p", "q\t", "r\\"};
+  Rng rng(20261018);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.Uniform(from.size())];
+  };
+  size_t accepted = 0;
+  for (int round = 0; round < 500; ++round) {
+    RelSchema schema;
+    for (size_t i = 1 + rng.Uniform(4); i > 0; --i) {
+      const NodePattern subject = NodePattern::Var(pick(kVars));
+      const NodePattern object =
+          rng.Chance(0.2) ? NodePattern::Const(pick(kTerms))
+                          : NodePattern::Var(pick(kVars),
+                                             rng.Chance(0.2) ? "a" : "");
+      TriplePattern tp =
+          rng.Chance(0.4)
+              ? TriplePattern::Unbound(subject, pick(kVars), object)
+              : TriplePattern::Bound(subject, pick(kProperties), object);
+      tp.optional = rng.Chance(0.3);
+      schema.push_back(std::move(tp));
+    }
+    // Mostly a match under one assignment of the variables, then noise.
+    std::map<std::string, std::string> value;
+    for (const std::string& var : kVars) value[var] = pick(kTerms);
+    RelTuple tuple;
+    for (const TriplePattern& tp : schema) {
+      if (rng.Chance(0.15)) {
+        tuple.triples.emplace_back();
+        continue;
+      }
+      Triple t(value[tp.subject.value],
+               tp.property_bound ? tp.property : value[tp.property],
+               tp.object.is_variable() ? value[tp.object.value]
+                                       : tp.object.value);
+      if (rng.Chance(0.1)) t.subject = pick(kTerms);
+      if (rng.Chance(0.1)) t.property = pick(kProperties);
+      if (rng.Chance(0.1)) t.object = pick(kTerms);
+      tuple.triples.push_back(std::move(t));
+    }
+    std::string line = tuple.Serialize();
+    if (rng.Chance(0.05)) line += "\textra";
+    if (rng.Chance(0.05)) line.erase(line.rfind('\t'));
+
+    const Result<Solution> expected = ReferenceBindings(schema, line);
+    const Result<Solution> actual = ReadBindings(schema, line);
+    ASSERT_EQ(actual.status().code(), expected.status().code())
+        << "round " << round << ": " << actual.status().ToString();
+    if (!expected.ok()) continue;
+    ++accepted;
+    EXPECT_EQ(*actual, *expected) << "round " << round;
+  }
+  EXPECT_GT(accepted, 100u) << "too few tuples accepted to cover bindings";
+  EXPECT_LT(accepted, 400u) << "too few tuples rejected to cover rejections";
 }
 
 TEST(RelTupleTest, DecodeAnswersDeduplicates) {
@@ -283,6 +387,114 @@ TEST(RelCompilerTest, IntermediatePathsExcludeFinalOutput) {
   for (const std::string& path : plan.workflow.intermediate_paths) {
     EXPECT_NE(path, plan.workflow.final_output_path);
   }
+}
+
+
+// A Hive join cycle's closures, called directly, on the inputs the
+// pipeline never produces: an untagged value, a record of the wrong arity
+// and a record inconsistent with its schema. Each is dropped; all but the
+// untagged value count as bad_records; the good pair still joins.
+TEST(RelCompilerTest, JoinCycleDropsBadInputs) {
+  auto query = ParseSparql(
+      "two-stars", "SELECT * WHERE { ?p <label> ?l . ?p <feature> ?f . "
+                   "?f <featureLabel> ?fl . ?f <type> ?t . }");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  RelationalOptions options;
+  options.style = RelationalStyle::kHive;
+  auto plan = CompileRelationalPlan(
+      std::make_shared<const GraphPatternQuery>(std::move(*query)), "base",
+      "tmp", options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->workflow.jobs.size(), 3u);
+  const JobSpec& join = plan->workflow.jobs[2];
+  ASSERT_EQ(join.inputs.size(), 2u);
+
+  RelTuple left;
+  left.triples = {Triple("p1", "label", "L1"), Triple("p1", "feature", "f1")};
+  RelTuple right;
+  right.triples = {Triple("f1", "featureLabel", "F1"),
+                   Triple("f1", "type", "T")};
+  RelTuple inconsistent = left;  // ?p differs between the two columns
+  inconsistent.triples[1].subject = "p2";
+  const std::string wrong_arity = right.triples[0].Serialize();
+
+  auto map = [&join](size_t side, const std::string& record,
+                     Counters* counters) {
+    std::vector<std::pair<std::string, std::string>> out;
+    join.inputs[side].map(
+        record,
+        [&out](std::string key, std::string value) {
+          out.emplace_back(std::move(key), std::move(value));
+        },
+        counters);
+    return out;
+  };
+  Counters map_counters;
+  auto keyed = map(0, left.Serialize(), &map_counters);
+  ASSERT_EQ(keyed.size(), 1u);
+  EXPECT_EQ(keyed[0].first, "f1");
+  EXPECT_EQ(keyed[0].second, "L|" + left.Serialize());
+  EXPECT_TRUE(map(1, wrong_arity, &map_counters).empty());
+  EXPECT_EQ(map_counters["bad_records"], 1u);
+  // Changed: the mapper used to key and ship an inconsistent tuple.
+  EXPECT_TRUE(map(0, inconsistent.Serialize(), &map_counters).empty());
+  EXPECT_EQ(map_counters["bad_records"], 2u);
+
+  std::vector<std::string> joined;
+  Counters reduce_counters;
+  join.reduce("f1",
+              {"L|" + left.Serialize(), left.Serialize(), "L|" + wrong_arity,
+               "L|" + inconsistent.Serialize(), "R|" + right.Serialize()},
+              [&joined](std::string record) {
+                joined.push_back(std::move(record));
+              },
+              &reduce_counters);
+  EXPECT_EQ(joined, std::vector<std::string>{
+                        JoinTupleRecords(left.Serialize(), right.Serialize())});
+  EXPECT_EQ(reduce_counters["bad_records"], 2u);
+  EXPECT_EQ(reduce_counters["op.rel_join.input_records"], 2u);
+  EXPECT_EQ(reduce_counters["op.rel_join.output_records"], 1u);
+}
+
+
+// Sel-SJ-first's join reducer counts a left tuple its reader rejects
+// (it used to drop one silently); an untagged value is still ignored.
+TEST(RelCompilerTest, SelSjFirstJoinCountsBadLeftTuples) {
+  CompiledPlan plan = CompileFor("Q1a", RelationalStyle::kHive,
+                                 RelationalGrouping::kSelSJFirst);
+  ASSERT_EQ(plan.workflow.jobs.size(), 2u);
+  Counters counters;
+  size_t outputs = 0;
+  plan.workflow.jobs[1].reduce(
+      "k", {"untagged", "L|wrong\tarity"},
+      [&outputs](std::string) { ++outputs; }, &counters);
+  EXPECT_EQ(outputs, 0u);
+  EXPECT_EQ(counters["bad_records"], 1u);
+}
+
+
+// The join mapper of an inlined single-pattern star scans the triple
+// relation: it keys a matching triple by the join variable, skips any other
+// triple uncounted (which is what makes its scan hint sound) and counts a
+// record that is not a triple.
+TEST(RelCompilerTest, InlinedScanSkipsNonMatchingTriples) {
+  CompiledPlan plan = CompileFor("A5", RelationalStyle::kHive);
+  ASSERT_EQ(plan.workflow.jobs.size(), 2u);
+  const MapFn& scan = plan.workflow.jobs[1].inputs.at(1).map;
+  std::vector<std::pair<std::string, std::string>> out;
+  const MapEmit emit = [&out](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+  Counters counters;
+  const std::string label = Triple("a\t1", "label", "A one").Serialize();
+  scan(label, emit, &counters);
+  scan(Triple("a1", "other", "x").Serialize(), emit, &counters);
+  scan("a1\tlabel", emit, &counters);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].first, "a\t1");
+  EXPECT_EQ(out[0].second, "R|" + label);
+  EXPECT_EQ(counters["bad_records"], 1u);
+  EXPECT_EQ(counters.size(), 1u);
 }
 
 }  // namespace

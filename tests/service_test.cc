@@ -1163,6 +1163,28 @@ TEST(ProtocolTest, RejectsOutOfRangePhiAndNonStringTerms) {
   EXPECT_EQ(service->ListDatasets().size(), 1u);
 }
 
+// "threads" is an integer in [0, kMaxRequestThreads]. The service has no
+// dataset, so a value that slipped past the check would fail NotFound
+// instead, before any worker thread starts.
+TEST(ProtocolTest, RejectsOutOfRangeThreads) {
+  auto service = MakeService();
+  auto query = [&service](const std::string& threads) {
+    return HandleRequestLine(
+               service.get(),
+               R"({"verb":"query","dataset":"none","engine":"lazy",)"
+               R"("sparql":"SELECT * WHERE { ?s ?p ?o . }","threads":)" +
+                   threads + "}")
+        .response.GetString("code");
+  };
+  for (const char* threads :
+       {"100000", "4294967297", "1.5", "-1", "1e30", "\"4\"", "257"}) {
+    EXPECT_EQ(query(threads), "InvalidArgument") << threads;
+  }
+  for (const char* threads : {"0", "4", "256"}) {
+    EXPECT_EQ(query(threads), "NotFound") << threads;
+  }
+}
+
 // Wire v1 keeps its plan-cache members: "no_plan_cache" is accepted and
 // ignored, and "plan_cache_hit" is always false.
 TEST(ProtocolTest, PlanCacheMembersStayWireCompatible) {
