@@ -6,7 +6,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <set>
 
 #include "common/hash.h"
 #include "common/metrics.h"
@@ -42,17 +44,26 @@ StarPattern TestStar() {
   return star;
 }
 
-AnnTg TestGroup(int num_candidates) {
-  AnnTg tg;
-  tg.subject = "subject42";
-  tg.star_id = 0;
-  tg.AddPair("property0", "bound_object_a");
-  tg.AddPair("property1", "bound_object_b");
+// The subject's sorted pairs: the two bound properties' objects and
+// `num_candidates` more over eight other properties.
+std::vector<PropObj> TestPairs(int num_candidates) {
+  std::set<PropObj> pairs = {{"property0", "bound_object_a"},
+                             {"property1", "bound_object_b"}};
   for (int i = 0; i < num_candidates; ++i) {
-    tg.AddPair("property" + std::to_string(2 + i % 8),
-               "candidate_object_" + std::to_string(i));
+    pairs.insert(PropObj{"property" + std::to_string(2 + i % 8),
+                         "candidate_object_" + std::to_string(i)});
   }
-  return tg;
+  return std::vector<PropObj>(pairs.begin(), pairs.end());
+}
+
+// TestStar's group of TestPairs, as the grouping cycle writes it.
+std::string TestGroup(int num_candidates) {
+  std::string record;
+  if (!BuildAnnTg(TestStar(), 0, "subject42", TestPairs(num_candidates),
+                  &record)) {
+    std::abort();
+  }
+  return record;
 }
 
 void BM_TripleSerde(benchmark::State& state) {
@@ -76,66 +87,113 @@ void BM_NTriplesParseLine(benchmark::State& state) {
 }
 BENCHMARK(BM_NTriplesParseLine);
 
-void BM_AnnTgSerde(benchmark::State& state) {
-  AnnTg tg = TestGroup(static_cast<int>(state.range(0)));
+// Reads a group's record into views.
+void BM_TgRecordRead(benchmark::State& state) {
+  const std::string record = TestGroup(static_cast<int>(state.range(0)));
+  TgRecordReader reader;
   for (auto _ : state) {
-    std::string line = tg.Serialize();
-    auto back = AnnTg::Deserialize(line);
-    benchmark::DoNotOptimize(back);
+    if (!reader.Read(record).ok()) std::abort();
+    benchmark::DoNotOptimize(reader.leaves().data());
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_AnnTgSerde)->Arg(4)->Arg(32)->Arg(256);
+BENCHMARK(BM_TgRecordRead)->Arg(4)->Arg(32)->Arg(256);
 
+// σ^βγ: a subject's sorted pairs in, the group's record out.
 void BM_BuildAnnTg(benchmark::State& state) {
   StarPattern star = TestStar();
-  std::vector<PropObj> pairs;
-  for (int i = 0; i < state.range(0); ++i) {
-    pairs.push_back(PropObj{"property" + std::to_string(i % 10),
-                            "object" + std::to_string(i)});
-  }
-  pairs.push_back(PropObj{"property0", "a"});
-  pairs.push_back(PropObj{"property1", "b"});
+  const std::vector<PropObj> pairs =
+      TestPairs(static_cast<int>(state.range(0)));
+  std::string record;
   for (auto _ : state) {
-    auto tg = BuildAnnTg(star, 0, "subject42", pairs);
-    benchmark::DoNotOptimize(tg);
+    record.clear();
+    if (!BuildAnnTg(star, 0, "subject42", pairs, &record)) std::abort();
+    benchmark::DoNotOptimize(record.data());
+    benchmark::ClobberMemory();
   }
-  state.counters["groups_out"] = static_cast<double>(
-      BuildAnnTg(star, 0, "subject42", pairs).has_value() ? 1 : 0);
+  state.counters["groups_out"] = 1;
 }
 BENCHMARK(BM_BuildAnnTg)->Arg(8)->Arg(64)->Arg(512);
 
+// μ^β of every unbound pattern (Eager's): a group's record in, one
+// serialized perfect group per candidate out.
 void BM_BetaUnnest(benchmark::State& state) {
-  StarPattern star = TestStar();
-  AnnTg tg = TestGroup(static_cast<int>(state.range(0)));
+  const BetaUnnester unnester(TestStar());
+  const std::string record = TestGroup(static_cast<int>(state.range(0)));
+  TgRecordReader reader;
+  size_t outputs = 0;
   for (auto _ : state) {
-    auto out = BetaUnnest(star, tg);
-    benchmark::DoNotOptimize(out);
+    if (!reader.Read(record).ok()) std::abort();
+    outputs = unnester.BetaUnnest(
+        reader, reader.components()[0], {},
+        [](std::string_view, std::string_view out) {
+          std::string owned(out);
+          benchmark::DoNotOptimize(owned.data());
+        });
+    benchmark::ClobberMemory();
   }
-  state.counters["tgs_out"] =
-      static_cast<double>(BetaUnnest(star, tg).size());
+  state.counters["tgs_out"] = static_cast<double>(outputs);
 }
 BENCHMARK(BM_BetaUnnest)->Arg(4)->Arg(32)->Arg(256);
 
+// μ^β_φm of the unbound pattern over 128 candidates: a group's record in,
+// one serialized group per φ_m partition out.
 void BM_PartialBetaUnnest(benchmark::State& state) {
-  StarPattern star = TestStar();
-  AnnTg tg = TestGroup(128);
-  uint32_t m = static_cast<uint32_t>(state.range(0));
+  const BetaUnnester unnester(TestStar());
+  const std::string record = TestGroup(128);
+  const uint32_t m = static_cast<uint32_t>(state.range(0));
+  TgRecordReader reader;
+  size_t outputs = 0;
   for (auto _ : state) {
-    auto out = PartialBetaUnnest(star, tg, 2, m);
-    benchmark::DoNotOptimize(out);
+    if (!reader.Read(record).ok()) std::abort();
+    outputs = unnester.PartialBetaUnnest(
+        reader, reader.components()[0], 2, m,
+        [](uint32_t, std::string_view out) {
+          std::string owned(out);
+          benchmark::DoNotOptimize(owned.data());
+        });
+    benchmark::ClobberMemory();
   }
-  state.counters["tgs_out"] =
-      static_cast<double>(PartialBetaUnnest(star, tg, 2, m).size());
+  state.counters["tgs_out"] = static_cast<double>(outputs);
 }
 BENCHMARK(BM_PartialBetaUnnest)->Arg(4)->Arg(64)->Arg(1024);
+
+// The compiled LazyFull join mapper at an unbound site (TG_UnbJoin's map:
+// μ^β pins the joining pattern in place): one group's record with N
+// candidates in, N + 2 tagged records out.
+void BM_UnboundSiteJoinMap(benchmark::State& state) {
+  auto query = ParseSparql("unbound-site",
+                           "SELECT * WHERE { ?s <property0> ?o0 . ?s "
+                           "<property1> ?o1 . ?s ?up ?x . ?x <label> ?l . }");
+  if (!query.ok()) std::abort();
+  NtgaOptions options;
+  options.strategy = NtgaStrategy::kLazyFull;
+  auto plan = CompileNtgaPlan(
+      {std::make_shared<const GraphPatternQuery>(std::move(*query))}, "base",
+      "tmp", options);
+  if (!plan.ok() || plan->workflow.jobs.size() != 2) std::abort();
+  const MapFn map = plan->workflow.jobs[1].inputs[0].map;
+  const std::string record = TestGroup(static_cast<int>(state.range(0)));
+  size_t outputs = 0;
+  const MapEmit emit = [&outputs](std::string key, std::string value) {
+    benchmark::DoNotOptimize(key.data());
+    benchmark::DoNotOptimize(value.data());
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    map(record, emit, &counters);
+  }
+  state.counters["records_out_per_call"] =
+      static_cast<double>(outputs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_UnboundSiteJoinMap)->Arg(4)->Arg(32)->Arg(256);
 
 // Expands one group's record, as the decoders and the aggregation mapper
 // do.
 void BM_ExpandTgRecord(benchmark::State& state) {
   StarPattern star = TestStar();
-  const std::string record =
-      TestGroup(static_cast<int>(state.range(0))).Serialize();
+  const std::string record = TestGroup(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto out = ExpandJoinedTg({star}, record);
     benchmark::DoNotOptimize(out);
@@ -161,14 +219,22 @@ void BM_TgJoinReduce(benchmark::State& state) {
   std::vector<std::string> values;
   for (int side = 0; side < 2; ++side) {
     for (int g = 0; g < 4; ++g) {
-      AnnTg tg;
-      tg.subject = "http://bsbm.example/Group" + std::to_string(g);
-      tg.star_id = static_cast<uint32_t>(side);
+      std::set<PropObj> pairs;
       for (int i = 0; i < num_pairs; ++i) {
-        tg.AddPair("property" + std::to_string(i % 8),
-                   "object value " + std::to_string(i));
+        pairs.insert(PropObj{"property" + std::to_string(i % 8),
+                             "object value " + std::to_string(i)});
       }
-      values.push_back((side == 0 ? "L|" : "R|") + tg.Serialize());
+      std::string record = side == 0 ? "L|" : "R|";
+      TgWriter writer(&record, "http://bsbm.example/Group" + std::to_string(g),
+                      static_cast<uint32_t>(side));
+      for (auto it = pairs.begin(); it != pairs.end(); ++it) {
+        if (it == pairs.begin() || it->property != std::prev(it)->property) {
+          writer.Property(it->property);
+        }
+        writer.Object(it->object);
+      }
+      writer.EndPairs();
+      values.push_back(std::move(record));
     }
   }
   size_t outputs = 0;
@@ -325,20 +391,27 @@ void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
   const std::vector<StarPattern> stars = B3Stars();
   std::vector<std::string> lines;
   for (int i = 0; i < state.range(0); i += 4) {
-    AnnTg product;
-    product.subject = ProductIri(i);
-    product.star_id = 0;
-    product.AddPair("label", "label of product " + std::to_string(i / 4));
-    product.AddPair("producer", "producer" + std::to_string(i % 13));
-    product.AddPair("feature", "feature" + std::to_string(i % 57));
-    product.AddPair("feature", "feature" + std::to_string(i % 57 + 1));
-    AnnTg offer;
-    offer.subject = "http://bsbm.example/Offer" + std::to_string(i);
-    offer.star_id = 1;
-    offer.AddPair("product", product.subject);
-    offer.AddPair("vendor", "vendor" + std::to_string(i % 7));
-    offer.AddPair("price", std::to_string(100 + i % 900) + ".99");
-    lines.push_back(product.Serialize() + "\x1E" + offer.Serialize());
+    std::string product;
+    TgWriter product_writer(&product, ProductIri(i), 0);
+    product_writer.Property("feature");
+    product_writer.Object("feature" + std::to_string(i % 57));
+    product_writer.Object("feature" + std::to_string(i % 57 + 1));
+    product_writer.Property("label");
+    product_writer.Object("label of product " + std::to_string(i / 4));
+    product_writer.Property("producer");
+    product_writer.Object("producer" + std::to_string(i % 13));
+    product_writer.EndPairs();
+    std::string offer;
+    TgWriter offer_writer(&offer,
+                          "http://bsbm.example/Offer" + std::to_string(i), 1);
+    offer_writer.Property("price");
+    offer_writer.Object(std::to_string(100 + i % 900) + ".99");
+    offer_writer.Property("product");
+    offer_writer.Object(ProductIri(i));
+    offer_writer.Property("vendor");
+    offer_writer.Object("vendor" + std::to_string(i % 7));
+    offer_writer.EndPairs();
+    lines.push_back(JoinRecords(product, offer));
   }
   for (auto _ : state) {
     auto answers = DecodeJoinedTgAnswers(stars, lines);
@@ -358,22 +431,21 @@ BENCHMARK(BM_DecodeJoinedTgAnswers)->Arg(1000)->Arg(10000);
 void RunInstrumentedOperatorPass() {
   EnableOperatorMetrics(true);
   StarPattern star = TestStar();
-  std::vector<PropObj> pairs;
-  for (int i = 0; i < 64; ++i) {
-    pairs.push_back(PropObj{"property" + std::to_string(i % 10),
-                            "object" + std::to_string(i)});
-  }
-  pairs.push_back(PropObj{"property0", "a"});
-  pairs.push_back(PropObj{"property1", "b"});
-  AnnTg group = TestGroup(32);
+  const BetaUnnester unnester(star);
+  const std::vector<PropObj> pairs = TestPairs(64);
+  const std::string group = TestGroup(32);
+  TgRecordReader reader;
+  const auto sink = [](auto, std::string_view out) {
+    benchmark::DoNotOptimize(out.data());
+  };
   for (int i = 0; i < 1000; ++i) {
-    auto tg = BuildAnnTg(star, 0, "subject42", pairs);
-    benchmark::DoNotOptimize(tg);
-    auto unnested = BetaUnnest(star, group);
-    benchmark::DoNotOptimize(unnested);
-    auto partial = PartialBetaUnnest(star, group, 2, 16);
-    benchmark::DoNotOptimize(partial);
-    auto solutions = ExpandJoinedTg({star}, group.Serialize());
+    std::string record;
+    BuildAnnTg(star, 0, "subject42", pairs, &record);
+    benchmark::DoNotOptimize(record.data());
+    if (!reader.Read(group).ok()) std::abort();
+    unnester.BetaUnnest(reader, reader.components()[0], {}, sink);
+    unnester.PartialBetaUnnest(reader, reader.components()[0], 2, 16, sink);
+    auto solutions = ExpandJoinedTg({star}, group);
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

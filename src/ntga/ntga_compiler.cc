@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "ntga/operators.h"
 #include "query/matcher.h"
@@ -42,8 +43,8 @@ std::string EcPath(const std::string& tmp_prefix, size_t star) {
 //
 // A join's output record is its two input records side by side
 // (JoinRecords); components pass through as bytes. Only the component at
-// an unbound join site is rebuilt: μ^β / μ^β_φm pin it, and it is spliced
-// back into the record in place.
+// an unbound join site is rewritten: μ^β / μ^β_φm (BetaUnnester) pin it in
+// place.
 
 // The component of `record` that belongs to `star_id`, or nullptr.
 const TgRecordReader::Component* SiteComponent(const TgRecordReader& record,
@@ -54,43 +55,28 @@ const TgRecordReader::Component* SiteComponent(const TgRecordReader& record,
   return nullptr;
 }
 
-// Calls visit(value, record) for each concrete join-key value of `line` at
-// `side`'s site, whose component `site` the reader `record` read. At a
-// subject or bound-object site the record is `line` itself; at an unbound
-// site each candidate pins a copy of the site component (completing the
-// β-unnest), spliced into `line`.
+// Calls visit(value, record) for each concrete join-key value of the record
+// `record` last read, at `side`'s site, whose component is `site`. At a
+// subject or bound-object site the record is the line read itself; at an
+// unbound site μ^β pins each candidate in turn (completing the β-unnest).
 template <typename Visit>
-void ForEachJoinValue(const StarPattern& star, const JoinSidePlan& side,
-                      std::string_view line, const TgRecordReader& record,
+void ForEachJoinValue(const BetaUnnester& unnester, const JoinSidePlan& side,
+                      const TgRecordReader& record,
                       const TgRecordReader::Component& site, Visit visit) {
   const std::vector<std::string_view>& leaves = record.leaves();
   if (side.site_tp < 0) {
-    visit(leaves[site.subject], line);
+    visit(leaves[site.subject], record.line());
     return;
   }
   const auto tp_index = static_cast<size_t>(side.site_tp);
-  const TriplePattern& tp = star.patterns[tp_index];
-  if (!side.site_unbound) {
-    for (uint32_t p = site.pairs_begin; p < site.pairs_end; ++p) {
-      const TgRecordReader::Entry& e = record.pairs()[p];
-      if (leaves[e.begin] != tp.property) continue;
-      for (uint32_t o = e.begin + 1; o < e.end; ++o) {
-        if (tp.object.Matches(leaves[o])) visit(leaves[o], line);
-      }
-      break;
-    }
+  if (side.site_unbound) {
+    unnester.BetaUnnest(record, site, {tp_index}, visit);
     return;
   }
-  const AnnTg tg = record.ToAnnTg(site);
-  std::string spliced;
-  for (const PropObj& cand : UnboundCandidates(star, tg, tp_index)) {
-    AnnTg pinned = tg;
-    pinned.overrides[static_cast<uint32_t>(tp_index)] = {cand};
-    pinned.Compact(star);
-    spliced.clear();
-    AppendSpliced(&spliced, line, site.raw, pinned);
-    visit(cand.object, spliced);
-  }
+  ForEachCandidate(unnester.star().patterns[tp_index], tp_index, record,
+                   site, [&](uint32_t, uint32_t object) {
+                     visit(leaves[object], record.line());
+                   });
 }
 
 // The shuffle key of a TG_OptUnbJoin's φ_m partition.
@@ -104,9 +90,9 @@ std::string Tagged(const std::string& tag, std::string_view record) {
   return out;
 }
 
-MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
+MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
                          std::string tag, bool partial, uint32_t m) {
-  return [star = std::move(star), side = std::move(side),
+  return [unnester = BetaUnnester(star), side = std::move(side),
           tag = std::move(tag), partial,
           m](const std::string& line, const MapEmit& emit,
              Counters* counters) {
@@ -123,16 +109,13 @@ MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
       // TG_OptUnbJoin map: partial β-unnest; one output per φ_m partition,
       // keyed by the partition — triplegroups bound for the same reducer
       // stay implicitly represented.
-      auto partitions =
-          PartialBetaUnnest(star, record.ToAnnTg(*site),
-                            static_cast<size_t>(side.site_tp), m);
+      const size_t outputs = unnester.PartialBetaUnnest(
+          record, *site, static_cast<size_t>(side.site_tp), m,
+          [&](uint32_t partition, std::string_view out) {
+            emit(PartitionKey(partition), Tagged(tag, out));
+          });
       (*counters)["op.mu_beta_phi.calls"] += 1;
-      (*counters)["op.mu_beta_phi.output_groups"] += partitions.size();
-      for (auto& [partition, restricted] : partitions) {
-        std::string out = tag + '|';
-        AppendSpliced(&out, line, site->raw, restricted);
-        emit(PartitionKey(partition), std::move(out));
-      }
+      (*counters)["op.mu_beta_phi.output_groups"] += outputs;
       return;
     }
 
@@ -140,7 +123,7 @@ MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
     // (TG_UnbJoin): one output per concrete join value.
     uint64_t outputs = 0;
     if (!partial) {
-      ForEachJoinValue(star, side, line, record, *site,
+      ForEachJoinValue(unnester, side, record, *site,
                        [&](std::string_view value, std::string_view out) {
                          ++outputs;
                          emit(std::string(value), Tagged(tag, out));
@@ -152,7 +135,7 @@ MapFn MakeJoinSideMapper(StarPattern star, JoinSidePlan side,
       // pinned copies (unbound site) differ, so each is sent.
       std::map<uint32_t, std::vector<std::string>> by_partition;
       ForEachJoinValue(
-          star, side, line, record, *site,
+          unnester, side, record, *site,
           [&](std::string_view value, std::string_view out) {
             ++outputs;
             std::vector<std::string>& records =
@@ -216,30 +199,32 @@ ReduceFn MakePlainJoinReducer() {
 
 // TG_OptUnbJoin reduce (Algorithm 3): all groups of one φ_m partition land
 // here; complete the β-unnest, hash by the actual join key, and join.
-ReduceFn MakePartialJoinReducer(StarPattern left_star, JoinSidePlan left,
-                                StarPattern right_star,
+ReduceFn MakePartialJoinReducer(const StarPattern& left_star,
+                                JoinSidePlan left,
+                                const StarPattern& right_star,
                                 JoinSidePlan right) {
-  return [left_star = std::move(left_star), left = std::move(left),
-          right_star = std::move(right_star), right = std::move(right)](
-             const std::string& /*key*/,
-             const std::vector<std::string>& values, const RecordEmit& emit,
-             Counters* counters) {
+  return [left_unnester = BetaUnnester(left_star), left = std::move(left),
+          right_unnester = BetaUnnester(right_star),
+          right = std::move(right)](const std::string& /*key*/,
+                                    const std::vector<std::string>& values,
+                                    const RecordEmit& emit,
+                                    Counters* counters) {
     TgRecordReader record;
     std::map<std::string, std::vector<std::string>> left_hash, right_hash;
     for (const std::string& v : values) {
       std::string_view line;
       bool is_left;
       if (!SplitTag(v, &line, &is_left)) continue;
-      if (!record.Read(line).ok()) {
+      const JoinSidePlan& side = is_left ? left : right;
+      const TgRecordReader::Component* site =
+          record.Read(line).ok() ? SiteComponent(record, side.site_star)
+                                 : nullptr;
+      if (site == nullptr) {
         (*counters)["bad_records"] += 1;
         continue;
       }
-      const JoinSidePlan& side = is_left ? left : right;
-      const TgRecordReader::Component* site =
-          SiteComponent(record, side.site_star);
-      if (site == nullptr) continue;
       auto& hash = is_left ? left_hash : right_hash;
-      ForEachJoinValue(is_left ? left_star : right_star, side, line, record,
+      ForEachJoinValue(is_left ? left_unnester : right_unnester, side, record,
                        *site,
                        [&hash](std::string_view value,
                                std::string_view expanded) {
@@ -387,7 +372,12 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
         }
       },
       GroupScanHint(queries)});
-  job1.reduce = [queries, offsets, plans](
+  // Each star's μ^β, compiled once for Eager's grouping cycle.
+  std::vector<std::vector<BetaUnnester>> unnesters;
+  for (const QueryPtr& q : queries) {
+    unnesters.emplace_back(q->stars().begin(), q->stars().end());
+  }
+  job1.reduce = [queries, offsets, plans, unnesters](
                     const std::string& key,
                     const std::vector<std::string>& values,
                     const RecordEmit& emit, Counters* counters) {
@@ -398,32 +388,38 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
     }
     std::vector<PropObj> pairs(distinct.begin(), distinct.end());
 
+    TgRecordReader record;
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t s = 0; s < queries[q]->stars().size(); ++s) {
         const StarPattern& star = queries[q]->stars()[s];
         const bool unbound = star.HasUnbound();
         (*counters)[unbound ? "op.sigma_beta_gamma.input_groups"
                             : "op.sigma_gamma.input_groups"] += 1;
-        std::optional<AnnTg> tg = BuildAnnTg(
-            star, offsets[q] + static_cast<uint32_t>(s), key, pairs);
-        if (!tg.has_value()) continue;
+        std::string group;
+        if (!BuildAnnTg(star, offsets[q] + static_cast<uint32_t>(s), key,
+                        pairs, &group)) {
+          continue;
+        }
         (*counters)[unbound ? "op.sigma_beta_gamma.output_groups"
                             : "op.sigma_gamma.output_groups"] += 1;
-        if (plans[q].eager_unnest[s]) {
-          std::vector<AnnTg> unnested = BetaUnnest(star, *tg);
-          (*counters)["op.mu_beta.calls"] += 1;
-          (*counters)["op.mu_beta.output_groups"] += unnested.size();
-          for (const AnnTg& out : unnested) emit(out.Serialize());
-        } else {
-          tg->Compact(star);
-          emit(tg->Serialize());
+        if (!plans[q].eager_unnest[s]) {
+          emit(std::move(group));
+          continue;
         }
+        RDFMR_CHECK(record.Read(group).ok()) << "σ^βγ wrote a bad group";
+        const size_t outputs = unnesters[q][s].BetaUnnest(
+            record, record.components().front(), {},
+            [&emit](std::string_view, std::string_view out) {
+              emit(std::string(out));
+            });
+        (*counters)["op.mu_beta.calls"] += 1;
+        (*counters)["op.mu_beta.output_groups"] += outputs;
       }
     }
   };
   job1.output_path = tmp_prefix + "/ec";
   job1.demux = [](const std::string& record) {
-    Result<uint32_t> star = AnnTg::PeekStarId(record);
+    Result<uint32_t> star = PeekStarId(record);
     return star.ok() ? std::to_string(*star) : std::string("x");
   };
   for (size_t g = 0; g < all_stars.size(); ++g) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
+#include <set>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -12,21 +14,33 @@ namespace rdfmr {
 namespace {
 std::atomic<bool> g_flip_beta_group_filter{false};
 
-// Per-operator instrumentation, resolved from the global registry only
-// when a sink enabled operator metrics: the disabled path is one relaxed
-// atomic load and no clock read. Wall times are observation-only and
-// never feed deterministic outputs or counters.
-struct OperatorProbe {
-  explicit OperatorProbe(const char* op) {
+// The probed operators, by the name their metrics carry.
+constexpr char kBuildAnnTg[] = "build_anntg";
+constexpr char kBetaUnnest[] = "beta_unnest";
+constexpr char kPartialBetaUnnest[] = "partial_beta_unnest";
+constexpr char kExpandJoinedTg[] = "expand_joined_tg";
+
+// Per-operator instrumentation, active only when a sink enabled operator
+// metrics: the disabled path is one relaxed atomic load and no clock read.
+// Metrics are resolved on an operator's first probed call and kept, so
+// MetricsRegistry::ResetForTesting must not follow one. Wall times never
+// feed deterministic outputs or counters.
+template <const char* kOp>
+class OperatorProbe {
+ public:
+  OperatorProbe() {
     if (!OperatorMetricsEnabled()) return;
     MetricsRegistry& registry = MetricsRegistry::Global();
-    std::string base = std::string("rdfmr_ntga_") + op;
-    registry.GetCounter(base + "_calls", "operator invocations")
-        ->Increment();
-    outputs_ = registry.GetCounter(base + "_output_groups",
-                                   "triplegroups / solutions produced");
-    timer_.emplace(registry.GetHistogram(base + "_micros",
-                                         "operator wall time per call"));
+    static const std::string base = std::string("rdfmr_ntga_") + kOp;
+    static Counter* const calls =
+        registry.GetCounter(base + "_calls", "operator invocations");
+    static Counter* const outputs = registry.GetCounter(
+        base + "_output_groups", "triplegroups / solutions produced");
+    static HistogramMetric* const micros = registry.GetHistogram(
+        base + "_micros", "operator wall time per call");
+    calls->Increment();
+    outputs_ = outputs;
+    timer_.emplace(micros);
   }
   void Outputs(uint64_t n) {
     if (outputs_ != nullptr) outputs_->Increment(n);
@@ -51,139 +65,255 @@ uint32_t PhiPartition(std::string_view value, uint32_t m) {
   return static_cast<uint32_t>(Fnv1a64(value) % m);
 }
 
-std::optional<AnnTg> BuildAnnTg(const StarPattern& star, uint32_t star_id,
-                                const std::string& subject,
-                                const std::vector<PropObj>& subject_pairs) {
-  OperatorProbe probe("build_anntg");
-  AnnTg tg;
-  tg.subject = subject;
-  tg.star_id = star_id;
+bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
+                std::string_view subject,
+                const std::vector<PropObj>& subject_pairs, std::string* out) {
+  OperatorProbe<kBuildAnnTg> probe;
+  // A pair satisfies a pattern when it passes the object constraint and,
+  // for a bound pattern, carries its property.
+  const auto satisfies = [](const TriplePattern& tp, const PropObj& po) {
+    return (!tp.property_bound || tp.property == po.property) &&
+           tp.object.Matches(po.object);
+  };
 
-  // Keep pairs relevant to at least one pattern of this star. For bound
-  // patterns relevance means property equality plus the object constraint;
-  // for unbound patterns any pair passing the object constraint is a
-  // candidate (β group-filter keeps the implicit candidate set).
-  for (const PropObj& po : subject_pairs) {
-    bool relevant = false;
-    for (const TriplePattern& tp : star.patterns) {
-      if (tp.property_bound) {
-        if (tp.property == po.property && tp.object.Matches(po.object)) {
-          relevant = true;
-          break;
-        }
-      } else {
-        if (tp.object.Matches(po.object)) {
-          relevant = true;
-          break;
-        }
-      }
-    }
-    if (relevant) tg.AddPair(po.property, po.object);
-  }
-
-  // Structural validation: every mandatory bound property present with a
-  // pair that passes its pattern's object constraint, and every mandatory
-  // unbound pattern with at least one candidate. Optional patterns impose
-  // no requirement (their pairs, if any, were retained above).
+  // Every mandatory pattern needs a satisfying pair (an unbound one, a
+  // candidate); optional patterns impose nothing.
   for (const TriplePattern& tp : star.patterns) {
     if (tp.optional) continue;
-    bool satisfied = false;
-    if (tp.property_bound) {
-      auto it = tg.pairs.find(tp.property);
-      if (it != tg.pairs.end()) {
-        for (const std::string& o : it->second) {
-          if (tp.object.Matches(o)) {
-            satisfied = true;
-            break;
-          }
-        }
-      }
-    } else {
-      for (const auto& [property, objects] : tg.pairs) {
-        (void)property;
-        for (const std::string& o : objects) {
-          if (tp.object.Matches(o)) {
-            satisfied = true;
-            break;
-          }
-        }
-        if (satisfied) break;
-      }
-      if (g_flip_beta_group_filter.load(std::memory_order_relaxed)) {
-        satisfied = !satisfied;
-      }
+    bool satisfied = std::any_of(
+        subject_pairs.begin(), subject_pairs.end(),
+        [&](const PropObj& po) { return satisfies(tp, po); });
+    if (tp.unbound_property() &&
+        g_flip_beta_group_filter.load(std::memory_order_relaxed)) {
+      satisfied = !satisfied;
     }
-    if (!satisfied) return std::nullopt;
+    if (!satisfied) return false;
   }
+
+  // Keep the pairs that satisfy a pattern of this star: for an unbound
+  // pattern, that keeps every candidate (the β group-filter retains the
+  // implicit candidate set). Sorted pairs nest under their property.
+  TgWriter writer(out, subject, star_id);
+  const std::string* property = nullptr;
+  for (const PropObj& po : subject_pairs) {
+    if (std::none_of(star.patterns.begin(), star.patterns.end(),
+                     [&](const TriplePattern& tp) {
+                       return satisfies(tp, po);
+                     })) {
+      continue;
+    }
+    if (property == nullptr || *property != po.property) {
+      property = &po.property;
+      writer.Property(po.property);
+    }
+    writer.Object(po.object);
+  }
+  writer.EndPairs();
   probe.Outputs(1);
-  return tg;
+  return true;
 }
 
-std::vector<PropObj> UnboundCandidates(const StarPattern& star,
-                                       const AnnTg& tg, size_t tp_index) {
-  RDFMR_CHECK(tp_index < star.patterns.size());
-  const TriplePattern& tp = star.patterns[tp_index];
-  RDFMR_CHECK(tp.unbound_property())
-      << "candidates requested for a bound pattern";
-  auto it = tg.overrides.find(static_cast<uint32_t>(tp_index));
-  if (it != tg.overrides.end()) return it->second;
-  std::vector<PropObj> out;
-  for (const auto& [property, objects] : tg.pairs) {
-    for (const std::string& o : objects) {
-      if (tp.object.Matches(o)) out.push_back(PropObj{property, o});
+namespace {
+
+using Entry = TgRecordReader::Entry;
+using Component = TgRecordReader::Component;
+
+// A candidate that an output may pin pattern `tp_index` to: the leaves of
+// its property and its object, and for μ^β_φm the object's φ_m partition.
+struct Pin {
+  uint32_t tp_index;
+  uint32_t property;
+  uint32_t object;
+  uint32_t partition = 0;
+};
+
+const Entry* OverrideOf(const TgRecordReader& reader, const Component& site,
+                        size_t tp_index) {
+  for (uint32_t o = site.overrides_begin; o < site.overrides_end; ++o) {
+    if (reader.overrides()[o].tp_index == tp_index) {
+      return &reader.overrides()[o];
     }
   }
+  return nullptr;
+}
+
+std::vector<Pin> Candidates(const StarPattern& star, size_t tp_index,
+                                  const TgRecordReader& reader,
+                                  const Component& site) {
+  RDFMR_CHECK(star.patterns[tp_index].unbound_property())
+      << "μ^β pins a bound pattern";
+  std::vector<Pin> out;
+  ForEachCandidate(star.patterns[tp_index], tp_index, reader, site,
+                   [&](uint32_t property, uint32_t object) {
+                     out.push_back(Pin{
+                         static_cast<uint32_t>(tp_index), property, object});
+                   });
   return out;
 }
 
-std::vector<AnnTg> BetaUnnest(const StarPattern& star, const AnnTg& tg,
-                              std::vector<size_t> tp_indexes) {
-  OperatorProbe probe("beta_unnest");
-  if (tp_indexes.empty()) {
-    for (size_t idx : star.UnboundIndexes()) {
-      // Optional patterns stay implicit: pinning one would wrongly force a
-      // match where the left join should keep the solution unextended.
-      if (star.patterns[idx].optional) continue;
-      if (tg.overrides.count(static_cast<uint32_t>(idx)) == 0 ||
-          tg.overrides.at(static_cast<uint32_t>(idx)).size() > 1) {
-        tp_indexes.push_back(idx);
-      }
+// Writes the record's bytes before `site`, then `site` up to its overrides
+// with the pairs compacted for `pinned` (see BetaUnnester); returns the
+// writer, whose open field is the overrides.
+TgWriter WriteShared(const StarPattern& star,
+                     const std::vector<std::string>& bound,
+                     const std::vector<size_t>& unbound,
+                     const TgRecordReader& reader, const Component& site,
+                     const std::vector<size_t>& pinned, std::string* out) {
+  std::vector<const TriplePattern*> open;
+  for (size_t idx : unbound) {
+    if (OverrideOf(reader, site, idx) == nullptr &&
+        std::find(pinned.begin(), pinned.end(), idx) == pinned.end()) {
+      open.push_back(&star.patterns[idx]);
     }
   }
-  std::vector<AnnTg> current = {tg};
-  for (size_t idx : tp_indexes) {
-    std::vector<AnnTg> next;
-    for (const AnnTg& base : current) {
-      for (const PropObj& cand : UnboundCandidates(star, base, idx)) {
-        AnnTg pinned = base;
-        pinned.overrides[static_cast<uint32_t>(idx)] = {cand};
-        next.push_back(std::move(pinned));
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  out->assign(reader.line().data(), site.raw.data());
+  TgWriter writer(out, leaves[site.subject], site.star_id);
+  for (uint32_t p = site.pairs_begin; p < site.pairs_end; ++p) {
+    const Entry& e = reader.pairs()[p];
+    const std::string_view property = leaves[e.begin];
+    const bool keep_all =
+        std::binary_search(bound.begin(), bound.end(), property);
+    bool written = false;
+    for (uint32_t j = e.begin + 1; j < e.end; ++j) {
+      if (!keep_all && std::none_of(open.begin(), open.end(),
+                                    [&](const TriplePattern* tp) {
+                                      return tp->object.Matches(leaves[j]);
+                                    })) {
+        continue;
       }
+      if (!written) writer.Property(property);
+      written = true;
+      writer.Object(leaves[j]);
     }
-    current = std::move(next);
   }
-  for (AnnTg& out : current) out.Compact(star);
-  probe.Outputs(current.size());
-  return current;
+  writer.EndPairs();
+  return writer;
 }
 
-std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
-    const StarPattern& star, const AnnTg& tg, size_t tp_index, uint32_t m) {
-  OperatorProbe probe("partial_beta_unnest");
-  std::map<uint32_t, std::vector<PropObj>> partitions;
-  for (const PropObj& cand : UnboundCandidates(star, tg, tp_index)) {
-    partitions[PhiPartition(cand.object, m)].push_back(cand);
+// Writes one output's overrides field — `site`'s own entries but those of
+// the pinned patterns, merged in index order with the pinned candidates
+// [pin, end) (by ascending pattern) — then the record's bytes after
+// `site`.
+void WriteOverrides(const TgRecordReader& reader, const Component& site,
+                    const Pin* pin, const Pin* end,
+                    TgWriter* writer, std::string* out) {
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  const auto write_pins_before = [&](uint64_t tp_index) {
+    while (pin != end && pin->tp_index < tp_index) {
+      writer->Override(pin->tp_index);
+      for (const uint32_t tp = pin->tp_index;
+           pin != end && pin->tp_index == tp; ++pin) {
+        writer->Pinned(leaves[pin->property], leaves[pin->object]);
+      }
+    }
+  };
+  for (uint32_t o = site.overrides_begin; o < site.overrides_end; ++o) {
+    const Entry& e = reader.overrides()[o];
+    write_pins_before(e.tp_index);
+    if (pin != end && pin->tp_index == e.tp_index) continue;
+    writer->Override(e.tp_index);
+    for (uint32_t j = e.begin; j < e.end; j += 2) {
+      writer->Pinned(leaves[j], leaves[j + 1]);
+    }
   }
-  std::vector<std::pair<uint32_t, AnnTg>> out;
-  out.reserve(partitions.size());
-  for (auto& [partition, cands] : partitions) {
-    AnnTg restricted = tg;
-    restricted.overrides[static_cast<uint32_t>(tp_index)] = std::move(cands);
-    restricted.Compact(star);
-    out.emplace_back(partition, std::move(restricted));
+  write_pins_before(uint64_t{1} << 32);
+  const std::string_view line = reader.line();
+  out->append(site.raw.data() + site.raw.size(), line.data() + line.size());
+}
+
+}  // namespace
+
+BetaUnnester::BetaUnnester(StarPattern star)
+    : star_(std::move(star)), unbound_(star_.UnboundIndexes()) {
+  const std::set<std::string> bound = star_.AllBoundProperties();
+  bound_.assign(bound.begin(), bound.end());
+}
+
+size_t BetaUnnester::BetaUnnest(
+    const TgRecordReader& reader, const Component& site,
+    const std::vector<size_t>& tp_indexes,
+    const std::function<void(std::string_view, std::string_view)>& visit)
+    const {
+  OperatorProbe<kBetaUnnest> probe;
+  std::vector<size_t> pinned = tp_indexes;
+  if (pinned.empty()) {
+    for (size_t idx : unbound_) {
+      const Entry* o = OverrideOf(reader, site, idx);
+      if (!star_.patterns[idx].optional &&
+          (o == nullptr || o->end - o->begin > 2)) {
+        pinned.push_back(idx);
+      }
+    }
   }
-  probe.Outputs(out.size());
-  return out;
+  std::vector<std::vector<Pin>> candidates;
+  for (size_t idx : pinned) {
+    candidates.push_back(Candidates(star_, idx, reader, site));
+    if (candidates.back().empty()) return 0;
+  }
+
+  std::string out;
+  TgWriter writer =
+      WriteShared(star_, bound_, unbound_, reader, site, pinned, &out);
+  const size_t shared = out.size();
+  std::vector<size_t> choice(pinned.size(), 0);
+  std::vector<Pin> pins(pinned.size());
+  size_t outputs = 0;
+  while (true) {
+    for (size_t k = 0; k < pinned.size(); ++k) {
+      pins[k] = candidates[k][choice[k]];
+    }
+    out.resize(shared);
+    WriteOverrides(reader, site, pins.data(), pins.data() + pins.size(),
+                   &writer, &out);
+    visit(pins.empty() ? std::string_view() : reader.leaves()[pins[0].object],
+          out);
+    ++outputs;
+    // The next combination: the last pattern turns fastest.
+    size_t k = pinned.size();
+    while (k > 0 && ++choice[k - 1] == candidates[k - 1].size()) {
+      choice[--k] = 0;
+    }
+    if (k == 0) break;
+  }
+  probe.Outputs(outputs);
+  return outputs;
+}
+
+size_t BetaUnnester::PartialBetaUnnest(
+    const TgRecordReader& reader, const Component& site, size_t tp_index,
+    uint32_t m,
+    const std::function<void(uint32_t, std::string_view)>& visit) const {
+  OperatorProbe<kPartialBetaUnnest> probe;
+  // The candidates by ascending partition, in candidate order within one.
+  std::vector<Pin> candidates =
+      Candidates(star_, tp_index, reader, site);
+  for (Pin& c : candidates) {
+    c.partition = PhiPartition(reader.leaves()[c.object], m);
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Pin& a, const Pin& b) {
+                     return a.partition < b.partition;
+                   });
+
+  std::string out;
+  TgWriter writer =
+      WriteShared(star_, bound_, unbound_, reader, site, {tp_index}, &out);
+  const size_t shared = out.size();
+  size_t outputs = 0;
+  for (size_t begin = 0, end = 0; begin < candidates.size(); begin = end) {
+    const uint32_t partition = candidates[begin].partition;
+    while (end < candidates.size() && candidates[end].partition == partition) {
+      ++end;
+    }
+    out.resize(shared);
+    WriteOverrides(reader, site, &candidates[begin], candidates.data() + end,
+                   &writer, &out);
+    visit(partition, out);
+    ++outputs;
+  }
+  probe.Outputs(outputs);
+  return outputs;
 }
 
 namespace {
@@ -281,7 +411,7 @@ class RowExpander {
                                std::to_string(c.star_id));
       }
     }
-    OperatorProbe probe("expand_joined_tg");
+    OperatorProbe<kExpandJoinedTg> probe;
     BeginRecord(record);
     acc_.assign(width_, kUnbound);  // the empty row merges to each
     for (const TgRecordReader::Component& c : record.components()) {
@@ -333,6 +463,7 @@ class RowExpander {
       candidates.clear();
       const auto [subject_slot, property_slot, object_slot] =
           slots_[star_index][i];
+      // Expansion holds an override's pairs to the object constraint too.
       const auto add = [&](uint32_t property, uint32_t object) {
         if (!tp.object.Matches(leaves[object])) return;
         Candidate cand;
@@ -349,32 +480,7 @@ class RowExpander {
         }
         candidates.push_back(cand);
       };
-      const std::vector<TgRecordReader::Entry>& pairs = record.pairs();
-      const std::vector<TgRecordReader::Entry>& overrides =
-          record.overrides();
-      const TgRecordReader::Entry* pinned = nullptr;
-      if (!tp.property_bound) {
-        for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
-          if (overrides[o].tp_index == i) {
-            pinned = &overrides[o];
-            break;
-          }
-        }
-      }
-      if (pinned != nullptr) {
-        for (uint32_t j = pinned->begin; j < pinned->end; j += 2) {
-          add(j, j + 1);
-        }
-      } else {
-        // Bound: the property's objects. Unbound: UnboundCandidates, read
-        // in place.
-        for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
-          const TgRecordReader::Entry& e = pairs[p];
-          if (tp.property_bound && leaves[e.begin] != tp.property) continue;
-          for (uint32_t j = e.begin + 1; j < e.end; ++j) add(e.begin, j);
-          if (tp.property_bound) break;
-        }
-      }
+      ForEachCandidate(tp, i, record, c, add);
       if (tp.optional) continue;
       if (candidates.empty()) return;
       mandatory_.push_back(&candidates);

@@ -1,20 +1,14 @@
-// The NTGA operators from the paper, over AnnTg values:
+// The NTGA operators from the paper, over triplegroup records:
 //
-//  * BuildAnnTg            — γ + σ^γ / σ^βγ reduce-side assembly: builds the
+//  * BuildAnnTg            — γ + σ^γ / σ^βγ reduce-side assembly: writes the
 //                            annotated triplegroup of one subject for one
 //                            star subpattern, or nothing if the group fails
 //                            the (β) group-filter (Definition 1 /
 //                            Algorithm 2, TG_UnbGrpFilter).
-//  * UnboundCandidates     — the implicit candidate set of an unbound
-//                            pattern: its override if present, else every
-//                            pair passing the pattern's object constraint.
-//  * BetaUnnest            — μ^β (Definition 2): expands a triplegroup into
-//                            "perfect" triplegroups, one per combination of
-//                            unbound-pattern candidates (generalized to any
-//                            number of unbound patterns per star).
-//  * PartialBetaUnnest     — μ^β_φm (Definition 3): restricts one unbound
-//                            pattern's candidates per φ_m partition of the
-//                            join key, producing ≤ m triplegroups.
+//  * BetaUnnester          — μ^β (Definition 2) and μ^β_φm (Definition 3):
+//                            rewrites one component of a record into
+//                            "perfect" triplegroups or into ≤ m
+//                            triplegroups, one per φ_m partition.
 //  * ExpandJoinedTg        — final answer extraction: enumerates the
 //                            solution mappings a triplegroup record
 //                            implicitly represents (content equivalence,
@@ -25,7 +19,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -48,34 +42,85 @@ bool BetaGroupFilterFlippedForTesting();
 /// \brief The partition function φ_m over join-key values.
 uint32_t PhiPartition(std::string_view value, uint32_t m);
 
-/// \brief Builds the AnnTg of one subject for star `star_id`, applying the
-/// group-filter (all-bound stars: σ^γ) or β group-filter (unbound stars:
-/// σ^βγ). Pairs irrelevant to every pattern of the star are dropped; for
-/// unbound stars all relevant pairs are retained as implicit candidates.
-/// Returns nullopt when the group fails the filter.
-std::optional<AnnTg> BuildAnnTg(const StarPattern& star, uint32_t star_id,
-                                const std::string& subject,
-                                const std::vector<PropObj>& subject_pairs);
+/// \brief σ^γ / σ^βγ: appends the one-component record of `subject`'s
+/// group for star `star_id` to `*out` and returns true, or returns false
+/// and appends nothing when the group fails the group-filter (all-bound
+/// stars: σ^γ) or β group-filter (unbound stars: σ^βγ). Pairs irrelevant
+/// to every pattern of the star are dropped; for unbound stars all
+/// relevant pairs are retained as implicit candidates. `subject_pairs`
+/// must be sorted and distinct, as a std::set<PropObj> holds them.
+bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
+                std::string_view subject,
+                const std::vector<PropObj>& subject_pairs, std::string* out);
 
-/// \brief Candidate pairs of unbound pattern `tp_index` in `tg` (override
-/// if present, else implicit set filtered by the pattern's object
-/// constraint).
-std::vector<PropObj> UnboundCandidates(const StarPattern& star,
-                                       const AnnTg& tg, size_t tp_index);
+/// \brief Calls visit(property leaf, object leaf) for each candidate of
+/// pattern `tp` (index `tp_index`) in component `site` of the record
+/// `reader` last read: an unbound pattern's override if it has one, else
+/// the pairs (of a bound pattern's property) that pass its object
+/// constraint, in order.
+template <typename Visit>
+void ForEachCandidate(const TriplePattern& tp, size_t tp_index,
+                      const TgRecordReader& reader,
+                      const TgRecordReader::Component& site, Visit visit) {
+  if (tp.unbound_property()) {
+    for (uint32_t o = site.overrides_begin; o < site.overrides_end; ++o) {
+      const TgRecordReader::Entry& e = reader.overrides()[o];
+      if (e.tp_index != tp_index) continue;
+      for (uint32_t j = e.begin; j < e.end; j += 2) visit(j, j + 1);
+      return;
+    }
+  }
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  for (uint32_t p = site.pairs_begin; p < site.pairs_end; ++p) {
+    const TgRecordReader::Entry& e = reader.pairs()[p];
+    if (tp.property_bound && leaves[e.begin] != tp.property) continue;
+    for (uint32_t j = e.begin + 1; j < e.end; ++j) {
+      if (tp.object.Matches(leaves[j])) visit(e.begin, j);
+    }
+    if (tp.property_bound) return;
+  }
+}
 
-/// \brief Full β-unnest of `tg` with respect to the unbound patterns listed
-/// in `tp_indexes` (empty => all unbound patterns of the star). Each output
-/// is compacted. A triplegroup with u candidates for a single unbound
-/// pattern yields exactly u outputs; multiple unbound patterns yield the
-/// cartesian product.
-std::vector<AnnTg> BetaUnnest(const StarPattern& star, const AnnTg& tg,
-                              std::vector<size_t> tp_indexes = {});
+/// \brief μ^β and μ^β_φm over one star, on records read as views; built
+/// once per star when a plan is compiled. Both rewrite component `site` of
+/// the record `reader` last read. Each output is that record with `site`
+/// replaced in place: the chosen candidates become the pinned patterns'
+/// overrides, and the pairs keep only what something can still consume —
+/// a bound-property pair, or one that passes the object constraint of an
+/// unbound pattern with no override. Those pairs depend only on which
+/// patterns are pinned, so they are written once for all outputs. The
+/// methods are const and may run concurrently.
+class BetaUnnester {
+ public:
+  explicit BetaUnnester(StarPattern star);
 
-/// \brief Partial β-unnest: restricts unbound pattern `tp_index` to one
-/// partition of φ_m over the candidate objects; yields ≤ m triplegroups,
-/// each paired with its partition id.
-std::vector<std::pair<uint32_t, AnnTg>> PartialBetaUnnest(
-    const StarPattern& star, const AnnTg& tg, size_t tp_index, uint32_t m);
+  const StarPattern& star() const { return star_; }
+
+  /// \brief μ^β: pins each pattern of `tp_indexes` (ascending) to one
+  /// candidate, one output per combination, the first pattern outermost.
+  /// Empty `tp_indexes` pins every non-optional unbound pattern that lacks
+  /// a single-pair override (Eager); optional patterns stay implicit, as
+  /// the left join keeps a solution unextended. Calls visit(object pinned
+  /// for the first pattern, output record); returns the output count.
+  size_t BetaUnnest(
+      const TgRecordReader& reader, const TgRecordReader::Component& site,
+      const std::vector<size_t>& tp_indexes,
+      const std::function<void(std::string_view, std::string_view)>& visit)
+      const;
+
+  /// \brief μ^β_φm: restricts pattern `tp_index` to each φ_m partition of
+  /// its candidates' objects, ascending. Calls visit(partition, output
+  /// record); returns the output count (≤ m).
+  size_t PartialBetaUnnest(
+      const TgRecordReader& reader, const TgRecordReader::Component& site,
+      size_t tp_index, uint32_t m,
+      const std::function<void(uint32_t, std::string_view)>& visit) const;
+
+ private:
+  StarPattern star_;
+  std::vector<std::string> bound_;  // AllBoundProperties, sorted
+  std::vector<size_t> unbound_;     // UnboundIndexes
+};
 
 /// \brief Enumerates the solution mappings a triplegroup record implicitly
 /// represents: each component's (bound pairs x unbound candidates, with

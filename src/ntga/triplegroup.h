@@ -1,12 +1,12 @@
 // The TripleGroup data model (NTGA), extended for unbound-property queries.
 //
-// An annotated triplegroup (AnnTG) is the paper's "extended multi-map":
-// a subject, the star subpattern (equivalence class) it matches, and the
-// subject's (Property, Object) pairs stored once, with multi-valued
-// properties nested under a single property entry. This implicit
-// representation is what keeps intermediate results concise.
+// An annotated triplegroup is the paper's "extended multi-map": a subject,
+// the star subpattern (equivalence class) it matches, and the subject's
+// (Property, Object) pairs stored once, with multi-valued properties
+// nested under a single property entry. This implicit representation is
+// what keeps intermediate results concise.
 //
-// The `overrides` map records the outcome of (partial) β-unnesting: for an
+// The overrides record the outcome of (partial) β-unnesting: for an
 // unbound-property triple pattern (identified by its index within the
 // star), the candidate (Property, Object) pairs have been restricted to a
 // subset — a single pair after a full β-unnest ("perfect" triplegroup), or
@@ -14,27 +14,25 @@
 // keep the full implicit candidate set (every pair of the group that
 // passes the pattern's object constraint).
 //
-// One record grammar: a record is one or more components separated by
-// '\x1E', each an AnnTg::Serialize() text. A grouping cycle writes
-// one-component records; a join's record is its two input records side by
-// side, joined by '\x1E' (the paper's TG_Join nests its inputs unchanged).
-// Only the component at an unbound join site is ever rebuilt (μ^β /
-// μ^β_φm pin it), and it is spliced back in place. Records are canonical:
-// reading one and serializing its components again yields the same bytes.
+// A triplegroup exists only as record text, written by TgWriter and read
+// as views by TgRecordReader. A record is one or more components separated
+// by '\x1E', each "subject \x1F star_id \x1F pairs \x1F overrides". A
+// grouping cycle writes one-component records; a join's record is its two
+// input records side by side (the paper's TG_Join nests its inputs
+// unchanged). Records are canonical: reading one and writing its
+// components again yields the same bytes, so μ^β / μ^β_φm rewrite a
+// component in place and pass every other byte through.
 
 #ifndef RDFMR_NTGA_TRIPLEGROUP_H_
 #define RDFMR_NTGA_TRIPLEGROUP_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "query/pattern.h"
-#include "rdf/triple.h"
 
 namespace rdfmr {
 
@@ -52,67 +50,42 @@ struct PropObj {
   }
 };
 
-/// \brief Nested property map: property -> sorted distinct objects.
-using PropMap = std::map<std::string, std::vector<std::string>>;
+/// \brief Reads only the star_id field of a record's first component,
+/// scanning no further than the second field separator (cheap path used
+/// by MultipleOutputs demuxing).
+Result<uint32_t> PeekStarId(std::string_view line);
 
-/// \brief Annotated triplegroup.
-class AnnTg {
+/// \brief The record grammar's one writer: appends one component to
+/// `*out`, escaping each leaf for every level it is nested in. The
+/// constructor writes the subject and star id; then come the pairs (each
+/// property in byte order with Property, then its sorted distinct objects
+/// with Object), EndPairs, and the overrides (each pattern index in
+/// numeric order with Override, then its pairs with Pinned). The writer
+/// keeps only where its open field starts, so a caller may cut `*out` back
+/// to the end of the pairs and write other overrides.
+class TgWriter {
  public:
-  std::string subject;
-  /// Equivalence class: index of the star subpattern this group matches.
-  uint32_t star_id = 0;
-  /// The group's (Property, Object) pairs, nested per property.
-  PropMap pairs;
-  /// β-unnest state: unbound-pattern index -> restricted candidate pairs.
-  std::map<uint32_t, std::vector<PropObj>> overrides;
+  TgWriter(std::string* out, std::string_view subject, uint32_t star_id);
 
-  /// \brief Adds a pair (idempotent; keeps objects sorted and distinct).
-  void AddPair(const std::string& property, const std::string& object);
+  /// \brief Opens a pairs entry; at least one Object must follow.
+  void Property(std::string_view property);
+  void Object(std::string_view object);
 
-  /// \brief True if `property` is present.
-  bool HasProperty(const std::string& property) const {
-    return pairs.count(property) > 0;
-  }
+  /// \brief Closes the pairs field and opens the overrides field.
+  void EndPairs();
 
-  /// \brief All pairs, flattened in property order.
-  std::vector<PropObj> AllPairs() const;
+  /// \brief Opens the overrides entry of pattern `tp_index`.
+  void Override(uint32_t tp_index);
+  void Pinned(std::string_view property, std::string_view object);
 
-  /// \brief Number of (Property, Object) pairs.
-  size_t PairCount() const;
-
-  /// \brief Reconstructs the triples this group represents (its pairs plus
-  /// any override pairs, deduplicated).
-  std::vector<Triple> ToTriples() const;
-
-  /// \brief Drops pairs that nothing can consume anymore: a pair stays only
-  /// if its property is bound in `star`, or it satisfies the object
-  /// constraint of an unbound pattern that has no override yet. A fully
-  /// β-unnested ("perfect") triplegroup thus sheds its candidate list
-  /// before serialization; a partially pinned one keeps only the candidates
-  /// its remaining unbound patterns can still use.
-  void Compact(const StarPattern& star);
-
-  /// \brief Serializes as one record component; a one-component record
-  /// is exactly this text.
-  std::string Serialize() const;
-
-  /// \brief Parses a one-component record.
-  static Result<AnnTg> Deserialize(std::string_view line);
-
-  /// \brief Reads only the star_id field of a record's first component,
-  /// scanning no further than the second field separator (cheap path used
-  /// by MultipleOutputs demuxing).
-  static Result<uint32_t> PeekStarId(std::string_view line);
-
-  bool operator==(const AnnTg& o) const {
-    return subject == o.subject && star_id == o.star_id && pairs == o.pairs &&
-           overrides == o.overrides;
-  }
+ private:
+  std::string* out_;
+  size_t field_begin_;  // where the open field starts in *out_
 };
 
-/// \brief The record grammar's one parser: reads a record into views,
-/// building no AnnTg values. AnnTg::Deserialize builds its value from it;
-/// the join cycles and answer decoding read it directly.
+/// \brief The record grammar's one reader: reads a record into views. The
+/// join cycles, μ^β / μ^β_φm and answer decoding all read records through
+/// it.
 ///
 /// A leaf (subject, property or object) is a view into the parsed line,
 /// or, when it carried escapes, into the reader's own storage. Views stay
@@ -148,14 +121,14 @@ class TgRecordReader {
   const std::vector<Entry>& pairs() const { return pairs_; }
   const std::vector<Entry>& overrides() const { return overrides_; }
   const std::vector<std::string_view>& leaves() const { return leaves_; }
-
-  /// \brief Builds the AnnTg of component `c`.
-  AnnTg ToAnnTg(const Component& c) const;
+  /// \brief The line last read; components' `raw` spans point into it.
+  std::string_view line() const { return line_; }
 
  private:
   Status AppendComponent(std::string_view component);
   std::string_view Unescaped(std::string_view raw, char sep);
 
+  std::string_view line_;
   std::vector<Component> components_;
   std::vector<Entry> pairs_;
   std::vector<Entry> overrides_;
@@ -169,12 +142,6 @@ class TgRecordReader {
 
 /// \brief A join's record: its two input records side by side.
 std::string JoinRecords(std::string_view left, std::string_view right);
-
-/// \brief Appends `record` to `*out` with one component replaced by `tg`'s
-/// serialization; `raw` is that component's span, a view into `record` as
-/// TgRecordReader reports it.
-void AppendSpliced(std::string* out, std::string_view record,
-                   std::string_view raw, const AnnTg& tg);
 
 }  // namespace rdfmr
 

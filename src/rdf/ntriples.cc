@@ -107,7 +107,7 @@ IriCompactor::IriCompactor(
             });
 }
 
-std::string IriCompactor::Compact(const Term& term) const {
+std::string IriCompactor::Identifier(const Term& term) const {
   switch (term.kind()) {
     case TermKind::kBlank:
       return "_:" + term.value();
@@ -126,8 +126,8 @@ std::string IriCompactor::Compact(const Term& term) const {
 }
 
 Triple IriCompactor::ToTriple(const Statement& st) const {
-  return Triple(Compact(st.subject), Compact(st.predicate),
-                Compact(st.object));
+  return Triple(Identifier(st.subject), Identifier(st.predicate),
+                Identifier(st.object));
 }
 
 Result<std::vector<Triple>> LoadNTriples(const std::string& text,

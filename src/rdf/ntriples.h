@@ -43,7 +43,7 @@ class IriCompactor {
       std::vector<std::pair<std::string, std::string>> prefixes);
 
   /// \brief Compacts one term to an engine-level identifier string.
-  std::string Compact(const Term& term) const;
+  std::string Identifier(const Term& term) const;
 
   /// \brief Converts a typed statement to an engine Triple.
   Triple ToTriple(const Statement& st) const;

@@ -16,9 +16,11 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "ntga/operators.h"
 #include "ntga/triplegroup.h"
 #include "query/solution.h"
 #include "relational/rel_tuple.h"
+#include "tests/test_util.h"
 
 namespace rdfmr {
 namespace {
@@ -335,46 +337,141 @@ constexpr char kGoldenRelTuple[] =
 constexpr char kGoldenSolution[] =
     "a\\\\sb=\\\\\\\\;n\\\\n=t\x09""\x1E"";x=v\\\\s1\\s2;z=";
 
-AnnTg GoldenPlainTg() {
-  AnnTg tg;
-  tg.subject = "product7";
-  tg.star_id = 1;
-  tg.AddPair("label", "product 7 gold edition");
-  tg.AddPair("prodFeature", "feature3");
-  tg.AddPair("prodFeature", "feature11");
-  tg.overrides[2] = {PropObj{"producer", "producer4"}};
-  return tg;
+// Outputs of μ^β and μ^β_φm recorded before the operators ran on record
+// views: pattern 1 of KernelGoldenStar pinned at a LazyFull join site (the
+// first candidate), and its φ_2 partition 1, each spliced into the record
+// KernelGoldenRecord.
+constexpr char kGoldenBetaUnnest[] =
+"product7\x1F""1\x1Flabel,product 7 gold edition\x1F\x1Es\\\\\\\\1,"
+    "\\\\s;\\\\n\x1F""0\x1F\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\,\\\\\\\\\\"
+    "\\\\\\\\\\\\\\\\\\\\\\s\\\\\\\\\\\\\\\\n\x1Dp\\\\\\\\\\\\\\\\s1,o"
+    "\x09=,o\\\\\\\\s\\s\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\x1F""1,\\\\\\"
+    "\\\\\\\\\\\\\\\\\\\\\\\\\\,\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\s\\\\\\"
+    "\\\\\\\\\\n\x1D""2,p\\s,o\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\,\\\\\\\\"
+    "\\\\\\\\s,\\\\\\\\s";
+constexpr char kGoldenPartialBetaUnnest[] =
+    "product7\x1F""1\x1Flabel,product 7 gold edition\x1F\x1Es\\\\\\\\1,"
+    "\\\\s;\\\\n\x1F""0\x1F\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\,\\\\\\\\\\"
+    "\\\\\\\\\\\\\\\\\\\\\\s\\\\\\\\\\\\\\\\n\x1Dp\\\\\\\\\\\\\\\\s1,o"
+    "\x09=,o\\\\\\\\s\\s\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\x1F""1,p\\\\\\"
+    "\\\\\\\\\\s1,o\\\\\\\\s\\s\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\,q\\\\s,"
+    "\x1D""2,p\\s,o\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\\,\\\\\\\\\\\\\\\\s,"
+    "\\\\\\\\s";
+
+std::string GoldenPlainTg() {
+  std::string out;
+  TgWriter writer(&out, "product7", 1);
+  writer.Property("label");
+  writer.Object("product 7 gold edition");
+  writer.Property("prodFeature");
+  writer.Object("feature11");
+  writer.Object("feature3");
+  writer.EndPairs();
+  writer.Override(2);
+  writer.Pinned("producer", "producer4");
+  return out;
 }
 
-AnnTg GoldenNastyTg() {
-  AnnTg tg;
-  tg.subject = "s\\1,\x1F;\n";
-  tg.star_id = 12;
-  tg.AddPair("p,1", "o\t=");
-  tg.AddPair("p,1", "o\x1D\x1E\\");
-  tg.AddPair("q\x1F", "");
-  tg.AddPair("\\", "\\s\\n");
-  tg.overrides[0] = {PropObj{"p\x1E", "o\\"}, PropObj{",", "\x1D"}};
-  tg.overrides[3] = {};
-  return tg;
+std::string GoldenNastyTg() {
+  std::string out;
+  TgWriter writer(&out, "s\\1,\x1F;\n", 12);
+  writer.Property("\\");
+  writer.Object("\\s\\n");
+  writer.Property("p,1");
+  writer.Object("o\t=");
+  writer.Object("o\x1D\x1E\\");
+  writer.Property("q\x1F");
+  writer.Object("");
+  writer.EndPairs();
+  writer.Override(0);
+  writer.Pinned("p\x1E", "o\\");
+  writer.Pinned(",", "\x1D");
+  writer.Override(3);
+  return out;
 }
 
 TEST(SerdeGoldenTest, TriplegroupRecordBytesArePinned) {
-  const AnnTg plain = GoldenPlainTg();
-  const AnnTg nasty = GoldenNastyTg();
-  EXPECT_EQ(plain.Serialize(), kGoldenAnnTgPlain);
+  const std::string plain = GoldenPlainTg();
+  const std::string nasty = GoldenNastyTg();
+  EXPECT_EQ(plain, kGoldenAnnTgPlain);
   // A record is its components side by side.
-  EXPECT_EQ(nasty.Serialize() + "\x1E" + plain.Serialize(), kGoldenJoined);
+  EXPECT_EQ(JoinRecords(nasty, plain), kGoldenJoined);
 
-  auto plain_back = AnnTg::Deserialize(kGoldenAnnTgPlain);
-  ASSERT_TRUE(plain_back.ok()) << plain_back.status().ToString();
-  EXPECT_TRUE(*plain_back == plain);
-  TgRecordReader joined_back;
-  ASSERT_TRUE(joined_back.Read(kGoldenJoined).ok());
-  ASSERT_EQ(joined_back.components().size(), 2u);
-  EXPECT_TRUE(joined_back.ToAnnTg(joined_back.components()[0]) == nasty);
-  EXPECT_TRUE(joined_back.ToAnnTg(joined_back.components()[1]) == plain);
-  EXPECT_EQ(*AnnTg::PeekStarId(kGoldenJoined), 12u);
+  // Read through the one reader and written again through the one writer.
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(kGoldenAnnTgPlain).ok());
+  ASSERT_EQ(record.components().size(), 1u);
+  EXPECT_EQ(testing_util::RewriteComponent(record, record.components()[0]),
+            kGoldenAnnTgPlain);
+  ASSERT_TRUE(record.Read(kGoldenJoined).ok());
+  ASSERT_EQ(record.components().size(), 2u);
+  EXPECT_EQ(testing_util::RewriteComponent(record, record.components()[0]),
+            nasty);
+  EXPECT_EQ(testing_util::RewriteComponent(record, record.components()[1]),
+            plain);
+  EXPECT_EQ(*PeekStarId(kGoldenJoined), 12u);
+}
+
+// A bound pattern, the unbound pattern a join pins, one already carrying a
+// two-pair override and one whose filter keeps a pair open.
+StarPattern KernelGoldenStar() {
+  StarPattern star;
+  star.subject_var = "s";
+  star.patterns.push_back(TriplePattern::Bound(
+      NodePattern::Var("s"), "p,1", NodePattern::Var("o")));
+  star.patterns.push_back(TriplePattern::Unbound(
+      NodePattern::Var("s"), "up", NodePattern::Var("x")));
+  star.patterns.push_back(TriplePattern::Unbound(
+      NodePattern::Var("s"), "up2", NodePattern::Var("y", "\\")));
+  star.patterns.push_back(TriplePattern::Unbound(
+      NodePattern::Var("s"), "up3", NodePattern::Var("z", "\n")));
+  return star;
+}
+
+// A plain group, then an escape-heavy group of KernelGoldenStar.
+std::string KernelGoldenRecord() {
+  std::string plain;
+  TgWriter plain_writer(&plain, "product7", 1);
+  plain_writer.Property("label");
+  plain_writer.Object("product 7 gold edition");
+  plain_writer.EndPairs();
+  std::string nasty;
+  TgWriter writer(&nasty, "s\\1,\x1F;\n", 0);
+  writer.Property("\\");
+  writer.Object("\\s\n");
+  writer.Property("p,1");
+  writer.Object("o\t=");
+  writer.Object("o\x1D\x1E\\");
+  writer.Property("q\x1F");
+  writer.Object("");
+  writer.EndPairs();
+  writer.Override(2);
+  writer.Pinned("p\x1E", "o\\");
+  writer.Pinned(",", "\x1D");
+  return JoinRecords(plain, nasty);
+}
+
+TEST(SerdeGoldenTest, UnnestedTriplegroupBytesArePinned) {
+  const std::string line = KernelGoldenRecord();
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  ASSERT_EQ(record.components().size(), 2u);
+  const BetaUnnester unnester(KernelGoldenStar());
+  std::vector<std::string> pinned;
+  unnester.BetaUnnest(record, record.components()[1], {1},
+                      [&pinned](std::string_view, std::string_view out) {
+                        pinned.emplace_back(out);
+                      });
+  ASSERT_EQ(pinned.size(), 4u);
+  EXPECT_EQ(pinned[0], kGoldenBetaUnnest);
+  std::vector<std::string> partitions;
+  unnester.PartialBetaUnnest(
+      record, record.components()[1], 1, 2,
+      [&partitions](uint32_t, std::string_view out) {
+        partitions.emplace_back(out);
+      });
+  ASSERT_EQ(partitions.size(), 2u);
+  EXPECT_EQ(partitions[1], kGoldenPartialBetaUnnest);
 }
 
 TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {

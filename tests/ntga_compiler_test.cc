@@ -42,12 +42,13 @@ TEST(NtgaCompilerTest, GroupingJobDemuxesPerEquivalenceClass) {
   ASSERT_EQ(job1.ensure_outputs.size(), 2u);
   EXPECT_EQ(job1.ensure_outputs[0], "tmp/ec0");
   EXPECT_EQ(job1.ensure_outputs[1], "tmp/ec1");
-  // The demux function routes a serialized AnnTg by its star id.
-  AnnTg tg;
-  tg.subject = "s";
-  tg.star_id = 1;
-  tg.AddPair("p", "o");
-  EXPECT_EQ(job1.demux(tg.Serialize()), "1");
+  // The demux function routes a group's record by its star id.
+  std::string record;
+  TgWriter writer(&record, "s", 1);
+  writer.Property("p");
+  writer.Object("o");
+  writer.EndPairs();
+  EXPECT_EQ(job1.demux(record), "1");
 }
 
 TEST(NtgaCompilerTest, JoinOperatorNamesFollowThePlan) {
@@ -100,16 +101,14 @@ TEST(NtgaCompilerTest, NullQueryRejected) {
 // The join cycle keeps its input checks: for every strategy, a mapper drops
 // a record with a bad star id or without the site star and counts both as
 // bad; a reducer drops a value without a side tag, a record with a bad star
-// id (counted as bad) and a record without the site star.
+// id (counted as bad) and a record without the site star (counted as bad
+// where the reducer reads the site: TG_OptUnbJoin's, which B1 runs under
+// LazyPartial and LazyAuto).
 TEST(NtgaCompilerTest, JoinCycleDropsBadInputs) {
   const std::string f = "\x1F";
   const std::string no_tag = "g1" + f + "0" + f + "label,l1" + f;  // star 0
   const std::string bad_star_id = "g1" + f + "zero" + f + "label,l1" + f;
-  AnnTg other_star;
-  other_star.subject = "g1";
-  other_star.star_id = 7;
-  other_star.AddPair("label", "l1");
-  const std::string no_site = other_star.Serialize();
+  const std::string no_site = "g1" + f + "7" + f + "label,l1" + f;  // star 7
 
   for (NtgaStrategy strategy :
        {NtgaStrategy::kEager, NtgaStrategy::kLazyFull,
@@ -132,9 +131,14 @@ TEST(NtgaCompilerTest, JoinCycleDropsBadInputs) {
             << EscapeField(record, '\x1F');
       }
     }
+    const bool partial = strategy == NtgaStrategy::kLazyPartial ||
+                         strategy == NtgaStrategy::kLazyAuto;
+    EXPECT_EQ(join.name.rfind("tg-optunbjoin", 0) == 0, partial);
     for (const std::string tag : {"L|", "R|"}) {
       const std::vector<std::pair<std::string, uint64_t>> cases = {
-          {no_tag, 0}, {tag + bad_star_id, 1}, {tag + no_site, 0}};
+          {no_tag, 0},
+          {tag + bad_star_id, 1},
+          {tag + no_site, partial ? 1 : 0}};
       for (const auto& [value, bad] : cases) {
         Counters counters;
         join.reduce("k", {value}, reduce_emit, &counters);
@@ -162,17 +166,20 @@ TEST(NtgaCompilerTest, EagerGroupingWritesPerfectTriplegroups) {
   auto ec0 = dfs->ReadFile("tmp/ec0");
   ASSERT_TRUE(ec0.ok());
   ASSERT_FALSE(ec0->empty());
+  const auto& star = (*query)->stars()[0];
+  std::vector<size_t> unbound = star.UnboundIndexes();
+  ASSERT_EQ(unbound.size(), 1u);
+  TgRecordReader record;
   for (const std::string& line : *ec0) {
-    auto tg = AnnTg::Deserialize(line);
-    ASSERT_TRUE(tg.ok());
+    ASSERT_TRUE(record.Read(line).ok());
+    ASSERT_EQ(record.components().size(), 1u);
     // Eager: the unbound pattern (index 2 in B1's first star) is pinned to
     // exactly one candidate in every record.
-    const auto& star = (*query)->stars()[0];
-    std::vector<size_t> unbound = star.UnboundIndexes();
-    ASSERT_EQ(unbound.size(), 1u);
-    auto it = tg->overrides.find(static_cast<uint32_t>(unbound[0]));
-    ASSERT_NE(it, tg->overrides.end());
-    EXPECT_EQ(it->second.size(), 1u);
+    const TgRecordReader::Component& c = record.components()[0];
+    ASSERT_EQ(c.overrides_end - c.overrides_begin, 1u);
+    const TgRecordReader::Entry& pinned = record.overrides()[c.overrides_begin];
+    EXPECT_EQ(pinned.tp_index, unbound[0]);
+    EXPECT_EQ(pinned.end - pinned.begin, 2u);
   }
 }
 
@@ -190,10 +197,12 @@ TEST(NtgaCompilerTest, LazyGroupingKeepsGroupsNested) {
   ASSERT_TRUE(ec0.ok());
   ASSERT_FALSE(ec0->empty());
   size_t with_overrides = 0;
+  TgRecordReader record;
   for (const std::string& line : *ec0) {
-    auto tg = AnnTg::Deserialize(line);
-    ASSERT_TRUE(tg.ok());
-    if (!tg->overrides.empty()) ++with_overrides;
+    ASSERT_TRUE(record.Read(line).ok());
+    ASSERT_EQ(record.components().size(), 1u);
+    const TgRecordReader::Component& c = record.components()[0];
+    if (c.overrides_begin != c.overrides_end) ++with_overrides;
   }
   EXPECT_EQ(with_overrides, 0u)
       << "lazy strategies must not unnest at the grouping cycle";

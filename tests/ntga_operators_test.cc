@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
 
 #include "common/random.h"
 #include "common/strings.h"
 #include "ntga/operators.h"
 #include "query/matcher.h"
+#include "tests/test_util.h"
 
 namespace rdfmr {
 namespace {
@@ -31,22 +35,121 @@ StarPattern BioStar() {
   return star;
 }
 
-// The solutions one triplegroup represents for `star`, expanded from its
-// one-component record.
-std::vector<Solution> Expand(const StarPattern& star, const AnnTg& tg) {
-  Result<std::vector<Solution>> out = ExpandJoinedTg({star}, tg.Serialize());
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out.ok() ? *out : std::vector<Solution>{};
-}
-
 std::vector<PropObj> BioPairs() {
   return {
-      {"label", "retinoid"}, {"xGO", "go1"},   {"xGO", "go9"},
-      {"synonym", "RCoR-1"}, {"xRef", "ref7"},
+      {"label", "retinoid"}, {"synonym", "RCoR-1"}, {"xGO", "go1"},
+      {"xGO", "go9"},        {"xRef", "ref7"},
   };
 }
 
-// ---- PhiPartition ------------------------------------------------------------
+// σ^βγ over `pairs` (sorted and deduplicated first, as the grouping cycle
+// hands them over): the group's one-component record, if it passes.
+std::optional<std::string> Group(const StarPattern& star,
+                                 const std::string& subject,
+                                 std::vector<PropObj> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::string out;
+  if (!BuildAnnTg(star, 0, subject, pairs, &out)) return std::nullopt;
+  return out;
+}
+
+// `record` with the overrides entry `tp_index` -> `pinned` added to its
+// first component (which must have no overrides yet).
+std::string WithOverride(const std::string& record, uint32_t tp_index,
+                         const std::vector<PropObj>& pinned) {
+  std::string out = record;
+  TgRecordReader reader;
+  EXPECT_TRUE(reader.Read(record).ok());
+  EXPECT_TRUE(reader.components()[0].overrides_begin ==
+              reader.components()[0].overrides_end);
+  out.resize(reader.components()[0].raw.size());
+  out += std::to_string(tp_index);
+  for (const PropObj& po : pinned) out += "," + po.property + "," + po.object;
+  return out + record.substr(reader.components()[0].raw.size());
+}
+
+// The properties a record's first component keeps in its pairs, and the
+// (Property, Object) pairs of its overrides.
+struct Parts {
+  std::set<std::string> properties;
+  std::map<uint32_t, std::vector<PropObj>> overrides;
+};
+
+Parts Read(const std::string& record) {
+  TgRecordReader reader;
+  EXPECT_TRUE(reader.Read(record).ok());
+  const TgRecordReader::Component& c = reader.components()[0];
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  Parts parts;
+  for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
+    parts.properties.emplace(leaves[reader.pairs()[p].begin]);
+  }
+  for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+    const TgRecordReader::Entry& e = reader.overrides()[o];
+    std::vector<PropObj>& pinned = parts.overrides[e.tp_index];
+    for (uint32_t j = e.begin; j < e.end; j += 2) {
+      pinned.push_back(
+          PropObj{std::string(leaves[j]), std::string(leaves[j + 1])});
+    }
+  }
+  return parts;
+}
+
+// μ^β of component `site` of `record`.
+std::vector<std::string> Unnest(const StarPattern& star,
+                                const std::string& record,
+                                std::vector<size_t> tp_indexes = {},
+                                size_t site = 0) {
+  TgRecordReader reader;
+  EXPECT_TRUE(reader.Read(record).ok());
+  std::vector<std::string> out;
+  BetaUnnester(star).BetaUnnest(
+      reader, reader.components()[site], tp_indexes,
+      [&out](std::string_view, std::string_view r) { out.emplace_back(r); });
+  return out;
+}
+
+// μ^β_φm of component `site` of `record`.
+std::vector<std::pair<uint32_t, std::string>> Partition(
+    const StarPattern& star, const std::string& record, size_t tp_index,
+    uint32_t m, size_t site = 0) {
+  TgRecordReader reader;
+  EXPECT_TRUE(reader.Read(record).ok());
+  std::vector<std::pair<uint32_t, std::string>> out;
+  BetaUnnester(star).PartialBetaUnnest(
+      reader, reader.components()[site], tp_index, m,
+      [&out](uint32_t partition, std::string_view r) {
+        out.emplace_back(partition, std::string(r));
+      });
+  return out;
+}
+
+// The solutions a record represents for `stars`, sorted and distinct.
+std::vector<Solution> Expand(const std::vector<StarPattern>& stars,
+                             const std::string& record) {
+  Result<std::vector<Solution>> out = ExpandJoinedTg(stars, record);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) return {};
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+  return *out;
+}
+
+// The distinct solutions of all of `records`.
+std::vector<Solution> ExpandAll(const std::vector<StarPattern>& stars,
+                                const std::vector<std::string>& records) {
+  std::vector<Solution> all;
+  for (const std::string& record : records) {
+    std::vector<Solution> each = Expand(stars, record);
+    all.insert(all.end(), each.begin(), each.end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
+// ---- PhiPartition -----------------------------------------------------------
 
 TEST(PhiPartitionTest, InRangeAndDeterministic) {
   for (uint32_t m : {1u, 2u, 16u, 1024u}) {
@@ -59,23 +162,33 @@ TEST(PhiPartitionTest, InRangeAndDeterministic) {
   }
 }
 
-// ---- BuildAnnTg (σ^γ / σ^βγ) ---------------------------------------------------
+// ---- BuildAnnTg (σ^γ / σ^βγ) ------------------------------------------------
 
 TEST(BuildAnnTgTest, AcceptsGroupWithAllBoundProperties) {
-  auto tg = BuildAnnTg(BioStar(), 0, "gene9", BioPairs());
+  auto tg = Group(BioStar(), "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  EXPECT_EQ(tg->subject, "gene9");
-  EXPECT_EQ(tg->star_id, 0u);
-  EXPECT_TRUE(tg->HasProperty("label"));
-  EXPECT_TRUE(tg->HasProperty("xGO"));
+  EXPECT_EQ(*PeekStarId(*tg), 0u);
   // Candidates for the unbound pattern are retained.
-  EXPECT_TRUE(tg->HasProperty("synonym"));
-  EXPECT_TRUE(tg->HasProperty("xRef"));
+  EXPECT_EQ(Read(*tg).properties,
+            (std::set<std::string>{"label", "synonym", "xGO", "xRef"}));
+}
+
+TEST(BuildAnnTgTest, WritesSortedPairsNestedPerProperty) {
+  std::string out = "kept";
+  ASSERT_TRUE(BuildAnnTg(BioStar(), 4, "gene9", BioPairs(), &out));
+  EXPECT_EQ(out,
+            "keptgene9\x1F"
+            "4\x1Flabel,retinoid\x1Dsynonym,RCoR-1\x1DxGO,go1,go9\x1DxRef,"
+            "ref7\x1F");
+  // A failing group appends nothing.
+  const std::string before = out;
+  EXPECT_FALSE(BuildAnnTg(BioStar(), 4, "g", {{"xGO", "go1"}}, &out));
+  EXPECT_EQ(out, before);
 }
 
 TEST(BuildAnnTgTest, RejectsGroupMissingBoundProperty) {
-  std::vector<PropObj> pairs = {{"xGO", "go1"}, {"synonym", "s"}};
-  EXPECT_FALSE(BuildAnnTg(BioStar(), 0, "g", pairs).has_value())
+  EXPECT_FALSE(
+      Group(BioStar(), "g", {{"xGO", "go1"}, {"synonym", "s"}}).has_value())
       << "missing 'label' must fail the β group-filter (ftg2 in Fig. 5)";
 }
 
@@ -84,10 +197,8 @@ TEST(BuildAnnTgTest, BoundObjectConstraintValidated) {
   star.subject_var = "g";
   star.patterns.push_back(TriplePattern::Bound(
       NodePattern::Var("g"), "label", NodePattern::Var("l", "hexo")));
-  std::vector<PropObj> pairs = {{"label", "regulator gene"}};
-  EXPECT_FALSE(BuildAnnTg(star, 0, "g", pairs).has_value());
-  pairs = {{"label", "hexokinase gene"}};
-  EXPECT_TRUE(BuildAnnTg(star, 0, "g", pairs).has_value());
+  EXPECT_FALSE(Group(star, "g", {{"label", "regulator gene"}}).has_value());
+  EXPECT_TRUE(Group(star, "g", {{"label", "hexokinase gene"}}).has_value());
 }
 
 TEST(BuildAnnTgTest, UnboundPatternNeedsAtLeastOneCandidate) {
@@ -98,9 +209,9 @@ TEST(BuildAnnTgTest, UnboundPatternNeedsAtLeastOneCandidate) {
   star.patterns.push_back(TriplePattern::Unbound(
       NodePattern::Var("g"), "up", NodePattern::Var("x", "nur77")));
   std::vector<PropObj> pairs = {{"label", "a"}, {"xGO", "go1"}};
-  EXPECT_FALSE(BuildAnnTg(star, 0, "g", pairs).has_value());
+  EXPECT_FALSE(Group(star, "g", pairs).has_value());
   pairs.push_back({"interactsWith", "gene_nur77"});
-  EXPECT_TRUE(BuildAnnTg(star, 0, "g", pairs).has_value());
+  EXPECT_TRUE(Group(star, "g", pairs).has_value());
 }
 
 TEST(BuildAnnTgTest, IrrelevantPairsDropped) {
@@ -110,49 +221,34 @@ TEST(BuildAnnTgTest, IrrelevantPairsDropped) {
       NodePattern::Var("g"), "label", NodePattern::Var("l")));
   star.patterns.push_back(TriplePattern::Unbound(
       NodePattern::Var("g"), "up", NodePattern::Var("x", "go_")));
-  std::vector<PropObj> pairs = {
-      {"label", "a"}, {"xGO", "go_1"}, {"xRef", "ref_1"}};
-  auto tg = BuildAnnTg(star, 0, "g", pairs);
+  auto tg = Group(star, "g",
+                  {{"label", "a"}, {"xGO", "go_1"}, {"xRef", "ref_1"}});
   ASSERT_TRUE(tg.has_value());
-  EXPECT_FALSE(tg->HasProperty("xRef"))
+  EXPECT_EQ(Read(*tg).properties, (std::set<std::string>{"label", "xGO"}))
       << "pairs failing every pattern's constraint are dead weight";
 }
 
-// ---- UnboundCandidates ---------------------------------------------------------
-
-TEST(UnboundCandidatesTest, ImplicitSetIsAllMatchingPairs) {
-  auto tg = BuildAnnTg(BioStar(), 0, "gene9", BioPairs());
-  ASSERT_TRUE(tg.has_value());
-  std::vector<PropObj> cands = UnboundCandidates(BioStar(), *tg, 2);
-  EXPECT_EQ(cands.size(), 5u)
-      << "bound-property pairs also serve as unbound candidates";
-}
-
-TEST(UnboundCandidatesTest, OverrideWins) {
-  auto tg = BuildAnnTg(BioStar(), 0, "gene9", BioPairs());
-  ASSERT_TRUE(tg.has_value());
-  tg->overrides[2] = {PropObj{"xRef", "ref7"}};
-  std::vector<PropObj> cands = UnboundCandidates(BioStar(), *tg, 2);
-  ASSERT_EQ(cands.size(), 1u);
-  EXPECT_EQ(cands[0].property, "xRef");
-}
-
-// ---- BetaUnnest (μ^β) -----------------------------------------------------------
+// ---- BetaUnnester::BetaUnnest (μ^β) -----------------------------------------
 
 TEST(BetaUnnestTest, OnePerfectGroupPerCandidate) {
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<AnnTg> perfect = BetaUnnest(star, *tg);
-  EXPECT_EQ(perfect.size(), 5u) << "Definition 2: u candidates -> u groups";
-  for (const AnnTg& p : perfect) {
-    ASSERT_EQ(p.overrides.count(2), 1u);
-    EXPECT_EQ(p.overrides.at(2).size(), 1u);
+  std::vector<std::string> perfect = Unnest(star, *tg);
+  EXPECT_EQ(perfect.size(), 5u)
+      << "Definition 2: u candidates -> u groups; bound-property pairs "
+         "also serve as unbound candidates";
+  std::vector<PropObj> pinned;
+  for (const std::string& p : perfect) {
+    const Parts parts = Read(p);
+    ASSERT_EQ(parts.overrides.count(2), 1u);
+    ASSERT_EQ(parts.overrides.at(2).size(), 1u);
+    pinned.push_back(parts.overrides.at(2)[0]);
     // Perfect groups keep the nested bound component and shed the rest.
-    EXPECT_TRUE(p.HasProperty("label"));
-    EXPECT_TRUE(p.HasProperty("xGO"));
-    EXPECT_FALSE(p.HasProperty("synonym"));
+    EXPECT_EQ(parts.properties, (std::set<std::string>{"label", "xGO"}));
   }
+  std::vector<PropObj> expected = BioPairs();
+  EXPECT_EQ(pinned, expected) << "candidates in pairs order";
 }
 
 TEST(BetaUnnestTest, MultipleUnboundPatternsMultiply) {
@@ -164,77 +260,117 @@ TEST(BetaUnnestTest, MultipleUnboundPatternsMultiply) {
       NodePattern::Var("g"), "up1", NodePattern::Var("x1")));
   star.patterns.push_back(TriplePattern::Unbound(
       NodePattern::Var("g"), "up2", NodePattern::Var("x2")));
-  std::vector<PropObj> pairs = {
-      {"label", "a"}, {"p1", "1"}, {"p2", "2"}};
-  auto tg = BuildAnnTg(star, 0, "g", pairs);
+  auto tg = Group(star, "g", {{"label", "a"}, {"p1", "1"}, {"p2", "2"}});
   ASSERT_TRUE(tg.has_value());
-  EXPECT_EQ(BetaUnnest(star, *tg).size(), 9u) << "3 candidates x 3";
+  std::vector<std::string> out = Unnest(star, *tg);
+  ASSERT_EQ(out.size(), 9u) << "3 candidates x 3";
+  // The first pattern turns slowest.
+  EXPECT_EQ(Read(out[0]).overrides.at(1)[0].property, "label");
+  EXPECT_EQ(Read(out[1]).overrides.at(1)[0].property, "label");
+  EXPECT_EQ(Read(out[1]).overrides.at(2)[0].property, "p1");
+  EXPECT_EQ(Read(out[3]).overrides.at(1)[0].property, "p1");
 }
 
-TEST(BetaUnnestTest, AlreadyPinnedPatternNotReexpanded) {
+TEST(BetaUnnestTest, OverrideIsTheCandidateSet) {
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  tg->overrides[2] = {PropObj{"xRef", "ref7"}};
-  std::vector<AnnTg> out = BetaUnnest(star, *tg);
+  const std::string pinned = WithOverride(*tg, 2, {{"xRef", "ref7"}});
+  std::vector<std::string> out = Unnest(star, pinned, {2});
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].overrides.at(2)[0].property, "xRef");
+  EXPECT_EQ(Read(out[0]).overrides.at(2)[0].property, "xRef");
+  // Eager's μ^β leaves a single-pair override as it is.
+  ASSERT_EQ(Unnest(star, pinned).size(), 1u);
+  EXPECT_EQ(Read(Unnest(star, pinned)[0]).overrides.at(2).size(), 1u);
+  // A many-pair override is unnested into its pairs.
+  EXPECT_EQ(
+      Unnest(star, WithOverride(*tg, 2, {{"a", "1"}, {"b", "2"}})).size(),
+      2u);
 }
 
-// ---- PartialBetaUnnest (μ^β_φm) ---------------------------------------------------
+TEST(BetaUnnestTest, PinningOneKeepsTheOpenPatternsCandidates) {
+  // Star with TWO unbound patterns, the second filtered; pin the first.
+  StarPattern star;
+  star.subject_var = "g";
+  star.patterns.push_back(TriplePattern::Bound(
+      NodePattern::Var("g"), "subType", NodePattern::Var("st")));
+  star.patterns.push_back(TriplePattern::Unbound(
+      NodePattern::Var("g"), "up1", NodePattern::Var("a")));
+  star.patterns.push_back(TriplePattern::Unbound(
+      NodePattern::Var("g"), "up2", NodePattern::Var("o", "nur77")));
+  auto tg = Group(star, "g",
+                  {{"subType", "protein"},
+                   {"interactsWith", "gene_nur77"},
+                   {"xGO", "go1"}});
+  ASSERT_TRUE(tg.has_value());
+  std::vector<std::string> out = Unnest(star, *tg, {1});
+  ASSERT_EQ(out.size(), 3u);
+  for (const std::string& record : out) {
+    EXPECT_EQ(Read(record).properties,
+              (std::set<std::string>{"interactsWith", "subType"}))
+        << "the bound pair stays, a candidate of the filtered open pattern "
+           "stays, and xGO cannot satisfy its 'nur77' filter";
+  }
+  // Unfiltered, the open pattern keeps every pair.
+  star.patterns[2].object = NodePattern::Var("o");
+  for (const std::string& record : Unnest(star, *tg, {1})) {
+    EXPECT_EQ(Read(record).properties.size(), 3u);
+  }
+}
+
+// ---- BetaUnnester::PartialBetaUnnest (μ^β_φm) -------------------------------
 
 TEST(PartialBetaUnnestTest, AtMostMGroupsPartitioningCandidates) {
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
   for (uint32_t m : {1u, 2u, 3u, 64u}) {
-    auto partitions = PartialBetaUnnest(star, *tg, 2, m);
+    auto partitions = Partition(star, *tg, 2, m);
     EXPECT_LE(partitions.size(), static_cast<size_t>(m));
     // The union of all partitions' candidates is the full candidate set.
     std::vector<PropObj> collected;
-    for (const auto& [partition, restricted] : partitions) {
+    for (size_t k = 0; k < partitions.size(); ++k) {
+      const auto& [partition, restricted] = partitions[k];
       EXPECT_LT(partition, m);
-      const auto& cands = restricted.overrides.at(2);
-      for (const PropObj& po : cands) {
+      if (k > 0) {
+        EXPECT_LT(partitions[k - 1].first, partition);
+      }
+      const Parts parts = Read(restricted);
+      for (const PropObj& po : parts.overrides.at(2)) {
         EXPECT_EQ(PhiPartition(po.object, m), partition)
             << "candidate must live in its φ partition";
         collected.push_back(po);
       }
     }
-    std::vector<PropObj> full = UnboundCandidates(star, *tg, 2);
+    std::vector<PropObj> full = BioPairs();
     std::sort(collected.begin(), collected.end());
-    std::sort(full.begin(), full.end());
     EXPECT_EQ(collected, full);
   }
 }
 
 TEST(PartialBetaUnnestTest, SinglePartitionKeepsGroupWhole) {
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  auto partitions = PartialBetaUnnest(star, *tg, 2, 1);
+  auto partitions = Partition(star, *tg, 2, 1);
   ASSERT_EQ(partitions.size(), 1u);
-  EXPECT_EQ(partitions[0].second.overrides.at(2).size(), 5u);
+  EXPECT_EQ(Read(partitions[0].second).overrides.at(2).size(), 5u);
 }
 
 TEST(PartialBetaUnnestTest, ExpansionIsPartitionTransparent) {
   // Completing the unnest per partition yields exactly the expansion of the
   // original group.
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> direct = Expand(star, *tg);
-  std::vector<Solution> via_partitions;
-  for (const auto& [_, restricted] : PartialBetaUnnest(star, *tg, 2, 3)) {
-    std::vector<Solution> part = Expand(star, restricted);
-    via_partitions.insert(via_partitions.end(), part.begin(), part.end());
+  std::vector<std::string> restricted;
+  for (const auto& [_, record] : Partition(star, *tg, 2, 3)) {
+    restricted.push_back(record);
   }
-  std::sort(direct.begin(), direct.end());
-  std::sort(via_partitions.begin(), via_partitions.end());
-  EXPECT_EQ(direct, via_partitions);
+  EXPECT_EQ(Expand({star}, *tg), ExpandAll({star}, restricted));
 }
 
-// ---- Expansion equivalence (Lemma 1, operator level) ------------------------------
+// ---- Expansion equivalence (Lemma 1, operator level) ------------------------
 
 TEST(ExpandTest, MatchesReferenceMatcherOnExample) {
   StarPattern star = BioStar();
@@ -242,28 +378,18 @@ TEST(ExpandTest, MatchesReferenceMatcherOnExample) {
   for (const PropObj& po : BioPairs()) {
     triples.emplace_back("gene9", po.property, po.object);
   }
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> expanded = Expand(star, *tg);
   std::vector<Solution> reference = MatchStar(star, triples);
-  std::sort(expanded.begin(), expanded.end());
   std::sort(reference.begin(), reference.end());
-  EXPECT_EQ(expanded, reference);
+  EXPECT_EQ(Expand({star}, *tg), reference);
 }
 
 TEST(ExpandTest, BetaUnnestPreservesExpansion) {
   StarPattern star = BioStar();
-  auto tg = BuildAnnTg(star, 0, "gene9", BioPairs());
+  auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> nested = Expand(star, *tg);
-  std::vector<Solution> unnested;
-  for (const AnnTg& p : BetaUnnest(star, *tg)) {
-    std::vector<Solution> each = Expand(star, p);
-    unnested.insert(unnested.end(), each.begin(), each.end());
-  }
-  std::sort(nested.begin(), nested.end());
-  std::sort(unnested.begin(), unnested.end());
-  EXPECT_EQ(nested, unnested);
+  EXPECT_EQ(Expand({star}, *tg), ExpandAll({star}, Unnest(star, *tg)));
 }
 
 // Randomized operator-level equivalence sweep.
@@ -304,14 +430,10 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
 
   std::vector<Solution> reference = MatchStar(star, triples);
-  auto tg = BuildAnnTg(star, 0, "s", pairs);
-  std::vector<Solution> expanded;
-  if (tg.has_value()) {
-    expanded = Expand(star, *tg);
-  }
   std::sort(reference.begin(), reference.end());
-  std::sort(expanded.begin(), expanded.end());
-  EXPECT_EQ(expanded, reference)
+  auto tg = Group(star, "s", pairs);
+  EXPECT_EQ(tg.has_value() ? Expand({star}, *tg) : std::vector<Solution>{},
+            reference)
       << "seed " << GetParam() << ": operator pipeline must agree with the "
       << "reference matcher (including empty results)";
 }
@@ -319,9 +441,222 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedExpandTest,
                          ::testing::Range<uint64_t>(0, 40));
 
+// ---- μ^β / μ^β_φm properties over escape-heavy records ----------------------
+
+// Leaves drawn from every byte the grammar escapes or splits on.
+std::string NastyLeaf(Rng* rng) {
+  static const std::string kAlphabet = "ab\\,\x1D\x1E\x1F\n";
+  std::string out;
+  const size_t size = rng->Uniform(4);
+  for (size_t i = 0; i < size; ++i) {
+    out.push_back(kAlphabet[rng->Uniform(kAlphabet.size())]);
+  }
+  return out;
+}
+
+// Object filters that escape-heavy leaves sometimes pass.
+const char* const kFilters[] = {"", "a", "\\", "\n", ","};
+
+// One round: a star with 0-2 bound and 1-3 unbound patterns (some
+// optional, some object-filtered); a group over escape-heavy leaves whose
+// unbound patterns sometimes already carry overrides; the group as one
+// component of a record with another star's component on either side.
+struct Round {
+  std::vector<StarPattern> stars;  // [0] the unnested star, [1] the other
+  std::string record;
+  size_t site = 0;
+  std::vector<std::vector<PropObj>> candidates;  // per pattern of stars[0]
+};
+
+Round RandomRound(Rng* rng) {
+  Round r;
+  StarPattern star;
+  star.subject_var = "s";
+  std::vector<std::string> properties;
+  for (size_t i = 0; i < 4; ++i) properties.push_back(NastyLeaf(rng));
+  const size_t num_bound = rng->Uniform(3);
+  for (size_t i = 0; i < num_bound; ++i) {
+    star.patterns.push_back(TriplePattern::Bound(
+        NodePattern::Var("s"), properties[rng->Uniform(4)],
+        NodePattern::Var("b" + std::to_string(i))));
+    star.patterns.back().optional = rng->Chance(0.2);
+  }
+  const size_t num_unbound = 1 + rng->Uniform(3);
+  for (size_t i = 0; i < num_unbound; ++i) {
+    star.patterns.push_back(TriplePattern::Unbound(
+        NodePattern::Var("s"), "p" + std::to_string(i),
+        NodePattern::Var("u" + std::to_string(i),
+                         kFilters[rng->Uniform(5)])));
+    star.patterns.back().optional = rng->Chance(0.25);
+  }
+  std::map<std::string, std::set<std::string>> pairs;
+  const size_t num_pairs = rng->Uniform(7);
+  for (size_t i = 0; i < num_pairs; ++i) {
+    pairs[properties[rng->Uniform(4)]].insert(NastyLeaf(rng));
+  }
+  std::map<uint32_t, std::vector<PropObj>> overrides;
+  for (size_t i = num_bound; i < star.patterns.size(); ++i) {
+    if (!rng->Chance(0.3)) continue;
+    std::vector<PropObj>& pinned = overrides[static_cast<uint32_t>(i)];
+    const size_t size = std::vector<size_t>{0, 1, 1, 3}[rng->Uniform(4)];
+    for (size_t j = 0; j < size; ++j) {
+      pinned.push_back(PropObj{NastyLeaf(rng), NastyLeaf(rng)});
+    }
+  }
+
+  std::string group;
+  TgWriter writer(&group, NastyLeaf(rng), 0);
+  for (const auto& [property, objects] : pairs) {
+    writer.Property(property);
+    for (const std::string& o : objects) writer.Object(o);
+  }
+  writer.EndPairs();
+  for (const auto& [tp_index, pinned] : overrides) {
+    writer.Override(tp_index);
+    for (const PropObj& po : pinned) writer.Pinned(po.property, po.object);
+  }
+  r.candidates.resize(star.patterns.size());
+  for (size_t i = num_bound; i < star.patterns.size(); ++i) {
+    auto it = overrides.find(static_cast<uint32_t>(i));
+    if (it != overrides.end()) {
+      r.candidates[i] = it->second;
+      continue;
+    }
+    for (const auto& [property, objects] : pairs) {
+      for (const std::string& o : objects) {
+        if (star.patterns[i].object.Matches(o)) {
+          r.candidates[i].push_back(PropObj{property, o});
+        }
+      }
+    }
+  }
+
+  StarPattern other;
+  other.subject_var = "t";
+  other.patterns.push_back(TriplePattern::Bound(
+      NodePattern::Var("t"), "q", NodePattern::Var("v")));
+  std::string neighbour;
+  TgWriter other_writer(&neighbour, NastyLeaf(rng), 1);
+  other_writer.Property("q");
+  other_writer.Object(NastyLeaf(rng));
+  other_writer.EndPairs();
+  r.stars = {star, other};
+  switch (rng->Uniform(3)) {
+    case 0:
+      r.record = group;
+      break;
+    case 1:
+      r.record = JoinRecords(group, neighbour);
+      break;
+    default:
+      r.record = JoinRecords(neighbour, group);
+      r.site = 1;
+  }
+  return r;
+}
+
+// Every component of every output, read and written again, gives the
+// output's bytes.
+void ExpectCanonical(const std::vector<std::string>& outputs,
+                     const std::string& context) {
+  TgRecordReader reader;
+  for (const std::string& out : outputs) {
+    ASSERT_TRUE(reader.Read(out).ok()) << context;
+    std::string rewritten;
+    for (const TgRecordReader::Component& c : reader.components()) {
+      if (!rewritten.empty() || &c != &reader.components().front()) {
+        rewritten.push_back('\x1E');
+      }
+      rewritten += testing_util::RewriteComponent(reader, c);
+    }
+    EXPECT_EQ(rewritten, out) << context;
+  }
+}
+
+TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
+  Rng rng(20261018);
+  for (int round = 0; round < 500; ++round) {
+    const Round r = RandomRound(&rng);
+    const StarPattern& star = r.stars[0];
+    const std::string context = "round " + std::to_string(round);
+    const std::vector<Solution> expanded = Expand(r.stars, r.record);
+
+    // μ^β over Eager's patterns: the product of their candidate counts,
+    // and Lemma 1.
+    size_t product = 1;
+    TgRecordReader reader;
+    ASSERT_TRUE(reader.Read(r.record).ok()) << context;
+    for (size_t idx : star.UnboundIndexes()) {
+      if (star.patterns[idx].optional) continue;
+      const TgRecordReader::Component& c = reader.components()[r.site];
+      bool single = false;
+      for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+        const TgRecordReader::Entry& e = reader.overrides()[o];
+        if (e.tp_index == idx) single = e.end - e.begin <= 2;
+      }
+      if (!single) product *= r.candidates[idx].size();
+    }
+    const std::vector<std::string> eager = Unnest(star, r.record, {}, r.site);
+    EXPECT_EQ(eager.size(), product) << context;
+    ExpectCanonical(eager, context);
+    EXPECT_EQ(ExpandAll(r.stars, eager), expanded) << context;
+
+    // μ^β and μ^β_φm of one mandatory unbound pattern, as a join site
+    // pins or partitions it.
+    std::vector<size_t> mandatory;
+    for (size_t idx : star.UnboundIndexes()) {
+      if (!star.patterns[idx].optional) mandatory.push_back(idx);
+    }
+    if (mandatory.empty()) continue;
+    const size_t tp = mandatory[rng.Uniform(mandatory.size())];
+    const std::vector<PropObj>& candidates = r.candidates[tp];
+    const std::vector<std::string> pinned =
+        Unnest(star, r.record, {tp}, r.site);
+    EXPECT_EQ(pinned.size(), candidates.size()) << context;
+    ExpectCanonical(pinned, context);
+    EXPECT_EQ(ExpandAll(r.stars, pinned), expanded) << context;
+
+    for (uint32_t m : {1u, 2u, 7u}) {
+      const auto partitions = Partition(star, r.record, tp, m, r.site);
+      EXPECT_LE(partitions.size(), m) << context;
+      std::vector<std::string> outputs;
+      std::vector<PropObj> collected;
+      for (size_t k = 0; k < partitions.size(); ++k) {
+        const auto& [partition, out] = partitions[k];
+        if (k > 0) {
+          EXPECT_LT(partitions[k - 1].first, partition) << context;
+        }
+        outputs.push_back(out);
+        TgRecordReader part;
+        ASSERT_TRUE(part.Read(out).ok()) << context;
+        const TgRecordReader::Component& c = part.components()[r.site];
+        for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+          const TgRecordReader::Entry& e = part.overrides()[o];
+          if (e.tp_index != tp) continue;
+          for (uint32_t j = e.begin; j < e.end; j += 2) {
+            const std::string object(part.leaves()[j + 1]);
+            EXPECT_EQ(PhiPartition(object, m), partition) << context;
+            collected.push_back(
+                PropObj{std::string(part.leaves()[j]), object});
+          }
+        }
+      }
+      std::vector<PropObj> expected = candidates;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [m](const PropObj& a, const PropObj& b) {
+                         return PhiPartition(a.object, m) <
+                                PhiPartition(b.object, m);
+                       });
+      EXPECT_EQ(collected, expected) << context << " m=" << m;
+      ExpectCanonical(outputs, context);
+      EXPECT_EQ(ExpandAll(r.stars, outputs), expanded) << context;
+    }
+  }
+}
+
 // The view-based record reader keeps every rejection of the record
-// grammar, with its Status code, for answer decoding and for
-// AnnTg::Deserialize alike.
+// grammar, with its Status code, for answer decoding and for any other
+// reader alike.
 TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   const std::vector<StarPattern> stars = {BioStar()};
   const std::string f = "\x1F";  // field separator
@@ -333,18 +668,16 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
       "g1" + f + "0" + f + "label,l1" + f + "two,p,o",  // bad override index
       "g1" + f + "0" + f + "label,l1" + f + "2,p",      // cut-short override
   };
+  TgRecordReader reader;
   for (const std::string& record : bad_records) {
     EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {record}).status().IsIoError())
         << EscapeField(record, '\x1F');
-    EXPECT_TRUE(AnnTg::Deserialize(record).status().IsIoError())
+    EXPECT_TRUE(reader.Read(record).IsIoError())
         << EscapeField(record, '\x1F');
   }
   // A bad component after a good one fails the whole joined record.
-  AnnTg good;
-  good.subject = "g1";
-  good.AddPair("label", "l1");
-  EXPECT_TRUE(DecodeJoinedTgAnswers(
-                  stars, {good.Serialize() + "\x1E" + bad_records[1]})
+  const std::string good = "g1" + f + "0" + f + "label,l1" + f;
+  EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {good + "\x1E" + bad_records[1]})
                   .status()
                   .IsIoError());
   // A well-formed component naming a star the plan does not have.
@@ -352,7 +685,7 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   EXPECT_TRUE(
       DecodeJoinedTgAnswers(stars, {unknown_star}).status().IsIoError());
   EXPECT_TRUE(ExpandJoinedTg(stars, unknown_star).status().IsIoError());
-  EXPECT_TRUE(ExpandJoinedTg(stars, good.Serialize() + "\x1E" + unknown_star)
+  EXPECT_TRUE(ExpandJoinedTg(stars, good + "\x1E" + unknown_star)
                   .status()
                   .IsIoError());
 }

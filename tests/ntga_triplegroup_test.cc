@@ -1,201 +1,171 @@
-// Unit tests for the TripleGroup data model: nested pair storage,
-// compaction rules, serialization (with adversarial strings), and the
-// record grammar (components side by side, read and spliced as views).
+// Unit tests for the TripleGroup record grammar: the one writer
+// (TgWriter), the one reader (TgRecordReader), adversarial leaves, and
+// records as components side by side.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "common/random.h"
 #include "ntga/triplegroup.h"
+#include "tests/test_util.h"
 
 namespace rdfmr {
 namespace {
 
-StarPattern StarWithUnbound() {
-  StarPattern star;
-  star.subject_var = "g";
-  star.patterns.push_back(TriplePattern::Bound(
-      NodePattern::Var("g"), "label", NodePattern::Var("l")));
-  star.patterns.push_back(TriplePattern::Bound(
-      NodePattern::Var("g"), "xGO", NodePattern::Var("go")));
-  star.patterns.push_back(TriplePattern::Unbound(
-      NodePattern::Var("g"), "up", NodePattern::Var("x")));
-  return star;
+using testing_util::RewriteComponent;
+
+// The leaves of one read component, as plain strings.
+struct ReadBack {
+  std::string subject;
+  uint32_t star_id = 0;
+  std::vector<std::vector<std::string>> pairs;
+  std::vector<std::pair<uint32_t, std::vector<std::string>>> overrides;
+
+  bool operator==(const ReadBack& o) const {
+    return subject == o.subject && star_id == o.star_id &&
+           pairs == o.pairs && overrides == o.overrides;
+  }
+};
+
+ReadBack Leaves(const TgRecordReader& reader,
+                const TgRecordReader::Component& c) {
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  ReadBack out;
+  out.subject = std::string(leaves[c.subject]);
+  out.star_id = c.star_id;
+  for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
+    const TgRecordReader::Entry& e = reader.pairs()[p];
+    out.pairs.emplace_back(leaves.begin() + e.begin, leaves.begin() + e.end);
+  }
+  for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+    const TgRecordReader::Entry& e = reader.overrides()[o];
+    out.overrides.emplace_back(
+        e.tp_index, std::vector<std::string>(leaves.begin() + e.begin,
+                                             leaves.begin() + e.end));
+  }
+  return out;
 }
 
-TEST(AnnTgTest, AddPairDeduplicatesAndSorts) {
-  AnnTg tg;
-  tg.AddPair("xGO", "go9");
-  tg.AddPair("xGO", "go1");
-  tg.AddPair("xGO", "go9");
-  ASSERT_EQ(tg.pairs.at("xGO"),
-            (std::vector<std::string>{"go1", "go9"}));
-  EXPECT_EQ(tg.PairCount(), 2u);
+// Writes `tg` through the one writer.
+std::string Write(const ReadBack& tg) {
+  std::string out;
+  TgWriter writer(&out, tg.subject, tg.star_id);
+  for (const std::vector<std::string>& entry : tg.pairs) {
+    writer.Property(entry[0]);
+    for (size_t j = 1; j < entry.size(); ++j) writer.Object(entry[j]);
+  }
+  writer.EndPairs();
+  for (const auto& [tp_index, pinned] : tg.overrides) {
+    writer.Override(tp_index);
+    for (size_t j = 0; j < pinned.size(); j += 2) {
+      writer.Pinned(pinned[j], pinned[j + 1]);
+    }
+  }
+  return out;
 }
 
-TEST(AnnTgTest, AllPairsFlattensInOrder) {
-  AnnTg tg;
-  tg.AddPair("b", "2");
-  tg.AddPair("a", "1");
-  std::vector<PropObj> pairs = tg.AllPairs();
-  ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs[0].property, "a");
-  EXPECT_EQ(pairs[1].property, "b");
-}
-
-TEST(AnnTgTest, ToTriplesIncludesOverrides) {
-  AnnTg tg;
-  tg.subject = "gene9";
-  tg.AddPair("label", "retinoid");
-  tg.overrides[2] = {PropObj{"xRef", "ref1"}};
-  std::vector<Triple> triples = tg.ToTriples();
-  ASSERT_EQ(triples.size(), 2u);
-  EXPECT_EQ(triples[0], Triple("gene9", "label", "retinoid"));
-  EXPECT_EQ(triples[1], Triple("gene9", "xRef", "ref1"));
-}
-
-TEST(AnnTgTest, CompactKeepsBoundAndOpenUnboundCandidates) {
-  StarPattern star = StarWithUnbound();
-  AnnTg tg;
-  tg.subject = "g";
-  tg.AddPair("label", "l1");
-  tg.AddPair("xGO", "go1");
-  tg.AddPair("synonym", "s1");  // only an unbound candidate
-  tg.Compact(star);
-  // The unbound pattern is unrestricted and not overridden: all pairs stay.
-  EXPECT_TRUE(tg.HasProperty("synonym"));
-  EXPECT_TRUE(tg.HasProperty("label"));
-}
-
-TEST(AnnTgTest, CompactDropsCandidatesOncePinned) {
-  StarPattern star = StarWithUnbound();
-  AnnTg tg;
-  tg.subject = "g";
-  tg.AddPair("label", "l1");
-  tg.AddPair("xGO", "go1");
-  tg.AddPair("synonym", "s1");
-  tg.overrides[2] = {PropObj{"synonym", "s1"}};  // pin the unbound pattern
-  tg.Compact(star);
-  EXPECT_FALSE(tg.HasProperty("synonym"))
-      << "a pinned pattern's candidates must be shed";
-  EXPECT_TRUE(tg.HasProperty("label"));
-  EXPECT_TRUE(tg.HasProperty("xGO"));
-}
-
-TEST(AnnTgTest, CompactRespectsOpenPatternsObjectFilter) {
-  // Star with TWO unbound patterns, the second filtered; pin the first.
-  StarPattern star;
-  star.subject_var = "g";
-  star.patterns.push_back(TriplePattern::Bound(
-      NodePattern::Var("g"), "subType", NodePattern::Var("st")));
-  star.patterns.push_back(TriplePattern::Unbound(
-      NodePattern::Var("g"), "up1", NodePattern::Var("a")));
-  star.patterns.push_back(TriplePattern::Unbound(
-      NodePattern::Var("g"), "up2", NodePattern::Var("o", "nur77")));
-  AnnTg tg;
-  tg.subject = "g";
-  tg.AddPair("subType", "protein");
-  tg.AddPair("interactsWith", "gene_nur77");
-  tg.AddPair("xGO", "go1");
-  tg.overrides[1] = {PropObj{"xGO", "go1"}};  // pin up1
-  tg.Compact(star);
-  EXPECT_TRUE(tg.HasProperty("subType")) << "bound pair stays";
-  EXPECT_TRUE(tg.HasProperty("interactsWith"))
-      << "still a candidate for the filtered open pattern";
-  EXPECT_FALSE(tg.HasProperty("xGO"))
-      << "cannot satisfy the open pattern's 'nur77' filter";
-}
-
-TEST(AnnTgTest, SerdeRoundtripBasic) {
-  AnnTg tg;
+TEST(TgWriterTest, WritesTheGrammar) {
+  ReadBack tg;
   tg.subject = "gene9";
   tg.star_id = 3;
-  tg.AddPair("label", "retinoid receptor");
-  tg.AddPair("xGO", "go1");
-  tg.AddPair("xGO", "go9");
-  tg.overrides[2] = {PropObj{"xRef", "ref1"}, PropObj{"xRef", "ref2"}};
-  auto back = AnnTg::Deserialize(tg.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, tg);
+  tg.pairs = {{"label", "retinoid receptor"}, {"xGO", "go1", "go9"}};
+  tg.overrides = {{2, {"xRef", "ref1", "xRef", "ref2"}}};
+  const std::string line = Write(tg);
+  EXPECT_EQ(line,
+            "gene9\x1F"
+            "3\x1Flabel,retinoid receptor\x1DxGO,go1,go9\x1F"
+            "2,xRef,ref1,xRef,ref2");
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  ASSERT_EQ(record.components().size(), 1u);
+  EXPECT_EQ(Leaves(record, record.components()[0]), tg);
 }
 
-class AnnTgSerdeParamTest : public ::testing::TestWithParam<std::string> {};
+class TgWriterParamTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(AnnTgSerdeParamTest, RoundtripsWithAdversarialStrings) {
+TEST_P(TgWriterParamTest, RoundtripsWithAdversarialStrings) {
   const std::string& nasty = GetParam();
-  AnnTg tg;
+  ReadBack tg;
   tg.subject = nasty;
   tg.star_id = 7;
-  tg.AddPair(nasty + "_p", nasty + "_o");
-  tg.AddPair("normal", nasty);
-  tg.overrides[0] = {PropObj{nasty, nasty}};
-  auto back = AnnTg::Deserialize(tg.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, tg);
+  tg.pairs = {{nasty + "_p", nasty + "_o"}, {"normal", nasty}};
+  tg.overrides = {{0, {nasty, nasty}}};
+  const std::string line = Write(tg);
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  ASSERT_EQ(record.components().size(), 1u);
+  EXPECT_EQ(Leaves(record, record.components()[0]), tg);
+  EXPECT_EQ(RewriteComponent(record, record.components()[0]), line);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Nasty, AnnTgSerdeParamTest,
+    Nasty, TgWriterParamTest,
     ::testing::Values("plain", "with,comma", "with\ttab",
                       std::string("\x1F\x1D\x1E"), "back\\slash\\",
                       "new\nline", "=;|,", ""));
 
-TEST(AnnTgTest, PeekStarIdMatchesFull) {
-  AnnTg tg;
+TEST(TgWriterTest, PeekStarIdMatchesReader) {
+  ReadBack tg;
   tg.subject = "s";
   tg.star_id = 42;
-  tg.AddPair("p", "o");
-  auto peeked = AnnTg::PeekStarId(tg.Serialize());
+  tg.pairs = {{"p", "o"}};
+  auto peeked = PeekStarId(Write(tg));
   ASSERT_TRUE(peeked.ok());
   EXPECT_EQ(*peeked, 42u);
 }
 
-TEST(AnnTgTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(AnnTg::Deserialize("").ok());
-  EXPECT_FALSE(AnnTg::Deserialize("no separators at all").ok());
-  EXPECT_FALSE(AnnTg::PeekStarId("nope").ok());
+TEST(TgWriterTest, ReaderRejectsGarbage) {
+  TgRecordReader record;
+  EXPECT_FALSE(record.Read("").ok());
+  EXPECT_FALSE(record.Read("no separators at all").ok());
+  EXPECT_FALSE(PeekStarId("nope").ok());
 }
 
-TEST(AnnTgTest, EmptyGroupSerde) {
-  AnnTg tg;
+TEST(TgWriterTest, EmptyGroupRoundtrips) {
+  ReadBack tg;
   tg.subject = "lonely";
-  tg.star_id = 0;
-  auto back = AnnTg::Deserialize(tg.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, tg);
+  const std::string line = Write(tg);
+  EXPECT_EQ(line, "lonely\x1F"
+                  "0\x1F\x1F");
+  TgRecordReader record;
+  ASSERT_TRUE(record.Read(line).ok());
+  EXPECT_EQ(Leaves(record, record.components()[0]), tg);
 }
 
 // ---- Records ----------------------------------------------------------------
 
 TEST(TgRecordTest, ComponentsSideBySideReadBack) {
-  AnnTg a;
+  ReadBack a;
   a.subject = "gene9";
-  a.star_id = 0;
-  a.AddPair("label", "retinoid");
-  AnnTg b;
+  a.pairs = {{"label", "retinoid"}};
+  ReadBack b;
   b.subject = "go1";
   b.star_id = 1;
-  b.AddPair("goLabel", "molecular function");
-  b.overrides[1] = {PropObj{"goSyn", "mf"}};
-  const std::string line = JoinRecords(a.Serialize(), b.Serialize());
-  EXPECT_EQ(line, a.Serialize() + "\x1E" + b.Serialize());
+  b.pairs = {{"goLabel", "molecular function"}};
+  b.overrides = {{1, {"goSyn", "mf"}}};
+  const std::string line = JoinRecords(Write(a), Write(b));
+  EXPECT_EQ(line, Write(a) + "\x1E" + Write(b));
   TgRecordReader record;
   ASSERT_TRUE(record.Read(line).ok());
   ASSERT_EQ(record.components().size(), 2u);
-  EXPECT_EQ(record.ToAnnTg(record.components()[0]), a);
-  EXPECT_EQ(record.ToAnnTg(record.components()[1]), b);
-  EXPECT_FALSE(AnnTg::Deserialize(line).ok()) << "two components";
+  EXPECT_EQ(Leaves(record, record.components()[0]), a);
+  EXPECT_EQ(Leaves(record, record.components()[1]), b);
+  EXPECT_EQ(record.line(), line);
 }
 
-TEST(TgRecordTest, OneComponentRecordIsTheSerializedGroup) {
-  AnnTg a;
+TEST(TgRecordTest, OneComponentRecordIsTheWrittenGroup) {
+  ReadBack a;
   a.subject = "s";
   a.star_id = 5;
-  a.AddPair("p", "o");
-  const std::string line = a.Serialize();
+  a.pairs = {{"p", "o"}};
+  const std::string line = Write(a);
   TgRecordReader record;
   ASSERT_TRUE(record.Read(line).ok());
   ASSERT_EQ(record.components().size(), 1u);
-  EXPECT_EQ(record.ToAnnTg(record.components()[0]), a);
+  EXPECT_EQ(Leaves(record, record.components()[0]), a);
   EXPECT_EQ(record.components()[0].raw, line);
 }
 
@@ -211,59 +181,71 @@ std::string RandomLeaf(Rng* rng) {
   return out;
 }
 
-AnnTg RandomTg(Rng* rng) {
-  AnnTg tg;
+// A canonical group: properties in byte order, each with its sorted
+// distinct objects; overrides in index order with 0, 1 or many pairs.
+ReadBack RandomTg(Rng* rng) {
+  ReadBack tg;
   tg.subject = RandomLeaf(rng);
   tg.star_id = static_cast<uint32_t>(rng->Uniform(1000));
+  std::map<std::string, std::set<std::string>> pairs;
   const size_t num_pairs = rng->Uniform(4);  // 0: an empty group
   for (size_t i = 0; i < num_pairs; ++i) {
-    tg.AddPair(RandomLeaf(rng), RandomLeaf(rng));
+    pairs[RandomLeaf(rng)].insert(RandomLeaf(rng));
   }
+  for (const auto& [property, objects] : pairs) {
+    tg.pairs.emplace_back(1, property);
+    tg.pairs.back().insert(tg.pairs.back().end(), objects.begin(),
+                           objects.end());
+  }
+  std::map<uint32_t, std::vector<std::string>> overrides;
   const size_t num_overrides = rng->Uniform(3);
   for (size_t i = 0; i < num_overrides; ++i) {
-    // 0, 1 or many pinned pairs.
-    std::vector<PropObj>& pinned =
-        tg.overrides[static_cast<uint32_t>(rng->Uniform(5))];
+    std::vector<std::string>& pinned =
+        overrides[static_cast<uint32_t>(rng->Uniform(5))];
     pinned.clear();
     const size_t num_pinned = std::vector<size_t>{0, 1, 4}[rng->Uniform(3)];
-    for (size_t j = 0; j < num_pinned; ++j) {
-      pinned.push_back(PropObj{RandomLeaf(rng), RandomLeaf(rng)});
+    for (size_t j = 0; j < 2 * num_pinned; ++j) {
+      pinned.push_back(RandomLeaf(rng));
     }
   }
+  tg.overrides.assign(overrides.begin(), overrides.end());
   return tg;
 }
 
 // The record of joining `tgs` left to right.
-std::string JoinComponents(const std::vector<AnnTg>& tgs) {
-  std::string out = tgs.front().Serialize();
+std::string JoinComponents(const std::vector<ReadBack>& tgs) {
+  std::string out = Write(tgs.front());
   for (size_t k = 1; k < tgs.size(); ++k) {
-    out = JoinRecords(out, tgs[k].Serialize());
+    out = JoinRecords(out, Write(tgs[k]));
   }
   return out;
 }
 
-// Records are canonical: reading a record's components and serializing
-// them again gives its bytes back, so a join may pass components through
-// as bytes and splice a rebuilt one in place of its raw span.
-TEST(TgRecordTest, SplicingEqualsReserializing) {
+// Records are canonical: reading a record's components and writing them
+// again gives its bytes back, and each component's raw span is exactly
+// its written bytes, so a join may pass components through as bytes and
+// write a rewritten one in place of its raw span.
+TEST(TgRecordTest, ReadingAndWritingAgainGivesTheBytes) {
   Rng rng(20261017);
   TgRecordReader record;
   for (int round = 0; round < 500; ++round) {
-    std::vector<AnnTg> tgs(1 + rng.Uniform(4));
-    for (AnnTg& tg : tgs) tg = RandomTg(&rng);
+    std::vector<ReadBack> tgs(1 + rng.Uniform(4));
+    for (ReadBack& tg : tgs) tg = RandomTg(&rng);
     const std::string line = JoinComponents(tgs);
     ASSERT_TRUE(record.Read(line).ok()) << "round " << round;
     ASSERT_EQ(record.components().size(), tgs.size()) << "round " << round;
     for (size_t k = 0; k < tgs.size(); ++k) {
       const TgRecordReader::Component& c = record.components()[k];
-      EXPECT_EQ(record.ToAnnTg(c), tgs[k]) << "round " << round;
-      EXPECT_EQ(c.raw, tgs[k].Serialize()) << "round " << round;
+      EXPECT_EQ(Leaves(record, c), tgs[k]) << "round " << round;
+      EXPECT_EQ(c.raw, Write(tgs[k])) << "round " << round;
+      EXPECT_EQ(RewriteComponent(record, c), c.raw) << "round " << round;
     }
     const size_t k = rng.Uniform(tgs.size());
-    const AnnTg replacement = RandomTg(&rng);
-    std::string spliced;
-    AppendSpliced(&spliced, line, record.components()[k].raw, replacement);
-    tgs[k] = replacement;
+    const std::string_view raw = record.components()[k].raw;
+    tgs[k] = RandomTg(&rng);
+    const size_t begin = static_cast<size_t>(raw.data() - line.data());
+    const std::string spliced = line.substr(0, begin) + Write(tgs[k]) +
+                                line.substr(begin + raw.size());
     EXPECT_EQ(spliced, JoinComponents(tgs)) << "round " << round;
   }
 }

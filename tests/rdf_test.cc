@@ -158,14 +158,14 @@ TEST(NTriplesTest, DocumentRoundtripWithCommentsAndBlanks) {
 TEST(NTriplesTest, CompactorLongestPrefixWins) {
   IriCompactor compactor({{"http://bio2rdf.org/", "bio:"},
                           {"http://bio2rdf.org/ns/", ""}});
-  EXPECT_EQ(compactor.Compact(Term::Iri("http://bio2rdf.org/ns/xGO")),
+  EXPECT_EQ(compactor.Identifier(Term::Iri("http://bio2rdf.org/ns/xGO")),
             "xGO");
-  EXPECT_EQ(compactor.Compact(Term::Iri("http://bio2rdf.org/gene9")),
+  EXPECT_EQ(compactor.Identifier(Term::Iri("http://bio2rdf.org/gene9")),
             "bio:gene9");
-  EXPECT_EQ(compactor.Compact(Term::Iri("http://other.org/x")),
+  EXPECT_EQ(compactor.Identifier(Term::Iri("http://other.org/x")),
             "http://other.org/x");
-  EXPECT_EQ(compactor.Compact(Term::Literal("plain")), "plain");
-  EXPECT_EQ(compactor.Compact(Term::Blank("b1")), "_:b1");
+  EXPECT_EQ(compactor.Identifier(Term::Literal("plain")), "plain");
+  EXPECT_EQ(compactor.Identifier(Term::Blank("b1")), "_:b1");
 }
 
 TEST(NTriplesTest, LoadToEngineTriples) {

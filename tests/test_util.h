@@ -18,6 +18,7 @@
 #include "dfs/sim_dfs.h"
 #include "engine/advisor.h"
 #include "engine/engine.h"
+#include "ntga/triplegroup.h"
 #include "rdf/graph_stats.h"
 #include "rdf/triple.h"
 
@@ -117,6 +118,29 @@ inline std::vector<EngineKind> AllEngineKinds() {
   return {EngineKind::kPig,          EngineKind::kHive,
           EngineKind::kNtgaEager,    EngineKind::kNtgaLazyFull,
           EngineKind::kNtgaLazyPartial, EngineKind::kNtgaLazy};
+}
+
+/// Component `c` of the record `reader` last read, written again through
+/// the one writer from the reader's views.
+inline std::string RewriteComponent(const TgRecordReader& reader,
+                                    const TgRecordReader::Component& c) {
+  const std::vector<std::string_view>& leaves = reader.leaves();
+  std::string out;
+  TgWriter writer(&out, leaves[c.subject], c.star_id);
+  for (uint32_t p = c.pairs_begin; p < c.pairs_end; ++p) {
+    const TgRecordReader::Entry& e = reader.pairs()[p];
+    writer.Property(leaves[e.begin]);
+    for (uint32_t j = e.begin + 1; j < e.end; ++j) writer.Object(leaves[j]);
+  }
+  writer.EndPairs();
+  for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
+    const TgRecordReader::Entry& e = reader.overrides()[o];
+    writer.Override(e.tp_index);
+    for (uint32_t j = e.begin; j < e.end; j += 2) {
+      writer.Pinned(leaves[j], leaves[j + 1]);
+    }
+  }
+  return out;
 }
 
 }  // namespace testing_util

@@ -32,7 +32,10 @@ build_and_test() {
   cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE="$build_type" \
     -DRDFMR_WERROR=ON "${launcher_args[@]}" || return $?
   cmake --build "$build_dir" -j "$(nproc)" || return $?
-  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" || return $?
+  # Release smoke-runs the operator microbenchmarks; no number is gated.
+  [[ "$build_type" != Release ]] ||
+    "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01
 }
 
 run_fuzz() {
