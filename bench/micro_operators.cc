@@ -12,6 +12,7 @@
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "engine/engine.h"
 #include "ntga/ntga_compiler.h"
 #include "ntga/operators.h"
 #include "ntga/triplegroup.h"
@@ -189,19 +190,65 @@ void BM_UnboundSiteJoinMap(benchmark::State& state) {
 }
 BENCHMARK(BM_UnboundSiteJoinMap)->Arg(4)->Arg(32)->Arg(256);
 
-// Expands one group's record, as the decoders and the aggregation mapper
-// do.
+// Decodes one group's record, as the aggregation mapper does.
 void BM_ExpandTgRecord(benchmark::State& state) {
-  StarPattern star = TestStar();
+  const std::vector<StarPattern> stars = {TestStar()};
   const std::string record = TestGroup(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto out = ExpandJoinedTg({star}, record);
+    auto out = DecodeJoinedTgAnswers(stars, {&record, 1});
     benchmark::DoNotOptimize(out);
   }
-  state.counters["solutions_out"] =
-      static_cast<double>(ExpandJoinedTg({star}, record)->size());
+  state.counters["solutions_out"] = static_cast<double>(
+      DecodeJoinedTgAnswers(stars, {&record, 1})->size());
 }
 BENCHMARK(BM_ExpandTgRecord)->Arg(4)->Arg(32)->Arg(256);
+
+// The compiled aggregation mapper (COUNT(DISTINCT ?up) per subject) over
+// one final-output record: for an NTGA engine, one group's record with N
+// candidates in, N + 2 (group, counted value) pairs out (the two bound
+// pairs are candidates too); for a relational engine, one TestStar tuple
+// in, one pair out.
+void BM_AggregateMap(benchmark::State& state, EngineKind kind) {
+  auto parsed = ParseSparqlQuery(
+      "aggregate", "SELECT ?s (COUNT(DISTINCT ?up) AS ?n) WHERE { ?s "
+                   "<property0> ?o0 . ?s <property1> ?o1 . ?s ?up ?x . } "
+                   "GROUP BY ?s");
+  if (!parsed.ok()) std::abort();
+  EngineOptions options;
+  options.kind = kind;
+  auto plan = CompilePlan(
+      ExecRequest::Single(
+          std::make_shared<const GraphPatternQuery>(std::move(parsed->query)),
+          parsed->aggregate),
+      "base", "tmp", options);
+  if (!plan.ok()) std::abort();
+  const MapFn map = plan->workflow.jobs.back().inputs[0].map;
+  const bool ntga = kind != EngineKind::kHive;
+  const size_t expected = ntga ? static_cast<size_t>(state.range(0)) + 2 : 1;
+  const std::string record =
+      ntga ? TestGroup(static_cast<int>(state.range(0)))
+           : RelTuple{{Triple("subject42", "property0", "bound_object_a"),
+                       Triple("subject42", "property1", "bound_object_b"),
+                       Triple("subject42", "property2", "candidate")}}
+                 .Serialize();
+  size_t outputs = 0;
+  const MapEmit emit = [&outputs](std::string key, std::string value) {
+    benchmark::DoNotOptimize(key.data());
+    benchmark::DoNotOptimize(value.data());
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    map(record, emit, &counters);
+  }
+  if (outputs != expected * state.iterations()) std::abort();
+  state.counters["records_out_per_call"] = static_cast<double>(expected);
+}
+BENCHMARK_CAPTURE(BM_AggregateMap, ntga, EngineKind::kNtgaLazyFull)
+    ->Arg(4)
+    ->Arg(32)
+    ->Arg(256);
+BENCHMARK_CAPTURE(BM_AggregateMap, hive, EngineKind::kHive)->Arg(1);
 
 // The TG_Join reducer (B0's all-bound join cycle) over 4 left and 4 right
 // groups of N pairs each: 16 joined records per call.
@@ -361,6 +408,7 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
   RelSchema schema = stars[0].patterns;
   schema.insert(schema.end(), stars[1].patterns.begin(),
                 stars[1].patterns.end());
+  const RelRecordReader reader(schema);
   std::vector<std::string> lines;
   for (int i = 0; i < state.range(0); ++i) {
     const std::string p = ProductIri(i);
@@ -376,12 +424,12 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
     lines.push_back(tuple.Serialize());
   }
   for (auto _ : state) {
-    auto answers = DecodeRelationalAnswers(schema, lines);
+    auto answers = DecodeRelationalAnswers(reader, lines);
     if (!answers.ok()) std::abort();
     benchmark::DoNotOptimize(answers);
   }
   state.counters["answers"] = static_cast<double>(
-      DecodeRelationalAnswers(schema, lines)->size());
+      DecodeRelationalAnswers(reader, lines)->size());
 }
 BENCHMARK(BM_DecodeRelationalAnswers)->Arg(1000)->Arg(10000);
 
@@ -445,7 +493,7 @@ void RunInstrumentedOperatorPass() {
     if (!reader.Read(group).ok()) std::abort();
     unnester.BetaUnnest(reader, reader.components()[0], {}, sink);
     unnester.PartialBetaUnnest(reader, reader.components()[0], 2, 16, sink);
-    auto solutions = ExpandJoinedTg({star}, group);
+    auto solutions = DecodeJoinedTgAnswers({star}, {&group, 1});
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

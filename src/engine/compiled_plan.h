@@ -1,16 +1,18 @@
 // The common output type of all plan compilers (relational and NTGA): an
-// executable MapReduce workflow plus a decoder that expands the engine's
-// final output file into canonical solution mappings for verification.
+// executable MapReduce workflow plus the plan's one answer decoder, which
+// expands answer records into the canonical answer table.
 //
 // The decoder exists because engines differ in their *final representation*
 // (flat n-tuples vs. nested triplegroups — the paper's LazyUnnest keeps
 // results "compact till the end"); answer comparison must not charge that
-// expansion to the engine's I/O.
+// expansion to the engine's I/O. It is the only way a record becomes rows,
+// for the read-back and the aggregation cycle's mapper alike.
 
 #ifndef RDFMR_ENGINE_COMPILED_PLAN_H_
 #define RDFMR_ENGINE_COMPILED_PLAN_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,15 +22,10 @@
 
 namespace rdfmr {
 
-/// \brief Expands an engine's final output lines into solutions.
-using AnswerDecoder = std::function<Result<SolutionSet>(
-    const std::vector<std::string>& lines)>;
-
-/// \brief Expands ONE final-output record into the solutions it implicitly
-/// represents (a flat tuple yields one; a nested joined triplegroup may
-/// yield many). Used by post-processing cycles, e.g. aggregation.
-using RecordDecoder = std::function<Result<std::vector<Solution>>(
-    const std::string& record)>;
+/// \brief Expands an engine's final output lines into the set of the
+/// solutions they represent; fails on the first line it rejects.
+using AnswerDecoder =
+    std::function<Result<SolutionSet>(std::span<const std::string> lines)>;
 
 /// \brief A fully compiled, executable plan for one query or a batch.
 struct CompiledPlan {
@@ -38,7 +35,6 @@ struct CompiledPlan {
   std::vector<std::string> final_output_paths;
   /// Decode any of the plan's answer files.
   AnswerDecoder decoder;
-  RecordDecoder record_decoder;
   /// DFS paths holding the star-join phase outputs (inputs to later join
   /// cycles); used for the paper's "redundancy factor" and "HDFS writes
   /// after the star-join computation phase" metrics.

@@ -1,10 +1,10 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <unordered_set>
 
@@ -73,78 +73,110 @@ uint64_t SafeFileSize(const SimDfs& dfs, const std::string& path) {
   return size.ok() ? *size : 0;
 }
 
+// The distinct strings of `values`, sorted, as views into them.
+std::vector<std::string_view> SortedDistinct(
+    const std::vector<std::string>& values) {
+  std::vector<std::string_view> views(values.begin(), values.end());
+  std::sort(views.begin(), views.end());
+  views.erase(std::unique(views.begin(), views.end()), views.end());
+  return views;
+}
+
 // Appends the COUNT/GROUP BY/HAVING cycle to a compiled plan. The mapper
-// expands each final-output record in flight (nested triplegroups never
-// materialize their combinations); in DISTINCT mode only the counted value
-// is shipped (duplicate-proof), otherwise the full solution is shipped so
-// the reducer can deduplicate rows before counting.
+// expands each final-output record in flight through the plan's decoder
+// (nested triplegroups never materialize their combinations); in DISTINCT
+// mode only the counted value is shipped (duplicate-proof), otherwise the
+// full solution's canonical line is shipped so the reducer can deduplicate
+// rows before counting. The group key is the canonical line of the group
+// variables' bindings.
 void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
                             const std::string& tmp_prefix) {
-  RecordDecoder decode = plan->record_decoder;
+  // The group variables as the key binds them, sorted and each once, then
+  // the counted one.
+  std::vector<std::string> wanted = spec.group_vars;
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  wanted.push_back(spec.counted_var);
   JobSpec job;
   job.name = "aggregate-count";
   MapInput aggregate_input;
   aggregate_input.path = plan->workflow.final_output_path;
-  aggregate_input.map =
-      [decode, spec](const std::string& record, const MapEmit& emit,
-                     Counters* counters) {
-        Result<std::vector<Solution>> solutions = decode(record);
-        if (!solutions.ok()) {
-          (*counters)["bad_records"] += 1;
-          return;
-        }
-        for (const Solution& sol : *solutions) {
-          Solution key;
-          bool complete = true;
-          for (const std::string& v : spec.group_vars) {
-            const std::string* value = sol.Get(v);
-            if (value == nullptr) {
-              complete = false;
-              break;
-            }
-            key.Bind(v, *value);
-          }
-          const std::string* counted = sol.Get(spec.counted_var);
-          if (!complete || counted == nullptr) {
-            (*counters)["incomplete_solutions"] += 1;
-            continue;
-          }
-          emit(key.Serialize(),
-               spec.distinct ? *counted : sol.Serialize());
-        }
-      };
-  job.inputs.push_back(std::move(aggregate_input));
-  job.reduce = [spec](const std::string& key,
-                      const std::vector<std::string>& values,
-                      const RecordEmit& emit, Counters* counters) {
-    uint64_t count = 0;
-    if (spec.distinct) {
-      count = std::set<std::string>(values.begin(), values.end()).size();
-    } else {
-      // Deduplicate solution rows (set semantics), then count them.
-      std::set<std::string> rows(values.begin(), values.end());
-      count = rows.size();
-    }
-    if (count < spec.min_count) {
-      (*counters)["groups_below_threshold"] += 1;
-      return;
-    }
-    Result<Solution> group = Solution::Deserialize(key);
-    if (!group.ok()) {
+  aggregate_input.map = [decode = plan->decoder, wanted,
+                         distinct = spec.distinct](const std::string& record,
+                                                   const MapEmit& emit,
+                                                   Counters* counters) {
+    Result<SolutionSet> rows = decode({&record, 1});
+    if (!rows.ok()) {
       (*counters)["bad_records"] += 1;
       return;
     }
-    group->Bind(spec.count_var, std::to_string(count));
-    emit(group->Serialize());
+    // Each wanted variable's slot; one that no row binds gets the width.
+    const std::vector<std::string>& vars = rows->variables();
+    std::vector<size_t> slots;
+    for (const std::string& var : wanted) {
+      auto it = std::lower_bound(vars.begin(), vars.end(), var);
+      slots.push_back(it != vars.end() && *it == var
+                          ? static_cast<size_t>(it - vars.begin())
+                          : vars.size());
+    }
+    for (size_t r = 0; r < rows->size(); ++r) {
+      if (std::any_of(slots.begin(), slots.end(), [&](size_t slot) {
+            return slot == vars.size() ||
+                   rows->handle(r, slot) == SolutionSet::kUnbound;
+          })) {
+        (*counters)["incomplete_solutions"] += 1;
+        continue;
+      }
+      std::string key, value;
+      for (size_t k = 0; k + 1 < wanted.size(); ++k) {
+        AppendBinding(&key, k == 0, wanted[k],
+                      rows->term(rows->handle(r, slots[k])));
+      }
+      if (distinct) {
+        value = rows->term(rows->handle(r, slots.back()));
+      } else {
+        rows->AppendSerialized(r, &value);
+      }
+      emit(std::move(key), std::move(value));
+    }
   };
-  // Both modes ultimately count distinct values per group (DISTINCT counts
-  // distinct counted values; the row mode deduplicates full solutions), so
-  // per-task deduplication is a correct combiner: it is idempotent and any
+  job.inputs.push_back(std::move(aggregate_input));
+  job.reduce = [count_var = spec.count_var, min_count = spec.min_count](
+                   const std::string& key,
+                   const std::vector<std::string>& values,
+                   const RecordEmit& emit, Counters* counters) {
+    // Both modes count distinct values: counted values, or solution rows
+    // (set semantics).
+    const uint64_t count = SortedDistinct(values).size();
+    if (count < min_count) {
+      (*counters)["groups_below_threshold"] += 1;
+      return;
+    }
+    SolutionLineReader group;
+    if (!group.Read(key).ok()) {
+      (*counters)["bad_records"] += 1;
+      return;
+    }
+    // The group's bindings with the count in its place; Validate keeps
+    // count_var apart from every group variable.
+    std::vector<SolutionLineReader::Binding> bindings = group.bindings();
+    const std::string n = std::to_string(count);
+    const SolutionLineReader::Binding counted(count_var, n);
+    bindings.insert(
+        std::upper_bound(bindings.begin(), bindings.end(), counted), counted);
+    std::string line;
+    for (const auto& [var, value] : bindings) {
+      AppendBinding(&line, line.empty(), var, value);
+    }
+    emit(std::move(line));
+  };
+  // Both modes ultimately count distinct values per group, so per-task
+  // deduplication is a correct combiner: it is idempotent and any
   // cross-task duplicates are re-deduplicated at the reducer.
   job.combine = [](const std::string& /*key*/,
                    const std::vector<std::string>& values,
                    Counters* counters) {
-    std::set<std::string> distinct(values.begin(), values.end());
+    const std::vector<std::string_view> distinct = SortedDistinct(values);
     (*counters)["combine_output_records"] += distinct.size();
     return std::vector<std::string>(distinct.begin(), distinct.end());
   };
@@ -155,9 +187,7 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   plan->workflow.final_output_path = job.output_path;
   plan->final_output_paths = {job.output_path};
   plan->workflow.jobs.push_back(std::move(job));
-  plan->decoder = [](const std::vector<std::string>& lines) {
-    return ParseSolutionFile(lines);
-  };
+  plan->decoder = ParseSolutionFile;
 }
 
 // The redundancy of a flat relational representation is measured against

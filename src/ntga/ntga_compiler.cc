@@ -453,13 +453,8 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
   }
 
   // Records carry global star ids, so one decoder serves every answer file.
-  out.decoder = [all_stars](const std::vector<std::string>& lines)
-      -> Result<SolutionSet> {
+  out.decoder = [all_stars](std::span<const std::string> lines) {
     return DecodeJoinedTgAnswers(all_stars, lines);
-  };
-  out.record_decoder = [all_stars](const std::string& record)
-      -> Result<std::vector<Solution>> {
-    return ExpandJoinedTg(all_stars, record);
   };
   return out;
 }

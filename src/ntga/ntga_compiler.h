@@ -43,8 +43,8 @@ struct NtgaOptions {
 /// γ_S(T) does not depend on the query, so every query of the list shares
 /// the one grouping cycle (MRShare-style sharing, which NTGA gets
 /// structurally); each query then runs its own join cycles. Star ids are
-/// global over the list, so `decoder` and `record_decoder` serve every
-/// query's answer file (`final_output_paths`, in list order).
+/// global over the list, so the one `decoder` serves every query's answer
+/// file (`final_output_paths`, in list order).
 ///
 /// Names follow the number of queries. One query compiles to the plain
 /// workflow (`tg-group-filter`, `tg-join-…`, `tgjoinN` files) with its

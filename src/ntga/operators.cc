@@ -451,7 +451,6 @@ class RowExpander {
                        const TgRecordReader::Component& c,
                        std::vector<Handle>* rows) {
     const StarPattern& star = stars_[star_index];
-    const std::vector<std::string_view>& leaves = record.leaves();
     if (candidates_.size() < star.patterns.size()) {
       candidates_.resize(star.patterns.size());
     }
@@ -463,9 +462,7 @@ class RowExpander {
       candidates.clear();
       const auto [subject_slot, property_slot, object_slot] =
           slots_[star_index][i];
-      // Expansion holds an override's pairs to the object constraint too.
       const auto add = [&](uint32_t property, uint32_t object) {
-        if (!tp.object.Matches(leaves[object])) return;
         Candidate cand;
         if (subject_slot != kNoSlot) {
           cand.Bind(subject_slot, LeafHandle(c.subject));
@@ -565,33 +562,11 @@ class RowExpander {
   std::vector<Handle> row_, merged_, acc_, expanded_, next_, extended_;
 };
 
-std::vector<Solution> RowsToSolutions(const SolutionSet::Builder& builder,
-                                      const std::vector<Handle>& rows) {
-  std::vector<Solution> out;
-  const size_t width = builder.width();
-  if (width == 0) return out;
-  out.reserve(rows.size() / width);
-  for (size_t r = 0; r < rows.size(); r += width) {
-    out.push_back(builder.RowSolution(rows.data() + r));
-  }
-  return out;
-}
-
 }  // namespace
-
-Result<std::vector<Solution>> ExpandJoinedTg(
-    const std::vector<StarPattern>& stars, std::string_view record) {
-  TgRecordReader reader;
-  RDFMR_RETURN_NOT_OK(reader.Read(record));
-  SolutionSet::Builder builder(StarVariables(stars));
-  RowExpander expander(stars, &builder);
-  RDFMR_RETURN_NOT_OK(expander.Expand(reader));
-  return RowsToSolutions(builder, expander.rows());
-}
 
 Result<SolutionSet> DecodeJoinedTgAnswers(
     const std::vector<StarPattern>& stars,
-    const std::vector<std::string>& lines) {
+    std::span<const std::string> lines) {
   SolutionSet::Builder builder(StarVariables(stars));
   RowExpander expander(stars, &builder);
   TgRecordReader record;

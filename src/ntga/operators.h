@@ -9,9 +9,9 @@
 //                            rewrites one component of a record into
 //                            "perfect" triplegroups or into ≤ m
 //                            triplegroups, one per φ_m partition.
-//  * ExpandJoinedTg        — final answer extraction: enumerates the
-//                            solution mappings a triplegroup record
-//                            implicitly represents (content equivalence,
+//  * DecodeJoinedTgAnswers — final answer extraction: enumerates the
+//                            solution mappings triplegroup records
+//                            implicitly represent (content equivalence,
 //                            Lemma 1).
 
 #ifndef RDFMR_NTGA_OPERATORS_H_
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,9 +56,11 @@ bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
 
 /// \brief Calls visit(property leaf, object leaf) for each candidate of
 /// pattern `tp` (index `tp_index`) in component `site` of the record
-/// `reader` last read: an unbound pattern's override if it has one, else
-/// the pairs (of a bound pattern's property) that pass its object
-/// constraint, in order.
+/// `reader` last read, in order: the pairs of an unbound pattern's
+/// override if it has one, else the pairs (of a bound pattern's property),
+/// each only if it passes the pattern's object constraint. This is the one
+/// candidate rule: a perfect triplegroup's candidate triple matches its
+/// pattern (Definition 2), wherever the record came from.
 template <typename Visit>
 void ForEachCandidate(const TriplePattern& tp, size_t tp_index,
                       const TgRecordReader& reader,
@@ -66,7 +69,9 @@ void ForEachCandidate(const TriplePattern& tp, size_t tp_index,
     for (uint32_t o = site.overrides_begin; o < site.overrides_end; ++o) {
       const TgRecordReader::Entry& e = reader.overrides()[o];
       if (e.tp_index != tp_index) continue;
-      for (uint32_t j = e.begin; j < e.end; j += 2) visit(j, j + 1);
+      for (uint32_t j = e.begin; j < e.end; j += 2) {
+        if (tp.object.Matches(reader.leaves()[j + 1])) visit(j, j + 1);
+      }
       return;
     }
   }
@@ -122,22 +127,17 @@ class BetaUnnester {
   std::vector<size_t> unbound_;     // UnboundIndexes
 };
 
-/// \brief Enumerates the solution mappings a triplegroup record implicitly
-/// represents: each component's (bound pairs x unbound candidates, with
-/// shared-variable consistency) for its star, merged across components;
-/// inconsistent combinations (residual join predicates) drop out. Fails
-/// with IoError on a record TgRecordReader rejects or a component naming a
-/// star outside `stars`.
-Result<std::vector<Solution>> ExpandJoinedTg(
-    const std::vector<StarPattern>& stars, std::string_view record);
-
-/// \brief Decodes a final output file of triplegroup records into the set
-/// of their ExpandJoinedTg solutions. Records are read as views
-/// (TgRecordReader) and expanded straight into the table's handle rows, so
-/// each distinct term is copied once and no Solution is built.
+/// \brief Decodes triplegroup records into the set of the solution
+/// mappings they implicitly represent: per record, each component's (bound
+/// pairs x unbound candidates, with shared-variable consistency) for its
+/// star, merged across components; inconsistent combinations (residual
+/// join predicates) drop out. Records are read as views (TgRecordReader)
+/// and expanded straight into the table's handle rows, so each distinct
+/// term is copied once. Fails with IoError on a record TgRecordReader
+/// rejects or a component naming a star outside `stars`.
 Result<SolutionSet> DecodeJoinedTgAnswers(
     const std::vector<StarPattern>& stars,
-    const std::vector<std::string>& lines);
+    std::span<const std::string> lines);
 
 }  // namespace rdfmr
 

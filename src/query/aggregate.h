@@ -11,6 +11,9 @@
 // counting over the matches of an unbound property. Execution appends one
 // aggregation MR cycle to any engine's plan; NTGA feeds it from nested
 // triplegroups (small reads), the relational engines from flat tuples.
+// The cycle's mapper expands each record through the plan's answer
+// decoder (engine/engine.cc); the in-memory oracle here folds its own
+// Solutions, so it stays an independent judge of that cycle.
 
 #ifndef RDFMR_QUERY_AGGREGATE_H_
 #define RDFMR_QUERY_AGGREGATE_H_

@@ -20,7 +20,16 @@ bool VarLess(const Solution::Binding& b, std::string_view var) {
   return b.first < var;
 }
 
-// Appends one "var=value" entry of a canonical line.
+// True iff `raw` ends in a lone backslash: an escape cut short, which the
+// writer never produces.
+bool EndsInEscape(std::string_view raw) {
+  const size_t plain = raw.find_last_not_of('\\');
+  const size_t run = plain == std::string_view::npos ? raw.size()
+                                                     : raw.size() - plain - 1;
+  return run % 2 == 1;
+}
+}  // namespace
+
 void AppendBinding(std::string* out, bool first, std::string_view var,
                    std::string_view value) {
   if (!first) out->push_back(kEntrySep);
@@ -28,7 +37,47 @@ void AppendBinding(std::string* out, bool first, std::string_view var,
   out->push_back(kKeyValueSep);
   AppendEscapedNested(out, value, kLeafSeps);
 }
-}  // namespace
+
+Status SolutionLineReader::Read(std::string_view line) {
+  bindings_.clear();
+  if (line.empty()) return Status::OK();
+  // Unescaped text never outgrows its line, so text_ keeps this buffer and
+  // the views into it stay valid.
+  text_.clear();
+  text_.reserve(line.size());
+  EscapedFieldReader entries(line, kEntrySep);
+  for (std::string_view raw_entry; entries.Next(&raw_entry);) {
+    const std::string_view entry =
+        UnescapedView(raw_entry, kEntrySep, &entry_);
+    EscapedFieldReader kv(entry, kKeyValueSep);
+    std::string_view var, value, extra;
+    if (EndsInEscape(raw_entry) || !kv.Next(&var) || !kv.Next(&value) ||
+        kv.Next(&extra) || EndsInEscape(value)) {
+      return Status::IoError("malformed solution field: " +
+                             std::string(entry));
+    }
+    if (raw_entry.find('\\') != std::string_view::npos) {
+      const size_t at = text_.size();
+      text_.append(UnescapedView(var, kKeyValueSep, &leaf_));
+      const size_t mid = text_.size();
+      text_.append(UnescapedView(value, kKeyValueSep, &leaf_));
+      var = std::string_view(text_).substr(at, mid - at);
+      value = std::string_view(text_).substr(mid);
+    }
+    bindings_.emplace_back(var, value);
+  }
+  // Sorted by variable, each once, as Solution::Bind keeps them.
+  std::sort(bindings_.begin(), bindings_.end());
+  bindings_.erase(std::unique(bindings_.begin(), bindings_.end()),
+                  bindings_.end());
+  for (size_t k = 1; k < bindings_.size(); ++k) {
+    if (bindings_[k - 1].first == bindings_[k].first) {
+      return Status::IoError("duplicate inconsistent var in: " +
+                             std::string(line));
+    }
+  }
+  return Status::OK();
+}
 
 bool Solution::Bind(std::string_view var, std::string_view value) {
   // Canonical lines and ordered builders bind in variable order: append.
@@ -97,30 +146,6 @@ std::string Solution::Serialize() const {
     AppendBinding(&out, &var == &bindings_.front().first, var, value);
   }
   return out;
-}
-
-Result<Solution> Solution::Deserialize(std::string_view line) {
-  Solution s;
-  if (line.empty()) return s;
-  std::string entry_scratch, var_scratch, value_scratch;
-  EscapedFieldReader entries(line, kEntrySep);
-  std::string_view raw_entry;
-  while (entries.Next(&raw_entry)) {
-    const std::string_view entry =
-        UnescapedView(raw_entry, kEntrySep, &entry_scratch);
-    EscapedFieldReader kv(entry, kKeyValueSep);
-    std::string_view raw_var, raw_value, extra;
-    if (!kv.Next(&raw_var) || !kv.Next(&raw_value) || kv.Next(&extra)) {
-      return Status::IoError("malformed solution field: " +
-                             std::string(entry));
-    }
-    if (!s.Bind(UnescapedView(raw_var, kKeyValueSep, &var_scratch),
-                UnescapedView(raw_value, kKeyValueSep, &value_scratch))) {
-      return Status::IoError("duplicate inconsistent var in: " +
-                             std::string(line));
-    }
-  }
-  return s;
 }
 
 // ---- SolutionSet ------------------------------------------------------------
@@ -195,26 +220,37 @@ bool TermLess(const Term& x, const Term& y) {
   return x.lead != y.lead ? x.lead < y.lead : x.text < y.text;
 }
 
+// The table of the rows `for_each_row(visit)` passes to `visit`, each as
+// its (variable, value) pairs, or for_each_row's error; rows are visited
+// twice, first for the header (every variable some row binds).
+template <typename ForEachRow>
+Result<SolutionSet> Tabulate(const ForEachRow& for_each_row) {
+  std::vector<std::string> variables;
+  RDFMR_RETURN_NOT_OK(for_each_row([&variables](const auto& bindings) {
+    for (const auto& [var, value] : bindings) {
+      auto it = std::lower_bound(variables.begin(), variables.end(), var);
+      if (it == variables.end() || *it != var) variables.emplace(it, var);
+    }
+  }));
+  SolutionSet::Builder builder(std::move(variables));
+  std::vector<Handle> row;
+  RDFMR_RETURN_NOT_OK(for_each_row([&](const auto& bindings) {
+    row.assign(builder.width(), kUnbound);
+    for (const auto& [var, value] : bindings) {
+      row[SlotOf(builder.variables(), var)] = builder.Intern(value);
+    }
+    builder.AddRow(row.data());
+  }));
+  return builder.Finish();
+}
+
 }  // namespace
 
 SolutionSet::SolutionSet(const std::vector<Solution>& solutions) {
-  std::vector<std::string> variables;
-  for (const Solution& s : solutions) {
-    for (const auto& [var, value] : s.bindings()) {
-      auto it = std::lower_bound(variables.begin(), variables.end(), var);
-      if (it == variables.end() || *it != var) variables.insert(it, var);
-    }
-  }
-  Builder builder(variables);
-  std::vector<Handle> row;
-  for (const Solution& s : solutions) {
-    row.assign(variables.size(), kUnbound);
-    for (const auto& [var, value] : s.bindings()) {
-      row[SlotOf(variables, var)] = builder.Intern(value);
-    }
-    builder.AddRow(row.data());
-  }
-  *this = builder.Finish();
+  *this = Tabulate([&solutions](const auto& visit) {
+            for (const Solution& s : solutions) visit(s.bindings());
+            return Status::OK();
+          }).MoveValueUnsafe();
 }
 
 Solution SolutionSet::Row(size_t row) const {
@@ -299,14 +335,6 @@ void SolutionSet::Builder::Grow() {
   }
 }
 
-Solution SolutionSet::Builder::RowSolution(const Handle* row) const {
-  Solution s;
-  for (size_t k = 0; k < width(); ++k) {
-    if (row[k] != kUnbound) s.Bind(variables_[k], term(row[k]));
-  }
-  return s;
-}
-
 SolutionSet SolutionSet::Builder::Finish() {
   const size_t width = variables_.size();
   const size_t num_terms = offsets_.size() - 1;
@@ -364,14 +392,15 @@ SolutionSet SolutionSet::Builder::Finish() {
   return out;
 }
 
-Result<SolutionSet> ParseSolutionFile(const std::vector<std::string>& lines) {
-  std::vector<Solution> solutions;
-  solutions.reserve(lines.size());
-  for (const std::string& line : lines) {
-    RDFMR_ASSIGN_OR_RETURN(Solution s, Solution::Deserialize(line));
-    solutions.push_back(std::move(s));
-  }
-  return SolutionSet(solutions);
+Result<SolutionSet> ParseSolutionFile(std::span<const std::string> lines) {
+  SolutionLineReader reader;
+  return Tabulate([&](const auto& visit) {
+    for (const std::string& line : lines) {
+      RDFMR_RETURN_NOT_OK(reader.Read(line));
+      visit(reader.bindings());
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace rdfmr

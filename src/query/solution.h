@@ -1,14 +1,15 @@
-// Solution mappings (variable -> value bindings), their canonical
-// serialization, and the answer table every engine decodes into.
+// Solution mappings (variable -> value bindings), their canonical line,
+// and the answer table every engine decodes into.
 //
-// A Solution is one mapping; it is what the matcher, the join operators
-// and the aggregation fold work with. A SolutionSet is a whole answer: a
-// header of variable names, fixed-width rows of term handles (one per
-// variable slot, kUnbound for an unmatched OPTIONAL), and an arena holding
-// each distinct term once. The table is sorted and deduplicated once, in
-// the canonical Solution order, so cross-engine answer comparison (the
-// Lemma 1 content-equivalence check) is a direct table comparison, and a
-// Solution is built only where a caller dereferences a row.
+// A Solution is one mapping: the in-memory oracle's own form, apart from
+// the engines' code so the judge stays independent. A SolutionSet is a
+// whole answer: a header of variable names, fixed-width rows of term
+// handles (one per variable slot, kUnbound for an unmatched OPTIONAL), and
+// an arena holding each distinct term once. The table is sorted and
+// deduplicated once, in the canonical Solution order, so cross-engine
+// answer comparison (the Lemma 1 content-equivalence check) is a direct
+// table comparison. The canonical line has one writer (AppendBinding) and
+// one reader (SolutionLineReader).
 
 #ifndef RDFMR_QUERY_SOLUTION_H_
 #define RDFMR_QUERY_SOLUTION_H_
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,8 +68,6 @@ class Solution {
 
   /// \brief Canonical line: "var=value;var=value" sorted by var, escaped.
   std::string Serialize() const;
-
-  static Result<Solution> Deserialize(std::string_view line);
 
   bool operator==(const Solution& o) const { return bindings_ == o.bindings_; }
   bool operator<(const Solution& o) const { return bindings_ < o.bindings_; }
@@ -208,9 +208,6 @@ class SolutionSet::Builder {
     ++rows_;
   }
 
-  /// \brief A row of width() handles as a Solution.
-  Solution RowSolution(const Handle* row) const;
-
   /// \brief The finished table; the builder is left empty.
   SolutionSet Finish();
 
@@ -225,8 +222,33 @@ class SolutionSet::Builder {
   size_t rows_ = 0;
 };
 
-/// \brief Parses a whole answer file into a solution set.
-Result<SolutionSet> ParseSolutionFile(const std::vector<std::string>& lines);
+/// \brief Appends one "var=value" entry of a canonical line (entries go in
+/// variable order, separated unless `first`) to `*out`.
+void AppendBinding(std::string* out, bool first, std::string_view var,
+                   std::string_view value);
+
+/// \brief Reads canonical lines into views, unescaping into reused buffers
+/// only an entry that holds an escape.
+class SolutionLineReader {
+ public:
+  using Binding = std::pair<std::string_view, std::string_view>;
+
+  /// \brief IoError on an entry that is not one "var=value" pair or that
+  /// ends in a truncated escape, and on a variable bound to two values.
+  Status Read(std::string_view line);
+
+  /// \brief The last Read()'s bindings, sorted by variable, each variable
+  /// once. They view the line or this reader, until the next Read().
+  const std::vector<Binding>& bindings() const { return bindings_; }
+
+ private:
+  std::string entry_, leaf_;  // one entry's and one leaf's unescaping
+  std::string text_;          // the line's unescaped variables and values
+  std::vector<Binding> bindings_;
+};
+
+/// \brief Parses canonical lines into a solution set.
+Result<SolutionSet> ParseSolutionFile(std::span<const std::string> lines);
 
 }  // namespace rdfmr
 

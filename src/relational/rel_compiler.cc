@@ -225,21 +225,12 @@ struct RelationState {
   bool inline_single_pattern = false;
 };
 
-// Decoders of a final output of `schema`-wide tuples.
-void SetAnswerDecoders(const RelSchema& schema, CompiledPlan* plan) {
-  plan->decoder = [schema](const std::vector<std::string>& lines) {
-    return DecodeRelationalAnswers(schema, lines);
-  };
-  plan->record_decoder = [reader = RelRecordReader(schema)](
-                             const std::string& record)
-      -> Result<std::vector<Solution>> {
-    RelRecordReader tuple = reader;
-    RDFMR_RETURN_NOT_OK(tuple.Read(record));
-    Solution solution;
-    for (size_t k = 0; k < tuple.variables().size(); ++k) {
-      if (tuple.bound(k)) solution.Bind(tuple.variables()[k], tuple.value(k));
-    }
-    return std::vector<Solution>{std::move(solution)};
+// The decoder of a final output of `schema`-wide tuples. Its reader's
+// binding plan is built once, here, and shared by every decode.
+void SetAnswerDecoder(const RelSchema& schema, CompiledPlan* plan) {
+  plan->decoder = [reader = RelRecordReader(schema)](
+                      std::span<const std::string> lines) {
+    return DecodeRelationalAnswers(reader, lines);
   };
 }
 
@@ -361,7 +352,7 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
       plan.workflow.intermediate_paths.push_back(job.output_path);
     }
   }
-  SetAnswerDecoders(final_rel.schema, &plan);
+  SetAnswerDecoder(final_rel.schema, &plan);
   return plan;
 }
 
@@ -467,7 +458,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     RelSchema final_schema = first_schema;
     final_schema.insert(final_schema.end(), folded_schema.begin(),
                         folded_schema.end());
-    SetAnswerDecoders(final_schema, &plan);
+    SetAnswerDecoder(final_schema, &plan);
     return plan;
   }
 

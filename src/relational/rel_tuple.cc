@@ -109,8 +109,7 @@ Status RelRecordReader::Read(std::string_view line) {
 }
 
 Result<SolutionSet> DecodeRelationalAnswers(
-    const RelSchema& schema, const std::vector<std::string>& lines) {
-  RelRecordReader reader(schema);
+    RelRecordReader reader, std::span<const std::string> lines) {
   SolutionSet::Builder builder(reader.variables());
   std::vector<SolutionSet::Handle> row(builder.width());
   for (const std::string& line : lines) {

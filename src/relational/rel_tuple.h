@@ -13,6 +13,7 @@
 #define RDFMR_RELATIONAL_REL_TUPLE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,11 +88,12 @@ class RelRecordReader {
   std::vector<bool> bound_;
 };
 
-/// \brief Decodes a whole relational output file (schema-wide tuples) into
-/// a solution set, reading every line with one RelRecordReader; the first
-/// rejected line fails the decode with the reader's Status.
+/// \brief Decodes relational output lines (tuples of `reader`'s schema)
+/// into a solution set, reading every line with `reader`, a copy of the
+/// caller's; the first rejected line fails the decode with the reader's
+/// Status.
 Result<SolutionSet> DecodeRelationalAnswers(
-    const RelSchema& schema, const std::vector<std::string>& lines);
+    RelRecordReader reader, std::span<const std::string> lines);
 
 }  // namespace rdfmr
 

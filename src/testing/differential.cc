@@ -75,12 +75,16 @@ std::string DescribeAnswerDiff(const SolutionSet& expected,
     if (j == got.size() ||
         (i < expected.size() && expected.Row(i) < got.Row(j))) {
       if (missing++ < 3) {
-        missing_text += "; missing {" + expected.Row(i).Serialize() + "}";
+        missing_text += "; missing {";
+        expected.AppendSerialized(i, &missing_text);
+        missing_text += "}";
       }
       ++i;
     } else if (i == expected.size() || got.Row(j) < expected.Row(i)) {
       if (spurious++ < 3) {
-        spurious_text += "; spurious {" + got.Row(j).Serialize() + "}";
+        spurious_text += "; spurious {";
+        got.AppendSerialized(j, &spurious_text);
+        spurious_text += "}";
       }
       ++j;
     } else {

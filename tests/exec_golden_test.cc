@@ -42,32 +42,7 @@
 namespace rdfmr {
 namespace {
 
-// Splices separators into every subject and object: ' ' and '_' become
-// runs of the record formats' separators plus a backslash and a newline.
-// The map is injective (the runs start with distinct bytes absent from
-// BSBM terms), so joins and CONTAINS filters match exactly as before.
-std::string Nasty(const std::string& term) {
-  std::string out;
-  for (char c : term) {
-    if (c == ' ') {
-      out += "\t,=;|";
-    } else if (c == '_') {
-      out += "\x1D\\\x1E\n\x1F";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
-  std::vector<Triple> out;
-  out.reserve(triples.size());
-  for (const Triple& t : triples) {
-    out.emplace_back(Nasty(t.subject), t.property, Nasty(t.object));
-  }
-  return out;
-}
+using testing_util::SeparatorGraph;
 
 std::string Hex(double value) { return StringFormat("%a", value); }
 

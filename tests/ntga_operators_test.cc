@@ -125,28 +125,18 @@ std::vector<std::pair<uint32_t, std::string>> Partition(
   return out;
 }
 
-// The solutions a record represents for `stars`, sorted and distinct.
-std::vector<Solution> Expand(const std::vector<StarPattern>& stars,
-                             const std::string& record) {
-  Result<std::vector<Solution>> out = ExpandJoinedTg(stars, record);
+// The distinct solutions of all of `records` for `stars`.
+SolutionSet ExpandAll(const std::vector<StarPattern>& stars,
+                      const std::vector<std::string>& records) {
+  Result<SolutionSet> out = DecodeJoinedTgAnswers(stars, records);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (!out.ok()) return {};
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-  return *out;
+  return out.ok() ? *out : SolutionSet();
 }
 
-// The distinct solutions of all of `records`.
-std::vector<Solution> ExpandAll(const std::vector<StarPattern>& stars,
-                                const std::vector<std::string>& records) {
-  std::vector<Solution> all;
-  for (const std::string& record : records) {
-    std::vector<Solution> each = Expand(stars, record);
-    all.insert(all.end(), each.begin(), each.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
+// The solutions a record represents for `stars`.
+SolutionSet Expand(const std::vector<StarPattern>& stars,
+                   const std::string& record) {
+  return ExpandAll(stars, {record});
 }
 
 // ---- PhiPartition -----------------------------------------------------------
@@ -288,6 +278,47 @@ TEST(BetaUnnestTest, OverrideIsTheCandidateSet) {
       2u);
 }
 
+// The one candidate rule (Definition 2): an override's pair that fails its
+// pattern's filter is no candidate, for μ^β and μ^β_φm as for expansion,
+// so their outputs expand to exactly the record (Lemma 1 at record level).
+TEST(BetaUnnestTest, OverridePairFailingTheFilterIsNoCandidate) {
+  StarPattern star = BioStar();
+  star.patterns[2].object = NodePattern::Var("x", "go");
+  auto tg = Group(star, "gene9", BioPairs());
+  ASSERT_TRUE(tg.has_value());
+  const std::string record =
+      WithOverride(*tg, 2, {{"xGO", "go1"}, {"xGO", "go9"}, {"xRef", "ref7"}});
+  const SolutionSet expanded = Expand({star}, record);
+  EXPECT_EQ(expanded.size(), 4u) << "l x go(2) x x(go1, go9)";
+
+  for (const std::vector<size_t>& tp_indexes : {std::vector<size_t>{},
+                                                std::vector<size_t>{2}}) {
+    const std::vector<std::string> pinned = Unnest(star, record, tp_indexes);
+    std::vector<std::string> objects;
+    for (const std::string& out : pinned) {
+      const Parts parts = Read(out);
+      for (const PropObj& po : parts.overrides.at(2)) {
+        objects.push_back(po.object);
+      }
+    }
+    EXPECT_EQ(objects, (std::vector<std::string>{"go1", "go9"}));
+    EXPECT_EQ(ExpandAll({star}, pinned), expanded);
+  }
+  for (uint32_t m : {1u, 2u, 7u}) {
+    std::vector<std::string> outputs, objects;
+    for (const auto& [partition, out] : Partition(star, record, 2, m)) {
+      outputs.push_back(out);
+      const Parts parts = Read(out);
+      for (const PropObj& po : parts.overrides.at(2)) {
+        objects.push_back(po.object);
+      }
+    }
+    std::sort(objects.begin(), objects.end());
+    EXPECT_EQ(objects, (std::vector<std::string>{"go1", "go9"})) << m;
+    EXPECT_EQ(ExpandAll({star}, outputs), expanded) << m;
+  }
+}
+
 TEST(BetaUnnestTest, PinningOneKeepsTheOpenPatternsCandidates) {
   // Star with TWO unbound patterns, the second filtered; pin the first.
   StarPattern star;
@@ -380,9 +411,7 @@ TEST(ExpandTest, MatchesReferenceMatcherOnExample) {
   }
   auto tg = Group(star, "gene9", BioPairs());
   ASSERT_TRUE(tg.has_value());
-  std::vector<Solution> reference = MatchStar(star, triples);
-  std::sort(reference.begin(), reference.end());
-  EXPECT_EQ(Expand({star}, *tg), reference);
+  EXPECT_EQ(Expand({star}, *tg), SolutionSet(MatchStar(star, triples)));
 }
 
 TEST(ExpandTest, BetaUnnestPreservesExpansion) {
@@ -429,11 +458,9 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
   std::sort(triples.begin(), triples.end());
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
 
-  std::vector<Solution> reference = MatchStar(star, triples);
-  std::sort(reference.begin(), reference.end());
   auto tg = Group(star, "s", pairs);
-  EXPECT_EQ(tg.has_value() ? Expand({star}, *tg) : std::vector<Solution>{},
-            reference)
+  EXPECT_EQ(tg.has_value() ? Expand({star}, *tg) : SolutionSet(),
+            SolutionSet(MatchStar(star, triples)))
       << "seed " << GetParam() << ": operator pipeline must agree with the "
       << "reference matcher (including empty results)";
 }
@@ -515,11 +542,17 @@ Round RandomRound(Rng* rng) {
     writer.Override(tp_index);
     for (const PropObj& po : pinned) writer.Pinned(po.property, po.object);
   }
+  // An unbound pattern's candidates: its override's pairs if it has one,
+  // else the record's pairs, either way only those passing its filter.
   r.candidates.resize(star.patterns.size());
   for (size_t i = num_bound; i < star.patterns.size(); ++i) {
     auto it = overrides.find(static_cast<uint32_t>(i));
     if (it != overrides.end()) {
-      r.candidates[i] = it->second;
+      for (const PropObj& po : it->second) {
+        if (star.patterns[i].object.Matches(po.object)) {
+          r.candidates[i].push_back(po);
+        }
+      }
       continue;
     }
     for (const auto& [property, objects] : pairs) {
@@ -579,7 +612,7 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
     const Round r = RandomRound(&rng);
     const StarPattern& star = r.stars[0];
     const std::string context = "round " + std::to_string(round);
-    const std::vector<Solution> expanded = Expand(r.stars, r.record);
+    const SolutionSet expanded = Expand(r.stars, r.record);
 
     // μ^β over Eager's patterns: the product of their candidate counts,
     // and Lemma 1.
@@ -670,24 +703,27 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   };
   TgRecordReader reader;
   for (const std::string& record : bad_records) {
-    EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {record}).status().IsIoError())
+    EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {&record, 1}).status().IsIoError())
         << EscapeField(record, '\x1F');
     EXPECT_TRUE(reader.Read(record).IsIoError())
         << EscapeField(record, '\x1F');
   }
   // A bad component after a good one fails the whole joined record.
   const std::string good = "g1" + f + "0" + f + "label,l1" + f;
-  EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {good + "\x1E" + bad_records[1]})
-                  .status()
-                  .IsIoError());
-  // A well-formed component naming a star the plan does not have.
+  using Lines = std::vector<std::string>;
+  EXPECT_TRUE(
+      DecodeJoinedTgAnswers(stars, Lines{good + "\x1E" + bad_records[1]})
+          .status()
+          .IsIoError());
+  // A well-formed component naming a star the plan does not have, alone
+  // or after a good one.
   const std::string unknown_star = "g1" + f + "5" + f + "label,l1" + f;
   EXPECT_TRUE(
-      DecodeJoinedTgAnswers(stars, {unknown_star}).status().IsIoError());
-  EXPECT_TRUE(ExpandJoinedTg(stars, unknown_star).status().IsIoError());
-  EXPECT_TRUE(ExpandJoinedTg(stars, good + "\x1E" + unknown_star)
-                  .status()
-                  .IsIoError());
+      DecodeJoinedTgAnswers(stars, Lines{unknown_star}).status().IsIoError());
+  EXPECT_TRUE(
+      DecodeJoinedTgAnswers(stars, Lines{good + "\x1E" + unknown_star})
+          .status()
+          .IsIoError());
 }
 
 }  // namespace

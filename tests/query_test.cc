@@ -230,29 +230,71 @@ TEST(SolutionTest, MergeIntoKeepsVariablesSorted) {
   EXPECT_EQ(a.Serialize(), "a=1;b=2;c=3;d=4;e=5");
 }
 
+// The bindings SolutionLineReader reads from `line`, as owned pairs.
+Result<std::vector<Solution::Binding>> ReadLine(std::string_view line) {
+  SolutionLineReader reader;
+  RDFMR_RETURN_NOT_OK(reader.Read(line));
+  std::vector<Solution::Binding> out;
+  for (const auto& [var, value] : reader.bindings()) {
+    out.emplace_back(var, value);
+  }
+  return out;
+}
+
 TEST(SolutionTest, SerdeRoundtripWithNastyValues) {
   Solution s;
   s.Bind("var1", "value with = and ; and \\ chars");
   s.Bind("var2", "");
   s.Bind("a=b", "tricky var name");
-  auto back = Solution::Deserialize(s.Serialize());
+  auto back = ReadLine(s.Serialize());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, s);
+  EXPECT_EQ(*back, s.bindings());
 }
 
 TEST(SolutionTest, EmptySolutionSerde) {
   Solution s;
-  auto back = Solution::Deserialize(s.Serialize());
+  auto back = ReadLine(s.Serialize());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->size(), 0u);
+  EXPECT_TRUE(back->empty());
 }
 
 TEST(SolutionTest, ParseSolutionFileDeduplicates) {
   Solution s;
   s.Bind("x", "1");
-  auto set = ParseSolutionFile({s.Serialize(), s.Serialize()});
+  const std::vector<std::string> lines = {s.Serialize(), s.Serialize()};
+  auto set = ParseSolutionFile(lines);
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), 1u);
+  EXPECT_EQ(*set, SolutionSet({s}));
+}
+
+// The reader sorts a line's bindings by variable and keeps a variable
+// repeated with its value once, as Solution::Bind would.
+TEST(SolutionLineReaderTest, SortsAndMergesRepeats) {
+  auto back = ReadLine("b=2;a=1;b=2");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, (std::vector<Solution::Binding>{{"a", "1"}, {"b", "2"}}));
+}
+
+// Every malformed entry fails the line with IoError: no '=', two '=', a
+// variable bound to two values, and an escape cut short at either level of
+// the nested escaping.
+TEST(SolutionLineReaderTest, RejectsMalformedLines) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"a=1;b", "malformed solution field: b"},
+      {"a=1=2", "malformed solution field: a=1=2"},
+      {"a=1;b=2;a=3", "duplicate inconsistent var in: a=1;b=2;a=3"},
+      {"a=1\\", "malformed solution field: a=1\\"},
+      {"a=1\\\\", "malformed solution field: a=1\\"},
+  };
+  SolutionLineReader reader;
+  for (const auto& [line, message] : cases) {
+    const Status status = reader.Read(line);
+    EXPECT_TRUE(status.IsIoError()) << line;
+    EXPECT_EQ(status.message(), message) << line;
+    const std::vector<std::string> lines = {"x=1", line};
+    EXPECT_TRUE(ParseSolutionFile(lines).status().IsIoError()) << line;
+  }
 }
 
 // ---- SolutionSet ------------------------------------------------------------

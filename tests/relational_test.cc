@@ -18,6 +18,8 @@
 namespace rdfmr {
 namespace {
 
+using Lines = std::vector<std::string>;
+
 RelSchema TwoPatternSchema() {
   return {
       TriplePattern::Bound(NodePattern::Var("g"), "label",
@@ -222,8 +224,8 @@ TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
 
 TEST(RelTupleTest, DecodeAnswersDeduplicates) {
   RelTuple t = MakeTuple();
-  auto set = DecodeRelationalAnswers(TwoPatternSchema(),
-                                     {t.Serialize(), t.Serialize()});
+  auto set = DecodeRelationalAnswers(RelRecordReader(TwoPatternSchema()),
+                                     Lines{t.Serialize(), t.Serialize()});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), 1u);
 }
@@ -235,14 +237,15 @@ TEST(RelTupleTest, DecodeAnswersDeduplicates) {
 TEST(RelTupleTest, DecodeAnswersRejectionsKeepTheirCodes) {
   const RelSchema schema = TwoPatternSchema();
   auto decode = [](const RelSchema& s, const RelTuple& t) {
-    return DecodeRelationalAnswers(s, {t.Serialize()}).status();
+    return DecodeRelationalAnswers(RelRecordReader(s), Lines{t.Serialize()})
+        .status();
   };
-  EXPECT_TRUE(
-      DecodeRelationalAnswers(schema, {"gene9\tlabel\tretinoid"})
-          .status()
-          .IsIoError());
-  EXPECT_TRUE(DecodeRelationalAnswers(
-                  schema, {MakeTuple().Serialize() + "\textra"})
+  const RelRecordReader reader(schema);
+  EXPECT_TRUE(DecodeRelationalAnswers(reader, Lines{"gene9\tlabel\tretinoid"})
+                  .status()
+                  .IsIoError());
+  const std::string extra_field = MakeTuple().Serialize() + "\textra";
+  EXPECT_TRUE(DecodeRelationalAnswers(reader, {&extra_field, 1})
                   .status()
                   .IsIoError());
 
@@ -251,8 +254,8 @@ TEST(RelTupleTest, DecodeAnswersRejectionsKeepTheirCodes) {
   EXPECT_TRUE(decode(schema, null_column).IsInvalidArgument());
   RelSchema optional_schema = schema;
   optional_schema[1].optional = true;
-  auto unmatched = DecodeRelationalAnswers(optional_schema,
-                                           {null_column.Serialize()});
+  auto unmatched = DecodeRelationalAnswers(RelRecordReader(optional_schema),
+                                           Lines{null_column.Serialize()});
   ASSERT_TRUE(unmatched.ok()) << unmatched.status().ToString();
   ASSERT_EQ(unmatched->size(), 1u);
   EXPECT_FALSE(unmatched->Row(0).Has("x")) << "the OPTIONAL slot is unbound";

@@ -113,6 +113,34 @@ inline ClusterConfig PressuredCluster(const std::vector<Triple>& triples,
   return cluster;
 }
 
+/// Splices separators into every subject and object: ' ' and '_' become
+/// runs of the record formats' separators plus a backslash and a newline.
+/// The map is injective (the runs start with distinct bytes absent from
+/// BSBM terms), so joins and CONTAINS filters match exactly as before.
+inline std::string Nasty(const std::string& term) {
+  std::string out;
+  for (char c : term) {
+    if (c == ' ') {
+      out += "\t,=;|";
+    } else if (c == '_') {
+      out += "\x1D\\\x1E\n\x1F";
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+/// `triples` with Nasty subjects and objects: the escape-heavy graph.
+inline std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
+  std::vector<Triple> out;
+  out.reserve(triples.size());
+  for (const Triple& t : triples) {
+    out.emplace_back(Nasty(t.subject), t.property, Nasty(t.object));
+  }
+  return out;
+}
+
 /// All engine kinds under test.
 inline std::vector<EngineKind> AllEngineKinds() {
   return {EngineKind::kPig,          EngineKind::kHive,

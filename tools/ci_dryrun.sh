@@ -33,9 +33,12 @@ build_and_test() {
     -DRDFMR_WERROR=ON "${launcher_args[@]}" || return $?
   cmake --build "$build_dir" -j "$(nproc)" || return $?
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" || return $?
-  # Release smoke-runs the operator microbenchmarks; no number is gated.
-  [[ "$build_type" != Release ]] ||
-    "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01
+  # Release smoke-runs the operator microbenchmarks (no number is gated)
+  # and the aggregation experiment (exit code = failed shape checks).
+  [[ "$build_type" != Release ]] || {
+    "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01 &&
+      "./$build_dir/bench/ext_aggregation"
+  }
 }
 
 run_fuzz() {

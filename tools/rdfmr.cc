@@ -453,11 +453,11 @@ int CmdRun(const Flags& flags) {
                 s.retry_backoff_seconds);
   }
   std::printf("answers           : %zu\n", exec->answers.size());
-  uint64_t show = flags.GetInt("show-answers", 0);
-  for (const Solution& sol : exec->answers) {
-    if (show == 0) break;
-    std::printf("  %s\n", sol.Serialize().c_str());
-    --show;
+  const uint64_t show = flags.GetInt("show-answers", 0);
+  for (size_t row = 0; row < exec->answers.size() && row < show; ++row) {
+    std::string line;
+    exec->answers.AppendSerialized(row, &line);
+    std::printf("  %s\n", line.c_str());
   }
   return 0;
 }
