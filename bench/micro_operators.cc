@@ -46,25 +46,45 @@ StarPattern TestStar() {
 }
 
 // The subject's sorted pairs: the two bound properties' objects and
-// `num_candidates` more over eight other properties.
-std::vector<PropObj> TestPairs(int num_candidates) {
-  std::set<PropObj> pairs = {{"property0", "bound_object_a"},
-                             {"property1", "bound_object_b"}};
-  for (int i = 0; i < num_candidates; ++i) {
-    pairs.insert(PropObj{"property" + std::to_string(2 + i % 8),
-                         "candidate_object_" + std::to_string(i)});
+// `num_candidates` more over eight other properties. `views` views
+// `values`, so a TestPairs is not copied.
+struct TestPairs {
+  explicit TestPairs(int num_candidates) {
+    std::set<std::pair<std::string, std::string>> pairs = {
+        {"property0", "bound_object_a"}, {"property1", "bound_object_b"}};
+    for (int i = 0; i < num_candidates; ++i) {
+      pairs.emplace("property" + std::to_string(2 + i % 8),
+                    "candidate_object_" + std::to_string(i));
+    }
+    values.assign(pairs.begin(), pairs.end());
+    for (const auto& [property, object] : values) {
+      views.push_back(PropObj{property, object});
+    }
   }
-  return std::vector<PropObj>(pairs.begin(), pairs.end());
-}
+  TestPairs(const TestPairs&) = delete;
+
+  std::vector<std::pair<std::string, std::string>> values;
+  std::vector<PropObj> views;
+};
 
 // TestStar's group of TestPairs, as the grouping cycle writes it.
 std::string TestGroup(int num_candidates) {
   std::string record;
-  if (!BuildAnnTg(TestStar(), 0, "subject42", TestPairs(num_candidates),
-                  &record)) {
+  if (!BuildAnnTg(TestStar(), 0, "subject42",
+                  TestPairs(num_candidates).views, &record)) {
     std::abort();
   }
   return record;
+}
+
+// A relational tuple's record: its triples' lines side by side.
+std::string TupleRecord(const std::vector<Triple>& triples) {
+  std::string out;
+  for (const Triple& t : triples) {
+    if (!out.empty()) out.push_back('\t');
+    out += t.Serialize();
+  }
+  return out;
 }
 
 void BM_TripleSerde(benchmark::State& state) {
@@ -103,12 +123,13 @@ BENCHMARK(BM_TgRecordRead)->Arg(4)->Arg(32)->Arg(256);
 // σ^βγ: a subject's sorted pairs in, the group's record out.
 void BM_BuildAnnTg(benchmark::State& state) {
   StarPattern star = TestStar();
-  const std::vector<PropObj> pairs =
-      TestPairs(static_cast<int>(state.range(0)));
+  const TestPairs pairs(static_cast<int>(state.range(0)));
   std::string record;
   for (auto _ : state) {
     record.clear();
-    if (!BuildAnnTg(star, 0, "subject42", pairs, &record)) std::abort();
+    if (!BuildAnnTg(star, 0, "subject42", pairs.views, &record)) {
+      std::abort();
+    }
     benchmark::DoNotOptimize(record.data());
     benchmark::ClobberMemory();
   }
@@ -192,14 +213,14 @@ BENCHMARK(BM_UnboundSiteJoinMap)->Arg(4)->Arg(32)->Arg(256);
 
 // Decodes one group's record, as the aggregation mapper does.
 void BM_ExpandTgRecord(benchmark::State& state) {
-  const std::vector<StarPattern> stars = {TestStar()};
+  const TgAnswerPlan plan({TestStar()});
   const std::string record = TestGroup(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto out = DecodeJoinedTgAnswers(stars, {&record, 1});
+    auto out = DecodeJoinedTgAnswers(plan, {&record, 1});
     benchmark::DoNotOptimize(out);
   }
   state.counters["solutions_out"] = static_cast<double>(
-      DecodeJoinedTgAnswers(stars, {&record, 1})->size());
+      DecodeJoinedTgAnswers(plan, {&record, 1})->size());
 }
 BENCHMARK(BM_ExpandTgRecord)->Arg(4)->Arg(32)->Arg(256);
 
@@ -227,10 +248,9 @@ void BM_AggregateMap(benchmark::State& state, EngineKind kind) {
   const size_t expected = ntga ? static_cast<size_t>(state.range(0)) + 2 : 1;
   const std::string record =
       ntga ? TestGroup(static_cast<int>(state.range(0)))
-           : RelTuple{{Triple("subject42", "property0", "bound_object_a"),
-                       Triple("subject42", "property1", "bound_object_b"),
-                       Triple("subject42", "property2", "candidate")}}
-                 .Serialize();
+           : TupleRecord({Triple("subject42", "property0", "bound_object_a"),
+                          Triple("subject42", "property1", "bound_object_b"),
+                          Triple("subject42", "property2", "candidate")});
   size_t outputs = 0;
   const MapEmit emit = [&outputs](std::string key, std::string value) {
     benchmark::DoNotOptimize(key.data());
@@ -266,19 +286,19 @@ void BM_TgJoinReduce(benchmark::State& state) {
   std::vector<std::string> values;
   for (int side = 0; side < 2; ++side) {
     for (int g = 0; g < 4; ++g) {
-      std::set<PropObj> pairs;
+      std::set<std::pair<std::string, std::string>> pairs;
       for (int i = 0; i < num_pairs; ++i) {
-        pairs.insert(PropObj{"property" + std::to_string(i % 8),
-                             "object value " + std::to_string(i)});
+        pairs.emplace("property" + std::to_string(i % 8),
+                      "object value " + std::to_string(i));
       }
       std::string record = side == 0 ? "L|" : "R|";
       TgWriter writer(&record, "http://bsbm.example/Group" + std::to_string(g),
                       static_cast<uint32_t>(side));
       for (auto it = pairs.begin(); it != pairs.end(); ++it) {
-        if (it == pairs.begin() || it->property != std::prev(it)->property) {
-          writer.Property(it->property);
+        if (it == pairs.begin() || it->first != std::prev(it)->first) {
+          writer.Property(it->first);
         }
-        writer.Object(it->object);
+        writer.Object(it->second);
       }
       writer.EndPairs();
       values.push_back(std::move(record));
@@ -318,17 +338,16 @@ void BM_RelJoinReduce(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     const std::string product =
         "http://bsbm.example/Product" + std::to_string(i);
-    RelTuple left;
-    left.triples = {Triple(product, "label", "label of product " +
-                                                 std::to_string(i)),
-                    Triple(product, "feature", feature)};
-    values.push_back("L|" + left.Serialize());
-    RelTuple right;
-    right.triples = {
-        Triple(feature, "featureLabel", "feature label " + std::to_string(i)),
-        Triple(feature, "type", "http://bsbm.example/Type" +
-                                    std::to_string(i % 5))};
-    values.push_back("R|" + right.Serialize());
+    values.push_back(
+        "L|" + TupleRecord({Triple(product, "label",
+                                   "label of product " + std::to_string(i)),
+                            Triple(product, "feature", feature)}));
+    values.push_back(
+        "R|" + TupleRecord({Triple(feature, "featureLabel",
+                                   "feature label " + std::to_string(i)),
+                            Triple(feature, "type",
+                                   "http://bsbm.example/Type" +
+                                       std::to_string(i % 5))}));
   }
   size_t outputs = 0;
   const RecordEmit emit = [&outputs](std::string record) {
@@ -359,6 +378,88 @@ void BM_MatchStarDetailed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchStarDetailed)->Arg(4)->Arg(32)->Arg(256);
+
+// TestStar's query, whose one star is TestStar.
+std::shared_ptr<const GraphPatternQuery> TestStarQuery() {
+  auto query = ParseSparql("star",
+                           "SELECT * WHERE { ?s <property0> ?o0 . ?s "
+                           "<property1> ?o1 . ?s ?up ?x . }");
+  if (!query.ok()) std::abort();
+  return std::make_shared<const GraphPatternQuery>(std::move(*query));
+}
+
+// The compiled Hive star-join reducer over one subject's triple lines
+// (BM_MatchStarDetailed's triples): N + 2 matches written per call.
+void BM_RelStarReduce(benchmark::State& state) {
+  RelationalOptions options;
+  options.style = RelationalStyle::kHive;
+  auto plan = CompileRelationalPlan(TestStarQuery(), "base", "tmp", options);
+  if (!plan.ok() || plan->workflow.jobs.size() != 1) std::abort();
+  const ReduceFn reduce = plan->workflow.jobs[0].reduce;
+  std::vector<std::string> values = {Triple("s", "property0", "a").Serialize(),
+                                     Triple("s", "property1", "b").Serialize()};
+  for (int i = 0; i < state.range(0); ++i) {
+    values.push_back(Triple("s", "property" + std::to_string(2 + i % 8),
+                            "object" + std::to_string(i))
+                         .Serialize());
+  }
+  size_t outputs = 0;
+  const RecordEmit emit = [&outputs](std::string record) {
+    benchmark::DoNotOptimize(record);
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    reduce("s", values, emit, &counters);
+  }
+  if (outputs != (values.size()) * state.iterations()) std::abort();
+  state.counters["records_out_per_call"] = static_cast<double>(values.size());
+}
+BENCHMARK(BM_RelStarReduce)->Arg(4)->Arg(32)->Arg(256);
+
+// A base scan's mapper over one matching line, plain or with escapes: the
+// compiled Hive star scan (the line matches two of TestStar's patterns)
+// and the NTGA group scan (emitted once).
+void BM_ScanMap(benchmark::State& state, bool ntga, bool escaped) {
+  MapFn map;
+  if (ntga) {
+    auto plan = CompileNtgaPlan({TestStarQuery()}, "base", "tmp",
+                                NtgaOptions{});
+    if (!plan.ok()) std::abort();
+    map = plan->workflow.jobs[0].inputs[0].map;
+  } else {
+    RelationalOptions options;
+    options.style = RelationalStyle::kHive;
+    auto plan =
+        CompileRelationalPlan(TestStarQuery(), "base", "tmp", options);
+    if (!plan.ok()) std::abort();
+    map = plan->workflow.jobs[0].inputs[0].map;
+  }
+  const std::string line =
+      escaped ? Triple("http://bsbm.example/Product\t7", "property0",
+                       "a label with a \\ backslash")
+                    .Serialize()
+              : Triple("http://bsbm.example/Product7", "property0",
+                       "a label without escapes")
+                    .Serialize();
+  size_t outputs = 0;
+  const MapEmit emit = [&outputs](std::string key, std::string value) {
+    benchmark::DoNotOptimize(key.data());
+    benchmark::DoNotOptimize(value.data());
+    ++outputs;
+  };
+  for (auto _ : state) {
+    Counters counters;
+    map(line, emit, &counters);
+  }
+  const size_t expected = ntga ? 1 : 2;
+  if (outputs != expected * state.iterations()) std::abort();
+  state.counters["records_out_per_call"] = static_cast<double>(expected);
+}
+BENCHMARK_CAPTURE(BM_ScanMap, hive/plain, false, false);
+BENCHMARK_CAPTURE(BM_ScanMap, hive/escaped, false, true);
+BENCHMARK_CAPTURE(BM_ScanMap, ntga/plain, true, false);
+BENCHMARK_CAPTURE(BM_ScanMap, ntga/escaped, true, true);
 
 void BM_Fnv1a(benchmark::State& state) {
   std::string value = "some_join_key_value_of_typical_length";
@@ -413,15 +514,13 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     const std::string p = ProductIri(i);
     const std::string o = "http://bsbm.example/Offer" + std::to_string(i);
-    RelTuple tuple;
-    tuple.triples = {
-        Triple(p, "label", "label of product " + std::to_string(i / 4)),
-        Triple(p, "producer", "producer" + std::to_string(i % 13)),
-        Triple(p, "feature", "feature" + std::to_string(i % 57)),
-        Triple(o, "product", p),
-        Triple(o, "vendor", "vendor" + std::to_string(i % 7)),
-        Triple(o, "price", std::to_string(100 + i % 900) + ".99")};
-    lines.push_back(tuple.Serialize());
+    lines.push_back(TupleRecord(
+        {Triple(p, "label", "label of product " + std::to_string(i / 4)),
+         Triple(p, "producer", "producer" + std::to_string(i % 13)),
+         Triple(p, "feature", "feature" + std::to_string(i % 57)),
+         Triple(o, "product", p),
+         Triple(o, "vendor", "vendor" + std::to_string(i % 7)),
+         Triple(o, "price", std::to_string(100 + i % 900) + ".99")}));
   }
   for (auto _ : state) {
     auto answers = DecodeRelationalAnswers(reader, lines);
@@ -436,7 +535,7 @@ BENCHMARK(BM_DecodeRelationalAnswers)->Arg(1000)->Arg(10000);
 // One joined record per offer; its product group holds a label, a
 // producer and two features, so each record expands to four answers.
 void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
-  const std::vector<StarPattern> stars = B3Stars();
+  const TgAnswerPlan plan(B3Stars());
   std::vector<std::string> lines;
   for (int i = 0; i < state.range(0); i += 4) {
     std::string product;
@@ -462,12 +561,12 @@ void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
     lines.push_back(JoinRecords(product, offer));
   }
   for (auto _ : state) {
-    auto answers = DecodeJoinedTgAnswers(stars, lines);
+    auto answers = DecodeJoinedTgAnswers(plan, lines);
     if (!answers.ok()) std::abort();
     benchmark::DoNotOptimize(answers);
   }
   state.counters["answers"] =
-      static_cast<double>(DecodeJoinedTgAnswers(stars, lines)->size());
+      static_cast<double>(DecodeJoinedTgAnswers(plan, lines)->size());
 }
 BENCHMARK(BM_DecodeJoinedTgAnswers)->Arg(1000)->Arg(10000);
 
@@ -480,7 +579,8 @@ void RunInstrumentedOperatorPass() {
   EnableOperatorMetrics(true);
   StarPattern star = TestStar();
   const BetaUnnester unnester(star);
-  const std::vector<PropObj> pairs = TestPairs(64);
+  const TestPairs pairs(64);
+  const TgAnswerPlan plan({star});
   const std::string group = TestGroup(32);
   TgRecordReader reader;
   const auto sink = [](auto, std::string_view out) {
@@ -488,12 +588,12 @@ void RunInstrumentedOperatorPass() {
   };
   for (int i = 0; i < 1000; ++i) {
     std::string record;
-    BuildAnnTg(star, 0, "subject42", pairs, &record);
+    BuildAnnTg(star, 0, "subject42", pairs.views, &record);
     benchmark::DoNotOptimize(record.data());
     if (!reader.Read(group).ok()) std::abort();
     unnester.BetaUnnest(reader, reader.components()[0], {}, sink);
     unnester.PartialBetaUnnest(reader, reader.components()[0], 2, 16, sink);
-    auto solutions = DecodeJoinedTgAnswers({star}, {&group, 1});
+    auto solutions = DecodeJoinedTgAnswers(plan, {&group, 1});
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

@@ -268,12 +268,6 @@ Result<SimDfs::ScanHandle> SimDfs::OpenScan(const std::string& path) const {
   return handle;
 }
 
-bool SimDfs::IsMapped(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(path);
-  return it != files_.end() && it->second.source != nullptr;
-}
-
 Result<uint64_t> SimDfs::FileSize(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);

@@ -70,9 +70,6 @@ class SimDfs {
   Status MountMapped(const std::string& path,
                      std::shared_ptr<const LineSource> source);
 
-  /// \brief True iff `path` exists and is backed by a mounted LineSource.
-  bool IsMapped(const std::string& path) const;
-
   /// \brief Reads all record lines of `path` (metered).
   Result<std::vector<std::string>> ReadFile(const std::string& path) const;
 
@@ -98,10 +95,6 @@ class SimDfs {
     /// Serialized length of line `i` excluding the newline.
     uint64_t LineBytes(uint64_t i) const {
       return source_ ? source_->LineBytes(i) : (*lines_)[i].size();
-    }
-    /// Line `i`; mapped files decode it on demand.
-    std::string Line(uint64_t i) const {
-      return source_ ? source_->Line(i) : (*lines_)[i];
     }
     /// Line `i` without copying materialized lines: mapped files decode
     /// into `*scratch` and return it, materialized files return the

@@ -54,11 +54,13 @@ struct MapInput {
   MapFn map;
   /// Optional vertical-partition scan hint for mapped (LineSource-backed)
   /// inputs: the set of property terms whose records the mapper can act
-  /// on. The compiler may set it ONLY when the mapper provably no-ops
-  /// (zero emissions, zero counter changes) on every well-formed record
-  /// whose property is outside the set — then a mapped scan may skip
-  /// those records without changing any deterministic metric. Null means
-  /// scan everything; an empty set means no record matches (pure rescan
+  /// on. It must hold ONLY when the mapper provably no-ops (zero
+  /// emissions, zero counter changes) on every well-formed record whose
+  /// property is outside the set — then a mapped scan may skip those
+  /// records without changing any deterministic metric. Scans of the base
+  /// relation get it from MakeBaseScan (query/base_scan.h), which derives
+  /// it from the same patterns the mapper matches. Null means scan
+  /// everything; an empty set means no record matches (pure rescan
   /// accounting). Ignored for materialized inputs.
   std::shared_ptr<const std::vector<std::string>> scan_properties;
 };

@@ -1,5 +1,6 @@
 #include "ntga/ntga_compiler.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -7,7 +8,8 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "ntga/operators.h"
-#include "query/matcher.h"
+#include "query/base_scan.h"
+#include "rdf/triple.h"
 
 namespace rdfmr {
 
@@ -15,24 +17,14 @@ namespace {
 
 using QueryPtr = std::shared_ptr<const GraphPatternQuery>;
 
-// Vertical-partition hint for the shared group scan over `queries`: the
-// union of every pattern's property constant when ALL patterns across all
-// queries are property-bound, null (scan everything) as soon as any
-// pattern's property is a variable. Sound: the group mapper below emits
-// nothing and touches no counter for a well-formed triple whose property
-// matches no bound pattern, so a mapped scan may skip those triples
-// without changing answers or deterministic metrics.
-std::shared_ptr<const std::vector<std::string>> GroupScanHint(
-    const std::vector<QueryPtr>& queries) {
-  std::vector<std::string> properties;
-  for (const QueryPtr& q : queries) {
-    for (const TriplePattern& tp : q->patterns()) {
-      if (!tp.property_bound) return nullptr;
-      properties.push_back(tp.property);
-    }
-  }
-  return std::make_shared<const std::vector<std::string>>(
-      std::move(properties));
+// What σ^βγ asks of a triple (BuildAnnTg's pair test): `tp`'s property
+// constant and object constraint. The group scan matches this pattern, so
+// neither the subject nor a variable repeated across positions filters it.
+TriplePattern PairPattern(TriplePattern tp) {
+  tp.subject = NodePattern::Var(" s");
+  if (!tp.property_bound) tp.property = " p";
+  if (tp.object.is_variable()) tp.object.value = " o";
+  return tp;
 }
 
 std::string EcPath(const std::string& tmp_prefix, size_t star) {
@@ -84,12 +76,6 @@ std::string PartitionKey(uint32_t partition) {
   return StringFormat("p%u", partition);
 }
 
-std::string Tagged(const std::string& tag, std::string_view record) {
-  std::string out = tag + '|';
-  out.append(record);
-  return out;
-}
-
 MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
                          std::string tag, bool partial, uint32_t m) {
   return [unnester = BetaUnnester(star), side = std::move(side),
@@ -112,7 +98,7 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
       const size_t outputs = unnester.PartialBetaUnnest(
           record, *site, static_cast<size_t>(side.site_tp), m,
           [&](uint32_t partition, std::string_view out) {
-            emit(PartitionKey(partition), Tagged(tag, out));
+            emit(PartitionKey(partition), JoinTagged(tag, out));
           });
       (*counters)["op.mu_beta_phi.calls"] += 1;
       (*counters)["op.mu_beta_phi.output_groups"] += outputs;
@@ -126,7 +112,7 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
       ForEachJoinValue(unnester, side, record, *site,
                        [&](std::string_view value, std::string_view out) {
                          ++outputs;
-                         emit(std::string(value), Tagged(tag, out));
+                         emit(std::string(value), JoinTagged(tag, out));
                        });
     } else {
       // The other side of a TG_OptUnbJoin: key by the value's partition.
@@ -141,7 +127,7 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
             std::vector<std::string>& records =
                 by_partition[PhiPartition(value, m)];
             if (records.empty() || side.site_unbound) {
-              records.push_back(Tagged(tag, out));
+              records.push_back(JoinTagged(tag, out));
             }
           });
       for (auto& [partition, records] : by_partition) {
@@ -157,14 +143,16 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
   };
 }
 
-// Splits a reduce value "L|record" / "R|record"; false for a value
-// without a tag, which the join reducers drop.
-bool SplitTag(const std::string& value, std::string_view* record,
-              bool* is_left) {
-  const size_t bar = value.find('|');
-  if (bar == std::string::npos) return false;
-  *record = std::string_view(value).substr(bar + 1);
-  *is_left = value.compare(0, bar, "L") == 0;
+// Splits a reduce value "L|record" / "R|record"; false, counting it, for a
+// value without a tag.
+bool SplitSide(const std::string& value, std::string_view* record,
+               bool* is_left, Counters* counters) {
+  std::string_view tag;
+  if (!SplitJoinTag(value, &tag, record)) {
+    (*counters)["bad_records"] += 1;
+    return false;
+  }
+  *is_left = tag == "L";
   return true;
 }
 
@@ -183,7 +171,7 @@ ReduceFn MakePlainJoinReducer() {
     for (const std::string& v : values) {
       std::string_view line;
       bool is_left;
-      if (!SplitTag(v, &line, &is_left)) continue;
+      if (!SplitSide(v, &line, &is_left, counters)) continue;
       if (!record.Read(line).ok()) {
         (*counters)["bad_records"] += 1;
         continue;
@@ -214,7 +202,7 @@ ReduceFn MakePartialJoinReducer(const StarPattern& left_star,
     for (const std::string& v : values) {
       std::string_view line;
       bool is_left;
-      if (!SplitTag(v, &line, &is_left)) continue;
+      if (!SplitSide(v, &line, &is_left, counters)) continue;
       const JoinSidePlan& side = is_left ? left : right;
       const TgRecordReader::Component* site =
           record.Read(line).ok() ? SiteComponent(record, side.site_star)
@@ -349,29 +337,15 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
   JobSpec job1;
   job1.name = shared ? "tg-group-filter-shared" : "tg-group-filter";
   job1.full_scans_of_base = 1;
-  job1.inputs.push_back(MapInput{
-      base_path,
-      [queries](const std::string& record, const MapEmit& emit,
-                Counters* counters) {
-        Result<Triple> t = Triple::Deserialize(record);
-        if (!t.ok()) {
-          (*counters)["bad_records"] += 1;
-          return;
-        }
-        // NTGA's shared scan: the triple is shuffled once if relevant to
-        // any pattern of any star subpattern of any query.
-        for (const QueryPtr& q : queries) {
-          for (const TriplePattern& tp : q->patterns()) {
-            bool property_ok =
-                tp.property_bound ? tp.property == t->property : true;
-            if (property_ok && tp.object.Matches(t->object)) {
-              emit(t->subject, record);
-              return;
-            }
-          }
-        }
-      },
-      GroupScanHint(queries)});
+  // NTGA's shared scan: a triple is shuffled once if σ^βγ can use it for
+  // any pattern of any star subpattern of any query.
+  BaseScan scan;
+  for (const QueryPtr& q : queries) {
+    for (const TriplePattern& tp : q->patterns()) {
+      scan.patterns.push_back(PairPattern(tp));
+    }
+  }
+  job1.inputs.push_back(MakeBaseScan(base_path, std::move(scan)));
   // Each star's μ^β, compiled once for Eager's grouping cycle.
   std::vector<std::vector<BetaUnnester>> unnesters;
   for (const QueryPtr& q : queries) {
@@ -381,12 +355,19 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
                     const std::string& key,
                     const std::vector<std::string>& values,
                     const RecordEmit& emit, Counters* counters) {
-    std::set<PropObj> distinct;
+    TripleViews triples;
+    uint64_t rejected = 0;
     for (const std::string& v : values) {
-      Result<Triple> t = Triple::Deserialize(v);
-      if (t.ok()) distinct.insert(PropObj{t->property, t->object});
+      if (!triples.Add(v).ok()) ++rejected;
     }
-    std::vector<PropObj> pairs(distinct.begin(), distinct.end());
+    if (rejected > 0) (*counters)["bad_records"] += rejected;
+    std::vector<PropObj> pairs;
+    pairs.reserve(triples.views().size());
+    for (const TripleView& t : triples.views()) {
+      pairs.push_back(PropObj{t.property, t.object});
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
     TgRecordReader record;
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -452,9 +433,11 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
     }
   }
 
-  // Records carry global star ids, so one decoder serves every answer file.
-  out.decoder = [all_stars](std::span<const std::string> lines) {
-    return DecodeJoinedTgAnswers(all_stars, lines);
+  // Records carry global star ids, so one decoder serves every answer
+  // file. Its plan is built once, here, and shared by every decode.
+  out.decoder = [plan = TgAnswerPlan(all_stars)](
+                    std::span<const std::string> lines) {
+    return DecodeJoinedTgAnswers(plan, lines);
   };
   return out;
 }

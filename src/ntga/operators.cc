@@ -67,7 +67,7 @@ uint32_t PhiPartition(std::string_view value, uint32_t m) {
 
 bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
                 std::string_view subject,
-                const std::vector<PropObj>& subject_pairs, std::string* out) {
+                std::span<const PropObj> subject_pairs, std::string* out) {
   OperatorProbe<kBuildAnnTg> probe;
   // A pair satisfies a pattern when it passes the object constraint and,
   // for a bound pattern, carries its property.
@@ -94,7 +94,7 @@ bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
   // pattern, that keeps every candidate (the β group-filter retains the
   // implicit candidate set). Sorted pairs nest under their property.
   TgWriter writer(out, subject, star_id);
-  const std::string* property = nullptr;
+  const PropObj* previous = nullptr;
   for (const PropObj& po : subject_pairs) {
     if (std::none_of(star.patterns.begin(), star.patterns.end(),
                      [&](const TriplePattern& tp) {
@@ -102,10 +102,10 @@ bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
                      })) {
       continue;
     }
-    if (property == nullptr || *property != po.property) {
-      property = &po.property;
+    if (previous == nullptr || previous->property != po.property) {
       writer.Property(po.property);
     }
+    previous = &po;
     writer.Object(po.object);
   }
   writer.EndPairs();
@@ -324,19 +324,7 @@ namespace {
 // have equal handles, and rows go to the answer table as they are.
 using Handle = SolutionSet::Handle;
 constexpr Handle kUnbound = SolutionSet::kUnbound;
-constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-std::vector<std::string> StarVariables(const std::vector<StarPattern>& stars) {
-  std::vector<std::string> vars;
-  for (const StarPattern& star : stars) {
-    for (const TriplePattern& tp : star.patterns) {
-      for (std::string& var : tp.Variables()) vars.push_back(std::move(var));
-    }
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  return vars;
-}
+constexpr size_t kNoSlot = TgAnswerPlan::kNoSlot;
 
 struct SlotValue {
   size_t slot;
@@ -382,31 +370,15 @@ bool BindCandidate(const Candidate& cand, Handle* row, size_t set[3],
 // buffers are reused from record to record.
 class RowExpander {
  public:
-  RowExpander(const std::vector<StarPattern>& stars,
-              SolutionSet::Builder* builder)
-      : stars_(stars), builder_(builder), width_(builder->width()) {
-    const std::vector<std::string>& vars = builder->variables();
-    auto slot_of = [&vars](const std::string& var) {
-      return static_cast<size_t>(
-          std::lower_bound(vars.begin(), vars.end(), var) - vars.begin());
-    };
-    for (const StarPattern& star : stars) {
-      std::vector<PatternSlots>& slots = slots_.emplace_back();
-      for (const TriplePattern& tp : star.patterns) {
-        slots.push_back(PatternSlots{
-            tp.subject.is_variable() ? slot_of(tp.subject.value) : kNoSlot,
-            tp.property_bound ? kNoSlot : slot_of(tp.property),
-            tp.object.is_variable() ? slot_of(tp.object.value) : kNoSlot});
-      }
-    }
-  }
+  RowExpander(const TgAnswerPlan& plan, SolutionSet::Builder* builder)
+      : plan_(plan), builder_(builder), width_(builder->width()) {}
 
   // Expands the rows a record represents: each component's rows, merged
   // across components; inconsistent combinations drop out. The rows stay
   // in rows() until the next call.
   Status Expand(const TgRecordReader& record) {
     for (const TgRecordReader::Component& c : record.components()) {
-      if (c.star_id >= stars_.size()) {
+      if (c.star_id >= plan_.stars().size()) {
         return Status::IoError("record component references unknown star " +
                                std::to_string(c.star_id));
       }
@@ -450,7 +422,7 @@ class RowExpander {
   void ExpandComponent(size_t star_index, const TgRecordReader& record,
                        const TgRecordReader::Component& c,
                        std::vector<Handle>* rows) {
-    const StarPattern& star = stars_[star_index];
+    const StarPattern& star = plan_.stars()[star_index];
     if (candidates_.size() < star.patterns.size()) {
       candidates_.resize(star.patterns.size());
     }
@@ -461,7 +433,7 @@ class RowExpander {
       std::vector<Candidate>& candidates = candidates_[i];
       candidates.clear();
       const auto [subject_slot, property_slot, object_slot] =
-          slots_[star_index][i];
+          plan_.slots(star_index)[i];
       const auto add = [&](uint32_t property, uint32_t object) {
         Candidate cand;
         if (subject_slot != kNoSlot) {
@@ -547,14 +519,9 @@ class RowExpander {
     acc_.swap(next_);
   }
 
-  struct PatternSlots {
-    size_t subject, property, object;
-  };
-
-  const std::vector<StarPattern>& stars_;
+  const TgAnswerPlan& plan_;
   SolutionSet::Builder* builder_;
   const size_t width_;
-  std::vector<std::vector<PatternSlots>> slots_;  // per star, per pattern
   const std::vector<std::string_view>* leaves_ = nullptr;
   std::vector<Handle> handles_;  // per leaf of the current record
   std::vector<std::vector<Candidate>> candidates_;
@@ -564,11 +531,38 @@ class RowExpander {
 
 }  // namespace
 
-Result<SolutionSet> DecodeJoinedTgAnswers(
-    const std::vector<StarPattern>& stars,
-    std::span<const std::string> lines) {
-  SolutionSet::Builder builder(StarVariables(stars));
-  RowExpander expander(stars, &builder);
+TgAnswerPlan::TgAnswerPlan(std::vector<StarPattern> stars)
+    : stars_(std::move(stars)) {
+  for (const StarPattern& star : stars_) {
+    for (const TriplePattern& tp : star.patterns) {
+      for (std::string& var : tp.Variables()) {
+        variables_.push_back(std::move(var));
+      }
+    }
+  }
+  std::sort(variables_.begin(), variables_.end());
+  variables_.erase(std::unique(variables_.begin(), variables_.end()),
+                   variables_.end());
+  auto slot_of = [this](const std::string& var) {
+    return static_cast<size_t>(
+        std::lower_bound(variables_.begin(), variables_.end(), var) -
+        variables_.begin());
+  };
+  for (const StarPattern& star : stars_) {
+    std::vector<PatternSlots>& slots = slots_.emplace_back();
+    for (const TriplePattern& tp : star.patterns) {
+      slots.push_back(PatternSlots{
+          tp.subject.is_variable() ? slot_of(tp.subject.value) : kNoSlot,
+          tp.property_bound ? kNoSlot : slot_of(tp.property),
+          tp.object.is_variable() ? slot_of(tp.object.value) : kNoSlot});
+    }
+  }
+}
+
+Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
+                                          std::span<const std::string> lines) {
+  SolutionSet::Builder builder(plan.variables());
+  RowExpander expander(plan, &builder);
   TgRecordReader record;
   const size_t width = builder.width();
   for (const std::string& line : lines) {

@@ -49,10 +49,10 @@ uint32_t PhiPartition(std::string_view value, uint32_t m);
 /// stars: σ^γ) or β group-filter (unbound stars: σ^βγ). Pairs irrelevant
 /// to every pattern of the star are dropped; for unbound stars all
 /// relevant pairs are retained as implicit candidates. `subject_pairs`
-/// must be sorted and distinct, as a std::set<PropObj> holds them.
+/// must be sorted and distinct.
 bool BuildAnnTg(const StarPattern& star, uint32_t star_id,
                 std::string_view subject,
-                const std::vector<PropObj>& subject_pairs, std::string* out);
+                std::span<const PropObj> subject_pairs, std::string* out);
 
 /// \brief Calls visit(property leaf, object leaf) for each candidate of
 /// pattern `tp` (index `tp_index`) in component `site` of the record
@@ -127,6 +127,33 @@ class BetaUnnester {
   std::vector<size_t> unbound_;     // UnboundIndexes
 };
 
+/// \brief How DecodeJoinedTgAnswers binds records of `stars` (indexed by
+/// the star ids their components carry): the stars' variables, sorted, as
+/// slots, and the slot of each pattern's subject, property and object.
+/// Built once per compiled plan and shared by every decode.
+class TgAnswerPlan {
+ public:
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  struct PatternSlots {
+    size_t subject, property, object;
+  };
+
+  explicit TgAnswerPlan(std::vector<StarPattern> stars);
+
+  const std::vector<StarPattern>& stars() const { return stars_; }
+  const std::vector<std::string>& variables() const { return variables_; }
+  /// \brief Per pattern of star `star`, in pattern order.
+  const std::vector<PatternSlots>& slots(size_t star) const {
+    return slots_[star];
+  }
+
+ private:
+  std::vector<StarPattern> stars_;
+  std::vector<std::string> variables_;
+  std::vector<std::vector<PatternSlots>> slots_;
+};
+
 /// \brief Decodes triplegroup records into the set of the solution
 /// mappings they implicitly represent: per record, each component's (bound
 /// pairs x unbound candidates, with shared-variable consistency) for its
@@ -134,10 +161,9 @@ class BetaUnnester {
 /// join predicates) drop out. Records are read as views (TgRecordReader)
 /// and expanded straight into the table's handle rows, so each distinct
 /// term is copied once. Fails with IoError on a record TgRecordReader
-/// rejects or a component naming a star outside `stars`.
-Result<SolutionSet> DecodeJoinedTgAnswers(
-    const std::vector<StarPattern>& stars,
-    std::span<const std::string> lines);
+/// rejects or a component naming a star outside the plan's stars.
+Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
+                                          std::span<const std::string> lines);
 
 }  // namespace rdfmr
 

@@ -36,10 +36,11 @@
 
 namespace rdfmr {
 
-/// \brief One (Property, Object) pair of a triplegroup.
+/// \brief One (Property, Object) pair of a triplegroup, as views of its
+/// unescaped values.
 struct PropObj {
-  std::string property;
-  std::string object;
+  std::string_view property;
+  std::string_view object;
 
   bool operator==(const PropObj& o) const {
     return property == o.property && object == o.object;

@@ -1,7 +1,8 @@
 // Reference matcher: enumerates solution mappings of star patterns over a
-// subject's triples. Used by the relational engines at star-join reducers,
-// by the NTGA engines when converting (β-unnested) triplegroups into final
-// answers, and by tests as the ground-truth oracle.
+// subject's triples. It is the in-memory oracle the engines are judged
+// against (tests, the fuzzer, the quickstart example); no engine calls its
+// star enumerator. MatchesTriplePattern is the one triple-vs-pattern test
+// every engine shares.
 
 #ifndef RDFMR_QUERY_MATCHER_H_
 #define RDFMR_QUERY_MATCHER_H_

@@ -4,10 +4,11 @@
 #include <deque>
 #include <memory>
 #include <numeric>
-#include <set>
 
 #include "common/strings.h"
+#include "query/base_scan.h"
 #include "query/matcher.h"
+#include "rdf/triple.h"
 #include "relational/rel_tuple.h"
 
 namespace rdfmr {
@@ -16,124 +17,181 @@ namespace {
 
 using QueryPtr = std::shared_ptr<const GraphPatternQuery>;
 
-// ---- Vertical-partition scan hints -----------------------------------------
+// ---- Base scans ---------------------------------------------------------------
 
-using ScanHint = std::shared_ptr<const std::vector<std::string>>;
+// The counter a VP scan bumps per emitted triple.
+constexpr char kVpScan[] = "op.vp_scan.output_records";
 
-// Hint for a mapper that only reacts to triples matching one of
-// `patterns`: the set of property constants when EVERY pattern is
-// property-bound, null (scan everything) when any pattern's property is a
-// variable. Sound because each mapper below ignores — no emissions, no
-// counter changes — any well-formed record whose property matches no
-// pattern, so a mapped scan may skip those records without changing
-// answers or deterministic metrics.
-ScanHint HintForPatterns(const std::vector<TriplePattern>& patterns) {
-  std::vector<std::string> properties;
-  for (const TriplePattern& tp : patterns) {
-    if (!tp.property_bound) return nullptr;
-    properties.push_back(tp.property);
-  }
-  return std::make_shared<const std::vector<std::string>>(
-      std::move(properties));
+// Hive's shared scan of one star: a triple is emitted once per pattern it
+// matches, mirroring its membership in several VP relations.
+MapInput MakeStarScan(const std::string& path, const StarPattern& star) {
+  return MakeBaseScan(path, {.patterns = star.patterns,
+                             .per_pattern = true,
+                             .counter = kVpScan});
 }
 
-// Hint selecting nothing: for pure rescan-accounting inputs whose mapper
-// never emits regardless of the record.
-ScanHint EmptyHint() {
-  return std::make_shared<const std::vector<std::string>>();
-}
+// ---- Star joins -------------------------------------------------------------
 
-// ---- Map-side helpers -------------------------------------------------------
-
-// True iff `t` can contribute to any triple pattern of the query (used by
-// Pig's initial filter/compress job).
-bool RelevantToAnyPattern(const GraphPatternQuery& query, const Triple& t) {
-  for (const TriplePattern& tp : query.patterns()) {
-    if (MatchesTriplePattern(tp, t)) return true;
-  }
-  return false;
-}
-
-// Mapper scanning for ONE triple pattern (a VP relation operand, Pig-style).
-MapFn MakeSinglePatternMapper(QueryPtr query, size_t star, size_t tp_index) {
-  return [query, star, tp_index](const std::string& record,
-                                 const MapEmit& emit, Counters* counters) {
-    Result<Triple> t = Triple::Deserialize(record);
-    if (!t.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    const TriplePattern& tp = query->stars()[star].patterns[tp_index];
-    if (MatchesTriplePattern(tp, *t)) {
-      (*counters)["op.vp_scan.output_records"] += 1;
-      emit(t->subject, record);
-    }
-  };
-}
-
-// Mapper scanning for ALL patterns of one star in a single pass
-// (Hive-style shared scan). A triple matching several patterns is emitted
-// once per pattern, mirroring its membership in several VP relations.
-MapFn MakeStarMapper(QueryPtr query, size_t star) {
-  return [query, star](const std::string& record, const MapEmit& emit,
-                       Counters* counters) {
-    Result<Triple> t = Triple::Deserialize(record);
-    if (!t.ok()) {
-      (*counters)["bad_records"] += 1;
-      return;
-    }
-    for (const TriplePattern& tp : query->stars()[star].patterns) {
-      if (MatchesTriplePattern(tp, *t)) {
-        (*counters)["op.vp_scan.output_records"] += 1;
-        emit(t->subject, record);
+// One star's join, compiled once per star. Match() enumerates the star's
+// matches over a subject's distinct triples in MatchStarDetailed's order:
+// per-pattern candidates, the product of the mandatory patterns (the first
+// outermost), then each OPTIONAL pattern left-joined in pattern order — a
+// depth-first walk over the mandatory patterns, then the optional ones.
+// Variables are slots bound to field views, so a repeated variable is
+// checked by comparing views. A match's record is its triples' lines side
+// by side, an unmatched OPTIONAL column three empty fields.
+class StarMatcher {
+ public:
+  explicit StarMatcher(const StarPattern& star)
+      : patterns_(star.patterns),
+        slots_(patterns_),
+        width_(slots_.variables().size()) {
+    for (bool optional : {false, true}) {
+      for (size_t p = 0; p < patterns_.size(); ++p) {
+        if (patterns_[p].optional == optional) order_.push_back(p);
       }
     }
+  }
+
+  // Emits the record of each match over `triples` (distinct, sorted);
+  // returns the match count.
+  size_t Match(const std::vector<TripleView>& triples,
+               const RecordEmit& emit) const {
+    std::vector<std::vector<uint32_t>> candidates(patterns_.size());
+    for (size_t p = 0; p < patterns_.size(); ++p) {
+      for (uint32_t t = 0; t < triples.size(); ++t) {
+        if (MatchesTriplePattern(patterns_[p], triples[t].subject,
+                                 triples[t].property, triples[t].object)) {
+          candidates[p].push_back(t);
+        }
+      }
+    }
+    Walk walk{*this,
+              triples,
+              emit,
+              std::move(candidates),
+              std::vector<uint32_t>(patterns_.size(), kNoTriple),
+              std::vector<const std::string_view*>(
+                  (order_.size() + 1) * width_, nullptr)};
+    walk.Visit(0);
+    return walk.matches;
+  }
+
+ private:
+  static constexpr uint32_t kNoTriple = static_cast<uint32_t>(-1);
+
+  // One Match() call's state. Level L of the walk binds pattern order_[L];
+  // its bindings extend row L of `rows` into row L + 1 (a slot holds the
+  // field view bound to it, or null).
+  struct Walk {
+    const StarMatcher& m;
+    const std::vector<TripleView>& triples;
+    const RecordEmit& emit;
+    std::vector<std::vector<uint32_t>> candidates;  // per pattern
+    std::vector<uint32_t> choice;                   // per pattern
+    std::vector<const std::string_view*> rows;
+    size_t matches = 0;
+
+    void Visit(size_t level) {
+      if (level == m.order_.size()) {
+        Write();
+        return;
+      }
+      const size_t p = m.order_[level];
+      const std::string_view** row = rows.data() + level * m.width_;
+      bool any = false;
+      for (uint32_t t : candidates[p]) {
+        std::copy(row, row + m.width_, row + m.width_);
+        if (!Bind(p, triples[t], row + m.width_)) continue;
+        any = true;
+        choice[p] = t;
+        Visit(level + 1);
+      }
+      choice[p] = kNoTriple;
+      if (!any && m.patterns_[p].optional) {
+        std::copy(row, row + m.width_, row + m.width_);
+        Visit(level + 1);
+      }
+    }
+
+    // Binds pattern `p`'s variable fields of `t` into `row`; false when a
+    // slot already holds another value.
+    bool Bind(size_t p, const TripleView& t,
+              const std::string_view** row) const {
+      const std::string_view* fields[3] = {&t.subject, &t.property,
+                                           &t.object};
+      for (size_t j = 0; j < 3; ++j) {
+        const size_t slot = m.slots_.FieldSlot(3 * p + j);
+        if (slot == RelRecordReader::kNoSlot) continue;
+        if (row[slot] == nullptr) {
+          row[slot] = fields[j];
+        } else if (*row[slot] != *fields[j]) {
+          return false;
+        }
+      }
+      return true;
+    }
+
+    void Write() {
+      std::string record;
+      for (size_t p = 0; p < choice.size(); ++p) {
+        if (p > 0) record.push_back('\t');
+        if (choice[p] == kNoTriple) {
+          record.append("\t\t");
+        } else {
+          triples[choice[p]].AppendLine(&record);
+        }
+      }
+      ++matches;
+      emit(std::move(record));
+    }
+  };
+
+  std::vector<TriplePattern> patterns_;
+  RelRecordReader slots_;  // the record grammar's slot plan of the star
+  size_t width_;
+  std::vector<size_t> order_;  // mandatory patterns, then optional ones
+};
+
+// Star-join reducer: reads a subject's triple lines as views, keeps the
+// distinct ones and writes the star's matches (relational arity 3k).
+ReduceFn MakeStarReducer(const StarPattern& star) {
+  return [matcher = StarMatcher(star)](const std::string& /*key*/,
+                                       const std::vector<std::string>& values,
+                                       const RecordEmit& emit,
+                                       Counters* counters) {
+    TripleViews triples;
+    uint64_t rejected = 0;
+    for (const std::string& v : values) {
+      if (!triples.Add(v).ok()) ++rejected;
+    }
+    if (rejected > 0) (*counters)["bad_records"] += rejected;
+    triples.SortDistinct();
+    const size_t matches = matcher.Match(triples.views(), emit);
+    (*counters)["op.star_join.input_groups"] += 1;
+    (*counters)["op.star_join.output_records"] += matches;
   };
 }
 
-// Star-join reducer: assembles all distinct triples of one subject and
-// enumerates the star's n-tuples (relational arity 3k).
-ReduceFn MakeStarReducer(QueryPtr query, size_t star) {
-  return [query, star](const std::string& /*key*/,
-                       const std::vector<std::string>& values,
-                       const RecordEmit& emit, Counters* counters) {
-    std::set<Triple> distinct;
-    for (const std::string& v : values) {
-      Result<Triple> t = Triple::Deserialize(v);
-      if (t.ok()) distinct.insert(t.MoveValueUnsafe());
-    }
-    std::vector<Triple> triples(distinct.begin(), distinct.end());
-    std::vector<StarMatch> matches =
-        MatchStarDetailed(query->stars()[star], triples);
-    (*counters)["op.star_join.input_groups"] += 1;
-    (*counters)["op.star_join.output_records"] += matches.size();
-    for (StarMatch& m : matches) {
-      emit(RelTuple{std::move(m.matched)}.Serialize());
-    }
-  };
-}
+// ---- Join cycles --------------------------------------------------------------
 
 // Tags a relational intermediate tuple with its join-key value: the
 // reader's binding of the join variable, which is a node variable outside
-// any OPTIONAL and so bound in every tuple the reader accepts. With `scan`
-// the input is the triple relation, scanned for an inlined single-pattern
-// star (a triple record is an arity-1 tuple record), and a triple that does
-// not match the pattern is skipped uncounted.
+// any OPTIONAL and so bound in every tuple the reader accepts.
 MapFn MakeJoinMapper(const RelSchema& schema, const std::string& var,
-                     std::string tag, bool scan) {
+                     std::string tag) {
   RelRecordReader reader(schema);
   const size_t slot = reader.SlotOf(var);
-  return [reader = std::move(reader), slot, tag = std::move(tag), scan](
+  return [reader = std::move(reader), slot, tag = std::move(tag)](
              const std::string& record, const MapEmit& emit,
              Counters* counters) {
     RelRecordReader tuple = reader;
-    const Status read = tuple.Read(record);
-    if (scan && read.IsInvalidArgument()) return;
-    if (!read.ok() || slot == RelRecordReader::kNoSlot || !tuple.bound(slot)) {
+    if (!tuple.Read(record).ok() || slot == RelRecordReader::kNoSlot ||
+        !tuple.bound(slot)) {
       (*counters)["bad_records"] += 1;
       return;
     }
-    emit(std::string(tuple.value(slot)), tag + "|" + record);
+    emit(std::string(tuple.value(slot)), JoinTagged(tag, record));
   };
 }
 
@@ -196,12 +254,14 @@ ReduceFn MakeJoinReducer(const RelSchema& left_schema,
              Counters* counters) {
     JoinSide lefts, rights;
     for (const std::string& v : values) {
-      const size_t bar = v.find('|');
-      if (bar == std::string::npos) continue;
-      const bool is_left = v.compare(0, bar, "L") == 0;
-      if (!AddTuple(is_left ? readers.left : readers.right,
-                    std::string_view(v).substr(bar + 1),
-                    is_left ? &lefts : &rights)) {
+      std::string_view tag, record;
+      if (!SplitJoinTag(v, &tag, &record)) {
+        (*counters)["bad_records"] += 1;
+        continue;
+      }
+      const bool left = tag == "L";
+      if (!AddTuple(left ? readers.left : readers.right, record,
+                    left ? &lefts : &rights)) {
         (*counters)["bad_records"] += 1;
       }
     }
@@ -254,17 +314,8 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
     JobSpec job;
     job.name = "pig-filter-compress";
     job.full_scans_of_base = 1;
-    job.inputs.push_back(MapInput{
-        base_path, [query](const std::string& record, const MapEmit& emit,
-                           Counters* counters) {
-          Result<Triple> t = Triple::Deserialize(record);
-          if (!t.ok()) {
-            (*counters)["bad_records"] += 1;
-            return;
-          }
-          if (RelevantToAnyPattern(*query, *t)) emit("", record);
-        },
-        /*scan_properties=*/nullptr});
+    job.inputs.push_back(MakeBaseScan(
+        base_path, {.patterns = query->patterns(), .key = ScanKey::kNone}));
     job.output_path = tmp_prefix + "/compressed";
     plan.workflow.jobs.push_back(std::move(job));
     plan.workflow.intermediate_paths.push_back(tmp_prefix + "/compressed");
@@ -285,19 +336,17 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
     job.name = StringFormat("star-join-%zu", s);
     if (options.style == RelationalStyle::kPig) {
       // One scan per join operand (VP relation).
-      for (size_t i = 0; i < star.patterns.size(); ++i) {
+      for (const TriplePattern& tp : star.patterns) {
         job.inputs.push_back(
-            MapInput{scan_path, MakeSinglePatternMapper(query, s, i),
-                     HintForPatterns({star.patterns[i]})});
+            MakeBaseScan(scan_path, {.patterns = {tp}, .counter = kVpScan}));
       }
       job.full_scans_of_base =
           scanning_base ? static_cast<uint32_t>(star.patterns.size()) : 0;
     } else {
-      job.inputs.push_back(MapInput{scan_path, MakeStarMapper(query, s),
-                                    HintForPatterns(star.patterns)});
+      job.inputs.push_back(MakeStarScan(scan_path, star));
       job.full_scans_of_base = scanning_base ? 1 : 0;
     }
-    job.reduce = MakeStarReducer(query, s);
+    job.reduce = MakeStarReducer(star);
     job.output_path = StringFormat("%s/star%zu", tmp_prefix.c_str(), s);
     relations[s] = RelationState{job.output_path, star.patterns};
     plan.star_phase_paths.push_back(job.output_path);
@@ -324,11 +373,21 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
     job.name = StringFormat("join-%zu-on-%s", join_count,
                             join.variable.c_str());
     auto add_side = [&](const RelationState& rel, const char* tag) {
-      const bool scan = rel.inline_single_pattern;
-      job.inputs.push_back(MapInput{
-          rel.path, MakeJoinMapper(rel.schema, join.variable, tag, scan),
-          scan ? HintForPatterns(rel.schema) : nullptr});
-      if (scan && scanning_base) job.full_scans_of_base += 1;
+      if (!rel.inline_single_pattern) {
+        job.inputs.push_back(
+            MapInput{rel.path, MakeJoinMapper(rel.schema, join.variable, tag),
+                     /*scan_properties=*/nullptr});
+        return;
+      }
+      // The triple relation is scanned as the arity-1 tuples of the lone
+      // pattern: keyed by the join variable's field, a triple the pattern
+      // rejects skipped uncounted.
+      job.inputs.push_back(MakeBaseScan(rel.path,
+                                        {.patterns = rel.schema,
+                                         .key = ScanKey::kVariable,
+                                         .key_variable = join.variable,
+                                         .tag = tag}));
+      if (scanning_base) job.full_scans_of_base += 1;
     };
     add_side(left, "L");
     add_side(right, "R");
@@ -378,11 +437,9 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     // Cycle 1: compute `first`.
     JobSpec job1;
     job1.name = StringFormat("selsj-star-%zu", first);
-    job1.inputs.push_back(
-        MapInput{base_path, MakeStarMapper(query, first),
-                 HintForPatterns(query->stars()[first].patterns)});
+    job1.inputs.push_back(MakeStarScan(base_path, query->stars()[first]));
     job1.full_scans_of_base = 1;
-    job1.reduce = MakeStarReducer(query, first);
+    job1.reduce = MakeStarReducer(query->stars()[first]);
     job1.output_path = tmp_prefix + "/selsj-first";
     plan.star_phase_paths.push_back(job1.output_path);
     plan.workflow.jobs.push_back(std::move(job1));
@@ -396,52 +453,33 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     job2.name = "selsj-join";
     job2.inputs.push_back(
         MapInput{tmp_prefix + "/selsj-first",
-                 MakeJoinMapper(first_schema, join.variable, "L",
-                                /*scan=*/false),
+                 MakeJoinMapper(first_schema, join.variable, "L"),
                  /*scan_properties=*/nullptr});
-    job2.inputs.push_back(MapInput{
-        base_path,
-        [query, folded](const std::string& record, const MapEmit& emit,
-                        Counters* counters) {
-          Result<Triple> t = Triple::Deserialize(record);
-          if (!t.ok()) {
-            (*counters)["bad_records"] += 1;
-            return;
-          }
-          for (const TriplePattern& tp : query->stars()[folded].patterns) {
-            if (MatchesTriplePattern(tp, *t)) {
-              emit(t->subject, "B|" + record);
-              break;  // routing only; the reducer re-derives matches
-            }
-          }
-        },
-        HintForPatterns(query->stars()[folded].patterns)});
+    // Routing only: a triple goes once, and the reducer derives matches.
+    job2.inputs.push_back(MakeBaseScan(
+        base_path, {.patterns = folded_schema, .tag = "B"}));
     job2.full_scans_of_base = 1;
-    job2.reduce = [query, folded,
+    job2.reduce = [matcher = StarMatcher(query->stars()[folded]),
                    readers = JoinReaders(first_schema, folded_schema)](
                       const std::string& /*key*/,
                       const std::vector<std::string>& values,
                       const RecordEmit& emit, Counters* counters) {
-      std::set<Triple> triples;
+      TripleViews triples;
       JoinSide lefts;
       for (const std::string& v : values) {
-        const size_t bar = v.find('|');
-        if (bar == std::string::npos) continue;
-        const std::string_view payload = std::string_view(v).substr(bar + 1);
-        if (v.compare(0, bar, "B") == 0) {
-          Result<Triple> t = Triple::Deserialize(payload);
-          if (t.ok()) triples.insert(t.MoveValueUnsafe());
-        } else if (!AddTuple(readers.left, payload, &lefts)) {
-          (*counters)["bad_records"] += 1;
-        }
+        std::string_view tag, record;
+        const bool read =
+            SplitJoinTag(v, &tag, &record) &&
+            (tag == "B" ? triples.Add(record).ok()
+                        : AddTuple(readers.left, record, &lefts));
+        if (!read) (*counters)["bad_records"] += 1;
       }
-      if (lefts.empty() || triples.empty()) return;
-      std::vector<Triple> star_triples(triples.begin(), triples.end());
+      if (lefts.empty() || triples.views().empty()) return;
+      triples.SortDistinct();
       std::vector<std::string> match_records;
-      for (StarMatch& m :
-           MatchStarDetailed(query->stars()[folded], star_triples)) {
-        match_records.push_back(RelTuple{std::move(m.matched)}.Serialize());
-      }
+      matcher.Match(triples.views(), [&match_records](std::string record) {
+        match_records.push_back(std::move(record));
+      });
       JoinSide rights;
       for (const std::string& record : match_records) {
         if (!AddTuple(readers.right, record, &rights)) {
@@ -474,10 +512,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
   plan3.workflow.name = query->name() + "/sel-sj-first";
   if (!plan3.workflow.jobs.empty()) {
     JobSpec& join_job = plan3.workflow.jobs.back();
-    join_job.inputs.push_back(MapInput{
-        base_path,
-        [](const std::string&, const MapEmit&, Counters*) { /* rescan */ },
-        EmptyHint()});
+    join_job.inputs.push_back(MakeBaseScan(base_path, {}));  // rescan
     join_job.full_scans_of_base += 1;
   }
   return plan3;

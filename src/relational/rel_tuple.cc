@@ -7,22 +7,6 @@
 
 namespace rdfmr {
 
-std::string RelTuple::Serialize() const {
-  size_t bytes = 0;
-  for (const Triple& t : triples) bytes += t.ByteSize();
-  std::string out;
-  out.reserve(bytes);
-  bool first = true;
-  for (const Triple& t : triples) {
-    for (const std::string* field : {&t.subject, &t.property, &t.object}) {
-      if (!first) out.push_back('\t');
-      first = false;
-      AppendEscaped(&out, *field, '\t');
-    }
-  }
-  return out;
-}
-
 std::string JoinTupleRecords(std::string_view left, std::string_view right) {
   std::string out;
   out.reserve(left.size() + 1 + right.size());

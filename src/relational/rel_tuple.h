@@ -1,13 +1,16 @@
-// Relational n-tuple records of (joined) star matches: the writer
-// (RelTuple) and the one reader (RelRecordReader).
+// Relational n-tuple records of (joined) star matches, and their one
+// reader (RelRecordReader).
 //
 // A star-join over k triple patterns yields tuples of relational arity 3k —
 // (Sub, Prop, Obj) columns per pattern, subject repeated in every column
 // group, exactly as the paper describes for vertically-partitioned
 // relational processing. This repetition *is* the redundancy under study:
-// the byte footprint of these serialized tuples is what the relational
-// engines ship between MR cycles. A join's record is its two input records
-// side by side. Every consumer reads records through RelRecordReader.
+// the byte footprint of these tuples is what the relational engines ship
+// between MR cycles. There is one writing rule: a star join's record is
+// its matched triples' lines side by side (an unmatched OPTIONAL column is
+// three empty fields), and a join's record is its two input records side
+// by side (JoinTupleRecords). Every consumer reads records through
+// RelRecordReader.
 
 #ifndef RDFMR_RELATIONAL_REL_TUPLE_H_
 #define RDFMR_RELATIONAL_REL_TUPLE_H_
@@ -21,7 +24,6 @@
 #include "common/result.h"
 #include "query/pattern.h"
 #include "query/solution.h"
-#include "rdf/triple.h"
 
 namespace rdfmr {
 
@@ -29,17 +31,7 @@ namespace rdfmr {
 /// patterns whose matches the tuple columns hold.
 using RelSchema = std::vector<TriplePattern>;
 
-/// \brief One tuple: a matched triple per schema pattern, aligned. An
-/// all-empty triple stands for an unmatched OPTIONAL pattern.
-struct RelTuple {
-  std::vector<Triple> triples;
-
-  /// \brief Serializes as 3k tab-separated fields.
-  std::string Serialize() const;
-};
-
-/// \brief A joined tuple's record: its two input records side by side,
-/// which is the Serialize() of their concatenated triples.
+/// \brief A joined tuple's record: its two input records side by side.
 std::string JoinTupleRecords(std::string_view left, std::string_view right);
 
 /// \brief Reads records of one schema. Read() splits a line into field
@@ -64,6 +56,9 @@ class RelRecordReader {
   const std::vector<std::string>& variables() const { return plan_->vars; }
   /// \brief The slot of `var`, or kNoSlot.
   size_t SlotOf(std::string_view var) const;
+  /// \brief The slot field 3i+j (subject, property, object of pattern i)
+  /// binds, or kNoSlot.
+  size_t FieldSlot(size_t field) const { return plan_->field_slot[field]; }
 
   /// \brief The last Read()'s line and bindings. A value views the line
   /// or this reader, until the next Read().

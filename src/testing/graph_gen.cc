@@ -1,7 +1,6 @@
 #include "testing/graph_gen.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 
@@ -28,7 +27,7 @@ GraphVocabulary VocabularyOf(const GraphGenConfig& config) {
 std::vector<Triple> GenerateGraph(const GraphGenConfig& config, Rng* rng) {
   ZipfSampler property_sampler(std::max<uint64_t>(config.num_properties, 1),
                                config.property_skew);
-  std::set<Triple> triples;
+  std::vector<Triple> triples;
 
   auto pick_object = [&](uint64_t literal_seed) -> std::string {
     double roll = rng->NextDouble();
@@ -67,10 +66,12 @@ std::vector<Triple> GenerateGraph(const GraphGenConfig& config, Rng* rng) {
         property = PropertyId(property_sampler.Sample(rng));
         used_properties.push_back(property);
       }
-      triples.insert(Triple(subject, property, pick_object(rng->Next())));
+      triples.emplace_back(subject, property, pick_object(rng->Next()));
     }
   }
-  return std::vector<Triple>(triples.begin(), triples.end());
+  std::sort(triples.begin(), triples.end());
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+  return triples;
 }
 
 }  // namespace fuzz

@@ -331,7 +331,7 @@ constexpr char kGoldenJoined[] =
     "\\\\\\\\\\\\,\\\\\\\\\\\\\\\\s,\\\\\\\\s\x1D""3\x1E""product7\x1F"""
     "1\x1F""label,product 7 gold edition\x1D""prodFeature,feature11,fea"
     "ture3\x1F""2,producer,producer4";
-constexpr char kGoldenRelTuple[] =
+constexpr char kGoldenTuple[] =
     "s\\s1\x09""p\\\\\x09""o\\n\x1F"",\x09""\x09""\x09""\x09""a\x09""b"
     "\x09""c";
 constexpr char kGoldenSolution[] =
@@ -474,11 +474,10 @@ TEST(SerdeGoldenTest, UnnestedTriplegroupBytesArePinned) {
   EXPECT_EQ(partitions[1], kGoldenPartialBetaUnnest);
 }
 
-TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {
-  RelTuple tuple;
-  tuple.triples = {Triple("s\t1", "p\\", "o\n\x1F,"), Triple(),
-                   Triple("a", "b", "c")};
-  EXPECT_EQ(tuple.Serialize(), kGoldenRelTuple);
+TEST(SerdeGoldenTest, TupleAndSolutionBytesArePinned) {
+  EXPECT_EQ(testing_util::TupleLine({Triple("s\t1", "p\\", "o\n\x1F,"),
+                                     Triple(), Triple("a", "b", "c")}),
+            kGoldenTuple);
   TriplePattern optional = TriplePattern::Bound(NodePattern::Var("s2"), "q",
                                                 NodePattern::Var("o2"));
   optional.optional = true;
@@ -488,7 +487,7 @@ TEST(SerdeGoldenTest, RelTupleAndSolutionBytesArePinned) {
        optional,
        TriplePattern::Bound(NodePattern::Var("a"), "b",
                             NodePattern::Const("c"))});
-  const Status read = reader.Read(kGoldenRelTuple);
+  const Status read = reader.Read(kGoldenTuple);
   ASSERT_TRUE(read.ok()) << read.ToString();
   const std::vector<std::string> vars = {"a", "o", "o2", "p", "s", "s2"};
   ASSERT_EQ(reader.variables(), vars);

@@ -18,7 +18,12 @@
 // simulated quantity, replace tests/golden/exec_pin.txt with that file and
 // say so in the change.
 //
-// A second test asserts that on the separator graph every NTGA engine
+// A second pin, tests/golden/selsj_pin.txt, renders the Fig. 3 case-study
+// queries Q1a–Q3b under Hive's Sel-SJ-first grouping × {1, 4} threads, on
+// each query's graph and on its separator graph, in the same line format
+// (its actual render goes to selsj_pin.actual.txt).
+//
+// A further test asserts that on the separator graph every NTGA engine
 // answers exactly what Pig answers (equal answer digests).
 
 #include <gtest/gtest.h>
@@ -252,27 +257,72 @@ std::string RenderPin() {
   return pin + RenderPreflightRows(bsbm);
 }
 
-TEST(ExecGoldenTest, MatchesRecordedPin) {
-  const std::string path = std::string(RDFMR_GOLDEN_DIR) + "/exec_pin.txt";
+// The Fig. 3 case-study queries under the Sel-SJ-first grouping on Hive,
+// × {1, 4} threads, on each query's graph and on its separator graph.
+std::string RenderSelSjFirstPin() {
+  std::string pin;
+  for (const char* id : {"Q1a", "Q1b", "Q2a", "Q2b", "Q3a", "Q3b"}) {
+    auto entry = GetTestbedEntry(id);
+    EXPECT_TRUE(entry.ok()) << id;
+    if (!entry.ok()) continue;
+    const std::vector<Triple> base =
+        testing_util::SmallDataset(entry->dataset);
+    for (const auto& [graph, triples] :
+         std::vector<std::pair<std::string, std::vector<Triple>>>{
+             {DatasetFamilyToString(entry->dataset), base},
+             {"separators", SeparatorGraph(base)}}) {
+      for (uint32_t threads : {1u, 4u}) {
+        auto dfs = testing_util::MakeDfsWithBase(triples);
+        EXPECT_NE(dfs, nullptr);
+        if (dfs == nullptr) continue;
+        EngineOptions options;
+        options.kind = EngineKind::kHive;
+        options.grouping = RelationalGrouping::kSelSJFirst;
+        options.runtime.num_threads = threads;
+        auto exec =
+            Exec(dfs.get(), "base", ExecRequest::Single(Query(id)), options);
+        EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+        if (!exec.ok()) continue;
+        pin += RenderRun(graph, id, EngineKind::kHive, threads, *exec);
+      }
+    }
+  }
+  return pin;
+}
+
+// Compares `actual` with the fixture `name`; on a mismatch writes `actual`
+// to `name` with ".actual.txt" for ".txt" in the working directory and
+// reports the first differing line.
+void ExpectMatchesFixture(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(RDFMR_GOLDEN_DIR) + "/" + name;
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing fixture " << path;
   std::stringstream expected;
   expected << in.rdbuf();
 
-  const std::string actual = RenderPin();
   if (actual == expected.str()) return;
-  std::ofstream("exec_pin.actual.txt", std::ios::binary) << actual;
+  const std::string actual_path =
+      name.substr(0, name.size() - 4) + ".actual.txt";
+  std::ofstream(actual_path, std::ios::binary) << actual;
   std::vector<std::string> want = Split(expected.str(), '\n');
   std::vector<std::string> got = Split(actual, '\n');
   for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
     const std::string w = i < want.size() ? want[i] : "<missing>";
     const std::string g = i < got.size() ? got[i] : "<missing>";
     if (w != g) {
-      FAIL() << "pin differs at line " << i + 1 << "\n  expected: " << w
-             << "\n  actual:   " << g
-             << "\n(full render written to exec_pin.actual.txt)";
+      FAIL() << name << " differs at line " << i + 1 << "\n  expected: " << w
+             << "\n  actual:   " << g << "\n(full render written to "
+             << actual_path << ")";
     }
   }
+}
+
+TEST(ExecGoldenTest, MatchesRecordedPin) {
+  ExpectMatchesFixture("exec_pin.txt", RenderPin());
+}
+
+TEST(ExecGoldenTest, SelSjFirstMatchesRecordedPin) {
+  ExpectMatchesFixture("selsj_pin.txt", RenderSelSjFirstPin());
 }
 
 // Separators and backslashes in terms must survive the NTGA grouping

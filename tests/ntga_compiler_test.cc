@@ -136,7 +136,7 @@ TEST(NtgaCompilerTest, JoinCycleDropsBadInputs) {
     EXPECT_EQ(join.name.rfind("tg-optunbjoin", 0) == 0, partial);
     for (const std::string tag : {"L|", "R|"}) {
       const std::vector<std::pair<std::string, uint64_t>> cases = {
-          {no_tag, 0},
+          {no_tag, 1},
           {tag + bad_star_id, 1},
           {tag + no_site, partial ? 1 : 0}};
       for (const auto& [value, bad] : cases) {

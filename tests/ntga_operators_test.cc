@@ -23,6 +23,21 @@
 namespace rdfmr {
 namespace {
 
+// An owning (Property, Object) pair; BuildAnnTg reads views of them.
+struct Pair {
+  std::string property;
+  std::string object;
+
+  auto operator<=>(const Pair&) const = default;
+};
+
+// Views of `pairs`, for BuildAnnTg.
+std::vector<PropObj> Views(const std::vector<Pair>& pairs) {
+  std::vector<PropObj> views;
+  for (const Pair& po : pairs) views.push_back(PropObj{po.property, po.object});
+  return views;
+}
+
 StarPattern BioStar() {
   StarPattern star;
   star.subject_var = "g";
@@ -35,7 +50,7 @@ StarPattern BioStar() {
   return star;
 }
 
-std::vector<PropObj> BioPairs() {
+std::vector<Pair> BioPairs() {
   return {
       {"label", "retinoid"}, {"synonym", "RCoR-1"}, {"xGO", "go1"},
       {"xGO", "go9"},        {"xRef", "ref7"},
@@ -46,18 +61,18 @@ std::vector<PropObj> BioPairs() {
 // hands them over): the group's one-component record, if it passes.
 std::optional<std::string> Group(const StarPattern& star,
                                  const std::string& subject,
-                                 std::vector<PropObj> pairs) {
+                                 std::vector<Pair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   std::string out;
-  if (!BuildAnnTg(star, 0, subject, pairs, &out)) return std::nullopt;
+  if (!BuildAnnTg(star, 0, subject, Views(pairs), &out)) return std::nullopt;
   return out;
 }
 
 // `record` with the overrides entry `tp_index` -> `pinned` added to its
 // first component (which must have no overrides yet).
 std::string WithOverride(const std::string& record, uint32_t tp_index,
-                         const std::vector<PropObj>& pinned) {
+                         const std::vector<Pair>& pinned) {
   std::string out = record;
   TgRecordReader reader;
   EXPECT_TRUE(reader.Read(record).ok());
@@ -65,7 +80,7 @@ std::string WithOverride(const std::string& record, uint32_t tp_index,
               reader.components()[0].overrides_end);
   out.resize(reader.components()[0].raw.size());
   out += std::to_string(tp_index);
-  for (const PropObj& po : pinned) out += "," + po.property + "," + po.object;
+  for (const Pair& po : pinned) out += "," + po.property + "," + po.object;
   return out + record.substr(reader.components()[0].raw.size());
 }
 
@@ -73,7 +88,7 @@ std::string WithOverride(const std::string& record, uint32_t tp_index,
 // (Property, Object) pairs of its overrides.
 struct Parts {
   std::set<std::string> properties;
-  std::map<uint32_t, std::vector<PropObj>> overrides;
+  std::map<uint32_t, std::vector<Pair>> overrides;
 };
 
 Parts Read(const std::string& record) {
@@ -87,10 +102,10 @@ Parts Read(const std::string& record) {
   }
   for (uint32_t o = c.overrides_begin; o < c.overrides_end; ++o) {
     const TgRecordReader::Entry& e = reader.overrides()[o];
-    std::vector<PropObj>& pinned = parts.overrides[e.tp_index];
+    std::vector<Pair>& pinned = parts.overrides[e.tp_index];
     for (uint32_t j = e.begin; j < e.end; j += 2) {
       pinned.push_back(
-          PropObj{std::string(leaves[j]), std::string(leaves[j + 1])});
+          Pair{std::string(leaves[j]), std::string(leaves[j + 1])});
     }
   }
   return parts;
@@ -128,7 +143,8 @@ std::vector<std::pair<uint32_t, std::string>> Partition(
 // The distinct solutions of all of `records` for `stars`.
 SolutionSet ExpandAll(const std::vector<StarPattern>& stars,
                       const std::vector<std::string>& records) {
-  Result<SolutionSet> out = DecodeJoinedTgAnswers(stars, records);
+  Result<SolutionSet> out =
+      DecodeJoinedTgAnswers(TgAnswerPlan(stars), records);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : SolutionSet();
 }
@@ -165,14 +181,15 @@ TEST(BuildAnnTgTest, AcceptsGroupWithAllBoundProperties) {
 
 TEST(BuildAnnTgTest, WritesSortedPairsNestedPerProperty) {
   std::string out = "kept";
-  ASSERT_TRUE(BuildAnnTg(BioStar(), 4, "gene9", BioPairs(), &out));
+  ASSERT_TRUE(BuildAnnTg(BioStar(), 4, "gene9", Views(BioPairs()), &out));
   EXPECT_EQ(out,
             "keptgene9\x1F"
             "4\x1Flabel,retinoid\x1Dsynonym,RCoR-1\x1DxGO,go1,go9\x1DxRef,"
             "ref7\x1F");
   // A failing group appends nothing.
   const std::string before = out;
-  EXPECT_FALSE(BuildAnnTg(BioStar(), 4, "g", {{"xGO", "go1"}}, &out));
+  EXPECT_FALSE(
+      BuildAnnTg(BioStar(), 4, "g", Views({{"xGO", "go1"}}), &out));
   EXPECT_EQ(out, before);
 }
 
@@ -198,7 +215,7 @@ TEST(BuildAnnTgTest, UnboundPatternNeedsAtLeastOneCandidate) {
       NodePattern::Var("g"), "label", NodePattern::Var("l")));
   star.patterns.push_back(TriplePattern::Unbound(
       NodePattern::Var("g"), "up", NodePattern::Var("x", "nur77")));
-  std::vector<PropObj> pairs = {{"label", "a"}, {"xGO", "go1"}};
+  std::vector<Pair> pairs = {{"label", "a"}, {"xGO", "go1"}};
   EXPECT_FALSE(Group(star, "g", pairs).has_value());
   pairs.push_back({"interactsWith", "gene_nur77"});
   EXPECT_TRUE(Group(star, "g", pairs).has_value());
@@ -228,7 +245,7 @@ TEST(BetaUnnestTest, OnePerfectGroupPerCandidate) {
   EXPECT_EQ(perfect.size(), 5u)
       << "Definition 2: u candidates -> u groups; bound-property pairs "
          "also serve as unbound candidates";
-  std::vector<PropObj> pinned;
+  std::vector<Pair> pinned;
   for (const std::string& p : perfect) {
     const Parts parts = Read(p);
     ASSERT_EQ(parts.overrides.count(2), 1u);
@@ -237,7 +254,7 @@ TEST(BetaUnnestTest, OnePerfectGroupPerCandidate) {
     // Perfect groups keep the nested bound component and shed the rest.
     EXPECT_EQ(parts.properties, (std::set<std::string>{"label", "xGO"}));
   }
-  std::vector<PropObj> expected = BioPairs();
+  std::vector<Pair> expected = BioPairs();
   EXPECT_EQ(pinned, expected) << "candidates in pairs order";
 }
 
@@ -297,7 +314,7 @@ TEST(BetaUnnestTest, OverridePairFailingTheFilterIsNoCandidate) {
     std::vector<std::string> objects;
     for (const std::string& out : pinned) {
       const Parts parts = Read(out);
-      for (const PropObj& po : parts.overrides.at(2)) {
+      for (const Pair& po : parts.overrides.at(2)) {
         objects.push_back(po.object);
       }
     }
@@ -309,7 +326,7 @@ TEST(BetaUnnestTest, OverridePairFailingTheFilterIsNoCandidate) {
     for (const auto& [partition, out] : Partition(star, record, 2, m)) {
       outputs.push_back(out);
       const Parts parts = Read(out);
-      for (const PropObj& po : parts.overrides.at(2)) {
+      for (const Pair& po : parts.overrides.at(2)) {
         objects.push_back(po.object);
       }
     }
@@ -359,7 +376,7 @@ TEST(PartialBetaUnnestTest, AtMostMGroupsPartitioningCandidates) {
     auto partitions = Partition(star, *tg, 2, m);
     EXPECT_LE(partitions.size(), static_cast<size_t>(m));
     // The union of all partitions' candidates is the full candidate set.
-    std::vector<PropObj> collected;
+    std::vector<Pair> collected;
     for (size_t k = 0; k < partitions.size(); ++k) {
       const auto& [partition, restricted] = partitions[k];
       EXPECT_LT(partition, m);
@@ -367,13 +384,13 @@ TEST(PartialBetaUnnestTest, AtMostMGroupsPartitioningCandidates) {
         EXPECT_LT(partitions[k - 1].first, partition);
       }
       const Parts parts = Read(restricted);
-      for (const PropObj& po : parts.overrides.at(2)) {
+      for (const Pair& po : parts.overrides.at(2)) {
         EXPECT_EQ(PhiPartition(po.object, m), partition)
             << "candidate must live in its φ partition";
         collected.push_back(po);
       }
     }
-    std::vector<PropObj> full = BioPairs();
+    std::vector<Pair> full = BioPairs();
     std::sort(collected.begin(), collected.end());
     EXPECT_EQ(collected, full);
   }
@@ -406,7 +423,7 @@ TEST(PartialBetaUnnestTest, ExpansionIsPartitionTransparent) {
 TEST(ExpandTest, MatchesReferenceMatcherOnExample) {
   StarPattern star = BioStar();
   std::vector<Triple> triples;
-  for (const PropObj& po : BioPairs()) {
+  for (const Pair& po : BioPairs()) {
     triples.emplace_back("gene9", po.property, po.object);
   }
   auto tg = Group(star, "gene9", BioPairs());
@@ -444,7 +461,7 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
         NodePattern::Var("uo" + std::to_string(i), filter)));
   }
   // Random subject pairs over a small vocabulary.
-  std::vector<PropObj> pairs;
+  std::vector<Pair> pairs;
   std::vector<Triple> triples;
   size_t num_pairs = 2 + rng.Uniform(8);
   for (size_t i = 0; i < num_pairs; ++i) {
@@ -452,7 +469,7 @@ TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
     std::string o = StringFormat("%sobj%llu", rng.Chance(0.4) ? "tok_" : "",
                                  static_cast<unsigned long long>(
                                      rng.Uniform(6)));
-    pairs.push_back(PropObj{p, o});
+    pairs.push_back(Pair{p, o});
     triples.emplace_back("s", p, o);
   }
   std::sort(triples.begin(), triples.end());
@@ -492,7 +509,7 @@ struct Round {
   std::vector<StarPattern> stars;  // [0] the unnested star, [1] the other
   std::string record;
   size_t site = 0;
-  std::vector<std::vector<PropObj>> candidates;  // per pattern of stars[0]
+  std::vector<std::vector<Pair>> candidates;  // per pattern of stars[0]
 };
 
 Round RandomRound(Rng* rng) {
@@ -521,13 +538,13 @@ Round RandomRound(Rng* rng) {
   for (size_t i = 0; i < num_pairs; ++i) {
     pairs[properties[rng->Uniform(4)]].insert(NastyLeaf(rng));
   }
-  std::map<uint32_t, std::vector<PropObj>> overrides;
+  std::map<uint32_t, std::vector<Pair>> overrides;
   for (size_t i = num_bound; i < star.patterns.size(); ++i) {
     if (!rng->Chance(0.3)) continue;
-    std::vector<PropObj>& pinned = overrides[static_cast<uint32_t>(i)];
+    std::vector<Pair>& pinned = overrides[static_cast<uint32_t>(i)];
     const size_t size = std::vector<size_t>{0, 1, 1, 3}[rng->Uniform(4)];
     for (size_t j = 0; j < size; ++j) {
-      pinned.push_back(PropObj{NastyLeaf(rng), NastyLeaf(rng)});
+      pinned.push_back(Pair{NastyLeaf(rng), NastyLeaf(rng)});
     }
   }
 
@@ -540,7 +557,7 @@ Round RandomRound(Rng* rng) {
   writer.EndPairs();
   for (const auto& [tp_index, pinned] : overrides) {
     writer.Override(tp_index);
-    for (const PropObj& po : pinned) writer.Pinned(po.property, po.object);
+    for (const Pair& po : pinned) writer.Pinned(po.property, po.object);
   }
   // An unbound pattern's candidates: its override's pairs if it has one,
   // else the record's pairs, either way only those passing its filter.
@@ -548,7 +565,7 @@ Round RandomRound(Rng* rng) {
   for (size_t i = num_bound; i < star.patterns.size(); ++i) {
     auto it = overrides.find(static_cast<uint32_t>(i));
     if (it != overrides.end()) {
-      for (const PropObj& po : it->second) {
+      for (const Pair& po : it->second) {
         if (star.patterns[i].object.Matches(po.object)) {
           r.candidates[i].push_back(po);
         }
@@ -558,7 +575,7 @@ Round RandomRound(Rng* rng) {
     for (const auto& [property, objects] : pairs) {
       for (const std::string& o : objects) {
         if (star.patterns[i].object.Matches(o)) {
-          r.candidates[i].push_back(PropObj{property, o});
+          r.candidates[i].push_back(Pair{property, o});
         }
       }
     }
@@ -642,7 +659,7 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
     }
     if (mandatory.empty()) continue;
     const size_t tp = mandatory[rng.Uniform(mandatory.size())];
-    const std::vector<PropObj>& candidates = r.candidates[tp];
+    const std::vector<Pair>& candidates = r.candidates[tp];
     const std::vector<std::string> pinned =
         Unnest(star, r.record, {tp}, r.site);
     EXPECT_EQ(pinned.size(), candidates.size()) << context;
@@ -653,7 +670,7 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
       const auto partitions = Partition(star, r.record, tp, m, r.site);
       EXPECT_LE(partitions.size(), m) << context;
       std::vector<std::string> outputs;
-      std::vector<PropObj> collected;
+      std::vector<Pair> collected;
       for (size_t k = 0; k < partitions.size(); ++k) {
         const auto& [partition, out] = partitions[k];
         if (k > 0) {
@@ -670,13 +687,13 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
             const std::string object(part.leaves()[j + 1]);
             EXPECT_EQ(PhiPartition(object, m), partition) << context;
             collected.push_back(
-                PropObj{std::string(part.leaves()[j]), object});
+                Pair{std::string(part.leaves()[j]), object});
           }
         }
       }
-      std::vector<PropObj> expected = candidates;
+      std::vector<Pair> expected = candidates;
       std::stable_sort(expected.begin(), expected.end(),
-                       [m](const PropObj& a, const PropObj& b) {
+                       [m](const Pair& a, const Pair& b) {
                          return PhiPartition(a.object, m) <
                                 PhiPartition(b.object, m);
                        });
@@ -691,7 +708,7 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
 // grammar, with its Status code, for answer decoding and for any other
 // reader alike.
 TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
-  const std::vector<StarPattern> stars = {BioStar()};
+  const TgAnswerPlan stars({BioStar()});
   const std::string f = "\x1F";  // field separator
   const std::vector<std::string> bad_records = {
       "g1" + f + "0",                                  // field count

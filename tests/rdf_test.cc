@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rdf/dictionary.h"
 #include "rdf/graph_stats.h"
 #include "rdf/ntriples.h"
@@ -97,11 +99,59 @@ TEST(TripleTest, DeserializeRejectsWrongArity) {
   EXPECT_FALSE(Triple::Deserialize("a\tb\tc\td").ok());
 }
 
-TEST(TripleTest, BatchRoundtrip) {
-  std::vector<Triple> triples = {{"s1", "p1", "o1"}, {"s2", "p2", "o2"}};
-  auto back = DeserializeTriples(SerializeTriples(triples));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, triples);
+// The view reader rejects exactly what Deserialize rejects, views a line
+// without escapes in place, and unescapes a line with escapes.
+TEST(TripleReaderTest, ReadsWhatDeserializeReads) {
+  const std::vector<std::string> lines = {
+      "s\tp\to", "only\ttwo", "a\tb\tc\td", "", "\t\t", "s\tp\to\\",
+      "s\\\tp\to", "a\\sb\tp\\\\\tl\\nm", "a\\xb\tp\to"};
+  TripleReader reader;
+  for (const std::string& line : lines) {
+    const Result<Triple> expected = Triple::Deserialize(line);
+    const Status read = reader.Read(line);
+    ASSERT_EQ(read.ok(), expected.ok()) << line;
+    if (!read.ok()) {
+      EXPECT_TRUE(read.IsIoError());
+      EXPECT_EQ(read.ToString(), expected.status().ToString());
+      continue;
+    }
+    const TripleView& view = reader.view();
+    EXPECT_EQ(view.subject, expected->subject) << line;
+    EXPECT_EQ(view.property, expected->property) << line;
+    EXPECT_EQ(view.object, expected->object) << line;
+    EXPECT_EQ(reader.escaped(), line.find('\\') != std::string::npos);
+    if (!reader.escaped()) {
+      EXPECT_EQ(view.subject.data(), line.data()) << "viewed in place";
+    }
+    std::string written;
+    view.AppendLine(&written);
+    EXPECT_EQ(written, expected->Serialize()) << line;
+  }
+}
+
+// A group's views outlive the reader's next line, and SortDistinct leaves
+// what a std::set<Triple> of the lines holds.
+TEST(TripleReaderTest, ViewsSortDistinctAcrossLines) {
+  const std::vector<std::string> lines = {
+      "b\tp\to", "a\\sz\tp\to", "b\tp\to", "a\\sz\tp\\q\to",
+      "a\tp\to", "bad"};
+  TripleViews views;
+  std::vector<Triple> expected;
+  for (const std::string& line : lines) {
+    const Result<Triple> t = Triple::Deserialize(line);
+    EXPECT_EQ(views.Add(line).ok(), t.ok()) << line;
+    if (t.ok()) expected.push_back(*t);
+  }
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  views.SortDistinct();
+  std::vector<Triple> actual;
+  for (const TripleView& v : views.views()) {
+    actual.emplace_back(std::string(v.subject), std::string(v.property),
+                        std::string(v.object));
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(TripleTest, ByteSizeCountsFields) {

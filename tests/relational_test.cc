@@ -1,5 +1,7 @@
 // Tests for the relational layer: n-tuple records and their one reader,
-// answer decoding, the join cycles' handling of bad inputs, and the Pig/Hive plan compilers' structural properties
+// the compiled star join against the oracle's star enumerator, answer
+// decoding, the join cycles' handling of bad inputs, and the Pig/Hive plan
+// compilers' structural properties
 // (cycle counts, scan counts, compress jobs, inlined single-pattern stars,
 // Sel-SJ-first shapes).
 
@@ -14,11 +16,13 @@
 #include "query/sparql_parser.h"
 #include "relational/rel_compiler.h"
 #include "relational/rel_tuple.h"
+#include "tests/test_util.h"
 
 namespace rdfmr {
 namespace {
 
 using Lines = std::vector<std::string>;
+using testing_util::TupleLine;
 
 RelSchema TwoPatternSchema() {
   return {
@@ -29,10 +33,10 @@ RelSchema TwoPatternSchema() {
   };
 }
 
-RelTuple MakeTuple() {
-  RelTuple t;
-  t.triples.emplace_back("gene9", "label", "retinoid");
-  t.triples.emplace_back("gene9", "xGO", "go1");
+std::vector<Triple> MakeTuple() {
+  std::vector<Triple> t;
+  t.emplace_back("gene9", "label", "retinoid");
+  t.emplace_back("gene9", "xGO", "go1");
   return t;
 }
 
@@ -49,7 +53,7 @@ Result<Solution> ReadBindings(const RelSchema& schema, std::string_view line) {
 
 // Records are canonical: a join emits its input records side by side,
 // which must equal serializing the concatenated tuple.
-TEST(RelTupleTest, SideBySideEqualsSerializingTheConcatenation) {
+TEST(TupleRecordTest, SideBySideEqualsSerializingTheConcatenation) {
   static const std::string kAlphabet =
       std::string("ab\\sn\t\n,|\x1E\x1F") + '\0';
   Rng rng(20261017);
@@ -61,22 +65,21 @@ TEST(RelTupleTest, SideBySideEqualsSerializingTheConcatenation) {
     return out;
   };
   auto tuple = [&rng, &term] {
-    RelTuple t;
+    std::vector<Triple> t;
     for (size_t i = 1 + rng.Uniform(3); i > 0; --i) {
       // A null triple stands for an unmatched OPTIONAL pattern.
-      t.triples.push_back(rng.Chance(0.2) ? Triple()
-                                          : Triple(term(), term(), term()));
+      t.push_back(rng.Chance(0.2) ? Triple() : Triple(term(), term(), term()));
     }
     return t;
   };
   for (int round = 0; round < 500; ++round) {
-    const RelTuple a = tuple();
-    const RelTuple b = tuple();
-    RelTuple ab = a;
-    ab.triples.insert(ab.triples.end(), b.triples.begin(), b.triples.end());
-    EXPECT_EQ(a.Serialize() + '\t' + b.Serialize(), ab.Serialize())
+    const std::vector<Triple> a = tuple();
+    const std::vector<Triple> b = tuple();
+    std::vector<Triple> ab = a;
+    ab.insert(ab.end(), b.begin(), b.end());
+    EXPECT_EQ(TupleLine(a) + '\t' + TupleLine(b), TupleLine(ab))
         << "round " << round;
-    EXPECT_EQ(JoinTupleRecords(a.Serialize(), b.Serialize()), ab.Serialize())
+    EXPECT_EQ(JoinTupleRecords(TupleLine(a), TupleLine(b)), TupleLine(ab))
         << "round " << round;
   }
 }
@@ -84,7 +87,7 @@ TEST(RelTupleTest, SideBySideEqualsSerializingTheConcatenation) {
 TEST(RelRecordReaderTest, ChecksArity) {
   RelSchema three = TwoPatternSchema();
   three.push_back(three[0]);
-  EXPECT_TRUE(ReadBindings(three, MakeTuple().Serialize())
+  EXPECT_TRUE(ReadBindings(three, TupleLine(MakeTuple()))
                   .status()
                   .IsIoError());
   EXPECT_TRUE(ReadBindings({TwoPatternSchema()[0]}, "a\tb")
@@ -93,7 +96,7 @@ TEST(RelRecordReaderTest, ChecksArity) {
 }
 
 TEST(RelRecordReaderTest, BindsAllVariables) {
-  auto sol = ReadBindings(TwoPatternSchema(), MakeTuple().Serialize());
+  auto sol = ReadBindings(TwoPatternSchema(), TupleLine(MakeTuple()));
   ASSERT_TRUE(sol.ok());
   EXPECT_EQ(*sol->Get("g"), "gene9");
   EXPECT_EQ(*sol->Get("l"), "retinoid");
@@ -102,9 +105,9 @@ TEST(RelRecordReaderTest, BindsAllVariables) {
 }
 
 TEST(RelRecordReaderTest, RejectsMismatchedColumn) {
-  RelTuple t = MakeTuple();
-  t.triples[0].property = "wrongProperty";
-  EXPECT_TRUE(ReadBindings(TwoPatternSchema(), t.Serialize())
+  std::vector<Triple> t = MakeTuple();
+  t[0].property = "wrongProperty";
+  EXPECT_TRUE(ReadBindings(TwoPatternSchema(), TupleLine(t))
                   .status()
                   .IsInvalidArgument());
 }
@@ -116,16 +119,16 @@ TEST(RelRecordReaderTest, RejectsInconsistentSharedVariable) {
       TriplePattern::Bound(NodePattern::Var("g"), "p2",
                            NodePattern::Var("v")),
   };
-  RelTuple t;
-  t.triples.emplace_back("s", "p1", "same");
-  t.triples.emplace_back("s", "p2", "different");
-  EXPECT_TRUE(ReadBindings(schema, t.Serialize()).status().IsInvalidArgument());
+  std::vector<Triple> t;
+  t.emplace_back("s", "p1", "same");
+  t.emplace_back("s", "p2", "different");
+  EXPECT_TRUE(ReadBindings(schema, TupleLine(t)).status().IsInvalidArgument());
 }
 
 // A join key is the reader's slot of the join variable.
 TEST(RelRecordReaderTest, SlotsHoldJoinKeys) {
   RelRecordReader reader(TwoPatternSchema());
-  const std::string line = MakeTuple().Serialize();  // the views' backing
+  const std::string line = TupleLine(MakeTuple());  // the views' backing
   ASSERT_TRUE(reader.Read(line).ok());
   const size_t g = reader.SlotOf("g");
   ASSERT_NE(g, RelRecordReader::kNoSlot);
@@ -191,10 +194,10 @@ TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
     // Mostly a match under one assignment of the variables, then noise.
     std::map<std::string, std::string> value;
     for (const std::string& var : kVars) value[var] = pick(kTerms);
-    RelTuple tuple;
+    std::vector<Triple> tuple;
     for (const TriplePattern& tp : schema) {
       if (rng.Chance(0.15)) {
-        tuple.triples.emplace_back();
+        tuple.emplace_back();
         continue;
       }
       Triple t(value[tp.subject.value],
@@ -204,9 +207,9 @@ TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
       if (rng.Chance(0.1)) t.subject = pick(kTerms);
       if (rng.Chance(0.1)) t.property = pick(kProperties);
       if (rng.Chance(0.1)) t.object = pick(kTerms);
-      tuple.triples.push_back(std::move(t));
+      tuple.push_back(std::move(t));
     }
-    std::string line = tuple.Serialize();
+    std::string line = TupleLine(tuple);
     if (rng.Chance(0.05)) line += "\textra";
     if (rng.Chance(0.05)) line.erase(line.rfind('\t'));
 
@@ -222,10 +225,10 @@ TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
   EXPECT_LT(accepted, 400u) << "too few tuples rejected to cover rejections";
 }
 
-TEST(RelTupleTest, DecodeAnswersDeduplicates) {
-  RelTuple t = MakeTuple();
+TEST(TupleRecordTest, DecodeAnswersDeduplicates) {
+  std::vector<Triple> t = MakeTuple();
   auto set = DecodeRelationalAnswers(RelRecordReader(TwoPatternSchema()),
-                                     Lines{t.Serialize(), t.Serialize()});
+                                     Lines{TupleLine(t), TupleLine(t)});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), 1u);
 }
@@ -234,34 +237,34 @@ TEST(RelTupleTest, DecodeAnswersDeduplicates) {
 // Status code: field count (IoError), a null triple at a mandatory column,
 // a column that does not match its pattern, and a repeated variable that
 // disagrees across columns or within one (InvalidArgument).
-TEST(RelTupleTest, DecodeAnswersRejectionsKeepTheirCodes) {
+TEST(TupleRecordTest, DecodeAnswersRejectionsKeepTheirCodes) {
   const RelSchema schema = TwoPatternSchema();
-  auto decode = [](const RelSchema& s, const RelTuple& t) {
-    return DecodeRelationalAnswers(RelRecordReader(s), Lines{t.Serialize()})
+  auto decode = [](const RelSchema& s, const std::vector<Triple>& t) {
+    return DecodeRelationalAnswers(RelRecordReader(s), Lines{TupleLine(t)})
         .status();
   };
   const RelRecordReader reader(schema);
   EXPECT_TRUE(DecodeRelationalAnswers(reader, Lines{"gene9\tlabel\tretinoid"})
                   .status()
                   .IsIoError());
-  const std::string extra_field = MakeTuple().Serialize() + "\textra";
+  const std::string extra_field = TupleLine(MakeTuple()) + "\textra";
   EXPECT_TRUE(DecodeRelationalAnswers(reader, {&extra_field, 1})
                   .status()
                   .IsIoError());
 
-  RelTuple null_column = MakeTuple();
-  null_column.triples[1] = Triple("", "", "");
+  std::vector<Triple> null_column = MakeTuple();
+  null_column[1] = Triple("", "", "");
   EXPECT_TRUE(decode(schema, null_column).IsInvalidArgument());
   RelSchema optional_schema = schema;
   optional_schema[1].optional = true;
   auto unmatched = DecodeRelationalAnswers(RelRecordReader(optional_schema),
-                                           Lines{null_column.Serialize()});
+                                           Lines{TupleLine(null_column)});
   ASSERT_TRUE(unmatched.ok()) << unmatched.status().ToString();
   ASSERT_EQ(unmatched->size(), 1u);
   EXPECT_FALSE(unmatched->Row(0).Has("x")) << "the OPTIONAL slot is unbound";
 
-  RelTuple wrong_property = MakeTuple();
-  wrong_property.triples[0].property = "wrongProperty";
+  std::vector<Triple> wrong_property = MakeTuple();
+  wrong_property[0].property = "wrongProperty";
   EXPECT_TRUE(decode(schema, wrong_property).IsInvalidArgument());
 
   const RelSchema shared = {
@@ -270,17 +273,165 @@ TEST(RelTupleTest, DecodeAnswersRejectionsKeepTheirCodes) {
       TriplePattern::Bound(NodePattern::Var("g"), "p2",
                            NodePattern::Var("v")),
   };
-  RelTuple disagree;
-  disagree.triples = {Triple("s", "p1", "same"), Triple("s", "p2", "other")};
+  std::vector<Triple> disagree;
+  disagree = {Triple("s", "p1", "same"), Triple("s", "p2", "other")};
   EXPECT_TRUE(decode(shared, disagree).IsInvalidArgument());
-  RelTuple subjects_disagree;
-  subjects_disagree.triples = {Triple("s", "p1", "v"), Triple("t", "p2", "v")};
+  std::vector<Triple> subjects_disagree;
+  subjects_disagree = {Triple("s", "p1", "v"), Triple("t", "p2", "v")};
   EXPECT_TRUE(decode(shared, subjects_disagree).IsInvalidArgument());
   const RelSchema self_loop = {TriplePattern::Bound(
       NodePattern::Var("s"), "loop", NodePattern::Var("s"))};
-  RelTuple not_a_loop;
-  not_a_loop.triples = {Triple("a", "loop", "b")};
+  std::vector<Triple> not_a_loop;
+  not_a_loop = {Triple("a", "loop", "b")};
   EXPECT_TRUE(decode(self_loop, not_a_loop).IsInvalidArgument());
+}
+
+// ---- Star join ----------------------------------------------------------------
+
+// The star-join reducer a Hive plan compiles for a one-star query.
+ReduceFn CompiledStarReducer(std::vector<TriplePattern> patterns) {
+  auto query = GraphPatternQuery::Create("star", std::move(patterns));
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (!query.ok()) return nullptr;
+  RelationalOptions options;
+  options.style = RelationalStyle::kHive;
+  auto plan = CompileRelationalPlan(
+      std::make_shared<const GraphPatternQuery>(std::move(*query)), "base",
+      "tmp", options);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return nullptr;
+  EXPECT_EQ(plan->workflow.jobs.size(), 1u);
+  return plan->workflow.jobs[0].reduce;
+}
+
+// A line Triple::Deserialize reads as `t` but that Serialize() would not
+// write: some bytes escaped needlessly, some newlines left raw.
+std::string Respelled(const Triple& t, Rng* rng) {
+  std::string out;
+  for (const std::string* field : {&t.subject, &t.property, &t.object}) {
+    if (field != &t.subject) out.push_back('\t');
+    for (char c : *field) {
+      if (c == '\\') {
+        out += "\\\\";
+      } else if (c == '\t') {
+        out += "\\s";
+      } else if (c == '\n') {
+        out += rng->Chance(0.5) ? "\n" : "\\n";
+      } else if (c != 's' && c != 'n' && rng->Chance(0.3)) {
+        out.push_back('\\');
+        out.push_back(c);
+      } else {
+        out.push_back(c);
+      }
+    }
+  }
+  return out;
+}
+
+// The compiled star join writes, in order, what the oracle's star
+// enumerator matches over the subject's distinct triples: each match's
+// triples' lines side by side. Random stars mix bound and unbound
+// properties, constant objects, OPTIONAL patterns, a variable repeated
+// within a pattern (?s p ?s) and across patterns (an object or property
+// variable shared by two patterns); random groups repeat values, carry
+// leaves with tabs, backslashes and newlines, and spell some lines in a
+// form Serialize() would not write.
+TEST(StarJoinTest, RecordsAreTheOracleMatchesLines) {
+  static const std::vector<std::string> kLeaves = {
+      "a", "b", "a\tb", "x\\", "\\s", "l\nm", "", "sub\tj"};
+  static const std::vector<std::string> kProperties = {"p", "q", "r\t"};
+  Rng rng(20261019);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.Uniform(from.size())];
+  };
+  size_t compared = 0;
+  size_t with_matches = 0;
+  for (int round = 0; round < 500; ++round) {
+    std::vector<TriplePattern> patterns;
+    const size_t k = 1 + rng.Uniform(4);
+    for (size_t i = 0; i < k; ++i) {
+      const bool optional = i > 0 && rng.Chance(0.25);
+      // An OPTIONAL pattern's variables must be fresh.
+      const std::string fresh = std::to_string(i);
+      NodePattern object =
+          rng.Chance(0.2)   ? NodePattern::Const(pick(kLeaves))
+          : optional        ? NodePattern::Var("f" + fresh)
+          : rng.Chance(0.2) ? NodePattern::Var("s")
+                            : NodePattern::Var(rng.Chance(0.5) ? "o" : "u");
+      TriplePattern tp =
+          rng.Chance(0.4)
+              ? TriplePattern::Unbound(NodePattern::Var("s"),
+                                       optional ? "fp" + fresh
+                                       : rng.Chance(0.5) ? "v"
+                                                         : "w",
+                                       std::move(object))
+              : TriplePattern::Bound(NodePattern::Var("s"),
+                                     pick(kProperties), std::move(object));
+      tp.optional = optional;
+      patterns.push_back(std::move(tp));
+    }
+    const ReduceFn reduce = CompiledStarReducer(patterns);
+    ASSERT_NE(reduce, nullptr) << "round " << round;
+    StarPattern star;
+    star.subject_var = "s";
+    star.patterns = patterns;
+
+    const std::string subject = rng.Chance(0.5) ? "sub\tj" : "a";
+    std::vector<std::string> values;
+    std::vector<Triple> triples;
+    for (size_t n = rng.Uniform(9); n > 0; --n) {
+      Triple t(subject, pick(kProperties),
+               rng.Chance(0.15) ? subject : pick(kLeaves));
+      for (size_t copies = rng.Chance(0.3) ? 2 : 1; copies > 0; --copies) {
+        values.push_back(rng.Chance(0.3) ? Respelled(t, &rng) : t.Serialize());
+        triples.push_back(t);
+      }
+    }
+    std::sort(triples.begin(), triples.end());
+    triples.erase(std::unique(triples.begin(), triples.end()),
+                  triples.end());
+
+    std::vector<std::string> expected;
+    for (const StarMatch& m : MatchStarDetailed(star, triples)) {
+      expected.push_back(TupleLine(m.matched));
+    }
+    std::vector<std::string> actual;
+    Counters counters;
+    reduce(subject, values,
+           [&actual](std::string record) {
+             actual.push_back(std::move(record));
+           },
+           &counters);
+    EXPECT_EQ(actual, expected) << "round " << round << ": "
+                                << star.ToString();
+    EXPECT_EQ(counters["op.star_join.output_records"], expected.size());
+    EXPECT_EQ(counters["op.star_join.input_groups"], 1u);
+    EXPECT_EQ(counters.count("bad_records"), 0u);
+    ++compared;
+    if (!expected.empty()) ++with_matches;
+  }
+  EXPECT_EQ(compared, 500u);
+  EXPECT_GT(with_matches, 100u) << "too few groups match to cover the writer";
+}
+
+// A value the triple reader rejects is counted; the group's other triples
+// still match.
+TEST(StarJoinTest, CountsRejectedLines) {
+  const ReduceFn reduce = CompiledStarReducer(
+      {TriplePattern::Bound(NodePattern::Var("s"), "p",
+                            NodePattern::Var("o"))});
+  ASSERT_NE(reduce, nullptr);
+  std::vector<std::string> records;
+  Counters counters;
+  reduce("s",
+         {"s\tp", Triple("s", "p", "o").Serialize(), "s\tp\to\tx"},
+         [&records](std::string record) {
+           records.push_back(std::move(record));
+         },
+         &counters);
+  EXPECT_EQ(records, std::vector<std::string>{"s\tp\to"});
+  EXPECT_EQ(counters["bad_records"], 2u);
+  EXPECT_EQ(counters["op.star_join.output_records"], 1u);
 }
 
 // ---- Plan compiler structure ---------------------------------------------------
@@ -412,14 +563,14 @@ TEST(RelCompilerTest, JoinCycleDropsBadInputs) {
   const JobSpec& join = plan->workflow.jobs[2];
   ASSERT_EQ(join.inputs.size(), 2u);
 
-  RelTuple left;
-  left.triples = {Triple("p1", "label", "L1"), Triple("p1", "feature", "f1")};
-  RelTuple right;
-  right.triples = {Triple("f1", "featureLabel", "F1"),
+  std::vector<Triple> left;
+  left = {Triple("p1", "label", "L1"), Triple("p1", "feature", "f1")};
+  std::vector<Triple> right;
+  right = {Triple("f1", "featureLabel", "F1"),
                    Triple("f1", "type", "T")};
-  RelTuple inconsistent = left;  // ?p differs between the two columns
-  inconsistent.triples[1].subject = "p2";
-  const std::string wrong_arity = right.triples[0].Serialize();
+  std::vector<Triple> inconsistent = left;  // ?p differs between the two columns
+  inconsistent[1].subject = "p2";
+  const std::string wrong_arity = right[0].Serialize();
 
   auto map = [&join](size_t side, const std::string& record,
                      Counters* counters) {
@@ -433,28 +584,29 @@ TEST(RelCompilerTest, JoinCycleDropsBadInputs) {
     return out;
   };
   Counters map_counters;
-  auto keyed = map(0, left.Serialize(), &map_counters);
+  auto keyed = map(0, TupleLine(left), &map_counters);
   ASSERT_EQ(keyed.size(), 1u);
   EXPECT_EQ(keyed[0].first, "f1");
-  EXPECT_EQ(keyed[0].second, "L|" + left.Serialize());
+  EXPECT_EQ(keyed[0].second, "L|" + TupleLine(left));
   EXPECT_TRUE(map(1, wrong_arity, &map_counters).empty());
   EXPECT_EQ(map_counters["bad_records"], 1u);
   // Changed: the mapper used to key and ship an inconsistent tuple.
-  EXPECT_TRUE(map(0, inconsistent.Serialize(), &map_counters).empty());
+  EXPECT_TRUE(map(0, TupleLine(inconsistent), &map_counters).empty());
   EXPECT_EQ(map_counters["bad_records"], 2u);
 
   std::vector<std::string> joined;
   Counters reduce_counters;
   join.reduce("f1",
-              {"L|" + left.Serialize(), left.Serialize(), "L|" + wrong_arity,
-               "L|" + inconsistent.Serialize(), "R|" + right.Serialize()},
+              {"L|" + TupleLine(left), TupleLine(left), "L|" + wrong_arity,
+               "L|" + TupleLine(inconsistent), "R|" + TupleLine(right)},
               [&joined](std::string record) {
                 joined.push_back(std::move(record));
               },
               &reduce_counters);
   EXPECT_EQ(joined, std::vector<std::string>{
-                        JoinTupleRecords(left.Serialize(), right.Serialize())});
-  EXPECT_EQ(reduce_counters["bad_records"], 2u);
+                        JoinTupleRecords(TupleLine(left), TupleLine(right))});
+  // The untagged value is a bad record too.
+  EXPECT_EQ(reduce_counters["bad_records"], 3u);
   EXPECT_EQ(reduce_counters["op.rel_join.input_records"], 2u);
   EXPECT_EQ(reduce_counters["op.rel_join.output_records"], 1u);
 }
@@ -472,7 +624,8 @@ TEST(RelCompilerTest, SelSjFirstJoinCountsBadLeftTuples) {
       "k", {"untagged", "L|wrong\tarity"},
       [&outputs](std::string) { ++outputs; }, &counters);
   EXPECT_EQ(outputs, 0u);
-  EXPECT_EQ(counters["bad_records"], 1u);
+  // Both the untagged value and the wrong arity are bad records.
+  EXPECT_EQ(counters["bad_records"], 2u);
 }
 
 

@@ -142,6 +142,18 @@ inline std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
 }
 
 /// All engine kinds under test.
+// A relational tuple's record built from triple lines: each triple's
+// Serialize() side by side, Triple() (three empty fields) standing for an
+// unmatched OPTIONAL column.
+inline std::string TupleLine(const std::vector<Triple>& triples) {
+  std::string out;
+  for (size_t i = 0; i < triples.size(); ++i) {
+    if (i > 0) out.push_back('\t');
+    out += triples[i].Serialize();
+  }
+  return out;
+}
+
 inline std::vector<EngineKind> AllEngineKinds() {
   return {EngineKind::kPig,          EngineKind::kHive,
           EngineKind::kNtgaEager,    EngineKind::kNtgaLazyFull,

@@ -34,10 +34,12 @@ build_and_test() {
   cmake --build "$build_dir" -j "$(nproc)" || return $?
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" || return $?
   # Release smoke-runs the operator microbenchmarks (no number is gated)
-  # and the aggregation experiment (exit code = failed shape checks).
+  # and the aggregation and Fig. 3 grouping experiments (exit code =
+  # failed shape checks).
   [[ "$build_type" != Release ]] || {
     "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01 &&
-      "./$build_dir/bench/ext_aggregation"
+      "./$build_dir/bench/ext_aggregation" &&
+      "./$build_dir/bench/fig03_star_groupings"
   }
 }
 
