@@ -58,21 +58,9 @@ uint64_t DatasetBytes(const std::vector<Triple>& triples) {
   return bytes;
 }
 
-uint32_t ThreadsFromEnv() {
-  const char* env = std::getenv("RDFMR_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  unsigned long value = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
-  return static_cast<uint32_t>(value);
-}
-
 std::unique_ptr<SimDfs> MakeDfs(const std::vector<Triple>& triples,
                                 const ClusterConfig& config) {
-  ClusterConfig effective = config;
-  uint32_t threads = ThreadsFromEnv();
-  if (threads > 0) effective.num_threads = threads;
-  auto dfs = std::make_unique<SimDfs>(effective);
+  auto dfs = std::make_unique<SimDfs>(config);
   Status st = dfs->WriteFile("base", SerializeTriples(triples));
   if (!st.ok()) {
     std::fprintf(stderr, "FATAL: cannot load base relation: %s\n",

@@ -31,13 +31,10 @@ std::vector<Triple> BsbmAtScale(uint64_t num_products);
 /// Serialized byte size of a triple set (to size cluster disks).
 uint64_t DatasetBytes(const std::vector<Triple>& triples);
 
-/// Execution threads for bench runs: the RDFMR_THREADS environment
-/// variable, or 0 when unset/invalid (0 = keep the config's own value).
-/// Results are byte-identical for any thread count; only wall time moves.
-uint32_t ThreadsFromEnv();
-
-/// Builds a DFS holding `triples` at "base". Applies ThreadsFromEnv() to
-/// the cluster config so every fig*_ binary honours RDFMR_THREADS.
+/// Builds a DFS holding `triples` at "base". The runs on it honour
+/// RDFMR_THREADS through RunWorkflow's precedence rule
+/// (common/runtime_options.h); results are byte-identical for any thread
+/// count, only wall time moves.
 std::unique_ptr<SimDfs> MakeDfs(const std::vector<Triple>& triples,
                                 const ClusterConfig& config);
 

@@ -12,7 +12,10 @@
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
+#include "dfs/sim_dfs.h"
 #include "engine/engine.h"
+#include "mapreduce/job_runner.h"
 #include "ntga/ntga_compiler.h"
 #include "ntga/operators.h"
 #include "ntga/triplegroup.h"
@@ -460,6 +463,71 @@ BENCHMARK_CAPTURE(BM_ScanMap, hive/plain, false, false);
 BENCHMARK_CAPTURE(BM_ScanMap, hive/escaped, false, true);
 BENCHMARK_CAPTURE(BM_ScanMap, ntga/plain, true, false);
 BENCHMARK_CAPTURE(BM_ScanMap, ntga/escaped, true, true);
+
+// A shuffle-heavy identity job through RunJob: 60000 records over about
+// 60 block-sized map tasks, 1000 keys repeated across every task, four
+// reducers. The combining variant runs an identity combiner, so both
+// variants shuffle the same records. Arg = pool threads (0 = no pool).
+void BM_RunJob(benchmark::State& state, bool combine) {
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.disk_per_node = 256ULL << 20;
+  config.replication = 1;
+  config.block_size = 16 << 10;
+  config.num_reducers = 4;
+  SimDfs dfs(config);
+  std::vector<std::string> input;
+  for (int i = 0; i < 60000; ++i) {
+    input.push_back("key" + std::to_string(i % 1000) + " value_" +
+                    std::to_string(i));
+  }
+  if (!dfs.WriteFile("in", std::move(input)).ok()) std::abort();
+
+  JobSpec spec;
+  spec.name = "identity";
+  spec.inputs.push_back(MapInput{
+      "in",
+      [](const std::string& record, const MapEmit& emit, Counters*) {
+        const size_t space = record.find(' ');
+        emit(record.substr(0, space), record.substr(space + 1));
+      },
+      nullptr});
+  spec.reduce = [](const std::string& key, const auto& values,
+                   const RecordEmit& emit, Counters*) {
+    for (const std::string& value : values) emit(key + "=" + value);
+  };
+  if (combine) {
+    spec.combine = [](const std::string&, const auto& values, Counters*) {
+      return std::vector<std::string>(values.begin(), values.end());
+    };
+  }
+  spec.output_path = "out";
+
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool = std::make_unique<ThreadPool>(static_cast<uint32_t>(state.range(0)));
+  }
+  JobRunOptions options;
+  options.pool = pool.get();
+  uint64_t shuffled = 0;
+  for (auto _ : state) {
+    JobRunResult run = RunJob(&dfs, spec, options);
+    if (!run.ok()) std::abort();
+    shuffled = run.metrics.map_output_records;
+    state.PauseTiming();
+    if (!dfs.DeleteFile("out").ok()) std::abort();
+    state.ResumeTiming();
+  }
+  state.counters["records_shuffled"] = static_cast<double>(shuffled);
+}
+BENCHMARK_CAPTURE(BM_RunJob, plain, false)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RunJob, combine, true)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Fnv1a(benchmark::State& state) {
   std::string value = "some_join_key_value_of_typical_length";

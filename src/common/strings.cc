@@ -36,7 +36,7 @@ std::vector<std::string> SplitN(std::string_view input, char sep,
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, char sep) {
+std::string Join(std::span<const std::string> parts, char sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
     if (i > 0) out.push_back(sep);

@@ -5,6 +5,7 @@
 #define RDFMR_COMMON_STRINGS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,7 +21,7 @@ std::vector<std::string> SplitN(std::string_view input, char sep,
                                 size_t max_fields);
 
 /// \brief Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, char sep);
+std::string Join(std::span<const std::string> parts, char sep);
 
 /// \brief Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

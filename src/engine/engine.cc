@@ -75,7 +75,7 @@ uint64_t SafeFileSize(const SimDfs& dfs, const std::string& path) {
 
 // The distinct strings of `values`, sorted, as views into them.
 std::vector<std::string_view> SortedDistinct(
-    const std::vector<std::string>& values) {
+    std::span<const std::string> values) {
   std::vector<std::string_view> views(values.begin(), values.end());
   std::sort(views.begin(), views.end());
   views.erase(std::unique(views.begin(), views.end()), views.end());
@@ -143,7 +143,7 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   job.inputs.push_back(std::move(aggregate_input));
   job.reduce = [count_var = spec.count_var, min_count = spec.min_count](
                    const std::string& key,
-                   const std::vector<std::string>& values,
+                   std::span<const std::string> values,
                    const RecordEmit& emit, Counters* counters) {
     // Both modes count distinct values: counted values, or solution rows
     // (set semantics).
@@ -174,7 +174,7 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   // deduplication is a correct combiner: it is idempotent and any
   // cross-task duplicates are re-deduplicated at the reducer.
   job.combine = [](const std::string& /*key*/,
-                   const std::vector<std::string>& values,
+                   std::span<const std::string> values,
                    Counters* counters) {
     const std::vector<std::string_view> distinct = SortedDistinct(values);
     (*counters)["combine_output_records"] += distinct.size();

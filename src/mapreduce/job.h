@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,16 +37,20 @@ using MapFn =
                        Counters* counters)>;
 
 /// \brief Reduce function: (key, all values for key) -> output records.
+/// The values arrive in map emission order — (input, block) task order,
+/// then each task's emission order — and view the partition's sorted
+/// records in place: they stay valid for the call only.
 using ReduceFn = std::function<void(
-    const std::string& key, const std::vector<std::string>& values,
+    const std::string& key, std::span<const std::string> values,
     const RecordEmit& emit, Counters* counters)>;
 
 /// \brief Combine function (map-side pre-aggregation, Hadoop combiner):
 /// rewrites the values emitted for one key by one map task before they are
-/// shuffled. Must be idempotent and safe to apply to any subset of a key's
-/// values (the framework may run it zero or more times).
+/// shuffled. It is called once per key the task emitted, with that key's
+/// values in emission order. Must be idempotent and safe to apply to any
+/// subset of a key's values (the framework may run it zero or more times).
 using CombineFn = std::function<std::vector<std::string>(
-    const std::string& key, const std::vector<std::string>& values,
+    const std::string& key, std::span<const std::string> values,
     Counters* counters)>;
 
 /// \brief One input of a job: a DFS path plus the mapper applied to it.
@@ -112,9 +117,10 @@ struct JobMetrics {
   uint32_t full_scans_of_base = 0;
   /// Real (host) wall-clock seconds per phase of this job's execution —
   /// diagnostic only, NOT deterministic and NOT part of the simulated
-  /// cost model. map_seconds covers input scan + map tasks + partition
-  /// merge; shuffle_sort_seconds the per-partition sorts; reduce_seconds
-  /// the reduce calls + output merge.
+  /// cost model. map_seconds covers input scan + map tasks (which
+  /// partition and meter their own output) + the counter fold;
+  /// shuffle_sort_seconds each partition's gather of its map slices and
+  /// its sort; reduce_seconds the reduce calls + output merge.
   double map_seconds = 0.0;
   double shuffle_sort_seconds = 0.0;
   double reduce_seconds = 0.0;

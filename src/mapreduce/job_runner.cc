@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/hash.h"
@@ -11,12 +14,6 @@
 namespace rdfmr {
 
 namespace {
-
-struct ShuffleRecord {
-  std::string key;
-  std::string value;
-  uint64_t seq;  // preserves map emission order for stable grouping
-};
 
 // One per-block map task: a contiguous line range of one input, mirroring
 // an HDFS input split (a record belongs to the block containing its first
@@ -27,22 +24,90 @@ struct MapTask {
   size_t end = 0;    // last line (exclusive)
 };
 
-// Private output of one map task, merged deterministically at the phase
-// barrier: emissions in emission order, counters into the job counters.
+// Key/value pairs as two parallel columns, so that the values of a run of
+// equal keys are one contiguous span.
+struct KeyedRecords {
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+};
+
+// Output of one map task, partitioned, metered and counted as it is
+// emitted: slice p holds the task's pairs for reduce partition p in
+// emission order. A map-only task has one slice, of values only.
 struct MapTaskOutput {
-  std::vector<std::pair<std::string, std::string>> emits;
+  MapTaskOutput(size_t num_partitions, bool map_only)
+      : slices(num_partitions), map_only(map_only) {}
+
+  // Puts the pair in its partition's slice and meters it: key + value + 2
+  // bytes for a shuffle, value + newline for a map-only job.
+  void Add(std::string key, std::string value) {
+    records += 1;
+    if (map_only) {
+      bytes += value.size() + 1;
+      slices[0].values.push_back(std::move(value));
+      return;
+    }
+    bytes += key.size() + value.size() + 2;
+    KeyedRecords& slice =
+        slices[static_cast<size_t>(Fnv1a64(key) % slices.size())];
+    slice.keys.push_back(std::move(key));
+    slice.values.push_back(std::move(value));
+  }
+
+  std::vector<KeyedRecords> slices;
+  bool map_only;
+  uint64_t records = 0;
+  uint64_t bytes = 0;
   Counters counters;
 };
 
 // Private output of one reducer partition.
 struct ReduceTaskOutput {
   std::vector<std::string> records;
+  uint64_t bytes = 0;
   Counters counters;
   uint64_t groups = 0;
 };
 
 void MergeCounters(Counters* into, const Counters& from) {
   for (const auto& [name, value] : from) (*into)[name] += value;
+}
+
+// Moves the strings of `from` onto the end of `to`.
+void AppendMoved(std::vector<std::string>* to,
+                 std::vector<std::string>* from) {
+  to->insert(to->end(), std::make_move_iterator(from->begin()),
+             std::make_move_iterator(from->end()));
+}
+
+// Orders `records` by key alone. The sort is stable, so each key's values
+// keep the order they were gathered in.
+void StableSortByKey(KeyedRecords* records) {
+  std::vector<size_t> order(records->keys.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  const std::vector<std::string>& keys = records->keys;
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
+  for (std::vector<std::string>* column : {&records->keys, &records->values}) {
+    std::vector<std::string> sorted;
+    sorted.reserve(order.size());
+    for (size_t i : order) sorted.push_back(std::move((*column)[i]));
+    *column = std::move(sorted);
+  }
+}
+
+// Calls fn(key, values) once per run of equal keys of sorted `records`;
+// `values` views the run's values in place.
+template <typename Fn>
+void ForEachKeyRun(const KeyedRecords& records, const Fn& fn) {
+  const std::vector<std::string>& keys = records.keys;
+  size_t i = 0;
+  while (i < keys.size()) {
+    size_t j = i + 1;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    fn(keys[i], std::span<const std::string>(records.values).subspan(i, j - i));
+    i = j;
+  }
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -133,7 +198,7 @@ void ForEachTask(ThreadPool* pool, size_t n,
 }
 
 // Executes one map task against its line range: either plain mapping or
-// the per-task combiner path (buffer -> combine per key -> emit), exactly
+// the per-task combiner path (buffer -> combine per key -> add), exactly
 // the Hadoop combiner scope.
 //
 // `selected` (nullable) is the input's resolved vertical-partition hint:
@@ -162,30 +227,28 @@ void RunMapTask(const JobSpec& spec, const MapTask& task,
     }
   };
   if (spec.combine == nullptr || map_only) {
-    MapEmit emit = [out](std::string key, std::string value) {
-      out->emits.emplace_back(std::move(key), std::move(value));
+    const MapEmit emit = [out](std::string key, std::string value) {
+      out->Add(std::move(key), std::move(value));
     };
     for_each_record(emit);
     return;
   }
-  // Combiner path: buffer this task's output, combine per key, then hand
-  // the combined pairs on (insertion order preserved).
-  std::map<std::string, std::vector<std::string>> task_output;
-  std::vector<std::string> key_order;
-  MapEmit emit = [&](std::string key, std::string value) {
+  // Combiner path: buffer this task's pairs, then combine each key's
+  // values, in emission order, and add what the combiner returns.
+  KeyedRecords buffered;
+  const MapEmit emit = [&](std::string key, std::string value) {
     out->counters["combine_input_records"] += 1;
-    auto [it, inserted] = task_output.try_emplace(std::move(key));
-    if (inserted) key_order.push_back(it->first);
-    it->second.push_back(std::move(value));
+    buffered.keys.push_back(std::move(key));
+    buffered.values.push_back(std::move(value));
   };
   for_each_record(emit);
-  for (const std::string& key : key_order) {
-    std::vector<std::string> combined =
-        spec.combine(key, task_output.at(key), &out->counters);
-    for (std::string& value : combined) {
-      out->emits.emplace_back(key, std::move(value));
+  StableSortByKey(&buffered);
+  ForEachKeyRun(buffered, [&](const std::string& key,
+                              std::span<const std::string> values) {
+    for (std::string& value : spec.combine(key, values, &out->counters)) {
+      out->Add(key, std::move(value));
     }
-  }
+  });
 }
 
 // Synthesizes operator spans beneath a phase span from `op.`-prefixed
@@ -293,66 +356,53 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
     }
   }
 
-  std::vector<MapTaskOutput> task_outputs(tasks.size());
+  const size_t num_partitions =
+      map_only ? 1 : static_cast<size_t>(num_reducers);
+  std::vector<MapTaskOutput> task_outputs(
+      tasks.size(), MapTaskOutput(num_partitions, map_only));
   ForEachTask(pool, tasks.size(), [&](size_t t) {
     RunMapTask(spec, tasks[t], scans[tasks[t].input_index],
                selected[tasks[t].input_index].get(), map_only,
                &task_outputs[t]);
   });
+  scans.clear();
+  selected.clear();
 
+  // Barrier reached: the tasks partitioned and metered their own output,
+  // so the map phase only sums their counts and folds their counters (the
+  // job's counters hold the map phase's alone until the reduce fold).
+  uint64_t map_records = 0;
+  uint64_t map_bytes = 0;
+  for (const MapTaskOutput& out : task_outputs) {
+    map_records += out.records;
+    map_bytes += out.bytes;
+    MergeCounters(&metrics.counters, out.counters);
+  }
+  if (map_only) {
+    metrics.map_direct_output_records = map_records;
+    metrics.map_direct_output_bytes = map_bytes;
+  } else {
+    metrics.map_output_records = map_records;
+    metrics.map_output_bytes = map_bytes;
+  }
   if (tracing) {
     map_span.Attr("tasks", static_cast<uint64_t>(tasks.size()));
     map_span.Attr("input_records", metrics.input_records);
     map_span.Attr("input_bytes", metrics.input_bytes);
-    // Operator spans from the map tasks' deterministic counters (extra
-    // tracing-only pass; job counters merge unchanged below).
-    Counters map_phase_counters;
-    for (const MapTaskOutput& out : task_outputs) {
-      MergeCounters(&map_phase_counters, out.counters);
-    }
-    AddOperatorSpans(map_span.context(), map_phase_counters);
+    AddOperatorSpans(map_span.context(), metrics.counters);
   }
   map_span.Close();
-
-  // Barrier reached: merge the per-task buffers in (input, block) order —
-  // the exact emission order of a sequential run — assigning shuffle
-  // sequence numbers and metering the shuffle volume. Map-only emissions
-  // go straight to the output buffer and are metered separately (they
-  // never cross a shuffle).
-  ScopedSpan shuffle_span(job_ctx, "shuffle");
-  std::vector<std::vector<ShuffleRecord>> partitions(
-      map_only ? 1 : static_cast<size_t>(num_reducers));
-  std::vector<std::string> map_only_output;
-  uint64_t seq = 0;
-  for (MapTaskOutput& out : task_outputs) {
-    for (auto& [key, value] : out.emits) {
-      if (map_only) {
-        metrics.map_direct_output_records += 1;
-        metrics.map_direct_output_bytes += value.size() + 1;
-        map_only_output.push_back(std::move(value));
-      } else {
-        metrics.map_output_records += 1;
-        metrics.map_output_bytes += key.size() + value.size() + 2;
-        size_t p = static_cast<size_t>(Fnv1a64(key) %
-                                       static_cast<uint64_t>(num_reducers));
-        partitions[p].push_back(
-            ShuffleRecord{std::move(key), std::move(value), seq++});
-      }
-    }
-    MergeCounters(&metrics.counters, out.counters);
-  }
-  scans.clear();
-  selected.clear();
-  task_outputs.clear();
   metrics.map_seconds = SecondsSince(map_start);
+
+  ScopedSpan shuffle_span(job_ctx, "shuffle");
   if (tracing) {
     if (map_only) {
-      shuffle_span.Attr("direct_records", metrics.map_direct_output_records);
-      shuffle_span.Attr("direct_bytes", metrics.map_direct_output_bytes);
+      shuffle_span.Attr("direct_records", map_records);
+      shuffle_span.Attr("direct_bytes", map_bytes);
     } else {
       shuffle_span.Attr("partitions", static_cast<uint64_t>(num_reducers));
-      shuffle_span.Attr("shuffle_records", metrics.map_output_records);
-      shuffle_span.Attr("shuffle_bytes", metrics.map_output_bytes);
+      shuffle_span.Attr("shuffle_records", map_records);
+      shuffle_span.Attr("shuffle_bytes", map_bytes);
     }
   }
   shuffle_span.Close();
@@ -360,21 +410,30 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   // ---- Shuffle + reduce phase -------------------------------------------
   std::vector<std::string> output;
   if (map_only) {
-    output = std::move(map_only_output);
+    // The values in (input, block) task order: a sequential run's order.
+    for (MapTaskOutput& out : task_outputs) {
+      AppendMoved(&output, &out.slices[0].values);
+    }
+    task_outputs.clear();
+    metrics.output_bytes = map_bytes;
   } else {
-    // Per-partition stable sort, all partitions concurrently.
+    // Each partition gathers its slices in (input, block) task order — the
+    // emission order of a sequential run — and stable-sorts them by key,
+    // all partitions concurrently.
     auto sort_start = std::chrono::steady_clock::now();
     ScopedSpan sort_span(job_ctx, "sort");
     sort_span.Attr("partitions", static_cast<uint64_t>(num_reducers));
-    ForEachTask(pool, partitions.size(), [&](size_t p) {
-      std::vector<ShuffleRecord>& part = partitions[p];
-      // Secondary sort: by key, ties broken by emission order (stable).
-      std::sort(part.begin(), part.end(),
-                [](const ShuffleRecord& a, const ShuffleRecord& b) {
-                  if (a.key != b.key) return a.key < b.key;
-                  return a.seq < b.seq;
-                });
+    std::vector<KeyedRecords> partitions(num_partitions);
+    ForEachTask(pool, num_partitions, [&](size_t p) {
+      KeyedRecords& part = partitions[p];
+      for (MapTaskOutput& out : task_outputs) {
+        KeyedRecords slice = std::move(out.slices[p]);  // freed when done
+        AppendMoved(&part.keys, &slice.keys);
+        AppendMoved(&part.values, &slice.values);
+      }
+      StableSortByKey(&part);
     });
+    task_outputs.clear();
     sort_span.Close();
     metrics.shuffle_sort_seconds = SecondsSince(sort_start);
 
@@ -383,41 +442,32 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
     // partition-loop order.
     auto reduce_start = std::chrono::steady_clock::now();
     ScopedSpan reduce_span(job_ctx, "reduce");
-    std::vector<ReduceTaskOutput> reduce_outputs(partitions.size());
-    ForEachTask(pool, partitions.size(), [&](size_t p) {
-      std::vector<ShuffleRecord>& part = partitions[p];
+    std::vector<ReduceTaskOutput> reduce_outputs(num_partitions);
+    ForEachTask(pool, num_partitions, [&](size_t p) {
       ReduceTaskOutput& out = reduce_outputs[p];
-      RecordEmit emit = [&out](std::string record) {
+      const RecordEmit emit = [&out](std::string record) {
+        out.bytes += record.size() + 1;
         out.records.push_back(std::move(record));
       };
-      size_t i = 0;
-      while (i < part.size()) {
-        size_t j = i;
-        std::vector<std::string> values;
-        while (j < part.size() && part[j].key == part[i].key) {
-          values.push_back(std::move(part[j].value));
-          ++j;
-        }
+      ForEachKeyRun(partitions[p], [&](const std::string& key,
+                                       std::span<const std::string> values) {
         out.groups += 1;
-        spec.reduce(part[i].key, values, emit, &out.counters);
-        i = j;
-      }
-      part.clear();
-      part.shrink_to_fit();
+        spec.reduce(key, values, emit, &out.counters);
+      });
+      partitions[p] = KeyedRecords();
     });
-    Counters reduce_phase_counters;
+    Counters reduce_counters;
     for (ReduceTaskOutput& out : reduce_outputs) {
       metrics.reduce_input_groups += out.groups;
-      for (std::string& record : out.records) {
-        output.push_back(std::move(record));
-      }
-      MergeCounters(&metrics.counters, out.counters);
-      if (tracing) MergeCounters(&reduce_phase_counters, out.counters);
+      metrics.output_bytes += out.bytes;
+      AppendMoved(&output, &out.records);
+      MergeCounters(&reduce_counters, out.counters);
     }
     if (tracing) {
       reduce_span.Attr("groups", metrics.reduce_input_groups);
-      AddOperatorSpans(reduce_span.context(), reduce_phase_counters);
+      AddOperatorSpans(reduce_span.context(), reduce_counters);
     }
+    MergeCounters(&metrics.counters, reduce_counters);
     reduce_span.Close();
     metrics.reduce_seconds = SecondsSince(reduce_start);
   }
@@ -425,9 +475,6 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   // ---- Output materialization --------------------------------------------
   ScopedSpan write_span(job_ctx, "write");
   metrics.output_records = output.size();
-  for (const std::string& line : output) {
-    metrics.output_bytes += line.size() + 1;
-  }
   metrics.output_bytes_replicated =
       metrics.output_bytes * dfs->config().replication;
   if (tracing) {

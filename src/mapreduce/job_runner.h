@@ -47,15 +47,16 @@ struct JobRunResult {
 ///
 /// When `options.pool` is non-null, the map phase is decomposed into one
 /// task per HDFS block of each input (the same granularity
-/// SimDfs::BlockCount reports) and tasks run concurrently, each with a
-/// private emit buffer and counter map; buffers are merged in (input,
-/// block) order behind a barrier. The shuffle's per-partition sort and the
-/// per-partition reduce likewise run concurrently across reducer
-/// partitions and merge in partition order. Output and every metric
-/// except the wall-clock *_seconds fields are therefore byte-identical to
-/// the sequential run. The same discipline covers spans: they are opened
-/// only on the calling thread, so span structure and non-time attributes
-/// are byte-identical across thread counts.
+/// SimDfs::BlockCount reports) and tasks run concurrently. Each task puts
+/// its emissions straight into private per-partition slices, metering
+/// and counting them as it goes. Each reducer partition gathers its
+/// slices in (input, block) task order — the sequential emission order —
+/// and stable-sorts them by key; partitions sort and reduce concurrently
+/// and their output is concatenated in partition order. Output and every
+/// metric except the wall-clock *_seconds fields are therefore
+/// byte-identical to the sequential run. The same discipline covers
+/// spans: they are opened only on the calling thread, so span structure
+/// and non-time attributes are byte-identical across thread counts.
 ///
 /// Fault tolerance: transient DFS failures (kIoError, kUnavailable — the
 /// kinds a FaultPlan injects) are re-attempted up to

@@ -164,7 +164,7 @@ void EmitJoined(std::string_view left, std::string_view right,
 
 ReduceFn MakePlainJoinReducer() {
   return [](const std::string& /*key*/,
-            const std::vector<std::string>& values, const RecordEmit& emit,
+            std::span<const std::string> values, const RecordEmit& emit,
             Counters* counters) {
     TgRecordReader record;
     std::vector<std::string_view> lefts, rights;
@@ -194,7 +194,7 @@ ReduceFn MakePartialJoinReducer(const StarPattern& left_star,
   return [left_unnester = BetaUnnester(left_star), left = std::move(left),
           right_unnester = BetaUnnester(right_star),
           right = std::move(right)](const std::string& /*key*/,
-                                    const std::vector<std::string>& values,
+                                    std::span<const std::string> values,
                                     const RecordEmit& emit,
                                     Counters* counters) {
     TgRecordReader record;
@@ -353,7 +353,7 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
   }
   job1.reduce = [queries, offsets, plans, unnesters](
                     const std::string& key,
-                    const std::vector<std::string>& values,
+                    std::span<const std::string> values,
                     const RecordEmit& emit, Counters* counters) {
     TripleViews triples;
     uint64_t rejected = 0;

@@ -157,7 +157,7 @@ class StarMatcher {
 // distinct ones and writes the star's matches (relational arity 3k).
 ReduceFn MakeStarReducer(const StarPattern& star) {
   return [matcher = StarMatcher(star)](const std::string& /*key*/,
-                                       const std::vector<std::string>& values,
+                                       std::span<const std::string> values,
                                        const RecordEmit& emit,
                                        Counters* counters) {
     TripleViews triples;
@@ -250,7 +250,7 @@ ReduceFn MakeJoinReducer(const RelSchema& left_schema,
                          const RelSchema& right_schema) {
   return [readers = JoinReaders(left_schema, right_schema)](
              const std::string& /*key*/,
-             const std::vector<std::string>& values, const RecordEmit& emit,
+             std::span<const std::string> values, const RecordEmit& emit,
              Counters* counters) {
     JoinSide lefts, rights;
     for (const std::string& v : values) {
@@ -462,7 +462,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     job2.reduce = [matcher = StarMatcher(query->stars()[folded]),
                    readers = JoinReaders(first_schema, folded_schema)](
                       const std::string& /*key*/,
-                      const std::vector<std::string>& values,
+                      std::span<const std::string> values,
                       const RecordEmit& emit, Counters* counters) {
       TripleViews triples;
       JoinSide lefts;

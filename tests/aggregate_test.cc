@@ -345,7 +345,7 @@ TEST(AggregateEngineTest, ReducerWritesTheCountInItsPlace) {
     std::vector<std::string> out;
     Counters counters;
     plan->workflow.jobs.back().reduce(
-        group.Serialize(), {"type1", "type2", "type1"},
+        group.Serialize(), std::vector<std::string>{"type1", "type2", "type1"},
         [&out](std::string line) { out.push_back(std::move(line)); },
         &counters);
     Solution counted = group;

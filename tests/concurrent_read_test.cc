@@ -1,8 +1,7 @@
-// Concurrency regression tests (run under TSan by tools/check.sh): the
-// Dictionary's shared-lock read paths must stay clean while writers
-// intern, and two threads querying one loaded dataset through the
-// QueryService — sharing a single SimDfs base — must race-freely produce
-// the same answers as a direct single-threaded Exec.
+// Concurrency regression test (run under TSan by tools/check.sh): two
+// threads querying one loaded dataset through the QueryService — sharing a
+// single SimDfs base — must race-freely produce the same answers as a
+// direct single-threaded Exec.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "rdf/dictionary.h"
 #include "service/query_service.h"
 #include "tests/test_util.h"
 
@@ -19,49 +17,6 @@ namespace {
 
 using testing_util::RoomyCluster;
 using testing_util::SmallDataset;
-
-TEST(ConcurrentReadTest, DictionaryInternsAndReadsRaceFree) {
-  Dictionary dictionary;
-  // Seed some terms every thread will read while others intern.
-  constexpr int kShared = 64;
-  for (int i = 0; i < kShared; ++i) {
-    dictionary.Intern("shared-" + std::to_string(i));
-  }
-
-  constexpr int kThreads = 4;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dictionary, t]() {
-      for (int i = 0; i < kIters; ++i) {
-        // Interleave writes (shared and thread-unique terms) with the
-        // shared-lock read paths: Lookup, At, size, StringBytes.
-        const std::string shared = "shared-" + std::to_string(i % kShared);
-        uint32_t id = dictionary.Intern(shared);
-        EXPECT_EQ(dictionary.At(id), shared);
-        dictionary.Intern("thread-" + std::to_string(t) + "-" +
-                          std::to_string(i));
-        auto looked_up = dictionary.Lookup(shared);
-        ASSERT_TRUE(looked_up.ok());
-        EXPECT_EQ(*looked_up, id);
-        EXPECT_GE(dictionary.size(), static_cast<size_t>(kShared));
-        EXPECT_GT(dictionary.StringBytes(), 0u);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  // Every term interned exactly once: 64 shared + 4 x 2000 unique.
-  EXPECT_EQ(dictionary.size(),
-            static_cast<size_t>(kShared + kThreads * kIters));
-  for (int i = 0; i < kShared; ++i) {
-    const std::string term = "shared-" + std::to_string(i);
-    auto id = dictionary.Lookup(term);
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(dictionary.At(*id), term);
-  }
-}
 
 TEST(ConcurrentReadTest, TwoThreadsQueryOneLoadedDataset) {
   const std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);

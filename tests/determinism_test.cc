@@ -1,7 +1,8 @@
 // Determinism tests for the multi-threaded MR runtime: every engine must
 // produce byte-identical answers and metrics for any thread count (only
-// the host wall-clock *_seconds fields may differ). Plus regression tests
-// for the three runtime bugfixes that rode along with the parallel
+// the host wall-clock *_seconds fields may differ), and one job's record
+// order and metrics are pinned to recorded constants. Plus regression
+// tests for the three runtime bugfixes that rode along with the parallel
 // runtime: map-only output metering, per-map-task combiner scope, and
 // demuxed-output cleanup on workflow failure.
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "datagen/testbed.h"
 #include "dfs/sim_dfs.h"
@@ -98,8 +100,8 @@ TEST(EngineDeterminismTest, ByteIdenticalAcrossThreadCountsAllEngines) {
       EXPECT_TRUE(run.answers == reference.answers);
       ExpectSameStats(run.stats, reference.stats);
     }
-    // The ClusterConfig knob (EngineOptions::num_threads == 0 defers to
-    // it) must behave identically to the EngineOptions knob.
+    // The ClusterConfig knob (an unset EngineOptions::runtime.num_threads
+    // defers to it) must behave identically to the per-run override.
     ExecResult via_config = RunB1(triples, kind, /*option_threads=*/0,
                                  /*config_threads=*/8);
     EXPECT_TRUE(via_config.answers == reference.answers);
@@ -134,7 +136,7 @@ TEST(JobDeterminismTest, PooledJobMatchesSequentialByteForByte) {
       },
       nullptr});
   spec.reduce = [](const std::string& key,
-                   const std::vector<std::string>& values,
+                   std::span<const std::string> values,
                    const RecordEmit& emit, Counters* counters) {
     (*counters)["reduced"] += 1;
     for (const std::string& v : values) emit(key + "=" + v);
@@ -161,6 +163,199 @@ TEST(JobDeterminismTest, PooledJobMatchesSequentialByteForByte) {
     auto [pooled_metrics, pooled_lines] = run(&pool);
     EXPECT_EQ(pooled_lines, seq_lines);
     ExpectSameJobMetrics(pooled_metrics, seq_metrics);
+  }
+}
+
+// Record-order pin: the position of every record in every output file and
+// every deterministic JobMetrics field, held against constants recorded on
+// the ordered-merge runner. Keys repeat across the many block-sized map
+// tasks of two inputs, and the reducers and the combiner write their
+// values in arrival order, so a runner that reorders any key's values (an
+// unstable sort, map output gathered out of task order) moves a digest.
+// Comparing two runs of the same code cannot catch that.
+ClusterConfig PinCluster() {
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.disk_per_node = 64ULL << 20;
+  config.replication = 2;
+  config.block_size = 4096;
+  config.num_reducers = 3;
+  return config;
+}
+
+std::vector<std::string> PinInput(const std::string& tag, int records,
+                                  int key_mod, int key_mul) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < records; ++i) {
+    lines.push_back("k" + std::to_string(i * key_mul % key_mod) + " " + tag +
+                    std::to_string(i));
+  }
+  return lines;
+}
+
+MapFn PinMapper() {
+  return [](const std::string& record, const MapEmit& emit,
+            Counters* counters) {
+    (*counters)["mapped"] += 1;
+    size_t space = record.find(' ');
+    emit(record.substr(0, space), record.substr(space + 1));
+  };
+}
+
+// Concatenates a group's values in arrival order; generic so it takes the
+// framework's value sequence whatever its type.
+template <typename Values>
+std::string ArrivalOrder(const Values& values) {
+  std::string joined;
+  for (const std::string& value : values) {
+    if (!joined.empty()) joined += ',';
+    joined += value;
+  }
+  return joined;
+}
+
+// "<lines>:<FNV-1a of the lines joined by newlines>".
+std::string FileDigest(SimDfs* dfs, const std::string& path) {
+  auto lines = dfs->ReadFile(path);
+  EXPECT_TRUE(lines.ok()) << path;
+  if (!lines.ok()) return "missing";
+  std::string joined;
+  for (const std::string& line : *lines) joined += line + "\n";
+  return std::to_string(lines->size()) + ":" +
+         std::to_string(Fnv1a64(joined));
+}
+
+// Every deterministic JobMetrics field, counters included.
+std::string MetricsDigest(const JobMetrics& m) {
+  std::string out = m.job_name;
+  for (uint64_t v :
+       {m.input_records, m.input_bytes, m.map_output_records,
+        m.map_output_bytes, m.map_direct_output_records,
+        m.map_direct_output_bytes, m.reduce_input_groups, m.output_records,
+        m.output_bytes, m.output_bytes_replicated,
+        static_cast<uint64_t>(m.full_scans_of_base), m.task_attempts,
+        m.tasks_retried, m.wasted_bytes}) {
+    out += " " + std::to_string(v);
+  }
+  for (const auto& [name, value] : m.counters) {
+    out += " " + name + "=" + std::to_string(value);
+  }
+  return out;
+}
+
+struct PinCase {
+  JobSpec spec;
+  std::vector<std::string> files;  // output files to digest, in order
+};
+
+std::vector<PinCase> PinCases() {
+  std::vector<PinCase> cases;
+  auto base_spec = [](const std::string& name) {
+    JobSpec spec;
+    spec.name = name;
+    spec.inputs.push_back(MapInput{"in_a", PinMapper(), nullptr});
+    spec.inputs.push_back(MapInput{"in_b", PinMapper(), nullptr});
+    spec.output_path = name + "_out";
+    return spec;
+  };
+
+  // Reduce: one record per value, numbered by its arrival position.
+  PinCase reduce{base_spec("reduce"), {"reduce_out"}};
+  reduce.spec.reduce = [](const std::string& key, const auto& values,
+                          const RecordEmit& emit, Counters* counters) {
+    (*counters)["groups"] += 1;
+    size_t position = 0;
+    for (const std::string& value : values) {
+      emit(key + "=" + value + "#" + std::to_string(position++));
+    }
+  };
+  cases.push_back(std::move(reduce));
+
+  // Combine: the combiner folds each task's values for a key into one
+  // value in arrival order; the reducer joins the folds in arrival order.
+  PinCase combine{base_spec("combine"), {"combine_out"}};
+  combine.spec.combine = [](const std::string&, const auto& values,
+                            Counters* counters) {
+    (*counters)["combine_calls"] += 1;
+    std::string folded;
+    for (const std::string& value : values) {
+      if (!folded.empty()) folded += '|';
+      folded += value;
+    }
+    return std::vector<std::string>{folded, std::to_string(values.size())};
+  };
+  combine.spec.reduce = [](const std::string& key, const auto& values,
+                           const RecordEmit& emit, Counters*) {
+    emit(key + ":" + ArrivalOrder(values));
+  };
+  cases.push_back(std::move(combine));
+
+  // Map-only: a filtered rewrite, written in map task order.
+  PinCase map_only{base_spec("map_only"), {"map_only_out"}};
+  map_only.spec.inputs[0].map = [](const std::string& record,
+                                   const MapEmit& emit, Counters* counters) {
+    if (record.size() % 3 == 0) return;
+    (*counters)["kept"] += 1;
+    emit("", record + "/" + std::to_string(record.size()));
+  };
+  cases.push_back(std::move(map_only));
+
+  // Demux: the reduce records routed by their last digit, plus one
+  // ensured output no record reaches.
+  PinCase demux{base_spec("demux"),
+                {"demux_out-0", "demux_out-1", "demux_out-2", "demux_out-3"}};
+  demux.spec.reduce = [](const std::string& key, const auto& values,
+                         const RecordEmit& emit, Counters*) {
+    for (const std::string& value : values) emit(key + "=" + value);
+  };
+  demux.spec.demux = [](const std::string& record) {
+    return "-" + std::to_string((record.back() - '0') % 3);
+  };
+  demux.spec.ensure_outputs = {"demux_out-3"};
+  cases.push_back(std::move(demux));
+  return cases;
+}
+
+TEST(RecordOrderPinTest, OutputFilesAndMetricsMatchRecordedConstants) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      kExpected = {
+          {"reduce 4000 36650 4000 36650 0 0 41 4000 48609 97218 0 0 0 0 "
+           "groups=41 mapped=4000",
+           {"4000:6580890463326775236"}},
+          {"combine 4000 36650 724 25492 0 0 41 41 22950 45900 0 0 0 0 "
+           "combine_calls=362 combine_input_records=4000 mapped=4000",
+           {"41:10768841447873968186"}},
+          {"map_only 4000 36650 0 0 2836 22286 0 2836 22286 44572 0 0 0 0 "
+           "kept=1336 mapped=1500",
+           {"2836:6347843311264652000"}},
+          {"demux 4000 36650 4000 36650 0 0 41 4000 36650 73300 0 0 0 0 "
+           "mapped=4000",
+           {"1600:7264180313965495254", "1200:18078366028600665744",
+            "1200:11256260009958023442", "0:14695981039346656037"}},
+      };
+  const std::vector<PinCase> cases = PinCases();
+  ASSERT_EQ(cases.size(), kExpected.size());
+  for (uint32_t threads : {0u, 2u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    for (size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE("job=" + cases[c].spec.name +
+                   " threads=" + std::to_string(threads));
+      SimDfs dfs(PinCluster());
+      ASSERT_TRUE(dfs.WriteFile("in_a", PinInput("a", 2500, 41, 7)).ok());
+      ASSERT_TRUE(dfs.WriteFile("in_b", PinInput("b", 1500, 29, 1)).ok());
+      JobRunOptions options;
+      options.pool = pool.get();
+      JobRunResult run = RunJob(&dfs, cases[c].spec, options);
+      ASSERT_TRUE(run.ok()) << run.status.ToString();
+      EXPECT_EQ(MetricsDigest(run.metrics), kExpected[c].first);
+      ASSERT_EQ(cases[c].files.size(), kExpected[c].second.size());
+      for (size_t f = 0; f < cases[c].files.size(); ++f) {
+        EXPECT_EQ(FileDigest(&dfs, cases[c].files[f]),
+                  kExpected[c].second[f])
+            << cases[c].files[f];
+      }
+    }
   }
 }
 
@@ -229,14 +424,14 @@ TEST(CombinerScopeTest, CombinerRunsPerBlockTaskNotPerFile) {
       },
       nullptr});
   spec.combine = [](const std::string&,
-                    const std::vector<std::string>& values,
+                    std::span<const std::string> values,
                     Counters* counters) {
     (*counters)["combine_calls"] += 1;
     // Dedup combiner: all values are "v", so one survives per scope.
     return std::vector<std::string>{values[0]};
   };
   spec.reduce = [](const std::string& key,
-                   const std::vector<std::string>& values,
+                   std::span<const std::string> values,
                    const RecordEmit& emit, Counters*) {
     emit(key + ":" + std::to_string(values.size()));
   };

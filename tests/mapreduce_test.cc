@@ -36,7 +36,7 @@ MapFn WordMapper() {
 }
 
 ReduceFn CountReducer() {
-  return [](const std::string& key, const std::vector<std::string>& values,
+  return [](const std::string& key, std::span<const std::string> values,
             const RecordEmit& emit, Counters*) {
     emit(key + "=" + std::to_string(values.size()));
   };
@@ -78,7 +78,7 @@ TEST(JobRunnerTest, ReducerSeesValuesInEmissionOrder) {
       },
       nullptr});
   job.reduce = [](const std::string& key,
-                  const std::vector<std::string>& values,
+                  std::span<const std::string> values,
                   const RecordEmit& emit, Counters*) {
     emit(key + ":" + Join(values, ','));
   };
@@ -108,9 +108,9 @@ TEST(JobRunnerTest, MultipleInputsWithDistinctMappers) {
       },
       nullptr});
   job.reduce = [](const std::string& key,
-                  const std::vector<std::string>& values,
+                  std::span<const std::string> values,
                   const RecordEmit& emit, Counters*) {
-    std::vector<std::string> sorted = values;
+    std::vector<std::string> sorted(values.begin(), values.end());
     std::sort(sorted.begin(), sorted.end());
     emit(key + ":" + Join(sorted, '+'));
   };
@@ -231,7 +231,7 @@ TEST(CombinerTest, ShuffleMeteredPostCombinePerBlockMapTask) {
       },
       nullptr});
   job.combine = [](const std::string&,
-                   const std::vector<std::string>& values, Counters*) {
+                   std::span<const std::string> values, Counters*) {
     std::set<std::string> distinct(values.begin(), values.end());
     return std::vector<std::string>(distinct.begin(), distinct.end());
   };
@@ -303,7 +303,7 @@ TEST(JobRunnerTest, CountersFlowToMetrics) {
         emit("k", "v");
       },
       nullptr});
-  job.reduce = [](const std::string&, const std::vector<std::string>& v,
+  job.reduce = [](const std::string&, std::span<const std::string> v,
                   const RecordEmit& emit, Counters* c) {
     (*c)["reduce_values"] += v.size();
     emit("done");
@@ -369,7 +369,7 @@ TEST(JobRunnerTest, OutputFailureSurfacesOutOfSpace) {
       },
       nullptr});
   job.reduce = [](const std::string& key,
-                  const std::vector<std::string>& values,
+                  std::span<const std::string> values,
                   const RecordEmit& emit, Counters*) {
     for (const std::string& v : values) emit(key + v);
   };
@@ -390,14 +390,14 @@ TEST(CombinerTest, DeduplicatingCombinerShrinksShuffleNotAnswers) {
     job.inputs.push_back(MapInput{"in", WordMapper(), nullptr});
     if (with_combiner) {
       job.combine = [](const std::string&,
-                       const std::vector<std::string>& values, Counters*) {
+                       std::span<const std::string> values, Counters*) {
         std::set<std::string> distinct(values.begin(), values.end());
         return std::vector<std::string>(distinct.begin(), distinct.end());
       };
     }
     // Reduce counts DISTINCT values, so combining is semantics-preserving.
     job.reduce = [](const std::string& key,
-                    const std::vector<std::string>& values,
+                    std::span<const std::string> values,
                     const RecordEmit& emit, Counters*) {
       std::set<std::string> distinct(values.begin(), values.end());
       emit(key + "=" + std::to_string(distinct.size()));
@@ -435,12 +435,12 @@ TEST(CombinerTest, AppliedPerInputTask) {
     job.inputs.push_back(MapInput{path, WordMapper(), nullptr});
   }
   job.combine = [](const std::string&,
-                   const std::vector<std::string>& values, Counters*) {
+                   std::span<const std::string> values, Counters*) {
     std::set<std::string> distinct(values.begin(), values.end());
     return std::vector<std::string>(distinct.begin(), distinct.end());
   };
   job.reduce = [](const std::string& key,
-                  const std::vector<std::string>& values,
+                  std::span<const std::string> values,
                   const RecordEmit& emit, Counters*) {
     emit(key + ":" + std::to_string(values.size()));
   };
@@ -543,8 +543,8 @@ TEST(WorkflowTest, FailedFinalOutputRemoved) {
 TEST(WorkflowTest, DescribeRendersJobsInOrder) {
   WorkflowSpec spec = TwoStageWorkflow();
   spec.jobs[1].combine = [](const std::string&,
-                            const std::vector<std::string>& v, Counters*) {
-    return v;
+                            std::span<const std::string> v, Counters*) {
+    return std::vector<std::string>(v.begin(), v.end());
   };
   std::string rendered = DescribeWorkflow(spec);
   EXPECT_NE(rendered.find("two-stage"), std::string::npos);

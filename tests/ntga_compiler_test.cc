@@ -141,7 +141,7 @@ TEST(NtgaCompilerTest, JoinCycleDropsBadInputs) {
           {tag + no_site, partial ? 1 : 0}};
       for (const auto& [value, bad] : cases) {
         Counters counters;
-        join.reduce("k", {value}, reduce_emit, &counters);
+        join.reduce("k", {&value, 1}, reduce_emit, &counters);
         EXPECT_EQ(counters["bad_records"], bad) << EscapeField(value, '\x1F');
       }
     }

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "rdf/dictionary.h"
 #include "rdf/graph_stats.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -229,34 +228,6 @@ TEST(NTriplesTest, LoadToEngineTriples) {
   ASSERT_EQ(triples->size(), 2u);
   EXPECT_EQ((*triples)[0], Triple("gene9", "xGO", "go1"));
   EXPECT_EQ((*triples)[1], Triple("gene9", "label", "retinoid"));
-}
-
-// ---- Dictionary ------------------------------------------------------------
-
-TEST(DictionaryTest, InternIsIdempotent) {
-  Dictionary dict;
-  uint32_t a = dict.Intern("gene9");
-  uint32_t b = dict.Intern("xGO");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(dict.Intern("gene9"), a);
-  EXPECT_EQ(dict.size(), 2u);
-  EXPECT_EQ(dict.At(a), "gene9");
-  EXPECT_EQ(dict.At(b), "xGO");
-}
-
-TEST(DictionaryTest, LookupMissing) {
-  Dictionary dict;
-  dict.Intern("present");
-  EXPECT_TRUE(dict.Lookup("present").ok());
-  EXPECT_TRUE(dict.Lookup("absent").status().IsNotFound());
-}
-
-TEST(DictionaryTest, TracksStringBytes) {
-  Dictionary dict;
-  dict.Intern("abc");
-  dict.Intern("de");
-  dict.Intern("abc");  // no growth
-  EXPECT_EQ(dict.StringBytes(), 5u);
 }
 
 // ---- GraphStats ------------------------------------------------------------

@@ -424,7 +424,8 @@ TEST(StarJoinTest, CountsRejectedLines) {
   std::vector<std::string> records;
   Counters counters;
   reduce("s",
-         {"s\tp", Triple("s", "p", "o").Serialize(), "s\tp\to\tx"},
+         std::vector<std::string>{"s\tp", Triple("s", "p", "o").Serialize(),
+                                  "s\tp\to\tx"},
          [&records](std::string record) {
            records.push_back(std::move(record));
          },
@@ -597,8 +598,9 @@ TEST(RelCompilerTest, JoinCycleDropsBadInputs) {
   std::vector<std::string> joined;
   Counters reduce_counters;
   join.reduce("f1",
-              {"L|" + TupleLine(left), TupleLine(left), "L|" + wrong_arity,
-               "L|" + TupleLine(inconsistent), "R|" + TupleLine(right)},
+              std::vector<std::string>{
+                  "L|" + TupleLine(left), TupleLine(left), "L|" + wrong_arity,
+                  "L|" + TupleLine(inconsistent), "R|" + TupleLine(right)},
               [&joined](std::string record) {
                 joined.push_back(std::move(record));
               },
@@ -621,7 +623,7 @@ TEST(RelCompilerTest, SelSjFirstJoinCountsBadLeftTuples) {
   Counters counters;
   size_t outputs = 0;
   plan.workflow.jobs[1].reduce(
-      "k", {"untagged", "L|wrong\tarity"},
+      "k", std::vector<std::string>{"untagged", "L|wrong\tarity"},
       [&outputs](std::string) { ++outputs; }, &counters);
   EXPECT_EQ(outputs, 0u);
   // Both the untagged value and the wrong arity are bad records.
