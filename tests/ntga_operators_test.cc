@@ -438,52 +438,74 @@ TEST(ExpandTest, BetaUnnestPreservesExpansion) {
   EXPECT_EQ(Expand({star}, *tg), ExpandAll({star}, Unnest(star, *tg)));
 }
 
-// Randomized operator-level equivalence sweep.
-class RandomizedExpandTest : public ::testing::TestWithParam<uint64_t> {};
+// Randomized operator-level equivalence sweep: σ^βγ builds a subject's
+// group and its expansion equals the reference matcher's solutions over the
+// subject's distinct triples (as sets, including empty results). Random
+// stars mix bound and unbound properties, constant objects, CONTAINS
+// filters, OPTIONAL patterns, a variable repeated within a pattern
+// (?s p ?s) and across patterns (an object or property variable shared by
+// two patterns); random groups repeat values and carry leaves with tabs,
+// backslashes and newlines.
+TEST(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
+  static const std::vector<std::string> kLeaves = {
+      "a", "b", "a\tb", "x\\", "\\s", "l\nm", "", "sub\tj", "tok_a"};
+  static const std::vector<std::string> kProperties = {"p", "q", "r\t"};
+  Rng rng(20261020);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.Uniform(from.size())];
+  };
+  size_t with_matches = 0;
+  for (int round = 0; round < 600; ++round) {
+    StarPattern star;
+    star.subject_var = "s";
+    const size_t k = 1 + rng.Uniform(4);
+    for (size_t i = 0; i < k; ++i) {
+      const bool optional = i > 0 && rng.Chance(0.25);
+      // An OPTIONAL pattern's variables must be fresh.
+      const std::string fresh = std::to_string(i);
+      const std::string filter = rng.Chance(0.2) ? "tok" : "";
+      NodePattern object =
+          rng.Chance(0.2)   ? NodePattern::Const(pick(kLeaves))
+          : optional        ? NodePattern::Var("f" + fresh, filter)
+          : rng.Chance(0.2) ? NodePattern::Var("s")
+                            : NodePattern::Var(rng.Chance(0.5) ? "o" : "u",
+                                               filter);
+      TriplePattern tp =
+          rng.Chance(0.4)
+              ? TriplePattern::Unbound(NodePattern::Var("s"),
+                                       optional ? "fp" + fresh
+                                       : rng.Chance(0.5) ? "v"
+                                                         : "w",
+                                       std::move(object))
+              : TriplePattern::Bound(NodePattern::Var("s"),
+                                     pick(kProperties), std::move(object));
+      tp.optional = optional;
+      star.patterns.push_back(std::move(tp));
+    }
 
-TEST_P(RandomizedExpandTest, BuildPlusExpandEqualsMatcher) {
-  Rng rng(GetParam());
-  // Random star: 1-2 bound patterns, 1-2 unbound (possibly filtered).
-  StarPattern star;
-  star.subject_var = "s";
-  size_t num_bound = 1 + rng.Uniform(2);
-  size_t num_unbound = 1 + rng.Uniform(2);
-  for (size_t i = 0; i < num_bound; ++i) {
-    star.patterns.push_back(TriplePattern::Bound(
-        NodePattern::Var("s"),
-        "bp" + std::to_string(rng.Uniform(3)),
-        NodePattern::Var("bo" + std::to_string(i))));
-  }
-  for (size_t i = 0; i < num_unbound; ++i) {
-    std::string filter = rng.Chance(0.5) ? "tok" : "";
-    star.patterns.push_back(TriplePattern::Unbound(
-        NodePattern::Var("s"), "up" + std::to_string(i),
-        NodePattern::Var("uo" + std::to_string(i), filter)));
-  }
-  // Random subject pairs over a small vocabulary.
-  std::vector<Pair> pairs;
-  std::vector<Triple> triples;
-  size_t num_pairs = 2 + rng.Uniform(8);
-  for (size_t i = 0; i < num_pairs; ++i) {
-    std::string p = "bp" + std::to_string(rng.Uniform(5));
-    std::string o = StringFormat("%sobj%llu", rng.Chance(0.4) ? "tok_" : "",
-                                 static_cast<unsigned long long>(
-                                     rng.Uniform(6)));
-    pairs.push_back(Pair{p, o});
-    triples.emplace_back("s", p, o);
-  }
-  std::sort(triples.begin(), triples.end());
-  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+    const std::string subject = rng.Chance(0.5) ? "sub\tj" : "a";
+    std::vector<Pair> pairs;
+    std::vector<Triple> triples;
+    for (size_t n = rng.Uniform(9); n > 0; --n) {
+      Pair po{pick(kProperties), rng.Chance(0.15) ? subject : pick(kLeaves)};
+      for (size_t copies = rng.Chance(0.3) ? 2 : 1; copies > 0; --copies) {
+        pairs.push_back(po);
+      }
+      triples.emplace_back(subject, po.property, po.object);
+    }
+    std::sort(triples.begin(), triples.end());
+    triples.erase(std::unique(triples.begin(), triples.end()),
+                  triples.end());
 
-  auto tg = Group(star, "s", pairs);
-  EXPECT_EQ(tg.has_value() ? Expand({star}, *tg) : SolutionSet(),
-            SolutionSet(MatchStar(star, triples)))
-      << "seed " << GetParam() << ": operator pipeline must agree with the "
-      << "reference matcher (including empty results)";
+    const SolutionSet expected(MatchStar(star, triples));
+    auto tg = Group(star, subject, pairs);
+    EXPECT_EQ(tg.has_value() ? Expand({star}, *tg) : SolutionSet(), expected)
+        << "round " << round << ": " << star.ToString()
+        << ": operator pipeline must agree with the reference matcher";
+    if (expected.size() > 0) ++with_matches;
+  }
+  EXPECT_GT(with_matches, 150u) << "too few groups match to cover expansion";
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedExpandTest,
-                         ::testing::Range<uint64_t>(0, 40));
 
 // ---- μ^β / μ^β_φm properties over escape-heavy records ----------------------
 
