@@ -2,8 +2,8 @@
 // queue-depth distributions. Fixed memory, O(1) Add, approximate
 // percentiles (upper bucket bound), mergeable, JSON-exportable.
 //
-// Not internally synchronized: owners guard it with their own mutex (the
-// service records under its stats lock).
+// Histogram is a plain, unsynchronized value; threads record into an
+// AtomicHistogram (the service, HistogramMetric) and read a snapshot.
 
 #ifndef RDFMR_COMMON_HISTOGRAM_H_
 #define RDFMR_COMMON_HISTOGRAM_H_

@@ -9,10 +9,10 @@
 // the units listed in kMetricUnits (total, bytes, seconds, micros,
 // records, groups, calls, ratio, count).
 //
-// Thread-safety: registration is mutex-guarded; Counter/Gauge updates are
-// lock-free relaxed atomics; HistogramMetric guards the underlying
-// Histogram with its own mutex. Returned metric pointers stay valid until
-// ResetForTesting() is called on the owning registry.
+// Thread-safety: registration is mutex-guarded; Counter, Gauge and
+// HistogramMetric updates are lock-free relaxed atomics (a HistogramMetric
+// records into an AtomicHistogram). Returned metric pointers stay valid
+// until ResetForTesting() is called on the owning registry.
 //
 // The registry also owns the global operator-instrumentation gate: the
 // σ^βγ/μ^β operators only take clock readings when a sink (trace export,
@@ -62,22 +62,10 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief Mutex-guarded power-of-two Histogram (see common/histogram.h).
-class HistogramMetric {
- public:
-  void Observe(uint64_t value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    histogram_.Add(value);
-  }
-  Histogram Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return histogram_;
-  }
-
- private:
-  friend class MetricsRegistry;
-  mutable std::mutex mu_;
-  Histogram histogram_;
+/// \brief A registry histogram: an AtomicHistogram (common/histogram.h),
+/// so Observe never blocks and Snapshot folds a Histogram.
+struct HistogramMetric : AtomicHistogram {
+  void Observe(uint64_t value) { Add(value); }
 };
 
 class MetricsRegistry {

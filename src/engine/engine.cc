@@ -110,18 +110,14 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
       (*counters)["bad_records"] += 1;
       return;
     }
-    // Each wanted variable's slot; one that no row binds gets the width.
-    const std::vector<std::string>& vars = rows->variables();
+    // Each wanted variable's slot, or kNoSlot when no row binds it.
     std::vector<size_t> slots;
     for (const std::string& var : wanted) {
-      auto it = std::lower_bound(vars.begin(), vars.end(), var);
-      slots.push_back(it != vars.end() && *it == var
-                          ? static_cast<size_t>(it - vars.begin())
-                          : vars.size());
+      slots.push_back(SlotOf(rows->variables(), var));
     }
     for (size_t r = 0; r < rows->size(); ++r) {
       if (std::any_of(slots.begin(), slots.end(), [&](size_t slot) {
-            return slot == vars.size() ||
+            return slot == kNoSlot ||
                    rows->handle(r, slot) == SolutionSet::kUnbound;
           })) {
         (*counters)["incomplete_solutions"] += 1;

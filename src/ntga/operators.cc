@@ -320,50 +320,10 @@ namespace {
 
 // Answer extraction works on the query's variables as slots, numbered in
 // variable name order, holding handles of the terms interned from the
-// records: candidate products bind and unbind slots in place, equal terms
-// have equal handles, and rows go to the answer table as they are.
+// records: the star walk binds and unbinds slots in place, equal terms have
+// equal handles, and rows go to the answer table as they are.
 using Handle = SolutionSet::Handle;
 constexpr Handle kUnbound = SolutionSet::kUnbound;
-constexpr size_t kNoSlot = TgAnswerPlan::kNoSlot;
-
-struct SlotValue {
-  size_t slot;
-  Handle value;
-};
-
-// The bindings of one candidate pair of one pattern (at most subject,
-// property and object), distinct slots.
-struct Candidate {
-  SlotValue entries[3];
-  size_t size = 0;
-
-  // Adds slot=value; false if the slot already holds a different value.
-  bool Bind(size_t slot, Handle value) {
-    for (size_t k = 0; k < size; ++k) {
-      if (entries[k].slot == slot) return entries[k].value == value;
-    }
-    entries[size++] = SlotValue{slot, value};
-    return true;
-  }
-};
-
-// Binds `cand` into `row`; returns false on a conflicting slot. The slots
-// it newly set are recorded in `set` so the caller can undo them.
-bool BindCandidate(const Candidate& cand, Handle* row, size_t set[3],
-                   size_t* num_set) {
-  *num_set = 0;
-  for (size_t k = 0; k < cand.size; ++k) {
-    const SlotValue& e = cand.entries[k];
-    Handle& slot = row[e.slot];
-    if (slot == kUnbound) {
-      slot = e.value;
-      set[(*num_set)++] = e.slot;
-    } else if (slot != e.value) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Expands triplegroup records into rows of handles over the variable slots
 // of `stars`, interning the leaves it binds into one builder. Scratch
@@ -419,82 +379,25 @@ class RowExpander {
     return h;
   }
 
+  // The rows of component `c` (of star `star_index`): each pattern's
+  // candidates (ForEachCandidate) bound as leaf handles, walked.
   void ExpandComponent(size_t star_index, const TgRecordReader& record,
                        const TgRecordReader::Component& c,
                        std::vector<Handle>* rows) {
     const StarPattern& star = plan_.stars()[star_index];
-    if (candidates_.size() < star.patterns.size()) {
-      candidates_.resize(star.patterns.size());
-    }
-    mandatory_.clear();
     rows->clear();
+    walk_.Start(star.patterns, width_, kUnbound);
     for (size_t i = 0; i < star.patterns.size(); ++i) {
-      const TriplePattern& tp = star.patterns[i];
-      std::vector<Candidate>& candidates = candidates_[i];
-      candidates.clear();
-      const auto [subject_slot, property_slot, object_slot] =
-          plan_.slots(star_index)[i];
       const auto add = [&](uint32_t property, uint32_t object) {
-        Candidate cand;
-        if (subject_slot != kNoSlot) {
-          cand.Bind(subject_slot, LeafHandle(c.subject));
-        }
-        if (property_slot != kNoSlot &&
-            !cand.Bind(property_slot, LeafHandle(property))) {
-          return;
-        }
-        if (object_slot != kNoSlot &&
-            !cand.Bind(object_slot, LeafHandle(object))) {
-          return;
-        }
-        candidates.push_back(cand);
+        const uint32_t leaves[3] = {c.subject, property, object};
+        walk_.Add(i, plan_.slots(star_index, i),
+                  [&](size_t j) { return LeafHandle(leaves[j]); });
       };
-      ForEachCandidate(tp, i, record, c, add);
-      if (tp.optional) continue;
-      if (candidates.empty()) return;
-      mandatory_.push_back(&candidates);
+      ForEachCandidate(star.patterns[i], i, record, c, add);
     }
-    row_.assign(width_, kUnbound);
-    ExpandRecurse(0, rows);
-
-    // Left-join the optional patterns (extend when compatible, else keep).
-    for (size_t i = 0; i < star.patterns.size(); ++i) {
-      if (!star.patterns[i].optional) continue;
-      extended_.clear();
-      for (size_t r = 0; r < rows->size(); r += width_) {
-        bool any = false;
-        for (const Candidate& cand : candidates_[i]) {
-          merged_.assign(rows->begin() + r, rows->begin() + r + width_);
-          size_t set[3];
-          size_t num_set;
-          if (BindCandidate(cand, merged_.data(), set, &num_set)) {
-            any = true;
-            extended_.insert(extended_.end(), merged_.begin(), merged_.end());
-          }
-        }
-        if (!any) {
-          extended_.insert(extended_.end(), rows->begin() + r,
-                           rows->begin() + r + width_);
-        }
-      }
-      rows->swap(extended_);
-    }
-  }
-
-  // The product of the mandatory patterns' candidates, in candidate order.
-  void ExpandRecurse(size_t level, std::vector<Handle>* rows) {
-    if (level == mandatory_.size()) {
-      rows->insert(rows->end(), row_.begin(), row_.end());
-      return;
-    }
-    for (const Candidate& cand : *mandatory_[level]) {
-      size_t set[3];
-      size_t num_set;
-      if (BindCandidate(cand, row_.data(), set, &num_set)) {
-        ExpandRecurse(level + 1, rows);
-      }
-      for (size_t k = 0; k < num_set; ++k) row_[set[k]] = kUnbound;
-    }
+    walk_.Run([rows](std::span<const Handle> row, std::span<const uint32_t>) {
+      rows->insert(rows->end(), row.begin(), row.end());
+    });
   }
 
   // acc_ := every consistent merge of an acc_ row with an expanded_ row.
@@ -524,40 +427,22 @@ class RowExpander {
   const size_t width_;
   const std::vector<std::string_view>* leaves_ = nullptr;
   std::vector<Handle> handles_;  // per leaf of the current record
-  std::vector<std::vector<Candidate>> candidates_;
-  std::vector<const std::vector<Candidate>*> mandatory_;
-  std::vector<Handle> row_, merged_, acc_, expanded_, next_, extended_;
+  StarWalk<Handle> walk_;
+  std::vector<Handle> acc_, expanded_, next_;
 };
 
 }  // namespace
 
 TgAnswerPlan::TgAnswerPlan(std::vector<StarPattern> stars)
-    : stars_(std::move(stars)) {
-  for (const StarPattern& star : stars_) {
-    for (const TriplePattern& tp : star.patterns) {
-      for (std::string& var : tp.Variables()) {
-        variables_.push_back(std::move(var));
-      }
-    }
-  }
-  std::sort(variables_.begin(), variables_.end());
-  variables_.erase(std::unique(variables_.begin(), variables_.end()),
-                   variables_.end());
-  auto slot_of = [this](const std::string& var) {
-    return static_cast<size_t>(
-        std::lower_bound(variables_.begin(), variables_.end(), var) -
-        variables_.begin());
-  };
-  for (const StarPattern& star : stars_) {
-    std::vector<PatternSlots>& slots = slots_.emplace_back();
-    for (const TriplePattern& tp : star.patterns) {
-      slots.push_back(PatternSlots{
-          tp.subject.is_variable() ? slot_of(tp.subject.value) : kNoSlot,
-          tp.property_bound ? kNoSlot : slot_of(tp.property),
-          tp.object.is_variable() ? slot_of(tp.object.value) : kNoSlot});
-    }
-  }
-}
+    : stars_(std::move(stars)), slots_([this] {
+        std::vector<TriplePattern> patterns;  // star after star
+        for (const StarPattern& star : stars_) {
+          first_pattern_.push_back(patterns.size());
+          patterns.insert(patterns.end(), star.patterns.begin(),
+                          star.patterns.end());
+        }
+        return SlotPlan(std::move(patterns));
+      }()) {}
 
 Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
                                           std::span<const std::string> lines) {

@@ -12,7 +12,8 @@
 //  * DecodeJoinedTgAnswers — final answer extraction: enumerates the
 //                            solution mappings triplegroup records
 //                            implicitly represent (content equivalence,
-//                            Lemma 1).
+//                            Lemma 1) through the star walk the
+//                            relational star join uses too.
 
 #ifndef RDFMR_NTGA_OPERATORS_H_
 #define RDFMR_NTGA_OPERATORS_H_
@@ -27,6 +28,7 @@
 #include "ntga/triplegroup.h"
 #include "query/pattern.h"
 #include "query/solution.h"
+#include "query/star_walk.h"
 #include "rdf/triple.h"
 
 namespace rdfmr {
@@ -128,40 +130,38 @@ class BetaUnnester {
 };
 
 /// \brief How DecodeJoinedTgAnswers binds records of `stars` (indexed by
-/// the star ids their components carry): the stars' variables, sorted, as
-/// slots, and the slot of each pattern's subject, property and object.
-/// Built once per compiled plan and shared by every decode.
+/// the star ids their components carry): one SlotPlan over the stars'
+/// patterns, star after star, so the slots are the stars' variables,
+/// sorted. Built once per compiled plan and shared by every decode.
 class TgAnswerPlan {
  public:
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-  struct PatternSlots {
-    size_t subject, property, object;
-  };
-
   explicit TgAnswerPlan(std::vector<StarPattern> stars);
 
   const std::vector<StarPattern>& stars() const { return stars_; }
-  const std::vector<std::string>& variables() const { return variables_; }
-  /// \brief Per pattern of star `star`, in pattern order.
-  const std::vector<PatternSlots>& slots(size_t star) const {
-    return slots_[star];
+  const std::vector<std::string>& variables() const {
+    return slots_.variables();
+  }
+  /// \brief The subject, property and object slots of pattern `pattern`
+  /// of star `star`.
+  const SlotPlan::PatternSlots& slots(size_t star, size_t pattern) const {
+    return slots_.slots(first_pattern_[star] + pattern);
   }
 
  private:
   std::vector<StarPattern> stars_;
-  std::vector<std::string> variables_;
-  std::vector<std::vector<PatternSlots>> slots_;
+  std::vector<size_t> first_pattern_;  // per star, its first pattern's index
+  SlotPlan slots_;
 };
 
 /// \brief Decodes triplegroup records into the set of the solution
-/// mappings they implicitly represent: per record, each component's (bound
-/// pairs x unbound candidates, with shared-variable consistency) for its
-/// star, merged across components; inconsistent combinations (residual
-/// join predicates) drop out. Records are read as views (TgRecordReader)
-/// and expanded straight into the table's handle rows, so each distinct
-/// term is copied once. Fails with IoError on a record TgRecordReader
-/// rejects or a component naming a star outside the plan's stars.
+/// mappings they implicitly represent: per record, each component's
+/// matches for its star (ForEachCandidate's candidates, enumerated by the
+/// one star walk, query/star_walk.h), merged across components;
+/// inconsistent combinations (residual join predicates) drop out. Records
+/// are read as views (TgRecordReader) and expanded straight into the
+/// table's handle rows, so each distinct term is copied once. Fails with
+/// IoError on a record TgRecordReader rejects or a component naming a
+/// star outside the plan's stars.
 Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
                                           std::span<const std::string> lines);
 

@@ -1,8 +1,10 @@
 // Reference matcher: enumerates solution mappings of star patterns over a
 // subject's triples. It is the in-memory oracle the engines are judged
-// against (tests, the fuzzer, the quickstart example); no engine calls its
-// star enumerator. MatchesTriplePattern is the one triple-vs-pattern test
-// every engine shares.
+// against (tests, the fuzzer, the quickstart example). No engine calls its
+// star enumerator, and it uses neither the engines' star walk nor their
+// slot plan (query/star_walk.h): the judge stays independent of the code
+// it judges. MatchesTriplePattern is the one triple-vs-pattern test every
+// engine shares.
 
 #ifndef RDFMR_QUERY_MATCHER_H_
 #define RDFMR_QUERY_MATCHER_H_

@@ -150,17 +150,17 @@ std::string Solution::Serialize() const {
 
 // ---- SolutionSet ------------------------------------------------------------
 
+size_t SlotOf(std::span<const std::string> variables, std::string_view var) {
+  auto it = std::lower_bound(variables.begin(), variables.end(), var);
+  return it != variables.end() && *it == var
+             ? static_cast<size_t>(it - variables.begin())
+             : kNoSlot;
+}
+
 namespace {
 
 using Handle = SolutionSet::Handle;
 constexpr Handle kUnbound = SolutionSet::kUnbound;
-
-size_t SlotOf(const std::vector<std::string>& variables,
-              std::string_view var) {
-  return static_cast<size_t>(
-      std::lower_bound(variables.begin(), variables.end(), var) -
-      variables.begin());
-}
 
 // Sorts rows of order keys (`*count` rows of `width` keys, each below
 // `num_keys`; see Finish) and returns them as handle rows in canonical

@@ -181,6 +181,13 @@ class SolutionSet {
   size_t size_ = 0;
 };
 
+/// \brief The slot a variable list has no entry for.
+inline constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+/// \brief The slot of `var` in `variables` (sorted and distinct, slot k
+/// naming variables[k]), or kNoSlot.
+size_t SlotOf(std::span<const std::string> variables, std::string_view var);
+
 /// \brief Fills a SolutionSet: terms are interned into handles as rows are
 /// added, and Finish() sorts and deduplicates the rows once.
 class SolutionSet::Builder {

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "query/base_scan.h"
 #include "query/matcher.h"
+#include "query/star_walk.h"
 #include "rdf/triple.h"
 #include "relational/rel_tuple.h"
 
@@ -33,124 +34,53 @@ MapInput MakeStarScan(const std::string& path, const StarPattern& star) {
 // ---- Star joins -------------------------------------------------------------
 
 // One star's join, compiled once per star. Match() enumerates the star's
-// matches over a subject's distinct triples in MatchStarDetailed's order:
-// per-pattern candidates, the product of the mandatory patterns (the first
-// outermost), then each OPTIONAL pattern left-joined in pattern order — a
-// depth-first walk over the mandatory patterns, then the optional ones.
-// Variables are slots bound to field views, so a repeated variable is
-// checked by comparing views. A match's record is its triples' lines side
-// by side, an unmatched OPTIONAL column three empty fields.
+// matches over a subject's distinct triples through the one star walk
+// (query/star_walk.h), each pattern's candidates being the triples that
+// pass MatchesTriplePattern, bound as field views. A match's record is its
+// triples' lines side by side, an unmatched OPTIONAL column three empty
+// fields.
 class StarMatcher {
  public:
-  explicit StarMatcher(const StarPattern& star)
-      : patterns_(star.patterns),
-        slots_(patterns_),
-        width_(slots_.variables().size()) {
-    for (bool optional : {false, true}) {
-      for (size_t p = 0; p < patterns_.size(); ++p) {
-        if (patterns_[p].optional == optional) order_.push_back(p);
-      }
-    }
-  }
+  explicit StarMatcher(const StarPattern& star) : slots_(star.patterns) {}
 
   // Emits the record of each match over `triples` (distinct, sorted);
   // returns the match count.
   size_t Match(const std::vector<TripleView>& triples,
                const RecordEmit& emit) const {
-    std::vector<std::vector<uint32_t>> candidates(patterns_.size());
-    for (size_t p = 0; p < patterns_.size(); ++p) {
+    using Walk = StarWalk<std::string_view>;
+    Walk walk;
+    const std::vector<TriplePattern>& patterns = slots_.patterns();
+    walk.Start(patterns, slots_.width(), std::string_view());
+    // The triple each candidate binds.
+    std::vector<uint32_t> sources;
+    for (size_t p = 0; p < patterns.size(); ++p) {
       for (uint32_t t = 0; t < triples.size(); ++t) {
-        if (MatchesTriplePattern(patterns_[p], triples[t].subject,
-                                 triples[t].property, triples[t].object)) {
-          candidates[p].push_back(t);
+        const TripleView& v = triples[t];
+        const std::string_view fields[3] = {v.subject, v.property, v.object};
+        if (MatchesTriplePattern(patterns[p], fields[0], fields[1],
+                                 fields[2])) {
+          walk.Add(p, slots_.slots(p), [&](size_t j) { return fields[j]; });
+          sources.push_back(t);
         }
       }
     }
-    Walk walk{*this,
-              triples,
-              emit,
-              std::move(candidates),
-              std::vector<uint32_t>(patterns_.size(), kNoTriple),
-              std::vector<const std::string_view*>(
-                  (order_.size() + 1) * width_, nullptr)};
-    walk.Visit(0);
-    return walk.matches;
+    return walk.Run([&](std::span<const std::string_view> /*row*/,
+                        std::span<const uint32_t> chosen) {
+      std::string record;
+      for (size_t p = 0; p < chosen.size(); ++p) {
+        if (p > 0) record.push_back('\t');
+        if (chosen[p] == Walk::kNone) {
+          record.append("\t\t");
+        } else {
+          triples[sources[chosen[p]]].AppendLine(&record);
+        }
+      }
+      emit(std::move(record));
+    });
   }
 
  private:
-  static constexpr uint32_t kNoTriple = static_cast<uint32_t>(-1);
-
-  // One Match() call's state. Level L of the walk binds pattern order_[L];
-  // its bindings extend row L of `rows` into row L + 1 (a slot holds the
-  // field view bound to it, or null).
-  struct Walk {
-    const StarMatcher& m;
-    const std::vector<TripleView>& triples;
-    const RecordEmit& emit;
-    std::vector<std::vector<uint32_t>> candidates;  // per pattern
-    std::vector<uint32_t> choice;                   // per pattern
-    std::vector<const std::string_view*> rows;
-    size_t matches = 0;
-
-    void Visit(size_t level) {
-      if (level == m.order_.size()) {
-        Write();
-        return;
-      }
-      const size_t p = m.order_[level];
-      const std::string_view** row = rows.data() + level * m.width_;
-      bool any = false;
-      for (uint32_t t : candidates[p]) {
-        std::copy(row, row + m.width_, row + m.width_);
-        if (!Bind(p, triples[t], row + m.width_)) continue;
-        any = true;
-        choice[p] = t;
-        Visit(level + 1);
-      }
-      choice[p] = kNoTriple;
-      if (!any && m.patterns_[p].optional) {
-        std::copy(row, row + m.width_, row + m.width_);
-        Visit(level + 1);
-      }
-    }
-
-    // Binds pattern `p`'s variable fields of `t` into `row`; false when a
-    // slot already holds another value.
-    bool Bind(size_t p, const TripleView& t,
-              const std::string_view** row) const {
-      const std::string_view* fields[3] = {&t.subject, &t.property,
-                                           &t.object};
-      for (size_t j = 0; j < 3; ++j) {
-        const size_t slot = m.slots_.FieldSlot(3 * p + j);
-        if (slot == RelRecordReader::kNoSlot) continue;
-        if (row[slot] == nullptr) {
-          row[slot] = fields[j];
-        } else if (*row[slot] != *fields[j]) {
-          return false;
-        }
-      }
-      return true;
-    }
-
-    void Write() {
-      std::string record;
-      for (size_t p = 0; p < choice.size(); ++p) {
-        if (p > 0) record.push_back('\t');
-        if (choice[p] == kNoTriple) {
-          record.append("\t\t");
-        } else {
-          triples[choice[p]].AppendLine(&record);
-        }
-      }
-      ++matches;
-      emit(std::move(record));
-    }
-  };
-
-  std::vector<TriplePattern> patterns_;
-  RelRecordReader slots_;  // the record grammar's slot plan of the star
-  size_t width_;
-  std::vector<size_t> order_;  // mandatory patterns, then optional ones
+  SlotPlan slots_;
 };
 
 // Star-join reducer: reads a subject's triple lines as views, keeps the

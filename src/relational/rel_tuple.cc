@@ -1,7 +1,5 @@
 #include "relational/rel_tuple.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "query/matcher.h"
 
@@ -16,37 +14,12 @@ std::string JoinTupleRecords(std::string_view left, std::string_view right) {
   return out;
 }
 
-RelRecordReader::RelRecordReader(const RelSchema& schema) {
-  auto plan = std::make_shared<Plan>();
-  plan_ = plan;  // SlotOf reads plan->vars below
-  plan->schema = schema;
-  std::vector<std::string>& vars = plan->vars;
-  for (const TriplePattern& tp : schema) {
-    for (std::string& var : tp.Variables()) vars.push_back(std::move(var));
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  plan->field_slot.assign(3 * schema.size(), kNoSlot);
-  for (size_t i = 0; i < schema.size(); ++i) {
-    const TriplePattern& tp = schema[i];
-    size_t* slots = &plan->field_slot[3 * i];
-    if (tp.subject.is_variable()) slots[0] = SlotOf(tp.subject.value);
-    if (!tp.property_bound) slots[1] = SlotOf(tp.property);
-    if (tp.object.is_variable()) slots[2] = SlotOf(tp.object.value);
-  }
-}
-
-size_t RelRecordReader::SlotOf(std::string_view var) const {
-  const std::vector<std::string>& vars = plan_->vars;
-  auto it = std::lower_bound(vars.begin(), vars.end(), var);
-  return it != vars.end() && *it == var
-             ? static_cast<size_t>(it - vars.begin())
-             : kNoSlot;
-}
+RelRecordReader::RelRecordReader(const RelSchema& schema)
+    : plan_(std::make_shared<const SlotPlan>(schema)) {}
 
 Status RelRecordReader::Read(std::string_view line) {
   line_ = line;
-  const RelSchema& schema = plan_->schema;
+  const RelSchema& schema = plan_->patterns();
   const size_t num_fields = 3 * schema.size();
   fields_.resize(num_fields);
   size_t n = 0;
@@ -61,7 +34,7 @@ Status RelRecordReader::Read(std::string_view line) {
     return Status::IoError(StringFormat(
         "relational tuple needs %zu fields, got %zu", num_fields, n));
   }
-  const size_t width = plan_->vars.size();
+  const size_t width = plan_->width();
   values_.resize(width);
   bound_.assign(width, false);
   for (size_t i = 0; i < schema.size(); ++i) {
@@ -74,7 +47,7 @@ Status RelRecordReader::Read(std::string_view line) {
     bool match =
         MatchesTriplePattern(schema[i], triple[0], triple[1], triple[2]);
     for (size_t j = 0; match && j < 3; ++j) {
-      const size_t slot = plan_->field_slot[3 * i + j];
+      const size_t slot = plan_->slots(i)[j];
       if (slot == kNoSlot) continue;
       if (!bound_[slot]) {
         bound_[slot] = true;

@@ -8,9 +8,10 @@
 // the byte footprint of these tuples is what the relational engines ship
 // between MR cycles. There is one writing rule: a star join's record is
 // its matched triples' lines side by side (an unmatched OPTIONAL column is
-// three empty fields), and a join's record is its two input records side
+// three empty fields; the matches come from the one star walk,
+// query/star_walk.h), and a join's record is its two input records side
 // by side (JoinTupleRecords). Every consumer reads records through
-// RelRecordReader.
+// RelRecordReader, which binds through the same SlotPlan.
 
 #ifndef RDFMR_RELATIONAL_REL_TUPLE_H_
 #define RDFMR_RELATIONAL_REL_TUPLE_H_
@@ -24,6 +25,7 @@
 #include "common/result.h"
 #include "query/pattern.h"
 #include "query/solution.h"
+#include "query/star_walk.h"
 
 namespace rdfmr {
 
@@ -36,14 +38,14 @@ std::string JoinTupleRecords(std::string_view left, std::string_view right);
 
 /// \brief Reads records of one schema. Read() splits a line into field
 /// views, copying a field only when it carried an escape, and binds them to
-/// the schema's variable slots as BindTriplePattern would bind column after
-/// column; an all-empty column of an OPTIONAL pattern binds nothing. The
-/// binding plan is built once and shared by copies, and Read() writes only
-/// the copy's buffers: a closure run on several threads reads through a
-/// copy of its reader.
+/// the schema's variable slots (its SlotPlan) as BindTriplePattern would
+/// bind column after column; an all-empty column of an OPTIONAL pattern
+/// binds nothing. The plan is built once and shared by copies, and Read()
+/// writes only the copy's buffers: a closure run on several threads reads
+/// through a copy of its reader.
 class RelRecordReader {
  public:
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  static constexpr size_t kNoSlot = rdfmr::kNoSlot;
 
   explicit RelRecordReader(const RelSchema& schema);
 
@@ -53,12 +55,11 @@ class RelRecordReader {
   Status Read(std::string_view line);
 
   /// \brief The schema's variables, sorted; slot k binds variables()[k].
-  const std::vector<std::string>& variables() const { return plan_->vars; }
+  const std::vector<std::string>& variables() const {
+    return plan_->variables();
+  }
   /// \brief The slot of `var`, or kNoSlot.
-  size_t SlotOf(std::string_view var) const;
-  /// \brief The slot field 3i+j (subject, property, object of pattern i)
-  /// binds, or kNoSlot.
-  size_t FieldSlot(size_t field) const { return plan_->field_slot[field]; }
+  size_t SlotOf(std::string_view var) const { return plan_->SlotOf(var); }
 
   /// \brief The last Read()'s line and bindings. A value views the line
   /// or this reader, until the next Read().
@@ -67,15 +68,7 @@ class RelRecordReader {
   std::string_view value(size_t slot) const { return values_[slot]; }
 
  private:
-  struct Plan {
-    RelSchema schema;
-    std::vector<std::string> vars;
-    /// Field 3i+j (j: subject, property, object of pattern i) binds slot
-    /// field_slot[3i+j], or kNoSlot.
-    std::vector<size_t> field_slot;
-  };
-
-  std::shared_ptr<const Plan> plan_;
+  std::shared_ptr<const SlotPlan> plan_;
   std::string_view line_;
   std::vector<std::string_view> fields_;
   std::vector<std::string> scratch_;  ///< unescaped copies of fields

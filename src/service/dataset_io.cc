@@ -15,7 +15,9 @@
 namespace rdfmr {
 namespace service {
 
-Result<std::vector<Triple>> ReadDatasetFile(const std::string& path) {
+namespace {
+
+Result<std::vector<Triple>> ReadTriples(const std::string& path) {
   if (storage::IsRdxPath(path)) {
     RDFMR_ASSIGN_OR_RETURN(std::shared_ptr<const storage::RdxReader> reader,
                            storage::RdxReader::Open(path));
@@ -42,6 +44,27 @@ Result<std::vector<Triple>> ReadDatasetFile(const std::string& path) {
     RDFMR_ASSIGN_OR_RETURN(Triple t, Triple::Deserialize(line));
     triples.push_back(std::move(t));
   }
+  return triples;
+}
+
+}  // namespace
+
+Status CheckSubjectAndProperty(std::span<const Triple> triples,
+                               std::string_view where) {
+  for (size_t i = 0; i < triples.size(); ++i) {
+    const Triple& t = triples[i];
+    if (t.subject.empty() || t.property.empty()) {
+      return Status::InvalidArgument(
+          std::string(where) + " triple " + std::to_string(i + 1) +
+          (t.subject.empty() ? ": empty subject" : ": empty property"));
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Triple>> ReadDatasetFile(const std::string& path) {
+  RDFMR_ASSIGN_OR_RETURN(std::vector<Triple> triples, ReadTriples(path));
+  RDFMR_RETURN_NOT_OK(CheckSubjectAndProperty(triples, path + ":"));
   return triples;
 }
 

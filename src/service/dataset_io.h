@@ -6,7 +6,9 @@
 #ifndef RDFMR_SERVICE_DATASET_IO_H_
 #define RDFMR_SERVICE_DATASET_IO_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -18,7 +20,15 @@ namespace service {
 /// \brief IRI prefix compacted away when reading / added when writing .nt.
 inline constexpr const char kIriPrefix[] = "http://rdfmr.example/";
 
-/// \brief Reads a dataset file (.nt or .tsv record lines).
+/// \brief OK, or InvalidArgument "<where> triple <n>: empty subject" (or
+/// property) for the first triple with one: RDF has none, and the
+/// relational record grammar reads an all-empty column as an unmatched
+/// OPTIONAL.
+Status CheckSubjectAndProperty(std::span<const Triple> triples,
+                               std::string_view where);
+
+/// \brief Reads a dataset file (.nt, .rdx, or .tsv record lines); a triple
+/// with an empty subject or property fails the read, naming its position.
 Result<std::vector<Triple>> ReadDatasetFile(const std::string& path);
 
 /// \brief Writes a dataset file (.nt renders IRIs/literals, else records).

@@ -259,6 +259,8 @@ JsonValue HandleLoad(QueryService* query_service, const JsonValue& request) {
       triples.emplace_back(fields[0].AsString(), fields[1].AsString(),
                            fields[2].AsString());
     }
+    Status terms = CheckSubjectAndProperty(triples, "load:");
+    if (!terms.ok()) return ErrorResponse(terms);
     info = query_service->LoadDataset(dataset, std::move(triples));
   } else {
     TripleLoader loader;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -27,6 +28,7 @@
 #include "common/sharded_lru_cache.h"
 #include "query/matcher.h"
 #include "query/sparql_parser.h"
+#include "service/dataset_io.h"
 #include "service/protocol.h"
 #include "service/query_service.h"
 #include "tests/test_util.h"
@@ -1161,6 +1163,60 @@ TEST(ProtocolTest, RejectsOutOfRangePhiAndNonStringTerms) {
     EXPECT_EQ(load.response.GetString("code"), "InvalidArgument") << rows;
   }
   EXPECT_EQ(service->ListDatasets().size(), 1u);
+}
+
+// RDF has no empty subject or property, and the relational record grammar
+// reads an all-empty column as an unmatched OPTIONAL: the load verb
+// refuses a triple with either, naming its row, and registers nothing.
+TEST(ProtocolTest, RejectsEmptySubjectOrProperty) {
+  auto service = MakeService();
+  const std::pair<const char*, const char*> cases[] = {
+      {R"([["","",""],["a","p","b"]])", "load: triple 1: empty subject"},
+      {R"([["a","p","b"],["a","","b"]])", "load: triple 2: empty property"},
+  };
+  for (const auto& [rows, error] : cases) {
+    HandleResult load = HandleRequestLine(
+        service.get(),
+        std::string(R"({"verb":"load","dataset":"e","triples":)") + rows +
+            "}");
+    EXPECT_FALSE(load.response.GetBool("ok")) << rows;
+    EXPECT_EQ(load.response.GetString("code"), "InvalidArgument") << rows;
+    EXPECT_EQ(load.response.GetString("error"), error) << rows;
+  }
+  EXPECT_TRUE(service->ListDatasets().empty());
+  HandleResult empty_object = HandleRequestLine(
+      service.get(),
+      R"({"verb":"load","dataset":"e","triples":[["a","p",""]]})");
+  EXPECT_TRUE(empty_object.response.GetBool("ok"))
+      << empty_object.response.Dump();
+}
+
+// A dataset file holding a triple with an empty subject or property is
+// refused, naming the triple's position: a record line of three empty
+// fields, or an .nt IRI that compacts to "".
+TEST(DatasetFileTest, RejectsEmptySubjectOrProperty) {
+  const std::string prefix = kIriPrefix;
+  const std::pair<std::string, std::string> cases[] = {
+      {"records.tsv", "a\tp\tb\n\n\t\t\n"},
+      {"records_p.tsv", "a\t\tb\n"},
+      {"iri.nt", "<" + prefix + "a> <" + prefix + "p> <" + prefix + "b> .\n<" +
+                     prefix + "> <" + prefix + "p> <" + prefix + "b> .\n"},
+  };
+  const char* const errors[] = {": triple 2: empty subject",
+                                ": triple 1: empty property",
+                                ": triple 2: empty subject"};
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const std::string path =
+        ::testing::TempDir() + "rdfmr_service_" + cases[i].first;
+    {
+      std::ofstream out(path);
+      out << cases[i].second;
+    }
+    Result<std::vector<Triple>> read = ReadDatasetFile(path);
+    ASSERT_FALSE(read.ok()) << path;
+    EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
+    EXPECT_EQ(read.status().message(), path + errors[i]);
+  }
 }
 
 // "threads" is an integer in [0, kMaxRequestThreads]. The service has no

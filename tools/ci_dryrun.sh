@@ -35,11 +35,16 @@ build_and_test() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" || return $?
   # Release smoke-runs the operator microbenchmarks (no number is gated)
   # and the aggregation and Fig. 3 grouping experiments (exit code =
-  # failed shape checks); the Fig. 3 table, simulated quantities only,
-  # must print the same bytes at 1 and 4 threads.
+  # failed shape checks); each experiment's table, simulated quantities
+  # only, must print the same bytes at 1 and 4 threads.
   [[ "$build_type" != Release ]] || {
     "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01 &&
-      "./$build_dir/bench/ext_aggregation" &&
+      RDFMR_THREADS=1 "./$build_dir/bench/ext_aggregation" \
+        > "$build_dir/ext_aggregation-t1.txt" &&
+      RDFMR_THREADS=4 "./$build_dir/bench/ext_aggregation" \
+        > "$build_dir/ext_aggregation-t4.txt" &&
+      diff "$build_dir/ext_aggregation-t1.txt" \
+        "$build_dir/ext_aggregation-t4.txt" &&
       RDFMR_THREADS=1 "./$build_dir/bench/fig03_star_groupings" \
         > "$build_dir/fig03-t1.txt" &&
       RDFMR_THREADS=4 "./$build_dir/bench/fig03_star_groupings" \
