@@ -214,16 +214,18 @@ void BM_UnboundSiteJoinMap(benchmark::State& state) {
 }
 BENCHMARK(BM_UnboundSiteJoinMap)->Arg(4)->Arg(32)->Arg(256);
 
-// Decodes one group's record, as the aggregation mapper does.
+// Appends one group's record's rows to a fresh builder, as the
+// aggregation mapper does.
 void BM_ExpandTgRecord(benchmark::State& state) {
-  const TgAnswerPlan plan({TestStar()});
+  const AnswerDecoder decoder = JoinedTgAnswerDecoder({TestStar()});
   const std::string record = TestGroup(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto out = DecodeJoinedTgAnswers(plan, {&record, 1});
-    benchmark::DoNotOptimize(out);
+    SolutionSet::Builder rows(decoder.variables);
+    if (!decoder.append({&record, 1}, &rows).ok()) std::abort();
+    benchmark::DoNotOptimize(rows.cells().data());
   }
-  state.counters["solutions_out"] = static_cast<double>(
-      DecodeJoinedTgAnswers(plan, {&record, 1})->size());
+  state.counters["solutions_out"] =
+      static_cast<double>(decoder({&record, 1})->size());
 }
 BENCHMARK(BM_ExpandTgRecord)->Arg(4)->Arg(32)->Arg(256);
 
@@ -577,7 +579,7 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
   RelSchema schema = stars[0].patterns;
   schema.insert(schema.end(), stars[1].patterns.begin(),
                 stars[1].patterns.end());
-  const RelRecordReader reader(schema);
+  const AnswerDecoder decoder = RelationalAnswerDecoder(schema);
   std::vector<std::string> lines;
   for (int i = 0; i < state.range(0); ++i) {
     const std::string p = ProductIri(i);
@@ -591,19 +593,18 @@ void BM_DecodeRelationalAnswers(benchmark::State& state) {
          Triple(o, "price", std::to_string(100 + i % 900) + ".99")}));
   }
   for (auto _ : state) {
-    auto answers = DecodeRelationalAnswers(reader, lines);
+    auto answers = decoder(lines);
     if (!answers.ok()) std::abort();
     benchmark::DoNotOptimize(answers);
   }
-  state.counters["answers"] = static_cast<double>(
-      DecodeRelationalAnswers(reader, lines)->size());
+  state.counters["answers"] = static_cast<double>(decoder(lines)->size());
 }
 BENCHMARK(BM_DecodeRelationalAnswers)->Arg(1000)->Arg(10000);
 
 // One joined record per offer; its product group holds a label, a
 // producer and two features, so each record expands to four answers.
 void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
-  const TgAnswerPlan plan(B3Stars());
+  const AnswerDecoder decoder = JoinedTgAnswerDecoder(B3Stars());
   std::vector<std::string> lines;
   for (int i = 0; i < state.range(0); i += 4) {
     std::string product;
@@ -629,12 +630,11 @@ void BM_DecodeJoinedTgAnswers(benchmark::State& state) {
     lines.push_back(JoinRecords(product, offer));
   }
   for (auto _ : state) {
-    auto answers = DecodeJoinedTgAnswers(plan, lines);
+    auto answers = decoder(lines);
     if (!answers.ok()) std::abort();
     benchmark::DoNotOptimize(answers);
   }
-  state.counters["answers"] =
-      static_cast<double>(DecodeJoinedTgAnswers(plan, lines)->size());
+  state.counters["answers"] = static_cast<double>(decoder(lines)->size());
 }
 BENCHMARK(BM_DecodeJoinedTgAnswers)->Arg(1000)->Arg(10000);
 
@@ -648,7 +648,7 @@ void RunInstrumentedOperatorPass() {
   StarPattern star = TestStar();
   const BetaUnnester unnester(star);
   const TestPairs pairs(64);
-  const TgAnswerPlan plan({star});
+  const AnswerDecoder decoder = JoinedTgAnswerDecoder({star});
   const std::string group = TestGroup(32);
   TgRecordReader reader;
   const auto sink = [](auto, std::string_view out) {
@@ -661,7 +661,7 @@ void RunInstrumentedOperatorPass() {
     if (!reader.Read(group).ok()) std::abort();
     unnester.BetaUnnest(reader, reader.components()[0], {}, sink);
     unnester.PartialBetaUnnest(reader, reader.components()[0], 2, 16, sink);
-    auto solutions = DecodeJoinedTgAnswers(plan, {&group, 1});
+    auto solutions = decoder({&group, 1});
     benchmark::DoNotOptimize(solutions);
   }
   EnableOperatorMetrics(false);

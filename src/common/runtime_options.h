@@ -10,7 +10,7 @@
 //   2. Environment: RDFMR_THREADS / RDFMR_MAX_ATTEMPTS (positive
 //      integers; unset, empty, or unparsable values are ignored).
 //   3. Programmatic option: a nonzero field set by library callers
-//      (including the deprecated EngineOptions aliases).
+//      (EngineOptions::runtime).
 //   4. Config default: ClusterConfig::num_threads /
 //      ClusterConfig::max_task_attempts.
 //

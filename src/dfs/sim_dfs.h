@@ -186,12 +186,6 @@ class SimDfs {
     return fault_plan_;
   }
 
-  /// \brief Per-node liveness snapshot (false = lost).
-  std::vector<bool> NodeAlive() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return node_alive_;
-  }
-
   /// \brief Suspends fault injection (reentrant). While suspended, ops are
   /// not counted against the plan and no probabilistic draws happen — used
   /// by the engine's post-success observation reads so measurement does

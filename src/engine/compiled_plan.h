@@ -1,31 +1,27 @@
 // The common output type of all plan compilers (relational and NTGA): an
 // executable MapReduce workflow plus the plan's one answer decoder, which
-// expands answer records into the canonical answer table.
+// expands answer records into rows of the canonical answer table.
 //
 // The decoder exists because engines differ in their *final representation*
 // (flat n-tuples vs. nested triplegroups — the paper's LazyUnnest keeps
 // results "compact till the end"); answer comparison must not charge that
-// expansion to the engine's I/O. It is the only way a record becomes rows,
-// for the read-back and the aggregation cycle's mapper alike.
+// expansion to the engine's I/O. It is the only way a record becomes rows:
+// it knows the plan's answer variables and appends the rows of a span of
+// lines to a caller's builder. The read-back appends every answer file of
+// one answer and finishes the table once (AnswerDecoder::Decode); the
+// aggregation cycle's mapper appends one record's rows and reads them
+// without finishing a table.
 
 #ifndef RDFMR_ENGINE_COMPILED_PLAN_H_
 #define RDFMR_ENGINE_COMPILED_PLAN_H_
 
-#include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "mapreduce/workflow.h"
 #include "query/solution.h"
 
 namespace rdfmr {
-
-/// \brief Expands an engine's final output lines into the set of the
-/// solutions they represent; fails on the first line it rejects.
-using AnswerDecoder =
-    std::function<Result<SolutionSet>(std::span<const std::string> lines)>;
 
 /// \brief A fully compiled, executable plan for one query or a batch.
 struct CompiledPlan {

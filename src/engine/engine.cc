@@ -82,13 +82,32 @@ std::vector<std::string_view> SortedDistinct(
   return views;
 }
 
+// The distinct rows `rows` holds, each once, in handle order.
+std::vector<const SolutionSet::Handle*> DistinctRows(
+    const SolutionSet::Builder& rows) {
+  const size_t width = rows.width();
+  std::vector<const SolutionSet::Handle*> out;
+  for (size_t c = 0; width > 0 && c < rows.cells().size(); c += width) {
+    out.push_back(rows.cells().data() + c);
+  }
+  const auto less = [width](const auto* a, const auto* b) {
+    return std::lexicographical_compare(a, a + width, b, b + width);
+  };
+  std::sort(out.begin(), out.end(), less);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [&less](auto* a, auto* b) { return !less(a, b); }),
+            out.end());
+  return out;
+}
+
 // Appends the COUNT/GROUP BY/HAVING cycle to a compiled plan. The mapper
-// expands each final-output record in flight through the plan's decoder
-// (nested triplegroups never materialize their combinations); in DISTINCT
-// mode only the counted value is shipped (duplicate-proof), otherwise the
-// full solution's canonical line is shipped so the reducer can deduplicate
+// appends each final-output record's rows through the plan's decoder and
+// reads them from its builder, finishing no table; in DISTINCT mode only
+// the counted value is shipped (duplicate-proof), otherwise the full
+// solution's canonical line is shipped so the reducer can deduplicate
 // rows before counting. The group key is the canonical line of the group
-// variables' bindings.
+// variables' bindings. The reducer writes those and count_var, the fixed
+// header of the plan's new decoder.
 void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
                             const std::string& tmp_prefix) {
   // The group variables as the key binds them, sorted and each once, then
@@ -96,42 +115,45 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   std::vector<std::string> wanted = spec.group_vars;
   std::sort(wanted.begin(), wanted.end());
   wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  std::vector<std::string> header = wanted;
+  header.insert(std::upper_bound(header.begin(), header.end(), spec.count_var),
+                spec.count_var);
   wanted.push_back(spec.counted_var);
+  std::vector<size_t> slots;  // per wanted variable, or kNoSlot
+  for (const std::string& var : wanted) {
+    slots.push_back(SlotOf(plan->decoder.variables, var));
+  }
   JobSpec job;
   job.name = "aggregate-count";
   MapInput aggregate_input;
   aggregate_input.path = plan->workflow.final_output_path;
-  aggregate_input.map = [decode = plan->decoder, wanted,
+  aggregate_input.map = [decoder = plan->decoder, wanted, slots,
                          distinct = spec.distinct](const std::string& record,
                                                    const MapEmit& emit,
                                                    Counters* counters) {
-    Result<SolutionSet> rows = decode({&record, 1});
-    if (!rows.ok()) {
+    SolutionSet::Builder rows(decoder.variables);
+    if (!decoder.append({&record, 1}, &rows).ok()) {
       (*counters)["bad_records"] += 1;
       return;
     }
-    // Each wanted variable's slot, or kNoSlot when no row binds it.
-    std::vector<size_t> slots;
-    for (const std::string& var : wanted) {
-      slots.push_back(SlotOf(rows->variables(), var));
-    }
-    for (size_t r = 0; r < rows->size(); ++r) {
-      if (std::any_of(slots.begin(), slots.end(), [&](size_t slot) {
-            return slot == kNoSlot ||
-                   rows->handle(r, slot) == SolutionSet::kUnbound;
+    // Each distinct row once, as Finish would keep it, but in handle order
+    // rather than term order: the combiner and the reducer sort and
+    // deduplicate their values (SortedDistinct), so no byte depends on it.
+    for (const SolutionSet::Handle* row : DistinctRows(rows)) {
+      if (std::any_of(slots.begin(), slots.end(), [row](size_t slot) {
+            return slot == kNoSlot || row[slot] == SolutionSet::kUnbound;
           })) {
         (*counters)["incomplete_solutions"] += 1;
         continue;
       }
       std::string key, value;
       for (size_t k = 0; k + 1 < wanted.size(); ++k) {
-        AppendBinding(&key, k == 0, wanted[k],
-                      rows->term(rows->handle(r, slots[k])));
+        AppendBinding(&key, k == 0, wanted[k], rows.term(row[slots[k]]));
       }
       if (distinct) {
-        value = rows->term(rows->handle(r, slots.back()));
+        value = rows.term(row[slots.back()]);
       } else {
-        rows->AppendSerialized(r, &value);
+        AppendRowLine(rows.variables(), row, rows, &value);
       }
       emit(std::move(key), std::move(value));
     }
@@ -183,7 +205,7 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   plan->workflow.final_output_path = job.output_path;
   plan->final_output_paths = {job.output_path};
   plan->workflow.jobs.push_back(std::move(job));
-  plan->decoder = ParseSolutionFile;
+  plan->decoder = SolutionLineDecoder(std::move(header));
 }
 
 // The redundancy of a flat relational representation is measured against
@@ -268,16 +290,17 @@ double FilesRedundancy(const std::vector<LinesPtr>& files) {
 }
 
 // Reads back what a finished run left on the DFS: both redundancy factors
-// and, when `decode` is set and the run succeeded, one decoded answer set
-// per answer file of `plan`.
+// and, when `decode` is set and the run succeeded, the decoded answers —
+// one table over every answer file of `plan` into `exec->answers`, or with
+// `per_file` one table per file into `exec->per_query`.
 //
 // Redundancy measures flat relational tuples against their nested
 // triplegroup footprint. NTGA output (`flat` false) is that nested
 // footprint, so both factors stay 0 without metering; metering it would
 // misread a record whose terms carry tabs as a flat tuple.
 Status ReadBack(const SimDfs& dfs, const CompiledPlan& plan, bool flat,
-                bool decode, ExecStats* stats,
-                std::vector<SolutionSet>* answers) {
+                bool decode, bool per_file, ExecResult* exec) {
+  ExecStats* stats = &exec->stats;
   if (flat) {
     // Redundancy factor over the star-join phase outputs, read in place.
     std::vector<LinesPtr> star_files;
@@ -291,27 +314,32 @@ Status ReadBack(const SimDfs& dfs, const CompiledPlan& plan, bool flat,
   // One read of each answer file serves the final redundancy factor and
   // the answer decode (verification, uncharged).
   std::vector<LinesPtr> finals;
+  std::vector<std::span<const std::string>> files;  // empty for a missing one
   for (const std::string& path : plan.final_output_paths) {
     LinesPtr& lines = finals.emplace_back();
+    std::span<const std::string>& file = files.emplace_back();
     if (dfs.Exists(path)) {
       RDFMR_ASSIGN_OR_RETURN(lines, dfs.ReadLines(path));
+      file = *lines;
     }
   }
   if (flat) stats->final_redundancy_factor = FilesRedundancy(finals);
   if (!decode) return Status::OK();
-  for (const LinesPtr& lines : finals) {
-    SolutionSet& set = answers->emplace_back();
-    if (lines != nullptr) {
-      RDFMR_ASSIGN_OR_RETURN(set, plan.decoder(*lines));
-    }
+  if (!per_file) {
+    RDFMR_ASSIGN_OR_RETURN(exec->answers, plan.decoder.Decode(files));
+    return Status::OK();
+  }
+  for (std::span<const std::string> file : files) {
+    RDFMR_ASSIGN_OR_RETURN(exec->per_query.emplace_back(), plan.decoder(file));
   }
   return Status::OK();
 }
 
 // Compiles `request` under the run's `tmp_prefix`, runs its workflow under
 // the `query` span, fills ExecStats from the workflow result and the
-// output sizes, reads the outputs back (one answer set per query into
-// ExecResult::per_query), and then scrubs every temporary of the run from
+// output sizes, reads the outputs back (a batch's answers per query into
+// ExecResult::per_query, a single or union payload's one table into
+// ExecResult::answers), and then scrubs every temporary of the run from
 // the DFS (also when the read-back fails).
 Result<ExecResult> Run(SimDfs* dfs, const std::string& base_path,
                        const ExecRequest& request,
@@ -385,7 +413,8 @@ Result<ExecResult> Run(SimDfs* dfs, const std::string& base_path,
 
   const Status read_status =
       ReadBack(*dfs, plan, !NtgaStrategyOf(options.kind).has_value(),
-               options.decode_answers, &stats, &exec.per_query);
+               options.decode_answers,
+               request.payload == ExecPayload::kBatch, &exec);
 
   // The reads above (stat sampling + decode) are observation, not engine
   // work; rebuilding the metric from job totals keeps accounting honest.
@@ -636,18 +665,6 @@ Result<ExecResult> Exec(SimDfs* dfs, const std::string& base_path,
   }
   RDFMR_ASSIGN_OR_RETURN(result, Run(dfs, base_path, request, tmp_prefix,
                                      run_name, effective, ctx));
-  // A single payload answers with its one set, a union with the union of
-  // its branches' sets; a batch keeps one set per query.
-  if (request.payload != ExecPayload::kBatch) {
-    for (SolutionSet& answers : result.per_query) {
-      if (result.answers.empty()) {
-        result.answers = std::move(answers);
-      } else {
-        result.answers.Merge(answers);
-      }
-    }
-    result.per_query.clear();
-  }
   result.stats.degraded_from = std::move(selection.degraded_from);
   result.stats.preflight = std::move(selection.preflight);
   result.stats.chosen_engine = std::move(selection.chosen_engine);

@@ -193,7 +193,7 @@ enum class ExecPayload {
   /// A UNION of conjunctive queries — the shape produced by rewriting
   /// ontological queries (Section 1: such rewritings are a major source of
   /// unbound-property subqueries) — run as one shared-scan batch whose
-  /// per-query answers are unioned.
+  /// answer files decode into one table.
   kUnion,
 };
 
@@ -239,8 +239,8 @@ struct ExecRequest {
   }
 };
 
-/// \brief Exec's result: one set of workflow stats, the merged answers,
-/// and (for batch payloads) the per-query answer sets.
+/// \brief Exec's result: one set of workflow stats, the answers, and (for
+/// batch payloads) the per-query answer sets.
 struct ExecResult {
   ExecStats stats;
   /// kSingle: the query's answers. kUnion: the union over branches.

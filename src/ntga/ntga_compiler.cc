@@ -434,11 +434,8 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
   }
 
   // Records carry global star ids, so one decoder serves every answer
-  // file. Its plan is built once, here, and shared by every decode.
-  out.decoder = [plan = TgAnswerPlan(all_stars)](
-                    std::span<const std::string> lines) {
-    return DecodeJoinedTgAnswers(plan, lines);
-  };
+  // file.
+  out.decoder = JoinedTgAnswerDecoder(std::move(all_stars));
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "query/star_walk.h"
 
 namespace rdfmr {
 
@@ -325,6 +326,37 @@ namespace {
 using Handle = SolutionSet::Handle;
 constexpr Handle kUnbound = SolutionSet::kUnbound;
 
+// How records of `stars` bind: one SlotPlan over the stars' patterns, star
+// after star, so the slots are the stars' variables, sorted.
+class TgAnswerPlan {
+ public:
+  explicit TgAnswerPlan(std::vector<StarPattern> stars)
+      : stars_(std::move(stars)), slots_([this] {
+          std::vector<TriplePattern> patterns;  // star after star
+          for (const StarPattern& star : stars_) {
+            first_pattern_.push_back(patterns.size());
+            patterns.insert(patterns.end(), star.patterns.begin(),
+                            star.patterns.end());
+          }
+          return SlotPlan(std::move(patterns));
+        }()) {}
+
+  const std::vector<StarPattern>& stars() const { return stars_; }
+  const std::vector<std::string>& variables() const {
+    return slots_.variables();
+  }
+  // The subject, property and object slots of pattern `pattern` of star
+  // `star`.
+  const SlotPlan::PatternSlots& slots(size_t star, size_t pattern) const {
+    return slots_.slots(first_pattern_[star] + pattern);
+  }
+
+ private:
+  std::vector<StarPattern> stars_;
+  std::vector<size_t> first_pattern_;  // per star, its first pattern's index
+  SlotPlan slots_;
+};
+
 // Expands triplegroup records into rows of handles over the variable slots
 // of `stars`, interning the leaves it binds into one builder. Scratch
 // buffers are reused from record to record.
@@ -333,9 +365,8 @@ class RowExpander {
   RowExpander(const TgAnswerPlan& plan, SolutionSet::Builder* builder)
       : plan_(plan), builder_(builder), width_(builder->width()) {}
 
-  // Expands the rows a record represents: each component's rows, merged
-  // across components; inconsistent combinations drop out. The rows stay
-  // in rows() until the next call.
+  // Adds the rows a record represents to the builder: each component's
+  // rows, merged across components; inconsistent combinations drop out.
   Status Expand(const TgRecordReader& record) {
     for (const TgRecordReader::Component& c : record.components()) {
       if (c.star_id >= plan_.stars().size()) {
@@ -344,7 +375,8 @@ class RowExpander {
       }
     }
     OperatorProbe<kExpandJoinedTg> probe;
-    BeginRecord(record);
+    leaves_ = &record.leaves();
+    handles_.assign(leaves_->size(), kUnbound);
     acc_.assign(width_, kUnbound);  // the empty row merges to each
     for (const TgRecordReader::Component& c : record.components()) {
       if (&c == &record.components().front()) {
@@ -355,24 +387,16 @@ class RowExpander {
       }
       if (acc_.empty()) break;
     }
-    probe.Outputs(NumRows(acc_));
+    probe.Outputs(width_ == 0 ? 0 : acc_.size() / width_);
+    for (size_t r = 0; r < acc_.size(); r += width_) {
+      builder_->AddRow(acc_.data() + r);
+    }
     return Status::OK();
-  }
-
-  const std::vector<Handle>& rows() const { return acc_; }
-
-  size_t NumRows(const std::vector<Handle>& rows) const {
-    return width_ == 0 ? 0 : rows.size() / width_;
   }
 
  private:
   // Leaves are interned on first use: a bound pattern's property and an
   // object no pattern accepts never reach the builder.
-  void BeginRecord(const TgRecordReader& record) {
-    leaves_ = &record.leaves();
-    handles_.assign(leaves_->size(), kUnbound);
-  }
-
   Handle LeafHandle(uint32_t leaf) {
     Handle& h = handles_[leaf];
     if (h == kUnbound) h = builder_->Intern((*leaves_)[leaf]);
@@ -433,32 +457,19 @@ class RowExpander {
 
 }  // namespace
 
-TgAnswerPlan::TgAnswerPlan(std::vector<StarPattern> stars)
-    : stars_(std::move(stars)), slots_([this] {
-        std::vector<TriplePattern> patterns;  // star after star
-        for (const StarPattern& star : stars_) {
-          first_pattern_.push_back(patterns.size());
-          patterns.insert(patterns.end(), star.patterns.begin(),
-                          star.patterns.end());
-        }
-        return SlotPlan(std::move(patterns));
-      }()) {}
-
-Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
-                                          std::span<const std::string> lines) {
-  SolutionSet::Builder builder(plan.variables());
-  RowExpander expander(plan, &builder);
-  TgRecordReader record;
-  const size_t width = builder.width();
-  for (const std::string& line : lines) {
-    RDFMR_RETURN_NOT_OK(record.Read(line));
-    RDFMR_RETURN_NOT_OK(expander.Expand(record));
-    const std::vector<Handle>& rows = expander.rows();
-    for (size_t r = 0; r < rows.size(); r += width) {
-      builder.AddRow(rows.data() + r);
-    }
-  }
-  return builder.Finish();
+AnswerDecoder JoinedTgAnswerDecoder(std::vector<StarPattern> stars) {
+  const TgAnswerPlan plan(std::move(stars));
+  return {plan.variables(),
+          [plan](std::span<const std::string> lines,
+                 SolutionSet::Builder* builder) {
+            RowExpander expander(plan, builder);
+            TgRecordReader record;
+            for (const std::string& line : lines) {
+              RDFMR_RETURN_NOT_OK(record.Read(line));
+              RDFMR_RETURN_NOT_OK(expander.Expand(record));
+            }
+            return Status::OK();
+          }};
 }
 
 }  // namespace rdfmr

@@ -9,7 +9,7 @@
 //                            rewrites one component of a record into
 //                            "perfect" triplegroups or into ≤ m
 //                            triplegroups, one per φ_m partition.
-//  * DecodeJoinedTgAnswers — final answer extraction: enumerates the
+//  * JoinedTgAnswerDecoder — final answer extraction: enumerates the
 //                            solution mappings triplegroup records
 //                            implicitly represent (content equivalence,
 //                            Lemma 1) through the star walk the
@@ -28,7 +28,6 @@
 #include "ntga/triplegroup.h"
 #include "query/pattern.h"
 #include "query/solution.h"
-#include "query/star_walk.h"
 #include "rdf/triple.h"
 
 namespace rdfmr {
@@ -129,41 +128,17 @@ class BetaUnnester {
   std::vector<size_t> unbound_;     // UnboundIndexes
 };
 
-/// \brief How DecodeJoinedTgAnswers binds records of `stars` (indexed by
-/// the star ids their components carry): one SlotPlan over the stars'
-/// patterns, star after star, so the slots are the stars' variables,
-/// sorted. Built once per compiled plan and shared by every decode.
-class TgAnswerPlan {
- public:
-  explicit TgAnswerPlan(std::vector<StarPattern> stars);
-
-  const std::vector<StarPattern>& stars() const { return stars_; }
-  const std::vector<std::string>& variables() const {
-    return slots_.variables();
-  }
-  /// \brief The subject, property and object slots of pattern `pattern`
-  /// of star `star`.
-  const SlotPlan::PatternSlots& slots(size_t star, size_t pattern) const {
-    return slots_.slots(first_pattern_[star] + pattern);
-  }
-
- private:
-  std::vector<StarPattern> stars_;
-  std::vector<size_t> first_pattern_;  // per star, its first pattern's index
-  SlotPlan slots_;
-};
-
-/// \brief Decodes triplegroup records into the set of the solution
-/// mappings they implicitly represent: per record, each component's
-/// matches for its star (ForEachCandidate's candidates, enumerated by the
-/// one star walk, query/star_walk.h), merged across components;
-/// inconsistent combinations (residual join predicates) drop out. Records
-/// are read as views (TgRecordReader) and expanded straight into the
-/// table's handle rows, so each distinct term is copied once. Fails with
-/// IoError on a record TgRecordReader rejects or a component naming a
-/// star outside the plan's stars.
-Result<SolutionSet> DecodeJoinedTgAnswers(const TgAnswerPlan& plan,
-                                          std::span<const std::string> lines);
+/// \brief The answer grammar of triplegroup records of `stars` (indexed by
+/// the star ids their components carry), over the stars' variables: a
+/// record's rows are the solution mappings it implicitly represents — each
+/// component's matches for its star (ForEachCandidate's candidates,
+/// enumerated by the one star walk, query/star_walk.h), merged across
+/// components; inconsistent combinations (residual join predicates) drop
+/// out. The binding plan is built once, here. Records are read as views
+/// (TgRecordReader) and expanded straight into the builder's handle rows,
+/// so each distinct term is copied once. Fails with IoError on a record
+/// TgRecordReader rejects or a component naming a star outside `stars`.
+AnswerDecoder JoinedTgAnswerDecoder(std::vector<StarPattern> stars);
 
 }  // namespace rdfmr
 

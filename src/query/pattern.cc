@@ -96,13 +96,6 @@ bool StarJoin::LeftOnUnbound(const std::vector<StarPattern>& stars) const {
       .unbound_property();
 }
 
-bool StarJoin::RightOnUnbound(const std::vector<StarPattern>& stars) const {
-  if (right_pattern_index < 0) return false;
-  return stars[right_star]
-      .patterns[static_cast<size_t>(right_pattern_index)]
-      .unbound_property();
-}
-
 Result<GraphPatternQuery> GraphPatternQuery::Create(
     std::string name, std::vector<TriplePattern> patterns) {
   if (patterns.empty()) {

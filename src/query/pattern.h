@@ -154,10 +154,9 @@ struct StarJoin {
   int right_pattern_index = -1;
 
   /// \brief True when the joining object belongs to an unbound-property
-  /// triple pattern on the given side — the case that forces β-unnesting
+  /// triple pattern on the left side — the case that forces β-unnesting
   /// before the join (Section 4 of the paper).
   bool LeftOnUnbound(const std::vector<StarPattern>& stars) const;
-  bool RightOnUnbound(const std::vector<StarPattern>& stars) const;
 };
 
 /// \brief A basic graph pattern plus its star decomposition.

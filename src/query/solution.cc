@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <numeric>
 
 #include "common/strings.h"
@@ -220,37 +219,49 @@ bool TermLess(const Term& x, const Term& y) {
   return x.lead != y.lead ? x.lead < y.lead : x.text < y.text;
 }
 
-// The table of the rows `for_each_row(visit)` passes to `visit`, each as
-// its (variable, value) pairs, or for_each_row's error; rows are visited
-// twice, first for the header (every variable some row binds).
-template <typename ForEachRow>
-Result<SolutionSet> Tabulate(const ForEachRow& for_each_row) {
-  std::vector<std::string> variables;
-  RDFMR_RETURN_NOT_OK(for_each_row([&variables](const auto& bindings) {
-    for (const auto& [var, value] : bindings) {
-      auto it = std::lower_bound(variables.begin(), variables.end(), var);
-      if (it == variables.end() || *it != var) variables.emplace(it, var);
-    }
-  }));
-  SolutionSet::Builder builder(std::move(variables));
+// SolutionLineDecoder's appender: a line's bindings go to their header
+// slots.
+Status AppendSolutionLines(std::span<const std::string> lines,
+                           SolutionSet::Builder* builder) {
+  SolutionLineReader reader;
   std::vector<Handle> row;
-  RDFMR_RETURN_NOT_OK(for_each_row([&](const auto& bindings) {
-    row.assign(builder.width(), kUnbound);
-    for (const auto& [var, value] : bindings) {
-      row[SlotOf(builder.variables(), var)] = builder.Intern(value);
+  for (const std::string& line : lines) {
+    RDFMR_RETURN_NOT_OK(reader.Read(line));
+    row.assign(builder->width(), kUnbound);
+    for (const auto& [var, value] : reader.bindings()) {
+      const size_t slot = SlotOf(builder->variables(), var);
+      if (slot == kNoSlot) {
+        return Status::IoError("solution line binds ?" + std::string(var) +
+                               ", which its answer header lacks");
+      }
+      row[slot] = builder->Intern(value);
     }
-    builder.AddRow(row.data());
-  }));
-  return builder.Finish();
+    builder->AddRow(row.data());
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 SolutionSet::SolutionSet(const std::vector<Solution>& solutions) {
-  *this = Tabulate([&solutions](const auto& visit) {
-            for (const Solution& s : solutions) visit(s.bindings());
-            return Status::OK();
-          }).MoveValueUnsafe();
+  // The header: every variable some solution binds.
+  std::vector<std::string> variables;
+  for (const Solution& s : solutions) {
+    for (const auto& [var, value] : s.bindings()) {
+      auto it = std::lower_bound(variables.begin(), variables.end(), var);
+      if (it == variables.end() || *it != var) variables.emplace(it, var);
+    }
+  }
+  Builder builder(std::move(variables));
+  std::vector<Handle> row;
+  for (const Solution& s : solutions) {
+    row.assign(builder.width(), kUnbound);
+    for (const auto& [var, value] : s.bindings()) {
+      row[SlotOf(builder.variables(), var)] = builder.Intern(value);
+    }
+    builder.AddRow(row.data());
+  }
+  *this = builder.Finish();
 }
 
 Solution SolutionSet::Row(size_t row) const {
@@ -265,43 +276,8 @@ Solution SolutionSet::Row(size_t row) const {
 }
 
 void SolutionSet::AppendSerialized(size_t row, std::string* out) const {
-  const Handle* cells = cells_.data() + row * variables_.size();
-  bool first = true;
-  for (size_t k = 0; k < variables_.size(); ++k) {
-    if (cells[k] == kUnbound) continue;
-    AppendBinding(out, first, variables_[k], term(cells[k]));
-    first = false;
-  }
-}
-
-void SolutionSet::Merge(const SolutionSet& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  std::vector<std::string> variables;
-  std::set_union(variables_.begin(), variables_.end(),
-                 other.variables_.begin(), other.variables_.end(),
-                 std::back_inserter(variables));
-  Builder builder(variables);
-  std::vector<Handle> row;
-  const SolutionSet* const sets[] = {this, &other};
-  for (const SolutionSet* set : sets) {
-    std::vector<size_t> column;
-    for (const std::string& var : set->variables_) {
-      column.push_back(SlotOf(variables, var));
-    }
-    for (size_t r = 0; r < set->size_; ++r) {
-      row.assign(variables.size(), kUnbound);
-      for (size_t k = 0; k < column.size(); ++k) {
-        const Handle h = set->handle(r, k);
-        if (h != kUnbound) row[column[k]] = builder.Intern(set->term(h));
-      }
-      builder.AddRow(row.data());
-    }
-  }
-  *this = builder.Finish();
+  AppendRowLine(variables_, cells_.data() + row * variables_.size(), *this,
+                out);
 }
 
 // ---- SolutionSet::Builder ---------------------------------------------------
@@ -392,15 +368,19 @@ SolutionSet SolutionSet::Builder::Finish() {
   return out;
 }
 
-Result<SolutionSet> ParseSolutionFile(std::span<const std::string> lines) {
-  SolutionLineReader reader;
-  return Tabulate([&](const auto& visit) {
-    for (const std::string& line : lines) {
-      RDFMR_RETURN_NOT_OK(reader.Read(line));
-      visit(reader.bindings());
-    }
-    return Status::OK();
-  });
+// ---- AnswerDecoder ----------------------------------------------------------
+
+Result<SolutionSet> AnswerDecoder::Decode(
+    std::span<const std::span<const std::string>> files) const {
+  SolutionSet::Builder builder(variables);
+  for (std::span<const std::string> lines : files) {
+    RDFMR_RETURN_NOT_OK(append(lines, &builder));
+  }
+  return builder.Finish();
+}
+
+AnswerDecoder SolutionLineDecoder(std::vector<std::string> variables) {
+  return {std::move(variables), AppendSolutionLines};
 }
 
 }  // namespace rdfmr

@@ -8,14 +8,18 @@
 // an arena holding each distinct term once. The table is sorted and
 // deduplicated once, in the canonical Solution order, so cross-engine
 // answer comparison (the Lemma 1 content-equivalence check) is a direct
-// table comparison. The canonical line has one writer (AppendBinding) and
-// one reader (SolutionLineReader).
+// table comparison. Rows are appended, and a table is finished once per
+// answer: an AnswerDecoder appends rows to a caller's Builder, and its
+// Decode is the one call that finishes a table from records. The
+// canonical line has one writer (AppendBinding) and one reader
+// (SolutionLineReader).
 
 #ifndef RDFMR_QUERY_SOLUTION_H_
 #define RDFMR_QUERY_SOLUTION_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -162,10 +166,6 @@ class SolutionSet {
   /// `*out`.
   void AppendSerialized(size_t row, std::string* out) const;
 
-  /// \brief Set union: adds every row of `other` not already present. The
-  /// header becomes the union of both headers.
-  void Merge(const SolutionSet& other);
-
   bool operator==(const SolutionSet& o) const {
     return size_ == o.size_ && variables_ == o.variables_ &&
            offsets_ == o.offsets_ && arena_ == o.arena_ && cells_ == o.cells_;
@@ -215,6 +215,9 @@ class SolutionSet::Builder {
     ++rows_;
   }
 
+  /// \brief The rows added so far, width() handles each, duplicates kept.
+  std::span<const Handle> cells() const { return cells_; }
+
   /// \brief The finished table; the builder is left empty.
   SolutionSet Finish();
 
@@ -233,6 +236,20 @@ class SolutionSet::Builder {
 /// variable order, separated unless `first`) to `*out`.
 void AppendBinding(std::string* out, bool first, std::string_view var,
                    std::string_view value);
+
+/// \brief Appends the canonical line of `row`, handles over `variables`
+/// whose terms `terms` (a SolutionSet or a Builder) holds, to `*out`.
+template <typename Terms>
+void AppendRowLine(std::span<const std::string> variables,
+                   const SolutionSet::Handle* row, const Terms& terms,
+                   std::string* out) {
+  bool first = true;
+  for (size_t k = 0; k < variables.size(); ++k) {
+    if (row[k] == SolutionSet::kUnbound) continue;
+    AppendBinding(out, first, variables[k], terms.term(row[k]));
+    first = false;
+  }
+}
 
 /// \brief Reads canonical lines into views, unescaping into reused buffers
 /// only an entry that holds an escape.
@@ -254,8 +271,29 @@ class SolutionLineReader {
   std::vector<Binding> bindings_;
 };
 
-/// \brief Parses canonical lines into a solution set.
-Result<SolutionSet> ParseSolutionFile(std::span<const std::string> lines);
+/// \brief An answer grammar: the variables its rows bind (sorted and
+/// distinct), and `append`, which appends the rows of a span of lines to a
+/// builder over them and fails on the first line it rejects. Its reused
+/// readers live for one call, so a caller hands over a file at once.
+struct AnswerDecoder {
+  std::vector<std::string> variables;
+  std::function<Status(std::span<const std::string> lines,
+                       SolutionSet::Builder* builder)>
+      append;
+
+  /// \brief The table of every line of `files`: one builder over
+  /// `variables`, every file appended, Finish() once.
+  Result<SolutionSet> Decode(
+      std::span<const std::span<const std::string>> files) const;
+  Result<SolutionSet> operator()(std::span<const std::string> lines) const {
+    return Decode({&lines, 1});
+  }
+};
+
+/// \brief The grammar of canonical lines over a fixed header `variables`
+/// (sorted and distinct): IoError on a line SolutionLineReader rejects and
+/// on a line that binds a variable outside the header.
+AnswerDecoder SolutionLineDecoder(std::vector<std::string> variables);
 
 }  // namespace rdfmr
 

@@ -215,15 +215,6 @@ struct RelationState {
   bool inline_single_pattern = false;
 };
 
-// The decoder of a final output of `schema`-wide tuples. Its reader's
-// binding plan is built once, here, and shared by every decode.
-void SetAnswerDecoder(const RelSchema& schema, CompiledPlan* plan) {
-  plan->decoder = [reader = RelRecordReader(schema)](
-                      std::span<const std::string> lines) {
-    return DecodeRelationalAnswers(reader, lines);
-  };
-}
-
 // Builds the standard plan: one star-join cycle per star, then one join
 // cycle per spanning star join.
 Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
@@ -341,7 +332,7 @@ Result<CompiledPlan> CompileStarPerCycle(QueryPtr query,
       plan.workflow.intermediate_paths.push_back(job.output_path);
     }
   }
-  SetAnswerDecoder(final_rel.schema, &plan);
+  plan.decoder = RelationalAnswerDecoder(final_rel.schema);
   return plan;
 }
 
@@ -426,7 +417,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
     RelSchema final_schema = first_schema;
     final_schema.insert(final_schema.end(), folded_schema.begin(),
                         folded_schema.end());
-    SetAnswerDecoder(final_schema, &plan);
+    plan.decoder = RelationalAnswerDecoder(final_schema);
     return plan;
   }
 

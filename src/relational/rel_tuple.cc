@@ -65,19 +65,24 @@ Status RelRecordReader::Read(std::string_view line) {
   return Status::OK();
 }
 
-Result<SolutionSet> DecodeRelationalAnswers(
-    RelRecordReader reader, std::span<const std::string> lines) {
-  SolutionSet::Builder builder(reader.variables());
-  std::vector<SolutionSet::Handle> row(builder.width());
-  for (const std::string& line : lines) {
-    RDFMR_RETURN_NOT_OK(reader.Read(line));
-    for (size_t k = 0; k < row.size(); ++k) {
-      row[k] = reader.bound(k) ? builder.Intern(reader.value(k))
-                               : SolutionSet::kUnbound;
-    }
-    builder.AddRow(row.data());
-  }
-  return builder.Finish();
+AnswerDecoder RelationalAnswerDecoder(const RelSchema& schema) {
+  const RelRecordReader reader(schema);
+  return {reader.variables(),
+          [reader](std::span<const std::string> lines,
+                   SolutionSet::Builder* builder) {
+            RelRecordReader line_reader = reader;  // this call's buffers
+            std::vector<SolutionSet::Handle> row(builder->width());
+            for (const std::string& line : lines) {
+              RDFMR_RETURN_NOT_OK(line_reader.Read(line));
+              for (size_t k = 0; k < row.size(); ++k) {
+                row[k] = line_reader.bound(k)
+                             ? builder->Intern(line_reader.value(k))
+                             : SolutionSet::kUnbound;
+              }
+              builder->AddRow(row.data());
+            }
+            return Status::OK();
+          }};
 }
 
 }  // namespace rdfmr

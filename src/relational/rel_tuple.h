@@ -76,12 +76,11 @@ class RelRecordReader {
   std::vector<bool> bound_;
 };
 
-/// \brief Decodes relational output lines (tuples of `reader`'s schema)
-/// into a solution set, reading every line with `reader`, a copy of the
-/// caller's; the first rejected line fails the decode with the reader's
-/// Status.
-Result<SolutionSet> DecodeRelationalAnswers(
-    RelRecordReader reader, std::span<const std::string> lines);
+/// \brief The answer grammar of `schema`-wide tuples over the schema's
+/// variables: one row per tuple, read by a copy of one RelRecordReader
+/// (its plan built once, here); the first rejected line fails with the
+/// reader's Status.
+AnswerDecoder RelationalAnswerDecoder(const RelSchema& schema);
 
 }  // namespace rdfmr
 

@@ -75,12 +75,6 @@ class DatasetHandle {
 
   DatasetInfo Info() const;
 
-  /// \brief The rdx mapping backing this dataset, or null when the
-  /// dataset was loaded from memory / a deferred loader.
-  const std::shared_ptr<const storage::RdxReader>& mapped_reader() const {
-    return mapped_;
-  }
-
   /// \brief True when queries run zero-materialization scans over the
   /// mapping (mapped dataset registered without the materialize escape
   /// hatch).

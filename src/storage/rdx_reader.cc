@@ -200,7 +200,8 @@ Status RdxReader::Validate() {
     dict_blob_ = section + offsets_bytes;
   }
 
-  // Triples: exactly triple_count 12-byte records of in-range term ids.
+  // Triples: exactly triple_count 12-byte records of in-range term ids,
+  // none with an empty subject or property (RDF has neither).
   {
     const uint8_t* section = data + offsets[1];
     const uint64_t size = sizes[1];
@@ -223,6 +224,12 @@ Status RdxReader::Validate() {
                              4 * field) +
               ": term id " + std::to_string(id) + " >= term count " +
               std::to_string(term_count));
+        }
+        if (field < 2 && LoadU64(dict_offsets_ + 8 * (id + 1)) ==
+                             LoadU64(dict_offsets_ + 8 * id)) {
+          return Status::InvalidArgument(
+              path + ": triple " + std::to_string(i + 1) +
+              (field == 0 ? ": empty subject" : ": empty property"));
         }
       }
     }

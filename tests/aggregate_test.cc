@@ -355,6 +355,78 @@ TEST(AggregateEngineTest, ReducerWritesTheCountInItsPlace) {
   }
 }
 
+// The aggregated plan's decoder reads the group variables plus count_var
+// only: the reducer's lines decode, a line binding any other variable is
+// an IoError naming it, and an answer with no rows has an empty header.
+TEST(AggregateEngineTest, AggregatedDecoderHasAFixedHeader) {
+  auto query = GetTestbedQuery("B4");
+  ASSERT_TRUE(query.ok());
+  AggregateSpec spec;
+  spec.group_vars = {"p", "l", "p"};
+  spec.counted_var = "up";
+  spec.count_var = "n";
+  for (EngineKind kind : {EngineKind::kHive, EngineKind::kNtgaLazy}) {
+    EngineOptions options;
+    options.kind = kind;
+    auto plan = CompilePlan(ExecRequest::Single(*query, spec), "base", "tmp",
+                            options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const AnswerDecoder& decoder = plan->decoder;
+    EXPECT_EQ(decoder.variables, (std::vector<std::string>{"l", "n", "p"}));
+    Solution counted;
+    counted.Bind("l", "label=1;\\");
+    counted.Bind("n", "3");
+    counted.Bind("p", "product\n7");
+    auto table = decoder(std::vector<std::string>{counted.Serialize()});
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(*table, SolutionSet({counted}));
+    Solution stray = counted;
+    stray.Bind("up", "type1");
+    const Status status =
+        decoder(std::vector<std::string>{counted.Serialize(),
+                                         stray.Serialize()})
+            .status();
+    EXPECT_TRUE(status.IsIoError()) << status.ToString();
+    EXPECT_NE(status.message().find("?up"), std::string::npos)
+        << status.ToString();
+    auto none = decoder(std::vector<std::string>{});
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->variables().empty());
+    EXPECT_EQ(*none, SolutionSet());
+  }
+}
+
+// The mapper ships each distinct row of a record once, as a finished
+// table keeps it: a record whose pair repeats an object expands to a
+// repeated row, which counts and ships once.
+TEST(AggregateEngineTest, MapperShipsEachDistinctRowOnce) {
+  auto parsed = ParseSparqlQuery(
+      "labels", "SELECT ?g (COUNT(?l) AS ?n) WHERE { ?g <label> ?l . } "
+                "GROUP BY ?g");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EngineOptions options;
+  options.kind = EngineKind::kNtgaLazy;
+  auto plan = CompilePlan(
+      ExecRequest::Single(
+          std::make_shared<const GraphPatternQuery>(std::move(parsed->query)),
+          parsed->aggregate),
+      "base", "tmp", options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string record = "g1\x1F" "0\x1F" "label,l1,l1,l2\x1F";
+  std::vector<std::string> values;
+  Counters counters;
+  plan->workflow.jobs.back().inputs[0].map(
+      record,
+      [&values](std::string key, std::string value) {
+        EXPECT_EQ(key, "g=g1");
+        values.push_back(std::move(value));
+      },
+      &counters);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<std::string>{"g=g1;l=l1", "g=g1;l=l2"}));
+  EXPECT_EQ(counters["bad_records"], 0u);
+}
+
 TEST(AggregateEngineTest, NtgaReadsLessIntoTheAggregationCycle) {
   // The aggregation cycle consumes the engine's final output; NTGA's
   // nested representation makes that input much smaller.

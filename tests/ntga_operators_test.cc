@@ -143,8 +143,7 @@ std::vector<std::pair<uint32_t, std::string>> Partition(
 // The distinct solutions of all of `records` for `stars`.
 SolutionSet ExpandAll(const std::vector<StarPattern>& stars,
                       const std::vector<std::string>& records) {
-  Result<SolutionSet> out =
-      DecodeJoinedTgAnswers(TgAnswerPlan(stars), records);
+  Result<SolutionSet> out = JoinedTgAnswerDecoder(stars)(records);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : SolutionSet();
 }
@@ -729,8 +728,8 @@ TEST(BetaUnnesterPropertyTest, RandomEscapeHeavyGroups) {
 // The view-based record reader keeps every rejection of the record
 // grammar, with its Status code, for answer decoding and for any other
 // reader alike.
-TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
-  const TgAnswerPlan stars({BioStar()});
+TEST(JoinedTgAnswerDecoderTest, RejectionsKeepTheirCodes) {
+  const AnswerDecoder decode = JoinedTgAnswerDecoder({BioStar()});
   const std::string f = "\x1F";  // field separator
   const std::vector<std::string> bad_records = {
       "g1" + f + "0",                                  // field count
@@ -742,7 +741,7 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   };
   TgRecordReader reader;
   for (const std::string& record : bad_records) {
-    EXPECT_TRUE(DecodeJoinedTgAnswers(stars, {&record, 1}).status().IsIoError())
+    EXPECT_TRUE(decode({&record, 1}).status().IsIoError())
         << EscapeField(record, '\x1F');
     EXPECT_TRUE(reader.Read(record).IsIoError())
         << EscapeField(record, '\x1F');
@@ -751,16 +750,16 @@ TEST(DecodeJoinedTgAnswersTest, RejectionsKeepTheirCodes) {
   const std::string good = "g1" + f + "0" + f + "label,l1" + f;
   using Lines = std::vector<std::string>;
   EXPECT_TRUE(
-      DecodeJoinedTgAnswers(stars, Lines{good + "\x1E" + bad_records[1]})
+      decode(Lines{good + "\x1E" + bad_records[1]})
           .status()
           .IsIoError());
   // A well-formed component naming a star the plan does not have, alone
   // or after a good one.
   const std::string unknown_star = "g1" + f + "5" + f + "label,l1" + f;
   EXPECT_TRUE(
-      DecodeJoinedTgAnswers(stars, Lines{unknown_star}).status().IsIoError());
+      decode(Lines{unknown_star}).status().IsIoError());
   EXPECT_TRUE(
-      DecodeJoinedTgAnswers(stars, Lines{good + "\x1E" + unknown_star})
+      decode(Lines{good + "\x1E" + unknown_star})
           .status()
           .IsIoError());
 }

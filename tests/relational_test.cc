@@ -227,8 +227,8 @@ TEST(RelRecordReaderTest, AgreesWithBindTriplePatternReference) {
 
 TEST(TupleRecordTest, DecodeAnswersDeduplicates) {
   std::vector<Triple> t = MakeTuple();
-  auto set = DecodeRelationalAnswers(RelRecordReader(TwoPatternSchema()),
-                                     Lines{TupleLine(t), TupleLine(t)});
+  auto set = RelationalAnswerDecoder(TwoPatternSchema())(
+      Lines{TupleLine(t), TupleLine(t)});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), 1u);
 }
@@ -240,25 +240,21 @@ TEST(TupleRecordTest, DecodeAnswersDeduplicates) {
 TEST(TupleRecordTest, DecodeAnswersRejectionsKeepTheirCodes) {
   const RelSchema schema = TwoPatternSchema();
   auto decode = [](const RelSchema& s, const std::vector<Triple>& t) {
-    return DecodeRelationalAnswers(RelRecordReader(s), Lines{TupleLine(t)})
-        .status();
+    return RelationalAnswerDecoder(s)(Lines{TupleLine(t)}).status();
   };
-  const RelRecordReader reader(schema);
-  EXPECT_TRUE(DecodeRelationalAnswers(reader, Lines{"gene9\tlabel\tretinoid"})
-                  .status()
-                  .IsIoError());
+  const AnswerDecoder decoder = RelationalAnswerDecoder(schema);
+  EXPECT_TRUE(
+      decoder(Lines{"gene9\tlabel\tretinoid"}).status().IsIoError());
   const std::string extra_field = TupleLine(MakeTuple()) + "\textra";
-  EXPECT_TRUE(DecodeRelationalAnswers(reader, {&extra_field, 1})
-                  .status()
-                  .IsIoError());
+  EXPECT_TRUE(decoder({&extra_field, 1}).status().IsIoError());
 
   std::vector<Triple> null_column = MakeTuple();
   null_column[1] = Triple("", "", "");
   EXPECT_TRUE(decode(schema, null_column).IsInvalidArgument());
   RelSchema optional_schema = schema;
   optional_schema[1].optional = true;
-  auto unmatched = DecodeRelationalAnswers(RelRecordReader(optional_schema),
-                                           Lines{TupleLine(null_column)});
+  auto unmatched =
+      RelationalAnswerDecoder(optional_schema)(Lines{TupleLine(null_column)});
   ASSERT_TRUE(unmatched.ok()) << unmatched.status().ToString();
   ASSERT_EQ(unmatched->size(), 1u);
   EXPECT_FALSE(unmatched->Row(0).Has("x")) << "the OPTIONAL slot is unbound";

@@ -24,6 +24,7 @@
 #include "gtest/gtest.h"
 #include "rdf/triple.h"
 #include "service/dataset_io.h"
+#include "service/protocol.h"
 #include "service/query_service.h"
 #include "storage/format.h"
 #include "storage/memmap.h"
@@ -269,6 +270,39 @@ TEST(RdxRoundTripTest, EmptyRelationRoundTrips) {
   EXPECT_EQ((*reader)->term_count(), 0u);
   EXPECT_EQ((*reader)->property_count(), 0u);
   EXPECT_TRUE((*reader)->Triples().empty());
+}
+
+// RDF has no empty subject or property, and the relational record grammar
+// reads an all-empty column as an unmatched OPTIONAL: Open refuses a file
+// that serves a triple with either, naming its position, so the load verb
+// registers nothing from it. An empty object is an ordinary literal.
+TEST(RdxValidateTest, RejectsEmptySubjectOrProperty) {
+  const std::pair<std::vector<Triple>, std::string> cases[] = {
+      {{Triple("", "", ""), Triple("a", "p", "b")},
+       ": triple 1: empty subject"},
+      {{Triple("a", "p", "b"), Triple("c", "", "d")},
+       ": triple 2: empty property"},
+  };
+  service::ServiceConfig config;
+  service::QueryService service(config);
+  for (const auto& [triples, error] : cases) {
+    const std::string path = TempPath("empty_term.rdx");
+    ASSERT_TRUE(WriteRdxFile(path, triples).ok());
+    auto reader = RdxReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << error;
+    EXPECT_TRUE(reader.status().IsInvalidArgument())
+        << reader.status().ToString();
+    EXPECT_EQ(reader.status().message(), path + error);
+    service::HandleResult load = service::HandleRequestLine(
+        &service, R"({"verb":"load","dataset":"e","path":")" + path + "\"}");
+    EXPECT_FALSE(load.response.GetBool("ok")) << load.response.Dump();
+    EXPECT_TRUE(service.ListDatasets().empty());
+  }
+  const std::string path = TempPath("empty_object.rdx");
+  ASSERT_TRUE(WriteRdxFile(path, {Triple("a", "p", "")}).ok());
+  auto reader = RdxReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ((*reader)->triple_count(), 1u);
 }
 
 // ---- golden v2 layout -------------------------------------------------------
