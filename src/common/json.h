@@ -50,16 +50,12 @@ class JsonValue {
   static JsonValue MakeObject() { return JsonValue(Object{}); }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  bool AsBool(bool fallback = false) const {
-    return is_bool() ? bool_ : fallback;
-  }
   double AsDouble(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }
@@ -72,9 +68,6 @@ class JsonValue {
   }
   const std::string& AsString() const { return string_; }
   const Array& AsArray() const { return array_; }
-  Array& MutableArray() { return array_; }
-  const Object& AsObject() const { return object_; }
-  Object& MutableObject() { return object_; }
 
   /// \brief Object member access; returns a shared null value when absent
   /// or when this is not an object.

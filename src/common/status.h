@@ -95,19 +95,11 @@ class Status {
   bool IsInvalidArgument() const {
     return code() == StatusCode::kInvalidArgument;
   }
-  bool IsExecutionError() const {
-    return code() == StatusCode::kExecutionError;
-  }
   bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
-  bool IsCancelled() const { return code() == StatusCode::kCancelled; }
-  bool IsDeadlineExceeded() const {
-    return code() == StatusCode::kDeadlineExceeded;
-  }
   bool IsResourceExhausted() const {
     return code() == StatusCode::kResourceExhausted;
   }
   bool IsIoError() const { return code() == StatusCode::kIoError; }
-  bool IsDataLoss() const { return code() == StatusCode::kDataLoss; }
 
   StatusCode code() const {
     return state_ == nullptr ? StatusCode::kOk : state_->code;

@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "engine/plan_chooser.h"
 #include "ntga/ntga_compiler.h"
 
@@ -292,30 +293,32 @@ double FilesRedundancy(const std::vector<LinesPtr>& files) {
 // Reads back what a finished run left on the DFS: both redundancy factors
 // and, when `decode` is set and the run succeeded, the decoded answers —
 // one table over every answer file of `plan` into `exec->answers`, or with
-// `per_file` one table per file into `exec->per_query`.
+// `per_file` one table per file into `exec->per_query`. The two meters and
+// the decode's chunks run concurrently on `pool`.
 //
 // Redundancy measures flat relational tuples against their nested
 // triplegroup footprint. NTGA output (`flat` false) is that nested
 // footprint, so both factors stay 0 without metering; metering it would
 // misread a record whose terms carry tabs as a flat tuple.
 Status ReadBack(const SimDfs& dfs, const CompiledPlan& plan, bool flat,
-                bool decode, bool per_file, ExecResult* exec) {
+                bool decode, bool per_file, ThreadPool* pool,
+                ExecResult* exec) {
   ExecStats* stats = &exec->stats;
+  // The star-join phase outputs, read in place.
+  std::vector<LinesPtr> star_files;
   if (flat) {
-    // Redundancy factor over the star-join phase outputs, read in place.
-    std::vector<LinesPtr> star_files;
     for (const std::string& path : plan.star_phase_paths) {
       Result<LinesPtr> lines = dfs.ReadLines(path);
       if (lines.ok()) star_files.push_back(lines.MoveValueUnsafe());
     }
-    stats->redundancy_factor = FilesRedundancy(star_files);
   }
-  if (!stats->ok() || !(flat || decode)) return Status::OK();
   // One read of each answer file serves the final redundancy factor and
   // the answer decode (verification, uncharged).
+  const bool read_finals = stats->ok() && (flat || decode);
   std::vector<LinesPtr> finals;
   std::vector<std::span<const std::string>> files;  // empty for a missing one
-  for (const std::string& path : plan.final_output_paths) {
+  for (size_t f = 0; read_finals && f < plan.final_output_paths.size(); ++f) {
+    const std::string& path = plan.final_output_paths[f];
     LinesPtr& lines = finals.emplace_back();
     std::span<const std::string>& file = files.emplace_back();
     if (dfs.Exists(path)) {
@@ -323,14 +326,31 @@ Status ReadBack(const SimDfs& dfs, const CompiledPlan& plan, bool flat,
       file = *lines;
     }
   }
-  if (flat) stats->final_redundancy_factor = FilesRedundancy(finals);
+  decode = decode && read_finals;
+  if (!decode) files.clear();
+  ChunkedDecode decoding(plan.decoder, files);
+  // The meters first: each is one item, longer than a decode chunk.
+  std::vector<std::function<void()>> work;
+  if (flat) {
+    work.push_back(
+        [&] { stats->redundancy_factor = FilesRedundancy(star_files); });
+  }
+  if (flat && read_finals) {
+    work.push_back(
+        [&] { stats->final_redundancy_factor = FilesRedundancy(finals); });
+  }
+  for (size_t c = 0; c < decoding.size(); ++c) {
+    work.push_back([&decoding, c] { decoding.Append(c); });
+  }
+  pool->ParallelFor(work.size(), [&work](size_t i) { work[i](); });
   if (!decode) return Status::OK();
   if (!per_file) {
-    RDFMR_ASSIGN_OR_RETURN(exec->answers, plan.decoder.Decode(files));
+    RDFMR_ASSIGN_OR_RETURN(exec->answers, decoding.Finish(0, files.size()));
     return Status::OK();
   }
-  for (std::span<const std::string> file : files) {
-    RDFMR_ASSIGN_OR_RETURN(exec->per_query.emplace_back(), plan.decoder(file));
+  for (size_t f = 0; f < files.size(); ++f) {
+    RDFMR_ASSIGN_OR_RETURN(exec->per_query.emplace_back(),
+                           decoding.Finish(f, f + 1));
   }
   return Status::OK();
 }
@@ -360,9 +380,13 @@ Result<ExecResult> Run(SimDfs* dfs, const std::string& base_path,
   query_span.Attr("engine", EngineKindToString(options.kind));
   query_span.Attr("query", query_name);
   query_span.Attr("planned_cycles", static_cast<uint64_t>(planned_cycles));
+  // One pool serves the workflow and the read-back after it.
+  ThreadPool pool(
+      ResolveNumThreads(options.runtime, dfs->config().num_threads));
   WorkflowRunOptions wf_options;
   wf_options.cost = options.cost;
   wf_options.runtime = options.runtime;
+  wf_options.pool = &pool;
   wf_options.ctx = query_span.context();
   WorkflowResult result = RunWorkflow(dfs, workflow, wf_options);
   query_span.Attr("mr_cycles",
@@ -414,7 +438,7 @@ Result<ExecResult> Run(SimDfs* dfs, const std::string& base_path,
   const Status read_status =
       ReadBack(*dfs, plan, !NtgaStrategyOf(options.kind).has_value(),
                options.decode_answers,
-               request.payload == ExecPayload::kBatch, &exec);
+               request.payload == ExecPayload::kBatch, &pool, &exec);
 
   // The reads above (stat sampling + decode) are observation, not engine
   // work; rebuilding the metric from job totals keeps accounting honest.

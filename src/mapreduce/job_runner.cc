@@ -15,14 +15,28 @@ namespace rdfmr {
 
 namespace {
 
-// One per-block map task: a contiguous line range of one input, mirroring
-// an HDFS input split (a record belongs to the block containing its first
-// byte, so the task count per input never exceeds SimDfs::BlockCount).
-struct MapTask {
+// The host's unit of map work: a contiguous line range of one input
+// holding about kChunkBytes of the bytes its mapper sees. Each chunk has
+// its own output, so the pool stays busy even when an input is a single
+// block.
+struct MapChunk {
   size_t input_index = 0;
   size_t begin = 0;  // first line (inclusive)
   size_t end = 0;    // last line (exclusive)
 };
+
+// The simulated unit of map work: one per-block map task, mirroring an
+// HDFS input split (a record belongs to the block containing its first
+// byte, so the task count per input never exceeds SimDfs::BlockCount). It
+// is a run of consecutive chunks, and it is the combiner's scope.
+struct MapTask {
+  size_t first_chunk = 0;
+  size_t end_chunk = 0;
+};
+
+// The chunk budget, in bytes the mapper sees. It is a host setting only:
+// no simulated quantity depends on it.
+constexpr uint64_t kChunkBytes = 64 << 10;
 
 // Key/value pairs as two parallel columns, so that the values of a run of
 // equal keys are one contiguous span.
@@ -31,9 +45,9 @@ struct KeyedRecords {
   std::vector<std::string> values;
 };
 
-// Output of one map task, partitioned, metered and counted as it is
-// emitted: slice p holds the task's pairs for reduce partition p in
-// emission order. A map-only task has one slice, of values only.
+// Output of one map chunk, partitioned, metered and counted as it is
+// emitted: slice p holds the chunk's pairs for reduce partition p in
+// emission order. A map-only chunk has one slice, of values only.
 struct MapTaskOutput {
   MapTaskOutput(size_t num_partitions, bool map_only)
       : slices(num_partitions), map_only(map_only) {}
@@ -197,51 +211,61 @@ void ForEachTask(ThreadPool* pool, size_t n,
   }
 }
 
-// Executes one map task against its line range: either plain mapping or
-// the per-task combiner path (buffer -> combine per key -> add), exactly
-// the Hadoop combiner scope.
+// Executes one map chunk against its line range. Without a combiner the
+// pairs go straight to the chunk's output; with one they are buffered in
+// `*combine_buffer` (in emission order), for CombineTask to combine once
+// per block task after the barrier — exactly the Hadoop combiner scope.
 //
 // `selected` (nullable) is the input's resolved vertical-partition hint:
 // ascending indices of the lines whose property the mapper can act on.
-// When set (mapped inputs only), the task feeds the mapper just the
+// When set (mapped inputs only), the chunk feeds the mapper just the
 // selected lines inside its range — legal because the compiler guarantees
 // the mapper no-ops on every skipped line, so emissions and counters are
 // byte-identical to the full scan.
-void RunMapTask(const JobSpec& spec, const MapTask& task,
-                const SimDfs::ScanHandle& scan,
-                const std::vector<uint64_t>* selected, bool map_only,
-                MapTaskOutput* out) {
-  const MapFn& map = spec.inputs[task.input_index].map;
+void RunMapChunk(const JobSpec& spec, const MapChunk& chunk,
+                 const SimDfs::ScanHandle& scan,
+                 const std::vector<uint64_t>* selected,
+                 KeyedRecords* combine_buffer, MapTaskOutput* out) {
+  const MapFn& map = spec.inputs[chunk.input_index].map;
   std::string scratch;
   const auto for_each_record = [&](const MapEmit& emit) {
     if (selected == nullptr) {
-      for (size_t i = task.begin; i < task.end; ++i) {
+      for (size_t i = chunk.begin; i < chunk.end; ++i) {
         map(scan.LineRef(i, &scratch), emit, &out->counters);
       }
       return;
     }
     auto it = std::lower_bound(selected->begin(), selected->end(),
-                               static_cast<uint64_t>(task.begin));
-    for (; it != selected->end() && *it < task.end; ++it) {
+                               static_cast<uint64_t>(chunk.begin));
+    for (; it != selected->end() && *it < chunk.end; ++it) {
       map(scan.LineRef(*it, &scratch), emit, &out->counters);
     }
   };
-  if (spec.combine == nullptr || map_only) {
+  if (combine_buffer == nullptr) {
     const MapEmit emit = [out](std::string key, std::string value) {
       out->Add(std::move(key), std::move(value));
     };
     for_each_record(emit);
     return;
   }
-  // Combiner path: buffer this task's pairs, then combine each key's
-  // values, in emission order, and add what the combiner returns.
-  KeyedRecords buffered;
   const MapEmit emit = [&](std::string key, std::string value) {
     out->counters["combine_input_records"] += 1;
-    buffered.keys.push_back(std::move(key));
-    buffered.values.push_back(std::move(value));
+    combine_buffer->keys.push_back(std::move(key));
+    combine_buffer->values.push_back(std::move(value));
   };
   for_each_record(emit);
+}
+
+// Combines one block task's buffered pairs: its chunks' buffers joined in
+// chunk order (the task's emission order), stable-sorted by key, and each
+// key's values combined once; what the combiner returns goes to `*out`.
+void CombineTask(const JobSpec& spec, std::span<KeyedRecords> chunk_buffers,
+                 MapTaskOutput* out) {
+  KeyedRecords buffered;
+  for (KeyedRecords& chunk : chunk_buffers) {
+    AppendMoved(&buffered.keys, &chunk.keys);
+    AppendMoved(&buffered.values, &chunk.values);
+  }
   StableSortByKey(&buffered);
   ForEachKeyRun(buffered, [&](const std::string& key,
                               std::span<const std::string> values) {
@@ -313,6 +337,8 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   // its first byte, as a Hadoop input split would. Task structure and
   // input metering always cover the FULL file — a vertical-partition
   // hint prunes which lines reach the mapper, never what the job reads.
+  // Each task is cut further into host chunks of about kChunkBytes of the
+  // lines its mapper sees (under a hint, the selected lines alone).
   auto map_start = std::chrono::steady_clock::now();
   ScopedSpan map_span(job_ctx, "map");
   const uint64_t block_size = dfs->config().block_size;
@@ -321,6 +347,7 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   std::vector<std::unique_ptr<std::vector<uint64_t>>> selected(
       spec.inputs.size());
   std::vector<MapTask> tasks;
+  std::vector<MapChunk> chunks;
   for (size_t in = 0; in < spec.inputs.size(); ++in) {
     const MapInput& input = spec.inputs[in];
     auto scan = OpenScanWithRetry(dfs, input.path, max_attempts,
@@ -337,43 +364,79 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
       selected[in] = std::make_unique<std::vector<uint64_t>>(
           scans[in].MatchingLines(*input.scan_properties));
     }
+    const std::vector<uint64_t>* seen = selected[in].get();
 
     const uint64_t line_count = scans[in].line_count();
     uint64_t offset = 0;
     uint64_t task_block = 0;
-    size_t task_begin = 0;
+    uint64_t chunk_bytes = 0;
+    size_t chunk_begin = 0;
+    size_t next_seen = 0;  // the first entry of *seen not below line i
+    const auto close_chunk = [&](size_t end) {
+      chunks.push_back(MapChunk{in, chunk_begin, end});
+      chunk_begin = end;
+      chunk_bytes = 0;
+    };
+    const auto close_task = [&](size_t end) {
+      close_chunk(end);
+      const size_t first = tasks.empty() ? 0 : tasks.back().end_chunk;
+      tasks.push_back(MapTask{first, chunks.size()});
+    };
     for (size_t i = 0; i < line_count; ++i) {
-      uint64_t block = offset / block_size;
+      const uint64_t block = offset / block_size;
       if (block != task_block) {
-        tasks.push_back(MapTask{in, task_begin, i});
+        close_task(i);
         task_block = block;
-        task_begin = i;
+      } else if (chunk_bytes >= kChunkBytes) {
+        close_chunk(i);
       }
-      offset += scans[in].LineBytes(i) + 1;
+      const uint64_t bytes = scans[in].LineBytes(i) + 1;
+      offset += bytes;
+      if (seen == nullptr) {
+        chunk_bytes += bytes;
+      } else if (next_seen < seen->size() && (*seen)[next_seen] == i) {
+        chunk_bytes += bytes;
+        ++next_seen;
+      }
     }
-    if (task_begin < line_count) {
-      tasks.push_back(MapTask{in, task_begin, line_count});
-    }
+    if (chunk_begin < line_count) close_task(line_count);
   }
 
+  // Every chunk maps concurrently into its own output. A combiner job's
+  // chunks buffer their pairs instead, and each block task combines its
+  // chunks' pairs once, behind the barrier, into its first chunk's output.
   const size_t num_partitions =
       map_only ? 1 : static_cast<size_t>(num_reducers);
-  std::vector<MapTaskOutput> task_outputs(
-      tasks.size(), MapTaskOutput(num_partitions, map_only));
-  ForEachTask(pool, tasks.size(), [&](size_t t) {
-    RunMapTask(spec, tasks[t], scans[tasks[t].input_index],
-               selected[tasks[t].input_index].get(), map_only,
-               &task_outputs[t]);
+  const bool combining = spec.combine != nullptr && !map_only;
+  std::vector<MapTaskOutput> chunk_outputs(
+      chunks.size(), MapTaskOutput(num_partitions, map_only));
+  std::vector<KeyedRecords> combine_buffers(combining ? chunks.size() : 0);
+  ForEachTask(pool, chunks.size(), [&](size_t c) {
+    const size_t in = chunks[c].input_index;
+    RunMapChunk(spec, chunks[c], scans[in], selected[in].get(),
+                combining ? &combine_buffers[c] : nullptr,
+                &chunk_outputs[c]);
   });
   scans.clear();
   selected.clear();
+  if (combining) {
+    ForEachTask(pool, tasks.size(), [&](size_t t) {
+      const MapTask& task = tasks[t];
+      CombineTask(spec,
+                  std::span<KeyedRecords>(combine_buffers)
+                      .subspan(task.first_chunk,
+                               task.end_chunk - task.first_chunk),
+                  &chunk_outputs[task.first_chunk]);
+    });
+    combine_buffers.clear();
+  }
 
-  // Barrier reached: the tasks partitioned and metered their own output,
+  // Barrier reached: the chunks partitioned and metered their own output,
   // so the map phase only sums their counts and folds their counters (the
   // job's counters hold the map phase's alone until the reduce fold).
   uint64_t map_records = 0;
   uint64_t map_bytes = 0;
-  for (const MapTaskOutput& out : task_outputs) {
+  for (const MapTaskOutput& out : chunk_outputs) {
     map_records += out.records;
     map_bytes += out.bytes;
     MergeCounters(&metrics.counters, out.counters);
@@ -410,30 +473,31 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   // ---- Shuffle + reduce phase -------------------------------------------
   std::vector<std::string> output;
   if (map_only) {
-    // The values in (input, block) task order: a sequential run's order.
-    for (MapTaskOutput& out : task_outputs) {
+    // The values in chunk order, which is (input, block) task order: a
+    // sequential run's order.
+    for (MapTaskOutput& out : chunk_outputs) {
       AppendMoved(&output, &out.slices[0].values);
     }
-    task_outputs.clear();
+    chunk_outputs.clear();
     metrics.output_bytes = map_bytes;
   } else {
-    // Each partition gathers its slices in (input, block) task order — the
-    // emission order of a sequential run — and stable-sorts them by key,
-    // all partitions concurrently.
+    // Each partition gathers its slices in chunk order — (input, block)
+    // task order, the emission order of a sequential run — and
+    // stable-sorts them by key, all partitions concurrently.
     auto sort_start = std::chrono::steady_clock::now();
     ScopedSpan sort_span(job_ctx, "sort");
     sort_span.Attr("partitions", static_cast<uint64_t>(num_reducers));
     std::vector<KeyedRecords> partitions(num_partitions);
     ForEachTask(pool, num_partitions, [&](size_t p) {
       KeyedRecords& part = partitions[p];
-      for (MapTaskOutput& out : task_outputs) {
+      for (MapTaskOutput& out : chunk_outputs) {
         KeyedRecords slice = std::move(out.slices[p]);  // freed when done
         AppendMoved(&part.keys, &slice.keys);
         AppendMoved(&part.values, &slice.values);
       }
       StableSortByKey(&part);
     });
-    task_outputs.clear();
+    chunk_outputs.clear();
     sort_span.Close();
     metrics.shuffle_sort_seconds = SecondsSince(sort_start);
 

@@ -13,7 +13,7 @@ namespace rdfmr {
 
 /// \brief Execution knobs + observability sink for one job run.
 struct JobRunOptions {
-  /// Runs map tasks / reducer partitions concurrently when non-null (the
+  /// Runs map chunks / reducer partitions concurrently when non-null (the
   /// runtime guarantees byte-identical output and metrics either way).
   ThreadPool* pool = nullptr;
 
@@ -45,14 +45,20 @@ struct JobRunResult {
 /// write output (can fail with kOutOfSpace, which is how the paper's
 /// failed executions arise).
 ///
-/// When `options.pool` is non-null, the map phase is decomposed into one
-/// task per HDFS block of each input (the same granularity
-/// SimDfs::BlockCount reports) and tasks run concurrently. Each task puts
-/// its emissions straight into private per-partition slices, metering
-/// and counting them as it goes. Each reducer partition gathers its
-/// slices in (input, block) task order — the sequential emission order —
-/// and stable-sorts them by key; partitions sort and reduce concurrently
-/// and their output is concatenated in partition order. Output and every
+/// The block is the simulated task; the chunk is the host's unit of work.
+/// The map phase is decomposed into one task per HDFS block of each input
+/// (the same granularity SimDfs::BlockCount reports): the map span's
+/// `tasks` attribute counts them, and the combiner runs once per task.
+/// Each task is cut into host chunks of a fixed budget of the bytes its
+/// mapper sees, at every thread count, and chunks run concurrently when
+/// `options.pool` is non-null. Each chunk puts its emissions straight
+/// into private per-partition slices, metering and counting them as it
+/// goes; a combiner job's chunks buffer their pairs instead, and each
+/// task combines its chunks' pairs, joined in chunk order, after the
+/// barrier. Each reducer partition gathers its slices in chunk order —
+/// (input, block) task order, the sequential emission order — and
+/// stable-sorts them by key; partitions sort and reduce concurrently and
+/// their output is concatenated in partition order. Output and every
 /// metric except the wall-clock *_seconds fields are therefore
 /// byte-identical to the sequential run. The same discipline covers
 /// spans: they are opened only on the calling thread, so span structure

@@ -41,14 +41,19 @@ WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
   WorkflowResult result;
   result.peak_dfs_used_bytes = dfs->UsedBytes();
 
-  // One pool for the whole workflow; with <= 1 thread no workers are
-  // spawned and every job runs inline on this thread.
-  uint32_t num_threads =
-      ResolveNumThreads(options.runtime, dfs->config().num_threads);
+  // One pool for the whole workflow, the caller's if it passed one; with
+  // <= 1 thread no workers are spawned and every job runs inline on this
+  // thread.
+  ThreadPool* pool = options.pool;
+  std::unique_ptr<ThreadPool> own_pool;
+  if (pool == nullptr) {
+    const uint32_t num_threads =
+        ResolveNumThreads(options.runtime, dfs->config().num_threads);
+    if (num_threads > 1) own_pool = std::make_unique<ThreadPool>(num_threads);
+    pool = own_pool.get();
+  }
   uint32_t max_attempts =
       ResolveMaxAttempts(options.runtime, dfs->config().max_task_attempts);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   for (size_t i = 0; i < spec.jobs.size(); ++i) {
     const JobSpec& job = spec.jobs[i];
@@ -59,7 +64,7 @@ WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
     cycle_span.Attr("cycle", static_cast<uint64_t>(i + 1));
     cycle_span.Attr("job", job.name);
     JobRunOptions job_options;
-    job_options.pool = pool.get();
+    job_options.pool = pool;
     job_options.max_attempts = max_attempts;
     job_options.ctx = cycle_span.context();
     JobRunResult run = RunJob(dfs, job, job_options);

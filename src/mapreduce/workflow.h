@@ -14,6 +14,7 @@
 
 #include "common/runtime_options.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "dfs/sim_dfs.h"
 #include "mapreduce/cost_model.h"
@@ -67,6 +68,12 @@ struct WorkflowRunOptions {
   /// RDFMR_THREADS / RDFMR_MAX_ATTEMPTS env > option > config default).
   RuntimeOptions runtime;
 
+  /// The pool every job runs on. Null builds one for the run from
+  /// `runtime.num_threads`; a caller that has other work to run on the
+  /// same threads (Exec's read-back) passes its own, and then
+  /// `runtime.num_threads` is not consulted.
+  ThreadPool* pool = nullptr;
+
   /// Span sink: when enabled, every job runs under an "mr_cycle" span
   /// (attrs: cycle ordinal, job name) whose child is the runner's "job"
   /// span tree. Disabled (default) costs one branch per job.
@@ -80,8 +87,9 @@ struct WorkflowRunOptions {
 /// next engine in a benchmark), but the recorded peak usage reflects the
 /// accumulation while the workflow ran.
 ///
-/// `options.runtime.num_threads` selects the host-side execution
-/// parallelism of every job's map and reduce phases. Any value yields
+/// `options.pool`, or else `options.runtime.num_threads`, selects the
+/// host-side execution parallelism of every job's map and reduce phases.
+/// Any value yields
 /// byte-identical outputs, metrics, and span structure (only wall times
 /// differ) — see RunJob.
 ///

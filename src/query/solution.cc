@@ -4,6 +4,7 @@
 #include <functional>
 #include <numeric>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace rdfmr {
@@ -311,6 +312,17 @@ void SolutionSet::Builder::Grow() {
   }
 }
 
+void SolutionSet::Builder::Absorb(const Builder& other) {
+  RDFMR_CHECK(variables_ == other.variables_);
+  std::vector<Handle> remap(other.offsets_.size() - 1);
+  for (Handle h = 0; h < remap.size(); ++h) remap[h] = Intern(other.term(h));
+  cells_.reserve(cells_.size() + other.cells_.size());
+  for (const Handle h : other.cells_) {
+    cells_.push_back(h == kUnbound ? kUnbound : remap[h]);
+  }
+  rows_ += other.rows_;
+}
+
 SolutionSet SolutionSet::Builder::Finish() {
   const size_t width = variables_.size();
   const size_t num_terms = offsets_.size() - 1;
@@ -377,6 +389,41 @@ Result<SolutionSet> AnswerDecoder::Decode(
     RDFMR_RETURN_NOT_OK(append(lines, &builder));
   }
   return builder.Finish();
+}
+
+ChunkedDecode::ChunkedDecode(
+    const AnswerDecoder& decoder,
+    std::span<const std::span<const std::string>> files)
+    : decoder_(decoder) {
+  file_chunks_.push_back(0);
+  for (std::span<const std::string> lines : files) {
+    for (size_t at = 0; at < lines.size(); at += kLines) {
+      chunks_.push_back(Chunk{lines.subspan(at, std::min(kLines,
+                                                         lines.size() - at)),
+                              SolutionSet::Builder(decoder.variables),
+                              Status::OK()});
+    }
+    file_chunks_.push_back(chunks_.size());
+  }
+}
+
+void ChunkedDecode::Append(size_t c) {
+  chunks_[c].status = decoder_.append(chunks_[c].lines, &chunks_[c].builder);
+}
+
+Result<SolutionSet> ChunkedDecode::Finish(size_t first, size_t last) {
+  const size_t begin = file_chunks_[first];
+  const size_t end = file_chunks_[last];
+  if (begin == end) return SolutionSet::Builder(decoder_.variables).Finish();
+  for (size_t c = begin; c < end; ++c) {
+    RDFMR_RETURN_NOT_OK(chunks_[c].status);
+  }
+  SolutionSet::Builder& table = chunks_[begin].builder;
+  for (size_t c = begin + 1; c < end; ++c) {
+    table.Absorb(chunks_[c].builder);
+    chunks_[c].builder = SolutionSet::Builder({});
+  }
+  return table.Finish();
 }
 
 AnswerDecoder SolutionLineDecoder(std::vector<std::string> variables) {

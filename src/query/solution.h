@@ -10,7 +10,8 @@
 // answer comparison (the Lemma 1 content-equivalence check) is a direct
 // table comparison. Rows are appended, and a table is finished once per
 // answer: an AnswerDecoder appends rows to a caller's Builder, and its
-// Decode is the one call that finishes a table from records. The
+// Decode (or a ChunkedDecode's Finish, for chunks appended concurrently)
+// is the call that finishes a table from records. The
 // canonical line has one writer (AppendBinding) and one reader
 // (SolutionLineReader).
 
@@ -218,6 +219,11 @@ class SolutionSet::Builder {
   /// \brief The rows added so far, width() handles each, duplicates kept.
   std::span<const Handle> cells() const { return cells_; }
 
+  /// \brief Appends the rows of `other`, a builder over the same
+  /// variables, after this one's: its terms are interned here and its
+  /// cells remapped to their handles.
+  void Absorb(const Builder& other);
+
   /// \brief The finished table; the builder is left empty.
   SolutionSet Finish();
 
@@ -274,7 +280,9 @@ class SolutionLineReader {
 /// \brief An answer grammar: the variables its rows bind (sorted and
 /// distinct), and `append`, which appends the rows of a span of lines to a
 /// builder over them and fails on the first line it rejects. Its reused
-/// readers live for one call, so a caller hands over a file at once.
+/// readers live for one call, so a caller hands over many lines at once;
+/// no line's rows depend on another's, so calls on distinct builders may
+/// run concurrently.
 struct AnswerDecoder {
   std::vector<std::string> variables;
   std::function<Status(std::span<const std::string> lines,
@@ -288,6 +296,43 @@ struct AnswerDecoder {
   Result<SolutionSet> operator()(std::span<const std::string> lines) const {
     return Decode({&lines, 1});
   }
+};
+
+/// \brief One decode of answer files cut into chunks of kLines lines each,
+/// so the chunks can append concurrently: chunk c appends its lines into
+/// its own builder (Append, safe to call for distinct chunks at once), and
+/// Finish absorbs the builders of a range of files in chunk order and
+/// finishes that table once. The table equals the decoder's serial
+/// Decode of those files, and so does the error: the first rejected
+/// line's, in file order. The decoder and the files' lines must outlive
+/// this object.
+class ChunkedDecode {
+ public:
+  static constexpr size_t kLines = 1024;
+
+  ChunkedDecode(const AnswerDecoder& decoder,
+                std::span<const std::span<const std::string>> files);
+
+  /// \brief The number of chunks; an empty file has none.
+  size_t size() const { return chunks_.size(); }
+
+  /// \brief Appends chunk `c`'s lines into its builder.
+  void Append(size_t c);
+
+  /// \brief The table of files [first, last), once each of their chunks
+  /// has appended.
+  Result<SolutionSet> Finish(size_t first, size_t last);
+
+ private:
+  struct Chunk {
+    std::span<const std::string> lines;
+    SolutionSet::Builder builder;
+    Status status;
+  };
+
+  const AnswerDecoder& decoder_;
+  std::vector<Chunk> chunks_;
+  std::vector<size_t> file_chunks_;  // file f: chunks [f-th, (f+1)-th)
 };
 
 /// \brief The grammar of canonical lines over a fixed header `variables`

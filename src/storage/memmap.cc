@@ -76,11 +76,6 @@ Status BoundedReader::OutOfBounds(size_t offset, size_t length) const {
       std::to_string(base_ + size_) + ")");
 }
 
-Result<uint32_t> BoundedReader::U32(size_t offset) const {
-  if (offset > size_ || size_ - offset < 4) return OutOfBounds(offset, 4);
-  return LoadU32(map_->data() + base_ + offset);
-}
-
 Result<uint64_t> BoundedReader::U64(size_t offset) const {
   if (offset > size_ || size_ - offset < 8) return OutOfBounds(offset, 8);
   return LoadU64(map_->data() + base_ + offset);

@@ -61,7 +61,6 @@ class BoundedReader {
 
   size_t size() const { return size_; }
 
-  Result<uint32_t> U32(size_t offset) const;
   Result<uint64_t> U64(size_t offset) const;
   /// \brief A view of `length` bytes at relative `offset`.
   Result<std::string_view> Bytes(size_t offset, size_t length) const;

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "datagen/testbed.h"
 #include "dfs/sim_dfs.h"
 #include "engine/engine.h"
@@ -448,6 +450,175 @@ TEST(CombinerScopeTest, CombinerRunsPerBlockTaskNotPerFile) {
   ASSERT_TRUE(lines.ok());
   ASSERT_EQ(lines->size(), 1u);
   EXPECT_EQ((*lines)[0], "k:" + std::to_string(expected_tasks));
+}
+
+// Chunk scope: at the default 1 MiB block the runner cuts each block task
+// into several host chunks, and the simulated task must not see them. The
+// combiner still runs once per key per block task, the map span still
+// counts blocks, and the output keeps the emission order across chunk
+// edges: each case is checked against a model that knows only blocks, at
+// no pool and at 2 and 8 threads.
+TEST(ChunkScopeTest, BlocksOfManyChunksKeepTheBlockTaskScope) {
+  const ClusterConfig config;  // 1 MiB blocks
+  const size_t kKeys = 37;
+  std::vector<std::string> input;
+  uint64_t input_bytes = 0;
+  for (size_t i = 0; input_bytes < (5ULL << 20) / 2; ++i) {
+    input.push_back("k" + std::to_string(i * 7 % kKeys) + " " +
+                    std::to_string(i));
+    input_bytes += input.back().size() + 1;
+  }
+  const auto key_of = [](const std::string& line) {
+    return line.substr(0, line.find(' '));
+  };
+  const auto value_of = [](const std::string& line) {
+    return line.substr(line.find(' ') + 1);
+  };
+
+  // The per-block model: a line belongs to the block holding its first
+  // byte; per block, each key's count.
+  std::vector<std::map<std::string, uint64_t>> block_counts;
+  uint64_t offset = 0;
+  for (const std::string& line : input) {
+    const uint64_t block = offset / config.block_size;
+    if (block_counts.size() <= block) block_counts.resize(block + 1);
+    block_counts[block][key_of(line)] += 1;
+    offset += line.size() + 1;
+  }
+  ASSERT_GE(block_counts.size(), 3u);
+  uint64_t combined_records = 0;
+  uint64_t combined_bytes = 0;
+  std::map<std::string, uint64_t> totals;
+  for (const auto& counts : block_counts) {
+    for (const auto& [key, count] : counts) {
+      combined_records += 1;
+      combined_bytes += key.size() + std::to_string(count).size() + 2;
+      totals[key] += count;
+    }
+  }
+
+  const MapFn split = [&](const std::string& record, const MapEmit& emit,
+                          Counters*) { emit(key_of(record), "1"); };
+  JobSpec count;
+  count.name = "count";
+  count.inputs.push_back(MapInput{"in", split, nullptr});
+  count.combine = [](const std::string&, std::span<const std::string> values,
+                     Counters* counters) {
+    (*counters)["combine_calls"] += 1;
+    uint64_t sum = 0;
+    for (const std::string& value : values) sum += std::stoull(value);
+    return std::vector<std::string>{std::to_string(sum)};
+  };
+  count.reduce = [](const std::string& key,
+                    std::span<const std::string> values,
+                    const RecordEmit& emit, Counters*) {
+    uint64_t sum = 0;
+    for (const std::string& value : values) sum += std::stoull(value);
+    emit(key + "=" + std::to_string(sum));
+  };
+  count.output_path = "count_out";
+
+  JobSpec map_only;
+  map_only.name = "map_only";
+  map_only.inputs.push_back(MapInput{
+      "in",
+      [&](const std::string& record, const MapEmit& emit, Counters*) {
+        if (record.back() != '3') emit("", value_of(record));
+      },
+      nullptr});
+  map_only.output_path = "map_only_out";
+
+  JobSpec demux;
+  demux.name = "demux";
+  demux.inputs.push_back(MapInput{
+      "in",
+      [&](const std::string& record, const MapEmit& emit, Counters*) {
+        emit(key_of(record), value_of(record));
+      },
+      nullptr});
+  demux.reduce = [](const std::string& key,
+                    std::span<const std::string> values,
+                    const RecordEmit& emit, Counters*) {
+    for (const std::string& value : values) emit(key + "=" + value);
+  };
+  demux.demux = [](const std::string& record) {
+    return "-" + std::string(1, record.back());
+  };
+  demux.output_path = "demux_out";
+
+  // The expected files: counts per key in partition then key order; the
+  // kept values in input order; each key's values in input order, keys in
+  // partition then key order, routed by their last digit.
+  const size_t reducers = config.num_reducers;
+  std::map<std::string, std::vector<std::string>> expected;
+  std::map<std::string, std::vector<std::string>> values_of_key;
+  for (const std::string& line : input) {
+    values_of_key[key_of(line)].push_back(value_of(line));
+    if (line.back() != '3') expected["map_only_out"].push_back(value_of(line));
+  }
+  for (size_t p = 0; p < reducers; ++p) {
+    for (const auto& [key, values] : values_of_key) {
+      if (Fnv1a64(key) % reducers != p) continue;
+      expected["count_out"].push_back(key + "=" +
+                                      std::to_string(totals[key]));
+      for (const std::string& value : values) {
+        expected["demux_out-" + std::string(1, value.back())].push_back(
+            key + "=" + value);
+      }
+    }
+  }
+
+  for (const JobSpec* spec : {&count, &map_only, &demux}) {
+    SCOPED_TRACE("job=" + spec->name);
+    std::map<std::string, std::vector<std::string>> first_files;
+    JobMetrics first_metrics;
+    for (uint32_t threads : {0u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      SimDfs dfs(config);
+      ASSERT_TRUE(dfs.WriteFile("in", input).ok());
+      Trace trace;
+      JobRunOptions options;
+      options.pool = pool.get();
+      options.ctx = RunContext::ForTrace(&trace);
+      JobRunResult run = RunJob(&dfs, *spec, options);
+      ASSERT_TRUE(run.ok()) << run.status.ToString();
+
+      // The map span counts block tasks.
+      const TraceSpan& map_span = *trace.root()->children.at(0)->children.at(0);
+      ASSERT_EQ(map_span.name, "map");
+      ASSERT_FALSE(map_span.attrs.empty());
+      EXPECT_EQ(map_span.attrs[0], std::make_pair(std::string("tasks"),
+                                                  std::to_string(
+                                                      block_counts.size())));
+      if (spec == &count) {
+        EXPECT_EQ(run.metrics.map_output_records, combined_records);
+        EXPECT_EQ(run.metrics.map_output_bytes, combined_bytes);
+        EXPECT_EQ(run.metrics.counters["combine_calls"], combined_records);
+        EXPECT_EQ(run.metrics.counters["combine_input_records"],
+                  input.size());
+      }
+      std::map<std::string, std::vector<std::string>> files;
+      for (const std::string& path : dfs.ListFiles()) {
+        if (path == "in") continue;
+        auto lines = dfs.ReadFile(path);
+        ASSERT_TRUE(lines.ok()) << path;
+        files[path] = *lines;
+      }
+      for (const auto& [path, lines] : expected) {
+        if (path.rfind(spec->output_path, 0) != 0) continue;
+        EXPECT_TRUE(files[path] == lines) << path;
+      }
+      if (threads == 0) {
+        first_files = std::move(files);
+        first_metrics = run.metrics;
+        continue;
+      }
+      EXPECT_TRUE(files == first_files);
+      ExpectSameJobMetrics(run.metrics, first_metrics);
+    }
+  }
 }
 
 // Regression (failure cleanup): a failed workflow must also delete the

@@ -764,5 +764,49 @@ TEST(JoinedTgAnswerDecoderTest, RejectionsKeepTheirCodes) {
           .IsIoError());
 }
 
+// The read-back's chunked decode of an answer file several chunks long
+// equals the serial decoder's table; with rejected records in two chunks
+// it returns the serial decoder's error, the earlier record's.
+TEST(JoinedTgAnswerDecoderTest, ChunkedDecodeMatchesTheSerialDecoder) {
+  const StarPattern star = BioStar();
+  const AnswerDecoder decode = JoinedTgAnswerDecoder({star});
+  std::vector<std::string> records;
+  for (size_t i = 0; records.size() < 3 * ChunkedDecode::kLines + 17; ++i) {
+    std::vector<Pair> pairs = {
+        {"label", "l" + std::to_string(i % 11)},
+        {"xGO", "go" + std::to_string(i % 17)},
+        {"xGO", "go" + std::to_string(i % 5)},
+        {"xRef", "ref" + std::to_string(i % 23)},
+    };
+    std::optional<std::string> record =
+        Group(star, "gene" + std::to_string(i % 997), pairs);
+    ASSERT_TRUE(record.has_value());
+    records.push_back(*record);
+  }
+  Result<SolutionSet> serial = decode(records);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GT(serial->size(), ChunkedDecode::kLines);
+  for (uint32_t threads : {1u, 4u}) {
+    Result<SolutionSet> pooled =
+        testing_util::DecodeOnPool(decode, records, threads);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    EXPECT_TRUE(*pooled == *serial);
+  }
+
+  const std::string f = "\x1F";
+  records[ChunkedDecode::kLines + 5] = "g1" + f + "0";  // field count
+  records[2 * ChunkedDecode::kLines + 3] =
+      "g1" + f + "zero" + f + "label,l1" + f;  // bad star id
+  serial = decode(records);
+  ASSERT_TRUE(serial.status().IsIoError()) << serial.status().ToString();
+  ASSERT_NE(decode({&records[2 * ChunkedDecode::kLines + 3], 1})
+                .status()
+                .ToString(),
+            serial.status().ToString());
+  const Result<SolutionSet> pooled = testing_util::DecodeOnPool(decode, records);
+  EXPECT_EQ(pooled.status().code(), serial.status().code());
+  EXPECT_EQ(pooled.status().message(), serial.status().message());
+}
+
 }  // namespace
 }  // namespace rdfmr

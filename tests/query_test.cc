@@ -11,6 +11,7 @@
 #include "query/pattern.h"
 #include "query/solution.h"
 #include "query/sparql_parser.h"
+#include "tests/test_util.h"
 
 namespace rdfmr {
 namespace {
@@ -410,6 +411,96 @@ TEST(SolutionSetTest, BuilderDropsUnusedSlotsAndTerms) {
   z2.Bind("z", "2");
   EXPECT_TRUE(table == SolutionSet({a1, a2z1, z2}));
   ExpectSameAsSet(table, {a1, a2z1, z2});
+}
+
+// Absorb appends another builder's rows: its terms, shared or new, are
+// re-interned and its cells, unbound ones included, remapped. An empty
+// builder on either side changes nothing else.
+TEST(SolutionSetTest, BuilderAbsorbsAnotherBuildersRows) {
+  const SolutionSet::Handle u = SolutionSet::kUnbound;
+  const std::vector<std::string> header = {"a", "b"};
+  SolutionSet::Builder left(header);
+  const SolutionSet::Handle l1 = left.Intern("1");
+  const SolutionSet::Handle l2 = left.Intern("2");
+  left.AddRow(std::vector<SolutionSet::Handle>{l1, l2}.data());
+  left.AddRow(std::vector<SolutionSet::Handle>{l2, u}.data());
+  SolutionSet::Builder right(header);
+  const SolutionSet::Handle r3 = right.Intern("3");
+  const SolutionSet::Handle r1 = right.Intern("1");  // shared with left
+  right.AddRow(std::vector<SolutionSet::Handle>{r3, r1}.data());
+  right.AddRow(std::vector<SolutionSet::Handle>{u, r3}.data());
+  right.AddRow(std::vector<SolutionSet::Handle>{r1, r1}.data());
+
+  Solution a1b2, a2, a3b1, b3, a1b1;
+  a1b2.Bind("a", "1");
+  a1b2.Bind("b", "2");
+  a2.Bind("a", "2");
+  a3b1.Bind("a", "3");
+  a3b1.Bind("b", "1");
+  b3.Bind("b", "3");
+  a1b1.Bind("a", "1");
+  a1b1.Bind("b", "1");
+  const SolutionSet expected({a1b2, a2, a3b1, b3, a1b1});
+
+  left.Absorb(right);
+  EXPECT_EQ(left.cells().size(), 10u);
+  EXPECT_EQ(left.term(left.cells()[4]), "3");
+  EXPECT_EQ(left.cells()[5], l1) << "a shared term keeps its handle";
+  EXPECT_EQ(left.cells()[6], u);
+  EXPECT_TRUE(left.Finish() == expected);
+
+  // An empty builder on either side.
+  SolutionSet::Builder rows(header);
+  rows.AddRow(std::vector<SolutionSet::Handle>{rows.Intern("x"), u}.data());
+  SolutionSet::Builder empty(header);
+  rows.Absorb(empty);
+  Solution ax;
+  ax.Bind("a", "x");
+  EXPECT_TRUE(rows.Finish() == SolutionSet({ax}));
+  SolutionSet::Builder into(header);
+  SolutionSet::Builder from(header);
+  from.AddRow(std::vector<SolutionSet::Handle>{from.Intern("x"), u}.data());
+  into.Absorb(from);
+  EXPECT_TRUE(into.Finish() == SolutionSet({ax}));
+  SolutionSet::Builder none(header);
+  none.Absorb(SolutionSet::Builder(header));
+  EXPECT_TRUE(none.Finish() == SolutionSet());
+}
+
+// The read-back's chunked decode of canonical lines several chunks long
+// equals the serial decoder's table; with rejected lines in two chunks it
+// returns the serial decoder's error, the earlier line's.
+TEST(SolutionTest, ChunkedDecodeMatchesTheSerialDecoder) {
+  const AnswerDecoder decoder = SolutionLineDecoder({"n", "s", "x"});
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < 3 * ChunkedDecode::kLines + 17; ++i) {
+    Solution s;
+    s.Bind("n", std::to_string(i % 389));
+    if (i % 3 != 0) s.Bind("s", "s=" + std::to_string(i % 7));
+    s.Bind("x", "x;" + std::to_string(i % 13));
+    lines.push_back(s.Serialize());
+  }
+  Result<SolutionSet> serial = decoder(lines);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GT(serial->size(), ChunkedDecode::kLines);
+  for (uint32_t threads : {1u, 4u}) {
+    Result<SolutionSet> pooled =
+        testing_util::DecodeOnPool(decoder, lines, threads);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    EXPECT_TRUE(*pooled == *serial);
+  }
+
+  lines[ChunkedDecode::kLines + 5] = "n=1;y=2";         // outside the header
+  lines[2 * ChunkedDecode::kLines + 3] = "n=1;s";       // malformed entry
+  serial = decoder(lines);
+  ASSERT_TRUE(serial.status().IsIoError()) << serial.status().ToString();
+  ASSERT_NE(decoder({&lines[2 * ChunkedDecode::kLines + 3], 1})
+                .status()
+                .ToString(),
+            serial.status().ToString());
+  const Result<SolutionSet> pooled = testing_util::DecodeOnPool(decoder, lines);
+  EXPECT_EQ(pooled.status().code(), serial.status().code());
+  EXPECT_EQ(pooled.status().message(), serial.status().message());
 }
 
 // ---- SPARQL parser -------------------------------------------------------------

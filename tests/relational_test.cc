@@ -282,6 +282,47 @@ TEST(TupleRecordTest, DecodeAnswersRejectionsKeepTheirCodes) {
   EXPECT_TRUE(decode(self_loop, not_a_loop).IsInvalidArgument());
 }
 
+// The read-back's chunked decode of an answer file several chunks long
+// equals the serial decoder's table, unmatched OPTIONAL columns included;
+// with rejected lines in two chunks it returns the serial decoder's
+// error, the earlier line's.
+TEST(TupleRecordTest, ChunkedDecodeMatchesTheSerialDecoder) {
+  RelSchema schema = TwoPatternSchema();
+  schema[1].optional = true;
+  const AnswerDecoder decoder = RelationalAnswerDecoder(schema);
+  Lines lines;
+  for (size_t i = 0; i < 3 * ChunkedDecode::kLines + 17; ++i) {
+    const std::string gene = "gene" + std::to_string(i % 251);
+    lines.push_back(TupleLine(
+        {Triple(gene, "label", "l" + std::to_string(i % 13)),
+         i % 5 == 0 ? Triple()
+                    : Triple(gene, "p" + std::to_string(i % 7),
+                             "o" + std::to_string(i % 101))}));
+  }
+  Result<SolutionSet> serial = decoder(lines);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GT(serial->size(), ChunkedDecode::kLines);
+  for (uint32_t threads : {1u, 4u}) {
+    Result<SolutionSet> pooled =
+        testing_util::DecodeOnPool(decoder, lines, threads);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    EXPECT_TRUE(*pooled == *serial);
+  }
+
+  std::vector<Triple> wrong_property = MakeTuple();
+  wrong_property[0].property = "wrongProperty";
+  lines[ChunkedDecode::kLines + 5] = "gene9\tlabel\tretinoid";
+  lines[2 * ChunkedDecode::kLines + 3] = TupleLine(wrong_property);
+  serial = decoder(lines);
+  ASSERT_TRUE(serial.status().IsIoError()) << serial.status().ToString();
+  const Result<SolutionSet> later =
+      decoder({&lines[2 * ChunkedDecode::kLines + 3], 1});
+  ASSERT_NE(later.status().ToString(), serial.status().ToString());
+  const Result<SolutionSet> pooled = testing_util::DecodeOnPool(decoder, lines);
+  EXPECT_EQ(pooled.status().code(), serial.status().code());
+  EXPECT_EQ(pooled.status().message(), serial.status().message());
+}
+
 // ---- Star join ----------------------------------------------------------------
 
 // The star-join reducer a Hive plan compiles for a one-star query.

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "datagen/bio2rdf.h"
 #include "datagen/bsbm.h"
 #include "datagen/btc.h"
@@ -19,6 +21,7 @@
 #include "engine/advisor.h"
 #include "engine/engine.h"
 #include "ntga/triplegroup.h"
+#include "query/solution.h"
 #include "rdf/graph_stats.h"
 #include "rdf/triple.h"
 
@@ -139,6 +142,17 @@ inline std::vector<Triple> SeparatorGraph(const std::vector<Triple>& triples) {
     out.emplace_back(Nasty(t.subject), t.property, Nasty(t.object));
   }
   return out;
+}
+
+/// `lines` decoded as Exec's read-back decodes an answer file: cut into
+/// ChunkedDecode chunks that append concurrently on a pool of `threads`.
+inline Result<SolutionSet> DecodeOnPool(const AnswerDecoder& decoder,
+                                        std::span<const std::string> lines,
+                                        uint32_t threads = 4) {
+  ThreadPool pool(threads);
+  ChunkedDecode decode(decoder, {&lines, 1});
+  pool.ParallelFor(decode.size(), [&decode](size_t c) { decode.Append(c); });
+  return decode.Finish(0, 1);
 }
 
 /// All engine kinds under test.
