@@ -14,9 +14,9 @@
 //
 // (d) adds the zero-materialization scan cells: a selective all-bound
 // star (two rare feature properties, ~1% of the relation) is answered
-// cold and warm on BOTH mapped-dataset modes — mapped scans (the mapping
-// is mounted and the engine reads only its postings) vs the `materialize`
-// escape hatch (decode the full triple vector, then scan all of it). The
+// cold and warm on both ways to serve the .rdx — mapped scans (the mapping
+// is mounted and the engine reads only its postings) vs a ReadDatasetFile
+// loader (decode the full triple vector, then scan all of it). The
 // cold ratio is the tentpole claim (first query without paying the
 // decode), hard-failed below kMinColdScanSpeedup; the warm ratio and the
 // warm qps rows are bench_compare-gated against the baseline.
@@ -188,14 +188,18 @@ int Main() {
 
   // Cold: a fresh service per run, so registration + first query pays the
   // whole dataset-open path (mount vs decode-and-write) each time.
-  auto cold_scan = [&](bool materialize) {
+  const auto register_decoded = [&rdx_path](service::QueryService* svc) {
+    return svc->RegisterDataset(
+        "bsbm", [rdx_path] { return service::ReadDatasetFile(rdx_path); });
+  };
+  auto cold_scan = [&](bool decoded) {
     return TimeBest(
-        materialize ? "cold scan (decoded)" : "cold scan (mapped)",
+        decoded ? "cold scan (decoded)" : "cold scan (mapped)",
         [&]() -> Status {
           service::ServiceConfig config;
           service::QueryService svc(config);
-          auto info =
-              svc.RegisterMappedDataset("bsbm", rdx_path, materialize);
+          auto info = decoded ? register_decoded(&svc)
+                              : svc.RegisterMappedDataset("bsbm", rdx_path);
           if (!info.ok()) return info.status();
           return run_scan_query(&svc);
         });
@@ -212,8 +216,7 @@ int Main() {
   {
     auto mapped_info =
         warm_mapped_service.RegisterMappedDataset("bsbm", rdx_path);
-    auto decoded_info = warm_decoded_service.RegisterMappedDataset(
-        "bsbm", rdx_path, /*materialize=*/true);
+    auto decoded_info = register_decoded(&warm_decoded_service);
     if (!mapped_info.ok() || !decoded_info.ok()) {
       std::fprintf(stderr, "warm scan registration failed\n");
       return 1;

@@ -55,7 +55,7 @@ Cell RunCell(service::QueryService* query_service,
   uint64_t done = 0;
   uint64_t failures = 0;
 
-  const service::ServiceStatsSnapshot before = query_service->Stats();
+  const service::ServiceStatsSnapshot before = query_service->SnapshotNow();
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < requests; ++i) {
     service::ServiceRequest request;
@@ -75,7 +75,7 @@ Cell RunCell(service::QueryService* query_service,
     cv.wait(lock, [&] { return done == requests; });
   }
   const auto stop = std::chrono::steady_clock::now();
-  const service::ServiceStatsSnapshot after = query_service->Stats();
+  const service::ServiceStatsSnapshot after = query_service->SnapshotNow();
 
   cell.failures = failures;
   cell.seconds = std::chrono::duration<double>(stop - start).count();

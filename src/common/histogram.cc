@@ -31,15 +31,6 @@ void Histogram::Add(uint64_t value) {
   max_ = std::max(max_, value);
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 uint64_t Histogram::Percentile(double p) const {
   if (count_ == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);

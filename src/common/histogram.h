@@ -23,9 +23,6 @@ class Histogram {
 
   void Add(uint64_t value);
 
-  /// \brief Accumulates `other` into this.
-  void Merge(const Histogram& other);
-
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }
   uint64_t min() const { return count_ == 0 ? 0 : min_; }

@@ -36,8 +36,6 @@ double Rng::NextDouble() {
 
 bool Rng::Chance(double p) { return NextDouble() < p; }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n) {
   RDFMR_CHECK(n > 0) << "ZipfSampler needs n > 0";
   cdf_.reserve(n);

@@ -30,9 +30,6 @@ class Rng {
   /// \brief Bernoulli trial with probability p of true.
   bool Chance(double p);
 
-  /// \brief Forks an independent stream (stable given the same call order).
-  Rng Fork();
-
  private:
   uint64_t state_;
 };

@@ -224,16 +224,6 @@ std::string HumanBytes(uint64_t bytes) {
   return buf;
 }
 
-std::string PadRight(std::string s, size_t width) {
-  if (s.size() < width) s.append(width - s.size(), ' ');
-  return s;
-}
-
-std::string PadLeft(std::string s, size_t width) {
-  if (s.size() < width) s.insert(0, width - s.size(), ' ');
-  return s;
-}
-
 std::string StringFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

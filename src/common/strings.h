@@ -86,10 +86,6 @@ std::string JoinEscaped(const std::vector<std::string>& fields, char sep);
 /// \brief "12.3 MB"-style human formatting of a byte count.
 std::string HumanBytes(uint64_t bytes);
 
-/// \brief Fixed-width, space-padded cell for table printing.
-std::string PadRight(std::string s, size_t width);
-std::string PadLeft(std::string s, size_t width);
-
 /// \brief printf-style formatting into a std::string.
 std::string StringFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

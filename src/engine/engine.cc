@@ -83,29 +83,28 @@ std::vector<std::string_view> SortedDistinct(
   return views;
 }
 
-// The distinct rows `rows` holds, each once, in handle order.
-std::vector<const SolutionSet::Handle*> DistinctRows(
-    const SolutionSet::Builder& rows) {
+// Sets *out to the distinct rows `rows` holds, each once, in handle order.
+void DistinctRows(const SolutionSet::Builder& rows,
+                  std::vector<const SolutionSet::Handle*>* out) {
   const size_t width = rows.width();
-  std::vector<const SolutionSet::Handle*> out;
+  out->clear();
   for (size_t c = 0; width > 0 && c < rows.cells().size(); c += width) {
-    out.push_back(rows.cells().data() + c);
+    out->push_back(rows.cells().data() + c);
   }
   const auto less = [width](const auto* a, const auto* b) {
     return std::lexicographical_compare(a, a + width, b, b + width);
   };
-  std::sort(out.begin(), out.end(), less);
-  out.erase(std::unique(out.begin(), out.end(),
-                        [&less](auto* a, auto* b) { return !less(a, b); }),
-            out.end());
-  return out;
+  std::sort(out->begin(), out->end(), less);
+  out->erase(std::unique(out->begin(), out->end(),
+                         [&less](auto* a, auto* b) { return !less(a, b); }),
+             out->end());
 }
 
 // Appends the COUNT/GROUP BY/HAVING cycle to a compiled plan. The mapper
-// appends each final-output record's rows through the plan's decoder and
-// reads them from its builder, finishing no table; in DISTINCT mode only
-// the counted value is shipped (duplicate-proof), otherwise the full
-// solution's canonical line is shipped so the reducer can deduplicate
+// appends each final-output record's rows through the plan's decoder into
+// its task's builder, cleared per record, finishing no table; in DISTINCT
+// mode only the counted value is shipped (duplicate-proof), otherwise the
+// full solution's canonical line is shipped so the reducer can deduplicate
 // rows before counting. The group key is the canonical line of the group
 // variables' bindings. The reducer writes those and count_var, the fixed
 // header of the plan's new decoder.
@@ -128,19 +127,23 @@ void AppendAggregationCycle(CompiledPlan* plan, const AggregateSpec& spec,
   job.name = "aggregate-count";
   MapInput aggregate_input;
   aggregate_input.path = plan->workflow.final_output_path;
-  aggregate_input.map = [decoder = plan->decoder, wanted, slots,
-                         distinct = spec.distinct](const std::string& record,
-                                                   const MapEmit& emit,
-                                                   Counters* counters) {
-    SolutionSet::Builder rows(decoder.variables);
-    if (!decoder.append({&record, 1}, &rows).ok()) {
+  aggregate_input.map =
+      [decoder = std::make_shared<const AnswerDecoder>(plan->decoder), wanted,
+       slots, distinct = spec.distinct,
+       rows = SolutionSet::Builder(plan->decoder.variables),
+       distinct_rows = std::vector<const SolutionSet::Handle*>()](
+          const std::string& record, const MapEmit& emit,
+          Counters* counters) mutable {
+    rows.Clear();
+    if (!decoder->append({&record, 1}, &rows).ok()) {
       (*counters)["bad_records"] += 1;
       return;
     }
     // Each distinct row once, as Finish would keep it, but in handle order
     // rather than term order: the combiner and the reducer sort and
     // deduplicate their values (SortedDistinct), so no byte depends on it.
-    for (const SolutionSet::Handle* row : DistinctRows(rows)) {
+    DistinctRows(rows, &distinct_rows);
+    for (const SolutionSet::Handle* row : distinct_rows) {
       if (std::any_of(slots.begin(), slots.end(), [row](size_t slot) {
             return slot == kNoSlot || row[slot] == SolutionSet::kUnbound;
           })) {

@@ -8,6 +8,13 @@
 // Map and reduce functions are std::function objects so plan compilers can
 // close over query structure; everything that flows between phases is a
 // serialized string, making every byte the simulated cluster moves real.
+//
+// The closure contract: the runner calls one copy of a job's closure per
+// map chunk, combine item (block task x partition) or reduce partition,
+// never shared between threads. A closure may keep per-task state
+// (readers, walks, hash tables, builders) in `mutable` captures, cleared
+// per call; compiled query structure is shared immutably by every copy,
+// behind a `std::shared_ptr<const ...>`, so a copy costs a refcount.
 
 #ifndef RDFMR_MAPREDUCE_JOB_H_
 #define RDFMR_MAPREDUCE_JOB_H_

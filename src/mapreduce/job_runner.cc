@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -39,39 +40,47 @@ struct MapTask {
 constexpr uint64_t kChunkBytes = 64 << 10;
 
 // Key/value pairs as two parallel columns, so that the values of a run of
-// equal keys are one contiguous span.
+// equal keys are one contiguous span, with the records and bytes they are
+// metered as.
 struct KeyedRecords {
+  // Appends the pair, metered as key + value + 2 bytes for a shuffle, or
+  // as value + newline for a map-only job, whose records keep no key.
+  void Add(std::string key, std::string value, bool map_only) {
+    records += 1;
+    if (map_only) {
+      bytes += value.size() + 1;
+    } else {
+      bytes += key.size() + value.size() + 2;
+      keys.push_back(std::move(key));
+    }
+    values.push_back(std::move(value));
+  }
+
+  // Moves the records of `*from` onto the end of these; `*from` is left
+  // empty, its memory freed.
+  void Absorb(KeyedRecords* from);
+
   std::vector<std::string> keys;
   std::vector<std::string> values;
+  uint64_t records = 0;
+  uint64_t bytes = 0;
 };
 
 // Output of one map chunk, partitioned, metered and counted as it is
 // emitted: slice p holds the chunk's pairs for reduce partition p in
-// emission order. A map-only chunk has one slice, of values only.
+// emission order. A map-only chunk has one slice.
 struct MapTaskOutput {
   MapTaskOutput(size_t num_partitions, bool map_only)
       : slices(num_partitions), map_only(map_only) {}
 
-  // Puts the pair in its partition's slice and meters it: key + value + 2
-  // bytes for a shuffle, value + newline for a map-only job.
   void Add(std::string key, std::string value) {
-    records += 1;
-    if (map_only) {
-      bytes += value.size() + 1;
-      slices[0].values.push_back(std::move(value));
-      return;
-    }
-    bytes += key.size() + value.size() + 2;
-    KeyedRecords& slice =
-        slices[static_cast<size_t>(Fnv1a64(key) % slices.size())];
-    slice.keys.push_back(std::move(key));
-    slice.values.push_back(std::move(value));
+    const size_t p =
+        map_only ? 0 : static_cast<size_t>(Fnv1a64(key) % slices.size());
+    slices[p].Add(std::move(key), std::move(value), map_only);
   }
 
   std::vector<KeyedRecords> slices;
   bool map_only;
-  uint64_t records = 0;
-  uint64_t bytes = 0;
   Counters counters;
 };
 
@@ -92,6 +101,14 @@ void AppendMoved(std::vector<std::string>* to,
                  std::vector<std::string>* from) {
   to->insert(to->end(), std::make_move_iterator(from->begin()),
              std::make_move_iterator(from->end()));
+}
+
+void KeyedRecords::Absorb(KeyedRecords* from) {
+  AppendMoved(&keys, &from->keys);
+  AppendMoved(&values, &from->values);
+  records += from->records;
+  bytes += from->bytes;
+  *from = KeyedRecords();
 }
 
 // Orders `records` by key alone. The sort is stable, so each key's values
@@ -200,21 +217,8 @@ Status WriteWithRetry(SimDfs* dfs, const std::string& path,
   }
 }
 
-// Runs fn(i) for i in [0, n) — concurrently when a pool is supplied,
-// inline otherwise.
-void ForEachTask(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-// Executes one map chunk against its line range. Without a combiner the
-// pairs go straight to the chunk's output; with one they are buffered in
-// `*combine_buffer` (in emission order), for CombineTask to combine once
-// per block task after the barrier — exactly the Hadoop combiner scope.
+// Executes one map chunk against its line range with its own instance of
+// the input's mapper: its pairs go straight to the chunk's output.
 //
 // `selected` (nullable) is the input's resolved vertical-partition hint:
 // ascending indices of the lines whose property the mapper can act on.
@@ -222,55 +226,44 @@ void ForEachTask(ThreadPool* pool, size_t n,
 // selected lines inside its range — legal because the compiler guarantees
 // the mapper no-ops on every skipped line, so emissions and counters are
 // byte-identical to the full scan.
-void RunMapChunk(const JobSpec& spec, const MapChunk& chunk,
+void RunMapChunk(MapFn map, const MapChunk& chunk,
                  const SimDfs::ScanHandle& scan,
-                 const std::vector<uint64_t>* selected,
-                 KeyedRecords* combine_buffer, MapTaskOutput* out) {
-  const MapFn& map = spec.inputs[chunk.input_index].map;
+                 const std::vector<uint64_t>* selected, MapTaskOutput* out) {
   std::string scratch;
-  const auto for_each_record = [&](const MapEmit& emit) {
-    if (selected == nullptr) {
-      for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        map(scan.LineRef(i, &scratch), emit, &out->counters);
-      }
-      return;
-    }
-    auto it = std::lower_bound(selected->begin(), selected->end(),
-                               static_cast<uint64_t>(chunk.begin));
-    for (; it != selected->end() && *it < chunk.end; ++it) {
-      map(scan.LineRef(*it, &scratch), emit, &out->counters);
-    }
+  const MapEmit emit = [out](std::string key, std::string value) {
+    out->Add(std::move(key), std::move(value));
   };
-  if (combine_buffer == nullptr) {
-    const MapEmit emit = [out](std::string key, std::string value) {
-      out->Add(std::move(key), std::move(value));
-    };
-    for_each_record(emit);
+  if (selected == nullptr) {
+    for (size_t i = chunk.begin; i < chunk.end; ++i) {
+      map(scan.LineRef(i, &scratch), emit, &out->counters);
+    }
     return;
   }
-  const MapEmit emit = [&](std::string key, std::string value) {
-    out->counters["combine_input_records"] += 1;
-    combine_buffer->keys.push_back(std::move(key));
-    combine_buffer->values.push_back(std::move(value));
-  };
-  for_each_record(emit);
+  auto it = std::lower_bound(selected->begin(), selected->end(),
+                             static_cast<uint64_t>(chunk.begin));
+  for (; it != selected->end() && *it < chunk.end; ++it) {
+    map(scan.LineRef(*it, &scratch), emit, &out->counters);
+  }
 }
 
-// Combines one block task's buffered pairs: its chunks' buffers joined in
-// chunk order (the task's emission order), stable-sorted by key, and each
-// key's values combined once; what the combiner returns goes to `*out`.
-void CombineTask(const JobSpec& spec, std::span<KeyedRecords> chunk_buffers,
-                 MapTaskOutput* out) {
-  KeyedRecords buffered;
-  for (KeyedRecords& chunk : chunk_buffers) {
-    AppendMoved(&buffered.keys, &chunk.keys);
-    AppendMoved(&buffered.values, &chunk.values);
-  }
-  StableSortByKey(&buffered);
-  ForEachKeyRun(buffered, [&](const std::string& key,
+// Combines partition `p` of one block task, whose chunks' outputs are
+// `task`, with its own instance of the combiner: the chunks' slices are
+// gathered in chunk order (the task's emission order), stable-sorted by
+// key, and each key's values combined once into the first chunk's slice.
+// A key lives in one partition, so the task's partitions together combine
+// exactly what one combine over the whole block task would.
+void CombineTaskPartition(CombineFn combine, std::span<MapTaskOutput> task,
+                          size_t p, Counters* counters) {
+  KeyedRecords gathered;
+  for (MapTaskOutput& chunk : task) gathered.Absorb(&chunk.slices[p]);
+  if (gathered.records == 0) return;
+  (*counters)["combine_input_records"] += gathered.records;
+  StableSortByKey(&gathered);
+  KeyedRecords& out = task.front().slices[p];
+  ForEachKeyRun(gathered, [&](const std::string& key,
                               std::span<const std::string> values) {
-    for (std::string& value : spec.combine(key, values, &out->counters)) {
-      out->Add(key, std::move(value));
+    for (std::string& value : combine(key, values, counters)) {
+      out.Add(key, std::move(value), /*map_only=*/false);
     }
   });
 }
@@ -311,7 +304,10 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
         Status::InvalidArgument("job '" + spec.name + "' has no output");
     return run;
   }
-  ThreadPool* pool = options.pool;
+  // Without a pool, a one-thread pool runs everything inline.
+  std::optional<ThreadPool> inline_pool;
+  ThreadPool* pool =
+      options.pool != nullptr ? options.pool : &inline_pool.emplace(1);
   uint32_t max_attempts = options.max_attempts;
   if (max_attempts == 0) max_attempts = dfs->config().max_task_attempts;
   if (max_attempts == 0) max_attempts = 1;
@@ -402,44 +398,46 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
     if (chunk_begin < line_count) close_task(line_count);
   }
 
-  // Every chunk maps concurrently into its own output. A combiner job's
-  // chunks buffer their pairs instead, and each block task combines its
-  // chunks' pairs once, behind the barrier, into its first chunk's output.
+  // Every chunk maps concurrently into its own output. A combiner job then
+  // combines each (block task, partition) once, concurrently, into the
+  // task's first chunk's slice, with counters of its own.
   const size_t num_partitions =
       map_only ? 1 : static_cast<size_t>(num_reducers);
   const bool combining = spec.combine != nullptr && !map_only;
   std::vector<MapTaskOutput> chunk_outputs(
       chunks.size(), MapTaskOutput(num_partitions, map_only));
-  std::vector<KeyedRecords> combine_buffers(combining ? chunks.size() : 0);
-  ForEachTask(pool, chunks.size(), [&](size_t c) {
+  pool->ParallelFor(chunks.size(), [&](size_t c) {
     const size_t in = chunks[c].input_index;
-    RunMapChunk(spec, chunks[c], scans[in], selected[in].get(),
-                combining ? &combine_buffers[c] : nullptr,
-                &chunk_outputs[c]);
+    RunMapChunk(spec.inputs[in].map, chunks[c], scans[in],
+                selected[in].get(), &chunk_outputs[c]);
   });
   scans.clear();
   selected.clear();
-  if (combining) {
-    ForEachTask(pool, tasks.size(), [&](size_t t) {
-      const MapTask& task = tasks[t];
-      CombineTask(spec,
-                  std::span<KeyedRecords>(combine_buffers)
-                      .subspan(task.first_chunk,
-                               task.end_chunk - task.first_chunk),
-                  &chunk_outputs[task.first_chunk]);
-    });
-    combine_buffers.clear();
-  }
+  std::vector<Counters> combine_counters(
+      combining ? tasks.size() * num_partitions : 0);
+  pool->ParallelFor(combine_counters.size(), [&](size_t i) {
+    const MapTask& task = tasks[i / num_partitions];
+    CombineTaskPartition(
+        spec.combine,
+        std::span<MapTaskOutput>(chunk_outputs)
+            .subspan(task.first_chunk, task.end_chunk - task.first_chunk),
+        i % num_partitions, &combine_counters[i]);
+  });
 
-  // Barrier reached: the chunks partitioned and metered their own output,
-  // so the map phase only sums their counts and folds their counters (the
-  // job's counters hold the map phase's alone until the reduce fold).
+  // Barrier reached: the slices carry their own metering, so the map phase
+  // only sums them and folds the counters (the job's counters hold the
+  // map phase's alone until the reduce fold).
   uint64_t map_records = 0;
   uint64_t map_bytes = 0;
   for (const MapTaskOutput& out : chunk_outputs) {
-    map_records += out.records;
-    map_bytes += out.bytes;
+    for (const KeyedRecords& slice : out.slices) {
+      map_records += slice.records;
+      map_bytes += slice.bytes;
+    }
     MergeCounters(&metrics.counters, out.counters);
+  }
+  for (const Counters& counters : combine_counters) {
+    MergeCounters(&metrics.counters, counters);
   }
   if (map_only) {
     metrics.map_direct_output_records = map_records;
@@ -488,26 +486,23 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
     ScopedSpan sort_span(job_ctx, "sort");
     sort_span.Attr("partitions", static_cast<uint64_t>(num_reducers));
     std::vector<KeyedRecords> partitions(num_partitions);
-    ForEachTask(pool, num_partitions, [&](size_t p) {
+    pool->ParallelFor(num_partitions, [&](size_t p) {
       KeyedRecords& part = partitions[p];
-      for (MapTaskOutput& out : chunk_outputs) {
-        KeyedRecords slice = std::move(out.slices[p]);  // freed when done
-        AppendMoved(&part.keys, &slice.keys);
-        AppendMoved(&part.values, &slice.values);
-      }
+      for (MapTaskOutput& out : chunk_outputs) part.Absorb(&out.slices[p]);
       StableSortByKey(&part);
     });
     chunk_outputs.clear();
     sort_span.Close();
     metrics.shuffle_sort_seconds = SecondsSince(sort_start);
 
-    // Per-partition reduce with private output buffers and counters,
-    // merged in partition order behind the barrier — the sequential
-    // partition-loop order.
+    // Per-partition reduce, each partition with its own instance of the
+    // reducer and private output buffers and counters, merged in partition
+    // order behind the barrier — the sequential partition-loop order.
     auto reduce_start = std::chrono::steady_clock::now();
     ScopedSpan reduce_span(job_ctx, "reduce");
     std::vector<ReduceTaskOutput> reduce_outputs(num_partitions);
-    ForEachTask(pool, num_partitions, [&](size_t p) {
+    pool->ParallelFor(num_partitions, [&](size_t p) {
+      const ReduceFn reduce = spec.reduce;
       ReduceTaskOutput& out = reduce_outputs[p];
       const RecordEmit emit = [&out](std::string record) {
         out.bytes += record.size() + 1;
@@ -516,7 +511,7 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
       ForEachKeyRun(partitions[p], [&](const std::string& key,
                                        std::span<const std::string> values) {
         out.groups += 1;
-        spec.reduce(key, values, emit, &out.counters);
+        reduce(key, values, emit, &out.counters);
       });
       partitions[p] = KeyedRecords();
     });

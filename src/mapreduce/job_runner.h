@@ -13,8 +13,9 @@ namespace rdfmr {
 
 /// \brief Execution knobs + observability sink for one job run.
 struct JobRunOptions {
-  /// Runs map chunks / reducer partitions concurrently when non-null (the
-  /// runtime guarantees byte-identical output and metrics either way).
+  /// Runs map chunks, combine items and reducer partitions; null runs them
+  /// inline on a one-thread pool (the runtime guarantees byte-identical
+  /// output and metrics either way).
   ThreadPool* pool = nullptr;
 
   /// Total attempts per DFS task operation for transient failures; 0
@@ -50,12 +51,13 @@ struct JobRunResult {
 /// (the same granularity SimDfs::BlockCount reports): the map span's
 /// `tasks` attribute counts them, and the combiner runs once per task.
 /// Each task is cut into host chunks of a fixed budget of the bytes its
-/// mapper sees, at every thread count, and chunks run concurrently when
-/// `options.pool` is non-null. Each chunk puts its emissions straight
-/// into private per-partition slices, metering and counting them as it
-/// goes; a combiner job's chunks buffer their pairs instead, and each
-/// task combines its chunks' pairs, joined in chunk order, after the
-/// barrier. Each reducer partition gathers its slices in chunk order —
+/// mapper sees, at every thread count, and chunks run concurrently on
+/// `options.pool`. Each chunk puts its emissions straight into private
+/// per-partition slices, each metering its records and bytes. A combiner
+/// job then combines each (task, partition) once, its slices gathered in
+/// chunk order and stable-sorted by key; a key lives in one partition, so
+/// this is the per-task combine. Each reducer partition gathers its
+/// slices in chunk order —
 /// (input, block) task order, the sequential emission order — and
 /// stable-sorts them by key; partitions sort and reduce concurrently and
 /// their output is concatenated in partition order. Output and every

@@ -42,16 +42,14 @@ WorkflowResult RunWorkflow(SimDfs* dfs, const WorkflowSpec& spec,
   result.peak_dfs_used_bytes = dfs->UsedBytes();
 
   // One pool for the whole workflow, the caller's if it passed one; with
-  // <= 1 thread no workers are spawned and every job runs inline on this
+  // one thread no workers are spawned and every job runs inline on this
   // thread.
-  ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr) {
-    const uint32_t num_threads =
-        ResolveNumThreads(options.runtime, dfs->config().num_threads);
-    if (num_threads > 1) own_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = own_pool.get();
+  if (options.pool == nullptr) {
+    own_pool = std::make_unique<ThreadPool>(
+        ResolveNumThreads(options.runtime, dfs->config().num_threads));
   }
+  ThreadPool* pool = options.pool != nullptr ? options.pool : own_pool.get();
   uint32_t max_attempts =
       ResolveMaxAttempts(options.runtime, dfs->config().max_task_attempts);
 

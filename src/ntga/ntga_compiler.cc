@@ -78,11 +78,12 @@ std::string PartitionKey(uint32_t partition) {
 
 MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
                          std::string tag, bool partial, uint32_t m) {
-  return [unnester = BetaUnnester(star), side = std::move(side),
-          tag = std::move(tag), partial,
-          m](const std::string& line, const MapEmit& emit,
-             Counters* counters) {
-    TgRecordReader record;
+  return [unnester = std::make_shared<const BetaUnnester>(star),
+          side = std::move(side), tag = std::move(tag), partial, m,
+          record = TgRecordReader(),
+          by_partition = std::vector<std::pair<uint32_t, std::string>>()](
+             const std::string& line, const MapEmit& emit,
+             Counters* counters) mutable {
     const TgRecordReader::Component* site =
         record.Read(line).ok() ? SiteComponent(record, side.site_star)
                                : nullptr;
@@ -95,7 +96,7 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
       // TG_OptUnbJoin map: partial β-unnest; one output per φ_m partition,
       // keyed by the partition — triplegroups bound for the same reducer
       // stay implicitly represented.
-      const size_t outputs = unnester.PartialBetaUnnest(
+      const size_t outputs = unnester->PartialBetaUnnest(
           record, *site, static_cast<size_t>(side.site_tp), m,
           [&](uint32_t partition, std::string_view out) {
             emit(PartitionKey(partition), JoinTagged(tag, out));
@@ -109,30 +110,35 @@ MapFn MakeJoinSideMapper(const StarPattern& star, JoinSidePlan side,
     // (TG_UnbJoin): one output per concrete join value.
     uint64_t outputs = 0;
     if (!partial) {
-      ForEachJoinValue(unnester, side, record, *site,
+      ForEachJoinValue(*unnester, side, record, *site,
                        [&](std::string_view value, std::string_view out) {
                          ++outputs;
                          emit(std::string(value), JoinTagged(tag, out));
                        });
     } else {
-      // The other side of a TG_OptUnbJoin: key by the value's partition.
-      // A nested group with several values in one partition is sent once
-      // at a bound-object site, where it is the same record for each;
-      // pinned copies (unbound site) differ, so each is sent.
-      std::map<uint32_t, std::vector<std::string>> by_partition;
+      // The other side of a TG_OptUnbJoin: key by the value's partition,
+      // partitions ascending. A nested group with several values in one
+      // partition is sent once at a bound-object site, where it is the
+      // line read for each (tagged once it is sent); pinned copies
+      // (unbound site) differ, so each is sent.
+      by_partition.clear();
       ForEachJoinValue(
-          unnester, side, record, *site,
+          *unnester, side, record, *site,
           [&](std::string_view value, std::string_view out) {
             ++outputs;
-            std::vector<std::string>& records =
-                by_partition[PhiPartition(value, m)];
-            if (records.empty() || side.site_unbound) {
-              records.push_back(JoinTagged(tag, out));
-            }
+            by_partition.emplace_back(
+                PhiPartition(value, m),
+                side.site_unbound ? JoinTagged(tag, out) : std::string());
           });
-      for (auto& [partition, records] : by_partition) {
-        for (std::string& out : records) {
+      std::stable_sort(
+          by_partition.begin(), by_partition.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (size_t i = 0; i < by_partition.size(); ++i) {
+        auto& [partition, out] = by_partition[i];
+        if (side.site_unbound) {
           emit(PartitionKey(partition), std::move(out));
+        } else if (i == 0 || by_partition[i - 1].first != partition) {
+          emit(PartitionKey(partition), JoinTagged(tag, line));
         }
       }
     }
@@ -163,11 +169,12 @@ void EmitJoined(std::string_view left, std::string_view right,
 }
 
 ReduceFn MakePlainJoinReducer() {
-  return [](const std::string& /*key*/,
-            std::span<const std::string> values, const RecordEmit& emit,
-            Counters* counters) {
-    TgRecordReader record;
-    std::vector<std::string_view> lefts, rights;
+  return [record = TgRecordReader(), lefts = std::vector<std::string_view>(),
+          rights = std::vector<std::string_view>()](
+             const std::string& /*key*/, std::span<const std::string> values,
+             const RecordEmit& emit, Counters* counters) mutable {
+    lefts.clear();
+    rights.clear();
     for (const std::string& v : values) {
       std::string_view line;
       bool is_left;
@@ -185,20 +192,44 @@ ReduceFn MakePlainJoinReducer() {
   };
 }
 
+// The expanded records of one φ_m partition by actual join value, both
+// sides in one buffer that the reducer keeps and clears per partition.
+struct JoinRows {
+  struct Row {
+    size_t begin;  // value, then record, in `bytes`
+    size_t value_size;
+    size_t record_size;
+    bool left;
+  };
+  std::string_view value(const Row& row) const {
+    return std::string_view(bytes).substr(row.begin, row.value_size);
+  }
+  std::string_view record(const Row& row) const {
+    return std::string_view(bytes).substr(row.begin + row.value_size,
+                                          row.record_size);
+  }
+
+  std::string bytes;
+  std::vector<Row> rows;
+};
+
 // TG_OptUnbJoin reduce (Algorithm 3): all groups of one φ_m partition land
-// here; complete the β-unnest, hash by the actual join key, and join.
+// here; complete the β-unnest, hash by the actual join key, and join: join
+// values ascending, each left row with each right row in the order read.
 ReduceFn MakePartialJoinReducer(const StarPattern& left_star,
                                 JoinSidePlan left,
                                 const StarPattern& right_star,
                                 JoinSidePlan right) {
-  return [left_unnester = BetaUnnester(left_star), left = std::move(left),
-          right_unnester = BetaUnnester(right_star),
-          right = std::move(right)](const std::string& /*key*/,
-                                    std::span<const std::string> values,
-                                    const RecordEmit& emit,
-                                    Counters* counters) {
-    TgRecordReader record;
-    std::map<std::string, std::vector<std::string>> left_hash, right_hash;
+  return [left_unnester = std::make_shared<const BetaUnnester>(left_star),
+          left = std::move(left),
+          right_unnester = std::make_shared<const BetaUnnester>(right_star),
+          right = std::move(right), record = TgRecordReader(),
+          table = JoinRows()](const std::string& /*key*/,
+                              std::span<const std::string> values,
+                              const RecordEmit& emit,
+                              Counters* counters) mutable {
+    table.bytes.clear();
+    table.rows.clear();
     for (const std::string& v : values) {
       std::string_view line;
       bool is_left;
@@ -211,22 +242,30 @@ ReduceFn MakePartialJoinReducer(const StarPattern& left_star,
         (*counters)["bad_records"] += 1;
         continue;
       }
-      auto& hash = is_left ? left_hash : right_hash;
-      ForEachJoinValue(is_left ? left_unnester : right_unnester, side, record,
-                       *site,
-                       [&hash](std::string_view value,
-                               std::string_view expanded) {
-                         hash[std::string(value)].emplace_back(expanded);
-                       });
+      ForEachJoinValue(
+          is_left ? *left_unnester : *right_unnester, side, record, *site,
+          [&](std::string_view value, std::string_view expanded) {
+            table.rows.push_back(JoinRows::Row{
+                table.bytes.size(), value.size(), expanded.size(), is_left});
+            table.bytes.append(value).append(expanded);
+          });
     }
-    for (const auto& [value, lefts] : left_hash) {
-      auto it = right_hash.find(value);
-      if (it == right_hash.end()) continue;
-      for (const std::string& l : lefts) {
-        for (const std::string& r : it->second) {
-          EmitJoined(l, r, emit, counters);
+    std::stable_sort(table.rows.begin(), table.rows.end(),
+                     [&table](const JoinRows::Row& a, const JoinRows::Row& b) {
+                       return table.value(a) < table.value(b);
+                     });
+    for (auto run = table.rows.begin(); run != table.rows.end();) {
+      const auto end = std::find_if(run, table.rows.end(), [&](const auto& r) {
+        return table.value(r) != table.value(*run);
+      });
+      for (auto l = run; l != end; ++l) {
+        for (auto r = run; l->left && r != end; ++r) {
+          if (!r->left) {
+            EmitJoined(table.record(*l), table.record(*r), emit, counters);
+          }
         }
       }
+      run = end;
     }
   };
 }
@@ -346,30 +385,37 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
     }
   }
   job1.inputs.push_back(MakeBaseScan(base_path, std::move(scan)));
-  // Each star's μ^β, compiled once for Eager's grouping cycle.
-  std::vector<std::vector<BetaUnnester>> unnesters;
+  // The batch and each star's μ^β (Eager's grouping cycle), compiled once.
+  struct GroupFilter {
+    std::vector<QueryPtr> queries;
+    std::vector<uint32_t> offsets;
+    std::vector<NtgaLogicalPlan> plans;
+    std::vector<std::vector<BetaUnnester>> unnesters;
+  };
+  auto filter = std::make_shared<GroupFilter>(
+      GroupFilter{queries, offsets, plans, {}});
   for (const QueryPtr& q : queries) {
-    unnesters.emplace_back(q->stars().begin(), q->stars().end());
+    filter->unnesters.emplace_back(q->stars().begin(), q->stars().end());
   }
-  job1.reduce = [queries, offsets, plans, unnesters](
+  job1.reduce = [filter = std::shared_ptr<const GroupFilter>(filter),
+                 record = TgRecordReader(), pairs = std::vector<PropObj>()](
                     const std::string& key,
                     std::span<const std::string> values,
-                    const RecordEmit& emit, Counters* counters) {
+                    const RecordEmit& emit, Counters* counters) mutable {
+    const auto& [queries, offsets, plans, unnesters] = *filter;
     TripleViews triples;
     uint64_t rejected = 0;
     for (const std::string& v : values) {
       if (!triples.Add(v).ok()) ++rejected;
     }
     if (rejected > 0) (*counters)["bad_records"] += rejected;
-    std::vector<PropObj> pairs;
-    pairs.reserve(triples.views().size());
+    pairs.clear();
     for (const TripleView& t : triples.views()) {
       pairs.push_back(PropObj{t.property, t.object});
     }
     std::sort(pairs.begin(), pairs.end());
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-    TgRecordReader record;
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t s = 0; s < queries[q]->stars().size(); ++s) {
         const StarPattern& star = queries[q]->stars()[s];

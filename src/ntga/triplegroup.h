@@ -115,6 +115,11 @@ class TgRecordReader {
     uint32_t overrides_end = 0;
   };
 
+  TgRecordReader() = default;
+  /// A copy starts empty: a read's state views its own reader's buffers.
+  TgRecordReader(const TgRecordReader&) {}
+  TgRecordReader& operator=(const TgRecordReader&) { return *this; }
+
   /// \brief Parses a record, one component per star reached.
   Status Read(std::string_view line);
 

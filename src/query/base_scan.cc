@@ -50,30 +50,30 @@ MapInput MakeBaseScan(std::string path, BaseScan scan) {
         << "scan key ?" << scan.key_variable << " is not in "
         << scan.patterns[i].ToString();
   }
-  input.map = [scan = std::move(scan), key_field = std::move(key_field)](
+  input.map = [scan = std::make_shared<const BaseScan>(std::move(scan)),
+               key_field = std::move(key_field), reader = TripleReader()](
                   const std::string& line, const MapEmit& emit,
-                  Counters* counters) {
-    TripleReader reader;
+                  Counters* counters) mutable {
     if (!reader.Read(line).ok()) {
       (*counters)["bad_records"] += 1;
       return;
     }
     const TripleView& t = reader.view();
-    if (scan.key == ScanKey::kVariable && t.subject.empty() &&
+    if (scan->key == ScanKey::kVariable && t.subject.empty() &&
         t.property.empty() && t.object.empty()) {
       return;
     }
     const std::string_view fields[3] = {t.subject, t.property, t.object};
-    for (size_t i = 0; i < scan.patterns.size(); ++i) {
-      if (!MatchesTriplePattern(scan.patterns[i], t.subject, t.property,
+    for (size_t i = 0; i < scan->patterns.size(); ++i) {
+      if (!MatchesTriplePattern(scan->patterns[i], t.subject, t.property,
                                 t.object)) {
         continue;
       }
-      if (!scan.counter.empty()) (*counters)[scan.counter] += 1;
+      if (!scan->counter.empty()) (*counters)[scan->counter] += 1;
       emit(std::string(key_field[i] == kNoField ? std::string_view()
                                                 : fields[key_field[i]]),
-           scan.tag.empty() ? line : JoinTagged(scan.tag, line));
-      if (!scan.per_pattern) return;
+           scan->tag.empty() ? line : JoinTagged(scan->tag, line));
+      if (!scan->per_pattern) return;
     }
   };
   return input;

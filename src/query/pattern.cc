@@ -60,14 +60,6 @@ std::vector<size_t> StarPattern::UnboundIndexes() const {
   return idx;
 }
 
-std::vector<size_t> StarPattern::OptionalIndexes() const {
-  std::vector<size_t> idx;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (patterns[i].optional) idx.push_back(i);
-  }
-  return idx;
-}
-
 std::string StarPattern::ToString() const {
   std::string out = "Star(?" + subject_var + ") {\n";
   for (const TriplePattern& tp : patterns) {
@@ -87,13 +79,6 @@ const char* StarJoinKindToString(StarJoinKind kind) {
       return "Subject-Subject";
   }
   return "?";
-}
-
-bool StarJoin::LeftOnUnbound(const std::vector<StarPattern>& stars) const {
-  if (left_pattern_index < 0) return false;
-  return stars[left_star]
-      .patterns[static_cast<size_t>(left_pattern_index)]
-      .unbound_property();
 }
 
 Result<GraphPatternQuery> GraphPatternQuery::Create(

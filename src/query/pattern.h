@@ -125,9 +125,6 @@ struct StarPattern {
   /// including optional ones.
   std::vector<size_t> UnboundIndexes() const;
 
-  /// \brief Indexes of optional patterns.
-  std::vector<size_t> OptionalIndexes() const;
-
   bool HasUnbound() const { return !UnboundIndexes().empty(); }
   size_t NumUnbound() const { return UnboundIndexes().size(); }
 
@@ -152,11 +149,6 @@ struct StarJoin {
   /// the variable; -1 means the variable is that star's subject.
   int left_pattern_index = -1;
   int right_pattern_index = -1;
-
-  /// \brief True when the joining object belongs to an unbound-property
-  /// triple pattern on the left side — the case that forces β-unnesting
-  /// before the join (Section 4 of the paper).
-  bool LeftOnUnbound(const std::vector<StarPattern>& stars) const;
 };
 
 /// \brief A basic graph pattern plus its star decomposition.

@@ -323,6 +323,14 @@ void SolutionSet::Builder::Absorb(const Builder& other) {
   rows_ += other.rows_;
 }
 
+void SolutionSet::Builder::Clear() {
+  arena_.clear();
+  offsets_.assign(1, 0);
+  std::fill(index_.begin(), index_.end(), kUnbound);
+  cells_.clear();
+  rows_ = 0;
+}
+
 SolutionSet SolutionSet::Builder::Finish() {
   const size_t width = variables_.size();
   const size_t num_terms = offsets_.size() - 1;

@@ -227,6 +227,10 @@ class SolutionSet::Builder {
   /// \brief The finished table; the builder is left empty.
   SolutionSet Finish();
 
+  /// \brief Drops every term and row, keeping the variables and the
+  /// memory, for a builder reused from call to call.
+  void Clear();
+
  private:
   void Grow();
 

@@ -33,7 +33,8 @@ MapInput MakeStarScan(const std::string& path, const StarPattern& star) {
 
 // ---- Star joins -------------------------------------------------------------
 
-// One star's join, compiled once per star. Match() enumerates the star's
+// One star's join: its slot plan, compiled once per star and shared by
+// every copy, and a walk of the copy's own. Match() enumerates the star's
 // matches over a subject's distinct triples through the one star walk
 // (query/star_walk.h), each pattern's candidates being the triples that
 // pass MatchesTriplePattern, bound as field views. A match's record is its
@@ -41,38 +42,37 @@ MapInput MakeStarScan(const std::string& path, const StarPattern& star) {
 // fields.
 class StarMatcher {
  public:
-  explicit StarMatcher(const StarPattern& star) : slots_(star.patterns) {}
+  explicit StarMatcher(const StarPattern& star)
+      : slots_(std::make_shared<const SlotPlan>(star.patterns)) {}
 
   // Emits the record of each match over `triples` (distinct, sorted);
   // returns the match count.
   size_t Match(const std::vector<TripleView>& triples,
-               const RecordEmit& emit) const {
+               const RecordEmit& emit) {
     using Walk = StarWalk<std::string_view>;
-    Walk walk;
-    const std::vector<TriplePattern>& patterns = slots_.patterns();
-    walk.Start(patterns, slots_.width(), std::string_view());
-    // The triple each candidate binds.
-    std::vector<uint32_t> sources;
+    const std::vector<TriplePattern>& patterns = slots_->patterns();
+    walk_.Start(patterns, slots_->width(), std::string_view());
+    sources_.clear();
     for (size_t p = 0; p < patterns.size(); ++p) {
       for (uint32_t t = 0; t < triples.size(); ++t) {
         const TripleView& v = triples[t];
         const std::string_view fields[3] = {v.subject, v.property, v.object};
         if (MatchesTriplePattern(patterns[p], fields[0], fields[1],
                                  fields[2])) {
-          walk.Add(p, slots_.slots(p), [&](size_t j) { return fields[j]; });
-          sources.push_back(t);
+          walk_.Add(p, slots_->slots(p), [&](size_t j) { return fields[j]; });
+          sources_.push_back(t);
         }
       }
     }
-    return walk.Run([&](std::span<const std::string_view> /*row*/,
-                        std::span<const uint32_t> chosen) {
+    return walk_.Run([&](std::span<const std::string_view> /*row*/,
+                         std::span<const uint32_t> chosen) {
       std::string record;
       for (size_t p = 0; p < chosen.size(); ++p) {
         if (p > 0) record.push_back('\t');
         if (chosen[p] == Walk::kNone) {
           record.append("\t\t");
         } else {
-          triples[sources[chosen[p]]].AppendLine(&record);
+          triples[sources_[chosen[p]]].AppendLine(&record);
         }
       }
       emit(std::move(record));
@@ -80,7 +80,9 @@ class StarMatcher {
   }
 
  private:
-  SlotPlan slots_;
+  std::shared_ptr<const SlotPlan> slots_;
+  StarWalk<std::string_view> walk_;
+  std::vector<uint32_t> sources_;  // the triple each candidate binds
 };
 
 // Star-join reducer: reads a subject's triple lines as views, keeps the
@@ -89,7 +91,7 @@ ReduceFn MakeStarReducer(const StarPattern& star) {
   return [matcher = StarMatcher(star)](const std::string& /*key*/,
                                        std::span<const std::string> values,
                                        const RecordEmit& emit,
-                                       Counters* counters) {
+                                       Counters* counters) mutable {
     TripleViews triples;
     uint64_t rejected = 0;
     for (const std::string& v : values) {
@@ -114,14 +116,13 @@ MapFn MakeJoinMapper(const RelSchema& schema, const std::string& var,
   const size_t slot = reader.SlotOf(var);
   return [reader = std::move(reader), slot, tag = std::move(tag)](
              const std::string& record, const MapEmit& emit,
-             Counters* counters) {
-    RelRecordReader tuple = reader;
-    if (!tuple.Read(record).ok() || slot == RelRecordReader::kNoSlot ||
-        !tuple.bound(slot)) {
+             Counters* counters) mutable {
+    if (!reader.Read(record).ok() || slot == RelRecordReader::kNoSlot ||
+        !reader.bound(slot)) {
       (*counters)["bad_records"] += 1;
       return;
     }
-    emit(std::string(tuple.value(slot)), JoinTagged(tag, record));
+    emit(std::string(reader.value(slot)), JoinTagged(tag, record));
   };
 }
 
@@ -384,7 +385,7 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
                    readers = JoinReaders(first_schema, folded_schema)](
                       const std::string& /*key*/,
                       std::span<const std::string> values,
-                      const RecordEmit& emit, Counters* counters) {
+                      const RecordEmit& emit, Counters* counters) mutable {
       TripleViews triples;
       JoinSide lefts;
       for (const std::string& v : values) {

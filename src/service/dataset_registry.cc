@@ -15,7 +15,7 @@ Status DatasetHandle::EnsureLoaded() const {
   attempted_ = true;
   TripleLoader loader = std::move(loader_);
   loader_ = nullptr;
-  if (mapped_ != nullptr && !materialize_) {
+  if (mapped_ != nullptr) {
     // Zero-materialization path: mount the mapping as the base relation.
     // Nothing is decoded now — scans pull individual records out of the
     // mapped postings/dictionary on demand.
@@ -54,9 +54,7 @@ Status DatasetHandle::EnsureLoaded() const {
   auto size = dfs->FileSize(kBasePath);
   base_bytes_ = size.ok() ? *size : 0;
   dfs_ = std::move(dfs);
-  stats_ = std::make_shared<const GraphStats>(
-      mapped_ != nullptr ? mapped_->DecodeGraphStats()
-                         : GraphStats::Compute(*triples));
+  stats_ = std::make_shared<const GraphStats>(GraphStats::Compute(*triples));
   load_status_ = Status::OK();
   return load_status_;
 }
@@ -82,7 +80,7 @@ DatasetInfo DatasetHandle::Info() const {
   if (mapped_ != nullptr) {
     info.mapped = true;
     info.mapped_bytes = mapped_->file_bytes();
-    info.mapped_scans = !materialize_;
+    info.mapped_scans = true;
     // The mapping knows the relation size before materialization.
     if (!info.loaded) info.num_triples = mapped_->triple_count();
   }
@@ -91,11 +89,11 @@ DatasetInfo DatasetHandle::Info() const {
 
 std::shared_ptr<DatasetHandle> DatasetRegistry::Replace(
     const std::string& name, TripleLoader loader,
-    std::shared_ptr<const storage::RdxReader> mapped, bool materialize) {
+    std::shared_ptr<const storage::RdxReader> mapped) {
   std::lock_guard<std::mutex> lock(mu_);
   auto handle = std::shared_ptr<DatasetHandle>(
       new DatasetHandle(name, next_epoch_++, cluster_, std::move(loader),
-                        std::move(mapped), materialize));
+                        std::move(mapped)));
   datasets_[name] = handle;
   return handle;
 }
@@ -125,18 +123,13 @@ Result<DatasetInfo> DatasetRegistry::Load(const std::string& name,
 }
 
 Result<DatasetInfo> DatasetRegistry::RegisterMapped(const std::string& name,
-                                                    const std::string& path,
-                                                    bool materialize) {
+                                                    const std::string& path) {
   if (name.empty()) {
     return Status::InvalidArgument("dataset name must be non-empty");
   }
   RDFMR_ASSIGN_OR_RETURN(std::shared_ptr<const storage::RdxReader> reader,
                          storage::RdxReader::Open(path));
-  auto handle = Replace(
-      name,
-      [reader]() -> Result<std::vector<Triple>> { return reader->Triples(); },
-      reader, materialize);
-  return handle->Info();
+  return Replace(name, nullptr, std::move(reader))->Info();
 }
 
 Status DatasetRegistry::Drop(const std::string& name) {

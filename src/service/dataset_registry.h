@@ -76,21 +76,18 @@ class DatasetHandle {
   DatasetInfo Info() const;
 
   /// \brief True when queries run zero-materialization scans over the
-  /// mapping (mapped dataset registered without the materialize escape
-  /// hatch).
-  bool mapped_scans() const { return mapped_ != nullptr && !materialize_; }
+  /// mapping (a mapped dataset).
+  bool mapped_scans() const { return mapped_ != nullptr; }
 
  private:
   friend class DatasetRegistry;
   DatasetHandle(std::string name, uint64_t epoch, ClusterConfig cluster,
                 TripleLoader loader,
-                std::shared_ptr<const storage::RdxReader> mapped,
-                bool materialize)
+                std::shared_ptr<const storage::RdxReader> mapped)
       : name_(std::move(name)),
         epoch_(epoch),
         cluster_(cluster),
         mapped_(std::move(mapped)),
-        materialize_(materialize),
         loader_(std::move(loader)) {}
 
   const std::string name_;
@@ -99,9 +96,6 @@ class DatasetHandle {
   /// Validated mapping kept alive for the handle's lifetime (null unless
   /// registered via RegisterMapped). Immutable after construction.
   const std::shared_ptr<const storage::RdxReader> mapped_;
-  /// Mapped datasets only: decode into a materialized base on first query
-  /// instead of mounting the mapping for zero-materialization scans.
-  const bool materialize_ = false;
 
   /// Guards the one-time load and the fields below.
   mutable std::mutex mu_;
@@ -131,13 +125,12 @@ class DatasetRegistry {
   /// \brief Registers `name` backed by the memory-mapped rdx file at
   /// `path`. The file is mapped and fully validated now — milliseconds,
   /// independent of triple count, so corruption surfaces at registration.
-  /// By default the first query MOUNTS the mapping into the dataset's
-  /// SimDfs (zero-materialization: scans decode records lazily straight
-  /// from the mapped postings); `materialize` is the escape hatch that
-  /// restores the old decode-into-a-triple-vector-on-first-query path.
+  /// The first query MOUNTS the mapping into the dataset's SimDfs
+  /// (zero-materialization: scans decode records lazily straight from the
+  /// mapped postings). Register() with a ReadDatasetFile loader decodes
+  /// the same file into triples on first query instead.
   Result<DatasetInfo> RegisterMapped(const std::string& name,
-                                     const std::string& path,
-                                     bool materialize = false);
+                                     const std::string& path);
 
   /// \brief Removes `name`; NotFound if absent. In-flight queries keep
   /// their handles.
@@ -160,8 +153,7 @@ class DatasetRegistry {
  private:
   std::shared_ptr<DatasetHandle> Replace(
       const std::string& name, TripleLoader loader,
-      std::shared_ptr<const storage::RdxReader> mapped = nullptr,
-      bool materialize = false);
+      std::shared_ptr<const storage::RdxReader> mapped = nullptr);
 
   const ClusterConfig cluster_;
   mutable std::mutex mu_;

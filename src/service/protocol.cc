@@ -268,11 +268,9 @@ JsonValue HandleLoad(QueryService* query_service, const JsonValue& request) {
       const std::string path = request.GetString("path");
       if (storage::IsRdxPath(path) && !request.GetBool("eager")) {
         // rdx files map zero-copy: validated now, served by mapped scans
-        // from the first query on. "materialize" keeps the mapping but
-        // decodes into a triple vector on first query; "eager" still
-        // forces an immediate parse-and-decode below.
-        info = query_service->RegisterMappedDataset(
-            dataset, path, request.GetBool("materialize"));
+        // from the first query on; "eager" still forces an immediate
+        // parse-and-decode below.
+        info = query_service->RegisterMappedDataset(dataset, path);
         if (!info.ok()) return ErrorResponse(info.status());
         JsonValue mapped_ok = OkResponse();
         mapped_ok.Set("dataset", DatasetInfoJson(*info));
@@ -394,7 +392,7 @@ JsonValue HandleExplain(QueryService* query_service,
 
 JsonValue HandleStats(QueryService* query_service, const JsonValue& request) {
   const std::string format = request.GetString("format", "json");
-  ServiceStatsSnapshot snapshot = query_service->Stats();
+  ServiceStatsSnapshot snapshot = query_service->SnapshotNow();
   if (format == "prometheus") {
     JsonValue o = OkResponse();
     o.Set("prometheus", snapshot.ToPrometheus());
@@ -413,7 +411,7 @@ JsonValue HandleStats(QueryService* query_service, const JsonValue& request) {
 JsonValue HandleMetrics(QueryService* query_service,
                         const JsonValue& request) {
   const std::string format = request.GetString("format", "prometheus");
-  ServiceStatsSnapshot snapshot = query_service->Stats();
+  ServiceStatsSnapshot snapshot = query_service->SnapshotNow();
   if (format == "prometheus") {
     JsonValue o = OkResponse();
     o.Set("prometheus", MetricsRegistry::Global().ToPrometheusText() +

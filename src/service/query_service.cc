@@ -297,9 +297,9 @@ Result<DatasetInfo> QueryService::RegisterDataset(const std::string& name,
 }
 
 Result<DatasetInfo> QueryService::RegisterMappedDataset(
-    const std::string& name, const std::string& path, bool materialize) {
+    const std::string& name, const std::string& path) {
   RDFMR_ASSIGN_OR_RETURN(DatasetInfo info,
-                         registry_.RegisterMapped(name, path, materialize));
+                         registry_.RegisterMapped(name, path));
   result_cache_.EraseByPrefix(name + '\x1f');
   return info;
 }

@@ -148,7 +148,7 @@ struct ServiceResponse {
 /// \brief Point-in-time service counters (all monotonically increasing
 /// except the gauges) plus latency/queue-depth distributions.
 ///
-/// Produced only by QueryService::Stats() (the SnapshotNow fold): each
+/// Produced only by QueryService::SnapshotNow(): each
 /// counter is one coherent atomic load, so any counter observed in one
 /// snapshot is >= its value in every earlier snapshot, and the derived
 /// `*_lookups` fields satisfy `hits + misses == lookups` exactly.
@@ -208,12 +208,10 @@ class QueryService {
   Result<DatasetInfo> RegisterDataset(const std::string& name,
                                       TripleLoader loader);
   /// \brief Registers `name` backed by a memory-mapped rdx file: the file
-  /// is validated now (milliseconds); by default the first query mounts
-  /// the mapping for zero-materialization scans, while `materialize`
-  /// forces the old decode-into-triples-on-first-query path.
+  /// is validated now (milliseconds) and the first query mounts the
+  /// mapping for zero-materialization scans.
   Result<DatasetInfo> RegisterMappedDataset(const std::string& name,
-                                            const std::string& path,
-                                            bool materialize = false);
+                                            const std::string& path);
   Status DropDataset(const std::string& name);
   std::vector<DatasetInfo> ListDatasets() const;
 
@@ -240,11 +238,9 @@ class QueryService {
   bool Cancel(uint64_t ticket);
 
   /// \brief Folds the lock-free counters, gauges, and atomic histograms
-  /// into one ServiceStatsSnapshot (see the struct's consistency notes).
-  /// Identical to Stats(); the explicit name marks it as the ONLY place
-  /// the relaxed cells are read back.
+  /// into one ServiceStatsSnapshot (see the struct's consistency notes):
+  /// the ONLY place the relaxed cells are read back.
   ServiceStatsSnapshot SnapshotNow() const;
-  ServiceStatsSnapshot Stats() const { return SnapshotNow(); }
 
  private:
   struct Pending;

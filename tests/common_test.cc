@@ -542,13 +542,6 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(5ULL << 30), "5.00 GB");
 }
 
-TEST(StringsTest, Padding) {
-  EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
-  EXPECT_EQ(PadRight("abcd", 2), "abcd");
-  EXPECT_EQ(PadLeft("abcd", 2), "abcd");
-}
-
 TEST(StringsTest, StringFormat) {
   EXPECT_EQ(StringFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StringFormat("%.2f", 1.005), "1.00");
@@ -608,16 +601,6 @@ TEST(RngTest, ChanceExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.Chance(0.0));
     EXPECT_TRUE(rng.Chance(1.0));
-  }
-}
-
-TEST(RngTest, ForkIndependentButDeterministic) {
-  Rng a(42);
-  Rng fork1 = a.Fork();
-  Rng b(42);
-  Rng fork2 = b.Fork();
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(fork1.Next(), fork2.Next());
   }
 }
 

@@ -67,7 +67,7 @@ TEST(ConcurrentReadTest, TwoThreadsQueryOneLoadedDataset) {
   }
   for (auto& thread : threads) thread.join();
 
-  service::ServiceStatsSnapshot stats = query_service.Stats();
+  service::ServiceStatsSnapshot stats = query_service.SnapshotNow();
   EXPECT_EQ(stats.served, static_cast<uint64_t>(2 * kIters));
   EXPECT_EQ(stats.failed, 0u);
 }

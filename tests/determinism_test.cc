@@ -621,6 +621,89 @@ TEST(ChunkScopeTest, BlocksOfManyChunksKeepTheBlockTaskScope) {
   }
 }
 
+// Task state: every map chunk, combine item and reduce partition calls its
+// own copy of the job's closures, so closures may keep state in mutable
+// captures. The mapper numbers its calls and ships the number with each
+// record; the combiner and the reducer reuse captured buffers. With one
+// instance shared across threads the numbers and buffers race (and with
+// one instance at all, the numbers run on across chunks); with a copy per
+// task the output is byte-identical with no pool and at 2 and 8 threads.
+TEST(TaskStateTest, MutableClosuresAreCopiedPerTask) {
+  const ClusterConfig config;  // 1 MiB blocks, several chunks each
+  std::vector<std::string> input;
+  uint64_t input_bytes = 0;
+  for (size_t i = 0; input_bytes < (5ULL << 20) / 2; ++i) {
+    input.push_back("k" + std::to_string(i % 23) + " " + std::to_string(i));
+    input_bytes += input.back().size() + 1;
+  }
+
+  JobSpec job;
+  job.name = "task_state";
+  job.inputs.push_back(MapInput{
+      "in",
+      [calls = uint64_t{0}](const std::string& record, const MapEmit& emit,
+                            Counters*) mutable {
+        ++calls;
+        const size_t space = record.find(' ');
+        emit(record.substr(0, space),
+             record.substr(space + 1) + "#" + std::to_string(calls));
+      },
+      nullptr});
+  job.reduce = [buffer = std::string()](const std::string& key,
+                                        std::span<const std::string> values,
+                                        const RecordEmit& emit,
+                                        Counters*) mutable {
+    buffer.clear();
+    for (const std::string& value : values) buffer.append(value).append(",");
+    emit(key + "=" + buffer);
+  };
+  job.output_path = "out";
+  JobSpec combined = job;
+  combined.name = "task_state_combined";
+  combined.combine = [scratch = std::vector<std::string_view>()](
+                         const std::string&,
+                         std::span<const std::string> values,
+                         Counters*) mutable {
+    scratch.assign(values.begin(), values.end());
+    std::string joined;
+    for (std::string_view value : scratch) joined.append(value).append(";");
+    return std::vector<std::string>{std::move(joined)};
+  };
+
+  for (const JobSpec* spec : {&job, &combined}) {
+    SCOPED_TRACE("job=" + spec->name);
+    std::vector<std::string> first_output;
+    JobMetrics first_metrics;
+    for (uint32_t threads : {0u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      SimDfs dfs(config);
+      ASSERT_TRUE(dfs.WriteFile("in", input).ok());
+      JobRunOptions options;
+      options.pool = pool.get();
+      JobRunResult run = RunJob(&dfs, *spec, options);
+      ASSERT_TRUE(run.ok()) << run.status.ToString();
+      auto output = dfs.ReadFile("out");
+      ASSERT_TRUE(output.ok());
+      if (threads == 0) {
+        // Each chunk's mapper counts from 1, and no chunk holds the whole
+        // input: the call numbers restart.
+        std::string all;
+        for (const std::string& line : *output) all += line;
+        EXPECT_NE(all.find(spec->combine ? "#1;" : "#1,"), std::string::npos);
+        EXPECT_EQ(all.find("#" + std::to_string(input.size())),
+                  std::string::npos);
+        first_output = *output;
+        first_metrics = run.metrics;
+        continue;
+      }
+      EXPECT_TRUE(*output == first_output);
+      ExpectSameJobMetrics(run.metrics, first_metrics);
+    }
+  }
+}
+
 // Regression (failure cleanup): a failed workflow must also delete the
 // demuxed outputs (`output_path + suffix`) of its completed jobs — they
 // are data-dependent paths that intermediate_paths cannot list up front.

@@ -100,7 +100,6 @@ TEST(OptionalParseTest, BasicSyntax) {
   ASSERT_EQ(q->stars()[0].patterns.size(), 2u);
   EXPECT_FALSE(q->stars()[0].patterns[0].optional);
   EXPECT_TRUE(q->stars()[0].patterns[1].optional);
-  EXPECT_EQ(q->stars()[0].OptionalIndexes(), (std::vector<size_t>{1}));
   EXPECT_EQ(q->stars()[0].BoundProperties(),
             (std::set<std::string>{"label"}));
   EXPECT_EQ(q->stars()[0].AllBoundProperties(),

@@ -108,7 +108,9 @@ TEST(QueryTest, DerivesObjectSubjectJoin) {
   EXPECT_EQ(join.right_star, 0u);
   EXPECT_EQ(join.left_pattern_index, 0);
   EXPECT_EQ(join.right_pattern_index, -1);
-  EXPECT_FALSE(join.LeftOnUnbound(q->stars()));
+  EXPECT_FALSE(q->stars()[join.left_star]
+                   .patterns[static_cast<size_t>(join.left_pattern_index)]
+                   .unbound_property());
 }
 
 TEST(QueryTest, DerivesObjectObjectJoin) {
@@ -138,7 +140,10 @@ TEST(QueryTest, JoinOnUnboundObjectIsFlagged) {
   ASSERT_EQ(q->joins().size(), 1u);
   const StarJoin& join = q->joins()[0];
   EXPECT_EQ(join.kind, StarJoinKind::kObjectSubject);
-  EXPECT_TRUE(join.LeftOnUnbound(q->stars()));
+  ASSERT_GE(join.left_pattern_index, 0);
+  EXPECT_TRUE(q->stars()[join.left_star]
+                  .patterns[static_cast<size_t>(join.left_pattern_index)]
+                  .unbound_property());
 }
 
 TEST(QueryTest, RejectsEmptyQuery) {

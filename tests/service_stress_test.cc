@@ -57,7 +57,7 @@ ServiceConfig StressConfig(uint32_t workers) {
 // warm-result queries while the main thread snapshots concurrently; every
 // snapshot must be internally consistent (result-cache hits + misses ==
 // lookups) and monotone field-by-field against the previous one.
-// Before the atomics split this was impossible to guarantee: Stats()
+// Before the atomics split this was impossible to guarantee: SnapshotNow()
 // copied the struct under the same mutex the hot path mutated it under,
 // but histogram counts and counters could still diverge via the
 // service's multi-step updates.
@@ -89,10 +89,10 @@ TEST(ServiceStressTest, SnapshotsStayConsistentWhileHammered) {
     });
   }
 
-  ServiceStatsSnapshot prev = service->Stats();
+  ServiceStatsSnapshot prev = service->SnapshotNow();
   uint64_t snapshots = 0;
   while (!done.load(std::memory_order_relaxed)) {
-    ServiceStatsSnapshot now = service->Stats();
+    ServiceStatsSnapshot now = service->SnapshotNow();
     ++snapshots;
     // Internal consistency: the derived lookup totals can never tear.
     EXPECT_EQ(now.result_cache_hits + now.result_cache_misses,
@@ -120,7 +120,7 @@ TEST(ServiceStressTest, SnapshotsStayConsistentWhileHammered) {
   for (auto& client : clients) client.join();
   EXPECT_GT(snapshots, 0u);
 
-  ServiceStatsSnapshot final_stats = service->Stats();
+  ServiceStatsSnapshot final_stats = service->SnapshotNow();
   EXPECT_EQ(ok_count.load(), uint64_t{kThreads * kPerThread});
   EXPECT_EQ(final_stats.submitted, uint64_t{1 + kThreads * kPerThread});
   EXPECT_EQ(final_stats.served, uint64_t{1 + kThreads * kPerThread});
@@ -185,7 +185,7 @@ TEST(ServiceStressTest, SixteenWarmClientsNoRacesIdenticalAnswers) {
 
   EXPECT_EQ(misses.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
-  ServiceStatsSnapshot stats = service->Stats();
+  ServiceStatsSnapshot stats = service->SnapshotNow();
   EXPECT_EQ(stats.result_cache_hits, uint64_t{kThreads * kPerThread});
   EXPECT_EQ(stats.served, uint64_t{kQueries + kThreads * kPerThread});
   EXPECT_GE(stats.cache_shards, 16u);
@@ -267,22 +267,22 @@ TEST(ServiceStressTest, ReloadAndDropPurgeEveryShard) {
     }
   };
   populate();
-  ServiceStatsSnapshot warm = service->Stats();
+  ServiceStatsSnapshot warm = service->SnapshotNow();
   EXPECT_EQ(warm.result_cache_entries, uint64_t{kQueries});
   EXPECT_GT(warm.result_cache_bytes, 0u);
 
   // Reload: epoch bumps, and the eager prefix purge must empty every
   // shard of the result cache.
   ASSERT_TRUE(service->LoadDataset("d", FanoutTriples(kQueries)).ok());
-  ServiceStatsSnapshot reloaded = service->Stats();
+  ServiceStatsSnapshot reloaded = service->SnapshotNow();
   EXPECT_EQ(reloaded.result_cache_entries, 0u);
   EXPECT_EQ(reloaded.result_cache_bytes, 0u);
 
   // Re-populate under the new epoch, then drop: same full purge.
   populate();
-  EXPECT_EQ(service->Stats().result_cache_entries, uint64_t{kQueries});
+  EXPECT_EQ(service->SnapshotNow().result_cache_entries, uint64_t{kQueries});
   ASSERT_TRUE(service->DropDataset("d").ok());
-  ServiceStatsSnapshot dropped = service->Stats();
+  ServiceStatsSnapshot dropped = service->SnapshotNow();
   EXPECT_EQ(dropped.result_cache_entries, 0u);
   EXPECT_EQ(dropped.result_cache_bytes, 0u);
 }

@@ -456,11 +456,11 @@ TEST(RdxDifferentialTest, MappedAndParsedLoadsAreByteIdenticalAcrossEngines) {
   }
 }
 
-// The zero-materialization scan path (the default for mapped datasets)
-// must be indistinguishable — answers and every deterministic stat — from
-// the `materialize` escape hatch that decodes the .rdx into a triple
-// vector up front, across every engine kind and thread count.
-TEST(RdxDifferentialTest, MappedScansMatchMaterializedEscapeHatch) {
+// The zero-materialization scan path of a mapped dataset must be
+// indistinguishable — answers and every deterministic stat — from the same
+// .rdx registered through a ReadDatasetFile loader, which decodes it into a
+// triple vector on first query, across every engine kind and thread count.
+TEST(RdxDifferentialTest, MappedScansMatchDecodedRegistration) {
   const std::vector<Triple> triples = SmallDataset(DatasetFamily::kBsbm);
   const std::string rdx_path = TempPath("scan_diff.rdx");
   ASSERT_TRUE(WriteRdxFile(rdx_path, triples).ok());
@@ -471,15 +471,14 @@ TEST(RdxDifferentialTest, MappedScansMatchMaterializedEscapeHatch) {
   service::ServiceConfig config;
   config.cluster = testing_util::RoomyCluster();
   service::QueryService scan_service(config);
-  service::QueryService materialized_service(config);
+  service::QueryService decoded_service(config);
   auto scan_info = scan_service.RegisterMappedDataset("d", rdx_path);
-  auto mat_info = materialized_service.RegisterMappedDataset(
-      "d", rdx_path, /*materialize=*/true);
+  auto decoded_info = decoded_service.RegisterDataset(
+      "d", [rdx_path] { return service::ReadDatasetFile(rdx_path); });
   ASSERT_TRUE(scan_info.ok()) << scan_info.status().ToString();
-  ASSERT_TRUE(mat_info.ok()) << mat_info.status().ToString();
+  ASSERT_TRUE(decoded_info.ok()) << decoded_info.status().ToString();
   EXPECT_TRUE(scan_info->mapped_scans);
-  EXPECT_FALSE(mat_info->mapped_scans);
-  EXPECT_TRUE(mat_info->mapped);  // still a mapped dataset, just decoded
+  EXPECT_FALSE(decoded_info->mapped_scans);
 
   for (EngineKind kind : AllEngineKinds()) {
     SCOPED_TRACE(EngineKindToString(kind));
@@ -493,12 +492,12 @@ TEST(RdxDifferentialTest, MappedScansMatchMaterializedEscapeHatch) {
       request.use_result_cache = false;
 
       service::ServiceResponse from_scan = scan_service.Query(request);
-      service::ServiceResponse from_mat = materialized_service.Query(request);
+      service::ServiceResponse from_decoded = decoded_service.Query(request);
       ASSERT_TRUE(from_scan.ok()) << from_scan.status.ToString();
-      ASSERT_TRUE(from_mat.ok()) << from_mat.status.ToString();
-      EXPECT_EQ(from_scan.answer_set(), from_mat.answer_set());
+      ASSERT_TRUE(from_decoded.ok()) << from_decoded.status.ToString();
+      EXPECT_EQ(from_scan.answer_set(), from_decoded.answer_set());
       const std::vector<std::string> diff = fuzz::CompareStatsIgnoringWallTimes(
-          from_scan.stats, from_mat.stats);
+          from_scan.stats, from_decoded.stats);
       EXPECT_TRUE(diff.empty()) << diff.front();
     }
   }
@@ -506,7 +505,7 @@ TEST(RdxDifferentialTest, MappedScansMatchMaterializedEscapeHatch) {
   // mapping meters exactly the bytes the decoded write would have.
   for (const service::DatasetInfo& info : scan_service.ListDatasets()) {
     for (const service::DatasetInfo& other :
-         materialized_service.ListDatasets()) {
+         decoded_service.ListDatasets()) {
       EXPECT_EQ(info.base_bytes, other.base_bytes);
       EXPECT_EQ(info.num_triples, other.num_triples);
     }
@@ -534,12 +533,15 @@ TEST(RdxDifferentialTest, ZeroTripleIndexServesEmptyAnswersEndToEnd) {
   auto query = GetTestbedQuery("B1");
   ASSERT_TRUE(query.ok());
 
-  for (bool materialize : {false, true}) {
-    SCOPED_TRACE(materialize ? "materialized" : "mapped scans");
+  for (bool mapped : {true, false}) {
+    SCOPED_TRACE(mapped ? "mapped scans" : "decoded");
     service::ServiceConfig config;
     config.cluster = testing_util::RoomyCluster();
     service::QueryService service(config);
-    auto info = service.RegisterMappedDataset("zero", rdx_path, materialize);
+    auto info = mapped ? service.RegisterMappedDataset("zero", rdx_path)
+                       : service.RegisterDataset("zero", [rdx_path] {
+                           return service::ReadDatasetFile(rdx_path);
+                         });
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     EXPECT_EQ(info->num_triples, 0u);
 

@@ -42,15 +42,14 @@
 //               [--nodes N] [--disk-mb M] [--repl R] [--threads T]
 //               [--max-concurrent C] [--queue-bound Q]
 //               [--result-cache-mb M] [--deadline-ms D]
-//               [--dataset NAME --data FILE] [--materialize]
+//               [--dataset NAME --data FILE]
 //       Run the long-lived query service, speaking newline-delimited
 //       JSON with request pipelining (see src/service/protocol.h and
 //       docs/PROTOCOL.md). --listen repeats to serve AF_UNIX and TCP
 //       endpoints simultaneously; tcp:HOST:0 binds an ephemeral port,
 //       printed at startup. --socket PATH is shorthand for
 //       --listen unix:PATH. --dataset/--data preloads one dataset;
-//       an .rdx --data serves zero-materialization mapped scans unless
-//       --materialize asks for the decode-on-first-query path.
+//       an .rdx --data serves zero-materialization mapped scans.
 //   rdfmr client --connect unix:PATH|tcp:HOST:PORT [--socket PATH]
 //               [--connect-retries N] [--pipeline] [--request JSON]
 //       Send one JSON request (or each line of stdin) to a running
@@ -602,10 +601,8 @@ int CmdServe(const Flags& flags) {
     Result<service::DatasetInfo> info = Status::Unknown("unreachable");
     if (storage::IsRdxPath(path)) {
       // Mapped mode: the file is validated now (milliseconds regardless
-      // of size) and the first query scans straight over the mapping;
-      // --materialize restores the decode-on-first-query escape hatch.
-      info = query_service.RegisterMappedDataset(name, path,
-                                                 flags.Has("materialize"));
+      // of size) and the first query scans straight over the mapping.
+      info = query_service.RegisterMappedDataset(name, path);
     } else {
       info = query_service.RegisterDataset(
           name, [path] { return service::ReadDatasetFile(path); });
@@ -733,7 +730,7 @@ const std::map<std::string, std::vector<const char*>>& SubcommandFlags() {
            {"socket", "listen", "max-connections", "idle-timeout-ms",
             "nodes", "disk-mb", "repl", "threads", "max-concurrent",
             "queue-bound", "result-cache-mb", "deadline-ms", "dataset",
-            "data", "materialize"}},
+            "data"}},
           {"client",
            {"socket", "connect", "connect-retries", "pipeline", "request"}},
       };
