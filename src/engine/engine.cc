@@ -533,7 +533,14 @@ void ReadDiskPressure(const PlanChoice& choice, const PlanCandidate& row,
   stats->planned_cycles = row.planned_cycles;
 }
 
-// The name a run of `request` records in ExecStats.query.
+}  // namespace
+
+double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
+  RedundancyMeter meter;
+  for (const std::string& line : lines) meter.Add(line);
+  return meter.Factor();
+}
+
 std::string RunName(const ExecRequest& request) {
   switch (request.payload) {
     case ExecPayload::kSingle:
@@ -569,14 +576,6 @@ Status CheckExecRequest(const ExecRequest& request,
         "a batch/union payload needs at least one query");
   }
   return Status::OK();
-}
-
-}  // namespace
-
-double ComputeRedundancyFactor(const std::vector<std::string>& lines) {
-  RedundancyMeter meter;
-  for (const std::string& line : lines) meter.Add(line);
-  return meter.Factor();
 }
 
 Result<CompiledPlan> CompilePlan(const ExecRequest& request,

@@ -250,6 +250,17 @@ struct ExecResult {
   std::vector<SolutionSet> per_query;
 };
 
+/// \brief The request checks Exec runs before it touches the DFS: a
+/// payload shape with its member(s) and φ_m ≥ 1. InvalidArgument names the
+/// first violation.
+Status CheckExecRequest(const ExecRequest& request,
+                        const EngineOptions& options);
+
+/// \brief The name a run of `request` records in ExecStats.query: the
+/// query's name (+"+count" when aggregated), or "batch-of-N"/"union-of-N".
+/// `request` must pass CheckExecRequest.
+std::string RunName(const ExecRequest& request);
+
 /// \brief Runs `request` against the triple relation at `base_path` on
 /// `dfs` using the engine selected in `options` — or, with
 /// EngineKind::kAuto, the modeled-cheapest candidate the plan chooser

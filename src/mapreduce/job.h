@@ -96,8 +96,6 @@ struct JobSpec {
   /// record routed to them (empty files are created), so downstream jobs
   /// can rely on their inputs existing.
   std::vector<std::string> ensure_outputs;
-  /// Reduce task count; <=0 uses the cluster default.
-  int num_reducers = 0;
   /// True if this job scans the full base triple relation through each
   /// listed input (used for the paper's "full scans" metric).
   uint32_t full_scans_of_base = 0;

@@ -322,9 +322,7 @@ JobRunResult RunJob(SimDfs* dfs, const JobSpec& spec,
   metrics.full_scans_of_base = spec.full_scans_of_base;
 
   const bool map_only = (spec.reduce == nullptr);
-  int num_reducers = spec.num_reducers > 0
-                         ? spec.num_reducers
-                         : static_cast<int>(dfs->config().num_reducers);
+  const uint32_t num_reducers = dfs->config().num_reducers;
   RDFMR_CHECK(num_reducers > 0);
 
   // ---- Map phase -------------------------------------------------------

@@ -398,12 +398,13 @@ Result<CompiledPlan> CompileNtgaPlan(const std::vector<QueryPtr>& queries,
     filter->unnesters.emplace_back(q->stars().begin(), q->stars().end());
   }
   job1.reduce = [filter = std::shared_ptr<const GroupFilter>(filter),
-                 record = TgRecordReader(), pairs = std::vector<PropObj>()](
+                 record = TgRecordReader(), triples = TripleViews(),
+                 pairs = std::vector<PropObj>()](
                     const std::string& key,
                     std::span<const std::string> values,
                     const RecordEmit& emit, Counters* counters) mutable {
     const auto& [queries, offsets, plans, unnesters] = *filter;
-    TripleViews triples;
+    triples.Clear();
     uint64_t rejected = 0;
     for (const std::string& v : values) {
       if (!triples.Add(v).ok()) ++rejected;

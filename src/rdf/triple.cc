@@ -78,6 +78,11 @@ void TripleViews::SortDistinct() {
   views_.erase(std::unique(views_.begin(), views_.end()), views_.end());
 }
 
+void TripleViews::Clear() {
+  views_.clear();
+  unescaped_.clear();
+}
+
 std::vector<std::string> SerializeTriples(const std::vector<Triple>& triples) {
   std::vector<std::string> out;
   out.reserve(triples.size());

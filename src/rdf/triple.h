@@ -110,6 +110,10 @@ class TripleViews {
   /// triples a std::set<Triple> of the lines would hold.
   void SortDistinct();
 
+  /// \brief Drops every view for the next group, keeping the view
+  /// vector's memory: a reducer holds one TripleViews per task.
+  void Clear();
+
   const std::vector<TripleView>& views() const { return views_; }
 
  private:

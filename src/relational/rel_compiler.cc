@@ -85,14 +85,14 @@ class StarMatcher {
   std::vector<uint32_t> sources_;  // the triple each candidate binds
 };
 
-// Star-join reducer: reads a subject's triple lines as views, keeps the
-// distinct ones and writes the star's matches (relational arity 3k).
+// Star-join reducer: reads a subject's triple lines as views into its
+// task's TripleViews (cleared per group), keeps the distinct ones and
+// writes the star's matches (relational arity 3k).
 ReduceFn MakeStarReducer(const StarPattern& star) {
-  return [matcher = StarMatcher(star)](const std::string& /*key*/,
-                                       std::span<const std::string> values,
-                                       const RecordEmit& emit,
-                                       Counters* counters) mutable {
-    TripleViews triples;
+  return [matcher = StarMatcher(star), triples = TripleViews()](
+             const std::string& /*key*/, std::span<const std::string> values,
+             const RecordEmit& emit, Counters* counters) mutable {
+    triples.Clear();
     uint64_t rejected = 0;
     for (const std::string& v : values) {
       if (!triples.Add(v).ok()) ++rejected;
@@ -382,11 +382,12 @@ Result<CompiledPlan> CompileSelSJFirst(QueryPtr query,
         base_path, {.patterns = folded_schema, .tag = "B"}));
     job2.full_scans_of_base = 1;
     job2.reduce = [matcher = StarMatcher(query->stars()[folded]),
-                   readers = JoinReaders(first_schema, folded_schema)](
+                   readers = JoinReaders(first_schema, folded_schema),
+                   triples = TripleViews()](
                       const std::string& /*key*/,
                       std::span<const std::string> values,
                       const RecordEmit& emit, Counters* counters) mutable {
-      TripleViews triples;
+      triples.Clear();
       JoinSide lefts;
       for (const std::string& v : values) {
         std::string_view tag, record;

@@ -80,7 +80,6 @@ DatasetInfo DatasetHandle::Info() const {
   if (mapped_ != nullptr) {
     info.mapped = true;
     info.mapped_bytes = mapped_->file_bytes();
-    info.mapped_scans = true;
     // The mapping knows the relation size before materialization.
     if (!info.loaded) info.num_triples = mapped_->triple_count();
   }

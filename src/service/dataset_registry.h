@@ -38,11 +38,10 @@ struct DatasetInfo {
   bool loaded = false;       ///< base relation materialized?
   size_t num_triples = 0;    ///< 0 until loaded (mapped: known at once)
   uint64_t base_bytes = 0;   ///< logical bytes of the base relation
-  bool mapped = false;       ///< backed by a memory-mapped rdx file?
+  /// Backed by a memory-mapped rdx file, whose base is mounted as a
+  /// LineSource over the mapping: scans decode nothing up front.
+  bool mapped = false;
   uint64_t mapped_bytes = 0; ///< on-disk bytes of the mapping, if mapped
-  /// Mapped dataset serving zero-materialization scans (base mounted as a
-  /// LineSource over the mapping instead of decoded into line vectors).
-  bool mapped_scans = false;
 };
 
 /// \brief Deferred triple source (file read, generator, in-memory copy).
@@ -74,10 +73,6 @@ class DatasetHandle {
   std::shared_ptr<const GraphStats> stats() const;
 
   DatasetInfo Info() const;
-
-  /// \brief True when queries run zero-materialization scans over the
-  /// mapping (a mapped dataset).
-  bool mapped_scans() const { return mapped_ != nullptr; }
 
  private:
   friend class DatasetRegistry;

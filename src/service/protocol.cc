@@ -57,7 +57,8 @@ JsonValue DatasetInfoJson(const DatasetInfo& info) {
   o.Set("mapped", info.mapped);
   if (info.mapped) {
     o.Set("mapped_bytes", info.mapped_bytes);
-    o.Set("mapped_scans", info.mapped_scans);
+    // Wire v1 field: a mapped dataset always scans the mapping.
+    o.Set("mapped_scans", info.mapped);
   }
   return o;
 }
@@ -331,7 +332,7 @@ Result<ServiceRequest> BuildBatchRequest(const JsonValue& request) {
     }
     for (const JsonValue& id : ids.AsArray()) {
       RDFMR_ASSIGN_OR_RETURN(auto query, GetTestbedQuery(id.AsString()));
-      service_request.batch.push_back(std::move(query));
+      service_request.queries.push_back(std::move(query));
     }
   } else if (request.Has("queries")) {
     const JsonValue& specs = request.Get("queries");
@@ -346,18 +347,18 @@ Result<ServiceRequest> BuildBatchRequest(const JsonValue& request) {
         return Status::InvalidArgument(
             "batch: aggregation is not supported in batches");
       }
-      service_request.batch.push_back(parsed.query);
+      service_request.queries.push_back(parsed.query);
     }
   }
-  if (service_request.batch.empty()) {
+  if (service_request.queries.empty()) {
     return Status::InvalidArgument(
         "batch: need a non-empty \"query_ids\" or \"queries\" array");
   }
   const std::string mode = request.GetString("mode", "batch");
   if (mode == "union") {
-    service_request.batch_mode = BatchMode::kUnion;
+    service_request.payload = ExecPayload::kUnion;
   } else if (mode == "batch") {
-    service_request.batch_mode = BatchMode::kPerQuery;
+    service_request.payload = ExecPayload::kBatch;
   } else {
     return Status::InvalidArgument(
         "batch: \"mode\" must be \"batch\" or \"union\"");
@@ -593,8 +594,7 @@ AsyncDispatch Dispatch(QueryService* query_service, const JsonValue& request,
       return dispatch;
     }
     const uint64_t max_answers = request.GetUint("max_answers", 0);
-    const bool per_query =
-        built->query == nullptr && built->batch_mode == BatchMode::kPerQuery;
+    const bool per_query = built->payload == ExecPayload::kBatch;
     const bool terse = request.GetBool("terse");
     const bool has_id = request.Has("id");
     JsonValue id = has_id ? request.Get("id") : JsonValue();

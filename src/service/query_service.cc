@@ -38,46 +38,6 @@ uint32_t DeriveCacheShards(uint32_t max_concurrent) {
       std::min<size_t>(64, std::max<size_t>(8, derived)));
 }
 
-/// The name Exec stamps on a single payload's stats.
-std::string SingleQueryName(const ServiceRequest& request) {
-  std::string name = request.query->name();
-  if (request.aggregate.has_value()) name += "+count";
-  return name;
-}
-
-/// The ExecRequest a ServiceRequest runs as on `dataset`, whose catalog
-/// the plan chooser reads instead of rescanning the base.
-ExecRequest ToExecRequest(const ServiceRequest& request,
-                          const DatasetHandle& dataset) {
-  ExecRequest exec;
-  exec.stats = dataset.stats();
-  if (request.query != nullptr) {
-    exec.payload = ExecPayload::kSingle;
-    exec.query = request.query;
-    exec.aggregate = request.aggregate;
-  } else {
-    exec.payload = request.batch_mode == BatchMode::kUnion
-                       ? ExecPayload::kUnion
-                       : ExecPayload::kBatch;
-    exec.queries = request.batch;
-  }
-  return exec;
-}
-
-Status CheckRequestShape(const ServiceRequest& request) {
-  const bool single = request.query != nullptr;
-  const bool batch = !request.batch.empty();
-  if (single == batch) {
-    return Status::InvalidArgument(
-        "request must carry exactly one of a single query or a batch");
-  }
-  if (request.aggregate.has_value() && !single) {
-    return Status::InvalidArgument(
-        "aggregation applies to single queries only");
-  }
-  return Status::OK();
-}
-
 JsonValue HistogramJson(const Histogram& hist) {
   JsonValue o = JsonValue::MakeObject();
   o.Set("count", hist.count());
@@ -135,7 +95,7 @@ std::string CanonicalQueryText(const ServiceRequest& request) {
       out += '\n';
     }
   };
-  if (request.query != nullptr) {
+  if (request.payload == ExecPayload::kSingle) {
     append_query(*request.query);
     if (request.aggregate.has_value()) {
       const AggregateSpec& spec = *request.aggregate;
@@ -150,8 +110,8 @@ std::string CanonicalQueryText(const ServiceRequest& request) {
                           static_cast<unsigned long long>(spec.min_count));
     }
   } else {
-    out += request.batch_mode == BatchMode::kUnion ? "UNION\n" : "BATCH\n";
-    for (const auto& query : request.batch) {
+    out += request.payload == ExecPayload::kUnion ? "UNION\n" : "BATCH\n";
+    for (const auto& query : request.queries) {
       out += "BRANCH\n";
       append_query(*query);
     }
@@ -431,11 +391,10 @@ void QueryService::RunPending(const std::shared_ptr<Pending>& pending) {
 
 ServiceResponse QueryService::Execute(const ServiceRequest& request) {
   ServiceResponse response;
-  Status shape = CheckRequestShape(request);
-  if (!shape.ok()) {
-    response.status = shape;
-    return response;
-  }
+  // Exec's own checks, before the dataset is acquired: a malformed request
+  // never loads a lazily registered dataset.
+  response.status = CheckExecRequest(request, request.options);
+  if (!response.ok()) return response;
   auto handle = registry_.Acquire(request.dataset);
   if (!handle.ok()) {
     response.status = handle.status();
@@ -445,14 +404,16 @@ ServiceResponse QueryService::Execute(const ServiceRequest& request) {
 }
 
 Result<PlanChoice> QueryService::Explain(const ServiceRequest& request) {
-  RDFMR_RETURN_NOT_OK(CheckRequestShape(request));
+  RDFMR_RETURN_NOT_OK(CheckExecRequest(request, request.options));
   RDFMR_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> handle,
                          registry_.Acquire(request.dataset));
   if (handle->dfs() == nullptr) {
     return Status::Unknown("dataset not loaded: " + handle->name());
   }
-  return ChoosePlanOnDfs(handle->dfs(), DatasetHandle::kBasePath,
-                         ToExecRequest(request, *handle), request.options);
+  ExecRequest exec = request;
+  exec.stats = handle->stats();
+  return ChoosePlanOnDfs(handle->dfs(), DatasetHandle::kBasePath, exec,
+                         request.options);
 }
 
 ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
@@ -461,64 +422,66 @@ ServiceResponse QueryService::ExecuteOnDataset(const ServiceRequest& request,
   response.epoch = dataset.epoch();
   const std::string key = RequestCacheKey(request, dataset.epoch());
 
-  // Shapes the response from an answer snapshot (fresh or cached). No deep
-  // copy anywhere: the response aliases the snapshot's shared sets, so a
+  // Shapes the response from a run's result (fresh or cached). No deep copy
+  // anywhere: the response's answer pointers alias the shared result, so a
   // warm hit costs a refcount bump and an ExecStats copy regardless of
-  // answer size. The key ignores query names, so a single query's stats
-  // carry the request's own name.
-  auto shape = [&request, &response](const CachedAnswers& value) {
-    response.stats = value.stats;
-    if (request.query != nullptr) {
-      response.stats.query = SingleQueryName(request);
+  // answer size. The key ignores query names, so the stats carry the
+  // request's own run name.
+  auto shape = [&request,
+                &response](const std::shared_ptr<const ExecResult>& run) {
+    response.stats = run->stats;
+    response.stats.query = RunName(request);
+    if (request.payload == ExecPayload::kBatch) {
+      response.batch_answers =
+          std::shared_ptr<const std::vector<SolutionSet>>(run, &run->per_query);
+    } else {
+      response.answers = std::shared_ptr<const SolutionSet>(run, &run->answers);
     }
-    response.answers = value.answers;
-    response.batch_answers = value.per_query;
     response.status = Status::OK();
   };
 
   if (request.use_result_cache) {
     // The warm hot path: one shard mutex inside Get, one relaxed
     // fetch_add — no service-wide lock.
-    std::shared_ptr<const CachedAnswers> cached;
+    std::shared_ptr<const ExecResult> cached;
     if (result_cache_.Get(key, &cached)) {
       stats_.result_cache_hits.fetch_add(1, std::memory_order_relaxed);
       response.result_cache_hit = true;
-      shape(*cached);
+      shape(cached);
       return response;
     }
     stats_.result_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // A miss is an Exec call on the dataset's DFS with the request as sent:
-  // Exec selects the engine (auto) and runs the disk-pressure preflight.
-  auto exec = Exec(dataset.dfs(), DatasetHandle::kBasePath,
-                   ToExecRequest(request, dataset), request.options);
+  // A miss is an Exec call on the dataset's DFS with the request as sent,
+  // reading the dataset's catalog: Exec selects the engine (auto) and runs
+  // the disk-pressure preflight.
+  ExecRequest exec_request = request;
+  exec_request.stats = dataset.stats();
+  auto exec = Exec(dataset.dfs(), DatasetHandle::kBasePath, exec_request,
+                   request.options);
   if (!exec.ok()) {
     response.status = exec.status();
     return response;
   }
-
-  auto value = std::make_shared<CachedAnswers>();
-  value->stats = std::move(exec->stats);
-  uint64_t charge = 128;  // fixed overhead for the ExecStats copy
-  if (request.query != nullptr || request.batch_mode == BatchMode::kUnion) {
-    charge += EstimateSetCharge(exec->answers);
-    value->answers = std::make_shared<SolutionSet>(std::move(exec->answers));
-  } else {
-    for (const SolutionSet& set : exec->per_query) {
-      charge += EstimateSetCharge(set);
-    }
-    value->per_query = std::make_shared<std::vector<SolutionSet>>(
-        std::move(exec->per_query));
-  }
+  auto run = std::make_shared<const ExecResult>(exec.MoveValueUnsafe());
 
   // Cache only complete, decoded, successful runs: failed runs are cheap
   // to re-measure and undecoded runs carry no reusable payload.
-  if (request.use_result_cache && value->stats.ok() &&
+  if (request.use_result_cache && run->stats.ok() &&
       request.options.decode_answers) {
-    result_cache_.Put(key, value, charge);
+    // The charge prices the one answer shape the payload produces.
+    uint64_t charge = 128;  // fixed overhead for the ExecStats copy
+    if (request.payload == ExecPayload::kBatch) {
+      for (const SolutionSet& set : run->per_query) {
+        charge += EstimateSetCharge(set);
+      }
+    } else {
+      charge += EstimateSetCharge(run->answers);
+    }
+    result_cache_.Put(key, run, charge);
   }
-  shape(*value);
+  shape(run);
   return response;
 }
 

@@ -1,5 +1,13 @@
 // Long-lived concurrent query service over the simulated-cluster engines.
 //
+// A served request IS an ExecRequest (ServiceRequest derives from it) plus
+// what serving adds: the dataset name, the engine options, a deadline and
+// the result-cache opt-out. The service checks it with Exec's own
+// CheckExecRequest before touching the dataset, names it with Exec's
+// RunName, and a miss runs it through Exec unchanged. The result cache
+// holds the run's ExecResult, so one request type and one result type
+// span the wire to Exec.
+//
 // One QueryService owns:
 //   * a DatasetRegistry (named datasets -> lazily-loaded shared SimDfs
 //     bases — the load cost is paid once per dataset, not per query);
@@ -52,7 +60,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,8 +70,6 @@
 #include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/plan_chooser.h"
-#include "query/aggregate.h"
-#include "query/pattern.h"
 #include "service/dataset_registry.h"
 
 namespace rdfmr {
@@ -90,20 +95,13 @@ struct ServiceConfig {
   uint64_t default_deadline_ms = 0;
 };
 
-/// \brief How a batch request combines its per-query answers.
-enum class BatchMode {
-  kPerQuery,  ///< ExecPayload::kBatch: answers aligned with queries
-  kUnion,     ///< ExecPayload::kUnion: one unioned answer set
-};
-
-/// \brief One request. Exactly one of `query` (single, optionally
-/// aggregated) or `batch` (shared-scan NTGA batch) must be set.
-struct ServiceRequest {
+/// \brief One request: the ExecRequest Exec runs, plus what serving adds.
+/// The payload (single, optionally aggregated; per-query batch; union) and
+/// its checks are Exec's own (CheckExecRequest). The inherited `stats` is
+/// always replaced by the dataset's catalog before Exec runs; what a caller
+/// sets there is ignored.
+struct ServiceRequest : ExecRequest {
   std::string dataset;
-  std::shared_ptr<const GraphPatternQuery> query;
-  std::optional<AggregateSpec> aggregate;
-  std::vector<std::shared_ptr<const GraphPatternQuery>> batch;
-  BatchMode batch_mode = BatchMode::kPerQuery;
   EngineOptions options;
   /// 0 uses the service default; the deadline covers queue wait AND
   /// execution (a request finishing past it reports kDeadlineExceeded).
@@ -118,13 +116,14 @@ struct ServiceResponse {
   /// dataset.
   Status status;
   ExecStats stats;
-  /// Single-query / union answers. Shared, immutable ownership: warm
-  /// result-cache hits alias the cached snapshot (an O(1) refcount bump,
-  /// no deep copy), so concurrent warm responses point at the SAME set.
-  /// Null when the response carries no answers.
+  /// Single-query / union answers: an aliasing pointer into the run's
+  /// immutable ExecResult, which the result cache holds. Warm hits cost an
+  /// O(1) refcount bump, no deep copy, so concurrent warm responses point
+  /// at the SAME set. Null for a per-query batch and when the response
+  /// carries no answers.
   std::shared_ptr<const SolutionSet> answers;
-  /// Batch answers (kPerQuery mode), aligned with the request's queries.
-  /// Shared exactly like `answers`.
+  /// Per-query batch answers (ExecPayload::kBatch), aligned with the
+  /// request's queries; null otherwise. Shared exactly like `answers`.
   std::shared_ptr<const std::vector<SolutionSet>> batch_answers;
   uint64_t epoch = 0;
   bool result_cache_hit = false;
@@ -244,15 +243,6 @@ class QueryService {
 
  private:
   struct Pending;
-  /// Immutable result snapshot of one Exec run. Warm hits hand out the
-  /// shared_ptrs as-is. It holds the one answer shape its key's payload
-  /// produces: `answers` for single and union requests, `per_query` for a
-  /// per-query batch (the other stays null).
-  struct CachedAnswers {
-    ExecStats stats;
-    std::shared_ptr<const SolutionSet> answers;
-    std::shared_ptr<const std::vector<SolutionSet>> per_query;
-  };
 
   /// \brief Lock-free mirror of the snapshot's counters/gauges: relaxed
   /// atomics updated on the execute path, folded by SnapshotNow(). The
@@ -288,8 +278,10 @@ class QueryService {
   StatsCells stats_;  ///< lock-free; read back only by SnapshotNow()
   std::atomic<uint64_t> next_ticket_{1};
 
-  /// Striped cache: internally synchronized, one mutex per shard.
-  ShardedLruCache<std::shared_ptr<const CachedAnswers>> result_cache_;
+  /// Striped cache: internally synchronized, one mutex per shard. An
+  /// entry is the producing run's immutable ExecResult; warm hits hand out
+  /// aliasing pointers into it.
+  ShardedLruCache<std::shared_ptr<const ExecResult>> result_cache_;
 
   /// Guards pending_ and each Pending's `cancelled` flag — nothing else.
   /// Held only for O(1) map operations; never while holding (or taking) a
@@ -309,8 +301,9 @@ class QueryService {
 /// (num_threads) is deliberately excluded: it only moves wall-clock times.
 std::string EngineOptionsFingerprint(const EngineOptions& options);
 
-/// \brief Canonical text of a request's query content (patterns, optional
-/// aggregate, batch composition + mode), independent of query names.
+/// \brief Canonical text of a request's payload (patterns, optional
+/// aggregate, batch composition + payload shape), independent of query
+/// names.
 std::string CanonicalQueryText(const ServiceRequest& request);
 
 /// \brief Full result cache key: dataset, epoch, options fingerprint,

@@ -465,16 +465,71 @@ TEST(CacheKeyTest, CanonicalTextIgnoresQueryNames) {
   d.aggregate = spec;
   EXPECT_NE(CanonicalQueryText(a), CanonicalQueryText(d));
 
-  // The batch mode is part of the text: a per-query batch and a union over
+  // The payload is part of the text: a per-query batch and a union over
   // the same queries run different payloads, so they never share an entry.
   ServiceRequest batch;
-  batch.batch = {a.query, c.query};
+  batch.payload = ExecPayload::kBatch;
+  batch.queries = {a.query, c.query};
   ServiceRequest renamed_batch;
-  renamed_batch.batch = {b.query, c.query};
+  renamed_batch.payload = ExecPayload::kBatch;
+  renamed_batch.queries = {b.query, c.query};
   EXPECT_EQ(CanonicalQueryText(batch), CanonicalQueryText(renamed_batch));
   ServiceRequest union_request = batch;
-  union_request.batch_mode = BatchMode::kUnion;
+  union_request.payload = ExecPayload::kUnion;
   EXPECT_NE(CanonicalQueryText(batch), CanonicalQueryText(union_request));
+}
+
+// The exact bytes of the result-cache key of each payload shape: a
+// single query, an aggregated single, a per-query batch and a union. A key
+// is the dataset, the epoch, the options fingerprint and the canonical
+// query text, each but the last closed by \x1f; a change to any of them
+// re-keys every cached entry, so it must show here. The retry budget is
+// pinned by the request (cli_pinned outranks RDFMR_MAX_ATTEMPTS), so the
+// key does not read the environment.
+TEST(CacheKeyTest, KeyBytesArePinned) {
+  auto star = MakeQuery(
+      "star", "SELECT * WHERE { ?s <http://ex/p> ?o . ?s ?x ?y . }");
+  auto chain = MakeQuery(
+      "chain", "SELECT * WHERE { ?a <http://ex/knows> ?b . ?b ?q ?c . }");
+  ServiceRequest single;
+  single.dataset = "bsbm";
+  single.query = star;
+  single.options.runtime.max_attempts = 3;
+  single.options.runtime.cli_pinned = true;
+
+  ServiceRequest aggregated = single;
+  AggregateSpec spec;
+  spec.group_vars = {"s"};
+  spec.counted_var = "x";
+  spec.min_count = 2;
+  aggregated.aggregate = spec;
+
+  ServiceRequest batch = single;
+  batch.payload = ExecPayload::kBatch;
+  batch.queries = {star, chain};
+  batch.options.kind = EngineKind::kNtgaEager;
+
+  ServiceRequest union_request = batch;
+  union_request.payload = ExecPayload::kUnion;
+  union_request.options.kind = EngineKind::kAuto;
+
+  const std::string prefix = "bsbm\x1f" "7\x1f";
+  const std::string options =
+      ";phi=1024;grouping=0;decode=1;attempts=3;pressure=0;"
+      "cost=80,50,40,120,15\x1f";
+  const std::string star_text = "?s <http://ex/p> ?o .\n?s ?x ?y .\n";
+  const std::string branches = "BRANCH\n" + star_text +
+                               "BRANCH\n?a <http://ex/knows> ?b .\n"
+                               "?b ?q ?c .\n";
+  EXPECT_EQ(RequestCacheKey(single, 7),
+            prefix + "kind=LazyUnnest" + options + star_text);
+  EXPECT_EQ(RequestCacheKey(aggregated, 7),
+            prefix + "kind=LazyUnnest" + options + star_text +
+                "AGG group=s, counted=x as=count distinct=1 min=2\n");
+  EXPECT_EQ(RequestCacheKey(batch, 7),
+            prefix + "kind=EagerUnnest" + options + "BATCH\n" + branches);
+  EXPECT_EQ(RequestCacheKey(union_request, 7),
+            prefix + "kind=Auto" + options + "UNION\n" + branches);
 }
 
 // ---- Service equivalence ---------------------------------------------------
@@ -619,7 +674,8 @@ TEST(ServiceEquivalenceTest, BatchAndUnionMatchDirectRuns) {
 
       ServiceRequest request;
       request.dataset = "bsbm";
-      request.batch = queries;
+      request.payload = ExecPayload::kBatch;
+      request.queries = queries;
       request.options.kind = kind;
       request.options.runtime.num_threads = threads;
       ServiceResponse batched = service->Query(request);
@@ -637,7 +693,7 @@ TEST(ServiceEquivalenceTest, BatchAndUnionMatchDirectRuns) {
       ExpectSameChoice(batched.stats, direct->stats);
 
       // The union is its own payload and its own cache entry: a miss.
-      request.batch_mode = BatchMode::kUnion;
+      request.payload = ExecPayload::kUnion;
       ServiceResponse unioned = service->Query(request);
       ASSERT_TRUE(unioned.ok()) << unioned.status.ToString();
       ASSERT_TRUE(unioned.stats.ok());
@@ -1040,32 +1096,54 @@ TEST(ServiceAdmissionTest, RejectsCancelsAndExpires) {
 
 // ---- Request validation ----------------------------------------------------
 
+// A malformed payload is rejected with exactly the Status Exec's own
+// check returns (code and message), before the dataset is acquired: a
+// lazily registered dataset stays unloaded. A request cannot carry both a
+// single query and a batch: its payload names one shape.
 TEST(ServiceValidationTest, RejectsMalformedRequests) {
   auto service = MakeService();
-  ASSERT_TRUE(service->LoadDataset("d", TinyTriples()).ok());
+  std::atomic<int> loads{0};
+  auto loader = [&loads]() -> Result<std::vector<Triple>> {
+    ++loads;
+    return TinyTriples();
+  };
+  ASSERT_TRUE(service->RegisterDataset("d", loader).ok());
   auto query = MakeQuery("q", "SELECT * WHERE { ?s ?p ?o . }");
-
-  ServiceRequest none;
-  none.dataset = "d";
-  EXPECT_EQ(service->Query(none).status.code(),
-            StatusCode::kInvalidArgument);
-
-  ServiceRequest both;
-  both.dataset = "d";
-  both.query = query;
-  both.batch = {query};
-  EXPECT_EQ(service->Query(both).status.code(),
-            StatusCode::kInvalidArgument);
-
-  ServiceRequest aggregate_batch;
-  aggregate_batch.dataset = "d";
-  aggregate_batch.batch = {query};
   AggregateSpec spec;
   spec.group_vars = {"s"};
   spec.counted_var = "p";
-  aggregate_batch.aggregate = spec;
-  EXPECT_EQ(service->Query(aggregate_batch).status.code(),
-            StatusCode::kInvalidArgument);
+
+  std::vector<ServiceRequest> malformed;
+  malformed.emplace_back();  // single payload without a query
+  for (ExecPayload payload : {ExecPayload::kBatch, ExecPayload::kUnion}) {
+    ServiceRequest empty;  // batch/union payload without a member
+    empty.payload = payload;
+    malformed.push_back(empty);
+    ServiceRequest aggregated = empty;  // aggregate on a batch/union
+    aggregated.queries = {query};
+    aggregated.aggregate = spec;
+    malformed.push_back(aggregated);
+  }
+  ServiceRequest no_phi;  // φ_m needs at least one partition
+  no_phi.query = query;
+  no_phi.options.phi_partitions = 0;
+  malformed.push_back(no_phi);
+
+  for (ServiceRequest& request : malformed) {
+    request.dataset = "d";
+    const Status expected = CheckExecRequest(request, request.options);
+    ASSERT_FALSE(expected.ok());
+    const Status served = service->Query(request).status;
+    EXPECT_EQ(served.code(), expected.code());
+    EXPECT_EQ(served.message(), expected.message());
+    const Status explained = service->Explain(request).status();
+    EXPECT_EQ(explained.code(), expected.code());
+    EXPECT_EQ(explained.message(), expected.message());
+  }
+  EXPECT_EQ(loads.load(), 0);
+  const std::vector<DatasetInfo> datasets = service->ListDatasets();
+  ASSERT_EQ(datasets.size(), 1u);
+  EXPECT_FALSE(datasets[0].loaded);
 
   ServiceRequest unknown;
   unknown.dataset = "nope";

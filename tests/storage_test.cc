@@ -477,8 +477,8 @@ TEST(RdxDifferentialTest, MappedScansMatchDecodedRegistration) {
       "d", [rdx_path] { return service::ReadDatasetFile(rdx_path); });
   ASSERT_TRUE(scan_info.ok()) << scan_info.status().ToString();
   ASSERT_TRUE(decoded_info.ok()) << decoded_info.status().ToString();
-  EXPECT_TRUE(scan_info->mapped_scans);
-  EXPECT_FALSE(decoded_info->mapped_scans);
+  EXPECT_TRUE(scan_info->mapped);
+  EXPECT_FALSE(decoded_info->mapped);
 
   for (EngineKind kind : AllEngineKinds()) {
     SCOPED_TRACE(EngineKindToString(kind));

@@ -34,41 +34,10 @@ build_and_test() {
   cmake --build "$build_dir" -j "$(nproc)" || return $?
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" || return $?
   # Release smoke-runs the operator microbenchmarks (no number is gated)
-  # and the aggregation, Fig. 3 grouping and multi-query experiments, the
-  # paper-scale Fig. 13 harness and the Fig. 11 unnesting strategies (exit
-  # code = failed shape checks); each experiment's table, simulated
-  # quantities only, must print the same bytes at 1 and 4 threads.
+  # and every figure and extension harness at 1 and 4 threads.
   [[ "$build_type" != Release ]] || {
     "./$build_dir/bench/micro_operators" --benchmark_min_time=0.01 &&
-      RDFMR_THREADS=1 "./$build_dir/bench/ext_aggregation" \
-        > "$build_dir/ext_aggregation-t1.txt" &&
-      RDFMR_THREADS=4 "./$build_dir/bench/ext_aggregation" \
-        > "$build_dir/ext_aggregation-t4.txt" &&
-      diff "$build_dir/ext_aggregation-t1.txt" \
-        "$build_dir/ext_aggregation-t4.txt" &&
-      RDFMR_THREADS=1 "./$build_dir/bench/fig03_star_groupings" \
-        > "$build_dir/fig03-t1.txt" &&
-      RDFMR_THREADS=4 "./$build_dir/bench/fig03_star_groupings" \
-        > "$build_dir/fig03-t4.txt" &&
-      diff "$build_dir/fig03-t1.txt" "$build_dir/fig03-t4.txt" &&
-      RDFMR_THREADS=1 "./$build_dir/bench/ext_multiquery" \
-        > "$build_dir/ext_multiquery-t1.txt" &&
-      RDFMR_THREADS=4 "./$build_dir/bench/ext_multiquery" \
-        > "$build_dir/ext_multiquery-t4.txt" &&
-      diff "$build_dir/ext_multiquery-t1.txt" \
-        "$build_dir/ext_multiquery-t4.txt" &&
-      RDFMR_THREADS=1 "./$build_dir/bench/fig13_bio2rdf" \
-        > "$build_dir/fig13-t1.txt" &&
-      RDFMR_THREADS=4 "./$build_dir/bench/fig13_bio2rdf" \
-        > "$build_dir/fig13-t4.txt" &&
-      cat "$build_dir/fig13-t1.txt" &&
-      diff "$build_dir/fig13-t1.txt" "$build_dir/fig13-t4.txt" &&
-      RDFMR_THREADS=1 "./$build_dir/bench/fig11_unnest_strategies" \
-        > "$build_dir/fig11-t1.txt" &&
-      RDFMR_THREADS=4 "./$build_dir/bench/fig11_unnest_strategies" \
-        > "$build_dir/fig11-t4.txt" &&
-      cat "$build_dir/fig11-t1.txt" &&
-      diff "$build_dir/fig11-t1.txt" "$build_dir/fig11-t4.txt"
+      tools/figure_smoke.sh "$build_dir"
   }
 }
 
