@@ -575,6 +575,10 @@ Status CheckExecRequest(const ExecRequest& request,
     return Status::InvalidArgument(
         "a batch/union payload needs at least one query");
   }
+  if (std::find(request.queries.begin(), request.queries.end(), nullptr) !=
+      request.queries.end()) {
+    return Status::InvalidArgument("a batch/union member is null");
+  }
   return Status::OK();
 }
 

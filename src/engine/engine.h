@@ -251,8 +251,8 @@ struct ExecResult {
 };
 
 /// \brief The request checks Exec runs before it touches the DFS: a
-/// payload shape with its member(s) and φ_m ≥ 1. InvalidArgument names the
-/// first violation.
+/// payload shape with its non-null member(s) and φ_m ≥ 1. InvalidArgument
+/// names the first violation.
 Status CheckExecRequest(const ExecRequest& request,
                         const EngineOptions& options);
 

@@ -1123,6 +1123,9 @@ TEST(ServiceValidationTest, RejectsMalformedRequests) {
     aggregated.queries = {query};
     aggregated.aggregate = spec;
     malformed.push_back(aggregated);
+    ServiceRequest null_member = empty;  // a member without a query
+    null_member.queries = {query, nullptr};
+    malformed.push_back(null_member);
   }
   ServiceRequest no_phi;  // φ_m needs at least one partition
   no_phi.query = query;
